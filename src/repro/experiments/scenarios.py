@@ -698,7 +698,7 @@ def simulation_theorem(
 
 @scenario(
     "spanner-skeleton",
-    description="Elkin-Matar-style linear-size (2k-1)-spanner: stretch/size vs n on CONGEST",
+    description="Linear-size (2k-1)-spanner via gather-to-leader, central greedy, broadcast",
     params=[
         ParamSpec("n", int, 60, "nodes in the live CONGEST network"),
         ParamSpec("stretch_k", int, 0, "spanner parameter k (0 = ceil(log2 n), linear size)"),
@@ -742,13 +742,16 @@ def spanner_skeleton(
     engine: str,
     engine_threads: int,
 ) -> dict:
-    """Greedy (2k-1)-spanner of a random weighted graph, built distributedly.
+    """Greedy (2k-1)-spanner of a random weighted graph, solved centrally.
 
-    At ``k = ceil(log2 n)`` the girth bound makes the spanner linear-size
-    (< 2n edges) -- the skeleton regime of Elkin-Matar (arXiv:1907.10895).
-    The phased CONGEST construction is mostly quiet by design, so the
-    scenario also reports how much of the dense ``n x rounds`` schedule the
-    active-set engines actually stepped.
+    The CONGEST run is ``run_centralised``: it gathers every edge to an
+    elected leader, runs the greedy spanner there and broadcasts the
+    answer.  It is not a distributed Elkin-Matar construction.  At
+    ``k = ceil(log2 n)`` the girth bound makes the spanner linear-size
+    (< 2n edges) -- the skeleton regime that Elkin-Matar (arXiv:1907.10895)
+    build distributedly.  The gather and broadcast phases are mostly quiet,
+    so the scenario also reports how much of the dense ``n x rounds``
+    schedule the active-set engines actually stepped.
     """
     graph = random_weighted_graph(
         n, aspect_ratio=aspect_ratio, extra_edge_prob=extra_edge_prob, seed=seed

@@ -3,6 +3,7 @@
 import networkx as nx
 import pytest
 
+from repro.algorithms.centralised import run_centralised
 from repro.algorithms.framework import (
     BfsTreePhase,
     BroadcastPhase,
@@ -197,6 +198,29 @@ class TestPipelines:
         result = run_phases(graph, phases)
         root_output = result.outputs[7]
         assert root_output == ["same-item"]
+
+    @pytest.mark.parametrize(
+        "bandwidth",
+        [
+            pytest.param(
+                128,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="the upcast lasts D+K+2 rounds, one item per link per round, "
+                    "but a (u, v, w) item needs two rounds at B=128; items still on "
+                    "the wire when the phase ends are dropped without an error",
+                ),
+            ),
+            256,
+        ],
+    )
+    def test_upcast_delivers_every_edge_item(self, bandwidth):
+        # K9 with leaf 9 hung off node 8: the leader (max repr) is the
+        # leaf, so all 37 edge items cross the one link 8 -> 9.
+        graph = nx.complete_graph(9)
+        graph.add_edge(8, 9)
+        answer, _ = run_centralised(graph, lambda h: h.number_of_edges(), bandwidth=bandwidth)
+        assert answer == graph.number_of_edges() == 37
 
 
 class TestPhaseComposition:
