@@ -103,7 +103,7 @@ def default_policy(label: str) -> str:
 
     Thread-count labels come from the parallel-engine benchmark, whose
     speedups depend on CI host core count -- warn-only.  Everything else
-    (event-vs-dense, backend drains) is single-threaded and gated hard.
+    (event-vs-dense, columnar-vs-event) is single-threaded and gated hard.
     """
     return "warn" if "thr)" in label else "hard"
 

@@ -254,7 +254,7 @@ class FaultPlan:
 
         Pure in ``(seed, kind, round, edge, index)``: blake2b of the tuple's
         canonical encoding, so the decision is identical regardless of
-        engine, thread count, claim batching, or process.
+        engine, thread count, backend, or process.
         """
         digest = hashlib.blake2b(
             f"{self.seed}|{kind}|{round_no}|{sender!r}|{receiver!r}|{index}".encode(),

@@ -10,20 +10,17 @@ Register a scenario::
         return {"answer": n}
 
 Then ``python -m repro.experiments run my-sweep --workers 4`` expands the
-grid, runs it on a pluggable execution backend (serial, process pool, or
-a shared work-queue spool drained by worker daemons -- see
-:mod:`repro.experiments.backends`), and persists one JSON record per
+grid, runs it on an execution backend (serial or a local process pool --
+see :mod:`repro.experiments.backends`), and persists one JSON record per
 point under ``experiment-results/`` keyed by a content hash of (scenario,
-version, params, seed) -- re-runs are served from cache.
+version, code version, params, seed) -- re-runs are served from cache.
 """
 
 from repro.experiments.backends import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    WorkQueueBackend,
     resolve_backend,
-    run_worker,
 )
 from repro.experiments.registry import (
     ParamSpec,
@@ -36,7 +33,7 @@ from repro.experiments.registry import (
     scenario,
 )
 from repro.experiments.runner import SweepReport, run_sweep
-from repro.experiments.store import MergeSummary, ResultRecord, ResultStore, cache_key
+from repro.experiments.store import ResultRecord, ResultStore, cache_key
 from repro.experiments.sweep import SweepPoint, derive_seed, expand_grid
 
 __all__ = [
@@ -53,14 +50,11 @@ __all__ = [
     "derive_seed",
     "run_sweep",
     "SweepReport",
-    "MergeSummary",
     "ResultStore",
     "ResultRecord",
     "cache_key",
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "WorkQueueBackend",
     "resolve_backend",
-    "run_worker",
 ]

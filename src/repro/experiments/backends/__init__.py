@@ -1,4 +1,4 @@
-"""Pluggable sweep-execution backends.
+"""Sweep-execution backends.
 
 ``run_sweep`` resolves caching and grid order; a backend turns pending
 points into outcome dicts behind the :class:`ExecutionBackend`
@@ -6,31 +6,19 @@ points into outcome dicts behind the :class:`ExecutionBackend`
 
 - :class:`SerialBackend` -- inline, in-process (the reference path);
 - :class:`ProcessPoolBackend` -- local ``multiprocessing`` pool with
-  spawn hygiene, worker recycling and out-of-order collection;
-- :class:`WorkQueueBackend` -- a hash-sharded file spool drained by one
-  or many ``python -m repro.experiments worker`` daemons (same machine or
-  shared filesystem) with atomic rename-leases, heartbeats, a worker-side
-  runtime watchdog, block tickets and point-granular work stealing
-  (:mod:`~repro.experiments.backends.spool` holds the layout,
-  :mod:`~repro.experiments.backends.fleet` the elastic supervisor).
-
-Every future backend (job queue, SSH fleet) plugs into the same seam.
+  spawn hygiene, worker recycling, out-of-order collection and per-task
+  deadlines.
 """
 
 from __future__ import annotations
 
-import os
-
 from repro.experiments.backends.base import ExecutionBackend, Task, execute_point
-from repro.experiments.backends.fleet import FleetController, FleetReport, run_fleet
 from repro.experiments.backends.pool import ProcessPoolBackend
-from repro.experiments.backends.queue import WorkQueueBackend, run_worker
 from repro.experiments.backends.serial import SerialBackend
-from repro.experiments.backends.spool import QueuePaths, ShardedSpool, SpoolStats
 
 #: CLI-facing backend names ("auto" additionally picks serial or pool from
 #: the workers/timeout arguments, preserving the historical behaviour).
-BACKEND_NAMES = ("auto", "serial", "pool", "queue")
+BACKEND_NAMES = ("auto", "serial", "pool")
 
 
 def resolve_backend(
@@ -41,10 +29,6 @@ def resolve_backend(
     task_timeout: float | None = None,
     mp_start_method: str = "spawn",
     maxtasksperchild: int | None = 16,
-    queue_dir: str | os.PathLike | None = None,
-    claim_batch: int = 1,
-    points_per_ticket: int = 1,
-    shards: int | None = None,
 ) -> ExecutionBackend:
     """Build a backend from a CLI-style name.
 
@@ -62,7 +46,7 @@ def resolve_backend(
             # own submit() guard would only fire mid-sweep).
             raise ValueError(
                 "serial backend cannot enforce a per-task timeout on in-process "
-                "execution; use the pool or queue backend"
+                "execution; use the pool backend"
             )
         return SerialBackend()
     if spec == "pool":
@@ -71,34 +55,15 @@ def resolve_backend(
             mp_start_method=mp_start_method,
             maxtasksperchild=maxtasksperchild,
         )
-    if spec == "queue":
-        if queue_dir is None:
-            raise ValueError("queue backend needs queue_dir (the spool directory)")
-        return WorkQueueBackend(
-            queue_dir,
-            workers=max(workers, 0),
-            mp_start_method=mp_start_method,
-            claim_batch=claim_batch,
-            points_per_ticket=points_per_ticket,
-            shards=shards,
-        )
     raise ValueError(f"unknown backend {spec!r}; known: {BACKEND_NAMES}")
 
 
 __all__ = [
     "BACKEND_NAMES",
     "ExecutionBackend",
-    "FleetController",
-    "FleetReport",
     "ProcessPoolBackend",
-    "QueuePaths",
     "SerialBackend",
-    "ShardedSpool",
-    "SpoolStats",
     "Task",
-    "WorkQueueBackend",
     "execute_point",
     "resolve_backend",
-    "run_fleet",
-    "run_worker",
 ]

@@ -2,14 +2,13 @@
 
 ``run_sweep`` resolves caching and grid order; everything between "this
 point must run" and "here is its outcome dict" is a backend.  A backend
-receives fully-described :class:`Task`\\ s (the sweep point plus its cache
-key and version pins, so a task ticket is self-contained even on a remote
-worker), executes them in whatever way it likes, and hands back
-``(task, outcome)`` pairs in completion order -- the runner reassembles
-grid order.
+receives :class:`Task`\\ s (the sweep point plus the scenario modules to
+re-import and the runtime budget), executes them in whatever way it
+likes, and hands back ``(task, outcome)`` pairs in completion order --
+the runner reassembles grid order.
 
-Outcome dicts are the same shape everywhere (and must be JSON-serializable,
-since the work-queue backend ships them through files)::
+Outcome dicts are the same shape everywhere (and JSON-serializable, since
+they are persisted and replayed from the store)::
 
     {"status": "ok",      "result": {...}, "duration_s": 1.2, "meta": {...}}
     {"status": "error",   "error": "<traceback>", "duration_s": 0.3, "meta": {...}}
@@ -19,16 +18,15 @@ since the work-queue backend ships them through files)::
 :class:`repro.obs.trace.RunMetaCollector`): every execution path fills it
 with wall-clock duration plus the engine round/skip/step counts of the
 CONGEST runs the point performed, so records carry the same schema whether
-they ran serially, in a pool worker or on a queue daemon.  (A worker-side
-``timeout`` outcome is synthesized by the watchdog, not by the task, so it
-has no ``meta``.)
+they ran serially or in a pool worker.  (A ``timeout`` outcome, or the
+``error`` of a worker that died mid-task, is synthesized by the backend,
+not by the task, so it has no ``meta``.)
 
 :func:`execute_point` is the single task-execution entry point shared by
-every backend (inline, pool worker, queue daemon), so a serial run is
-bit-identical to any distributed one.  When the ``REPRO_TRACE_DIR``
-environment variable names a directory (exported by
-``run --trace`` and inherited by every worker process), each execution
-also writes a per-task JSONL trace there.
+every backend (inline or pool worker), so a serial run is bit-identical
+to a parallel one.  When the ``REPRO_TRACE_DIR`` environment variable
+names a directory (exported by ``run --trace`` and inherited by every
+worker process), each execution also writes a per-task JSONL trace there.
 """
 
 from __future__ import annotations
@@ -58,19 +56,10 @@ from repro.obs.trace import (
 
 @dataclass(frozen=True)
 class Task:
-    """One self-contained unit of sweep work.
-
-    Carries everything a worker needs without access to the submitting
-    process: the point itself, the cache key and version pins (so remote
-    workers can persist full :class:`~repro.experiments.store.ResultRecord`
-    shards under the same keys), the scenario modules to re-import, and the
-    runtime budget.
-    """
+    """One unit of sweep work: the point, the scenario modules a worker
+    process must re-import to find the scenario, and the runtime budget."""
 
     point: SweepPoint
-    key: str
-    scenario_version: str
-    code_version: str
     scenario_modules: tuple[str, ...] = ()
     timeout: float | None = None
 
@@ -104,11 +93,11 @@ class ExecutionBackend:
     exactly once, also on error paths.
     """
 
-    #: Registry name ("serial", "pool", "queue"); set by subclasses.
+    #: Registry name ("serial", "pool"); set by subclasses.
     name = "abstract"
 
-    #: Where backend-side telemetry (task lifecycle, lease reclaims, spool
-    #: depth) goes; the null tracer by default, assigned by ``run_sweep``
+    #: Where backend-side telemetry (task lifecycle, timeouts, worker
+    #: crashes) goes; the null tracer by default, assigned by ``run_sweep``
     #: when the sweep is traced.
     trace: Tracer = Tracer()
 
@@ -126,7 +115,7 @@ class ExecutionBackend:
         raise NotImplementedError
 
     def shutdown(self) -> None:
-        """Release backend resources (pools, spools, spawned daemons)."""
+        """Release backend resources (worker pools)."""
         raise NotImplementedError
 
 

@@ -1,26 +1,63 @@
-"""Local process-pool backend (the extracted PR-1/PR-2 pool runner).
+"""Local process-pool backend.
 
-Pool hygiene semantics are preserved exactly: workers come from an explicit
-``spawn`` context by default (no fork-inherited state; scenario modules are
-shipped by name and re-imported), are recycled after ``maxtasksperchild``
-tasks, and completed futures are collected as they finish -- not in grid
-order -- so one slow point never delays timeout detection for the points
-behind it.
+Pool hygiene: workers come from an explicit ``spawn`` context by default
+(no fork-inherited state; scenario modules are shipped by name and
+re-imported), are recycled after ``maxtasksperchild`` tasks, and
+completed futures are collected as they finish -- not in grid order -- so
+one slow point never delays timeout detection for the points behind it.
 
 Per-task deadlines approximate "timeout from actual start": at most
 ``workers`` tasks hold a deadline at once; a new one is armed (in submit
 order) whenever a slot resolves.  A task that outlives its deadline is
 reported as a ``timeout`` outcome and its worker is abandoned -- shutdown
 then terminates the pool rather than joining it, so the sweep returns.
+
+A worker that dies mid-task (SIGKILL, the OOM killer, a segfault in an
+extension) takes its task's result with it: ``multiprocessing.Pool``
+replaces the worker but never resolves the lost task.  So each worker
+reports ``(index, pid)`` on a queue when it starts a task and
+``(index, None)`` when it finishes, and :meth:`ProcessPoolBackend.poll`
+turns a task that started, did not finish, and whose worker is gone into
+an ``error`` outcome.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 import traceback
 
 from repro.experiments.backends.base import ExecutionBackend, Task, execute_point
+
+#: Worker side: where this worker reports task starts and finishes (set by
+#: the pool initializer).
+_events = None
+
+
+def _init_worker(events) -> None:
+    global _events
+    _events = events
+
+
+def _run_task(index: int, *args) -> dict:
+    """Pool-side wrapper: ``execute_point`` between a start and a finish report.
+
+    No ``finally``: a task that ends its worker (``sys.exit`` in a
+    scenario) must look unfinished, or nothing would ever resolve it.
+    """
+    _events.put((index, os.getpid()))
+    outcome = execute_point(*args)
+    _events.put((index, None))
+    return outcome
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -36,12 +73,20 @@ class ProcessPoolBackend(ExecutionBackend):
     ) -> None:
         self.workers = max(workers, 1)
         ctx = multiprocessing.get_context(mp_start_method)
-        self._pool = ctx.Pool(processes=self.workers, maxtasksperchild=maxtasksperchild)
+        self._events = ctx.SimpleQueue()
+        self._pool = ctx.Pool(
+            processes=self.workers,
+            initializer=_init_worker,
+            initargs=(self._events,),
+            maxtasksperchild=maxtasksperchild,
+        )
         self._tasks: dict[int, Task] = {}
         self._asyncs: dict[int, multiprocessing.pool.AsyncResult] = {}
+        #: Tasks a worker reported starting and not yet finishing -> its pid.
+        self._running: dict[int, int] = {}
         self._submit_order: list[int] = []
         self._deadlines: dict[int, float] = {}
-        self._timed_out = False
+        self._abandoned = False
         self._any_timeout = False
 
     def submit(self, task: Task) -> None:
@@ -51,8 +96,8 @@ class ProcessPoolBackend(ExecutionBackend):
         self._submit_order.append(task.index)
         self.trace.task("dispatched", task.index, backend=self.name)
         self._asyncs[task.index] = self._pool.apply_async(
-            execute_point,
-            (point.scenario, point.params, point.seed, task.scenario_modules),
+            _run_task,
+            (task.index, point.scenario, point.params, point.seed, task.scenario_modules),
         )
         if task.timeout is not None:
             self._any_timeout = True
@@ -75,7 +120,18 @@ class ProcessPoolBackend(ExecutionBackend):
             armed += 1
 
     def poll(self) -> list[tuple[Task, dict]]:
-        """Collect ready results plus any tasks past their deadline."""
+        """Collect ready results, tasks whose worker died, and tasks past
+        their deadline."""
+        # Liveness before draining: a worker that exited right after its
+        # last task (maxtasksperchild) sent that task's finish report
+        # first, so the drain below still sees it.
+        dead = {idx: pid for idx, pid in self._running.items() if not _pid_alive(pid)}
+        while not self._events.empty():
+            idx, pid = self._events.get()
+            if pid is None:
+                self._running.pop(idx, None)
+            else:
+                self._running[idx] = pid
         batch: list[tuple[Task, dict]] = []
         for idx in list(self._tasks):
             if not self._asyncs[idx].ready():
@@ -84,41 +140,50 @@ class ProcessPoolBackend(ExecutionBackend):
             try:
                 outcome = self._asyncs.pop(idx).get()
             except Exception:
-                # Worker crashed (e.g. killed mid-task): capture, don't lose
-                # the rest of the sweep's bookkeeping.
+                # The task raised past execute_point or its result could
+                # not be shipped back: capture, don't lose the rest of the
+                # sweep's bookkeeping.
                 outcome = {
                     "status": "error",
                     "error": traceback.format_exc(),
                     "duration_s": 0.0,
                 }
             batch.append((task, outcome))
+        for idx, pid in dead.items():
+            if self._running.pop(idx, None) is None or idx not in self._tasks:
+                continue  # finished after all, or already timed out
+            self.trace.event("pool_worker_died", index=idx, pid=pid)
+            error = f"pool worker {pid} died without reporting a result"
+            batch.append(self._abandon(idx, "error", error, 0.0))
         now = time.monotonic()
         for idx in list(self._tasks):
             deadline = self._deadlines.get(idx)
             if deadline is not None and now > deadline:
-                self._timed_out = True
-                task = self._tasks.pop(idx)
-                self._asyncs.pop(idx)
-                self.trace.event("pool_timeout", index=idx, timeout_s=task.timeout)
-                batch.append(
-                    (
-                        task,
-                        {
-                            "status": "timeout",
-                            "error": f"task exceeded {task.timeout}s",
-                            "duration_s": float(task.timeout),
-                        },
-                    )
-                )
+                timeout = self._tasks[idx].timeout
+                self.trace.event("pool_timeout", index=idx, timeout_s=timeout)
+                batch.append(self._abandon(idx, "timeout", f"task exceeded {timeout}s", timeout))
         if batch:
             self._rearm_deadlines()
         return batch
 
+    def _abandon(self, idx: int, status: str, error: str, duration_s: float) -> tuple[Task, dict]:
+        """Give up on a task the pool will not resolve: its worker died (the
+        pool never resolves such a task) or it overran its deadline."""
+        self._abandoned = True
+        self._asyncs.pop(idx)
+        task = self._tasks.pop(idx)
+        return task, {"status": status, "error": error, "duration_s": float(duration_s)}
+
     def shutdown(self) -> None:
-        """Close the pool (terminate instead when a worker timed out)."""
-        if self._timed_out:
-            # A hung worker would make close()+join() block forever.
+        """Close the pool (terminate instead when a task was abandoned or
+        is still outstanding)."""
+        if self._abandoned or self._tasks:
+            # A hung worker, or a task no worker will ever resolve, would
+            # make close()+join() block forever.  Outstanding tasks' results
+            # would never be read, and their workers' reports could fill
+            # the undrained event pipe and block them.
             self._pool.terminate()
         else:
             self._pool.close()
         self._pool.join()
+        self._events.close()

@@ -1,4 +1,4 @@
-"""``python -m repro.experiments`` -- list, run, report, worker, fleet, merge, trace.
+"""``python -m repro.experiments`` -- list, run, report, trace.
 
 Examples::
 
@@ -6,12 +6,6 @@ Examples::
     python -m repro.experiments run fig3-mst-tradeoff --workers 4
     python -m repro.experiments run chsh-gamma2 --set restarts=1,4,16 --replicates 3
     python -m repro.experiments run boruvka-mst-sweep --engine parallel --engine-threads 4
-    python -m repro.experiments run fig3-mst-tradeoff --backend queue \\
-        --queue-dir /shared/q --workers 0          # external daemons drain it
-    python -m repro.experiments worker /shared/q --store worker-shard
-    python -m repro.experiments fleet /shared/q --max-workers 8 --drain \\
-        --store-prefix worker-shard                # elastic local fleet
-    python -m repro.experiments merge experiment-results worker-shard
     python -m repro.experiments report fig3-mst-tradeoff
     python -m repro.experiments report --format json | jq '.[].result'
     python -m repro.experiments report --html report-site --bench 'BENCH_*.json'
@@ -37,23 +31,20 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from repro.experiments.backends import BACKEND_NAMES, run_fleet, run_worker
+from repro.experiments.backends import BACKEND_NAMES
 from repro.experiments.registry import ScenarioNotFound, get_scenario, list_scenarios
 from repro.experiments.runner import run_sweep
 from repro.experiments.store import DEFAULT_STORE, ResultStore
 from repro.experiments.sweep import expand_grid, parse_axis_overrides
 from repro.obs.trace import TRACE_DIR_ENV, TraceWriter, read_trace, summarize_trace, trace_files
 
-logger = logging.getLogger("repro.experiments.cli")
-
 
 def _configure_logging(verbose: int, quiet: int) -> None:
     """Configure the ``repro.*`` logger namespace from ``-v``/``-q`` counts.
 
-    One switch for daemon telemetry and human logs: INFO by default (the
-    worker daemon's progress lines), DEBUG with ``-v``, WARNING and up
-    with ``-q``.  Installs a stderr handler only on the ``repro`` logger,
-    so embedding applications keep their own logging setup.
+    INFO by default, DEBUG with ``-v``, WARNING and up with ``-q``.
+    Installs a stderr handler only on the ``repro`` logger, so embedding
+    applications keep their own logging setup.
     """
     level = logging.INFO + 10 * (quiet - verbose)
     level = max(logging.DEBUG, min(logging.CRITICAL, level))
@@ -153,26 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="execution backend (auto = serial unless --workers/--timeout ask for a pool)",
     )
     run.add_argument(
-        "--queue-dir",
-        default=None,
-        help="spool directory for --backend queue (defaults to <store>/.queue)",
-    )
-    run.add_argument(
-        "--claim-batch",
-        type=int,
-        default=1,
-        metavar="N",
-        help="tickets a spawned queue daemon claims per spool scan (--backend queue)",
-    )
-    run.add_argument(
-        "--points-per-ticket",
-        type=int,
-        default=1,
-        metavar="N",
-        help="group N consecutive sweep points into one block ticket "
-        "(--backend queue; block tickets are the unit work stealing splits)",
-    )
-    run.add_argument(
         "--trace",
         dest="trace_dir",
         metavar="DIR",
@@ -235,132 +206,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="text",
         help="summary output format for `summarize`",
     )
-
-    worker = sub.add_parser(
-        "worker", help="daemon: claim and execute tickets from a work-queue spool"
-    )
-    worker.add_argument("queue_dir", help="spool directory (see `run --backend queue`)")
-    worker.add_argument(
-        "--store",
-        default=None,
-        help="also persist full records to this local store shard (merge later)",
-    )
-    worker.add_argument(
-        "--max-idle",
-        type=float,
-        default=None,
-        help="exit after this many seconds without work (default: run until STOP)",
-    )
-    worker.add_argument(
-        "--poll-interval", type=float, default=0.2, help="queue scan period in seconds"
-    )
-    worker.add_argument(
-        "--mp-start",
-        choices=("spawn", "fork", "forkserver"),
-        default="spawn",
-        help="start method for the per-task watchdog subprocess",
-    )
-    worker.add_argument(
-        "--stop-file",
-        default=None,
-        help="extra stop sentinel (used by sweeps to dismiss the daemons they spawned)",
-    )
-    worker.add_argument(
-        "--claim-batch",
-        type=int,
-        default=1,
-        metavar="N",
-        help="tickets to claim per spool scan (amortises listing on large grids)",
-    )
-    worker.add_argument(
-        "--inline",
-        action="store_true",
-        help="execute timeout-less tickets in-process instead of in a watchdog "
-        "subprocess (faster for short tasks; a crash takes the daemon down)",
-    )
-    worker.add_argument(
-        "--no-steal",
-        dest="steal",
-        action="store_false",
-        help="never carve points off other workers' leased block tickets",
-    )
-
-    fleet = sub.add_parser(
-        "fleet",
-        help="supervisor: launch/retire local worker daemons from spool depth",
-    )
-    fleet.add_argument("queue_dir", help="spool directory (see `run --backend queue`)")
-    fleet.add_argument(
-        "--min-workers", type=int, default=0, help="never retire below this many daemons"
-    )
-    fleet.add_argument(
-        "--max-workers", type=int, default=4, help="hard cap on live daemons"
-    )
-    fleet.add_argument(
-        "--backlog-per-worker",
-        type=int,
-        default=4,
-        metavar="N",
-        help="target spool depth per live worker (scale-up trigger)",
-    )
-    fleet.add_argument(
-        "--interval", type=float, default=0.5, help="control-loop tick period in seconds"
-    )
-    fleet.add_argument(
-        "--cooldown",
-        type=float,
-        default=2.0,
-        help="seconds the backlog must stay low before a worker is retired",
-    )
-    fleet.add_argument(
-        "--drain",
-        action="store_true",
-        help="exit once the spool is empty and all claims resolved "
-        "(default: run until the STOP sentinel appears)",
-    )
-    fleet.add_argument(
-        "--max-runtime",
-        type=float,
-        default=None,
-        help="hard wall-clock bound on the controller in seconds",
-    )
-    fleet.add_argument(
-        "--store-prefix",
-        default=None,
-        metavar="PREFIX",
-        help="give each worker its own store shard PREFIX-<n> (merge later)",
-    )
-    fleet.add_argument(
-        "--claim-batch",
-        type=int,
-        default=1,
-        metavar="N",
-        help="tickets each worker claims per spool scan",
-    )
-    fleet.add_argument(
-        "--max-idle",
-        type=float,
-        default=None,
-        help="workers exit on their own after this many idle seconds",
-    )
-    fleet.add_argument(
-        "--inline",
-        action="store_true",
-        help="workers execute timeout-less tickets in-process (see `worker --inline`)",
-    )
-    fleet.add_argument(
-        "--mp-start",
-        choices=("spawn", "fork", "forkserver"),
-        default="spawn",
-        help="start method for the workers' watchdog subprocesses",
-    )
-
-    merge = sub.add_parser("merge", help="import records from store shards into one store")
-    merge.add_argument("dest", help="destination store directory")
-    merge.add_argument("sources", nargs="+", help="source store directories (worker shards)")
-    merge.add_argument(
-        "--overwrite", action="store_true", help="let source records replace existing keys"
-    )
     return parser
 
 
@@ -390,9 +235,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         grid["fault_seed"] = [args.fault_seed]
     points = expand_grid(scn, grid, replicates=args.replicates, base_seed=args.base_seed)
     store = None if args.no_store else ResultStore(args.store)
-    queue_dir = args.queue_dir
-    if args.backend == "queue" and queue_dir is None:
-        queue_dir = str((store.root if store is not None else DEFAULT_STORE) / ".queue")
     print(
         f"sweep {scn.name}: {len(points)} point(s), backend={args.backend}, "
         f"workers={args.workers}, store={'<none>' if store is None else store.root}"
@@ -402,9 +244,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.trace_dir is not None:
         trace_root = Path(args.trace_dir)
         trace_root.mkdir(parents=True, exist_ok=True)
-        # The env var is how the switch reaches pool workers and queue
-        # daemons: they inherit the environment, and execute_point opens a
-        # per-task writer whenever it is set.
+        # The env var is how the switch reaches pool workers: they inherit
+        # the environment, and execute_point opens a per-task writer
+        # whenever it is set.
         os.environ[TRACE_DIR_ENV] = str(trace_root)
         tracer = TraceWriter(
             trace_root / f"sweep-{scn.name}.jsonl", source="sweep", scenario=scn.name
@@ -420,9 +262,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             mp_start_method=args.mp_start,
             maxtasksperchild=args.maxtasksperchild,
             backend=args.backend,
-            queue_dir=queue_dir,
-            claim_batch=args.claim_batch,
-            points_per_ticket=args.points_per_ticket,
             trace=tracer,
         )
     finally:
@@ -443,57 +282,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else:
             print(f"  #{record.replicate} {record.params} -> {record.status.upper()}")
     return 0 if report.ok else 1
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    shard = None if args.store is None else ResultStore(args.store)
-    logger.info(
-        "worker: draining %s%s",
-        args.queue_dir,
-        f", shard -> {shard.root}" if shard is not None else "",
-    )
-    n_done = run_worker(
-        args.queue_dir,
-        store=shard,
-        max_idle=args.max_idle,
-        poll_interval=args.poll_interval,
-        mp_start_method=args.mp_start,
-        stop_file=args.stop_file,
-        claim_batch=args.claim_batch,
-        inline=args.inline,
-        steal=args.steal,
-    )
-    logger.info("worker: executed %d point(s)", n_done)
-    return 0
-
-
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    report = run_fleet(
-        args.queue_dir,
-        drain=args.drain,
-        max_runtime=args.max_runtime,
-        min_workers=args.min_workers,
-        max_workers=args.max_workers,
-        backlog_per_worker=args.backlog_per_worker,
-        interval=args.interval,
-        cooldown=args.cooldown,
-        store_prefix=args.store_prefix,
-        inline=args.inline,
-        claim_batch=args.claim_batch,
-        max_idle=args.max_idle,
-        mp_start_method=args.mp_start,
-        progress=logger.info,
-    )
-    print(
-        f"fleet: spawned {report.spawned}, retired {report.retired}, "
-        f"peak {report.peak_workers}, {report.ticks} tick(s), "
-        f"final depth {report.final_depth}"
-    )
-    crashed = sum(1 for code in report.exit_codes if code not in (0, None))
-    if crashed:
-        print(f"fleet: {crashed} worker(s) exited non-zero", file=sys.stderr)
-        return 1
-    return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -535,22 +323,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         if s["task_states"]:
             states = ", ".join(f"{k}={v}" for k, v in s["task_states"].items())
             print(f"  tasks: {states}")
-    return 0
-
-
-def _cmd_merge(args: argparse.Namespace) -> int:
-    dest = ResultStore(args.dest)
-    total = 0
-    for source in args.sources:
-        summary = dest.merge(source, overwrite=args.overwrite)
-        total += summary.imported
-        detail = f"{summary.imported}/{summary.scanned} record(s)"
-        if summary.skipped:
-            detail += f", {summary.skipped} already present"
-        if summary.replaced:
-            detail += f", {summary.replaced} replaced"
-        print(f"merged {detail} from {source} in {summary.duration_s:.2f}s")
-    print(f"{dest.root}: {total} imported, {dest.count()} total record(s)")
     return 0
 
 
@@ -612,12 +384,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_list()
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "worker":
-            return _cmd_worker(args)
-        if args.command == "fleet":
-            return _cmd_fleet(args)
-        if args.command == "merge":
-            return _cmd_merge(args)
         if args.command == "trace":
             return _cmd_trace(args)
         return _cmd_report(args)

@@ -9,7 +9,7 @@ summary to ``OUT_DIR/index.html``, and returns the index path.
 
 Benchmark JSON files (the ``BENCH_*.json`` artifacts written by
 ``benchmarks/engine_speedup.py`` / ``engine_parallel.py`` /
-``backend_drain.py``) can ride along: :func:`extract_speedups` walks any
+``engine_columnar.py``) can ride along: :func:`extract_speedups` walks any
 of their shapes for ``speedup`` measurements and the site turns them into
 an engine-speedup bar chart on the index page.
 """

@@ -2,7 +2,7 @@
 
 Turns the traces the :mod:`repro.obs` subsystem writes (engine ``round``
 samples, ``skip`` stretches, ``shard_round`` events from the parallel
-engine, ``task`` lifecycle lines from sweeps and queue daemons) into a
+engine, ``task`` lifecycle lines from sweeps) into a
 self-contained HTML page on the existing SVG chart kit:
 
 - **round activity** -- active-set size and delivered messages per round,
@@ -12,12 +12,8 @@ self-contained HTML page on the existing SVG chart kit:
 - **shard utilization** -- per-shard step wall-clock and the merge cost of
   every parallel round, the view built to answer "is the parallel engine
   losing to imbalance, merge cost, or the GIL";
-- **task lifecycle** -- submitted/leased/running/done points over wall
-  time for sweep and worker traces;
-- **fleet utilization** -- gauge levels over wall time (``spool_depth``,
-  ``fleet_workers``, ``drain_rate`` from the fleet controller), the view
-  of an elastic drain: backlog falling as the controller scales the
-  worker fleet up and down.
+- **task lifecycle** -- submitted/dispatched/running/done points over
+  wall time for sweep traces.
 
 Used by ``python -m repro.experiments trace timeline`` and by
 :func:`~repro.experiments.reporting.site.build_site` when trace files are
@@ -118,25 +114,6 @@ def task_chart(label: str, events: list[dict[str, Any]]) -> str | None:
     )
 
 
-def gauge_chart(label: str, events: list[dict[str, Any]]) -> str | None:
-    """Gauge levels over wall time (fleet spool depth, worker count...)."""
-    gauges = [e for e in events if e.get("kind") == "gauge" and "ts" in e]
-    if not gauges:
-        return None
-    by_name: dict[str, list[tuple[float, float]]] = {}
-    for e in gauges:
-        by_name.setdefault(str(e.get("name", "?")), []).append(
-            (float(e["ts"]), float(e.get("value", 0)))
-        )
-    series = [Series.of(name, pts) for name, pts in sorted(by_name.items())]
-    return render_plot(
-        f"Gauges — {label}",
-        series,
-        x_label="seconds since trace start",
-        y_label="level",
-    )
-
-
 def _summary_rows(summary: dict[str, Any]) -> str:
     cells = [
         ("source", summary.get("source")),
@@ -183,9 +160,6 @@ def trace_section(label: str, events: list[dict[str, Any]]) -> str:
     tasks = task_chart(label, events)
     if tasks:
         charts.append(tasks)
-    gauges = gauge_chart(label, events)
-    if gauges:
-        charts.append(gauges)
     if charts:
         parts.append('<div class="plots">')
         parts.extend(charts)

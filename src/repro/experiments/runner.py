@@ -2,12 +2,12 @@
 
 The runner resolves each sweep point against the result store first
 (skip-if-cached), hands the misses to an execution backend
-(:mod:`repro.experiments.backends`: serial inline, local process pool, or
-a shared work-queue spool drained by worker daemons), captures failures
-as records instead of crashing the sweep, and returns records in
-deterministic grid order regardless of completion order.
+(:mod:`repro.experiments.backends`: serial inline or a local process
+pool), captures failures as records instead of crashing the sweep, and
+returns records in deterministic grid order regardless of completion
+order.
 
-Which backend runs the tasks is a dispatch detail: all of them execute
+Which backend runs the tasks is a dispatch detail: both execute
 :func:`~repro.experiments.backends.base.execute_point`, so the records a
 sweep produces are field-identical (modulo ``duration_s``) across
 backends -- ``tests/test_backends.py`` asserts exactly that.
@@ -22,10 +22,9 @@ from typing import Any, Callable
 #: How often the collector polls an idle backend, in seconds.
 _POLL_INTERVAL = 0.02
 
-import repro
 from repro.experiments.backends import ExecutionBackend, Task, resolve_backend
 from repro.experiments.registry import get_scenario
-from repro.experiments.store import ResultRecord, ResultStore, cache_key
+from repro.experiments.store import ResultRecord, ResultStore, cache_key, package_code_version
 from repro.experiments.sweep import SweepPoint
 from repro.obs.trace import Tracer, current_tracer
 
@@ -60,44 +59,31 @@ def run_sweep(
     mp_start_method: str = "spawn",
     maxtasksperchild: int | None = 16,
     backend: str | ExecutionBackend = "auto",
-    queue_dir: str | None = None,
-    claim_batch: int = 1,
-    points_per_ticket: int = 1,
     trace: Tracer | None = None,
 ) -> SweepReport:
     """Run a sweep; returns records in the order of ``points``.
 
     ``backend`` picks the execution backend: ``"auto"`` (serial for a
     single worker with no timeout, else a process pool -- the historical
-    behaviour), ``"serial"``, ``"pool"``, or ``"queue"`` (a spool at
-    ``queue_dir`` drained by ``workers`` spawned daemons, or by external
-    ``python -m repro.experiments worker`` daemons when ``workers=0`` --
-    note an external-drain sweep waits indefinitely for the fleet, there
-    is no collector-side deadline on unclaimed tickets).  An
-    :class:`ExecutionBackend` instance is used as-is and left open for
-    the caller; named backends are constructed and shut down here.
+    behaviour), ``"serial"`` or ``"pool"``.  An :class:`ExecutionBackend`
+    instance is used as-is and left open for the caller; named backends
+    are constructed and shut down here.
 
     With a store, points whose cache key already has a record are served
     from cache unless ``force``; fresh records are persisted as they
-    complete.
+    complete.  Keys and records carry :func:`package_code_version`, so a
+    source edit never serves a record computed by older code.
 
     ``task_timeout`` bounds the wall-clock runtime per point.  The pool
     backend approximates it with per-task deadlines measured from when a
     worker slot becomes available (a hung worker is terminated rather
-    than joined, so ``run_sweep`` returns); the queue backend enforces it
-    worker-side, killing the over-budget task subprocess.
+    than joined, so ``run_sweep`` returns).
 
     ``mp_start_method`` picks the multiprocessing context (``spawn`` by
     default: clean workers, no fork-inherited state) and
     ``maxtasksperchild`` recycles pool workers so long sweeps cannot
     accumulate per-worker state (``0`` means never recycle, for
     ``multiprocessing.Pool`` parity).
-
-    ``claim_batch`` makes the queue backend's spawned daemons claim up to
-    that many tickets per spool scan, amortising the directory listing on
-    very large grids, and ``points_per_ticket`` groups consecutive points
-    into block tickets (the unit work stealing splits -- see
-    ``docs/architecture.md``); other backends ignore both.
 
     ``trace`` receives sweep telemetry (``task`` lifecycle lines:
     submitted, cached, ok/error/timeout) and is handed to the backend for
@@ -119,8 +105,15 @@ def run_sweep(
     tracer = trace if trace is not None else current_tracer()
     tracer.event("sweep_start", scenario=scenario.name, points=len(points))
 
+    code_version = package_code_version()
     keys = {
-        p.index: cache_key(p.scenario, p.params, p.seed, scenario_version=scenario.version)
+        p.index: cache_key(
+            p.scenario,
+            p.params,
+            p.seed,
+            scenario_version=scenario.version,
+            code_version=code_version,
+        )
         for p in points
     }
     slots: dict[int, ResultRecord] = {}
@@ -151,7 +144,7 @@ def run_sweep(
             error=outcome.get("error"),
             duration_s=outcome.get("duration_s", 0.0),
             scenario_version=scenario.version,
-            code_version=repro.__version__,
+            code_version=code_version,
             meta=outcome.get("meta") or {},
         )
         slots[point.index] = record
@@ -170,10 +163,10 @@ def run_sweep(
         if store is not None:
             store.put(record)
 
-    # Ship the scenario's defining module to workers so pools and queue
-    # daemons work under spawn/forkserver too, where the parent's registry
-    # is not inherited.  (A __main__ registration can't be re-imported by
-    # name; it still works under fork, the Linux default.)
+    # Ship the scenario's defining module to workers so pools work under
+    # spawn/forkserver too, where the parent's registry is not inherited.
+    # (A __main__ registration can't be re-imported by name; it still
+    # works under fork, the Linux default.)
     if scenario.fn.__module__ not in ("__main__", None):
         scenario_modules = tuple(dict.fromkeys((*scenario_modules, scenario.fn.__module__)))
 
@@ -187,23 +180,13 @@ def run_sweep(
                 task_timeout=task_timeout,
                 mp_start_method=mp_start_method,
                 maxtasksperchild=maxtasksperchild,
-                queue_dir=queue_dir,
-                claim_batch=claim_batch,
-                points_per_ticket=points_per_ticket,
             )
             if owned
             else backend
         )
         engine.trace = tracer
         tasks = [
-            Task(
-                point=point,
-                key=keys[point.index],
-                scenario_version=scenario.version,
-                code_version=repro.__version__,
-                scenario_modules=scenario_modules,
-                timeout=task_timeout,
-            )
+            Task(point=point, scenario_modules=scenario_modules, timeout=task_timeout)
             for point in pending
         ]
         outstanding = 0

@@ -2,19 +2,22 @@
 
 Each completed sweep point is one JSON record under
 ``<root>/<scenario>/<cache_key>.json``.  The cache key hashes the
-scenario name, its declared version, the package version, the resolved
-params and the derived seed -- so re-running an unchanged sweep serves
-every point from cache, while bumping a scenario's ``version`` (or the
-package version) naturally invalidates stale results.
+scenario name, its declared version, the code version (the package
+version plus a digest of the package source, see
+:func:`package_code_version`), the resolved params and the derived seed
+-- so re-running an unchanged sweep serves every point from cache, while
+bumping a scenario's ``version`` or editing any source file invalidates
+stale results.  Records are plain files, so ``cp -rn`` merges two stores.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import logging
 import os
 import tempfile
-import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
@@ -24,10 +27,12 @@ from repro.experiments.sweep import canonical_json
 
 DEFAULT_STORE = Path("experiment-results")
 
+logger = logging.getLogger(__name__)
+
 
 def atomic_write_text(path: Path, text: str) -> None:
     """Write via tmp-file + rename: a crash never leaves a truncated file
-    that later poisons a cache or a work-queue spool."""
+    that later poisons a cache."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
@@ -37,6 +42,25 @@ def atomic_write_text(path: Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+@functools.cache
+def package_code_version() -> str:
+    """``repro.__version__`` plus 12 hex digits of a digest of the source.
+
+    The digest is a sha256 over the sorted (relative path, bytes) pairs of
+    every ``.py`` file in the package, computed once per process.  Cache
+    keys hash it, so an algorithm edit without a version bump never serves
+    records the old code computed.
+    """
+    root = Path(repro.__file__).resolve().parent
+    files = sorted((path.relative_to(root).as_posix(), path) for path in root.rglob("*.py"))
+    digest = hashlib.sha256()
+    for rel, path in files:
+        data = path.read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return f"{repro.__version__}+{digest.hexdigest()[:12]}"
 
 
 def cache_key(
@@ -51,7 +75,7 @@ def cache_key(
         {
             "scenario": scenario_name,
             "scenario_version": scenario_version,
-            "code_version": code_version if code_version is not None else repro.__version__,
+            "code_version": code_version if code_version is not None else package_code_version(),
             "params": params,
             "seed": seed,
         }
@@ -87,36 +111,16 @@ class ResultRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "ResultRecord":
-        """Parse a stored record, ignoring unknown fields (forward compat)."""
+        """Parse a stored record, ignoring unknown fields (forward compat).
+
+        Raises ``ValueError`` for text that is not a JSON object and
+        ``TypeError`` for an object missing required fields.
+        """
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object, got {type(data).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         return cls(**{k: v for k, v in data.items() if k in known})
-
-
-@dataclass(eq=False)
-class MergeSummary:
-    """What one :meth:`ResultStore.merge` did, per the destination's view.
-
-    Compares equal to a plain int (its ``imported`` count) so existing
-    callers of the old ``merge() -> int`` keep working.
-    """
-
-    scanned: int = 0
-    imported: int = 0
-    skipped: int = 0
-    replaced: int = 0
-    duration_s: float = 0.0
-    per_scenario: dict[str, int] = field(default_factory=dict)
-
-    def __int__(self) -> int:
-        return self.imported
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, MergeSummary):
-            return asdict(self) == asdict(other)
-        if isinstance(other, int):
-            return self.imported == other
-        return NotImplemented
 
 
 class ResultStore:
@@ -133,11 +137,19 @@ class ResultStore:
         return self._path(scenario_name, key).is_file()
 
     def get(self, scenario_name: str, key: str) -> ResultRecord | None:
-        """Load one record by cache key, or None when absent."""
+        """Load one record by cache key, or None when absent or unreadable.
+
+        A torn or truncated file is a cache miss: the point runs again and
+        ``put`` replaces the file.
+        """
         path = self._path(scenario_name, key)
         if not path.is_file():
             return None
-        return ResultRecord.from_json(path.read_text())
+        try:
+            return ResultRecord.from_json(path.read_text())
+        except (ValueError, TypeError) as exc:
+            logger.warning("unreadable record %s (%s); treating it as a cache miss", path, exc)
+            return None
 
     def put(self, record: ResultRecord) -> Path:
         """Persist a record atomically; returns the file it landed in."""
@@ -149,7 +161,8 @@ class ResultStore:
     def iter_records(self, scenario_name: str | None = None) -> Iterator[ResultRecord]:
         """Yield stored records in deterministic (scenario, key) order,
         optionally restricted to one scenario.  A missing root or scenario
-        directory yields nothing -- an empty store is not an error."""
+        directory yields nothing -- an empty store is not an error -- and an
+        unreadable file is skipped with a warning."""
         if not self.root.is_dir():
             return
         dirs = (
@@ -161,74 +174,13 @@ class ResultStore:
             if not directory.is_dir():
                 continue
             for path in sorted(directory.glob("*.json")):
-                yield ResultRecord.from_json(path.read_text())
+                try:
+                    record = ResultRecord.from_json(path.read_text())
+                except (ValueError, TypeError) as exc:
+                    logger.warning("skipping unreadable record %s (%s)", path, exc)
+                    continue
+                yield record
 
     def count(self, scenario_name: str | None = None) -> int:
         """Number of stored records (optionally for one scenario)."""
         return sum(1 for _ in self.iter_records(scenario_name))
-
-    def merge(
-        self, other: "ResultStore | str | os.PathLike", overwrite: bool = False
-    ) -> "MergeSummary":
-        """Import every record from another store root into this one.
-
-        Cache keys are content hashes, so records written by remote queue
-        workers into local shards integrate under the same keys a central
-        run would have used.  Existing records win unless ``overwrite``
-        (the store is write-once by convention).
-
-        The write path is batched, not ``put()``-per-record: destination
-        keys are snapshotted with one directory listing per scenario (no
-        per-record ``stat``), and every imported record is staged through
-        a single reused temp file and landed with an atomic
-        ``os.replace`` -- so a fleet's worth of worker shards merges in
-        O(records) cheap syscalls, and a crash mid-merge leaves at most
-        one ``.merge-*.tmp`` staging file, never a truncated record.
-        Records are still parsed on the way through: a malformed source
-        file raises instead of poisoning the destination.
-
-        Concurrent writers are safe: a worker ``put()``-ing the same key
-        during the merge races on the final ``os.replace`` only, and both
-        sides write complete records, so the destination always holds one
-        intact version.
-
-        Returns a :class:`MergeSummary` (compares equal to its
-        ``imported`` count for backward compatibility).
-        """
-        source = other if isinstance(other, ResultStore) else ResultStore(other)
-        if source.root.resolve() == self.root.resolve():
-            raise ValueError(f"cannot merge a store into itself: {self.root}")
-        start = time.perf_counter()
-        summary = MergeSummary()
-        if not source.root.is_dir():
-            return summary
-        for source_dir in sorted(p for p in source.root.iterdir() if p.is_dir()):
-            scenario_name = source_dir.name
-            dest_dir = self.root / scenario_name
-            dest_dir.mkdir(parents=True, exist_ok=True)
-            try:
-                with os.scandir(dest_dir) as entries:
-                    existing = {e.name for e in entries if e.name.endswith(".json")}
-            except FileNotFoundError:
-                existing = set()
-            staging = dest_dir / f".merge-{os.getpid()}.tmp"
-            copied = 0
-            try:
-                for path in sorted(source_dir.glob("*.json")):
-                    summary.scanned += 1
-                    if path.name in existing:
-                        if not overwrite:
-                            summary.skipped += 1
-                            continue
-                        summary.replaced += 1
-                    record = ResultRecord.from_json(path.read_text())
-                    staging.write_text(record.to_json())
-                    os.replace(staging, dest_dir / path.name)
-                    summary.imported += 1
-                    copied += 1
-            finally:
-                staging.unlink(missing_ok=True)
-            if copied:
-                summary.per_scenario[scenario_name] = copied
-        summary.duration_s = time.perf_counter() - start
-        return summary

