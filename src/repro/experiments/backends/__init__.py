@@ -5,15 +5,16 @@ points into outcome dicts behind the :class:`ExecutionBackend`
 ``submit / poll / shutdown`` seam:
 
 - :class:`SerialBackend` -- inline, in-process (the reference path);
-- :class:`ProcessPoolBackend` -- local ``multiprocessing`` pool with
-  spawn hygiene, worker recycling, out-of-order collection and per-task
-  deadlines.
+- :class:`ProcessPoolBackend` -- local ``multiprocessing`` pool whose
+  workers fork from a preloaded ``forkserver`` (``spawn`` where that is
+  the platform's own default), with worker recycling, out-of-order
+  collection and per-task deadlines.
 """
 
 from __future__ import annotations
 
 from repro.experiments.backends.base import ExecutionBackend, Task, execute_point
-from repro.experiments.backends.pool import ProcessPoolBackend
+from repro.experiments.backends.pool import DEFAULT_START_METHOD, ProcessPoolBackend
 from repro.experiments.backends.serial import SerialBackend
 
 #: CLI-facing backend names ("auto" additionally picks serial or pool from
@@ -27,7 +28,7 @@ def resolve_backend(
     workers: int = 1,
     n_tasks: int = 1,
     task_timeout: float | None = None,
-    mp_start_method: str = "spawn",
+    mp_start_method: str = DEFAULT_START_METHOD,
     maxtasksperchild: int | None = 16,
 ) -> ExecutionBackend:
     """Build a backend from a CLI-style name.
@@ -60,6 +61,7 @@ def resolve_backend(
 
 __all__ = [
     "BACKEND_NAMES",
+    "DEFAULT_START_METHOD",
     "ExecutionBackend",
     "ProcessPoolBackend",
     "SerialBackend",

@@ -25,8 +25,9 @@ not by the task, so it has no ``meta``.)
 :func:`execute_point` is the single task-execution entry point shared by
 every backend (inline or pool worker), so a serial run is bit-identical
 to a parallel one.  When the ``REPRO_TRACE_DIR`` environment variable
-names a directory (exported by ``run --trace`` and inherited by every
-worker process), each execution also writes a per-task JSONL trace there.
+names a directory (exported by ``run --trace``; the pool backend carries
+its value to the worker with each task), each execution also writes a
+per-task JSONL trace there.
 """
 
 from __future__ import annotations

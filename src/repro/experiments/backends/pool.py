@@ -1,10 +1,23 @@
 """Local process-pool backend.
 
-Pool hygiene: workers come from an explicit ``spawn`` context by default
-(no fork-inherited state; scenario modules are shipped by name and
-re-imported), are recycled after ``maxtasksperchild`` tasks, and
-completed futures are collected as they finish -- not in grid order -- so
-one slow point never delays timeout detection for the points behind it.
+Start-up: where multiprocessing's own platform default is not ``spawn``
+(Linux), workers come from a ``forkserver`` that has already imported
+this module and the built-in scenario modules (:data:`PRELOAD`).  Every
+worker -- the first ones, those ``maxtasksperchild`` recycles, and those
+of later sweeps in the same process -- is then a cheap fork of a loaded
+interpreter instead of a fresh one that re-imports networkx, numpy and
+the registry, and it ends with ``os._exit`` instead of a full interpreter
+finalisation.  The server holds only imported modules, no parent state;
+it lives as long as the process and is stopped and reaped at exit.  On
+macOS and Windows, where CPython itself defaults to ``spawn``, so does
+the pool.  Under every start method scenario modules are shipped by name
+and re-imported, and a task carries the submitting process's trace
+directory: a forkserver child inherits the server's environment from
+when the server started, not the parent's current one.
+
+Workers are recycled after ``maxtasksperchild`` tasks, and completed
+futures are collected as they finish -- not in grid order -- so one slow
+point never delays timeout detection for the points behind it.
 
 Per-task deadlines approximate "timeout from actual start": at most
 ``workers`` tasks hold a deadline at once; a new one is armed (in submit
@@ -25,14 +38,72 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import site
 import time
 import traceback
+from multiprocessing import util
 
+import repro
 from repro.experiments.backends.base import ExecutionBackend, Task, execute_point
+from repro.experiments.registry import BUILTIN_SCENARIO_MODULES
+from repro.obs.trace import TRACE_DIR_ENV
+
+#: The start method a pool uses unless told otherwise: ``forkserver`` where
+#: multiprocessing's own platform default is not ``spawn`` (Linux), else
+#: ``spawn`` (macOS, Windows).
+DEFAULT_START_METHOD = (
+    "spawn" if multiprocessing.get_all_start_methods()[0] == "spawn" else "forkserver"
+)
+
+#: Modules the forkserver imports before it forks its first worker.
+PRELOAD = ("repro.experiments.backends.pool", *BUILTIN_SCENARIO_MODULES)
+
+#: The directory ``repro`` was imported from.
+_IMPORT_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+#: Stops and reaps the forkserver at interpreter exit, once registered.
+_stop_server = None
 
 #: Worker side: where this worker reports task starts and finishes (set by
 #: the pool initializer).
 _events = None
+
+
+def _ensure_forkserver() -> None:
+    """Start the forkserver with :data:`PRELOAD` imported, unless it runs.
+
+    Python 3.10-3.13's forkserver ignores the ``sys.path`` it is handed and
+    swallows ``ImportError`` from its preload list, so a parent that put
+    ``src/`` on ``sys.path`` at run time would get a server that silently
+    preloads nothing.  The server therefore starts with the directory
+    ``repro`` came from on its ``PYTHONPATH`` (unless that is a site
+    directory, which a fresh interpreter searches anyway and which must not
+    move ahead of the standard library).
+
+    The server is stopped and reaped by a ``multiprocessing`` finalizer
+    with a negative priority: it runs after multiprocessing has terminated
+    any pool left open at exit.  A plain ``atexit`` hook would run before
+    that and block, since the workers of such a pool hold the server's
+    alive pipe.
+    """
+    global _stop_server
+    from multiprocessing import forkserver  # POSIX only, so imported on use
+
+    forkserver.set_forkserver_preload(list(PRELOAD))
+    saved = os.environ.get("PYTHONPATH")
+    if _IMPORT_ROOT not in (*site.getsitepackages(), site.getusersitepackages()):
+        os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_IMPORT_ROOT, saved) if p)
+    try:
+        forkserver.ensure_running()
+    finally:
+        if saved is None:
+            os.environ.pop("PYTHONPATH", None)
+        else:
+            os.environ["PYTHONPATH"] = saved
+    if _stop_server is None:
+        stop = getattr(forkserver._forkserver, "_stop", None)
+        if stop is not None:
+            _stop_server = util.Finalize(None, stop, exitpriority=-1)
 
 
 def _init_worker(events) -> None:
@@ -40,13 +111,21 @@ def _init_worker(events) -> None:
     _events = events
 
 
-def _run_task(index: int, *args) -> dict:
+def _run_task(index: int, trace_dir: str | None, *args) -> dict:
     """Pool-side wrapper: ``execute_point`` between a start and a finish report.
+
+    ``trace_dir`` is the submitting process's ``REPRO_TRACE_DIR`` (or
+    ``None``); the worker sets or clears its own copy to match before it
+    runs the point.
 
     No ``finally``: a task that ends its worker (``sys.exit`` in a
     scenario) must look unfinished, or nothing would ever resolve it.
     """
     _events.put((index, os.getpid()))
+    if trace_dir is None:
+        os.environ.pop(TRACE_DIR_ENV, None)
+    else:
+        os.environ[TRACE_DIR_ENV] = trace_dir
     outcome = execute_point(*args)
     _events.put((index, None))
     return outcome
@@ -68,11 +147,13 @@ class ProcessPoolBackend(ExecutionBackend):
     def __init__(
         self,
         workers: int = 2,
-        mp_start_method: str = "spawn",
+        mp_start_method: str = DEFAULT_START_METHOD,
         maxtasksperchild: int | None = 16,
     ) -> None:
         self.workers = max(workers, 1)
         ctx = multiprocessing.get_context(mp_start_method)
+        if mp_start_method == "forkserver":
+            _ensure_forkserver()
         self._events = ctx.SimpleQueue()
         self._pool = ctx.Pool(
             processes=self.workers,
@@ -97,7 +178,14 @@ class ProcessPoolBackend(ExecutionBackend):
         self.trace.task("dispatched", task.index, backend=self.name)
         self._asyncs[task.index] = self._pool.apply_async(
             _run_task,
-            (task.index, point.scenario, point.params, point.seed, task.scenario_modules),
+            (
+                task.index,
+                os.environ.get(TRACE_DIR_ENV),
+                point.scenario,
+                point.params,
+                point.seed,
+                task.scenario_modules,
+            ),
         )
         if task.timeout is not None:
             self._any_timeout = True

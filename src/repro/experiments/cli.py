@@ -31,7 +31,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from repro.experiments.backends import BACKEND_NAMES
+from repro.experiments.backends import BACKEND_NAMES, DEFAULT_START_METHOD
 from repro.experiments.registry import ScenarioNotFound, get_scenario, list_scenarios
 from repro.experiments.runner import run_sweep
 from repro.experiments.store import DEFAULT_STORE, ResultStore
@@ -125,8 +125,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--mp-start",
         choices=("spawn", "fork", "forkserver"),
-        default="spawn",
-        help="multiprocessing start method for the worker pool",
+        default=DEFAULT_START_METHOD,
+        help="multiprocessing start method for the worker pool (default: forkserver, "
+        "whose workers fork from a server that has already imported the package; "
+        "spawn where the platform itself defaults to spawn)",
     )
     run.add_argument(
         "--maxtasksperchild",
@@ -149,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="write JSONL telemetry traces into DIR (a sweep trace plus one "
-        "per-task trace; workers inherit the switch via the environment)",
+        "per-task trace; every pool task carries DIR to its worker)",
     )
 
     report = sub.add_parser(
@@ -244,9 +246,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.trace_dir is not None:
         trace_root = Path(args.trace_dir)
         trace_root.mkdir(parents=True, exist_ok=True)
-        # The env var is how the switch reaches pool workers: they inherit
-        # the environment, and execute_point opens a per-task writer
-        # whenever it is set.
+        # execute_point opens a per-task writer whenever the env var is
+        # set; the pool backend sends its value along with every task.
         os.environ[TRACE_DIR_ENV] = str(trace_root)
         tracer = TraceWriter(
             trace_root / f"sweep-{scn.name}.jsonl", source="sweep", scenario=scn.name

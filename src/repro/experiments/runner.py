@@ -22,7 +22,12 @@ from typing import Any, Callable
 #: How often the collector polls an idle backend, in seconds.
 _POLL_INTERVAL = 0.02
 
-from repro.experiments.backends import ExecutionBackend, Task, resolve_backend
+from repro.experiments.backends import (
+    DEFAULT_START_METHOD,
+    ExecutionBackend,
+    Task,
+    resolve_backend,
+)
 from repro.experiments.registry import get_scenario
 from repro.experiments.store import ResultRecord, ResultStore, cache_key, package_code_version
 from repro.experiments.sweep import SweepPoint
@@ -56,7 +61,7 @@ def run_sweep(
     force: bool = False,
     scenario_modules: tuple[str, ...] = (),
     progress: Callable[[str], None] | None = None,
-    mp_start_method: str = "spawn",
+    mp_start_method: str = DEFAULT_START_METHOD,
     maxtasksperchild: int | None = 16,
     backend: str | ExecutionBackend = "auto",
     trace: Tracer | None = None,
@@ -79,8 +84,11 @@ def run_sweep(
     worker slot becomes available (a hung worker is terminated rather
     than joined, so ``run_sweep`` returns).
 
-    ``mp_start_method`` picks the multiprocessing context (``spawn`` by
-    default: clean workers, no fork-inherited state) and
+    ``mp_start_method`` picks the pool's multiprocessing context.  The
+    default is ``forkserver`` where the platform's own default is not
+    ``spawn`` (Linux): workers fork from a server that has already
+    imported the package and the built-in scenarios, and inherit none of
+    the caller's state.  On macOS and Windows it is ``spawn``.
     ``maxtasksperchild`` recycles pool workers so long sweeps cannot
     accumulate per-worker state (``0`` means never recycle, for
     ``multiprocessing.Pool`` parity).
@@ -163,10 +171,10 @@ def run_sweep(
         if store is not None:
             store.put(record)
 
-    # Ship the scenario's defining module to workers so pools work under
-    # spawn/forkserver too, where the parent's registry is not inherited.
-    # (A __main__ registration can't be re-imported by name; it still
-    # works under fork, the Linux default.)
+    # Ship the scenario's defining module to workers: under spawn and
+    # forkserver they do not inherit the parent's registry.  (A __main__
+    # registration can't be shipped by name; a spawn or forkserver worker
+    # re-runs the main script as __mp_main__, which registers it again.)
     if scenario.fn.__module__ not in ("__main__", None):
         scenario_modules = tuple(dict.fromkeys((*scenario_modules, scenario.fn.__module__)))
 

@@ -42,8 +42,10 @@ The **ambient tracer** (:func:`current_tracer` / :func:`use_tracer`) is how
 instrumentation crosses API layers without threading a ``trace=`` argument
 through every call: ``CongestNetwork`` defaults its tracer to the ambient
 one, and ``execute_point`` installs a writer when the ``REPRO_TRACE_DIR``
-environment variable names a directory -- which is also how a sweep's trace
-switch reaches pool workers in other processes.
+environment variable names a directory.  A pool worker does not rely on
+its inherited environment for that: the pool backend sends the submitting
+process's value with every task, and the worker sets or clears its own
+copy to match before it runs the point.
 """
 
 from __future__ import annotations
@@ -60,8 +62,10 @@ from typing import Any, Iterator
 TRACE_SCHEMA = 1
 
 #: Environment variable naming the directory task/worker traces land in;
-#: set by ``python -m repro.experiments run --trace DIR`` and inherited by
-#: every worker process the sweep spawns.
+#: set by ``python -m repro.experiments run --trace DIR``.  The pool backend
+#: reads it when it submits a task and sends the value along, so a worker
+#: (a forkserver child inherits the server's environment, not this
+#: process's current one) writes its task trace where this process says.
 TRACE_DIR_ENV = "REPRO_TRACE_DIR"
 
 

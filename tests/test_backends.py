@@ -29,6 +29,7 @@ from repro.experiments import (
 from repro.experiments.backends import ProcessPoolBackend, Task, resolve_backend
 from repro.experiments.backends import pool as pool_backend
 from repro.experiments.store import ResultRecord
+from repro.obs.trace import TRACE_DIR_ENV
 
 _SRC = Path(repro.__file__).resolve().parents[1]
 _ROOT = _SRC.parent
@@ -89,8 +90,12 @@ class TestCrossBackendEquivalence:
 
     def test_auto_backend_preserves_historical_selection(self):
         assert resolve_backend("auto", workers=1).name == "serial"
-        assert resolve_backend("auto", workers=4, n_tasks=2).name == "pool"
-        assert resolve_backend("auto", workers=1, task_timeout=1.0).name == "pool"
+        for args in ({"workers": 4, "n_tasks": 2}, {"workers": 1, "task_timeout": 1.0}):
+            backend = resolve_backend("auto", **args)
+            try:
+                assert backend.name == "pool"
+            finally:
+                backend.shutdown()
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backend("bogus")
 
@@ -129,24 +134,31 @@ print(json.dumps([[r.status, r.error] for r in report.records]))
 """
 
 
-def _bounded_pool_sweep(**args) -> list[list]:
+def _run_python(code: str, *argv: str, cwd=_ROOT, env=_SUBPROCESS_ENV) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that must exit 0 within
+    60 s."""
     out = subprocess.run(
-        [sys.executable, "-c", _POOL_SWEEP, json.dumps(args)],
+        [sys.executable, "-c", code, *argv],
         capture_output=True,
         text=True,
-        cwd=_ROOT,
-        env=_SUBPROCESS_ENV,
+        cwd=cwd,
+        env=env,
         timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    return json.loads(out.stdout.splitlines()[-1])
+    return out.stdout
+
+
+def _bounded_pool_sweep(**args) -> list[list]:
+    return json.loads(_run_python(_POOL_SWEEP, json.dumps(args)).splitlines()[-1])
 
 
 class TestPoolWorkerCrash:
-    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    @pytest.mark.parametrize("start_method", ["fork", "spawn", "forkserver"])
     def test_worker_crash_mid_task_becomes_error_record(self, start_method):
         """A worker SIGKILLed mid-task becomes an `error` record; the
-        sweep neither hangs nor waits for a timeout."""
+        sweep neither hangs nor waits for a timeout.  (A forkserver worker
+        is the server's child: the server reaps it, not this process.)"""
         records = _bounded_pool_sweep(
             scenario="bk-crash", grid={"x": [1, 2]}, workers=2, start_method=start_method
         )
@@ -182,9 +194,25 @@ class TestPoolWorkerCrash:
         reports = []
         monkeypatch.setattr(pool_backend, "_events", SimpleNamespace(put=reports.append))
         point = expand_grid(get_scenario("bk-echo"), {"x": [1]})[0]
-        outcome = pool_backend._run_task(point.index, point.scenario, point.params, point.seed)
+        outcome = pool_backend._run_task(
+            point.index, None, point.scenario, point.params, point.seed
+        )
         assert outcome["status"] == "ok"
         assert reports == [(point.index, os.getpid()), (point.index, None)]
+
+    def test_task_trace_dir_replaces_the_worker_environment(self, monkeypatch, tmp_path):
+        """A worker sets or clears ``REPRO_TRACE_DIR`` to the value the
+        task carries, whatever its own environment says."""
+        monkeypatch.setattr(pool_backend, "_events", SimpleNamespace(put=lambda _report: None))
+        point = expand_grid(get_scenario("bk-echo"), {"x": [1]})[0]
+        args = (point.scenario, point.params, point.seed)
+        stale, wanted = tmp_path / "stale", tmp_path / "wanted"
+        monkeypatch.setenv(TRACE_DIR_ENV, str(stale))
+        assert pool_backend._run_task(point.index, None, *args)["status"] == "ok"
+        assert TRACE_DIR_ENV not in os.environ
+        assert pool_backend._run_task(point.index, str(wanted), *args)["status"] == "ok"
+        assert not stale.exists()
+        assert len(list(wanted.glob("task-*.jsonl"))) == 1
 
     def test_finish_report_racing_the_worker_exit_is_not_a_crash(self, monkeypatch):
         """poll() checks liveness before it drains the reports, so a worker
@@ -218,6 +246,98 @@ class TestPoolWorkerCrash:
         start = time.monotonic()
         backend.shutdown()
         assert time.monotonic() - start < 10
+
+
+#: Puts ``src/`` on ``sys.path`` at run time, as ``perfbench/run.py`` does,
+#: and asks a forkserver pool worker whether the scenarios were loaded
+#: before it ran anything.  The probe module imports nothing from ``repro``.
+_PRELOAD_PROBE = """
+import sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import probe
+from repro.experiments.backends import ProcessPoolBackend
+
+backend = ProcessPoolBackend(workers=1, mp_start_method="forkserver")
+try:
+    print(backend._pool.apply(probe.loaded, ("repro.experiments.scenarios",)))
+finally:
+    backend.shutdown()
+"""
+
+#: Builds a pool, never shuts it down, and exits.  ``report`` is registered
+#: before ``multiprocessing`` is imported, so it runs after multiprocessing's
+#: own exit handler and sees what that left behind.
+_LEAKED_POOL = """
+import atexit, json, os
+
+def report():
+    try:
+        os.waitpid(server, os.WNOHANG)
+        reaped = False
+    except ChildProcessError:
+        reaped = True
+    alive = []
+    for pid in workers:
+        try:
+            os.kill(pid, 0)
+            alive.append(pid)
+        except ProcessLookupError:
+            pass
+    print(json.dumps({"server_reaped": reaped, "workers_alive": alive}), flush=True)
+
+atexit.register(report)
+
+from multiprocessing import forkserver
+from repro.experiments.backends import resolve_backend
+
+backend = resolve_backend("pool", workers=2, n_tasks=2)
+server = forkserver._forkserver._forkserver_pid
+workers = [p.pid for p in backend._pool._pool]
+"""
+
+
+class TestPoolStartUp:
+    @pytest.mark.parametrize("start_method", ["forkserver", "spawn", "fork"])
+    def test_trace_dir_travels_with_each_task(self, start_method, monkeypatch, tmp_path):
+        """An untraced pool sweep, then a traced one, in one process: the
+        traced one writes one task trace per point.  A forkserver worker
+        inherits the server's environment from when the server started,
+        not this process's current one."""
+        points = expand_grid(get_scenario("bk-echo"), {"x": [1, 2, 3]})
+
+        def sweep():
+            return run_sweep(
+                points, store=None, backend="pool", workers=2, mp_start_method=start_method
+            )
+
+        monkeypatch.delenv(TRACE_DIR_ENV, raising=False)
+        assert sweep().ok
+        monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))
+        assert sweep().ok
+        assert len(list(tmp_path.glob("task-*.jsonl"))) == len(points)
+
+    def test_preload_loads_when_src_is_added_at_run_time(self, tmp_path):
+        """The forkserver ignores the ``sys.path`` it is handed; the pool
+        starts it with ``src/`` on its ``PYTHONPATH``, so the preload still
+        loads when no ``PYTHONPATH`` names ``src/``."""
+        (tmp_path / "probe.py").write_text(
+            "import sys\n\n\ndef loaded(name):\n    return name in sys.modules\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        out = _run_python(_PRELOAD_PROBE, str(_SRC), str(tmp_path), cwd=tmp_path, env=env)
+        assert out.split() == ["True"]
+
+    @pytest.mark.skipif(
+        pool_backend.DEFAULT_START_METHOD != "forkserver",
+        reason="the platform's default start method is spawn",
+    )
+    def test_pool_left_open_exits_cleanly(self):
+        """A pool never shut down does not hang the exit, and the exit
+        reaps the forkserver and the workers."""
+        assert json.loads(_run_python(_LEAKED_POOL).splitlines()[-1]) == {
+            "server_reaped": True,
+            "workers_alive": [],
+        }
 
 
 class TestResultIntegrity:

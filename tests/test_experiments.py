@@ -258,8 +258,9 @@ class TestParallelRunner:
     def test_parallel_timeout_is_captured(self):
         points = expand_grid(get_scenario("test-sleepy"), {"delay": [30.0, 0.01]})
         start = time.monotonic()
-        # 2s deadline: enough margin for spawn-worker boot under CI load
-        # (the deadline clock starts at submission, not at worker start).
+        # 2s deadline: enough margin for worker boot (the forkserver's
+        # preload, or a spawned worker's imports) under CI load (the
+        # deadline clock starts at submission, not at worker start).
         report = run_sweep(points, store=None, workers=2, task_timeout=2.0)
         assert report.records[0].status == "timeout"
         assert report.records[1].status == "ok"
