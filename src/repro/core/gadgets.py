@@ -77,18 +77,56 @@ class HamInstance:
         return graph
 
     def is_hamiltonian(self) -> bool:
-        graph = self.union_graph()
-        return (
-            graph.number_of_nodes() == self.n_nodes
-            and all(d == 2 for _, d in graph.degree())
-            and nx.is_connected(graph)
-        )
+        nodes, cycles = self._cycle_cover()
+        return nodes == self.n_nodes and cycles == 1
 
     def cycle_count(self) -> int:
-        graph = self.union_graph()
-        if any(d != 2 for _, d in graph.degree()):
+        _, cycles = self._cycle_cover()
+        if cycles is None:
             raise ValueError("union is not a disjoint-cycle cover")
-        return nx.number_connected_components(graph)
+        return cycles
+
+    def _cycle_cover(self) -> tuple[int, int | None]:
+        """Node count of :meth:`union_graph` and its number of cycles, or
+        ``None`` for the latter when some node's degree is not 2.
+
+        Degrees follow ``nx.Graph``: a repeated edge counts once and a
+        self-loop adds 2, so a node whose only edge is a self-loop is a
+        cycle of its own.  Every other component of a 2-regular union is a
+        simple cycle, counted by walking it once.
+        """
+        ids: dict[Hashable, int] = {}
+        ends = [
+            ids.setdefault(node, len(ids))
+            for edges in (self.carol_edges, self.david_edges)
+            for edge in edges
+            for node in edge
+        ]
+        n = len(ids)
+        adj: list[list[int]] = [[] for _ in range(n)]
+        pairs = iter(ends)
+        for a, b in zip(pairs, pairs):
+            adj[a].append(b)
+            adj[b].append(a)
+        for node, nbrs in enumerate(adj):
+            if len(nbrs) != 2 or nbrs[0] == nbrs[1] or node in nbrs:
+                distinct = set(nbrs)
+                if len(distinct) + (node in distinct) != 2:
+                    return n, None
+                adj[node] = list(distinct)
+        seen = bytearray(n)
+        cycles = 0
+        for start in range(n):
+            if seen[start]:
+                continue
+            cycles += 1
+            seen[start] = 1
+            prev, cur = start, adj[start][0]
+            while cur != start:
+                seen[cur] = 1
+                a, b = adj[cur]
+                prev, cur = cur, b if a == prev else a
+        return n, cycles
 
 
 # -- IPmod3 -> Ham (Figs. 4-6, 12) -------------------------------------------

@@ -958,8 +958,14 @@ def gadget_reductions(*, seed: int, n: int, trials: int, beta: float) -> dict:
     Hamiltonian exactly for yes-instances, and far Gap-Eq instances must
     shatter into Omega(n) cycles.  Result keys: ``n``, the
     ``ipmod3_sound`` / ``gap_eq_sound`` / ``far_cycles_linear`` verdicts,
-    the gadget sizes and their per-input-bit ``*_blowup`` factors.
+    the gadget sizes and their per-input-bit ``*_blowup`` factors.  The
+    Fig. 7 chain needs ``n >= 2``, and every point checks ``trials >= 1``
+    instances; smaller values raise ``ValueError``.
     """
+    if n < 2:
+        raise ValueError(f"gadget-reductions needs n >= 2, got n={n}")
+    if trials < 1:
+        raise ValueError(f"gadget-reductions needs trials >= 1, got trials={trials}")
     rng = random.Random(seed)
     ip_sound = 0
     for _ in range(trials):

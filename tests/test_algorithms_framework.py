@@ -14,6 +14,7 @@ from repro.algorithms.framework import (
     PipelinedDowncastPhase,
     PipelinedUpcastPhase,
 )
+from repro.algorithms.verification import run_verification
 from repro.congest.network import CongestNetwork
 from repro.graphs.generators import random_connected_graph
 
@@ -221,6 +222,30 @@ class TestPipelines:
         graph.add_edge(8, 9)
         answer, _ = run_centralised(graph, lambda h: h.number_of_edges(), bandwidth=bandwidth)
         assert answer == graph.number_of_edges() == 37
+
+    @pytest.mark.parametrize(
+        "bandwidth",
+        [
+            pytest.param(
+                64,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="the convergecast lasts D+2 rounds, one per hop, but some of "
+                    "the verifier's ('agg', stats) payloads exceed 64 bits (58-68 here), "
+                    "so at B=64 such a hop takes two rounds and the root decides on a "
+                    "partial aggregate",
+                ),
+            ),
+            128,
+        ],
+    )
+    def test_convergecast_delivers_every_aggregate(self, bandwidth):
+        # The smallest instance found where the spanning-tree verifier
+        # rejects a genuine BFS spanning tree (D = 5).
+        graph = random_connected_graph(12, extra_edge_prob=0.1, seed=30)
+        tree = list(nx.bfs_tree(graph, min(graph.nodes())).edges())
+        verdict, _ = run_verification("spanning tree", graph, tree, bandwidth=bandwidth, seed=0)
+        assert verdict
 
 
 class TestPhaseComposition:

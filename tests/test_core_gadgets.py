@@ -4,9 +4,12 @@ import itertools
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.gadgets import (
     SHIFT1,
+    HamInstance,
     compose,
     gadget_permutation,
     gap_eq_mismatch_count,
@@ -109,6 +112,84 @@ class TestGapEqReduction:
         y = (1, 1, 1, 0, 0, 0)
         instance = gap_eq_to_ham(x, y)
         assert instance.cycle_count() >= 3
+
+
+# -- networkx references: the union graph's degrees and components -----------
+
+
+def reference_is_hamiltonian(instance):
+    graph = instance.union_graph()
+    return (
+        graph.number_of_nodes() == instance.n_nodes
+        and all(d == 2 for _, d in graph.degree())
+        and nx.is_connected(graph)
+    )
+
+
+def reference_cycle_count(instance):
+    graph = instance.union_graph()
+    if any(d != 2 for _, d in graph.degree()):
+        raise ValueError("union is not a disjoint-cycle cover")
+    return nx.number_connected_components(graph)
+
+
+def count_or_error(count):
+    try:
+        return count()
+    except ValueError:
+        return ValueError
+
+
+NODES = st.integers(0, 7)
+
+
+@st.composite
+def union_cases(draw):
+    """``(n_nodes, carol_edges, david_edges)`` on at most 8 nodes.
+
+    Half the draws are arbitrary edge lists (empty ones, repeated edges and
+    self-loops included).  The rest cut a node order into cycles -- a
+    one-node piece is a self-loop, a two-node piece a doubled edge (degree 1
+    in ``nx.Graph``) -- deal the edges to the two players, reverse some and
+    repeat some.  ``n_nodes`` may miss the union's node count by one.
+    """
+    if draw(st.booleans()):
+        carol = draw(st.lists(st.tuples(NODES, NODES), max_size=10))
+        david = draw(st.lists(st.tuples(NODES, NODES), max_size=10))
+        return draw(st.integers(1, 9)), carol, david
+    order = draw(st.permutations(range(draw(st.integers(1, 8)))))
+    cuts = sorted(draw(st.sets(st.integers(1, len(order)))) | {0, len(order)})
+    edges = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        piece = order[lo:hi]
+        edges += [(piece[i], piece[(i + 1) % len(piece)]) for i in range(len(piece))]
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+    carol, david = [], []
+    for edge in edges:
+        (carol if draw(st.booleans()) else david).append(edge)
+    n_nodes = draw(st.integers(max(1, len(order) - 1), len(order) + 1))
+    return n_nodes, carol, david
+
+
+class TestCycleCoverCheck:
+    """``is_hamiltonian`` and ``cycle_count`` walk the union of the two edge
+    lists without networkx; they must agree with ``union_graph()``."""
+
+    @given(union_cases())
+    @settings(max_examples=300, deadline=None)
+    @example((1, [], []))
+    @example((1, [(0, 0)], []))
+    @example((2, [(0, 1)], [(1, 0)]))
+    @example((4, [(0, 1), (2, 0)], [(1, 2)]))  # one cycle, but node 3 is missing
+    @example((3, [(0, 1), (1, 2), (0, 1)], [(2, 0), (1, 0)]))
+    @example((6, [(0, 1), (2, 0), (3, 4)], [(1, 2), (4, 5), (5, 3)]))
+    def test_matches_networkx_union(self, case):
+        instance = HamInstance(*case)
+        assert instance.is_hamiltonian() == reference_is_hamiltonian(instance)
+        assert count_or_error(instance.cycle_count) == count_or_error(
+            lambda: reference_cycle_count(instance)
+        )
 
 
 class TestSection9Reductions:

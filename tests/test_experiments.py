@@ -349,6 +349,23 @@ class TestBoruvkaMstSweepScenario:
             scn.run(scn.resolve_params({"weight_model": "bogus"}), seed=0)
 
 
+class TestGadgetReductionsScenario:
+    def test_zero_trials_fail_the_point(self):
+        scn = get_scenario("gadget-reductions")
+        with pytest.raises(ValueError, match="trials >= 1, got trials=0"):
+            scn.run(scn.resolve_params({"trials": 0}), seed=0)
+
+    def test_single_bit_fails_the_point(self):
+        scn = get_scenario("gadget-reductions")
+        with pytest.raises(ValueError, match="n >= 2, got n=1"):
+            scn.run(scn.resolve_params({"n": 1}), seed=0)
+
+    def test_smallest_valid_point_is_sound(self):
+        scn = get_scenario("gadget-reductions")
+        result = scn.run(scn.resolve_params({"n": 2, "trials": 1}), seed=0)
+        assert result["ipmod3_sound"] and result["gap_eq_sound"]
+
+
 class TestCLI:
     def test_list(self, capsys):
         assert cli_main(["list"]) == 0
