@@ -28,10 +28,20 @@ to a parallel one.  When the ``REPRO_TRACE_DIR`` environment variable
 names a directory (exported by ``run --trace``; the pool backend carries
 its value to the worker with each task), each execution also writes a
 per-task JSONL trace there.
+
+Each point also runs in its own collector scope.  On entry the heap it
+starts with -- the imported package, earlier points' survivors, the
+caller's objects -- is frozen (``gc.freeze()``, an O(1) list splice) and
+the gen-0 threshold is raised to :data:`POINT_GC_THRESHOLD`, so the
+point's collections walk only the objects it made.  On every exit one
+full collection, still frozen, frees the point's own garbage; then the
+heap is unfrozen and the threshold restored, so the caller finds the
+collector as it left it.  The exit collection counts in ``duration_s``.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import time
@@ -53,6 +63,11 @@ from repro.obs.trace import (
     trace_dir_from_env,
     use_tracer,
 )
+
+
+#: The gen-0 collection threshold inside a point's collector scope
+#: (CPython's default is 700).  Gen-1 and gen-2 keep the caller's values.
+POINT_GC_THRESHOLD = 20_000
 
 
 @dataclass(frozen=True)
@@ -135,7 +150,13 @@ def execute_point(
 
     Every outcome carries the uniform ``meta`` block (engine round/skip/step
     counts via the ambient :class:`~repro.obs.trace.RunMetaCollector`); when
-    ``REPRO_TRACE_DIR`` is set, a per-task JSONL trace is written there too.
+    ``REPRO_TRACE_DIR`` is set, a per-task JSONL trace is written there too,
+    ending with a ``gc`` event (what the collector did during the point)
+    and a ``task_result`` event.
+
+    The point runs in the collector scope the module docstring describes.
+    Points never nest, so the scope keeps no nesting state: a caller that
+    froze objects itself finds them unfrozen afterwards.
     """
     load_builtin_scenarios(tuple(m for m in scenario_modules if m not in BUILTIN_SCENARIO_MODULES))
     collector = RunMetaCollector()
@@ -153,7 +174,11 @@ def execute_point(
             tracer = TeeTracer(collector, writer)
         except OSError:
             writer = None  # an unwritable trace dir must never fail the task
+    gc_before = gc.get_stats() if writer is not None else None
+    threshold = gc.get_threshold()
     start = time.perf_counter()
+    gc.freeze()
+    gc.set_threshold(POINT_GC_THRESHOLD, *threshold[1:])
     try:
         with use_tracer(tracer):
             scn = get_scenario(scenario_name)
@@ -179,20 +204,25 @@ def execute_point(
                 f"a JSON round-trip (e.g. tuples or non-string dict keys); a cached "
                 f"replay would differ from the fresh run"
             )
-        outcome = {
-            "status": "ok",
-            "result": result,
-            "duration_s": time.perf_counter() - start,
-            "meta": collector.meta(),
-        }
+        outcome = {"status": "ok", "result": result}
     except Exception:
-        outcome = {
-            "status": "error",
-            "error": traceback.format_exc(),
-            "duration_s": time.perf_counter() - start,
-            "meta": collector.meta(),
-        }
+        outcome = {"status": "error", "error": traceback.format_exc()}
+    finally:
+        exit_start = time.perf_counter()
+        gc.collect()
+        end = time.perf_counter()
+        gc.unfreeze()
+        gc.set_threshold(*threshold)
+    outcome["duration_s"] = end - start
+    outcome["meta"] = collector.meta()
     if writer is not None:
+        gc_after = gc.get_stats()
+        writer.event(
+            "gc",
+            collections=[a["collections"] - b["collections"] for a, b in zip(gc_after, gc_before)],
+            collected=sum(a["collected"] - b["collected"] for a, b in zip(gc_after, gc_before)),
+            exit_s=end - exit_start,
+        )
         writer.event(
             "task_result", status=outcome["status"], duration_s=outcome["duration_s"]
         )

@@ -324,6 +324,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         if s["task_states"]:
             states = ", ".join(f"{k}={v}" for k, v in s["task_states"].items())
             print(f"  tasks: {states}")
+        if s["gc"]["points"]:
+            g = s["gc"]
+            gens = "/".join(str(n) for n in g["collections"])
+            print(
+                f"  gc: points={g['points']} collections(gen0/gen1/gen2)={gens} "
+                f"collected={g['collected']} exit={g['exit_s']:.4f}s"
+            )
     return 0
 
 

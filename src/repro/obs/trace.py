@@ -389,7 +389,9 @@ def summarize_trace(events: list[dict[str, Any]]) -> dict[str, Any]:
     The summary is the contract the CLI (``trace summarize``), the tests
     and the timeline page all read: round/skip totals that must match the
     engine's ``RunResult`` metrics exactly, counter totals, span
-    statistics and task state tallies.
+    statistics, task state tallies and the totals of the per-point ``gc``
+    events (collections per generation, objects collected, seconds in
+    the exit collections).
     """
     rounds = [e for e in events if e["kind"] == "round"]
     skips = [e for e in events if e["kind"] == "skip"]
@@ -416,6 +418,7 @@ def summarize_trace(events: list[dict[str, Any]]) -> dict[str, Any]:
         if e["kind"] == "task":
             state = e.get("state", "?")
             tasks[state] = tasks.get(state, 0) + 1
+    gcs = [e for e in events if e["kind"] == "event" and e.get("name") == "gc"]
     meta = next((e for e in events if e["kind"] == "meta"), {})
     return {
         "source": meta.get("source"),
@@ -438,4 +441,10 @@ def summarize_trace(events: list[dict[str, Any]]) -> dict[str, Any]:
         "counters": {k: counters[k] for k in sorted(counters)},
         "events": {k: named_events[k] for k in sorted(named_events)},
         "task_states": {k: tasks[k] for k in sorted(tasks)},
+        "gc": {
+            "points": len(gcs),
+            "collections": [sum(gen) for gen in zip(*(e["collections"] for e in gcs))],
+            "collected": sum(e["collected"] for e in gcs),
+            "exit_s": sum(e["exit_s"] for e in gcs),
+        },
     }

@@ -1,16 +1,18 @@
 """Execution backends: cross-backend equivalence, pool crash and timeout
-handling, result integrity.
+handling, result integrity, the per-point collector scope.
 
 Scenario registrations below are shipped to pool workers by module name
 (``tests.test_backends``), exactly like user scenarios are.
 """
 
+import gc
 import json
 import os
 import signal
 import subprocess
 import sys
 import time
+import weakref
 from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
@@ -26,10 +28,12 @@ from repro.experiments import (
     run_sweep,
     scenario,
 )
-from repro.experiments.backends import ProcessPoolBackend, Task, resolve_backend
+from repro.experiments.backends import ProcessPoolBackend, Task, execute_point, resolve_backend
 from repro.experiments.backends import pool as pool_backend
+from repro.experiments.backends.base import POINT_GC_THRESHOLD
+from repro.experiments.cli import main as cli_main
 from repro.experiments.store import ResultRecord
-from repro.obs.trace import TRACE_DIR_ENV
+from repro.obs.trace import TRACE_DIR_ENV, read_trace, summarize_trace
 
 _SRC = Path(repro.__file__).resolve().parents[1]
 _ROOT = _SRC.parent
@@ -67,6 +71,37 @@ def _bk_exit(*, seed, x):
 @scenario("bk-unjson", params=[ParamSpec("x", int, 1)])
 def _bk_unjson(*, seed, x):
     return {"x": x, "bad": object()}
+
+
+@scenario("bk-raise", params=[ParamSpec("x", int, 1)])
+def _bk_raise(*, seed, x):
+    raise ValueError("bk-raise always fails")
+
+
+@scenario("bk-interrupt", params=[ParamSpec("x", int, 1)])
+def _bk_interrupt(*, seed, x):
+    raise KeyboardInterrupt
+
+
+@scenario("bk-gc-view", params=[ParamSpec("x", int, 1)])
+def _bk_gc_view(*, seed, x):
+    return {"frozen": gc.get_freeze_count(), "threshold": list(gc.get_threshold())}
+
+
+class _Node:
+    pass
+
+
+#: Seeds of the ``bk-cycle`` points whose dropped cycle has been freed.
+_FREED: list[int] = []
+
+
+@scenario("bk-cycle", params=[ParamSpec("x", int, 1)])
+def _bk_cycle(*, seed, x):
+    node = _Node()
+    node.me = node  # only the cyclic collector frees this
+    weakref.finalize(node, _FREED.append, seed)
+    return {"x": x}
 
 
 def _comparable(record) -> dict:
@@ -375,3 +410,116 @@ class TestResultIntegrity:
         assert report.records[1].status == "ok"
         assert (report.executed, report.failed) == (2, 1)
         assert not report.ok
+
+
+def _execute(name: str) -> dict:
+    """``execute_point`` on the ``x=1`` point of ``name``."""
+    point = expand_grid(get_scenario(name), {"x": [1]})[0]
+    return execute_point(point.scenario, point.params, point.seed)
+
+
+def _collector_state() -> tuple:
+    return gc.get_threshold(), gc.get_freeze_count(), gc.isenabled()
+
+
+#: Prints the collector's state as JSON, after running ``sys.argv[1]``.
+_GC_STATE = """
+import gc, json, sys
+exec(sys.argv[1])
+print(json.dumps([gc.get_threshold(), gc.get_freeze_count(), gc.isenabled()]))
+"""
+
+
+class TestCollectorScope:
+    @pytest.fixture()
+    def odd_threshold(self):
+        """A caller threshold no code sets by default, restored afterwards."""
+        saved = gc.get_threshold()
+        gc.set_threshold(701, 11, 12)
+        yield
+        gc.set_threshold(*saved)
+
+    @pytest.mark.parametrize("name, status", [("bk-echo", "ok"), ("bk-raise", "error")])
+    def test_point_leaves_the_collector_as_it_found_it(self, odd_threshold, name, status):
+        before = _collector_state()
+        outcome = _execute(name)
+        assert outcome["status"] == status
+        assert _collector_state() == before
+
+    def test_interrupted_point_leaves_the_collector_as_it_found_it(self, odd_threshold):
+        """``execute_point`` lets a ``KeyboardInterrupt`` through, and still
+        closes the scope on the way out."""
+        before = _collector_state()
+        with pytest.raises(KeyboardInterrupt):
+            _execute("bk-interrupt")
+        assert _collector_state() == before
+
+    def test_exit_collection_frees_the_point_garbage(self):
+        """With automatic collection off, only the exit collection can free
+        the cycle the point dropped, and it has by the time the point
+        returns."""
+        _FREED.clear()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            outcome = _execute("bk-cycle")
+            freed = list(_FREED)
+        finally:
+            if enabled:
+                gc.enable()
+        assert outcome["status"] == "ok"
+        assert len(freed) == 1
+
+    @pytest.mark.parametrize(
+        "backend, start_method", [("serial", None), ("pool", "forkserver"), ("pool", "spawn")]
+    )
+    def test_point_runs_frozen_with_the_raised_threshold(self, backend, start_method):
+        points = expand_grid(get_scenario("bk-gc-view"), {"x": [1]})
+        options = {} if start_method is None else {"workers": 1, "mp_start_method": start_method}
+        report = run_sweep(points, store=None, backend=backend, **options)
+        (record,) = report.records
+        assert record.status == "ok", record.error
+        assert record.result["frozen"] > 0
+        assert record.result["threshold"][0] == POINT_GC_THRESHOLD
+
+    def test_traced_points_report_what_the_collector_did(self, tmp_path, monkeypatch, capsys):
+        """One ``gc`` event per task trace; its gen-2 count includes the
+        exit collection, and the summary totals the events."""
+        monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))
+        points = expand_grid(get_scenario("bk-cycle"), {"x": [1, 2]})
+        assert run_sweep(points, store=None, backend="serial").ok
+        traces = [read_trace(f) for f in sorted(tmp_path.glob("task-bk-cycle-*.jsonl"))]
+        assert len(traces) == 2
+        gc_events = []
+        for events in traces:
+            (event,) = [e for e in events if e["kind"] == "event" and e["name"] == "gc"]
+            assert event["collections"][-1] >= 1
+            assert event["collected"] >= 1
+            assert event["exit_s"] >= 0.0
+            gc_events.append(event)
+        totals = summarize_trace(traces[0] + traces[1])["gc"]
+        assert totals == {
+            "points": 2,
+            "collections": [sum(gen) for gen in zip(*(e["collections"] for e in gc_events))],
+            "collected": sum(e["collected"] for e in gc_events),
+            "exit_s": sum(e["exit_s"] for e in gc_events),
+        }
+        assert cli_main(["trace", "summarize", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.count("  gc: points=1 ") == 2
+
+    def test_import_leaves_the_collector_alone(self):
+        """Importing the package and loading the built-in scenarios in a
+        fresh interpreter changes none of the collector's settings."""
+        bare = _run_python(_GC_STATE, "")
+        loaded = _run_python(
+            _GC_STATE,
+            "import repro, repro.experiments, repro.experiments.cli\n"
+            "from repro.experiments.registry import load_builtin_scenarios\n"
+            "load_builtin_scenarios()",
+        )
+        assert json.loads(loaded) == json.loads(bare)
+
+    def test_cli_run_leaves_the_collector_as_it_found_it(self, odd_threshold, capsys):
+        before = _collector_state()
+        assert cli_main(["run", "bk-echo", "--no-store"]) == 0
+        assert _collector_state() == before
