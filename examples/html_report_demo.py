@@ -7,8 +7,7 @@ Run with::
 Runs two small sweeps (the Fig. 2 bound table and the CHSH solver), then
 renders the report site -- one self-contained page per scenario with
 inline-SVG plots plus a cross-scenario index -- into OUT_DIR (default:
-a temporary directory) and prints the index path.  Any ``BENCH_*.json``
-artifacts in the working directory are charted on the index page.
+a temporary directory) and prints the index path.
 """
 
 import sys
@@ -32,11 +31,7 @@ def main(out_dir: str | None = None) -> Path:
         report = run_sweep(points, store=store, progress=print)
         print(f"{name}: {report.executed} executed, {report.cached} cached\n")
 
-    index = build_site(
-        store,
-        out / "site",
-        bench_paths=sorted(Path(".").glob("BENCH_*.json")),
-    )
+    index = build_site(store, out / "site")
     pages = sorted(p.name for p in index.parent.glob("*.html"))
     print(f"report site: {index}")
     print(f"pages: {', '.join(pages)}")

@@ -8,7 +8,7 @@ Examples::
     python -m repro.experiments run boruvka-mst-sweep --engine parallel --engine-threads 4
     python -m repro.experiments report fig3-mst-tradeoff
     python -m repro.experiments report --format json | jq '.[].result'
-    python -m repro.experiments report --html report-site --bench 'BENCH_*.json'
+    python -m repro.experiments report --html report-site
 
 Telemetry (see ``docs/observability.md``)::
 
@@ -174,14 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format html alone writes ./report-site)",
     )
     report.add_argument(
-        "--bench",
-        action="append",
-        default=[],
-        metavar="GLOB",
-        help="benchmark JSON files/globs (e.g. 'BENCH_*.json') charted on the "
-        "HTML index page; repeatable (two or more files add a trends page)",
-    )
-    report.add_argument(
         "--trace",
         action="append",
         default=[],
@@ -295,6 +287,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
         traces = [(f.name, read_trace(f)) for f in files]
         out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(render_timeline_page(traces), encoding="utf-8")
         print(f"timeline: {out}")
         return 0
@@ -319,8 +312,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 f"skipped={run['skipped_rounds']} steps={run['node_steps']} "
                 f"bits={run['total_bits']} halted={run['halted']}"
             )
-        for span, stat in s["spans"].items():
-            print(f"  span {span}: n={stat['count']} total={stat['total_s']:.4f}s")
         if s["task_states"]:
             states = ", ".join(f"{k}={v}" for k, v in s["task_states"].items())
             print(f"  tasks: {states}")
@@ -345,17 +336,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if fmt == "html":
         from repro.experiments.reporting import build_site
 
-        bench_paths: list = []
-        for pattern in args.bench:
-            path = Path(pattern)
-            # A literal path beats glob expansion ('[' in a filename).
-            matches = [path] if path.is_file() else sorted(path.parent.glob(path.name))
-            bench_paths.extend(matches)
         index = build_site(
             store,
             args.html_dir or "report-site",
             scenario=args.scenario,
-            bench_paths=bench_paths,
             trace_paths=list(args.trace),
         )
         print(f"report site: {index}")

@@ -4,9 +4,8 @@
 records of a :class:`~repro.experiments.store.ResultStore` into a
 browsable site -- one self-contained page per scenario (parameter tables,
 pass/fail/timeout tallies, per-record metric tables, inline SVG plots)
-plus a cross-scenario index that can also chart the ``BENCH_*.json``
-engine-speedup artifacts.  Zero third-party dependencies and byte-level
-determinism for a fixed store are part of the contract.
+plus a cross-scenario index.  Zero third-party dependencies and
+byte-level determinism for a fixed store are part of the contract.
 
 Layers, bottom up:
 
@@ -20,9 +19,8 @@ Layers, bottom up:
   CSS, inline SVG, no scripts);
 - :mod:`~repro.experiments.reporting.site` -- :func:`build_site`, the
   directory-level assembly used by the CLI, CI and the example;
-- :mod:`~repro.experiments.reporting.timeline` /
-  :mod:`~repro.experiments.reporting.trends` -- telemetry pages: JSONL
-  trace timelines and the cross-``BENCH_*.json`` speedup history;
+- :mod:`~repro.experiments.reporting.timeline` -- the telemetry page:
+  JSONL trace timelines;
 - :mod:`~repro.experiments.reporting.docs` -- the generated-checked
   ``docs/scenarios.md`` catalog.
 """
@@ -34,23 +32,20 @@ from repro.experiments.reporting.html import (
     render_scenario_page,
 )
 from repro.experiments.reporting.model import ScenarioReport, build_reports, plot_series
-from repro.experiments.reporting.site import build_site, extract_speedups
+from repro.experiments.reporting.site import build_site
 from repro.experiments.reporting.svg import (
     Series,
     render_bar_chart,
     render_plot,
 )
 from repro.experiments.reporting.timeline import load_traces, render_timeline_page
-from repro.experiments.reporting.trends import bench_history, render_trends_page
 
 __all__ = [
     "ScenarioReport",
     "Series",
-    "bench_history",
     "build_reports",
     "build_site",
     "builtin_scenarios",
-    "extract_speedups",
     "load_traces",
     "page_name",
     "plot_series",
@@ -59,6 +54,5 @@ __all__ = [
     "render_plot",
     "render_scenario_page",
     "render_timeline_page",
-    "render_trends_page",
     "scenarios_markdown",
 ]

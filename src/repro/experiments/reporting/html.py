@@ -202,13 +202,12 @@ def render_scenario_page(report: ScenarioReport) -> str:
 
 def render_index(
     reports: list[ScenarioReport],
-    bench_charts: list[str] | None = None,
     extra_pages: list[tuple[str, str]] | None = None,
 ) -> str:
-    """The cross-scenario index page, with optional benchmark charts.
+    """The cross-scenario index page.
 
     ``extra_pages`` are ``(href, label)`` links to companion pages the
-    site builder rendered alongside (trace timelines, benchmark trends).
+    site builder rendered alongside (the trace timeline).
     """
     parts = ["<h1>Experiment report</h1>"]
     total = sum(r.total for r in reports)
@@ -246,11 +245,6 @@ def render_index(
             f'<a href="{escape(href)}">{escape(label)}</a>' for href, label in extra_pages
         )
         parts.append(f"<p>Telemetry: {links}</p>")
-    if bench_charts:
-        parts.append("<h2>Benchmarks</h2>")
-        parts.append('<div class="plots">')
-        parts.extend(bench_charts)
-        parts.append("</div>")
     return _page("Experiment report", "\n".join(parts))
 
 

@@ -95,7 +95,7 @@ def run_sweep(
 
     ``trace`` receives sweep telemetry (``task`` lifecycle lines:
     submitted, cached, ok/error/timeout) and is handed to the backend for
-    its internal spans; defaults to the ambient tracer (the no-op null
+    its own task events; defaults to the ambient tracer (the no-op null
     tracer unless a ``repro.obs.use_tracer`` block is active).
     """
     if not points:

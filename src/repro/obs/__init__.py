@@ -2,7 +2,7 @@
 
 See :mod:`repro.obs.trace` for the tracer API and the trace line schema,
 and ``docs/observability.md`` for the workflow (tracing a sweep, reading a
-trace, the timeline page and the CI regression gate).
+trace, the timeline page).
 """
 
 from repro.obs.trace import (
@@ -11,7 +11,6 @@ from repro.obs.trace import (
     TRACE_SCHEMA,
     CollectingTracer,
     RunMetaCollector,
-    Span,
     TeeTracer,
     Tracer,
     TraceWriter,
@@ -30,7 +29,6 @@ __all__ = [
     "TRACE_SCHEMA",
     "CollectingTracer",
     "RunMetaCollector",
-    "Span",
     "TeeTracer",
     "Tracer",
     "TraceWriter",

@@ -1,7 +1,8 @@
 """The tracer API and JSONL trace format for the telemetry subsystem.
 
 One :class:`Tracer` carries every signal the stack emits -- counters,
-events, spans, per-round engine samples and end-of-run summaries.
+events, task transitions, per-round engine samples and end-of-run
+summaries.
 The base class is the **no-op null tracer**: every method does nothing and
 ``enabled`` is ``False``, so hot paths guard their sample construction with
 one attribute check and pay nothing when tracing is off (asserted by a
@@ -27,7 +28,6 @@ kind        fields
 ``meta``    ``schema``, ``source``, ``unix_time``, ``pid`` + free attrs
 ``counter`` ``name``, ``value`` (an increment) + free attrs
 ``event``   ``name`` + free attrs
-``span``    ``name``, ``dur_s`` + free attrs (emitted when the span closes)
 ``round``   ``round``, ``active``, ``delivered``, ``moved_bits``,
             ``sent_msgs``, ``sent_bits`` -- one engine round
 ``skip``    ``after_round``, ``rounds``, ``moved_bits`` -- a quiet stretch
@@ -69,48 +69,13 @@ TRACE_SCHEMA = 1
 TRACE_DIR_ENV = "REPRO_TRACE_DIR"
 
 
-class _NullSpan:
-    """Context manager returned by the null tracer's :meth:`Tracer.span`."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class Span:
-    """A wall-clock span: emits one ``span`` line when the block closes."""
-
-    __slots__ = ("_tracer", "name", "attrs", "_t0")
-
-    def __init__(self, tracer: "Tracer", name: str, attrs: dict[str, Any]):
-        self._tracer = tracer
-        self.name = name
-        self.attrs = attrs
-
-    def __enter__(self) -> "Span":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._tracer.emit(
-            "span", name=self.name, dur_s=time.perf_counter() - self._t0, **self.attrs
-        )
-
-
 class Tracer:
     """The no-op base tracer (and the API every tracer implements).
 
     ``enabled`` gates the *hot-path* signals only (per-round samples, skip
     events, shard timings): instrumentation checks it before building the
     sample, so the null tracer costs one attribute read per round.  The
-    once-per-something calls (``run_summary``, ``task``, ``span``) are
+    once-per-something calls (``run_summary``, ``task``) are
     always safe to make; on the null tracer they do nothing.
     """
 
@@ -130,10 +95,6 @@ class Tracer:
     def task(self, state: str, index: int, **attrs) -> None:
         """Record a sweep-task lifecycle transition."""
         self.emit("task", state=state, index=index, **attrs)
-
-    def span(self, name: str, **attrs):
-        """A context manager timing a block; emits ``span`` on exit."""
-        return _NULL_SPAN
 
     def run_summary(self, **fields) -> None:
         """Record one CONGEST run's end-of-run metrics (``run`` line).
@@ -165,10 +126,6 @@ class CollectingTracer(Tracer):
         """Append the line as a plain dict (thread-safe)."""
         with self._lock:
             self.events.append({"kind": kind, **fields})
-
-    def span(self, name: str, **attrs) -> Span:
-        """A real timed span recorded into ``self.events``."""
-        return Span(self, name, attrs)
 
     def by_kind(self, kind: str) -> list[dict[str, Any]]:
         """The collected lines of one kind, in emission order."""
@@ -231,10 +188,6 @@ class TeeTracer(Tracer):
         for child in self.children:
             child.run_summary(**fields)
 
-    def span(self, name: str, **attrs):
-        """One timed span whose close is forwarded to every child."""
-        return Span(self, name, attrs) if self.enabled else _NULL_SPAN
-
     def close(self) -> None:
         """Close every child."""
         for child in self.children:
@@ -281,10 +234,6 @@ class TraceWriter(Tracer):
             if self._handle.closed:
                 return
             self._handle.write(line + "\n")
-
-    def span(self, name: str, **attrs) -> Span:
-        """A real timed span written as a ``span`` line on exit."""
-        return Span(self, name, attrs)
 
     def flush(self) -> None:
         """Flush buffered lines to disk."""
@@ -388,21 +337,14 @@ def summarize_trace(events: list[dict[str, Any]]) -> dict[str, Any]:
 
     The summary is the contract the CLI (``trace summarize``), the tests
     and the timeline page all read: round/skip totals that must match the
-    engine's ``RunResult`` metrics exactly, counter totals, span
-    statistics, task state tallies and the totals of the per-point ``gc``
+    engine's ``RunResult`` metrics exactly, counter and named-event
+    totals, task state tallies and the totals of the per-point ``gc``
     events (collections per generation, objects collected, seconds in
     the exit collections).
     """
     rounds = [e for e in events if e["kind"] == "round"]
     skips = [e for e in events if e["kind"] == "skip"]
     runs = [e for e in events if e["kind"] == "run"]
-    spans: dict[str, dict[str, float]] = {}
-    for e in events:
-        if e["kind"] != "span":
-            continue
-        stat = spans.setdefault(e.get("name", "?"), {"count": 0, "total_s": 0.0})
-        stat["count"] += 1
-        stat["total_s"] += float(e.get("dur_s", 0.0))
     counters: dict[str, float] = {}
     for e in events:
         if e["kind"] == "counter":
@@ -437,7 +379,6 @@ def summarize_trace(events: list[dict[str, Any]]) -> dict[str, Any]:
             {k: r.get(k) for k in ("engine", "rounds", "skipped_rounds", "node_steps", "total_bits", "total_msgs", "halted")}
             for r in runs
         ],
-        "spans": {k: spans[k] for k in sorted(spans)},
         "counters": {k: counters[k] for k in sorted(counters)},
         "events": {k: named_events[k] for k in sorted(named_events)},
         "task_states": {k: tasks[k] for k in sorted(tasks)},

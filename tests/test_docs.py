@@ -1,4 +1,8 @@
-"""Documentation invariants: generated catalog, link targets, docstrings."""
+"""Documentation invariants: generated catalog, link targets, docstrings.
+
+Also checks that every module in ``benchmarks/`` runs in a CI pytest
+step, since plain pytest never collects ``bench_*.py``.
+"""
 
 import importlib
 import inspect
@@ -15,6 +19,19 @@ REPO = Path(__file__).resolve().parent.parent
 
 #: ``[label](target)`` markdown links, excluding images.
 _LINK = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)#\s]+)(#[^)\s]*)?\)")
+
+#: Inline code spans, each on one line (a ``` fence line never matches).
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+
+#: Top-level directories whose paths the docs cite in code spans.
+_REPO_DIRS = ("benchmarks/", "perfbench/", "examples/", "tests/", "src/")
+
+#: Every doc a reader follows to a file: README, docs/, the verify recipe.
+_PATH_DOCS = (
+    ["README.md"]
+    + sorted(f"docs/{p.name}" for p in (REPO / "docs").glob("*.md"))
+    + [".claude/skills/verify/SKILL.md"]
+)
 
 
 class TestScenariosCatalog:
@@ -54,6 +71,71 @@ class TestDocLinks:
                 continue
             resolved = (path.parent / target).resolve()
             assert resolved.exists(), f"{doc}: broken relative link {target!r}"
+
+
+def _missing_repo_paths(text):
+    """Repo paths cited in the code spans of ``text`` that do not exist.
+
+    Every word of a span counts, so paths inside commands are checked too.
+    A ``::node`` test suffix is dropped, ``*`` matches as a glob and
+    placeholders such as ``bench_<name>.py`` are skipped.
+    """
+    missing = []
+    for span in _CODE_SPAN.finditer(text):
+        for word in span.group(1).split():
+            if not word.startswith(_REPO_DIRS) or "<" in word:
+                continue
+            path = word.split("::")[0]
+            found = any(REPO.glob(path)) if "*" in path else (REPO / path).exists()
+            if not found:
+                missing.append(path)
+    return missing
+
+
+class TestDocPaths:
+    @pytest.mark.parametrize("doc", _PATH_DOCS)
+    def test_backticked_repo_paths_exist(self, doc):
+        missing = _missing_repo_paths((REPO / doc).read_text())
+        assert not missing, f"{doc} cites missing paths: {missing}"
+
+    def test_checker_accepts_node_suffixes_globs_and_placeholders(self):
+        text = (
+            "`tests/test_docs.py::TestDocPaths` and "
+            "`python -m pytest -q benchmarks/bench_*.py --benchmark-disable` "
+            "and `src/repro/<package>/missing.py` and `no_such_file.py`"
+        )
+        assert _missing_repo_paths(text) == []
+
+    def test_checker_flags_missing_paths_inside_commands(self):
+        text = (
+            "`src/repro/no_such_module.py`, "
+            "`python examples/no_such_demo.py --quick` and "
+            "`perfbench/no_such_*.py`"
+        )
+        assert _missing_repo_paths(text) == [
+            "src/repro/no_such_module.py",
+            "examples/no_such_demo.py",
+            "perfbench/no_such_*.py",
+        ]
+
+
+class TestBenchmarksRunInCi:
+    def test_every_benchmark_file_is_collected_by_a_ci_pytest_step(self):
+        """Plain pytest never collects ``bench_*.py``; CI must name them.
+
+        Every module in ``benchmarks/`` but the package ``__init__.py``
+        must match a ``benchmarks/...`` pattern that a workflow step hands
+        to pytest, and must define a test for that step to run.
+        """
+        workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+        patterns = re.findall(r"pytest\b[^\n]*?\s(benchmarks/\S+\.py)", workflow)
+        assert patterns, "no CI step runs pytest over benchmarks/"
+        covered = {path for pattern in patterns for path in REPO.glob(pattern)}
+        for path in sorted((REPO / "benchmarks").glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            assert path in covered, f"no CI step runs benchmarks/{path.name}"
+            assert re.search(r"^def test_", path.read_text(), re.M), path.name
 
 
 def _experiment_modules():

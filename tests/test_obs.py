@@ -18,14 +18,12 @@ from pathlib import Path
 
 import pytest
 
-import benchmarks.check_regression as check_regression
 from repro.algorithms.paths import run_bellman_ford
 from repro.congest.engine import ParallelEngine
 from repro.congest.network import CongestNetwork
 from repro.experiments import expand_grid, get_scenario, run_sweep
 from repro.experiments.cli import main as cli_main
-from repro.experiments.reporting import render_timeline_page, render_trends_page
-from repro.experiments.reporting.site import extract_speedups
+from repro.experiments.reporting import render_timeline_page
 from repro.experiments.reporting.timeline import load_traces
 from repro.obs.trace import (
     TRACE_DIR_ENV,
@@ -38,8 +36,6 @@ from repro.obs.trace import (
     trace_files,
     use_tracer,
 )
-
-REPO = Path(__file__).resolve().parent.parent
 
 #: Clock-derived trace fields ignored when comparing runs for determinism.
 VOLATILE = {"ts", "dur_s", "unix_time", "pid", "duration_s", "shard_s", "merge_s"}
@@ -64,8 +60,6 @@ class TestNullTracer:
         tracer = Tracer()
         # Warm up method binding and any lazy module state first.
         tracer.emit("round", round=0)
-        with tracer.span("warm"):
-            pass
         trace_file = str(Path(Tracer.__module__.replace(".", "/")))
         filters = [tracemalloc.Filter(True, f"*{trace_file}*")]
         tracemalloc.start()
@@ -83,18 +77,12 @@ class TestNullTracer:
                 tracer.emit("round", round=i, active=3, sent_bits=64)
                 tracer.counter("messages", 2)
                 tracer.task("running", i)
-                with tracer.span("step"):
-                    pass
             gc.collect()
             after = tracemalloc.take_snapshot().filter_traces(filters)
         finally:
             tracemalloc.stop()
         stats = after.compare_to(before, "filename")
         assert sum(s.size_diff for s in stats) == 0, stats
-
-    def test_span_is_shared_singleton(self):
-        tracer = Tracer()
-        assert tracer.span("a") is tracer.span("b")
 
 
 class TestTraceWriter:
@@ -267,8 +255,67 @@ class TestTraceCli:
         assert "<svg" in html
         assert "Round activity" in html
 
+    def test_timeline_creates_missing_parent_directories(self, trace_dir, tmp_path):
+        out = tmp_path / "a" / "b" / "t.html"
+        assert cli_main(["trace", "timeline", str(trace_dir), "--out", str(out)]) == 0
+        assert out.is_file()
+
     def test_missing_traces_is_an_error(self, tmp_path):
         assert cli_main(["trace", "summarize", str(tmp_path / "nope")]) == 1
+
+
+class TestOldTraces:
+    """Schema-1 traces from before ``span`` lines were dropped still read.
+
+    Nothing emits ``span`` lines any more, but archived traces may hold
+    them; readers skip the kind, so such a trace reads like the same
+    trace without its ``span`` lines.
+    """
+
+    @pytest.fixture()
+    def traces(self, tmp_path):
+        """``(current, old)``: one run's trace, and a copy with span lines."""
+        current = tmp_path / "current" / "t.jsonl"
+        old = tmp_path / "old" / "t.jsonl"
+        current.parent.mkdir()
+        old.parent.mkdir()
+        graph = _graph()
+        with TraceWriter(current, source="test") as tracer:
+            with use_tracer(tracer):
+                run_bellman_ford(graph, min(graph.nodes()), engine="event")
+        meta, *rest = current.read_text().splitlines()
+        spans = [
+            json.dumps({"kind": "span", "ts": 0.5, "name": "step", "dur_s": 0.25, "i": i})
+            for i in range(2)
+        ]
+        old.write_text("\n".join([meta, spans[0], *rest, spans[1]]) + "\n")
+        return current, old
+
+    def test_summary_ignores_span_lines(self, traces):
+        current, old = (summarize_trace(read_trace(p)) for p in traces)
+        assert old.pop("lines") == current.pop("lines") + 2
+        assert old == current
+        assert "spans" not in old
+
+    def test_summarize_cli_reads_old_trace(self, traces, capsys):
+        _, old = traces
+        assert cli_main(["trace", "summarize", str(old)]) == 0
+        text = capsys.readouterr().out
+        assert "run[event]" in text
+        assert "span" not in text
+
+    def test_timeline_of_old_trace_matches_current(self, traces, tmp_path):
+        pages = []
+        for path in traces:
+            out = tmp_path / f"{path.parent.name}.html"
+            assert cli_main(["trace", "timeline", str(path), "--out", str(out)]) == 0
+            pages.append(out.read_text())
+        current, old = pages
+        lines = len(read_trace(traces[0]))
+        row = "<td>lines</td><td>{}</td>"
+        assert row.format(lines) in current
+        assert old == current.replace(row.format(lines), row.format(lines + 2))
+        assert "<svg" in old
 
 
 class TestReportPages:
@@ -283,71 +330,6 @@ class TestReportPages:
         assert "<svg" in html
         assert "Bits per round" in html
 
-    def test_trends_page_from_committed_bench_files(self):
-        paths = [REPO / "BENCH_pr2.json", REPO / "BENCH_pr4.json"]
-        html = render_trends_page(paths)
-        assert "Speedup history" in html
-        assert "<svg" in html
-
     def test_trace_files_rejects_nothing_silently(self, tmp_path):
         assert trace_files(tmp_path) == []
 
-
-class TestRegressionGate:
-    def _bench(self, tmp_path, speedup):
-        path = tmp_path / "BENCH_x.json"
-        path.write_text(
-            json.dumps({"benchmark": "gate-test", "speedup": speedup})
-        )
-        return str(path)
-
-    def _baselines(self, tmp_path, policy, speedup=2.0):
-        path = tmp_path / "baselines.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "schema": 1,
-                    "entries": {
-                        "gate-test": {
-                            "speedup": speedup,
-                            "policy": policy,
-                            "max_regression": 0.25,
-                        }
-                    },
-                }
-            )
-        )
-        return str(path)
-
-    def test_within_threshold_passes(self, tmp_path):
-        argv = [self._bench(tmp_path, 1.9), "--baselines", self._baselines(tmp_path, "hard")]
-        assert check_regression.main(argv) == 0
-
-    def test_hard_regression_fails(self, tmp_path):
-        argv = [self._bench(tmp_path, 1.0), "--baselines", self._baselines(tmp_path, "hard")]
-        assert check_regression.main(argv) == 1
-
-    def test_warn_regression_passes(self, tmp_path):
-        argv = [self._bench(tmp_path, 1.0), "--baselines", self._baselines(tmp_path, "warn")]
-        assert check_regression.main(argv) == 0
-
-    def test_update_writes_baselines_preserving_policy(self, tmp_path):
-        baselines = self._baselines(tmp_path, "warn")
-        bench = self._bench(tmp_path, 3.0)
-        assert check_regression.main([bench, "--baselines", baselines, "--update"]) == 0
-        doc = json.loads(Path(baselines).read_text())
-        entry = doc["entries"]["gate-test"]
-        assert entry["speedup"] == 3.0
-        assert entry["policy"] == "warn"
-
-    def test_extract_mirror_matches_reporting_walker(self):
-        for name in ("BENCH_pr2.json", "BENCH_pr4.json"):
-            data = json.loads((REPO / name).read_text())
-            assert check_regression._extract_speedups(data) == extract_speedups(data)
-
-    def test_committed_baselines_are_valid(self):
-        doc = json.loads((REPO / "benchmarks" / "baselines.json").read_text())
-        assert doc["schema"] == 1
-        for label, entry in doc["entries"].items():
-            assert entry["policy"] in ("hard", "warn"), label
-            assert entry["speedup"] > 0, label

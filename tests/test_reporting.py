@@ -12,7 +12,6 @@ from repro.experiments.registry import get_scenario
 from repro.experiments.reporting import (
     build_reports,
     build_site,
-    extract_speedups,
     page_name,
     plot_series,
     render_bar_chart,
@@ -212,10 +211,8 @@ class TestModel:
 class TestSite:
     def test_site_deterministic_for_fixed_store(self, tmp_path):
         store = _fig3_store(tmp_path / "store")
-        bench = tmp_path / "BENCH_test.json"
-        bench.write_text(json.dumps({"benchmark": "b", "speedup": 2.5}))
-        index1 = build_site(store, tmp_path / "site1", bench_paths=[bench])
-        index2 = build_site(store, tmp_path / "site2", bench_paths=[bench])
+        index1 = build_site(store, tmp_path / "site1")
+        index2 = build_site(store, tmp_path / "site2")
         pages1 = {p.name: p.read_bytes() for p in index1.parent.iterdir()}
         pages2 = {p.name: p.read_bytes() for p in index2.parent.iterdir()}
         assert pages1 == pages2
@@ -282,55 +279,38 @@ class TestSite:
         names = {p.name for p in index.parent.iterdir()}
         assert names == {"index.html", "fig3-mst-tradeoff.html"}
 
+    def test_index_links_exactly_the_pages_written(self, tmp_path):
+        store = _fig3_store(tmp_path / "store")
+        trace = tmp_path / "t.jsonl"
+        lines = [
+            {"kind": "meta", "schema": 1, "source": "test", "ts": 0.0},
+            {"kind": "round", "ts": 0.1, "round": 0, "active": 2, "sent_bits": 8},
+        ]
+        trace.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        index = build_site(store, tmp_path / "site", trace_paths=[trace])
+        site = index.parent
+        pages = {p.name for p in site.glob("*.html")}
+        assert "timeline.html" in pages
+        assert set(re.findall(r'href="([^"#]+)"', index.read_text())) == pages - {"index.html"}
+        for page in pages:
+            for target in re.findall(r'href="([^"#]+)"', (site / page).read_text()):
+                assert target in pages, f"{page} links missing page {target}"
+
     def test_page_name_slugs(self):
         assert page_name("fig3-mst-tradeoff") == "fig3-mst-tradeoff.html"
         assert page_name("weird name/../x") == "weird-name----x.html"
 
 
-class TestBenchExtraction:
-    def test_pr2_shape(self):
-        data = {
-            "benchmark": "pr2-engine-speedup",
-            "engine_comparison": {"speedup": 9.6, "dense_seconds": 0.6},
-        }
-        assert extract_speedups(data) == [("pr2-engine-speedup", 9.6)]
-
-    def test_pr4_shape_with_threads(self):
-        data = {
-            "comparisons": [
-                {"scenario": "fig3-mst-tradeoff", "threads": 4, "speedup": 1.02},
-                {"scenario": "spanner-skeleton", "threads": 4, "speedup": 1.06},
-            ]
-        }
-        assert extract_speedups(data) == [
-            ("fig3-mst-tradeoff (4 thr)", 1.02),
-            ("spanner-skeleton (4 thr)", 1.06),
-        ]
-
-    def test_no_speedups_no_chart(self):
-        assert extract_speedups({"benchmark": "x", "seconds": 3}) == []
-
-
 class TestCli:
     def test_report_html_builds_site(self, tmp_path, capsys):
         store = _fig3_store(tmp_path / "store")
-        bench = tmp_path / "BENCH_cli.json"
-        bench.write_text(json.dumps({"benchmark": "b", "speedup": 3.0}))
         code = cli_main(
-            [
-                "report",
-                "--store",
-                str(store.root),
-                "--html",
-                str(tmp_path / "site"),
-                "--bench",
-                str(tmp_path / "BENCH_*.json"),
-            ]
+            ["report", "--store", str(store.root), "--html", str(tmp_path / "site")]
         )
         assert code == 0
         assert "report site:" in capsys.readouterr().out
         index = (tmp_path / "site" / "index.html").read_text()
-        assert "BENCH_cli.json" in index
+        assert 'href="fig3-mst-tradeoff.html"' in index
 
     def test_report_format_json_round_trips(self, tmp_path, capsys):
         store = _fig3_store(tmp_path / "store")
