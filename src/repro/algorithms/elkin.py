@@ -32,7 +32,6 @@ from typing import Hashable
 
 import networkx as nx
 
-from repro.congest.kernels import StdlibKernels
 from repro.congest.message import Received
 from repro.congest.network import CongestNetwork, RunResult
 from repro.congest.node import Node, NodeProgram
@@ -148,15 +147,11 @@ def run_elkin_approx_mst(
     for e, cls in classes.items():
         u, v = tuple(e)
         quantised.add_edge(u, v, weight=cls)
-    # The engine's kernel choice (columnar engines resolve one at
-    # construction) also drives the post-run reduction sweep.
-    mst_weight_quantised = component_count_mst_weight(
-        quantised, n_classes, kernels=getattr(network.engine, "kernels", None)
-    )
+    mst_weight_quantised = component_count_mst_weight(quantised, n_classes)
     return mst_weight_quantised * alpha * w_min, result
 
 
-def component_count_mst_weight(quantised: nx.Graph, n_classes: int, kernels=None) -> float:
+def component_count_mst_weight(quantised: nx.Graph, n_classes: int) -> float:
     """The identity ``MST = sum_t (components(class < t) - 1)`` for integer
     class weights (exact Kruskal accounting).
 
@@ -164,12 +159,8 @@ def component_count_mst_weight(quantised: nx.Graph, n_classes: int, kernels=None
     with an int-indexed union-find (``O(C + m alpha(m))``) rather than
     recounting components from scratch at every threshold (``O(C (n + m))``
     -- at large aspect ratios the recount dominated the whole Fig. 3 grid
-    point).  ``kernels`` is a kernel class from
-    :mod:`repro.congest.kernels` supplying the batch sort; the sort is
-    stable, so every kernel produces the identical union sequence and the
-    identical sum.
+    point).
     """
-    kernels = kernels or StdlibKernels
     index = {v: i for i, v in enumerate(quantised.nodes())}
     parent = list(range(len(index)))
 
@@ -186,12 +177,16 @@ def component_count_mst_weight(quantised: nx.Graph, n_classes: int, kernels=None
         classes.append(int(data["weight"]))
         us.append(index[u])
         vs.append(index[v])
-    classes, us, vs = kernels.sort_edges_by_class(classes, us, vs)
+    m = len(classes)
+    # Stable sort by class: ties keep edge-iteration order.
+    order = sorted(range(m), key=classes.__getitem__)
+    classes = [classes[i] for i in order]
+    us = [us[i] for i in order]
+    vs = [vs[i] for i in order]
 
     components = len(parent)
     total = 0.0
     cursor = 0
-    m = len(classes)
     for t in range(1, n_classes + 1):
         # Threshold t counts components of the subgraph with class < t; the
         # edges are class-sorted, so folding them in is one linear cursor.

@@ -91,31 +91,9 @@ def _allowed_neighbors(node: Node) -> list:
     return [nb for nb in node.neighbors if repr(nb) in mark_reprs]
 
 
-def _min_edge_index(node: Node):
-    """The network's batched min-edge reduction service, when applicable.
-
-    Returns the pre-sorted :class:`~repro.congest.columnar.MinEdgeIndex`
-    only when the engine opted in (``uses_min_edge_index``, currently the
-    columnar engine) and the node is not restricted to a marked
-    subnetwork -- ``m_neighbors`` runs keep the explicit filter path, and
-    the reference engines keep the legacy per-neighbour scan so
-    cross-engine timings compare the full columnar stack honestly.
-    """
-    network = node._network
-    if not getattr(network.engine, "uses_min_edge_index", False):
-        return None
-    inputs = node.input if isinstance(node.input, dict) else {}
-    if inputs.get("m_neighbors") is not None:
-        return None
-    return network.min_edge_index()
-
-
 def _min_outgoing(node: Node, label_of: dict, my_label) -> tuple | None:
     """The node's lightest incident (allowed) edge leaving its fragment, as
     ``(key, u, v)`` with ``u = node.id``."""
-    index = _min_edge_index(node)
-    if index is not None:
-        return index.min_outgoing(node.id, label_of, my_label)
     best = None
     for neighbor in _allowed_neighbors(node):
         if label_of.get(repr(neighbor), my_label) == my_label:
@@ -521,22 +499,15 @@ class _CollectCandidatesPhase(Phase):
                 items.append(("equiv", pair[0], pair[1]))
         tree_reprs = {repr(m) for m in shared["mst_neighbors"]}
         best = None
-        index = _min_edge_index(node)
-        if index is not None:
-            found = index.min_outgoing_by_repr(node.id, labels, my_label, tree_reprs)
-            if found is not None:
-                key, neighbor, other_label = found
+        for neighbor in _allowed_neighbors(node):
+            other_label = labels.get(repr(neighbor), my_label)
+            if repr(other_label) == repr(my_label):
+                continue
+            if repr(neighbor) in tree_reprs:
+                continue  # already a tree edge
+            key = edge_key(node.edge_weight(neighbor), node.id, neighbor)
+            if best is None or key < best[1]:
                 best = ("prop", key, node.id, neighbor, my_label, other_label)
-        else:
-            for neighbor in _allowed_neighbors(node):
-                other_label = labels.get(repr(neighbor), my_label)
-                if repr(other_label) == repr(my_label):
-                    continue
-                if repr(neighbor) in tree_reprs:
-                    continue  # already a tree edge
-                key = edge_key(node.edge_weight(neighbor), node.id, neighbor)
-                if best is None or key < best[1]:
-                    best = ("prop", key, node.id, neighbor, my_label, other_label)
         if best is not None:
             items.append(best)
         shared["proposals"] = items

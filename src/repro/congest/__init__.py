@@ -10,10 +10,14 @@ of rounds, messages and bits.
   (including the idleness hints the event engine exploits).
 - :mod:`repro.congest.transport` -- link buffers, chunking, strict-mode
   checks and bit metrics.
+- :mod:`repro.congest.columnar`  -- ``ColumnarTransport``, the same link
+  semantics over flat staging columns and a completion-clock heap.
 - :mod:`repro.congest.engine`    -- pluggable schedulers: the reference
-  ``DenseEngine``, the event-driven ``EventEngine`` fast path and the
-  thread-sharded ``ParallelEngine``, all over one batched step ABI
-  (``StepPlan`` / ``step_batch``).
+  ``DenseEngine``, the event-driven ``EventEngine`` fast path, the
+  thread-sharded ``ParallelEngine`` and ``ColumnarEngine`` (the event
+  clock over ``ColumnarTransport``), all over one batched step ABI
+  (``StepPlan`` / ``step_batch``); ``get_engine`` resolves the names in
+  ``ENGINE_NAMES``.
 - :mod:`repro.congest.network`   -- the ``CongestNetwork`` façade tying the
   layers together.
 - :mod:`repro.congest.topology`  -- network families, including the

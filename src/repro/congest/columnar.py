@@ -1,4 +1,4 @@
-"""Columnar transport and batched reductions: the struct-of-arrays hot path.
+"""Columnar transport: the struct-of-arrays hot path.
 
 :class:`ColumnarTransport` is a drop-in replacement for
 :class:`~repro.congest.transport.LinkTransport` that stores a round's
@@ -7,20 +7,12 @@ an ``array('q')`` bits column and a payload list) instead of one
 ``_InFlight`` object per message, and keeps each directed edge as a
 small permanent :class:`_EdgeQueue` whose *head* progress is accounted
 lazily against an internal clock -- a busy edge costs nothing per round
-until its head message actually completes.
-
-All batch operations go through the kernel seam
-(:mod:`repro.congest.kernels`): an implementation --
-:class:`~repro.congest.kernels.StdlibKernels` (the reference) or
-:class:`~repro.congest.kernels.NumpyKernels` (vectorized ndarray scans)
--- is chosen **once at construction** and held for the transport's
-lifetime; the hot path never re-checks availability or batch size.  The
-kernel instance owns the edge-clock schedule (a completion-clock heap,
-or a dense completion array scanned with ``nonzero``), making
-:meth:`deliver_round` O(completing edges) and
-:meth:`rounds_until_delivery` O(1), where the baseline transport pays
-O(live edges) per executed round and O(total queued messages) per
-quiescence probe.
+until its head message actually completes.  A completion-clock heap
+(one ``(completion, activation seq, eid)`` entry per live edge) makes
+:meth:`~ColumnarTransport.deliver_round` O(completing edges) and
+:meth:`~ColumnarTransport.rounds_until_delivery` O(1), where the
+baseline transport pays O(live edges) per executed round and O(total
+queued messages) per quiescence probe.
 
 Column schema (documented order; see also ``docs/architecture.md``):
 
@@ -37,8 +29,7 @@ the edge's permanent :class:`_EdgeQueue` (which holds the sender and
 receiver, so the columns don't repeat them per message).  Staging
 buffers are **cleared in place** after every commit, never reallocated
 -- the block fast path ping-pongs two buffer sets, so steady-state runs
-allocate staging storage a constant number of times total
-(``stage_reuse_ratio`` in the ``columnar_summary`` event tracks it).
+allocate staging storage a constant number of times total.
 
 **Block fast path.**  When a flush arrives with no edge mid-transmission
 and every per-edge sum within ``B`` (the common case for well-behaved
@@ -56,67 +47,89 @@ order within a round, program send order within a node), and per-edge
 FIFOs are keyed by a monotonically increasing activation sequence, so
 deliveries, metrics and the opt-in message log are byte-identical to the
 baseline transport -- the cross-engine equivalence suite enforces this.
-
-Numpy policy: the stdlib layout *is* the reference semantics.  When
-numpy is importable the numpy kernels are selected by default; when it
-is absent everything runs on the stdlib ``array``/``list`` columns with
-identical results.  Nothing in this module requires numpy.
-
-:class:`MinEdgeIndex` is the batched min-edge reduction service used by
-the Boruvka/GKP fragment-minimum phases: incident edges are pre-sorted
-once per network by the canonical edge key, so each per-iteration
-"lightest outgoing edge" query is a prefix scan over the sorted incident
-list instead of a key construction per neighbour per query; with numpy
-kernels, high-degree nodes answer it as a masked first-eligible
-reduction over the key-sorted parallel columns.  Engines opt in via
-``Engine.uses_min_edge_index``; the legacy per-neighbour loop remains
-the reference path.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from typing import Any, Hashable
+from heapq import heappop, heappush
+from typing import Any, Hashable, NamedTuple
 
-from repro.congest.kernels import (
-    NUMPY_MIN_DEGREE,
-    NumpyKernels,
-    RoundGroup,
-    StdlibKernels,
-    resolve_kernels,
-)
 from repro.congest.message import Received
 from repro.congest.transport import BandwidthExceeded, LinkTransport
-
-try:  # optional fast path; the stdlib columns are the reference semantics
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the numpy-absent guard
-    _np = None
-
-#: Below this many staged messages a python ``sum`` beats the numpy
-#: round-trip; measured crossover is well under this conservative bound.
-_NUMPY_MIN_BATCH = 64
 
 #: Shared ``order`` for the single-message flush fast path.
 _RANGE_1 = range(1)
 
 
-def _sum_bits(bits: array) -> int:
-    """Total of a staged bits column (numpy when present and worthwhile)."""
-    if _np is not None and len(bits) >= _NUMPY_MIN_BATCH:
-        return int(_np.frombuffer(bits, dtype=_np.int64).sum())
-    return sum(bits)
+class RoundGroup(NamedTuple):
+    """One staged round grouped by directed edge (what :func:`group_round`
+    returns).
+
+    ``order`` lists message indices grouped by edge -- edges in
+    first-appearance order, FIFO within each edge -- which is exactly the
+    insertion order of the baseline transport's link dict; when every
+    staged message sits on a distinct edge it is simply ``range(n)``.
+    ``edge_order`` / ``edge_sums`` are parallel per-edge columns in that
+    same first-appearance order.  ``edge_counts`` carries the per-edge
+    message counts (the run lengths of ``order``) whenever ``order`` is a
+    materialised list -- the block delivery loop uses the runs to hoist
+    its per-edge lookups out of the per-message loop; when ``order`` is a
+    ``range`` every count is 1 and the field is ``None``.
+    """
+
+    order: Any  # list[int] | range
+    edge_order: Any  # list[int] | tuple[int]
+    edge_sums: Any  # list[int] | tuple[int]
+    edge_counts: list[int] | None  # None iff order is a range
+    total_bits: int
+    all_fit: bool  # every per-edge sum <= bandwidth
+    max_sum: int  # the largest per-edge sum (0 for an empty round)
 
 
-def _transport_kernels(spec) -> type[StdlibKernels]:
-    """Kernel class for a transport: ``None``/``"auto"`` follows this
-    module's numpy guard (so forcing ``columnar._np = None`` flips new
-    transports to the stdlib reference); pinned specs go through
-    :func:`repro.congest.kernels.resolve_kernels` unchanged."""
-    if spec is None or spec == "auto":
-        return NumpyKernels if _np is not None else StdlibKernels
-    return resolve_kernels(spec)
+def group_round(eids: array, bits: array, bandwidth: int) -> RoundGroup:
+    """Group one staged round by directed edge (see :class:`RoundGroup`)."""
+    n = len(eids)
+    if n == 0:
+        return RoundGroup(range(0), [], [], None, 0, True, 0)
+    if n == 1:
+        b = bits[0]
+        return RoundGroup(range(1), [eids[0]], [b], None, b, b <= bandwidth, b)
+    if n == 2:
+        b0, b1 = bits[0], bits[1]
+        e0, e1 = eids[0], eids[1]
+        if e0 == e1:
+            s = b0 + b1
+            return RoundGroup(range(2), [e0], [s], None, s, s <= bandwidth, s)
+        m = b0 if b0 >= b1 else b1
+        return RoundGroup(range(2), [e0, e1], [b0, b1], None, b0 + b1, m <= bandwidth, m)
+    groups: dict[int, list[int]] = {}
+    sums: dict[int, int] = {}
+    total = 0
+    for i, eid in enumerate(eids):
+        b = bits[i]
+        total += b
+        bucket = groups.get(eid)
+        if bucket is None:
+            groups[eid] = [i]
+            sums[eid] = b
+        else:
+            bucket.append(i)
+            sums[eid] += b
+    edge_order = list(groups)
+    edge_sums = [sums[eid] for eid in edge_order]
+    if len(edge_order) == n:
+        order: Any = range(n)  # one message per edge: already grouped
+        edge_counts = None
+    else:
+        buckets = list(groups.values())
+        order = [i for bucket in buckets for i in bucket]
+        edge_counts = [len(bucket) for bucket in buckets]
+    max_sum = max(edge_sums)
+    return RoundGroup(
+        order, edge_order, edge_sums, edge_counts, total, max_sum <= bandwidth, max_sum
+    )
 
 
 class _EdgeQueue:
@@ -129,11 +142,11 @@ class _EdgeQueue:
     bits as of clock ``head_clock`` (the transport does *not* decrement
     it each round -- the remainder at any later clock ``c`` is
     ``head_rem - B * (c - head_clock)``, and the completion clock
-    ``head_clock + ceil(head_rem / B)`` is computed once and installed on
-    the kernel's edge-clock schedule).  ``seq`` is the edge's *activation*
-    sequence number, refreshed each time the edge goes from drained back
-    to live: it orders same-round completions exactly as the baseline
-    transport's insertion-ordered link dict does, including
+    ``head_clock + ceil(head_rem / B)`` is computed once and pushed on
+    the transport's completion-clock heap).  ``seq`` is the edge's
+    *activation* sequence number, refreshed each time the edge goes from
+    drained back to live: it orders same-round completions exactly as the
+    baseline transport's insertion-ordered link dict does, including
     drain-then-revive reinsertion at the end.
     """
 
@@ -171,23 +184,8 @@ class ColumnarTransport(LinkTransport):
     columns are single-writer.
     """
 
-    #: Networks bind their tracer here (see ``CongestNetwork``) so flush
-    #: can sample per-round batch sizes without an engine round-trip.
-    wants_trace = True
-
-    def __init__(
-        self,
-        bandwidth: int,
-        strict: bool = False,
-        record_messages: bool = False,
-        kernels: Any = None,
-    ):
+    def __init__(self, bandwidth: int, strict: bool = False, record_messages: bool = False):
         super().__init__(bandwidth, strict=strict, record_messages=record_messages)
-        #: The kernel instance chosen once for this transport's lifetime
-        #: (it owns the edge-clock schedule; the batch ops are static).
-        self.kernels = _transport_kernels(kernels)()
-        #: Pre-bound hottest kernel op (one lookup per flush, not two).
-        self._group_round = self.kernels.group_round
         # Staging: parallel struct-of-arrays columns (see module docstring
         # for the documented column order), cleared in place per flush.  A
         # "bundle" carries a buffer set together with its bound appends so
@@ -209,16 +207,14 @@ class ColumnarTransport(LinkTransport):
         # recycled, never dropped).
         self._edge_ids: dict[Hashable, dict[Hashable, int]] = {}
         self._queues: list[_EdgeQueue] = []
+        # The delivery schedule: (completion clock, activation seq, eid),
+        # exactly one entry per live edge and no stale entries -- popped
+        # when (and only when) the head completes, pushed when a new head
+        # is installed.  Ties pop in activation order.
+        self._heap: list[tuple[int, int, int]] = []
         self._live = 0  # queues currently carrying traffic (excludes block)
         self._clock = 0  # rounds executed or skipped so far
         self._seq = 0  # edge activation counter (orders same-round deliveries)
-        # Telemetry (read by ColumnarEngine's run-end summary event).
-        self.trace = None
-        self.flush_batches = 0
-        self.max_flush_messages = 0
-        self.peak_live_edges = 0
-        self.block_batches = 0
-        self.stage_allocs = 1  # buffer sets ever allocated (1 = the initial set)
 
     # -- staging ---------------------------------------------------------------
 
@@ -249,7 +245,7 @@ class ColumnarTransport(LinkTransport):
             # mid-round must first account the already-staged messages so
             # the counters match the baseline's per-enqueue accounting.
             self.total_messages += len(self._stage_recs)
-            self.total_bits += self.kernels.sum_bits(self._stage_bits)
+            self.total_bits += sum(self._stage_bits)
             raise BandwidthExceeded(
                 f"message of {bits} bits exceeds B={self.bandwidth} on edge "
                 f"{sender!r}->{receiver!r}"
@@ -284,7 +280,7 @@ class ColumnarTransport(LinkTransport):
             if not receivers:
                 return
             self.total_messages += len(self._stage_recs)
-            self.total_bits += self.kernels.sum_bits(self._stage_bits)
+            self.total_bits += sum(self._stage_bits)
             raise BandwidthExceeded(
                 f"message of {bits} bits exceeds B={self.bandwidth} on edge "
                 f"{sender!r}->{receivers[0]!r}"
@@ -338,13 +334,12 @@ class ColumnarTransport(LinkTransport):
         recs = self._stage_recs
         if n == 1:
             # Single staged message (common in sparse negotiation phases):
-            # the grouping is trivial, so build it inline instead of
-            # paying two kernel dispatches.  Field-for-field identical to
-            # what either kernel's ``group_round`` returns for one row.
+            # the grouping is trivial, so build it inline instead of paying
+            # a call.  Field-for-field identical to ``group_round``'s.
             b0 = bits_col[0]
             group = RoundGroup(_RANGE_1, (eids[0],), (b0,), None, b0, b0 <= bw, b0)
         else:
-            group = self._group_round(eids, bits_col, bw)
+            group = group_round(eids, bits_col, bw)
         # Batched totals: the baseline counts per enqueue, but by the time
         # anything can observe them (the flush barrier -- including a
         # strict-mode failure, which counts the whole staged round first,
@@ -367,45 +362,31 @@ class ColumnarTransport(LinkTransport):
             # switches to the spare bundle (recycled from the previous
             # block).
             self._block = (eids, bits_col, recs, group, self._bundle)
-            self.block_batches += 1
-            live = len(group.edge_order)
             spare = self._spare
             if spare is None:
                 e2: array = array("q")
                 b2: array = array("q")
                 r2: list[Any] = []
                 spare = (e2, b2, r2, e2.append, b2.append, r2.append)
-                self.stage_allocs += 1
             else:
                 self._spare = None
             self._adopt_stage(spare)
-            path = "block"
         else:
             self._commit_rows(eids, bits_col, recs)
-            live = self._live
             del eids[:]
             del bits_col[:]
             recs.clear()
-            path = "grouped"
         self._pending_bits += group.total_bits
-        self.flush_batches += 1
-        if n > self.max_flush_messages:
-            self.max_flush_messages = n
-        if live > self.peak_live_edges:
-            self.peak_live_edges = live
-        trace = self.trace
-        if trace is not None and trace.enabled:
-            trace.event("columnar_batch", clock=self._clock, staged=n, live_edges=live, path=path)
 
     def _commit_rows(self, eids: array, bits_col: array, recs: list[Any]) -> None:
         """The general commit: append rows to their edge queues, activating
         drained queues with a fresh sequence number (the baseline link
-        dict's drain-then-revive insertion order) and installing their head
-        completion on the kernel's edge clock."""
+        dict's drain-then-revive insertion order) and pushing their head
+        completion on the clock heap."""
         clock = self._clock
         bw = self.bandwidth
         queues = self._queues
-        kernels = self.kernels
+        heap = self._heap
         for i, eid in enumerate(eids):
             queue = queues[eid]
             b = bits_col[i]
@@ -419,7 +400,7 @@ class ColumnarTransport(LinkTransport):
                 queue.head = 0
                 queue.head_clock = clock
                 queue.head_rem = b
-                kernels.clock_install(eid, clock + -(-b // bw), self._seq)
+                heappush(heap, (clock + -(-b // bw), self._seq, eid))
 
     def _materialize_block(self) -> None:
         """Convert the pending block into live per-edge queues -- the state
@@ -491,10 +472,15 @@ class ColumnarTransport(LinkTransport):
             return {}
         inboxes = defaultdict(list)
         queues = self._queues
+        heap = self._heap
         completed = 0
         round_bits = 0
         max_used = 0
-        for eid in self.kernels.clock_due(clock):
+        # Pop the edges completing now, in activation order.  A head
+        # installed below completes at clock+1 or later, so the loop never
+        # pops what it pushes.
+        while heap and heap[0][0] == clock:
+            eid = heappop(heap)[2]
             queue = queues[eid]
             completed += 1
             # Remaining at the start of this round, derived lazily: the
@@ -522,7 +508,7 @@ class ColumnarTransport(LinkTransport):
                 queue.head = i
                 queue.head_clock = clock
                 queue.head_rem = bits_list[i] - budget
-                self.kernels.clock_install(eid, clock + -(-queue.head_rem // bw), queue.seq)
+                heappush(heap, (clock + -(-queue.head_rem // bw), queue.seq, eid))
                 if i > 32 and 2 * i > total:
                     del recs[:i]
                     del bits_list[:i]
@@ -549,12 +535,12 @@ class ColumnarTransport(LinkTransport):
 
     def rounds_until_delivery(self) -> int | None:
         """O(1): a pending block completes next round; otherwise the
-        kernel clock's earliest completion minus the current clock."""
+        heap's earliest completion minus the current clock."""
         if self._block is not None:
             return 1
         if self._live == 0:
             return None
-        return self.kernels.clock_min() - self._clock
+        return self._heap[0][0] - self._clock
 
     def skip_rounds(self, rounds: int) -> int:
         """Account a quiet stretch without touching any edge state.
@@ -575,7 +561,7 @@ class ColumnarTransport(LinkTransport):
             )
         live = self._live
         if live:
-            completion, eid = self.kernels.clock_min_edge()
+            completion, _seq, eid = self._heap[0]
             if rounds >= completion - self._clock:
                 queue = self._queues[eid]
                 remaining = queue.head_rem - bw * (self._clock - queue.head_clock)
@@ -602,104 +588,3 @@ class ColumnarTransport(LinkTransport):
         if self._block is not None:
             return len(self._block[3].edge_order)
         return self._live
-
-    @property
-    def stage_reuse_ratio(self) -> float:
-        """Fraction of non-empty flushes served by a recycled buffer set
-        (1.0 means steady-state staging never allocated)."""
-        if self.flush_batches == 0:
-            return 1.0
-        reused = self.flush_batches - self.stage_allocs
-        return max(0.0, reused / self.flush_batches)
-
-
-class MinEdgeIndex:
-    """Pre-sorted incident edges for batched fragment-minimum queries.
-
-    Per node, incident edges are sorted once by the canonical edge key
-    ``(float(weight), sorted endpoint reprs)`` -- identical to
-    ``repro.algorithms.mst.edge_key``, and unique per node since the key
-    embeds both endpoint names.  A "lightest edge leaving my fragment"
-    query is then the first sorted entry whose neighbour is eligible,
-    with no key construction per neighbour per query: exactly the legacy
-    per-neighbour minimum (unique keys make the minimum iteration-order
-    independent), at amortised O(edges log edges) total build cost per
-    network instead of O(degree) key tuples per node per iteration.
-
-    With numpy kernels, nodes of degree >=
-    :data:`~repro.congest.kernels.NUMPY_MIN_DEGREE` answer the query as a
-    masked first-eligible reduction over the key-sorted parallel repr
-    column (the first eligible entry *is* the argmin, keys being sorted
-    and unique); smaller nodes keep the early-exit prefix scan, which
-    wins below that size.  Both paths return identical results.
-    """
-
-    def __init__(self, graph, weight_key: str = "weight", kernels: Any = None):
-        self._kernels = kernels if kernels is not None else StdlibKernels
-        use_numpy = getattr(self._kernels, "name", "stdlib") == "numpy"
-        self._incident: dict[Hashable, list[tuple[tuple, Hashable, str]]] = {}
-        #: Key-sorted neighbour-repr column per node (parallel to
-        #: ``_incident[u]``), the input to the masked reduction.
-        self._reprs: dict[Hashable, list[str]] = {}
-        #: Nodes answered by the kernel reduction instead of the scan.
-        self._vector_nodes: set = set()
-        edges = graph.edges
-        for u in graph.nodes():
-            u_repr = repr(u)
-            entries = []
-            for v in graph.neighbors(u):
-                v_repr = repr(v)
-                a, b = (u_repr, v_repr) if u_repr <= v_repr else (v_repr, u_repr)
-                weight = float(edges[u, v].get(weight_key, 1.0))
-                entries.append(((weight, a, b), v, v_repr))
-            entries.sort(key=lambda entry: entry[0])
-            self._incident[u] = entries
-            self._reprs[u] = [entry[2] for entry in entries]
-            if use_numpy and len(entries) >= NUMPY_MIN_DEGREE:
-                self._vector_nodes.add(u)
-
-    def min_outgoing(self, node_id: Hashable, label_of: dict, my_label) -> tuple | None:
-        """Mirror of ``mst._min_outgoing``: lightest incident edge whose
-        neighbour's label differs (labels compared with ``==``; unknown
-        neighbours default to ``my_label`` and are skipped).  Returns
-        ``(key, node_id, neighbour)`` or ``None``."""
-        entries = self._incident[node_id]
-        if node_id in self._vector_nodes:
-            get = label_of.get
-            flags = [get(r, my_label) != my_label for r in self._reprs[node_id]]
-            i = self._kernels.first_eligible(flags)
-            if i < 0:
-                return None
-            key, neighbor, _ = entries[i]
-            return (key, node_id, neighbor)
-        for key, neighbor, neighbor_repr in entries:
-            if label_of.get(neighbor_repr, my_label) == my_label:
-                continue
-            return (key, node_id, neighbor)
-        return None
-
-    def min_outgoing_by_repr(
-        self, node_id: Hashable, label_of: dict, my_label, exclude_reprs: set
-    ) -> tuple | None:
-        """Mirror of the Phase-B candidate scan: labels compared by repr
-        and tree-edge neighbours (``exclude_reprs``) skipped.  Returns
-        ``(key, neighbour, neighbour_label)`` or ``None``."""
-        my_repr = repr(my_label)
-        entries = self._incident[node_id]
-        if node_id in self._vector_nodes:
-            get = label_of.get
-            flags = [
-                r not in exclude_reprs and repr(get(r, my_label)) != my_repr
-                for r in self._reprs[node_id]
-            ]
-            i = self._kernels.first_eligible(flags)
-            if i < 0:
-                return None
-            key, neighbor, neighbor_repr = entries[i]
-            return (key, neighbor, label_of.get(neighbor_repr, my_label))
-        for key, neighbor, neighbor_repr in entries:
-            other_label = label_of.get(neighbor_repr, my_label)
-            if repr(other_label) == my_repr or neighbor_repr in exclude_reprs:
-                continue
-            return (key, neighbor, other_label)
-        return None

@@ -23,10 +23,8 @@ engines produce the same :class:`RunResult` for the same program:
 - :class:`ColumnarEngine` -- the event engine's clock over the
   struct-of-arrays :class:`~repro.congest.columnar.ColumnarTransport`
   (flat staging columns, lazy per-edge head accounting, a completion-clock
-  heap) plus the batched :class:`~repro.congest.columnar.MinEdgeIndex`
-  reduction service for the Boruvka/GKP fragment-minimum phases.  Engines
-  declare their transport via the ``transport_class`` attribute and their
-  reduction opt-in via ``uses_min_edge_index``; the network builds both.
+  heap).  Engines declare their transport via the ``transport_class``
+  attribute; the network builds it.
 
 All engines express a round's work as a :class:`StepPlan` (the batched step
 ABI): the ordered active set plus that round's inboxes.  :func:`step_batch`
@@ -50,8 +48,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Hashable, Sequence
 
-from repro.congest.columnar import ColumnarTransport, _transport_kernels
-from repro.congest.kernels import numpy_available
+from repro.congest.columnar import ColumnarTransport
 from repro.congest.transport import LinkTransport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -142,11 +139,6 @@ class Engine:
     #: Transport the network builds for this engine; engines with bespoke
     #: storage layouts (the columnar engine) override it.
     transport_class = LinkTransport
-    #: Whether MST-family programs should route fragment-minimum queries
-    #: through the network's pre-sorted :class:`MinEdgeIndex` instead of
-    #: the legacy per-neighbour scan.  Off for the reference engines so
-    #: cross-engine comparisons measure the columnar stack honestly.
-    uses_min_edge_index = False
     #: ``on_round`` calls made (all engines) / quiet rounds jumped in O(1)
     #: (event-clock engines; always 0 for the dense engine).
     node_steps = 0
@@ -154,12 +146,6 @@ class Engine:
 
     def run(self, network: "CongestNetwork", max_rounds: int, stop_on_quiescence: bool) -> RunResult:
         raise NotImplementedError
-
-    def build_transport(self, bandwidth: int, strict: bool = False, record_messages: bool = False):
-        """Construct this engine's transport.  Engines whose transport takes
-        extra configuration (the columnar engine's kernel choice) override
-        this instead of making the network aware of it."""
-        return self.transport_class(bandwidth, strict=strict, record_messages=record_messages)
 
     def _execute_plan(self, network: "CongestNetwork", plan: StepPlan) -> None:
         """Run one round's step phase; subclasses may shard or batch it."""
@@ -592,54 +578,14 @@ class ColumnarEngine(EventEngine):
     :class:`~repro.congest.columnar.ColumnarTransport` (``transport_class``),
     so staging is flat column appends, executed rounds cost O(completing
     edges) instead of O(live edges), and the per-round quiescence probes
-    (``pending_traffic`` / ``rounds_until_delivery``) are O(1).  The
-    engine also opts in to the network's pre-sorted
-    :class:`~repro.congest.columnar.MinEdgeIndex`
-    (``uses_min_edge_index``), which the Boruvka/GKP fragment-minimum
-    phases consult instead of constructing an edge key per neighbour per
-    iteration.
+    (``pending_traffic`` / ``rounds_until_delivery``) are O(1).
 
     Equivalence contract unchanged: every ``RunResult`` field and the
-    opt-in message log are byte-identical to the dense reference.  When
-    tracing is on, the transport emits one ``columnar_batch`` event per
-    non-empty flush and the run ends with a ``columnar_summary`` event.
+    opt-in message log are byte-identical to the dense reference.
     """
 
     name = "columnar"
     transport_class = ColumnarTransport
-    uses_min_edge_index = True
-
-    def __init__(self, kernels: str | None = "auto") -> None:
-        super().__init__()
-        #: Kernel implementation, resolved ONCE here (never re-probed per
-        #: call): the transport's batch scans, the network's pre-sorted
-        #: min-edge index and the kernel-aware reductions all inherit it.
-        #: Resolution goes through the columnar module's gate so its
-        #: numpy-availability flag is the single source of truth.
-        self.kernels = _transport_kernels(kernels)
-
-    def build_transport(self, bandwidth: int, strict: bool = False, record_messages: bool = False):
-        return ColumnarTransport(
-            bandwidth, strict=strict, record_messages=record_messages, kernels=self.kernels
-        )
-
-    def run(self, network: "CongestNetwork", max_rounds: int, stop_on_quiescence: bool) -> RunResult:
-        result = super().run(network, max_rounds, stop_on_quiescence)
-        # Unwrap the fault seam (if any): the columnar counters live on the
-        # inner transport the wrapper re-emits into.
-        transport = getattr(network.transport, "inner", network.transport)
-        trace = network.trace
-        if trace.enabled and isinstance(transport, ColumnarTransport):
-            trace.event(
-                "columnar_summary",
-                kernels=transport.kernels.name,
-                flush_batches=transport.flush_batches,
-                max_batch=transport.max_flush_messages,
-                peak_live_edges=transport.peak_live_edges,
-                block_batches=transport.block_batches,
-                stage_reuse_ratio=round(transport.stage_reuse_ratio, 4),
-            )
-        return result
 
 
 _ENGINES = {
@@ -647,52 +593,25 @@ _ENGINES = {
     "event": EventEngine,
     "parallel": ParallelEngine,
     "columnar": ColumnarEngine,
-    # Kernel-pinned columnar variants (lockstep tests, benchmarks, CI legs).
-    "columnar-stdlib": lambda: ColumnarEngine(kernels="stdlib"),
-    "columnar-numpy": lambda: ColumnarEngine(kernels="numpy"),
-    # Resolved from the workload shape in get_engine(); the entry exists so
-    # the name appears in listings and in the unknown-engine error.
-    "auto": None,
 }
 
-#: At or below this node count ``engine="auto"`` picks the dense reference:
-#: the event clock's scheduling machinery costs more than stepping a
-#: handful of nodes every round.
-AUTO_DENSE_NODES = 8
+#: The engine names :func:`get_engine` resolves (``event`` is the default
+#: everywhere an engine is chosen by name).
+ENGINE_NAMES = tuple(_ENGINES)
 
 
-def _auto_engine(graph) -> Engine:
-    """Pick an engine from the workload shape and numpy availability.
-
-    Tiny instances run dense (reference semantics, nothing to amortise).
-    With numpy importable, everything else runs the columnar engine on the
-    numpy kernels.  Without numpy, mid-size instances stay on the event
-    engine: the columnar layout's margin over it comes mostly from the
-    batch kernels, so there is little to gain by switching layouts.
-    """
-    if graph is not None and graph.number_of_nodes() <= AUTO_DENSE_NODES:
-        return DenseEngine()
-    if numpy_available():
-        return ColumnarEngine(kernels="numpy")
-    return EventEngine()
-
-
-def get_engine(spec: str | Engine, threads: int | None = None, *, graph=None) -> Engine:
+def get_engine(spec: str | Engine, threads: int | None = None) -> Engine:
     """Resolve an engine spec: an :class:`Engine` instance or a name.
 
     ``threads`` sizes the :class:`ParallelEngine` pool; it is ignored for
-    engines (and instances) that do not take a thread count.  ``graph``
-    (optional) lets ``spec="auto"`` see the workload it is choosing for;
-    without it, auto falls back to numpy availability alone.
+    engines (and instances) that do not take a thread count.
     """
     if isinstance(spec, Engine):
         return spec
-    if spec == "auto":
-        return _auto_engine(graph)
     try:
         cls = _ENGINES[spec]
     except KeyError:
-        raise ValueError(f"unknown engine {spec!r}; known: {sorted(_ENGINES)}") from None
+        raise ValueError(f"unknown engine {spec!r}; known: {', '.join(ENGINE_NAMES)}") from None
     if cls is ParallelEngine:
         return ParallelEngine(threads=threads)
     return cls()

@@ -501,16 +501,11 @@ class FaultyTransport:
     legitimately trip it -- strict runs should keep ``dup_prob`` at zero.
     """
 
-    #: The network forwards its tracer to transports advertising this.
-    wants_trace = True
-
     def __init__(self, inner, plan: FaultPlan, trace: Tracer | None = None):
         self.inner = inner
         self.plan = plan
         self.stats = FaultStats()
         self.trace = trace if trace is not None else current_tracer()
-        if getattr(type(inner), "wants_trace", False):
-            inner.trace = self.trace
         self.record_messages = inner.record_messages
         # The wrapper owns the program-send log; stop the inner transport
         # from duplicating it for the post-fault stream.

@@ -21,8 +21,7 @@ The implementation is split into three layers (see each module's docstring):
   :class:`~repro.congest.engine.ParallelEngine` (the event clock with the
   step phase sharded across a thread pool) and
   :class:`~repro.congest.engine.ColumnarEngine` (the event clock over the
-  struct-of-arrays :mod:`repro.congest.columnar` transport with batched
-  min-edge reductions);
+  struct-of-arrays :mod:`repro.congest.columnar` transport);
 - :mod:`repro.congest.node` -- the program API, including the idleness
   hints (``next_active_round`` / phase-level ``idle_until``) the event
   engine exploits.
@@ -43,7 +42,6 @@ from typing import Any, Callable, Hashable
 
 import networkx as nx
 
-from repro.congest.columnar import MinEdgeIndex
 from repro.congest.engine import Engine, RunResult, get_engine
 from repro.congest.faults import FaultPlan, FaultyTransport, apply_topology_event
 from repro.congest.node import Node, NodeProgram
@@ -100,8 +98,8 @@ class CongestNetwork:
         # Engine first: it declares the transport layout it runs against
         # (LinkTransport by default, the struct-of-arrays ColumnarTransport
         # for the columnar engine).
-        self.engine = get_engine(engine, threads=engine_threads, graph=graph)
-        self.transport = self.engine.build_transport(
+        self.engine = get_engine(engine, threads=engine_threads)
+        self.transport = self.engine.transport_class(
             bandwidth, strict=strict, record_messages=record_messages
         )
         if faults is not None:
@@ -109,9 +107,6 @@ class CongestNetwork:
             # asked for; even an empty plan goes through the wrapper so the
             # equivalence suite can assert the wrapper itself is transparent.
             self.transport = FaultyTransport(self.transport, faults, trace=self.trace)
-        if getattr(type(self.transport), "wants_trace", False):
-            self.transport.trace = self.trace
-        self._min_edge_index: MinEdgeIndex | None = None
         if faults is not None and self.trace.enabled:
             for span in faults.crashes:
                 self.trace.event(
@@ -135,17 +130,6 @@ class CongestNetwork:
 
     def edge_weight(self, u: Hashable, v: Hashable) -> float:
         return self.graph.edges[u, v].get(self.weight_key, 1.0)
-
-    def min_edge_index(self) -> MinEdgeIndex:
-        """The batched fragment-minimum service: incident edges pre-sorted
-        by canonical edge key, built lazily once per network.  Engines opt
-        in via ``uses_min_edge_index`` (see the MST programs)."""
-        index = self._min_edge_index
-        if index is None:
-            index = self._min_edge_index = MinEdgeIndex(
-                self.graph, self.weight_key, kernels=getattr(self.engine, "kernels", None)
-            )
-        return index
 
     # -- metrics (owned by the transport) --------------------------------------
 
@@ -203,11 +187,9 @@ class CongestNetwork:
         Engines call this at the start of each executed round (the event
         engines never skip past a scheduled round, so catch-up is a safety
         net, not the normal path).  Applying an event splices the endpoints'
-        neighbour tuples in repr-sorted order, invalidates the graph's
+        neighbour tuples in repr-sorted order and invalidates the graph's
         cached adjacency (a paired insert+delete keeps the edge count
-        unchanged, defeating the cache's size signature), and drops the
-        lazily built min-edge index so fragment-minimum queries see the new
-        topology.
+        unchanged, defeating the cache's size signature).
         """
         faults = self.faults
         if faults is None:
@@ -241,7 +223,6 @@ class CongestNetwork:
         self._fault_events_applied = i
         if mutated:
             invalidate_adjacency(self.graph)
-            self._min_edge_index = None
 
     # -- execution -------------------------------------------------------------
 

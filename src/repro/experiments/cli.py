@@ -92,18 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--workers", type=int, default=1, help="process-pool size (1 = serial)")
     run.add_argument(
         "--engine",
-        choices=(
-            "event",
-            "dense",
-            "parallel",
-            "columnar",
-            "columnar-stdlib",
-            "columnar-numpy",
-            "auto",
-        ),
         default=None,
-        help="CONGEST engine axis (scenarios declaring an `engine` param only); "
-        "`auto` picks from the instance size and numpy availability",
+        help="CONGEST engine axis (scenarios declaring an `engine` param only)",
     )
     run.add_argument(
         "--engine-threads",
@@ -216,6 +206,19 @@ def _cmd_list() -> int:
     return 0
 
 
+def _check_engine_names(names) -> None:
+    """Reject an unknown engine name before any point runs.
+
+    Imported here, not at module level: ``report``, ``trace`` and
+    ``--help`` load no simulator.
+    """
+    from repro.congest.engine import ENGINE_NAMES
+
+    for name in names:
+        if name not in ENGINE_NAMES:
+            raise ValueError(f"unknown engine {name!r}; known: {', '.join(ENGINE_NAMES)}")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     scn = get_scenario(args.scenario)
     grid = parse_axis_overrides(args.overrides)
@@ -227,6 +230,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         grid["engine_threads"] = [args.engine_threads]
     if args.fault_seed is not None:
         grid["fault_seed"] = [args.fault_seed]
+    _check_engine_names(grid.get("engine", ()))
     points = expand_grid(scn, grid, replicates=args.replicates, base_seed=args.base_seed)
     store = None if args.no_store else ResultStore(args.store)
     print(

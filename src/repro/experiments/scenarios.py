@@ -37,7 +37,7 @@ from repro.core.gamma2 import gamma2_dual
 from repro.core.nonlocal_games import chsh_game
 from repro.core.server_model import StructuredServerProtocol, two_party_simulation_of_server
 from repro.core.simulation_theorem import SimulationTheoremNetwork
-from repro.congest.engine import Engine, get_engine
+from repro.congest.engine import ENGINE_NAMES, Engine, get_engine
 from repro.experiments.registry import ParamSpec, PlotSpec, scenario
 from repro.graphs.generators import (
     connect_nearest_components,
@@ -54,26 +54,18 @@ from repro.graphs.spatial import GridIndex
 #: --engine-threads 4`` at the CLI).  ``engine_threads = 0`` means the
 #: engine's own default (the host CPU count for ``parallel``).
 ENGINE_PARAMS = (
-    ParamSpec(
-        "engine",
-        str,
-        "event",
-        "CONGEST engine: event|dense|parallel|columnar|columnar-stdlib|columnar-numpy|auto",
-    ),
+    ParamSpec("engine", str, "event", "CONGEST engine: " + "|".join(ENGINE_NAMES)),
     ParamSpec("engine_threads", int, 0, "parallel-engine shard threads (0 = cpu count)"),
 )
 
 
-def _resolve_engine(engine: str, engine_threads: int, graph: nx.Graph | None = None) -> Engine:
+def _resolve_engine(engine: str, engine_threads: int) -> Engine:
     """Build the engine instance a scenario point asked for.
 
     An instance (not the name) so the scenario can read back introspection
-    counters such as ``node_steps`` after the run.  Pass the instance graph
-    when it is already built so ``engine="auto"`` can size its choice.
+    counters such as ``node_steps`` after the run.
     """
-    return get_engine(
-        engine, threads=engine_threads if engine_threads > 0 else None, graph=graph
-    )
+    return get_engine(engine, threads=engine_threads if engine_threads > 0 else None)
 
 
 def _weighted_graph(n: int, extra_edge_prob: float, graph_seed: int, weight_seed: int) -> nx.Graph:
@@ -165,10 +157,10 @@ def fig3_mst_tradeoff(
     graph = _fig3_graph(seed, n, aspect_ratio, extra_edge_prob, graph_seed)
 
     _, elkin = run_elkin_approx_mst(
-        graph, alpha=alpha, engine=_resolve_engine(engine, engine_threads, graph)
+        graph, alpha=alpha, engine=_resolve_engine(engine, engine_threads)
     )
     _, gkp = run_gkp_mst(
-        graph, bandwidth=bandwidth, engine=_resolve_engine(engine, engine_threads, graph)
+        graph, bandwidth=bandwidth, engine=_resolve_engine(engine, engine_threads)
     )
     formula = fig3_curve(n, alpha, [w])[0]
     return {
@@ -757,7 +749,7 @@ def spanner_skeleton(
         n, aspect_ratio=aspect_ratio, extra_edge_prob=extra_edge_prob, seed=seed
     )
     k = stretch_k if stretch_k >= 1 else max(1, math.ceil(math.log2(n)))
-    engine_obj = _resolve_engine(engine, engine_threads, graph)
+    engine_obj = _resolve_engine(engine, engine_threads)
     summary, run = run_linear_size_spanner(graph, k, bandwidth=bandwidth, engine=engine_obj)
     node_steps = getattr(engine_obj, "node_steps", None)
     dense_steps = n * run.rounds
@@ -898,7 +890,7 @@ def boruvka_mst_sweep(
     reference = sum(
         d["weight"] for _, _, d in nx.minimum_spanning_tree(graph).edges(data=True)
     )
-    engine_obj = _resolve_engine(engine, engine_threads, graph)
+    engine_obj = _resolve_engine(engine, engine_threads)
     edges, run = run_boruvka_mst(graph, bandwidth=bandwidth, seed=seed, engine=engine_obj)
     weight = tree_weight(graph, edges)
     return {
@@ -1163,7 +1155,7 @@ def mst_under_faults(
     rounds/bits to a *correct* tree vs the fault-free baseline.
     """
     graph = _weighted_graph(n, extra_edge_prob, graph_seed=seed, weight_seed=seed + 1)
-    engine_obj = _resolve_engine(engine, engine_threads, graph)
+    engine_obj = _resolve_engine(engine, engine_threads)
     clean_edges, clean = run_boruvka_mst(graph, bandwidth=bandwidth, engine=engine_obj)
     expected = {frozenset(e) for e in nx.minimum_spanning_tree(graph).edges()}
     assert clean_edges == expected, "fault-free Boruvka diverged from the centralized MST"
@@ -1178,7 +1170,7 @@ def mst_under_faults(
         crash_length=crash_length,
         window=(1, fault_window),
     )
-    faulted_engine = _resolve_engine(engine, engine_threads, graph)
+    faulted_engine = _resolve_engine(engine, engine_threads)
     faulted_edges, faulted = run_boruvka_mst(
         graph, bandwidth=bandwidth, engine=faulted_engine, faults=plan, max_rounds=round_budget
     )
@@ -1188,7 +1180,7 @@ def mst_under_faults(
     if not correct_first_try:
         # Detect-and-restart: rerun fault-free once the faults subside.
         restart_edges, restart = run_boruvka_mst(
-            graph, bandwidth=bandwidth, engine=_resolve_engine(engine, engine_threads, graph)
+            graph, bandwidth=bandwidth, engine=_resolve_engine(engine, engine_threads)
         )
         assert restart_edges == expected, "restarted Boruvka diverged from the centralized MST"
         total_rounds += restart.rounds
@@ -1300,7 +1292,7 @@ def bfs_restabilization(
         weighted=False,
         max_rounds=horizon,
         refresh_every=refresh_every,
-        engine=_resolve_engine(engine, engine_threads, graph),
+        engine=_resolve_engine(engine, engine_threads),
     )
     distances, faulted = run_refreshing_bellman_ford(
         graph,
@@ -1309,7 +1301,7 @@ def bfs_restabilization(
         weighted=False,
         max_rounds=horizon,
         refresh_every=refresh_every,
-        engine=_resolve_engine(engine, engine_threads, graph),
+        engine=_resolve_engine(engine, engine_threads),
         faults=plan,
     )
     expected = nx.single_source_shortest_path_length(plan.final_graph(graph), source)
@@ -1399,7 +1391,7 @@ def spanner_churn(
         graph,
         k,
         bandwidth=bandwidth,
-        engine=_resolve_engine(engine, engine_threads, graph),
+        engine=_resolve_engine(engine, engine_threads),
         include_edges=True,
     )
     plan = FaultPlan.generate(
@@ -1417,7 +1409,7 @@ def spanner_churn(
         graph,
         k,
         bandwidth=bandwidth,
-        engine=_resolve_engine(engine, engine_threads, graph),
+        engine=_resolve_engine(engine, engine_threads),
         max_rounds=round_budget,
         faults=plan,
         include_edges=True,
@@ -1437,7 +1429,7 @@ def spanner_churn(
             final,
             k,
             bandwidth=bandwidth,
-            engine=_resolve_engine(engine, engine_threads, final),
+            engine=_resolve_engine(engine, engine_threads),
             include_edges=True,
         )
         assert rebuilt_summary["edges"] == expected_edges, (

@@ -7,12 +7,15 @@ import networkx as nx
 import pytest
 
 from repro.algorithms.mst import (
+    _min_outgoing,
     collect_tree_edges,
     edge_key,
     run_boruvka_mst,
     run_gkp_mst,
     tree_weight,
 )
+from repro.congest.network import CongestNetwork
+from repro.congest.node import NodeProgram
 from repro.graphs.generators import random_connected_graph
 
 
@@ -36,6 +39,59 @@ class TestEdgeKey:
 
     def test_weight_dominates(self):
         assert edge_key(1.0, "z", "z2") < edge_key(2.0, "a", "b")
+
+
+class TestFragmentMinimumScan:
+    """The per-neighbour scan both MST programs use to find a node's
+    lightest edge out of its fragment, against a brute-force minimum."""
+
+    @staticmethod
+    def _tied_weights(n, seed):
+        # Few distinct weights, so the edge-key tie-break decides often.
+        graph = random_connected_graph(n, extra_edge_prob=0.3, seed=seed)
+        rng = random.Random(seed + 100)
+        for u, v in graph.edges():
+            graph.edges[u, v]["weight"] = float(rng.randrange(1, 50))
+        return graph
+
+    @staticmethod
+    def _brute_force(graph, u, label_of, my_label, allowed):
+        return min(
+            (
+                (edge_key(graph.edges[u, v]["weight"], u, v), u, v)
+                for v in graph.neighbors(u)
+                if v in allowed and label_of.get(repr(v), my_label) != my_label
+            ),
+            default=None,
+        )
+
+    @pytest.mark.parametrize("seed", [1, 9])
+    def test_min_outgoing_matches_brute_force(self, seed):
+        graph = self._tied_weights(14, seed)
+        network = CongestNetwork(graph, NodeProgram)
+        rng = random.Random(seed)
+        # A neighbour with no label yet counts as the node's own fragment.
+        label_of = {repr(v): rng.randrange(3) for v in graph.nodes() if rng.random() < 0.9}
+        for u, node in network.nodes.items():
+            my_label = label_of.get(repr(u), 0)
+            expected = self._brute_force(graph, u, label_of, my_label, set(graph.neighbors(u)))
+            assert _min_outgoing(node, label_of, my_label) == expected
+
+    @pytest.mark.parametrize("seed", [2, 11])
+    def test_min_outgoing_stays_in_the_marked_subnetwork(self, seed):
+        graph = self._tied_weights(14, seed)
+        rng = random.Random(seed + 1)
+        marks = {
+            u: {"m_neighbors": {v for v in graph.neighbors(u) if rng.random() < 0.6}}
+            for u in graph.nodes()
+        }
+        network = CongestNetwork(graph, NodeProgram, inputs=marks)
+        label_of = {repr(v): rng.randrange(3) for v in graph.nodes()}
+        for u, node in network.nodes.items():
+            my_label = label_of[repr(u)]
+            allowed = marks[u]["m_neighbors"]
+            expected = self._brute_force(graph, u, label_of, my_label, allowed)
+            assert _min_outgoing(node, label_of, my_label) == expected
 
 
 class TestBoruvka:

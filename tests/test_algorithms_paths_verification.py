@@ -251,6 +251,29 @@ class TestElkin:
         # MST = {1, 2}: total 3.
         assert component_count_mst_weight(quantised, 3) == 3.0
 
+    def test_component_identity_matches_kruskal(self):
+        rng = random.Random(2014)
+        for _ in range(200):
+            n_classes = rng.randint(1, 11)
+            graph = random_connected_graph(
+                rng.randint(2, 39), extra_edge_prob=rng.random() / 2, seed=rng.randrange(10**6)
+            )
+            for u, v in graph.edges():
+                graph.edges[u, v]["weight"] = rng.randint(1, n_classes)
+            expected = nx.minimum_spanning_tree(graph).size(weight="weight")
+            assert component_count_mst_weight(graph, n_classes) == expected
+
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_component_identity_with_unused_classes(self, seed):
+        # Twelve classes, of which the edges use only the odd ones: the
+        # sweep must step over empty thresholds without folding in edges.
+        graph = random_connected_graph(40, extra_edge_prob=0.2, seed=seed)
+        rng = random.Random(seed)
+        for u, v in graph.edges():
+            graph.edges[u, v]["weight"] = rng.randrange(1, 12, 2)
+        expected = nx.minimum_spanning_tree(graph).size(weight="weight")
+        assert component_count_mst_weight(graph, 12) == expected
+
 
 class TestMinCut:
     def test_global_mincut(self):

@@ -1,29 +1,20 @@
 """Columnar transport unit tests: the struct-of-arrays hot path in isolation.
 
 The cross-engine suite (``test_engine_equivalence.py``) pins whole runs to
-the dense reference; these tests drive :class:`ColumnarTransport` directly
-against :class:`LinkTransport` on randomised edge workloads, pin the
-telemetry events and strict-mode error texts, exercise the numpy-absent
-import guard the acceptance criteria require, and check that
-:class:`MinEdgeIndex` reproduces the legacy per-neighbour minimum scans
-key for key.
+the dense reference; these tests check the per-edge grouping of a staged
+round (:func:`group_round`) against its invariants and against the
+baseline's deliveries of that round, drive :class:`ColumnarTransport`
+directly against :class:`LinkTransport` on randomised edge workloads, and
+pin the strict-mode error texts and totals.
 """
 
-import importlib
 import random
-import sys
+from array import array
 
-import networkx as nx
 import pytest
 
-import repro.congest.columnar as columnar
-from repro.algorithms.mst import edge_key, run_boruvka_mst
-from repro.congest.columnar import ColumnarTransport, MinEdgeIndex, _sum_bits
-from repro.congest.network import CongestNetwork, run_program
-from repro.congest.node import NodeProgram
+from repro.congest.columnar import ColumnarTransport, group_round
 from repro.congest.transport import BandwidthExceeded, LinkTransport
-from repro.graphs.generators import random_connected_graph
-from repro.obs.trace import CollectingTracer
 
 
 def _drain(transport):
@@ -54,18 +45,244 @@ def _random_workload(seed, rounds=40, nodes=6, bandwidth=16):
         yield round_no, base, cols
 
 
+def _check_group_invariants(eids, bits, bandwidth, group):
+    """Properties any correct grouping of a staged round must satisfy."""
+    n = len(eids)
+    order = list(group.order)
+    assert sorted(order) == list(range(n))
+    # first-appearance edge order, FIFO within each edge
+    seen: dict[int, int] = {}
+    for eid in eids:
+        seen.setdefault(eid, len(seen))
+    by_first = sorted(seen, key=seen.__getitem__)
+    assert list(group.edge_order) == by_first
+    sums: dict[int, int] = {}
+    for eid, b in zip(eids, bits):
+        sums[eid] = sums.get(eid, 0) + b
+    assert list(group.edge_sums) == [sums[e] for e in by_first]
+    assert group.total_bits == sum(bits)
+    assert group.max_sum == (max(sums.values()) if sums else 0)
+    assert group.all_fit == (group.max_sum <= bandwidth)
+    if group.edge_counts is None:
+        assert order == list(range(n))
+    else:
+        assert sum(group.edge_counts) == n
+        # each per-edge run of `order` is that edge's staging rows, FIFO
+        pos = 0
+        for eid, count in zip(by_first, group.edge_counts):
+            assert order[pos : pos + count] == [i for i in range(n) if eids[i] == eid]
+            pos += count
+
+
+class TestGroupRound:
+    SHAPES = [
+        (0, 1),  # empty flush
+        (1, 1),
+        (2, 1),  # both same-edge and distinct-edge cases arise over seeds
+        (2, 2),
+        (7, 3),
+        (40, 5),
+        (40, 40),
+        (130, 9),
+        (130, 130),
+        (400, 23),
+        (257, 1),  # one edge repeated
+    ]
+
+    @staticmethod
+    def _instance(n, n_edges, seed):
+        rng = random.Random(seed * 1000 + n)
+        eids = array("q", (rng.randrange(n_edges) for _ in range(n)))
+        bits = array("q", (rng.randrange(1, 200) for _ in range(n)))
+        return eids, bits
+
+    @pytest.mark.parametrize("n,n_edges", SHAPES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_invariants(self, n, n_edges, seed):
+        eids, bits = self._instance(n, n_edges, seed)
+        for bandwidth in (1, 128, 10**9):
+            group = group_round(eids, bits, bandwidth)
+            _check_group_invariants(list(eids), list(bits), bandwidth, group)
+
+    @pytest.mark.parametrize("n,n_edges", SHAPES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_delivery_matches_baseline(self, n, n_edges, seed):
+        # The same staged round, committed by both transports and drained
+        # to quiescence: B = 10**9 delivers it as one block (walking the
+        # per-edge runs of ``order``), B = 1 spreads every edge over many
+        # rounds on the general path, and B = 128 mixes the two.  Edges
+        # share receivers, so inboxes interleave several edges' runs.
+        eids, bits = self._instance(n, n_edges, seed)
+        for bandwidth in (1, 128, 10**9):
+            base = LinkTransport(bandwidth)
+            cols = ColumnarTransport(bandwidth)
+            for i, (eid, b) in enumerate(zip(eids, bits)):
+                for t in (base, cols):
+                    t.enqueue(eid, ("sink", eid % 4), ("m", i), b, 1)
+            for t in (base, cols):
+                t.flush()
+            fits = n > 0 and group_round(eids, bits, bandwidth).all_fit
+            assert (cols._block is not None) == fits
+            while (gap := base.rounds_until_delivery()) is not None:
+                assert cols.rounds_until_delivery() == gap
+                if gap > 1:
+                    assert cols.skip_rounds(gap - 1) == base.skip_rounds(gap - 1)
+                assert _drain(cols) == _drain(base)
+            assert cols.rounds_until_delivery() is None
+            assert cols.per_round_bits == base.per_round_bits
+            assert cols.max_edge_bits_per_round == base.max_edge_bits_per_round
+            assert (cols.total_messages, cols.total_bits) == (base.total_messages, base.total_bits)
+
+    @pytest.mark.parametrize(
+        "eids,bits,bandwidth,expected",
+        [
+            ([], [], 8, (range(0), [], [], None, 0, True, 0)),
+            ([4], [9], 8, (range(1), [4], [9], None, 9, False, 9)),
+            # Two messages on one edge: the edge carries their sum.
+            ([3, 3], [5, 4], 8, (range(2), [3], [9], None, 9, False, 9)),
+            # Two edges: each fits B although the round's total does not.
+            ([3, 1], [5, 8], 8, (range(2), [3, 1], [5, 8], None, 13, True, 8)),
+        ],
+        ids=["empty", "single", "pair-one-edge", "pair-two-edges"],
+    )
+    def test_small_rounds(self, eids, bits, bandwidth, expected):
+        group = group_round(array("q", eids), array("q", bits), bandwidth)
+        assert tuple(group) == expected
+
+
+def _assert_lockstep(workload):
+    """Drain both transports of a workload round by round, comparing every
+    delivery, probe and metric."""
+    for round_no, base, cols in workload:
+        assert cols.rounds_until_delivery() == base.rounds_until_delivery()
+        assert cols.pending_traffic() == base.pending_traffic()
+        assert _drain(cols) == _drain(base), round_no
+        assert cols.per_round_bits == base.per_round_bits
+        assert cols.max_edge_bits_per_round == base.max_edge_bits_per_round
+    assert cols.total_messages == base.total_messages
+    assert cols.total_bits == base.total_bits
+    assert cols.message_log == base.message_log
+
+
 class TestTransportLockstep:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_deliveries_and_metrics_match_baseline(self, seed):
-        for round_no, base, cols in _random_workload(seed):
+        _assert_lockstep(_random_workload(seed))
+
+    @pytest.mark.parametrize("bandwidth", [1, 16, 1024])
+    @pytest.mark.parametrize("nodes", [2, 6, 30])
+    def test_workload_shapes_match_baseline(self, nodes, bandwidth):
+        # Two nodes put every send on one of two edges, so rounds group into
+        # long per-edge runs; thirty nodes rarely repeat an edge within a
+        # round.  B = 1 caps every message at two bits.
+        _assert_lockstep(_random_workload(nodes * bandwidth, nodes=nodes, bandwidth=bandwidth))
+
+    @pytest.mark.parametrize("seed", [0, 5, 12, 99])
+    def test_staggered_completions_match_baseline(self, seed):
+        # Sixty-four edges, messages of one to eight rounds, sends spread
+        # over many rounds: edges activated in different rounds often
+        # complete in the same one, and drained edges are revived.
+        rng = random.Random(seed)
+        bw = 8
+        base = LinkTransport(bw)
+        cols = ColumnarTransport(bw)
+        round_no = 1
+        for _ in range(300):
+            if rng.random() < 0.55:
+                for t in (base, cols):
+                    t.flush()
+                assert cols.rounds_until_delivery() == base.rounds_until_delivery()
+                assert _drain(cols) == _drain(base), round_no
+                round_no += 1
+            else:
+                eid = rng.randrange(64)
+                bits = rng.randrange(1, 9) * bw - rng.randrange(bw)
+                for t in (base, cols):
+                    t.enqueue(eid, ("r", eid % 8), ("m", round_no, eid), bits, round_no)
+        while base.rounds_until_delivery() is not None:
+            assert _drain(cols) == _drain(base)
+        assert cols.rounds_until_delivery() is None
+        assert cols.per_round_bits == base.per_round_bits
+        assert cols.max_edge_bits_per_round == base.max_edge_bits_per_round
+
+    def test_long_queue_compaction_matches_baseline(self):
+        # Hundreds of one- to three-bit messages on one edge: each round
+        # delivers several, so the queue's delivered prefix is trimmed in
+        # place while new sends keep arriving behind it.
+        rng = random.Random(3)
+        bw = 8
+        base = LinkTransport(bw)
+        cols = ColumnarTransport(bw)
+        for round_no in range(1, 120):
+            if round_no <= 40:
+                for _ in range(rng.randrange(0, 12)):
+                    b = rng.randrange(1, 4)
+                    for t in (base, cols):
+                        t.enqueue(0, 1, ("m", round_no, b), b, round_no)
+                for t in (base, cols):
+                    t.flush()
             assert cols.rounds_until_delivery() == base.rounds_until_delivery()
-            assert cols.pending_traffic() == base.pending_traffic()
             assert _drain(cols) == _drain(base), round_no
-            assert cols.per_round_bits == base.per_round_bits
-            assert cols.max_edge_bits_per_round == base.max_edge_bits_per_round
-        assert cols.total_messages == base.total_messages
-        assert cols.total_bits == base.total_bits
+        assert cols.rounds_until_delivery() is base.rounds_until_delivery() is None
+        assert cols.per_round_bits == base.per_round_bits
+
+    def test_flush_with_pending_block_materializes_it(self):
+        # Two flushes before a delivery: the first commits a block, the
+        # second folds it into the per-edge queues behind which its own
+        # rows queue, exactly as if both had taken the general path.
+        bw = 8
+        base = LinkTransport(bw)
+        cols = ColumnarTransport(bw)
+        for t in (base, cols):
+            t.enqueue(0, 1, "a", 4, 1)
+            t.enqueue(1, 2, "b", 8, 1)
+            t.flush()
+        assert cols._block is not None
+        for t in (base, cols):
+            t.enqueue(0, 1, "c", 8, 1)
+            t.enqueue(2, 0, "d", 3, 1)
+            t.flush()
+        assert cols._block is None
+        assert cols.live_edges == 3
+        while base.rounds_until_delivery() is not None:
+            assert cols.rounds_until_delivery() == base.rounds_until_delivery()
+            assert _drain(cols) == _drain(base)
+        assert cols.per_round_bits == base.per_round_bits
+        assert cols.max_edge_bits_per_round == base.max_edge_bits_per_round
+
+    def test_skip_over_a_pending_block_raises(self):
+        cols = ColumnarTransport(8)
+        cols.enqueue(0, 1, "a", 5, 1)
+        cols.flush()
+        assert cols.rounds_until_delivery() == 1
+        with pytest.raises(RuntimeError, match="crossed a delivery"):
+            cols.skip_rounds(1)
+        assert cols.skip_rounds(0) == 0
+        assert _drain(cols) == {1: [(0, "a", 5)]}
+        assert cols.per_round_bits == [5]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_enqueue_many_matches_baseline(self, seed):
+        # Broadcasts to random receiver lists, some naming edges that have
+        # never carried a message yet; the baseline stages them one
+        # enqueue at a time.
+        rng = random.Random(seed)
+        bw = 16
+        base = LinkTransport(bw, record_messages=True)
+        cols = ColumnarTransport(bw, record_messages=True)
+        for round_no in range(1, 30):
+            for _ in range(rng.randrange(0, 4)):
+                sender = rng.randrange(10)
+                receivers = rng.sample([v for v in range(10) if v != sender], rng.randrange(0, 6))
+                bits = rng.randrange(1, 2 * bw)
+                for t in (base, cols):
+                    t.enqueue_many(sender, receivers, ("b", round_no, sender), bits, round_no)
+            for t in (base, cols):
+                t.flush()
+            assert _drain(cols) == _drain(base), round_no
+        assert cols.per_round_bits == base.per_round_bits
         assert cols.message_log == base.message_log
+        assert (cols.total_messages, cols.total_bits) == (base.total_messages, base.total_bits)
 
     def test_drain_then_revive_keeps_baseline_delivery_order(self):
         # An edge that drains and is re-created must complete *after* edges
@@ -83,6 +300,31 @@ class TestTransportLockstep:
             t.enqueue(0, 1, "c", bw, 2)  # (0, 1) revived -- now *after* (2, 1)
             t.flush()
         assert _drain(cols) == _drain(base)
+
+    def test_same_round_completions_deliver_in_activation_order(self):
+        # Three edges revived in the order C, A, B -- not their edge-id
+        # order A < B < C -- on the general path (no block: the 16-bit
+        # heads exceed B) all complete in the same round.  They must
+        # deliver in activation order, as the baseline's insertion-ordered
+        # link dict does, not in edge-id order.
+        bw = 8
+        base = LinkTransport(bw)
+        cols = ColumnarTransport(bw)
+        for t in (base, cols):
+            for sender in (0, 2, 3):  # edge ids: A=(0, 1), B=(2, 1), C=(3, 1)
+                t.enqueue(sender, 1, ("id", sender), bw, 1)
+            t.flush()
+        assert _drain(cols) == _drain(base)
+        for t in (base, cols):
+            for sender in (3, 0, 2):
+                t.enqueue(sender, 1, ("late", sender), 2 * bw, 2)
+            t.flush()
+        assert cols._block is None  # the general path, not a block
+        assert _drain(cols) == _drain(base) == {}
+        delivered = _drain(cols)
+        assert delivered == _drain(base)
+        assert [sender for sender, _, _ in delivered[1]] == [3, 0, 2]
+        assert cols.per_round_bits == base.per_round_bits
 
     @pytest.mark.parametrize("seed", [5, 17])
     def test_skip_rounds_matches_baseline(self, seed):
@@ -160,161 +402,27 @@ class TestStrictMode:
         assert cols.pending_traffic() == base.pending_traffic() == 0
         assert cols.live_edges == 0
 
+    @pytest.mark.parametrize("send", ["enqueue", "enqueue_many"])
+    def test_abort_mid_round_counts_staged_messages(self, send):
+        # The columnar side folds its totals in at the flush barrier; an
+        # oversized send must first count what the round already staged.
+        base = LinkTransport(8, strict=True)
+        cols = ColumnarTransport(8, strict=True)
+        errors = {}
+        for name, transport in (("base", base), ("cols", cols)):
+            transport.enqueue(0, 1, "a", 5, 1)
+            transport.enqueue_many(1, [0, 2], "b", 7, 1)
+            with pytest.raises(BandwidthExceeded) as info:
+                if send == "enqueue":
+                    transport.enqueue(2, 1, "big", 9, 1)
+                else:
+                    transport.enqueue_many(2, [1, 0], "big", 9, 1)
+            errors[name] = str(info.value)
+        assert errors["cols"] == errors["base"]
+        assert (base.total_messages, base.total_bits) == (3, 19)
+        assert (cols.total_messages, cols.total_bits) == (3, 19)
+
     def test_shard_staging_is_rejected(self):
         cols = ColumnarTransport(8)
         with pytest.raises(RuntimeError, match="single-writer"):
             cols.begin_shard_staging()
-
-
-class TestNumpyPolicy:
-    def test_sum_bits_matches_python_sum(self):
-        from array import array
-
-        rng = random.Random(0)
-        for n in (0, 1, 63, 64, 65, 500):
-            col = array("q", [rng.randrange(1, 1 << 40) for _ in range(n)])
-            assert _sum_bits(col) == sum(col)
-
-    def test_forced_stdlib_path(self, monkeypatch):
-        from array import array
-
-        monkeypatch.setattr(columnar, "_np", None)
-        col = array("q", range(1, 200))
-        assert _sum_bits(col) == sum(range(1, 200))
-
-    def test_import_survives_numpy_absence(self, monkeypatch):
-        """The acceptance guard: with numpy unimportable, the module loads
-        and a columnar run still matches the dense reference."""
-        for name in list(sys.modules):
-            if name == "numpy" or name.startswith("numpy."):
-                monkeypatch.delitem(sys.modules, name)
-        monkeypatch.setitem(sys.modules, "numpy", None)  # import -> ImportError
-        try:
-            reloaded = importlib.reload(columnar)
-            assert reloaded._np is None
-            graph = random_connected_graph(10, seed=3)
-            for u, v in graph.edges():
-                graph.edges[u, v]["weight"] = float(u * 31 + v + 1)
-            edges_dense, dense = run_boruvka_mst(graph, bandwidth=64, seed=0, engine="dense")
-            edges_cols, cols = run_boruvka_mst(graph, bandwidth=64, seed=0, engine="columnar")
-            assert edges_cols == edges_dense
-            assert (cols.rounds, cols.total_bits, cols.per_round_bits) == (
-                dense.rounds,
-                dense.total_bits,
-                dense.per_round_bits,
-            )
-        finally:
-            monkeypatch.undo()
-            importlib.reload(columnar)
-
-
-class TestTelemetry:
-    def test_flush_emits_columnar_batch_events(self):
-        tracer = CollectingTracer()
-        cols = ColumnarTransport(8)
-        cols.trace = tracer
-        cols.enqueue(0, 1, "a", 4, 1)
-        cols.enqueue(1, 2, "b", 4, 1)
-        cols.flush()
-        cols.flush()  # empty flush: no event
-        batches = [e for e in tracer.by_kind("event") if e["name"] == "columnar_batch"]
-        assert len(batches) == 1
-        assert batches[0]["staged"] == 2
-        assert batches[0]["live_edges"] == 2
-
-    def test_engine_run_emits_columnar_summary(self):
-        class Chatter(NodeProgram):
-            def on_start(self, node):
-                node.broadcast(("hi",), bits=8)
-
-            def on_round(self, node, round_no, inbox):
-                if round_no >= 3:
-                    node.halt(round_no)
-
-        tracer = CollectingTracer()
-        graph = nx.path_graph(5)
-        run_program(graph, Chatter, bandwidth=8, engine="columnar", trace=tracer)
-        summaries = [e for e in tracer.by_kind("event") if e["name"] == "columnar_summary"]
-        assert len(summaries) == 1
-        assert summaries[0]["flush_batches"] >= 1
-        assert summaries[0]["max_batch"] >= 1
-        assert summaries[0]["peak_live_edges"] >= 1
-        batches = [e for e in tracer.by_kind("event") if e["name"] == "columnar_batch"]
-        assert len(batches) == summaries[0]["flush_batches"]
-
-    def test_network_binds_tracer_to_columnar_transport(self):
-        tracer = CollectingTracer()
-        graph = nx.path_graph(3)
-        network = CongestNetwork(graph, NodeProgram, engine="columnar", trace=tracer)
-        assert network.transport.trace is tracer
-        baseline = CongestNetwork(graph, NodeProgram, engine="event", trace=tracer)
-        assert not hasattr(baseline.transport, "trace")
-
-
-class TestMinEdgeIndex:
-    def _weighted(self, n, seed):
-        graph = random_connected_graph(n, extra_edge_prob=0.3, seed=seed)
-        rng = random.Random(seed + 100)
-        for u, v in graph.edges():
-            graph.edges[u, v]["weight"] = float(rng.randrange(1, 50))
-        return graph
-
-    @pytest.mark.parametrize("seed", [0, 6])
-    def test_entries_use_the_canonical_edge_key(self, seed):
-        graph = self._weighted(12, seed)
-        index = MinEdgeIndex(graph)
-        for u in graph.nodes():
-            entries = index._incident[u]
-            assert [e[0] for e in entries] == sorted(e[0] for e in entries)
-            for key, v, v_repr in entries:
-                assert key == edge_key(graph.edges[u, v]["weight"], u, v)
-                assert v_repr == repr(v)
-
-    @pytest.mark.parametrize("seed", [1, 9])
-    def test_min_outgoing_matches_brute_force(self, seed):
-        graph = self._weighted(14, seed)
-        index = MinEdgeIndex(graph)
-        rng = random.Random(seed)
-        label_of = {repr(v): rng.randrange(3) for v in graph.nodes()}
-        for u in graph.nodes():
-            my_label = label_of[repr(u)]
-            expected = min(
-                (
-                    (edge_key(graph.edges[u, v]["weight"], u, v), u, v)
-                    for v in graph.neighbors(u)
-                    if label_of[repr(v)] != my_label
-                ),
-                default=None,
-            )
-            assert index.min_outgoing(u, label_of, my_label) == expected
-
-    @pytest.mark.parametrize("seed", [2, 11])
-    def test_min_outgoing_by_repr_matches_brute_force(self, seed):
-        graph = self._weighted(14, seed)
-        index = MinEdgeIndex(graph)
-        rng = random.Random(seed + 1)
-        label_of = {repr(v): rng.randrange(3) for v in graph.nodes()}
-        for u in graph.nodes():
-            my_label = label_of[repr(u)]
-            exclude = {repr(v) for v in graph.neighbors(u) if rng.random() < 0.3}
-            expected = min(
-                (
-                    (edge_key(graph.edges[u, v]["weight"], u, v), v, label_of[repr(v)])
-                    for v in graph.neighbors(u)
-                    if repr(label_of[repr(v)]) != repr(my_label) and repr(v) not in exclude
-                ),
-                default=None,
-            )
-            assert index.min_outgoing_by_repr(u, label_of, my_label, exclude) == expected
-
-    def test_network_caches_one_index(self):
-        graph = self._weighted(8, 4)
-        network = CongestNetwork(graph, NodeProgram, engine="columnar")
-        assert network.min_edge_index() is network.min_edge_index()
-
-    def test_opt_in_flag_per_engine(self):
-        from repro.congest.engine import get_engine
-
-        assert get_engine("columnar").uses_min_edge_index
-        assert not get_engine("event").uses_min_edge_index
-        assert not get_engine("dense").uses_min_edge_index

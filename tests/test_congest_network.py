@@ -1,8 +1,15 @@
 """Tests for the CONGEST simulator: rounds, bandwidth, pipelining, metrics."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import pytest
 
+import repro
 from repro.congest.message import QubitPayload, bit_size
 from repro.congest.network import BandwidthExceeded, CongestNetwork, run_program
 from repro.congest.node import Node, NodeProgram
@@ -210,3 +217,114 @@ class TestExecution:
         for engine in ("dense", "event", "columnar"):
             with pytest.raises(BandwidthExceeded):
                 run_program(graph, BigSender, bandwidth=10, strict=True, engine=engine)
+
+
+class TestEngineNames:
+    @pytest.mark.parametrize("name", ["dense", "event", "parallel", "columnar"])
+    def test_each_name_builds_its_engine_and_transport(self, name):
+        from repro.congest.columnar import ColumnarTransport
+        from repro.congest.engine import ENGINE_NAMES
+
+        assert name in ENGINE_NAMES
+        network = CongestNetwork(nx.path_graph(5), FloodProgram, engine=name)
+        assert network.engine.name == name
+        assert type(network.transport) is network.engine.transport_class
+        assert isinstance(network.transport, ColumnarTransport) == (name == "columnar")
+        result = network.run()
+        reference = run_program(nx.path_graph(5), FloodProgram, engine="dense")
+        assert (result.rounds, result.outputs) == (reference.rounds, reference.outputs)
+        assert result.per_round_bits == reference.per_round_bits
+
+    @pytest.mark.parametrize("name", ["auto", "Event", "colunmar", "numpy"])
+    def test_unknown_names_raise_and_list_the_known_ones(self, name):
+        from repro.congest.engine import get_engine
+
+        known = "known: dense, event, parallel, columnar"
+        with pytest.raises(ValueError, match=f"unknown engine '{name}'; {known}"):
+            get_engine(name)
+        with pytest.raises(ValueError, match="unknown engine"):
+            CongestNetwork(nx.path_graph(3), FloodProgram, engine=name)
+
+
+#: Run in a fresh interpreter where numpy acts as not installed, and where
+#: every attempt to import it -- guarded or not -- is recorded: import the
+#: simulator, the graph generators and the algorithm and core modules built
+#: on them, then run GKP on every engine.
+_NUMPY_FREE_PROBE = r"""
+import importlib
+import json
+import pkgutil
+import random
+import sys
+
+attempts = []
+
+
+class NumpyAbsent:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            attempts.append(name)
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+
+sys.meta_path.insert(0, NumpyAbsent())
+
+import repro.congest
+import repro.graphs
+
+modules = [
+    f"{pkg.__name__}.{info.name}"
+    for pkg in (repro.congest, repro.graphs)
+    for info in pkgutil.iter_modules(pkg.__path__)
+]
+modules += [f"repro.algorithms.{name}" for name in (
+    "centralised", "elkin", "framework", "mst", "paths", "spanning_structures",
+    "verification",
+)]
+modules += [f"repro.core.{name}" for name in (
+    "bounds", "fooling", "gadgets", "server_model", "simulation_theorem",
+)]
+for name in modules:
+    importlib.import_module(name)
+
+from repro.algorithms.mst import run_gkp_mst
+from repro.congest.engine import ParallelEngine
+from repro.graphs.generators import random_connected_graph
+
+graph = random_connected_graph(18, extra_edge_prob=0.2, seed=5)
+weights = random.Random(6).sample(range(1, 1000), graph.number_of_edges())
+for (u, v), w in zip(graph.edges(), weights):
+    graph.edges[u, v]["weight"] = float(w)
+runs = {}
+# A forced-shard parallel engine, so its thread-local outboxes run too.
+for engine in ("dense", "event", ParallelEngine(threads=2, min_parallel_nodes=1), "columnar"):
+    edges, result = run_gkp_mst(graph, bandwidth=128, seed=0, engine=engine)
+    runs[getattr(engine, "name", engine)] = {
+        "edges": sorted(sorted(map(repr, e)) for e in edges),
+        "per_round_bits": result.per_round_bits,
+    }
+print(json.dumps({"modules": modules, "numpy_imports": attempts, "runs": runs}))
+"""
+
+
+class TestWithoutNumpy:
+    def test_simulator_and_algorithms_run_without_numpy(self):
+        src = Path(repro.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH", "")) if p
+        )}
+        out = subprocess.run(
+            [sys.executable, "-c", _NUMPY_FREE_PROBE],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        report = json.loads(out.stdout.splitlines()[-1])
+        assert "repro.congest.columnar" in report["modules"]
+        assert "repro.graphs.generators" in report["modules"]
+        assert report["numpy_imports"] == []
+        runs = report["runs"]
+        assert set(runs) == {"dense", "event", "parallel", "columnar"}
+        assert runs["dense"]["edges"]
+        for name in ("event", "parallel", "columnar"):
+            assert runs[name] == runs["dense"], name

@@ -14,9 +14,8 @@ The parallel engine is instantiated with ``min_parallel_nodes=1`` so every
 round genuinely fans out across the thread pool -- the inline small-round
 fallback must not be what makes these tests pass.  The columnar engine
 swaps the whole transport layout (struct-of-arrays staging, lazy per-edge
-head accounting, a completion-clock heap) plus the batched min-edge
-reduction service, so its runs pin all of that to the reference semantics
-at once.
+head accounting, a completion-clock heap), so its runs pin all of that to
+the reference semantics at once.
 """
 
 import networkx as nx
@@ -545,6 +544,40 @@ class TestFaultEquivalence:
         assert_results_match(results["dense"], results[engine])
         assert logs[engine] == logs["dense"]
         assert len(logs["dense"]) == results["dense"].total_messages
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_fault_trace_events_are_identical(self, engine):
+        """The fault seam traces through the tracer it was built with,
+        whatever transport it wraps: drops, crashes and a link deleted
+        mid-run must produce the dense reference's fault events."""
+        from repro.congest.faults import FaultPlan
+        from repro.obs.trace import CollectingTracer
+
+        graph = random_connected_graph(12, extra_edge_prob=0.2, seed=30)
+        u, v = next(iter(graph.edges()))
+        plan = FaultPlan(
+            seed=8,
+            drop_prob=0.2,
+            dup_prob=0.1,
+            crashes=((5, 3, 7),),
+            topology_events=((2, "delete", u, v), (6, "insert", u, v)),
+        )
+        events = {}
+        for name, spec in (("dense", "dense"), (engine, make_engine(engine))):
+            tracer = CollectingTracer()
+            CongestNetwork(
+                graph, self._chatter(), bandwidth=16, engine=spec, faults=plan, trace=tracer
+            ).run()
+            events[name] = [
+                e for e in tracer.by_kind("event") if e["name"].startswith("fault_")
+            ]
+        assert {e["name"] for e in events["dense"]} >= {
+            "fault_crash_span",
+            "fault_crash_lost",
+            "fault_flush",
+            "fault_link_lost",
+        }
+        assert events[engine] == events["dense"]
 
 
 class TestEventEngineSkips:

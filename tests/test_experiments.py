@@ -409,6 +409,48 @@ class TestCLI:
         assert cli_main(["run", "test-echo", "--no-store", "--engine", "dense"]) == 2
         assert "unknown grid axis" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("style", ["set", "flag"])
+    @pytest.mark.parametrize(
+        "engine", ["colunmar", "auto", "Columnar", "numpy", "event,auto"]
+    )
+    def test_unknown_engine_fails_before_any_point_runs(self, tmp_path, capsys, engine, style):
+        store = tmp_path / "store"
+        flags = ["--set", f"engine={engine}"] if style == "set" else ["--engine", engine]
+        argv = ["run", "boruvka-mst-sweep", "--set", "n=12", "--store", str(store), *flags]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown engine")
+        assert len(err.splitlines()) == 1
+        assert not store.exists() or not any(store.rglob("*.json"))
+
+    def test_engine_help_lists_every_engine_name(self):
+        from repro.congest.engine import ENGINE_NAMES
+        from repro.experiments.scenarios import ENGINE_PARAMS
+
+        (engine,) = [spec for spec in ENGINE_PARAMS if spec.name == "engine"]
+        assert engine.default in ENGINE_NAMES
+        assert engine.help.endswith("|".join(ENGINE_NAMES))
+
+    def test_cli_import_help_and_report_load_no_simulator(self, tmp_path):
+        code = (
+            "import contextlib, io, sys\n"
+            "from repro.experiments.cli import main\n"
+            "with contextlib.suppress(SystemExit), contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['--help'])\n"
+            f"main(['report', 'chsh-gamma2', '--store', {str(tmp_path)!r}])\n"
+            "print(sorted(m for m in ('networkx', 'repro.congest.engine') if m in sys.modules))\n"
+        )
+        src = Path(repro.__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "[]"
+
     def test_bad_input_gives_clean_error(self, tmp_path, capsys):
         assert cli_main(["run", "test-echo", "--set", "bogus=1", "--store", str(tmp_path)]) == 2
         assert "unknown grid axis" in capsys.readouterr().err
