@@ -70,11 +70,11 @@ class ClassicalDisjointnessProgram(NodeProgram):
                     self.received_chunks[index] = chunk
                     self.expected_chunks = total
                 else:
-                    node.send(inputs["next_hop"], msg.payload)
+                    node.send(inputs["next_hop"], msg.payload, msg.bits)
             elif tag == "verdict":
                 if self.verdict is None:
                     self.verdict = msg.payload[1]
-                    node.broadcast(msg.payload)
+                    node.broadcast(msg.payload, msg.bits)
                     node.halt(self.verdict)
         if (
             self.role == "v"
@@ -141,11 +141,11 @@ class QuantumDisjointnessProgram(NodeProgram):
                     else:
                         self._announce(node, int(inputs["local_verdict"]))
                 else:  # relay along the path
-                    node.send(inputs["next_hop_" + kind], payload)
+                    node.send(inputs["next_hop_" + kind], payload, msg.bits)
             elif payload[0] == "verdict":
                 if self.verdict is None:
                     self.verdict = payload[1]
-                    node.broadcast(payload)
+                    node.broadcast(payload, msg.bits)
                     node.halt(self.verdict)
         if self.verdict is not None and not node.halted:
             node.halt(self.verdict)

@@ -32,7 +32,7 @@ from typing import Hashable
 
 import networkx as nx
 
-from repro.congest.message import Received
+from repro.congest.message import Received, bit_size
 from repro.congest.network import CongestNetwork, RunResult
 from repro.congest.node import Node, NodeProgram
 
@@ -92,10 +92,13 @@ class StagedLabelFloodProgram(NodeProgram):
         if improved:
             self.log.append((round_no, self.label))
         # Announce over every *active* edge on activation or on change.
+        announcement = ("lbl", self.label)
+        bits = 0
         for neighbor in node.neighbors:
             activation = self.edge_classes.get(repr(neighbor), 1)
             if round_no == activation or (improved and round_no >= activation):
-                node.send(neighbor, ("lbl", self.label))
+                bits = bits or bit_size(announcement)
+                node.send(neighbor, announcement, bits)
         node.output = (self.label, tuple(self.log))
         if round_no >= self.deadline:
             node.halt(node.output)

@@ -14,10 +14,21 @@ keeps the accounting honest if ``B`` is set smaller than a message.
 
 from __future__ import annotations
 
-from typing import Any, Hashable
+from typing import Any, Hashable, Iterable
 
 from repro.congest.message import Received, bit_size
 from repro.congest.node import Node, NodeProgram
+
+
+def send_each(node: Node, receivers: Iterable[Hashable], payload: Any) -> None:
+    """Send one ``payload`` to every node in ``receivers``, sized once.
+
+    The size is taken at the first send, so no receiver means no sizing.
+    """
+    bits = 0
+    for receiver in receivers:
+        bits = bits or bit_size(payload)
+        node.send(receiver, payload, bits)
 
 
 class Phase:
@@ -181,9 +192,11 @@ class BfsTreePhase(Phase):
                 shared["depth"] = msg.payload[1] + 1
                 shared["parent"] = msg.sender
                 node.send(msg.sender, ("child",))
-                for neighbor in node.neighbors:
-                    if neighbor != msg.sender:
-                        node.send(neighbor, ("bfs", shared["depth"]))
+                send_each(
+                    node,
+                    (nb for nb in node.neighbors if nb != msg.sender),
+                    ("bfs", shared["depth"]),
+                )
             elif tag == "child":
                 shared["children"].append(msg.sender)
 
@@ -262,8 +275,7 @@ class BroadcastPhase(Phase):
 
     def on_enter(self, node: Node, shared: dict) -> None:
         if shared["parent"] is None:
-            for child in shared["children"]:
-                node.send(child, ("bc", shared[self.value_key]))
+            send_each(node, shared["children"], ("bc", shared[self.value_key]))
 
     def on_round(self, node: Node, r: int, inbox: list[Received], shared: dict) -> None:
         for msg in inbox:
@@ -271,7 +283,7 @@ class BroadcastPhase(Phase):
                 continue
             shared[self.value_key] = msg.payload[1]
             for child in shared["children"]:
-                node.send(child, ("bc", msg.payload[1]))
+                node.send(child, msg.payload, msg.bits)
 
     def idle_until(self, node: Node, round_in_phase: int, shared: dict) -> int | None:
         return None  # pure store-and-forward on delivery
@@ -361,9 +373,7 @@ class PipelinedDowncastPhase(Phase):
                 shared["_down_queue"].append(msg.payload[1])
                 shared[self.items_key].append(msg.payload[1])
         if shared["_down_queue"] and shared["children"]:
-            item = shared["_down_queue"].pop(0)
-            for child in shared["children"]:
-                node.send(child, ("item", item))
+            send_each(node, shared["children"], ("item", shared["_down_queue"].pop(0)))
         elif shared["_down_queue"]:
             shared["_down_queue"].clear()
 
@@ -398,8 +408,3 @@ class LocalComputationPhase(Phase):
 
     def on_enter(self, node: Node, shared: dict) -> None:
         self.fn(node, shared)
-
-
-def estimate_item_bits(item: Any) -> int:
-    """Bit size of a pipelined item (for bandwidth sanity checks in tests)."""
-    return bit_size(item)

@@ -33,6 +33,7 @@ from repro.algorithms.framework import (
     Phase,
     PhasedProgram,
     PipelinedUpcastPhase,
+    send_each,
 )
 from repro.algorithms.mst import GKPMSTProgram
 from repro.congest.message import Received
@@ -85,8 +86,7 @@ class SubgraphFloodPhase(Phase):
         shared["parity"] = 0
         shared["odd_cycle"] = False
         shared["_flood_edges"] = self._floodable(node, shared)
-        for neighbor in shared["_flood_edges"]:
-            node.send(neighbor, ("flood", node.id, 0))
+        send_each(node, shared["_flood_edges"], ("flood", node.id, 0))
 
     def on_round(self, node: Node, r: int, inbox: list[Received], shared: dict) -> None:
         n = node.n_nodes
@@ -107,13 +107,15 @@ class SubgraphFloodPhase(Phase):
                 ):
                     shared["odd_cycle"] = True
         if improved and r < n:
-            for neighbor in shared["_flood_edges"]:
-                node.send(neighbor, ("flood", shared["comp_label"], shared["parity"]))
+            send_each(
+                node, shared["_flood_edges"], ("flood", shared["comp_label"], shared["parity"])
+            )
         if r == n + 1:
             # Labels are stable; exchange (label, parity) for the odd-cycle
             # (bipartiteness) check across every floodable edge.
-            for neighbor in shared["_flood_edges"]:
-                node.send(neighbor, ("check", shared["comp_label"], shared["parity"]))
+            send_each(
+                node, shared["_flood_edges"], ("check", shared["comp_label"], shared["parity"])
+            )
 
     def on_exit(self, node: Node, shared: dict) -> None:
         shared["flood_degree"] = len(shared.pop("_flood_edges"))

@@ -2,15 +2,30 @@
 
 The CONGEST model charges by the bit, so every payload needs a defensible
 size.  We use a simple self-delimiting encoding estimate: integers cost their
-two's-complement length, floats a fixed 64 bits, containers the sum of their
-parts plus a length header.  Callers may always override with an explicit
+two's-complement length, floats a fixed 64 bits, strings and bytes an 8-bit
+length header plus 8 bits per character or byte, containers the sum of their
+parts plus the header.  Callers may always override with an explicit
 ``bits=`` argument when a tighter encoding is intended.
+
+The rules live in one table, ``_SIZE_RULES``, keyed by exact type.  A type
+not in it (an ``IntEnum``, a ``NamedTuple``, an ``OrderedDict``, a
+:class:`QubitPayload` subclass, ...) is resolved once through its
+``__mro__`` to the first listed base and added to the table; a type with no
+listed base cannot be sized.  The container walk sizes ``str``, ``int`` and
+``float`` items inline, by the same rules as the table.
+
+A size is a pure function of the payload.  So a node that sends one payload
+to several neighbours sizes it once and passes ``bits=``, and a node that
+forwards a received payload unchanged passes ``bits=msg.bits`` -- but only
+when that message was itself auto-sized from the same payload, since an
+explicit ``bits=`` upstream is a different price.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, NamedTuple
+from itertools import chain
+from typing import Any, Callable, Hashable, Iterable, NamedTuple
 
 _FLOAT_BITS = 64
 _HEADER_BITS = 8
@@ -35,29 +50,82 @@ class QubitPayload:
             raise ValueError("a qubit payload needs at least one qubit")
 
 
+def _qubit_bits(payload: QubitPayload) -> int:
+    return payload.n_qubits
+
+
+def _one_bit(payload: Any) -> int:
+    return 1
+
+
+def _int_bits(payload: int) -> int:
+    return payload.bit_length() + 1  # sign bit; zero costs one bit
+
+
+def _float_bits(payload: float) -> int:
+    return _FLOAT_BITS
+
+
+def _text_bits(payload: str | bytes) -> int:
+    return _HEADER_BITS + 8 * len(payload)
+
+
+def _items_bits(items: Iterable[Any]) -> int:
+    """Summed size of ``items``: ``str``, ``int`` and ``float`` inline (the
+    table's rules, without the call), everything else through the table."""
+    total = 0
+    for item in items:
+        cls = type(item)
+        if cls is str:
+            total += _HEADER_BITS + 8 * len(item)
+        elif cls is int:
+            total += item.bit_length() + 1
+        elif cls is float:
+            total += _FLOAT_BITS
+        else:
+            total += (_SIZE_RULES.get(cls) or _resolve_rule(cls))(item)
+    return total
+
+
+def _collection_bits(payload: tuple | list | frozenset) -> int:
+    return _HEADER_BITS + _items_bits(payload)
+
+
+def _dict_bits(payload: dict) -> int:
+    return _HEADER_BITS + _items_bits(chain.from_iterable(payload.items()))
+
+
+#: Exact type -> size rule.  Subclasses are added on first use by
+#: :func:`_resolve_rule`.
+_SIZE_RULES: dict[type, Callable[[Any], int]] = {
+    QubitPayload: _qubit_bits,
+    bool: _one_bit,
+    type(None): _one_bit,
+    int: _int_bits,
+    float: _float_bits,
+    str: _text_bits,
+    bytes: _text_bits,
+    tuple: _collection_bits,
+    list: _collection_bits,
+    frozenset: _collection_bits,
+    dict: _dict_bits,
+}
+
+
+def _resolve_rule(cls: type) -> Callable[[Any], int]:
+    """The rule of the first listed type in ``cls.__mro__``, cached."""
+    for base in cls.__mro__:
+        rule = _SIZE_RULES.get(base)
+        if rule is not None:
+            _SIZE_RULES[cls] = rule
+            return rule
+    raise TypeError(f"cannot size payload of type {cls.__name__}")
+
+
 def bit_size(payload: Any) -> int:
     """Estimate the size of a payload in bits (qubits for quantum payloads)."""
-    if isinstance(payload, QubitPayload):
-        return payload.n_qubits
-    if isinstance(payload, bool):
-        return 1
-    if isinstance(payload, int):
-        return max(1, payload.bit_length() + 1)  # sign bit
-    if isinstance(payload, float):
-        return _FLOAT_BITS
-    if isinstance(payload, str):
-        return _HEADER_BITS + 8 * len(payload)
-    if isinstance(payload, bytes):
-        return _HEADER_BITS + 8 * len(payload)
-    if payload is None:
-        return 1
-    if isinstance(payload, (tuple, list)):
-        return _HEADER_BITS + sum(bit_size(item) for item in payload)
-    if isinstance(payload, frozenset):
-        return _HEADER_BITS + sum(bit_size(item) for item in payload)
-    if isinstance(payload, dict):
-        return _HEADER_BITS + sum(bit_size(k) + bit_size(v) for k, v in payload.items())
-    raise TypeError(f"cannot size payload of type {type(payload).__name__}")
+    cls = type(payload)
+    return (_SIZE_RULES.get(cls) or _resolve_rule(cls))(payload)
 
 
 class Received(NamedTuple):

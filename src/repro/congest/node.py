@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import TYPE_CHECKING, Any, Hashable, Iterable
+from typing import TYPE_CHECKING, Any, Hashable
 
 from repro.congest.message import Received, bit_size
 
@@ -57,9 +57,16 @@ class Node:
     def send(self, neighbor: Hashable, payload: Any, bits: int | None = None) -> None:
         """Queue a message on the link to ``neighbor``.
 
-        ``bits`` overrides the automatic size estimate; a message of more
-        than ``B`` bits is transmitted over ``ceil(bits / B)`` consecutive
-        rounds (honest pipelining) and delivered atomically.
+        ``bits`` overrides the automatic size estimate
+        (:func:`~repro.congest.message.bit_size`); a message of more than
+        ``B`` bits is transmitted over ``ceil(bits / B)`` consecutive rounds
+        (honest pipelining) and delivered atomically.
+
+        A size depends on the payload alone, so a program sending one
+        payload to several neighbours sizes it once and passes ``bits=``,
+        and one forwarding a received payload unchanged passes
+        ``bits=msg.bits`` -- provided that message was itself auto-sized
+        from the same payload.
         """
         if self.halted:
             raise RuntimeError(f"halted node {self.id!r} cannot send")
@@ -87,10 +94,6 @@ class Node:
         if size < 1:
             raise ValueError("messages cost at least one bit")
         self._network._enqueue_many(self.id, self.neighbors, payload, size)
-
-    def send_many(self, pairs: Iterable[tuple[Hashable, Any]]) -> None:
-        for neighbor, payload in pairs:
-            self.send(neighbor, payload)
 
     def halt(self, output: Any = None) -> None:
         """Stop participating; record the node's output."""

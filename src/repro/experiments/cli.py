@@ -206,19 +206,6 @@ def _cmd_list() -> int:
     return 0
 
 
-def _check_engine_names(names) -> None:
-    """Reject an unknown engine name before any point runs.
-
-    Imported here, not at module level: ``report``, ``trace`` and
-    ``--help`` load no simulator.
-    """
-    from repro.congest.engine import ENGINE_NAMES
-
-    for name in names:
-        if name not in ENGINE_NAMES:
-            raise ValueError(f"unknown engine {name!r}; known: {', '.join(ENGINE_NAMES)}")
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     scn = get_scenario(args.scenario)
     grid = parse_axis_overrides(args.overrides)
@@ -230,7 +217,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         grid["engine_threads"] = [args.engine_threads]
     if args.fault_seed is not None:
         grid["fault_seed"] = [args.fault_seed]
-    _check_engine_names(grid.get("engine", ()))
     points = expand_grid(scn, grid, replicates=args.replicates, base_seed=args.base_seed)
     store = None if args.no_store else ResultStore(args.store)
     print(

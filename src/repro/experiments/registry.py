@@ -28,17 +28,32 @@ class ScenarioNotFound(KeyError):
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """One typed scenario parameter."""
+    """One typed scenario parameter.
+
+    ``choices``, when non-empty, lists every value a categorical parameter
+    accepts; :meth:`coerce` rejects any other, so a misspelled ``--set``
+    value fails at grid expansion, before any point runs.
+    """
 
     name: str
     type: type = float
     default: Any = None
     help: str = ""
+    choices: tuple[str, ...] = ()
 
     def coerce(self, raw: Any) -> Any:
         """Coerce a raw (possibly string, e.g. CLI) value to the spec type."""
         if raw is None:
             return self.default
+        value = self._convert(raw)
+        if self.choices and value not in self.choices:
+            raise ValueError(
+                f"unknown {self.name.replace('_', ' ')} {value!r}; "
+                f"known: {', '.join(self.choices)}"
+            )
+        return value
+
+    def _convert(self, raw: Any) -> Any:
         if isinstance(raw, self.type):
             return raw
         if self.type is bool and isinstance(raw, str):

@@ -21,7 +21,7 @@ from repro.algorithms.elkin import run_elkin_approx_mst
 from repro.algorithms.mst import run_boruvka_mst, run_gkp_mst, tree_weight
 from repro.algorithms.paths import run_refreshing_bellman_ford
 from repro.algorithms.spanning_structures import greedy_spanner, run_linear_size_spanner
-from repro.algorithms.verification import run_verification
+from repro.algorithms.verification import VERIFIERS, run_verification
 from repro.congest.faults import FaultPlan
 from repro.congest.node import Node, NodeProgram
 from repro.congest.topology import dumbbell_graph
@@ -54,7 +54,9 @@ from repro.graphs.spatial import GridIndex
 #: --engine-threads 4`` at the CLI).  ``engine_threads = 0`` means the
 #: engine's own default (the host CPU count for ``parallel``).
 ENGINE_PARAMS = (
-    ParamSpec("engine", str, "event", "CONGEST engine: " + "|".join(ENGINE_NAMES)),
+    ParamSpec(
+        "engine", str, "event", "CONGEST engine: " + "|".join(ENGINE_NAMES), choices=ENGINE_NAMES
+    ),
     ParamSpec("engine_threads", int, 0, "parallel-engine shard threads (0 = cpu count)"),
 )
 
@@ -448,7 +450,13 @@ def server_model_equivalence(*, seed: int, n_rounds: int, input_bits: int) -> di
     "verification-suite",
     description="Distributed verification of a spanning structure on a live CONGEST network",
     params=[
-        ParamSpec("problem", str, "spanning tree", "verifier name (see VERIFIERS)"),
+        ParamSpec(
+            "problem",
+            str,
+            "spanning tree",
+            "verifier name (see VERIFIERS)",
+            choices=tuple(VERIFIERS),
+        ),
         ParamSpec("n", int, 40, "network size"),
         ParamSpec("extra_edge_prob", float, 0.1, "extra-edge density"),
         ParamSpec("bandwidth", int, 64, "CONGEST bandwidth B"),
@@ -772,6 +780,11 @@ def spanner_skeleton(
     }
 
 
+#: The topology families and weight models of ``boruvka-mst-sweep``.
+BORUVKA_GENERATORS = ("random", "grid", "geometric")
+BORUVKA_WEIGHT_MODELS = ("distinct", "uniform", "euclidean")
+
+
 def _boruvka_instance(
     generator: str, weight_model: str, n: int, extra_edge_prob: float, aspect_ratio: float, seed: int
 ) -> nx.Graph:
@@ -804,7 +817,9 @@ def _boruvka_instance(
         graph = knn_geometric_graph(pos, k=3, index=spatial)
         connect_nearest_components(graph, pos, index=spatial)
     else:
-        raise ValueError(f"unknown generator {generator!r}; known: random, grid, geometric")
+        raise ValueError(
+            f"unknown generator {generator!r}; known: {', '.join(BORUVKA_GENERATORS)}"
+        )
 
     edges = sorted(graph.edges())
     if weight_model == "distinct":
@@ -819,7 +834,7 @@ def _boruvka_instance(
             graph.edges[u, v]["weight"] = math.dist(pos[u], pos[v])
     else:
         raise ValueError(
-            f"unknown weight model {weight_model!r}; known: distinct, uniform, euclidean"
+            f"unknown weight model {weight_model!r}; known: {', '.join(BORUVKA_WEIGHT_MODELS)}"
         )
     return graph
 
@@ -829,8 +844,20 @@ def _boruvka_instance(
     description="NetworkBuild-style Boruvka MST sweeps over generator x weight-model grids",
     params=[
         ParamSpec("n", int, 64, "nodes in the live CONGEST network"),
-        ParamSpec("generator", str, "random", "topology family: random|grid|geometric"),
-        ParamSpec("weight_model", str, "distinct", "edge weights: distinct|uniform|euclidean"),
+        ParamSpec(
+            "generator",
+            str,
+            "random",
+            "topology family: " + "|".join(BORUVKA_GENERATORS),
+            choices=BORUVKA_GENERATORS,
+        ),
+        ParamSpec(
+            "weight_model",
+            str,
+            "distinct",
+            "edge weights: " + "|".join(BORUVKA_WEIGHT_MODELS),
+            choices=BORUVKA_WEIGHT_MODELS,
+        ),
         ParamSpec("extra_edge_prob", float, 0.08, "extra-edge density (random generator)"),
         ParamSpec("aspect_ratio", float, 64.0, "weight aspect ratio W (uniform model)"),
         ParamSpec("bandwidth", int, 128, "CONGEST bandwidth B"),
@@ -1003,11 +1030,21 @@ def gadget_reductions(*, seed: int, n: int, trials: int, beta: float) -> dict:
     }
 
 
+#: The validation checks of ``quantum-substrate``.
+SUBSTRATE_CHECKS = ("teleportation", "holevo", "fingerprint", "grover")
+
+
 @scenario(
     "quantum-substrate",
     description="Quantum substrate validation: teleportation, Holevo, fingerprints, Grover",
     params=[
-        ParamSpec("check", str, "teleportation", "one of teleportation|holevo|fingerprint|grover"),
+        ParamSpec(
+            "check",
+            str,
+            "teleportation",
+            "one of " + "|".join(SUBSTRATE_CHECKS),
+            choices=SUBSTRATE_CHECKS,
+        ),
         ParamSpec("trials", int, 20, "random repetitions (teleportation/holevo)"),
         ParamSpec("size", int, 256, "problem size n (fingerprint/grover)"),
     ],
@@ -1081,7 +1118,9 @@ def quantum_substrate(*, seed: int, check: str, trials: int, size: int) -> dict:
             "optimal_single_run": optimal,
             "passed": queries <= 10 * max(1, optimal),
         }
-    raise ValueError(f"unknown quantum-substrate check {check!r}")
+    raise ValueError(
+        f"unknown quantum-substrate check {check!r}; known: {', '.join(SUBSTRATE_CHECKS)}"
+    )
 
 
 #: Fault-model axes shared by the fault/self-stabilization scenario family

@@ -14,9 +14,15 @@ from repro.algorithms.framework import (
     PipelinedDowncastPhase,
     PipelinedUpcastPhase,
 )
+from repro.algorithms.disjointness import run_classical_disjointness, run_quantum_disjointness
+from repro.algorithms.elkin import run_elkin_approx_mst
+from repro.algorithms.mst import run_gkp_mst
+from repro.algorithms.spanning_structures import run_linear_size_spanner
 from repro.algorithms.verification import run_verification
+from repro.congest.message import QubitPayload, bit_size
 from repro.congest.network import CongestNetwork
-from repro.graphs.generators import random_connected_graph
+from repro.congest.transport import LinkTransport
+from repro.graphs.generators import random_connected_graph, random_weighted_graph
 
 
 def run_phases(graph, phases_factory, diameter=None, bandwidth=128):
@@ -271,3 +277,45 @@ class TestPhaseComposition:
         assert result.unanimous_output() == "done"
         assert trace == ["a", "b"]
         assert result.rounds == 0
+
+
+class TestReusedSizes:
+    """Fan-out sends size a payload once and forwarding sends pass on
+    ``msg.bits``; every such size must equal the payload's own size."""
+
+    #: Tags of the auto-sized messages whose sizes are now reused.  The MST
+    #: control messages carry explicit sizes and are not among them.
+    TAGS = {"lead", "bfs", "child", "agg", "bc", "item", "lbl", "flood", "check", "chunk", "verdict"}
+
+    def test_every_reused_size_equals_its_payload_size(self, monkeypatch):
+        staged = []
+        enqueue = LinkTransport.enqueue
+
+        def spy(self, sender, receiver, payload, bits, round_no):
+            staged.append((payload, bits))
+            enqueue(self, sender, receiver, payload, bits, round_no)
+
+        monkeypatch.setattr(LinkTransport, "enqueue", spy)
+        graph = random_weighted_graph(16, aspect_ratio=64.0, extra_edge_prob=0.2, seed=3)
+        run_linear_size_spanner(graph, stretch_k=3, include_edges=True)
+        run_elkin_approx_mst(graph, alpha=4.0)
+        run_gkp_mst(graph)
+        tree = list(nx.bfs_tree(graph, source=0).to_undirected().edges())
+        for problem in ("spanning tree", "bipartiteness", "connectivity"):
+            run_verification(problem, graph, tree)
+        path = nx.path_graph(5)
+        x, y = (1, 0) * 20, (0, 1) * 20
+        run_classical_disjointness(path, 0, 4, x, y, bandwidth=24)
+        run_quantum_disjointness(path, 0, 4, x, y)
+
+        seen = set()
+        for payload, bits in staged:
+            if isinstance(payload, QubitPayload):
+                tag = "qubits"
+            elif isinstance(payload, tuple) and payload[0] in self.TAGS:
+                tag = payload[0]
+            else:
+                continue
+            assert bits == bit_size(payload), payload
+            seen.add(tag)
+        assert seen == self.TAGS | {"qubits"}

@@ -4,10 +4,16 @@ import json
 import os
 import subprocess
 import sys
+from collections import OrderedDict
+from dataclasses import dataclass
+from enum import Enum, IntEnum
 from pathlib import Path
+from typing import NamedTuple
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.congest.message import QubitPayload, bit_size
@@ -56,7 +62,128 @@ class BigSender(NodeProgram):
             node.halt(round_no)
 
 
+def reference_bit_size(payload):
+    """The ``isinstance`` chain the type-table ``bit_size`` replaced, kept
+    verbatim as the reference every payload shape must still match."""
+    if isinstance(payload, QubitPayload):
+        return payload.n_qubits
+    if isinstance(payload, bool):
+        return 1
+    if isinstance(payload, int):
+        return max(1, payload.bit_length() + 1)  # sign bit
+    if isinstance(payload, float):
+        return 64
+    if isinstance(payload, str):
+        return 8 + 8 * len(payload)
+    if isinstance(payload, bytes):
+        return 8 + 8 * len(payload)
+    if payload is None:
+        return 1
+    if isinstance(payload, (tuple, list)):
+        return 8 + sum(reference_bit_size(item) for item in payload)
+    if isinstance(payload, frozenset):
+        return 8 + sum(reference_bit_size(item) for item in payload)
+    if isinstance(payload, dict):
+        return 8 + sum(reference_bit_size(k) + reference_bit_size(v) for k, v in payload.items())
+    raise TypeError(f"cannot size payload of type {type(payload).__name__}")
+
+
+class Level(IntEnum):
+    LOW = 0
+    HIGH = 1_000_003
+
+
+class Colour(str, Enum):
+    RED = "red"
+    BLUE = "bleu ∞"
+
+
+class Edge(NamedTuple):
+    u: object
+    v: object
+
+
+class TaggedQubits(QubitPayload):
+    pass
+
+
+@dataclass
+class Plain:
+    x: int = 0
+
+
+#: Hashable leaves: usable as frozenset items and dict keys.
+HASHABLE_LEAVES = st.one_of(
+    st.booleans(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(alphabet=st.characters(codec="utf-8"), max_size=12),
+    st.binary(max_size=12),
+    st.none(),
+    st.sampled_from(Level),
+    st.sampled_from(Colour),
+    st.builds(QubitPayload, st.integers(1, 64)),
+    st.builds(TaggedQubits, st.integers(1, 64), st.sampled_from(["q", ("reply", 3)])),
+)
+HASHABLES = st.recursive(
+    HASHABLE_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(tuple),
+        st.frozensets(inner, max_size=4),
+        st.builds(Edge, inner, inner),
+    ),
+    max_leaves=4,
+)
+PAYLOADS = st.recursive(
+    HASHABLES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.builds(Edge, inner, inner),
+        st.dictionaries(HASHABLES, inner, max_size=4),
+        st.dictionaries(HASHABLES, inner, max_size=4).map(OrderedDict),
+    ),
+    max_leaves=20,
+)
+
+
 class TestBitSize:
+    @settings(max_examples=150, deadline=None)
+    @given(PAYLOADS)
+    def test_every_payload_shape_keeps_the_reference_size(self, payload):
+        assert bit_size(payload) == reference_bit_size(payload)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(
+            st.text(alphabet=st.characters(codec="utf-8"), max_size=12),
+            st.integers(min_value=-(2**80), max_value=2**80),
+            st.floats(allow_nan=True, allow_infinity=True),
+        )
+    )
+    def test_inlined_leaves_match_the_table(self, leaf):
+        """Containers size ``str``, ``int`` and ``float`` items inline; the
+        inlined rules must equal the table's top-level ones."""
+        assert bit_size([leaf]) == 8 + bit_size(leaf)
+        assert bit_size({leaf: leaf}) == 8 + 2 * bit_size(leaf)
+
+    def test_subclasses_resolve_to_their_listed_base(self):
+        assert bit_size(True) == 1
+        assert bit_size(Level.HIGH) == bit_size(1_000_003)
+        assert bit_size(Colour.BLUE) == bit_size("bleu ∞")
+        assert bit_size(Edge(1, "a")) == bit_size((1, "a"))
+        assert bit_size(OrderedDict(a=1)) == bit_size({"a": 1})
+        assert bit_size(TaggedQubits(7)) == 7
+
+    @pytest.mark.parametrize(
+        "payload", [{1, 2}, bytearray(b"ab"), object(), Plain(), (1, [2, {3}])]
+    )
+    def test_unsizable_payloads_raise_the_reference_error(self, payload):
+        with pytest.raises(TypeError) as expected:
+            reference_bit_size(payload)
+        with pytest.raises(TypeError, match=f"^{expected.value}$"):
+            bit_size(payload)
+
     def test_int_sizes(self):
         assert bit_size(0) == 1
         assert bit_size(255) == 9

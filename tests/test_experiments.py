@@ -423,6 +423,28 @@ class TestCLI:
         assert len(err.splitlines()) == 1
         assert not store.exists() or not any(store.rglob("*.json"))
 
+    @pytest.mark.parametrize(
+        "scenario_name, axes",
+        [
+            ("boruvka-mst-sweep", ["n=12", "generator=geometirc"]),
+            ("boruvka-mst-sweep", ["n=12", "weight_model=euclidian"]),
+            ("quantum-substrate", ["check=holevoo"]),
+            ("verification-suite", ["problem=spaning tree"]),
+        ],
+        ids=["generator", "weight_model", "check", "problem"],
+    )
+    def test_misspelled_categorical_value_fails_before_any_point_runs(
+        self, tmp_path, capsys, scenario_name, axes
+    ):
+        store = tmp_path / "store"
+        flags = [arg for axis in axes for arg in ("--set", axis)]
+        assert cli_main(["run", scenario_name, *flags, "--store", str(store)]) == 2
+        name, _, value = axes[-1].partition("=")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unknown {name.replace('_', ' ')} {value!r}; known: ")
+        assert len(err.splitlines()) == 1
+        assert not store.exists()
+
     def test_engine_help_lists_every_engine_name(self):
         from repro.congest.engine import ENGINE_NAMES
         from repro.experiments.scenarios import ENGINE_PARAMS
