@@ -37,7 +37,6 @@ def run_centralised(
     engine: str = "event",
     max_rounds: int = 500_000,
     faults: FaultPlan | None = None,
-    fault_seed: int | None = None,
     broadcast_chunks: int = 8,
 ) -> tuple[Any, RunResult]:
     """Collect the weighted graph at a leader, apply ``solver``, broadcast.
@@ -102,7 +101,6 @@ def run_centralised(
         inputs=inputs,
         engine=engine,
         faults=faults,
-        fault_seed=fault_seed,
     )
     result = network.run(max_rounds=max_rounds)
     if faults is not None and not faults.is_empty():

@@ -201,8 +201,3 @@ def component_count_mst_weight(quantised: nx.Graph, n_classes: int) -> float:
             cursor += 1
         total += components - 1
     return total
-
-
-def elkin_round_prediction(aspect_ratio: float, alpha: float, diameter: float) -> float:
-    """The Fig. 3 shape target ``~ W/alpha + D`` for the staged flood."""
-    return aspect_ratio / alpha + diameter

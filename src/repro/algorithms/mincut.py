@@ -17,16 +17,8 @@ from typing import Hashable
 
 import networkx as nx
 
-from repro.algorithms.framework import (
-    BfsTreePhase,
-    BroadcastPhase,
-    LeaderElectionPhase,
-    LocalComputationPhase,
-    PhasedProgram,
-    PipelinedUpcastPhase,
-)
-from repro.congest.network import CongestNetwork, RunResult
-from repro.congest.node import Node
+from repro.algorithms.centralised import run_centralised
+from repro.congest.network import RunResult
 
 
 def run_centralised_mincut(
@@ -40,49 +32,22 @@ def run_centralised_mincut(
     """Exact minimum (s-t) cut weight; returns (weight, metrics).
 
     With ``s`` and ``t`` given, computes the minimum s-t cut instead of the
-    global minimum cut.
+    global minimum cut.  The answer is one float, so the broadcast takes a
+    single chunk per hop.
     """
-    d = diameter_bound if diameter_bound is not None else nx.diameter(graph)
-    m_count = graph.number_of_edges()
-    inputs = {node: {"diameter_bound": d} for node in graph.nodes()}
 
-    def stage_items(node: Node, shared: dict) -> None:
-        items = []
-        for neighbor in node.neighbors:
-            if repr(node.id) < repr(neighbor):  # each edge shipped once
-                items.append((repr(node.id), repr(neighbor), float(node.edge_weight(neighbor))))
-        shared["edge_items"] = items
-        shared["edge_capacity"] = m_count + 1
-
-    def solve(node: Node, shared: dict) -> None:
-        if shared["parent"] is not None:
-            shared["cut_weight"] = None
-            return
-        g = nx.Graph()
-        for u_repr, v_repr, w in shared["collected_edges"]:
-            g.add_edge(u_repr, v_repr, weight=w)
+    def solver(g: nx.Graph) -> float:
         if s is not None and t is not None:
-            value = nx.minimum_cut_value(g, repr(s), repr(t), capacity="weight")
-        else:
-            value, _ = nx.stoer_wagner(g, weight="weight")
-        shared["cut_weight"] = float(value)
+            return float(nx.minimum_cut_value(g, repr(s), repr(t), capacity="weight"))
+        value, _ = nx.stoer_wagner(g, weight="weight")
+        return float(value)
 
-    def finish(node: Node, shared: dict) -> None:
-        shared["output"] = shared["cut_weight"]
-
-    def factory() -> PhasedProgram:
-        return PhasedProgram(
-            [
-                LeaderElectionPhase(),
-                BfsTreePhase(),
-                LocalComputationPhase(stage_items),
-                PipelinedUpcastPhase("edge_items", "collected_edges", "edge_capacity"),
-                LocalComputationPhase(solve),
-                BroadcastPhase("cut_weight"),
-                LocalComputationPhase(finish),
-            ]
-        )
-
-    network = CongestNetwork(graph, factory, bandwidth=bandwidth, seed=seed, inputs=inputs)
-    result = network.run(max_rounds=500_000)
-    return float(result.unanimous_output()), result
+    answer, result = run_centralised(
+        graph,
+        solver,
+        bandwidth=bandwidth,
+        diameter_bound=diameter_bound,
+        seed=seed,
+        broadcast_chunks=1,
+    )
+    return float(answer), result

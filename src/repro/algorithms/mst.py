@@ -125,15 +125,14 @@ class BoruvkaMSTProgram(NodeProgram):
     iterations complete the MST.
     """
 
-    def __init__(self, flood_budget: int | None = None):
-        self.flood_budget = flood_budget
+    def __init__(self):
         self.state: _FragmentState | None = None
         self._sched: tuple[int, int, int] | None = None
 
     # Schedule bookkeeping -----------------------------------------------
 
     def _budget(self, node: Node) -> int:
-        return self.flood_budget if self.flood_budget is not None else node.n_nodes + 1
+        return node.n_nodes + 1
 
     def _iterations(self, node: Node) -> int:
         return max(1, math.ceil(math.log2(node.n_nodes)) + 1) if node.n_nodes > 1 else 1
@@ -142,9 +141,9 @@ class BoruvkaMSTProgram(NodeProgram):
         return 2 * self._budget(node) + 4
 
     def _schedule(self, node: Node) -> tuple[int, int, int]:
-        """(budget, iterations, iteration length) -- pure functions of the
-        instance parameters and ``n``, computed once per program instance
-        (``on_round``/``next_active_round`` run thousands of times)."""
+        """(budget, iterations, iteration length) -- pure functions of
+        ``n``, computed once per program instance (``on_round``/
+        ``next_active_round`` run thousands of times)."""
         sched = self._sched
         if sched is None:
             sched = self._sched = (
@@ -268,9 +267,8 @@ class ControlledBoruvkaPhase(Phase):
 
     name = "controlled-boruvka"
 
-    def __init__(self, cap: int | None = None, iterations: int | None = None):
+    def __init__(self, cap: int | None = None):
         self.cap = cap
-        self.iterations = iterations
         self._sched: tuple[int, int, int, int] | None = None
 
     def _schedule(self, node: Node) -> tuple[int, int, int, int]:
@@ -290,7 +288,7 @@ class ControlledBoruvkaPhase(Phase):
         return self.cap if self.cap is not None else max(2, math.ceil(math.sqrt(node.n_nodes)))
 
     def _iterations(self, node: Node) -> int:
-        return self.iterations if self.iterations is not None else max(1, math.ceil(math.log2(self._cap(node))) + 1)
+        return max(1, math.ceil(math.log2(self._cap(node))) + 1)
 
     def _budget(self, node: Node) -> int:
         # Fragment diameters stay below this budget: proposers need
@@ -425,7 +423,7 @@ class ControlledBoruvkaPhase(Phase):
 
     def on_exit(self, node: Node, shared: dict) -> None:
         shared["mst_neighbors"] = set(shared["frag_tree"])
-        for key in ("_nlabels", "_best_cand", "_dirty", "_ldirty", "_diam_est", "_proposals_in"):
+        for key in ("_nlabels", "_best_cand", "_dirty", "_ldirty", "_diam_est"):
             shared.pop(key, None)
 
     def idle_until(self, node: Node, round_in_phase: int, shared: dict) -> int | None:
@@ -632,19 +630,14 @@ class _OutputPhase(Phase):
 class GKPMSTProgram(PhasedProgram):
     """The full two-phase ``O~(sqrt(n) + D)`` MST algorithm."""
 
-    def __init__(self, cap: int | None = None, phase_b_iterations: int | None = None, capacity: int | None = None):
-        self._cap = cap
+    def __init__(self, phase_b_iterations: int, cap: int | None = None):
         phases: list[Phase] = [
             ControlledBoruvkaPhase(cap=cap),
             LeaderElectionPhase(),
             BfsTreePhase(),
-            _SetCapacityPhase(cap=cap, capacity=capacity),
+            _SetCapacityPhase(cap=cap),
         ]
-        iterations = phase_b_iterations
-        if iterations is None:
-            iterations = 20  # overwritten below when n is known; safe default
-        self._phase_b_iterations = phase_b_iterations
-        for _ in range(iterations):
+        for _ in range(phase_b_iterations):
             phases.extend(
                 [
                     _AnnounceLabelsPhase(),
@@ -666,17 +659,13 @@ class _SetCapacityPhase(Phase):
 
     name = "set-capacity"
 
-    def __init__(self, cap: int | None = None, capacity: int | None = None):
+    def __init__(self, cap: int | None = None):
         self.cap = cap
-        self.capacity = capacity
 
     def duration(self, node: Node, shared: dict) -> int:
         return 0
 
     def on_enter(self, node: Node, shared: dict) -> None:
-        if self.capacity is not None:
-            shared["phase_b_capacity"] = self.capacity
-            return
         cap = self.cap if self.cap is not None else max(2, math.ceil(math.sqrt(node.n_nodes)))
         # Phase A leaves ~ n / cap fragments; the pipeline carries one
         # proposal per fragment plus equivalence repairs, and the downcast
@@ -714,7 +703,6 @@ def run_boruvka_mst(
     max_rounds: int = 500_000,
     engine: str = "event",
     faults: "FaultPlan | None" = None,
-    fault_seed: int | None = None,
 ) -> tuple[set[frozenset], RunResult]:
     """Run Boruvka MST; returns (tree edges, run metrics).
 
@@ -731,7 +719,6 @@ def run_boruvka_mst(
         seed=seed,
         engine=engine,
         faults=faults,
-        fault_seed=fault_seed,
     )
     result = network.run(max_rounds=max_rounds)
     return collect_tree_edges(result.outputs), result

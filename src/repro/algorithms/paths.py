@@ -125,7 +125,6 @@ def run_refreshing_bellman_ford(
     refresh_every: int = 4,
     engine: str = "event",
     faults: FaultPlan | None = None,
-    fault_seed: int | None = None,
 ) -> tuple[dict[Hashable, float], RunResult]:
     """Run the refreshing (self-stabilising) Bellman-Ford to a fixed horizon.
 
@@ -144,7 +143,6 @@ def run_refreshing_bellman_ford(
         inputs=inputs,
         engine=engine,
         faults=faults,
-        fault_seed=fault_seed,
     )
     result = network.run(max_rounds=max_rounds)
     distances = {node: out[0] for node, out in result.outputs.items()}

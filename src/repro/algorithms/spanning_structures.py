@@ -276,7 +276,6 @@ def run_linear_size_spanner(
     engine: str = "event",
     max_rounds: int = 500_000,
     faults: "FaultPlan | None" = None,
-    fault_seed: int | None = None,
     include_edges: bool = False,
 ) -> tuple[dict, RunResult]:
     """Distributed linear-size spanner via pipelined centralisation.
@@ -330,7 +329,6 @@ def run_linear_size_spanner(
         engine=engine,
         max_rounds=max_rounds,
         faults=faults,
-        fault_seed=fault_seed,
         broadcast_chunks=broadcast_chunks,
     )
 

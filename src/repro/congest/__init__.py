@@ -44,7 +44,7 @@ from repro.congest.faults import (
     TopologyEvent,
 )
 from repro.congest.message import QubitPayload, Received, bit_size
-from repro.congest.network import BandwidthExceeded, CongestNetwork, RunResult, run_program
+from repro.congest.network import BandwidthExceeded, CongestNetwork, RunResult
 from repro.congest.node import Node, NodeProgram
 from repro.congest.topology import (
     dumbbell_graph,
@@ -65,7 +65,6 @@ __all__ = [
     "step_batch",
     "get_engine",
     "LinkTransport",
-    "run_program",
     "FaultPlan",
     "FaultyTransport",
     "FaultStats",

@@ -72,9 +72,6 @@ class RunResult:
     #: ``FaultPlan`` run stays byte-identical to a no-plan run.
     fault_stats: dict[str, int] | None = None
 
-    def output_values(self) -> set:
-        return set(self.outputs.values())
-
     def unanimous_output(self) -> Any:
         """The common output of all nodes; raises if nodes disagree."""
         values = {repr(v) for v in self.outputs.values()}
@@ -600,11 +597,11 @@ _ENGINES = {
 ENGINE_NAMES = tuple(_ENGINES)
 
 
-def get_engine(spec: str | Engine, threads: int | None = None) -> Engine:
+def get_engine(spec: str | Engine) -> Engine:
     """Resolve an engine spec: an :class:`Engine` instance or a name.
 
-    ``threads`` sizes the :class:`ParallelEngine` pool; it is ignored for
-    engines (and instances) that do not take a thread count.
+    A name builds the engine with its defaults; build a
+    :class:`ParallelEngine` directly to choose its ``threads``.
     """
     if isinstance(spec, Engine):
         return spec
@@ -612,6 +609,4 @@ def get_engine(spec: str | Engine, threads: int | None = None) -> Engine:
         cls = _ENGINES[spec]
     except KeyError:
         raise ValueError(f"unknown engine {spec!r}; known: {', '.join(ENGINE_NAMES)}") from None
-    if cls is ParallelEngine:
-        return ParallelEngine(threads=threads)
     return cls()

@@ -54,13 +54,13 @@ from __future__ import annotations
 import hashlib
 import random
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, NamedTuple
 
 import networkx as nx
 
 from repro.congest.transport import BandwidthExceeded
-from repro.obs.trace import Tracer, current_tracer
+from repro.obs.trace import current_tracer
 
 __all__ = [
     "CrashSpan",
@@ -96,7 +96,7 @@ class TopologyEvent(NamedTuple):
     weight: float = 1.0
 
 
-def apply_topology_event(graph: nx.Graph, event: TopologyEvent, weight: str = "weight") -> bool:
+def apply_topology_event(graph: nx.Graph, event: TopologyEvent) -> bool:
     """Apply one event to ``graph`` in place; returns whether it applied.
 
     Impossible events -- inserting an existing edge or a self-loop, deleting
@@ -109,7 +109,7 @@ def apply_topology_event(graph: nx.Graph, event: TopologyEvent, weight: str = "w
     if event.action == "insert":
         if u == v or u not in graph or v not in graph or graph.has_edge(u, v):
             return False
-        graph.add_edge(u, v, **{weight: event.weight})
+        graph.add_edge(u, v, weight=event.weight)
         return True
     if event.action == "delete":
         if not graph.has_edge(u, v):
@@ -223,10 +223,6 @@ class FaultPlan:
     def is_empty(self) -> bool:
         """True when the plan injects nothing (a transparent wrapper)."""
         return not (self.has_message_faults or self.crashes or self.topology_events)
-
-    def with_seed(self, seed: int) -> "FaultPlan":
-        """The same fault model under a different decision seed."""
-        return replace(self, seed=seed)
 
     def last_fault_round(self) -> int | None:
         """The last round at which this plan can still inject anything.
@@ -344,13 +340,13 @@ class FaultPlan:
 
     # -- derived artefacts -----------------------------------------------------
 
-    def final_graph(self, graph: nx.Graph, weight: str = "weight") -> nx.Graph:
+    def final_graph(self, graph: nx.Graph) -> nx.Graph:
         """A copy of ``graph`` with every topology event applied -- the
         topology the network has after the churn, which centralized
         recomputes (restabilization correctness checks) should target."""
         final = graph.copy()
         for event in self.topology_events:
-            apply_topology_event(final, event, weight=weight)
+            apply_topology_event(final, event)
         return final
 
     @classmethod
@@ -493,7 +489,8 @@ class FaultyTransport:
 
     With an empty plan the wrapper is transparent: every metric, trace
     line, and delivery is byte-identical to running on the inner transport
-    directly (asserted by the engine-equivalence suite).
+    directly (asserted by the engine-equivalence suite).  Fault events go
+    to the ambient tracer in effect when the wrapper is built.
 
     In strict mode the per-message bandwidth check fires at the wrapper's
     enqueue (identically to the bare transport); the per-edge flush check
@@ -501,11 +498,11 @@ class FaultyTransport:
     legitimately trip it -- strict runs should keep ``dup_prob`` at zero.
     """
 
-    def __init__(self, inner, plan: FaultPlan, trace: Tracer | None = None):
+    def __init__(self, inner, plan: FaultPlan):
         self.inner = inner
         self.plan = plan
         self.stats = FaultStats()
-        self.trace = trace if trace is not None else current_tracer()
+        self.trace = current_tracer()
         self.record_messages = inner.record_messages
         # The wrapper owns the program-send log; stop the inner transport
         # from duplicating it for the post-fault stream.

@@ -27,12 +27,15 @@ The implementation is split into three layers (see each module's docstring):
   engine exploits.
 
 :class:`CongestNetwork` wires the three together; pick the engine with the
-``engine="event"|"dense"|"parallel"|"columnar"`` kwarg (``engine_threads``
-sizes the parallel pool).  All engines produce identical
+``engine="event"|"dense"|"parallel"|"columnar"`` kwarg, or pass an
+:class:`~repro.congest.engine.Engine` instance (e.g. a ``ParallelEngine``
+with its own ``threads``).  All engines produce identical
 :class:`RunResult`\\ s for the same program -- ``dense`` is the reference
 to cross-check against, ``event`` the fast default, ``parallel`` the
 sharded stepper for hardware with real thread parallelism, ``columnar``
-the struct-of-arrays hot path for big message-heavy runs.
+the struct-of-arrays hot path for big message-heavy runs.  The network
+traces through the ambient tracer (:func:`repro.obs.use_tracer`) in effect
+when it is built.
 """
 
 from __future__ import annotations
@@ -47,9 +50,9 @@ from repro.congest.faults import FaultPlan, FaultyTransport, apply_topology_even
 from repro.congest.node import Node, NodeProgram
 from repro.congest.topology import build_adjacency, invalidate_adjacency
 from repro.congest.transport import BandwidthExceeded, LinkTransport
-from repro.obs.trace import Tracer, current_tracer
+from repro.obs.trace import current_tracer
 
-__all__ = ["BandwidthExceeded", "CongestNetwork", "RunResult", "run_program"]
+__all__ = ["BandwidthExceeded", "CongestNetwork", "RunResult"]
 
 
 class CongestNetwork:
@@ -63,22 +66,14 @@ class CongestNetwork:
         strict: bool = False,
         seed: int | None = None,
         inputs: dict[Hashable, Any] | None = None,
-        weight: str = "weight",
         engine: str | Engine = "event",
-        engine_threads: int | None = None,
         record_messages: bool = False,
-        trace: Tracer | None = None,
         faults: FaultPlan | None = None,
-        fault_seed: int | None = None,
     ):
         if graph.number_of_nodes() == 0:
             raise ValueError("network must have at least one node")
         if bandwidth < 1:
             raise ValueError("bandwidth must be at least 1")
-        if fault_seed is not None:
-            if faults is None:
-                raise ValueError("fault_seed requires a FaultPlan (faults=...)")
-            faults = faults.with_seed(fault_seed)
         if faults is not None and faults.topology_events:
             # The plan will mutate edges mid-run: work on a private copy so
             # the caller's graph (and its cached adjacency) stay pristine.
@@ -88,17 +83,16 @@ class CongestNetwork:
         self._fault_events_applied = 0
         self.bandwidth = bandwidth
         self.strict = strict
-        self.weight_key = weight
-        # ``trace=None`` means "whatever tracer is ambient" (the null tracer
-        # unless a ``repro.obs.use_tracer`` block is active), so sweeps can
-        # trace scenario-internal networks without new plumbing.
-        self.trace = trace if trace is not None else current_tracer()
+        # The ambient tracer (the null tracer unless a ``repro.obs.use_tracer``
+        # block is active), so sweeps trace scenario-internal networks
+        # without new plumbing.
+        self.trace = current_tracer()
         self._rng = random.Random(seed)
         self.n_nodes = graph.number_of_nodes()
         # Engine first: it declares the transport layout it runs against
         # (LinkTransport by default, the struct-of-arrays ColumnarTransport
         # for the columnar engine).
-        self.engine = get_engine(engine, threads=engine_threads)
+        self.engine = get_engine(engine)
         self.transport = self.engine.transport_class(
             bandwidth, strict=strict, record_messages=record_messages
         )
@@ -106,7 +100,7 @@ class CongestNetwork:
             # The fault seam sits between the engine and the transport it
             # asked for; even an empty plan goes through the wrapper so the
             # equivalence suite can assert the wrapper itself is transparent.
-            self.transport = FaultyTransport(self.transport, faults, trace=self.trace)
+            self.transport = FaultyTransport(self.transport, faults)
         if faults is not None and self.trace.enabled:
             for span in faults.crashes:
                 self.trace.event(
@@ -129,7 +123,7 @@ class CongestNetwork:
         self.current_round = 0
 
     def edge_weight(self, u: Hashable, v: Hashable) -> float:
-        return self.graph.edges[u, v].get(self.weight_key, 1.0)
+        return self.graph.edges[u, v].get("weight", 1.0)
 
     # -- metrics (owned by the transport) --------------------------------------
 
@@ -200,7 +194,7 @@ class CongestNetwork:
         while i < len(events) and events[i].round <= round_no:
             event = events[i]
             i += 1
-            if not apply_topology_event(self.graph, event, weight=self.weight_key):
+            if not apply_topology_event(self.graph, event):
                 continue
             mutated = True
             if event.action == "insert":
@@ -240,35 +234,3 @@ class CongestNetwork:
         """Bits still in flight (useful for quiescence assertions in tests)."""
         return self.transport.pending_traffic()
 
-
-def run_program(
-    graph: nx.Graph,
-    program_factory: Callable[[], NodeProgram],
-    bandwidth: int = 32,
-    inputs: dict[Hashable, Any] | None = None,
-    seed: int | None = None,
-    max_rounds: int = 100_000,
-    strict: bool = False,
-    engine: str | Engine = "event",
-    engine_threads: int | None = None,
-    record_messages: bool = False,
-    trace: Tracer | None = None,
-    faults: FaultPlan | None = None,
-    fault_seed: int | None = None,
-) -> RunResult:
-    """Convenience wrapper: build a network, run it, return the result."""
-    network = CongestNetwork(
-        graph,
-        program_factory,
-        bandwidth=bandwidth,
-        strict=strict,
-        seed=seed,
-        inputs=inputs,
-        engine=engine,
-        engine_threads=engine_threads,
-        record_messages=record_messages,
-        trace=trace,
-        faults=faults,
-        fault_seed=fault_seed,
-    )
-    return network.run(max_rounds=max_rounds)

@@ -5,7 +5,8 @@ Examples::
     python -m repro.experiments list
     python -m repro.experiments run fig3-mst-tradeoff --workers 4
     python -m repro.experiments run chsh-gamma2 --set restarts=1,4,16 --replicates 3
-    python -m repro.experiments run boruvka-mst-sweep --engine parallel --engine-threads 4
+    python -m repro.experiments run boruvka-mst-sweep --set engine=columnar
+    python -m repro.experiments run mst-under-faults --set fault_seed=7
     python -m repro.experiments report fig3-mst-tradeoff
     python -m repro.experiments report --format json | jq '.[].result'
     python -m repro.experiments report --html report-site
@@ -18,7 +19,9 @@ Telemetry (see ``docs/observability.md``)::
     python -m repro.experiments report --html report-site --trace traces/
 
 ``-v``/``-q`` (repeatable, before the subcommand) raise or lower the
-verbosity of the harness's ``repro.*`` loggers.
+verbosity of the harness's ``repro.*`` loggers.  Every scenario parameter,
+the CONGEST ``engine`` and the fault plan's ``fault_seed`` included, is set
+through ``--set``; giving the same key twice is an error.
 """
 
 from __future__ import annotations
@@ -90,25 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="grid axis override; repeatable; multiple values sweep that axis",
     )
     run.add_argument("--workers", type=int, default=1, help="process-pool size (1 = serial)")
-    run.add_argument(
-        "--engine",
-        default=None,
-        help="CONGEST engine axis (scenarios declaring an `engine` param only)",
-    )
-    run.add_argument(
-        "--engine-threads",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard threads for --engine parallel (0 = cpu count)",
-    )
-    run.add_argument(
-        "--fault-seed",
-        type=int,
-        default=None,
-        metavar="S",
-        help="fault-plan decision seed axis (scenarios declaring a `fault_seed` param only)",
-    )
     run.add_argument("--replicates", type=int, default=1, help="seeded replicates per grid point")
     run.add_argument("--base-seed", type=int, default=0, help="base seed for per-point derivation")
     run.add_argument("--timeout", type=float, default=None, help="per-task timeout in seconds")
@@ -209,14 +193,6 @@ def _cmd_list() -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     scn = get_scenario(args.scenario)
     grid = parse_axis_overrides(args.overrides)
-    # --engine/--engine-threads are sugar for grid axes; expand_grid rejects
-    # them with a clean error if the scenario does not declare the params.
-    if args.engine is not None:
-        grid["engine"] = [args.engine]
-    if args.engine_threads is not None:
-        grid["engine_threads"] = [args.engine_threads]
-    if args.fault_seed is not None:
-        grid["fault_seed"] = [args.fault_seed]
     points = expand_grid(scn, grid, replicates=args.replicates, base_seed=args.base_seed)
     store = None if args.no_store else ResultStore(args.store)
     print(

@@ -37,7 +37,7 @@ from repro.core.gamma2 import gamma2_dual
 from repro.core.nonlocal_games import chsh_game
 from repro.core.server_model import StructuredServerProtocol, two_party_simulation_of_server
 from repro.core.simulation_theorem import SimulationTheoremNetwork
-from repro.congest.engine import ENGINE_NAMES, Engine, get_engine
+from repro.congest.engine import ENGINE_NAMES, get_engine
 from repro.experiments.registry import ParamSpec, PlotSpec, scenario
 from repro.graphs.generators import (
     connect_nearest_components,
@@ -49,25 +49,12 @@ from repro.graphs.generators import (
 from repro.graphs.spatial import GridIndex
 
 
-#: Engine-selection axes shared by the CONGEST-heavy scenarios, so sweeps
-#: can put the execution engine itself on the grid (``--engine parallel
-#: --engine-threads 4`` at the CLI).  ``engine_threads = 0`` means the
-#: engine's own default (the host CPU count for ``parallel``).
-ENGINE_PARAMS = (
-    ParamSpec(
-        "engine", str, "event", "CONGEST engine: " + "|".join(ENGINE_NAMES), choices=ENGINE_NAMES
-    ),
-    ParamSpec("engine_threads", int, 0, "parallel-engine shard threads (0 = cpu count)"),
+#: The engine-selection axis shared by the CONGEST-heavy scenarios, so
+#: sweeps can put the execution engine itself on the grid (``--set
+#: engine=columnar`` at the CLI).
+ENGINE_PARAM = ParamSpec(
+    "engine", str, "event", "CONGEST engine: " + "|".join(ENGINE_NAMES), choices=ENGINE_NAMES
 )
-
-
-def _resolve_engine(engine: str, engine_threads: int) -> Engine:
-    """Build the engine instance a scenario point asked for.
-
-    An instance (not the name) so the scenario can read back introspection
-    counters such as ``node_steps`` after the run.
-    """
-    return get_engine(engine, threads=engine_threads if engine_threads > 0 else None)
 
 
 def _weighted_graph(n: int, extra_edge_prob: float, graph_seed: int, weight_seed: int) -> nx.Graph:
@@ -106,7 +93,7 @@ def _fig3_graph(
         ParamSpec("bandwidth", int, 128, "CONGEST bandwidth B for the GKP run"),
         ParamSpec("extra_edge_prob", float, 0.08, "extra-edge density of the random graph"),
         ParamSpec("graph_seed", int, 17, "topology seed (fixed across the W axis)"),
-        *ENGINE_PARAMS,
+        ENGINE_PARAM,
     ],
     default_grid={"aspect_ratio": [2.0, 32.0, 256.0, 1024.0, 8192.0]},
     tags=("mst", "congest", "fig3"),
@@ -143,7 +130,6 @@ def fig3_mst_tradeoff(
     extra_edge_prob: float,
     graph_seed: int,
     engine: str,
-    engine_threads: int,
 ) -> dict:
     """The paper's headline trade-off (Fig. 3): rounds vs aspect ratio W.
 
@@ -158,12 +144,8 @@ def fig3_mst_tradeoff(
     w = aspect_ratio
     graph = _fig3_graph(seed, n, aspect_ratio, extra_edge_prob, graph_seed)
 
-    _, elkin = run_elkin_approx_mst(
-        graph, alpha=alpha, engine=_resolve_engine(engine, engine_threads)
-    )
-    _, gkp = run_gkp_mst(
-        graph, bandwidth=bandwidth, engine=_resolve_engine(engine, engine_threads)
-    )
+    _, elkin = run_elkin_approx_mst(graph, alpha=alpha, engine=engine)
+    _, gkp = run_gkp_mst(graph, bandwidth=bandwidth, engine=engine)
     formula = fig3_curve(n, alpha, [w])[0]
     return {
         "W": w,
@@ -705,7 +687,7 @@ def simulation_theorem(
         ParamSpec("aspect_ratio", float, 32.0, "weight aspect ratio W"),
         ParamSpec("extra_edge_prob", float, 0.15, "extra-edge density of the random graph"),
         ParamSpec("bandwidth", int, 128, "CONGEST bandwidth B"),
-        *ENGINE_PARAMS,
+        ENGINE_PARAM,
     ],
     default_grid={"n": [30, 60, 120]},
     tags=("spanner", "skeleton", "congest", "elkin-matar"),
@@ -740,7 +722,6 @@ def spanner_skeleton(
     extra_edge_prob: float,
     bandwidth: int,
     engine: str,
-    engine_threads: int,
 ) -> dict:
     """Greedy (2k-1)-spanner of a random weighted graph, solved centrally.
 
@@ -757,7 +738,7 @@ def spanner_skeleton(
         n, aspect_ratio=aspect_ratio, extra_edge_prob=extra_edge_prob, seed=seed
     )
     k = stretch_k if stretch_k >= 1 else max(1, math.ceil(math.log2(n)))
-    engine_obj = _resolve_engine(engine, engine_threads)
+    engine_obj = get_engine(engine)  # an instance, to read back ``node_steps``
     summary, run = run_linear_size_spanner(graph, k, bandwidth=bandwidth, engine=engine_obj)
     node_steps = getattr(engine_obj, "node_steps", None)
     dense_steps = n * run.rounds
@@ -861,7 +842,7 @@ def _boruvka_instance(
         ParamSpec("extra_edge_prob", float, 0.08, "extra-edge density (random generator)"),
         ParamSpec("aspect_ratio", float, 64.0, "weight aspect ratio W (uniform model)"),
         ParamSpec("bandwidth", int, 128, "CONGEST bandwidth B"),
-        *ENGINE_PARAMS,
+        ENGINE_PARAM,
     ],
     default_grid={
         "generator": ["random", "grid", "geometric"],
@@ -903,7 +884,6 @@ def boruvka_mst_sweep(
     aspect_ratio: float,
     bandwidth: int,
     engine: str,
-    engine_threads: int,
 ) -> dict:
     """Distributed Borůvka over SEL-Columbia/NetworkBuild-style instances.
 
@@ -917,7 +897,7 @@ def boruvka_mst_sweep(
     reference = sum(
         d["weight"] for _, _, d in nx.minimum_spanning_tree(graph).edges(data=True)
     )
-    engine_obj = _resolve_engine(engine, engine_threads)
+    engine_obj = get_engine(engine)  # an instance, to read back ``node_steps``
     edges, run = run_boruvka_mst(graph, bandwidth=bandwidth, seed=seed, engine=engine_obj)
     weight = tree_weight(graph, edges)
     return {
@@ -1146,7 +1126,7 @@ FAULT_PARAMS = (
         ParamSpec("crash_length", int, 8, "rounds each crashed node stays down"),
         ParamSpec("round_budget", int, 4000, "round budget for the faulted attempt"),
         *FAULT_PARAMS,
-        *ENGINE_PARAMS,
+        ENGINE_PARAM,
     ],
     default_grid={"drop_prob": [0.0, 0.02, 0.05, 0.1]},
     tags=("faults", "mst", "congest", "self-stabilization"),
@@ -1184,7 +1164,6 @@ def mst_under_faults(
     reorder_prob: float,
     fault_window: int,
     engine: str,
-    engine_threads: int,
 ) -> dict:
     """Boruvka fragment merging is not self-stabilising: a dropped merge
     message stalls its fragment forever.  The honest recovery protocol is
@@ -1194,8 +1173,7 @@ def mst_under_faults(
     rounds/bits to a *correct* tree vs the fault-free baseline.
     """
     graph = _weighted_graph(n, extra_edge_prob, graph_seed=seed, weight_seed=seed + 1)
-    engine_obj = _resolve_engine(engine, engine_threads)
-    clean_edges, clean = run_boruvka_mst(graph, bandwidth=bandwidth, engine=engine_obj)
+    clean_edges, clean = run_boruvka_mst(graph, bandwidth=bandwidth, engine=engine)
     expected = {frozenset(e) for e in nx.minimum_spanning_tree(graph).edges()}
     assert clean_edges == expected, "fault-free Boruvka diverged from the centralized MST"
 
@@ -1209,18 +1187,15 @@ def mst_under_faults(
         crash_length=crash_length,
         window=(1, fault_window),
     )
-    faulted_engine = _resolve_engine(engine, engine_threads)
     faulted_edges, faulted = run_boruvka_mst(
-        graph, bandwidth=bandwidth, engine=faulted_engine, faults=plan, max_rounds=round_budget
+        graph, bandwidth=bandwidth, engine=engine, faults=plan, max_rounds=round_budget
     )
     correct_first_try = faulted.halted and faulted_edges == expected
     total_rounds = faulted.rounds
     total_bits = faulted.total_bits
     if not correct_first_try:
         # Detect-and-restart: rerun fault-free once the faults subside.
-        restart_edges, restart = run_boruvka_mst(
-            graph, bandwidth=bandwidth, engine=_resolve_engine(engine, engine_threads)
-        )
+        restart_edges, restart = run_boruvka_mst(graph, bandwidth=bandwidth, engine=engine)
         assert restart_edges == expected, "restarted Boruvka diverged from the centralized MST"
         total_rounds += restart.rounds
         total_bits += restart.total_bits
@@ -1258,7 +1233,7 @@ def mst_under_faults(
         ParamSpec("n_edge_inserts", int, 2, "edges inserted mid-run (insert-only churn)"),
         ParamSpec("settle_rounds", int, 80, "measurement horizon past the last fault"),
         *FAULT_PARAMS,
-        *ENGINE_PARAMS,
+        ENGINE_PARAM,
     ],
     default_grid={"drop_prob": [0.0, 0.05, 0.1, 0.2]},
     tags=("faults", "bfs", "congest", "self-stabilization"),
@@ -1298,7 +1273,6 @@ def bfs_restabilization(
     reorder_prob: float,
     fault_window: int,
     engine: str,
-    engine_threads: int,
 ) -> dict:
     """The genuinely self-stabilising member of the family: periodic
     refresh broadcasts heal drops, duplicate/reorder noise, crash naps and
@@ -1331,7 +1305,7 @@ def bfs_restabilization(
         weighted=False,
         max_rounds=horizon,
         refresh_every=refresh_every,
-        engine=_resolve_engine(engine, engine_threads),
+        engine=engine,
     )
     distances, faulted = run_refreshing_bellman_ford(
         graph,
@@ -1340,7 +1314,7 @@ def bfs_restabilization(
         weighted=False,
         max_rounds=horizon,
         refresh_every=refresh_every,
-        engine=_resolve_engine(engine, engine_threads),
+        engine=engine,
         faults=plan,
     )
     expected = nx.single_source_shortest_path_length(plan.final_graph(graph), source)
@@ -1377,7 +1351,7 @@ def bfs_restabilization(
         ParamSpec("churn_events", int, 2, "edge deletions and insertions each, mid-run"),
         ParamSpec("round_budget", int, 6000, "round budget for the churned attempt"),
         *FAULT_PARAMS,
-        *ENGINE_PARAMS,
+        ENGINE_PARAM,
     ],
     default_grid={"churn_events": [0, 1, 2, 4]},
     tags=("faults", "spanner", "congest", "elkin-matar", "self-stabilization"),
@@ -1415,7 +1389,6 @@ def spanner_churn(
     reorder_prob: float,
     fault_window: int,
     engine: str,
-    engine_threads: int,
 ) -> dict:
     """The pipelined-centralisation spanner snapshots the graph at upcast
     time, so churn after the snapshot leaves the broadcast skeleton stale.
@@ -1430,7 +1403,7 @@ def spanner_churn(
         graph,
         k,
         bandwidth=bandwidth,
-        engine=_resolve_engine(engine, engine_threads),
+        engine=engine,
         include_edges=True,
     )
     plan = FaultPlan.generate(
@@ -1448,7 +1421,7 @@ def spanner_churn(
         graph,
         k,
         bandwidth=bandwidth,
-        engine=_resolve_engine(engine, engine_threads),
+        engine=engine,
         max_rounds=round_budget,
         faults=plan,
         include_edges=True,
@@ -1468,7 +1441,7 @@ def spanner_churn(
             final,
             k,
             bandwidth=bandwidth,
-            engine=_resolve_engine(engine, engine_threads),
+            engine=engine,
             include_edges=True,
         )
         assert rebuilt_summary["edges"] == expected_edges, (

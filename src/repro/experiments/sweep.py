@@ -119,7 +119,12 @@ def expand_grid(
 
 
 def parse_axis_overrides(assignments: list[str]) -> dict[str, list[str]]:
-    """Parse CLI ``--set key=v1,v2,...`` strings into grid axes."""
+    """Parse CLI ``--set key=v1,v2,...`` strings into grid axes.
+
+    Each key may appear once: a second ``--set`` of the same key is an
+    error, not an override, so no value given on the command line is
+    silently dropped.
+    """
     grid: dict[str, list[str]] = {}
     for assignment in assignments:
         if "=" not in assignment:
@@ -128,7 +133,13 @@ def parse_axis_overrides(assignments: list[str]) -> dict[str, list[str]]:
         key = key.strip()
         if not key:
             raise ValueError(f"--set expects key=value[,value...], got {assignment!r}")
-        grid[key] = [v.strip() for v in raw.split(",") if v.strip() != ""]
-        if not grid[key]:
+        values = [v.strip() for v in raw.split(",") if v.strip() != ""]
+        if not values:
             raise ValueError(f"--set {key}= has no values")
+        if key in grid:
+            raise ValueError(
+                f"--set {key} given twice; list its values once: "
+                f"--set {key}={','.join(grid[key] + values)}"
+            )
+        grid[key] = values
     return grid

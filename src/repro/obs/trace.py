@@ -1,8 +1,7 @@
 """The tracer API and JSONL trace format for the telemetry subsystem.
 
-One :class:`Tracer` carries every signal the stack emits -- counters,
-events, task transitions, per-round engine samples and end-of-run
-summaries.
+One :class:`Tracer` carries every signal the stack emits -- events,
+task transitions, per-round engine samples and end-of-run summaries.
 The base class is the **no-op null tracer**: every method does nothing and
 ``enabled`` is ``False``, so hot paths guard their sample construction with
 one attribute check and pay nothing when tracing is off (asserted by a
@@ -26,7 +25,6 @@ Concrete tracers:
 kind        fields
 ==========  =================================================================
 ``meta``    ``schema``, ``source``, ``unix_time``, ``pid`` + free attrs
-``counter`` ``name``, ``value`` (an increment) + free attrs
 ``event``   ``name`` + free attrs
 ``round``   ``round``, ``active``, ``delivered``, ``moved_bits``,
             ``sent_msgs``, ``sent_bits`` -- one engine round
@@ -83,10 +81,6 @@ class Tracer:
 
     def emit(self, kind: str, **fields) -> None:
         """Record one trace line of the given kind (no-op here)."""
-
-    def counter(self, name: str, value: float = 1, **attrs) -> None:
-        """Record an increment of a named counter."""
-        self.emit("counter", name=name, value=value, **attrs)
 
     def event(self, name: str, **attrs) -> None:
         """Record a point-in-time occurrence."""
@@ -337,19 +331,14 @@ def summarize_trace(events: list[dict[str, Any]]) -> dict[str, Any]:
 
     The summary is the contract the CLI (``trace summarize``), the tests
     and the timeline page all read: round/skip totals that must match the
-    engine's ``RunResult`` metrics exactly, counter and named-event
-    totals, task state tallies and the totals of the per-point ``gc``
-    events (collections per generation, objects collected, seconds in
-    the exit collections).
+    engine's ``RunResult`` metrics exactly, named-event totals, task
+    state tallies and the totals of the per-point ``gc`` events
+    (collections per generation, objects collected, seconds in the exit
+    collections).
     """
     rounds = [e for e in events if e["kind"] == "round"]
     skips = [e for e in events if e["kind"] == "skip"]
     runs = [e for e in events if e["kind"] == "run"]
-    counters: dict[str, float] = {}
-    for e in events:
-        if e["kind"] == "counter":
-            name = e.get("name", "?")
-            counters[name] = counters.get(name, 0) + e.get("value", 1)
     named_events: dict[str, int] = {}
     for e in events:
         if e["kind"] == "event":
@@ -379,7 +368,6 @@ def summarize_trace(events: list[dict[str, Any]]) -> dict[str, Any]:
             {k: r.get(k) for k in ("engine", "rounds", "skipped_rounds", "node_steps", "total_bits", "total_msgs", "halted")}
             for r in runs
         ],
-        "counters": {k: counters[k] for k in sorted(counters)},
         "events": {k: named_events[k] for k in sorted(named_events)},
         "task_states": {k: tasks[k] for k in sorted(tasks)},
         "gc": {

@@ -289,6 +289,31 @@ class TestMinCut:
         expected = nx.minimum_cut_value(graph, 0, 5, capacity="weight")
         assert value == pytest.approx(expected)
 
+    @pytest.mark.parametrize(
+        "seed, s, t, rounds, bits, messages",
+        [
+            (15, None, None, 43, 13198, 188),
+            (15, 0, 5, 43, 13198, 188),
+            (16, None, None, 44, 13285, 192),
+            (16, 0, 5, 44, 13285, 192),
+        ],
+    )
+    def test_costs_of_a_one_chunk_broadcast(self, seed, s, t, rounds, bits, messages):
+        """The answer is one float, so it is broadcast in one chunk per hop:
+        a longer broadcast (``run_centralised``'s default of 8 chunks)
+        would cost more rounds for the same cut."""
+        graph = weighted(random_connected_graph(10, extra_edge_prob=0.4, seed=seed), seed=seed)
+        value, result = run_centralised_mincut(graph, s=s, t=t)
+        if s is None:
+            expected, _ = nx.stoer_wagner(graph, weight="weight")
+        else:
+            expected = nx.minimum_cut_value(graph, s, t, capacity="weight")
+        assert value == pytest.approx(expected)
+        assert (result.rounds, result.total_bits, result.total_messages) == (
+            rounds, bits, messages,
+        )
+        assert result.halted and result.max_edge_bits_per_round <= 128
+
 
 class TestDistributedDisjointness:
     def setup_method(self):

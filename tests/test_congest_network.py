@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.congest.message import QubitPayload, bit_size
-from repro.congest.network import BandwidthExceeded, CongestNetwork, run_program
+from repro.congest.network import BandwidthExceeded, CongestNetwork
 from repro.congest.node import Node, NodeProgram
 
 
@@ -206,31 +206,31 @@ class TestBitSize:
 class TestExecution:
     def test_flood_measures_distance(self):
         graph = nx.path_graph(6)
-        result = run_program(graph, FloodProgram, bandwidth=64)
+        result = CongestNetwork(graph, FloodProgram, bandwidth=64).run()
         assert result.halted
         assert result.outputs[5] == 5  # distance from node 0
         assert result.outputs[1] == 1
 
     def test_message_arrives_next_round(self):
         graph = nx.path_graph(2)
-        result = run_program(graph, EchoOnce, bandwidth=64)
+        result = CongestNetwork(graph, EchoOnce, bandwidth=64).run()
         assert result.rounds == 1
         assert result.outputs[1] == "got"
 
     def test_big_message_takes_multiple_rounds(self):
         graph = nx.path_graph(2)
-        result = run_program(graph, BigSender, bandwidth=10)
+        result = CongestNetwork(graph, BigSender, bandwidth=10).run()
         # 100 bits over B=10 takes 10 rounds to traverse the single edge.
         assert result.outputs[1] == 10
 
     def test_strict_mode_rejects_oversize(self):
         graph = nx.path_graph(2)
         with pytest.raises(BandwidthExceeded):
-            run_program(graph, BigSender, bandwidth=10, strict=True)
+            CongestNetwork(graph, BigSender, bandwidth=10, strict=True).run()
 
     def test_metrics_accumulate(self):
         graph = nx.cycle_graph(5)
-        result = run_program(graph, FloodProgram, bandwidth=64)
+        result = CongestNetwork(graph, FloodProgram, bandwidth=64).run()
         assert result.total_messages >= 5
         assert result.total_bits >= result.total_messages
         assert result.max_edge_bits_per_round <= 64
@@ -245,7 +245,7 @@ class TestExecution:
             def on_round(self, node, round_no, inbox):
                 pass
 
-        result = run_program(graph, Fixed)
+        result = CongestNetwork(graph, Fixed).run()
         assert result.unanimous_output() == "same"
 
     def test_unanimous_raises_on_disagreement(self):
@@ -258,7 +258,7 @@ class TestExecution:
             def on_round(self, node, round_no, inbox):
                 pass
 
-        result = run_program(graph, ById)
+        result = CongestNetwork(graph, ById).run()
         with pytest.raises(ValueError):
             result.unanimous_output()
 
@@ -289,7 +289,7 @@ class TestExecution:
                 node.halt()
 
         with pytest.raises(ValueError):
-            run_program(graph, Bad)
+            CongestNetwork(graph, Bad).run()
 
     def test_halted_node_cannot_send(self):
         graph = nx.path_graph(2)
@@ -308,7 +308,7 @@ class TestExecution:
             def on_round(self, node, round_no, inbox):
                 pass
 
-        result = run_program(graph, ReadInput, inputs={0: "a", 1: "b"})
+        result = CongestNetwork(graph, ReadInput, inputs={0: "a", 1: "b"}).run()
         assert result.outputs == {0: "a", 1: "b"}
 
     def test_message_log_records_rounds(self):
@@ -343,7 +343,7 @@ class TestExecution:
         graph = nx.path_graph(2)
         for engine in ("dense", "event", "columnar"):
             with pytest.raises(BandwidthExceeded):
-                run_program(graph, BigSender, bandwidth=10, strict=True, engine=engine)
+                CongestNetwork(graph, BigSender, bandwidth=10, strict=True, engine=engine).run()
 
 
 class TestEngineNames:
@@ -358,7 +358,7 @@ class TestEngineNames:
         assert type(network.transport) is network.engine.transport_class
         assert isinstance(network.transport, ColumnarTransport) == (name == "columnar")
         result = network.run()
-        reference = run_program(nx.path_graph(5), FloodProgram, engine="dense")
+        reference = CongestNetwork(nx.path_graph(5), FloodProgram, engine="dense").run()
         assert (result.rounds, result.outputs) == (reference.rounds, reference.outputs)
         assert result.per_round_bits == reference.per_round_bits
 

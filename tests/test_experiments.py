@@ -334,7 +334,7 @@ class TestBoruvkaMstSweepScenario:
         for engine in ("dense", "event", "parallel", "columnar"):
             params = scn.resolve_params(
                 {"n": 16, "generator": "geometric", "weight_model": "distinct",
-                 "engine": engine, "engine_threads": 2}
+                 "engine": engine}
             )
             results[engine] = scn.run(params, seed=5)
         for engine in ("event", "parallel", "columnar"):
@@ -347,6 +347,20 @@ class TestBoruvkaMstSweepScenario:
             scn.run(scn.resolve_params({"generator": "bogus"}), seed=0)
         with pytest.raises(ValueError, match="unknown weight model"):
             scn.run(scn.resolve_params({"weight_model": "bogus"}), seed=0)
+
+
+class TestBfsRestabilizationScenario:
+    def test_fault_seed_axis_seeds_the_plan(self):
+        """At a fixed point seed (so a fixed graph), only the plan's seed
+        differs: the same ``fault_seed`` repeats the result, another one
+        changes it."""
+        scn = get_scenario("bfs-restabilization")
+        results = [
+            scn.run(scn.resolve_params({"n": 12, "drop_prob": 0.2, "fault_seed": s}), seed=3)
+            for s in (0, 0, 1)
+        ]
+        assert results[0] == results[1]
+        assert results[0] != results[2]
 
 
 class TestGadgetReductionsScenario:
@@ -395,33 +409,56 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "3 cached, 0 executed, 0 failed" in out
 
-    def test_engine_flags_become_grid_axes(self, capsys):
+    def test_engine_flags_become_grid_axes(self, tmp_path, capsys):
+        store = tmp_path / "store"
         argv = [
-            "run", "boruvka-mst-sweep", "--no-store",
+            "run", "boruvka-mst-sweep", "--store", str(store),
             "--set", "n=12", "--set", "generator=random", "--set", "weight_model=distinct",
-            "--engine", "parallel", "--engine-threads", "2",
+            "--set", "engine=columnar",
         ]
         assert cli_main(argv) == 0
-        out = capsys.readouterr().out
-        assert "'engine': 'parallel'" in out
-        assert "'engine_threads': 2" in out
-        # Scenarios without an engine param reject the flag cleanly.
-        assert cli_main(["run", "test-echo", "--no-store", "--engine", "dense"]) == 2
+        (path,) = (store / "boruvka-mst-sweep").glob("*.json")
+        record = json.loads(path.read_text())
+        assert record["params"]["engine"] == "columnar"
+        assert set(record["params"]) == {
+            spec.name for spec in get_scenario("boruvka-mst-sweep").params
+        }
+        assert record["result"]["engine"] == "columnar" and record["result"]["exact"]
+        # Scenarios without an engine param reject the axis cleanly.
+        assert cli_main(["run", "test-echo", "--no-store", "--set", "engine=dense"]) == 2
         assert "unknown grid axis" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("style", ["set", "flag"])
     @pytest.mark.parametrize(
         "engine", ["colunmar", "auto", "Columnar", "numpy", "event,auto"]
     )
-    def test_unknown_engine_fails_before_any_point_runs(self, tmp_path, capsys, engine, style):
+    def test_unknown_engine_fails_before_any_point_runs(self, tmp_path, capsys, engine):
         store = tmp_path / "store"
-        flags = ["--set", f"engine={engine}"] if style == "set" else ["--engine", engine]
-        argv = ["run", "boruvka-mst-sweep", "--set", "n=12", "--store", str(store), *flags]
+        argv = [
+            "run", "boruvka-mst-sweep", "--set", "n=12", "--store", str(store),
+            "--set", f"engine={engine}",
+        ]
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: unknown engine")
         assert len(err.splitlines()) == 1
         assert not store.exists() or not any(store.rglob("*.json"))
+
+    @pytest.mark.parametrize(
+        "second", ["restarts=2", " restarts = 2"], ids=["same-spelling", "padded"]
+    )
+    def test_repeated_set_key_fails_before_any_point_runs(self, tmp_path, capsys, second):
+        store = tmp_path / "store"
+        argv = [
+            "run", "chsh-gamma2", "--set", "restarts=1", "--set", second,
+            "--store", str(store),
+        ]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: --set restarts given twice; list its values once: --set restarts=1,2\n"
+        )
+        assert "sweep" not in captured.out
+        assert not store.exists()
 
     @pytest.mark.parametrize(
         "scenario_name, axes",
@@ -447,9 +484,8 @@ class TestCLI:
 
     def test_engine_help_lists_every_engine_name(self):
         from repro.congest.engine import ENGINE_NAMES
-        from repro.experiments.scenarios import ENGINE_PARAMS
+        from repro.experiments.scenarios import ENGINE_PARAM as engine
 
-        (engine,) = [spec for spec in ENGINE_PARAMS if spec.name == "engine"]
         assert engine.default in ENGINE_NAMES
         assert engine.help.endswith("|".join(ENGINE_NAMES))
 

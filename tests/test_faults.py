@@ -12,6 +12,8 @@ Covers the three seams the layer adds under the engines:
   to the dense reference, which never skips).
 """
 
+from dataclasses import replace
+
 import networkx as nx
 import pytest
 
@@ -25,7 +27,7 @@ from repro.congest.faults import (
     TopologyEvent,
     apply_topology_event,
 )
-from repro.congest.network import CongestNetwork, run_program
+from repro.congest.network import CongestNetwork
 from repro.congest.node import NodeProgram
 from repro.congest.transport import LinkTransport
 from repro.graphs.generators import random_connected_graph
@@ -99,7 +101,7 @@ class TestFaultPlanValue:
 
     def test_different_seeds_make_different_decisions(self):
         a = FaultPlan(seed=0, drop_prob=0.5)
-        b = a.with_seed(1)
+        b = replace(a, seed=1)
         assert b.seed == 1 and b.drop_prob == 0.5
         seq_a = [a.decision("drop", r, 0, 1, i) for r in range(10) for i in range(10)]
         seq_b = [b.decision("drop", r, 0, 1, i) for r in range(10) for i in range(10)]
@@ -517,11 +519,11 @@ class TestSkipAccountingUnderFaults:
 
         graph = nx.path_graph(5)
         plan = FaultPlan(crashes=((3, 40, 70),))
-        dense = run_program(
-            graph, OneShot, bandwidth=8, max_rounds=100, engine="dense", faults=plan
+        dense = CongestNetwork(graph, OneShot, bandwidth=8, engine="dense", faults=plan).run(
+            max_rounds=100
         )
-        event = run_program(
-            graph, OneShot, bandwidth=8, max_rounds=100, engine="event", faults=plan
+        event = CongestNetwork(graph, OneShot, bandwidth=8, engine="event", faults=plan).run(
+            max_rounds=100
         )
         _assert_results_match(dense, event)
         assert event.rounds == 100
@@ -570,22 +572,10 @@ class TestRecoveryCorrectness:
 
 
 class TestNetworkFaultApi:
-    def test_fault_seed_requires_a_plan(self):
-        with pytest.raises(ValueError, match="fault_seed requires a FaultPlan"):
-            CongestNetwork(nx.path_graph(3), NodeProgram, bandwidth=8, fault_seed=7)
-
-    def test_fault_seed_overrides_the_plan_seed(self):
-        plan = FaultPlan(seed=0, drop_prob=0.3)
-        network = CongestNetwork(
-            nx.path_graph(3), NodeProgram, bandwidth=8, faults=plan, fault_seed=42
-        )
-        assert network.faults.seed == 42
-        assert network.faults.drop_prob == 0.3
-
     def test_no_plan_has_no_fault_stats(self):
         class Silent(NodeProgram):
             def on_round(self, node, round_no, inbox):
                 pass
 
-        result = run_program(nx.path_graph(3), Silent, max_rounds=3)
+        result = CongestNetwork(nx.path_graph(3), Silent).run(max_rounds=3)
         assert result.fault_stats is None

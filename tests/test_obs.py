@@ -56,6 +56,17 @@ class TestNullTracer:
         assert isinstance(net.trace, Tracer)
         assert net.trace.enabled is False
 
+    def test_network_and_fault_wrapper_take_the_ambient_tracer(self):
+        from repro.congest.faults import FaultPlan
+
+        tracer = CollectingTracer()
+        with use_tracer(tracer):
+            net = CongestNetwork(_graph(6), lambda: None, faults=FaultPlan(drop_prob=0.1))
+        assert net.trace is tracer and net.transport.trace is tracer
+        # The tracer is the one in effect when the network is built.
+        later = CongestNetwork(_graph(6), lambda: None, faults=FaultPlan(drop_prob=0.1))
+        assert later.trace.enabled is False and later.transport.trace is later.trace
+
     def test_hot_path_allocates_nothing(self):
         tracer = Tracer()
         # Warm up method binding and any lazy module state first.
@@ -75,7 +86,7 @@ class TestNullTracer:
             before = tracemalloc.take_snapshot().filter_traces(filters)
             for i in range(500):
                 tracer.emit("round", round=i, active=3, sent_bits=64)
-                tracer.counter("messages", 2)
+                tracer.event("messages", count=2)
                 tracer.task("running", i)
             gc.collect()
             after = tracemalloc.take_snapshot().filter_traces(filters)

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on the core invariants."""
 
 import math
+from dataclasses import replace
 
 import networkx as nx
 import pytest
@@ -153,7 +154,7 @@ class TestFaultDeterminismProperties:
         assert draws == [twin.decision(*args) for args in grid]
         assert all(0.0 <= d < 1.0 for d in draws)
         if other_seed != seed:
-            other = plan.with_seed(other_seed)
+            other = replace(plan, seed=other_seed)
             assert draws != [other.decision(*args) for args in grid]
 
     @given(st.integers(0, 2_000))
@@ -184,7 +185,7 @@ class TestFaultDeterminismProperties:
         graph = random_connected_graph(12, extra_edge_prob=0.2, seed=5)
         source = min(graph.nodes())
         plan = FaultPlan.generate(
-            graph, seed=0, drop_prob=0.15, n_crashes=1, crash_length=4,
+            graph, seed=fault_seed, drop_prob=0.15, n_crashes=1, crash_length=4,
             window=(1, 15), protect=[source],
         )
         runs = {}
@@ -194,7 +195,7 @@ class TestFaultDeterminismProperties:
         ):
             dists, result = run_refreshing_bellman_ford(
                 graph, source, weighted=False, max_rounds=30,
-                engine=engine, faults=plan, fault_seed=fault_seed,
+                engine=engine, faults=plan,
             )
             runs[name] = (dists, result)
         dists_e, result_e = runs["event"]
@@ -212,7 +213,7 @@ class TestFaultDeterminismProperties:
         from repro.congest.faults import FaultPlan
 
         plan = FaultPlan(seed=fault_seed, drop_prob=0.5)
-        other = plan.with_seed(fault_seed + 1)
+        other = replace(plan, seed=fault_seed + 1)
         grid = [(r, 0, 1, i) for r in range(1, 11) for i in range(10)]
         assert [plan.drop(*g) for g in grid] != [other.drop(*g) for g in grid]
 
