@@ -16,7 +16,7 @@ from repro.core.nonlocal_games import (
     chsh_game,
     predicted_xor_win_probability,
 )
-from tests.test_core_server_model import make_xor_exchange_protocol
+from repro.core.server_model import streamed_xor_protocol
 
 
 def test_chsh_biases(benchmark):
@@ -34,7 +34,7 @@ def test_chsh_biases(benchmark):
 
 
 def test_lemma_3_2_simulation(benchmark):
-    protocol = make_xor_exchange_protocol(2)
+    protocol = streamed_xor_protocol(2)
     strategy = AbortSimulationStrategy(protocol, mode="xor")
     x, y = (1, 0), (1, 1)
     expected_output = protocol.run(x, y).output
@@ -108,7 +108,7 @@ def test_gap_equality_bounds(benchmark):
 
 def test_two_party_server_equivalence(benchmark):
     """Section 3.1: the classical simulation costs exactly the same bits."""
-    protocol = make_xor_exchange_protocol(5)
+    protocol = streamed_xor_protocol(5)
 
     def run():
         from repro.core.server_model import two_party_simulation_of_server

@@ -11,7 +11,8 @@ Every lower bound in the paper is matched against a classical algorithm:
 - the [DHK+12] verification suite (:mod:`repro.algorithms.verification`);
 - distributed Set Disjointness, classical vs. Grover-quantum (Example 1.1)
   (:mod:`repro.algorithms.disjointness`);
-- minimum cut via pipelined centralisation (:mod:`repro.algorithms.mincut`).
+- a linear-size spanner skeleton via pipelined centralisation
+  (:mod:`repro.algorithms.spanning_structures`).
 
 All algorithms run on the :mod:`repro.congest` simulator and report measured
 rounds/bits, which the benchmarks lay against the closed-form bounds of
@@ -29,13 +30,7 @@ from repro.algorithms.framework import (
 )
 from repro.algorithms.centralised import run_centralised
 from repro.algorithms.mst import run_boruvka_mst, run_gkp_mst
-from repro.algorithms.paths import run_bellman_ford, run_bfs_distances
-from repro.algorithms.spanning_structures import (
-    run_min_routing_cost_tree,
-    run_shallow_light_tree,
-    run_shortest_st_path,
-    run_steiner_forest,
-)
+from repro.algorithms.paths import run_bellman_ford
 
 __all__ = [
     "PhasedProgram",
@@ -48,10 +43,5 @@ __all__ = [
     "run_boruvka_mst",
     "run_gkp_mst",
     "run_bellman_ford",
-    "run_bfs_distances",
     "run_centralised",
-    "run_shallow_light_tree",
-    "run_min_routing_cost_tree",
-    "run_steiner_forest",
-    "run_shortest_st_path",
 ]

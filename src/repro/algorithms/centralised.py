@@ -1,15 +1,15 @@
-"""Pipelined-centralisation skeleton for the remaining Corollary 3.9 problems.
+"""The pipelined-centralisation skeleton (cf. [Pel00] pipelining).
 
-The pattern (standard in the CONGEST literature, cf. [Pel00] pipelining):
-elect a leader, build a BFS tree, upcast every node's incident edge list in
-``O(D + m)`` rounds, solve centrally, broadcast the solution.  The measured
-round counts honestly dominate the Theorem 3.8 lower bound (which is all the
-benchmarks assert) even though specialised algorithms can do better.
+Elect a leader, build a BFS tree, upcast every node's incident edge list in
+``O(D + m)`` rounds, solve centrally, broadcast the solution.  Its one
+caller is the linear-size spanner of
+:mod:`repro.algorithms.spanning_structures`, the gather-and-solve baseline
+the ``spanner-skeleton`` and ``spanner-churn`` scenarios run.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable
+from typing import Any, Callable
 
 import networkx as nx
 

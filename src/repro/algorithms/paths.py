@@ -1,9 +1,12 @@
-"""Distributed shortest paths: Bellman-Ford and BFS layering.
+"""Distributed shortest paths: Bellman-Ford and its self-stabilising variant.
 
 The ``s``-source distance / shortest-path-tree problems of Corollary 3.9.
 Distributed Bellman-Ford is the textbook upper bound: each node relaxes its
 tentative distance and re-announces on improvement; the run terminates at
-quiescence after (hop-depth of the shortest-path tree) rounds.
+quiescence after (hop-depth of the shortest-path tree) rounds.  With
+``weighted=False`` every edge counts one hop.  The refreshing variant
+re-announces periodically, which heals message loss, crashes and edge
+insertions (the ``bfs-restabilization`` scenario).
 """
 
 from __future__ import annotations
@@ -172,22 +175,3 @@ def run_bellman_ford(
     distances = {node: out[0] for node, out in result.outputs.items()}
     return distances, result
 
-
-def run_bfs_distances(
-    graph: nx.Graph,
-    source: Hashable,
-    bandwidth: int = 128,
-    seed: int | None = 0,
-    engine: str = "event",
-) -> tuple[dict[Hashable, float], RunResult]:
-    """Unweighted distances (BFS layering) via the same relaxation program."""
-    return run_bellman_ford(graph, source, bandwidth=bandwidth, weighted=False, seed=seed, engine=engine)
-
-
-def shortest_path_tree_edges(result: RunResult) -> set[frozenset]:
-    """Extract the shortest-path-tree edges from a Bellman-Ford run."""
-    edges = set()
-    for node, (_dist, parent) in result.outputs.items():
-        if parent is not None:
-            edges.add(frozenset((node, parent)))
-    return edges

@@ -3,15 +3,13 @@
 Alice and Bob hold inputs ``x`` and ``y`` and exchange bits (or qubits) over
 a channel with per-message accounting.  The Server model of the paper
 (:mod:`repro.core.server_model`) extends this with a third, free-talking
-party.
+party.  This package carries the lower-bound side only: the upper bounds
+the paper needs run as distributed algorithms (:mod:`repro.algorithms`).
 
-- :mod:`repro.comm.protocols`         -- the channel/transcript framework.
-- :mod:`repro.comm.problems`          -- Eq, Disj, IP, IPmod3, Gap-Eq and the
+- :mod:`repro.comm.protocols`    -- the channel/transcript framework.
+- :mod:`repro.comm.problems`     -- Eq, Disj, IP, IPmod3, Gap-Eq and the
   graph verification problems in edge-partition form (Definition 3.3).
-- :mod:`repro.comm.classical`         -- classical protocols (upper bounds).
-- :mod:`repro.comm.quantum_protocols` -- quantum fingerprinting Equality and
-  the Grover-based Disjointness protocol behind Example 1.1.
-- :mod:`repro.comm.lower_bounds`      -- fooling sets, log-rank, discrepancy.
+- :mod:`repro.comm.lower_bounds` -- fooling sets, log-rank, discrepancy.
 """
 
 from repro.comm.problems import (

@@ -103,7 +103,14 @@ def gamma2_dual(
     the ``u_x``, the optimal ``v_y`` is the normalised ``sum_x K_{xy} u_x``,
     and symmetrically -- each sweep cannot decrease the objective, and random
     restarts guard against the (measure-zero) bad stationary points.
+    Fewer than one restart or one sweep computes nothing, so either raises
+    ``ValueError`` rather than report a bias of 0.
     """
+    if restarts < 1 or iterations < 1:
+        raise ValueError(
+            f"gamma2_dual needs restarts >= 1 and iterations >= 1, "
+            f"got restarts={restarts}, iterations={iterations}"
+        )
     k = np.asarray(matrix, dtype=float)
     m, n = k.shape
     d = dim if dim is not None else min(m + n, 16)

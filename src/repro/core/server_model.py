@@ -188,6 +188,38 @@ class StructuredServerProtocol:
         )
 
 
+def streamed_xor_protocol(n_rounds: int) -> StructuredServerProtocol:
+    """The streamed-XOR protocol, the workload of Section 3.1 and Lemma 3.2.
+
+    Each round Carol and David stream one bit of their inputs (cycling) to
+    the server, which reflects the running XOR of every bit received so far
+    to both; Carol outputs the last reflection.  It costs ``2 * n_rounds``
+    bits and is deterministic, so both the two-party simulation and the
+    abort simulation of :mod:`repro.core.nonlocal_games` apply.
+    """
+
+    def carol_message(x, view, t):
+        return (x[t % len(x)],)
+
+    def david_message(y, view, t):
+        return (y[t % len(y)],)
+
+    def server_message(carol_sent, david_sent, t):
+        xor = 0
+        for bits in carol_sent + david_sent:
+            for bit in bits:
+                xor ^= bit
+        return xor, xor
+
+    return StructuredServerProtocol(
+        n_rounds=n_rounds,
+        carol_message=carol_message,
+        david_message=david_message,
+        server_message=server_message,
+        carol_output=lambda x, view: view[-1],
+    )
+
+
 @dataclass
 class TwoPartySimulationResult:
     output: Any

@@ -191,6 +191,10 @@ def _cmd_list() -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
+    if args.timeout is not None and args.timeout <= 0:
+        raise ValueError(f"--timeout must be > 0 seconds, got {args.timeout:g}")
     scn = get_scenario(args.scenario)
     grid = parse_axis_overrides(args.overrides)
     points = expand_grid(scn, grid, replicates=args.replicates, base_seed=args.base_seed)

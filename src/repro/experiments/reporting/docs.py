@@ -72,8 +72,11 @@ def _scenario_section(scn: Scenario) -> str:
         # Literal pipes would open a new table column.
         return str(value).replace("|", "\\|")
 
-    lines.append("| parameter | type | default | sweeps over | help |")
-    lines.append("| --- | --- | --- | --- | --- |")
+    if scn.params:
+        lines.append("| parameter | type | default | sweeps over | help |")
+        lines.append("| --- | --- | --- | --- | --- |")
+    else:
+        lines.append("No parameters: a run is one point per replicate.")
     for p in scn.params:
         swept = (
             ", ".join(cell(v) for v in scn.default_grid[p.name])

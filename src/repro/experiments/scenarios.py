@@ -8,6 +8,7 @@ are thin wrappers over these registrations -- the sweep logic lives here.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -35,7 +36,7 @@ from repro.core.gadgets import (
 )
 from repro.core.gamma2 import gamma2_dual
 from repro.core.nonlocal_games import chsh_game
-from repro.core.server_model import StructuredServerProtocol, two_party_simulation_of_server
+from repro.core.server_model import streamed_xor_protocol, two_party_simulation_of_server
 from repro.core.simulation_theorem import SimulationTheoremNetwork
 from repro.congest.engine import ENGINE_NAMES, get_engine
 from repro.experiments.registry import ParamSpec, PlotSpec, scenario
@@ -394,27 +395,7 @@ def server_model_equivalence(*, seed: int, n_rounds: int, input_bits: int) -> di
     rng = random.Random(seed)
     x = tuple(rng.randrange(2) for _ in range(input_bits))
     y = tuple(rng.randrange(2) for _ in range(input_bits))
-
-    def carol_message(x_in, view, t):
-        return (x_in[t % len(x_in)],)
-
-    def david_message(y_in, view, t):
-        return (y_in[t % len(y_in)],)
-
-    def server_message(carol_sent, david_sent, t):
-        xor = 0
-        for bits in carol_sent + david_sent:
-            for bit in bits:
-                xor ^= bit
-        return xor, xor
-
-    protocol = StructuredServerProtocol(
-        n_rounds=n_rounds,
-        carol_message=carol_message,
-        david_message=david_message,
-        server_message=server_message,
-        carol_output=lambda x_in, view: view[-1],
-    )
+    protocol = streamed_xor_protocol(n_rounds)
     server = protocol.run(x, y)
     two_party = two_party_simulation_of_server(protocol, x, y)
     gap = gap_equality_lower_bound(max(8, input_bits))
@@ -425,6 +406,108 @@ def server_model_equivalence(*, seed: int, n_rounds: int, input_bits: int) -> di
         "cost_exact": server.carol_bits + server.david_bits == two_party.total_bits,
         "outputs_match": repr(server.output) == repr(two_party.output),
         "gap_eq_server_lower_bound": gap["server_model_lower_bound"],
+    }
+
+
+@scenario(
+    "lower-bound-machinery",
+    description="Thm. 6.1's two-party ingredients, App. B.3's MOD3 degree and Lemma 3.2, checked",
+    tags=("bounds", "server-model", "gamma2"),
+)
+def lower_bound_machinery(*, seed: int) -> dict:
+    """The two-party machinery under the Server-model lower bounds.
+
+    One point with no axis.  Each boolean key is one claim:
+
+    - ``mod3_degree_linear`` (App. B.3): ``deg_1/3(MOD3_12) >=
+      2 deg_1/3(MOD3_6) - 2``, the linear growth behind the IPmod3 bound;
+    - ``mod3_beats_or`` (App. B.3): ``deg_1/3(MOD3_36) > 2 deg_1/3(OR_36)``,
+      linear against OR's ``sqrt(n)`` [Pat92];
+    - ``ipmod3_block_norm`` (Thm. 6.1's IPmod3 block): the sign matrix
+      ``A_g`` of the inner function on the promise blocks has
+      ``||A_g|| = 2 sqrt(2)``, the per-block factor
+      ``log2(sqrt(16) / ||A_g||) = 1/2``;
+    - ``gap_eq_fooling_set`` (Thm. 6.1 via [KdW12]): the diagonal set on the
+      greedy GV code of length 10 and distance 5 is a 1-fooling set, and
+      its cross pairs keep the promise of ``4-Eq_10``;
+    - ``gap_eq_bound_grows`` (Thm. 6.1): the Server-model bound for
+      ``(n/8)-Eq_n`` at n = 1024 is more than 3.5 times the one at n = 64;
+    - ``hadamard_gamma2`` (Sec. 6): ``gamma_2`` of the ``IP_k`` sign matrix,
+      the Hadamard matrix ``H_(2^k)``, is ``sqrt(2^k)`` for k = 1..5;
+    - ``lemma_3_2_win_probability`` (Lemma 3.2): over 20,000 trials drawn
+      from the seed, the abort simulation of the 2-round streamed-XOR
+      protocol wins with ``1/2 + (q - 1/2) 2^-T`` within 5 standard errors.
+
+    The degrees, the norm, the code size, the two bounds and the measured
+    and predicted win probabilities are reported alongside.
+    """
+    from repro.comm import lower_bounds, problems
+    from repro.core import approx_degree, fooling, gamma2, nonlocal_games
+
+    def degree(function, n: int) -> int:
+        return approx_degree.approx_degree(function(n), eps=1.0 / 3.0)
+
+    mod3 = {n: degree(approx_degree.mod3_function, n) for n in (6, 12, 36)}
+    or_36 = degree(approx_degree.or_function, 36)
+
+    # On the promise blocks at most one position has x_i = y_i = 1, so the
+    # inner function g = OR_i (x_i AND y_i) is the inner product mod 2.
+    block = problems.inner_product_mod2(4).matrix(*problems.ipmod3_promise_inputs(4))
+    block_norm = gamma2.spectral_norm(block)
+
+    code = fooling.greedy_gv_code(10, 5)
+    pairs = fooling.gap_equality_fooling_set(code)
+    gap = problems.GapEquality(10, 4)
+    fooling_ok = lower_bounds.is_fooling_set(lambda x, y: int(tuple(x) == tuple(y)), pairs)
+    promise_ok = all(
+        gap.in_promise(x, x2) for (x, _), (x2, _) in itertools.combinations(pairs, 2)
+    )
+    bounds = {
+        n: fooling.gap_equality_lower_bound(n)["server_model_lower_bound"] for n in (64, 1024)
+    }
+
+    hadamard_error = 0.0
+    for k in range(1, 6):
+        inputs = problems.all_inputs(k)
+        value = gamma2.gamma2_lower(problems.inner_product_mod2(k).matrix(inputs, inputs))
+        hadamard_error = max(hadamard_error, abs(value - math.sqrt(2**k)))
+
+    protocol = streamed_xor_protocol(2)
+    strategy = nonlocal_games.AbortSimulationStrategy(protocol, mode="xor")
+    x, y = (1, 0), (1, 1)
+    expected = protocol.run(x, y).output
+    rng = random.Random(seed)
+    trials = 20_000
+    wins = 0
+    for _ in range(trials):
+        a, b = strategy.play(x, y, rng)
+        wins += (a ^ b) == expected
+    measured = wins / trials
+    # The protocol is deterministic and exact, so q = 1.
+    predicted = nonlocal_games.predicted_xor_win_probability(
+        1.0, strategy.total_guess_bits(x, y)
+    )
+    stderr = math.sqrt(predicted * (1.0 - predicted) / trials)
+    return {
+        "mod3_degree_linear": mod3[12] >= 2 * mod3[6] - 2,
+        "mod3_beats_or": mod3[36] > 2 * or_36,
+        "ipmod3_block_norm": abs(block_norm - 2.0 * math.sqrt(2.0)) < 1e-9,
+        "gap_eq_fooling_set": fooling_ok and promise_ok,
+        "gap_eq_bound_grows": bounds[1024] > 3.5 * bounds[64],
+        "hadamard_gamma2": hadamard_error < 1e-9,
+        "lemma_3_2_win_probability": abs(measured - predicted) <= 5.0 * stderr,
+        "mod3_degree_6": mod3[6],
+        "mod3_degree_12": mod3[12],
+        "mod3_degree_36": mod3[36],
+        "or_degree_36": or_36,
+        "ipmod3_block_spectral_norm": block_norm,
+        "gap_eq_code_size": len(code),
+        "gap_eq_bound_64": bounds[64],
+        "gap_eq_bound_1024": bounds[1024],
+        "hadamard_gamma2_max_error": hadamard_error,
+        "lemma_3_2_measured": measured,
+        "lemma_3_2_predicted": predicted,
+        "lemma_3_2_stderr": stderr,
     }
 
 

@@ -110,6 +110,20 @@ class TestConvergecastBroadcast:
         result = run_phases(graph, phases)
         assert result.unanimous_output() == 12
 
+    @pytest.mark.parametrize("seed", [15, 16])
+    def test_centralised_broadcast_lasts_its_declared_chunks(self, seed):
+        """The broadcast's length is common knowledge, ``chunks * (D + 1) + 2``
+        rounds, so a one-chunk answer saves ``7 (D + 1)`` rounds over
+        ``run_centralised``'s default of 8 chunks and sends the same bits."""
+        graph = random_connected_graph(10, extra_edge_prob=0.4, seed=seed)
+        for u, v in graph.edges():
+            graph.edges[u, v]["weight"] = 1.0
+        one, short = run_centralised(graph, lambda g: 1.0, broadcast_chunks=1)
+        eight, default = run_centralised(graph, lambda g: 1.0)
+        assert one == eight == 1.0
+        assert default.rounds - short.rounds == 7 * (nx.diameter(graph) + 1)
+        assert default.total_bits == short.total_bits
+
 
 class TestPipelines:
     def test_upcast_collects_everything(self):

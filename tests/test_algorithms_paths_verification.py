@@ -1,5 +1,5 @@
-"""Tests for shortest paths, the verification suite, Elkin approx-MST,
-min cut and distributed Disjointness."""
+"""Tests for shortest paths, the verification suite, Elkin approx-MST
+and distributed Disjointness."""
 
 import math
 import random
@@ -18,12 +18,7 @@ from repro.algorithms.elkin import (
     quantise_weights,
     run_elkin_approx_mst,
 )
-from repro.algorithms.mincut import run_centralised_mincut
-from repro.algorithms.paths import (
-    run_bellman_ford,
-    run_bfs_distances,
-    shortest_path_tree_edges,
-)
+from repro.algorithms.paths import run_bellman_ford
 from repro.algorithms.verification import (
     VERIFIERS,
     run_gkp_components,
@@ -45,7 +40,7 @@ def weighted(graph: nx.Graph, seed: int = 0) -> nx.Graph:
 class TestShortestPaths:
     def test_bfs_distances_match_networkx(self):
         graph = random_connected_graph(20, seed=1)
-        distances, result = run_bfs_distances(graph, 0)
+        distances, result = run_bellman_ford(graph, 0, weighted=False)
         expected = nx.single_source_shortest_path_length(graph, 0)
         assert {k: int(v) for k, v in distances.items()} == dict(expected)
 
@@ -58,13 +53,17 @@ class TestShortestPaths:
 
     def test_rounds_scale_with_hop_depth(self):
         path = nx.path_graph(25)
-        _, result = run_bfs_distances(path, 0)
+        _, result = run_bellman_ford(path, 0, weighted=False)
         assert 24 <= result.rounds <= 30
 
     def test_tree_edges_form_spanning_tree(self):
         graph = weighted(random_connected_graph(12, seed=5), seed=6)
         _, result = run_bellman_ford(graph, 0)
-        edges = shortest_path_tree_edges(result)
+        edges = {
+            frozenset((node, parent))
+            for node, (_dist, parent) in result.outputs.items()
+            if parent is not None
+        }
         tree = nx.Graph()
         tree.add_nodes_from(graph.nodes())
         tree.add_edges_from(tuple(e) for e in edges)
@@ -273,46 +272,6 @@ class TestElkin:
             graph.edges[u, v]["weight"] = rng.randrange(1, 12, 2)
         expected = nx.minimum_spanning_tree(graph).size(weight="weight")
         assert component_count_mst_weight(graph, 12) == expected
-
-
-class TestMinCut:
-    def test_global_mincut(self):
-        graph = weighted(random_connected_graph(10, extra_edge_prob=0.4, seed=15), seed=15)
-        value, result = run_centralised_mincut(graph)
-        expected, _ = nx.stoer_wagner(graph, weight="weight")
-        assert value == pytest.approx(expected)
-        assert result.halted
-
-    def test_st_mincut(self):
-        graph = weighted(random_connected_graph(10, extra_edge_prob=0.4, seed=16), seed=16)
-        value, _ = run_centralised_mincut(graph, s=0, t=5)
-        expected = nx.minimum_cut_value(graph, 0, 5, capacity="weight")
-        assert value == pytest.approx(expected)
-
-    @pytest.mark.parametrize(
-        "seed, s, t, rounds, bits, messages",
-        [
-            (15, None, None, 43, 13198, 188),
-            (15, 0, 5, 43, 13198, 188),
-            (16, None, None, 44, 13285, 192),
-            (16, 0, 5, 44, 13285, 192),
-        ],
-    )
-    def test_costs_of_a_one_chunk_broadcast(self, seed, s, t, rounds, bits, messages):
-        """The answer is one float, so it is broadcast in one chunk per hop:
-        a longer broadcast (``run_centralised``'s default of 8 chunks)
-        would cost more rounds for the same cut."""
-        graph = weighted(random_connected_graph(10, extra_edge_prob=0.4, seed=seed), seed=seed)
-        value, result = run_centralised_mincut(graph, s=s, t=t)
-        if s is None:
-            expected, _ = nx.stoer_wagner(graph, weight="weight")
-        else:
-            expected = nx.minimum_cut_value(graph, s, t, capacity="weight")
-        assert value == pytest.approx(expected)
-        assert (result.rounds, result.total_bits, result.total_messages) == (
-            rounds, bits, messages,
-        )
-        assert result.halted and result.max_edge_bits_per_round <= 128
 
 
 class TestDistributedDisjointness:

@@ -1,4 +1,4 @@
-"""Tests for the remaining Corollary 3.9 spanning structures."""
+"""Tests for the greedy linear-size spanner, its oracles and its distributed runner."""
 
 import math
 import random
@@ -9,18 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.spanning_structures import (
-    forest_weight,
     greedy_spanner,
-    min_routing_cost_tree_2approx,
-    routing_cost,
     run_linear_size_spanner,
-    run_min_routing_cost_tree,
-    run_shallow_light_tree,
-    run_shortest_st_path,
-    run_steiner_forest,
-    shallow_light_tree,
     spanner_max_stretch,
-    steiner_forest_2approx,
 )
 from repro.graphs.generators import random_connected_graph
 
@@ -31,97 +22,6 @@ def weighted(n: int, seed: int, extra: float = 0.3) -> nx.Graph:
     for u, v in graph.edges():
         graph.edges[u, v]["weight"] = rng.uniform(1.0, 10.0)
     return graph
-
-
-class TestShallowLightTree:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_last_guarantees(self, seed):
-        graph = weighted(15, seed)
-        alpha = 2.0
-        tree = shallow_light_tree(graph, 0, alpha=alpha)
-        assert nx.is_tree(tree)
-        assert set(tree.nodes()) == set(graph.nodes())
-        mst_weight = sum(d["weight"] for _, _, d in nx.minimum_spanning_tree(graph).edges(data=True))
-        tree_weight = sum(d["weight"] for _, _, d in tree.edges(data=True))
-        spt_radius = max(nx.single_source_dijkstra_path_length(graph, 0).values())
-        radius = max(nx.single_source_dijkstra_path_length(tree, 0).values())
-        # KRY: weight <= (1 + 2/(alpha-1)) w(MST) ... our construction's
-        # guarantees, generously bounded:
-        assert tree_weight <= (1 + 2 / (alpha - 1)) * mst_weight + 1e-9
-        assert radius <= alpha * spt_radius + 1e-9
-
-    def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            shallow_light_tree(weighted(8, 3), 0, alpha=1.0)
-
-    def test_distributed_runner(self):
-        graph = weighted(12, 4)
-        summary, result = run_shallow_light_tree(graph, 0, alpha=2.0)
-        assert result.halted
-        assert summary["weight"] <= 3.0 * summary["mst_weight"] + 1e-9
-        assert summary["radius"] <= 2.0 * summary["spt_radius"] + 1e-9
-
-
-class TestRoutingCostTree:
-    def test_2approx_vs_exhaustive_on_tiny(self):
-        graph = weighted(6, 5, extra=0.8)
-        _, approx_cost = min_routing_cost_tree_2approx(graph)
-        # Exhaustive over all spanning trees of a 6-node graph.
-        best = float("inf")
-        edges = list(graph.edges())
-        import itertools
-
-        for subset in itertools.combinations(edges, 5):
-            candidate = nx.Graph()
-            candidate.add_nodes_from(graph.nodes())
-            for u, v in subset:
-                candidate.add_edge(u, v, weight=graph.edges[u, v]["weight"])
-            if nx.is_connected(candidate) and candidate.number_of_edges() == 5:
-                best = min(best, routing_cost(graph, candidate))
-        assert best <= approx_cost <= 2.0 * best + 1e-9
-
-    def test_distributed_runner(self):
-        graph = weighted(10, 6)
-        cost, result = run_min_routing_cost_tree(graph)
-        assert cost > 0
-        assert result.halted
-
-
-class TestSteinerForest:
-    def test_single_group_vs_mst_bound(self):
-        graph = weighted(12, 7)
-        terminals = [0, 3, 7, 11]
-        edges = steiner_forest_2approx(graph, [terminals])
-        forest = nx.Graph()
-        forest.add_nodes_from(graph.nodes())
-        forest.add_edges_from(tuple(e) for e in edges)
-        for a in terminals[1:]:
-            assert nx.has_path(forest, terminals[0], a)
-        # 2-approximation versus the optimal Steiner tree (bounded below by
-        # the metric-closure MST / 2).
-        weight = forest_weight(graph, edges)
-        assert weight > 0
-
-    def test_multiple_groups_connected_separately(self):
-        graph = weighted(14, 8)
-        groups = [[0, 5], [7, 11, 13]]
-        edges = steiner_forest_2approx(graph, groups)
-        forest = nx.Graph()
-        forest.add_nodes_from(graph.nodes())
-        forest.add_edges_from(tuple(e) for e in edges)
-        assert nx.has_path(forest, 0, 5)
-        assert nx.has_path(forest, 7, 11)
-        assert nx.has_path(forest, 7, 13)
-
-    def test_trivial_group_ignored(self):
-        graph = weighted(8, 9)
-        assert steiner_forest_2approx(graph, [[3]]) == set()
-
-    def test_distributed_runner(self):
-        graph = weighted(12, 10)
-        weight, result = run_steiner_forest(graph, [[0, 5, 9]])
-        assert weight > 0
-        assert result.halted
 
 
 class TestGreedySpanner:
@@ -261,10 +161,3 @@ class TestSpannerOraclesMatchNetworkx:
             with pytest.raises(nx.NodeNotFound):
                 oracle(graph, nx.Graph([(1, 2)]))
 
-
-class TestShortestSTPath:
-    def test_matches_dijkstra(self):
-        graph = weighted(12, 11)
-        length, result = run_shortest_st_path(graph, 0, 7)
-        assert length == pytest.approx(nx.dijkstra_path_length(graph, 0, 7))
-        assert result.halted

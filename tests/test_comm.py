@@ -6,13 +6,6 @@ import pytest
 
 np = pytest.importorskip("numpy")  # whole module is linear-algebra-bound
 
-from repro.comm.classical import (
-    DeterministicDisjointnessProtocol,
-    DeterministicIPmod3Protocol,
-    HammingDistanceThresholdProtocol,
-    RandomizedEqualityProtocol,
-    SendAllProtocol,
-)
 from repro.comm.lower_bounds import (
     discrepancy,
     discrepancy_communication_bound,
@@ -32,10 +25,6 @@ from repro.comm.problems import (
     ipmod3,
     ipmod3_promise_inputs,
     is_perfect_matching,
-)
-from repro.comm.quantum_protocols import (
-    GroverDisjointnessProtocol,
-    QuantumFingerprintEqualityProtocol,
 )
 
 
@@ -100,79 +89,6 @@ class TestProblems:
         assert is_perfect_matching(6, carol)
         with pytest.raises(ValueError):
             ham.evaluate([(0, 1)], david_ham)
-
-
-class TestClassicalProtocols:
-    def test_send_all_correct(self):
-        disj = disjointness(8)
-        proto = DeterministicDisjointnessProtocol()
-        assert proto.error_rate(disj, trials=60, seed=0) == 0.0
-
-    def test_send_all_cost(self):
-        proto = SendAllProtocol(lambda x, y: 1)
-        result = proto.run((0,) * 16, (0,) * 16)
-        assert result.alice_bits == 16
-        assert result.bob_bits == 1
-
-    def test_randomized_equality_one_sided(self):
-        eq = equality(16)
-        proto = RandomizedEqualityProtocol(repetitions=12)
-        rng = random.Random(0)
-        for _ in range(30):
-            x, y = eq.sample_one_input(rng)
-            assert proto.run(x, y, seed=rng.randrange(2**31)).output == 1
-
-    def test_randomized_equality_low_error(self):
-        eq = equality(16)
-        proto = RandomizedEqualityProtocol(repetitions=12)
-        assert proto.error_rate(eq, trials=150, seed=1) <= 0.02
-
-    def test_randomized_equality_cost_constant_in_n(self):
-        proto = RandomizedEqualityProtocol(repetitions=10)
-        r1 = proto.run((0,) * 16, (0,) * 16)
-        r2 = proto.run((0,) * 64, (0,) * 64)
-        assert r1.total_bits == r2.total_bits == 11
-
-    def test_ipmod3_protocol(self):
-        f = ipmod3(8)
-        assert DeterministicIPmod3Protocol().error_rate(f, trials=60) == 0.0
-
-    def test_gap_equality_protocol(self):
-        gap = GapEquality(8, 2)
-        proto = HammingDistanceThresholdProtocol()
-        rng = random.Random(3)
-        for _ in range(20):
-            x, y = gap.sample_input(rng)
-            assert proto.run(x, y).output == gap.evaluate(x, y)
-
-
-class TestQuantumProtocols:
-    def test_fingerprint_equality_correct(self):
-        eq = equality(16)
-        proto = QuantumFingerprintEqualityProtocol(16, repetitions=12, seed=0)
-        assert proto.error_rate(eq, trials=80, seed=2) <= 0.05
-
-    def test_fingerprint_cost_logarithmic(self):
-        proto16 = QuantumFingerprintEqualityProtocol(16, repetitions=5, seed=0)
-        proto256 = QuantumFingerprintEqualityProtocol(256, repetitions=5, seed=0)
-        r16 = proto16.run((0,) * 16, (0,) * 16)
-        r256 = proto256.run((0,) * 256, (0,) * 256)
-        # O(log n) qubits: growing n 16x should grow cost by ~ log factor only.
-        assert r256.total_qubits <= r16.total_qubits + 5 * 6
-
-    def test_grover_disjointness_correct(self):
-        disj = disjointness(16)
-        proto = GroverDisjointnessProtocol()
-        assert proto.error_rate(disj, trials=40, seed=3) <= 0.15
-
-    def test_grover_disjointness_sublinear(self):
-        proto = GroverDisjointnessProtocol()
-        n = 64
-        x = tuple([1] + [0] * (n - 1))
-        y = tuple([1] + [0] * (n - 1))
-        result = proto.run(x, y, seed=5)
-        assert result.output == 0
-        assert result.total_qubits <= 6 * proto.expected_communication(n)
 
 
 class TestLowerBounds:

@@ -68,6 +68,16 @@ class TestGamma2:
         dual = gamma2_dual(h, seed=0)
         assert dual > 0
 
+    @pytest.mark.parametrize(
+        "budget",
+        [{"restarts": 0}, {"restarts": -1}, {"iterations": 0}, {"iterations": -3}],
+        ids=["restarts-0", "restarts-minus-1", "iterations-0", "iterations-minus-3"],
+    )
+    def test_dual_rejects_an_empty_search(self, budget):
+        # No restart or no sweep evaluates nothing; 0.0 would pass for a bias.
+        with pytest.raises(ValueError, match="restarts >= 1 and iterations >= 1"):
+            gamma2_dual(np.full((2, 2), 0.25), **budget)
+
     def test_trace_and_spectral(self):
         h = hadamard(4).astype(float)
         assert trace_norm(h) == pytest.approx(8.0)

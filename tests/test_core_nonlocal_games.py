@@ -15,7 +15,7 @@ from repro.core.nonlocal_games import (
     predicted_and_win_probability_one_inputs,
     predicted_xor_win_probability,
 )
-from tests.test_core_server_model import make_xor_exchange_protocol
+from repro.core.server_model import streamed_xor_protocol
 
 
 class TestCHSH:
@@ -70,7 +70,7 @@ class TestLemma32Simulation:
     """The abort-based simulation of a server-model protocol."""
 
     def setup_method(self):
-        self.protocol = make_xor_exchange_protocol(2)  # 4 total bits
+        self.protocol = streamed_xor_protocol(2)  # 4 total bits
         self.x = (1, 0)
         self.y = (1, 1)
         self.expected_output = self.protocol.run(self.x, self.y).output
@@ -109,7 +109,7 @@ class TestLemma32Simulation:
 
     def test_and_mode_zero_inputs_never_accept(self):
         # Pick an input whose protocol output is 0.
-        protocol = make_xor_exchange_protocol(2)
+        protocol = streamed_xor_protocol(2)
         x, y = (0, 0), (0, 0)
         assert protocol.run(x, y).output == 0
         strategy = AbortSimulationStrategy(protocol, mode="and")

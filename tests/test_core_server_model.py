@@ -4,16 +4,15 @@ import pytest
 
 pytest.importorskip("numpy")  # the comm/server stack is numpy-bound
 
-from repro.comm.classical import RandomizedEqualityProtocol
-from repro.comm.problems import equality
+from repro.comm.protocols import Channel, TwoPartyProtocol
 from repro.core.server_model import (
     CAROL,
     DAVID,
     SERVER,
     ServerChannel,
     ServerProtocol,
-    StructuredServerProtocol,
     TwoPartyAsServerProtocol,
+    streamed_xor_protocol,
     two_party_simulation_of_server,
 )
 
@@ -40,10 +39,22 @@ class TestServerChannel:
             channel.send(CAROL, CAROL, "x", bits=1)
 
 
+class ParityCheckProtocol(TwoPartyProtocol):
+    """Alice sends a public-coin parity of ``x``; Bob answers whether his
+    parity matches.  Two messages, 2 bits, coins drawn from the run's seed."""
+
+    name = "parity-check"
+
+    def execute(self, x, y, channel: Channel, rng):
+        coins = [rng.randrange(2) for _ in x]
+        parity = channel.alice_sends(sum(c * b for c, b in zip(coins, x)) % 2, bits=1)
+        answer = int(parity == sum(c * b for c, b in zip(coins, y)) % 2)
+        return channel.bob_sends(answer, bits=1)
+
+
 class TestTwoPartyLift:
     def test_lifted_protocol_same_cost(self):
-        eq = equality(8)
-        inner = RandomizedEqualityProtocol(repetitions=6)
+        inner = ParityCheckProtocol()
         lifted = TwoPartyAsServerProtocol(inner)
         x = (1, 0, 1, 0, 1, 0, 1, 0)
         inner_result = inner.run(x, x, seed=7)
@@ -53,42 +64,9 @@ class TestTwoPartyLift:
         assert lifted_result.server_bits == 0
 
 
-def make_xor_exchange_protocol(n_rounds: int = 3) -> StructuredServerProtocol:
-    """Toy structured protocol: Carol and David stream their bits to the
-    server, which reflects the running XOR back; Carol outputs the final XOR.
-    Deterministic, so the Section 3.1 simulation applies."""
-
-    def carol_message(x, view, t):
-        return (x[t % len(x)],)
-
-    def david_message(y, view, t):
-        return (y[t % len(y)],)
-
-    def server_message(carol_sent, david_sent, t):
-        xor = 0
-        for bits in carol_sent:
-            for b in bits:
-                xor ^= b
-        for bits in david_sent:
-            for b in bits:
-                xor ^= b
-        return xor, xor
-
-    def carol_output(x, view):
-        return view[-1]
-
-    return StructuredServerProtocol(
-        n_rounds=n_rounds,
-        carol_message=carol_message,
-        david_message=david_message,
-        server_message=server_message,
-        carol_output=carol_output,
-    )
-
-
 class TestStructuredProtocol:
     def test_runs_and_costs(self):
-        proto = make_xor_exchange_protocol(3)
+        proto = streamed_xor_protocol(3)
         result = proto.run((1, 0, 1), (0, 1, 1))
         assert result.carol_bits == 3
         assert result.david_bits == 3
@@ -98,17 +76,29 @@ class TestStructuredProtocol:
 
     def test_two_party_simulation_matches_exactly(self):
         # The Section 3.1 theorem: identical output, identical cost.
-        proto = make_xor_exchange_protocol(4)
+        proto = streamed_xor_protocol(4)
         for x, y in [((1, 0, 1, 1), (0, 1, 1, 0)), ((0, 0, 0, 0), (1, 1, 1, 1))]:
             server_result = proto.run(x, y)
             sim = two_party_simulation_of_server(proto, x, y)
             assert sim.output == server_result.output
             assert sim.total_bits == server_result.cost
 
+    @pytest.mark.parametrize("n_rounds", [1, 2, 8, 32])
+    def test_streamed_xor_cycles_inputs_and_costs_two_bits_a_round(self, n_rounds):
+        # Inputs shorter than the run: round t streams bit t mod 3.
+        x, y = (1, 1, 0), (0, 1, 1)
+        result = streamed_xor_protocol(n_rounds).run(x, y)
+        assert (result.carol_bits, result.david_bits) == (n_rounds, n_rounds)
+        assert result.server_bits == 2 * n_rounds
+        expected = 0
+        for t in range(n_rounds):
+            expected ^= x[t % 3] ^ y[t % 3]
+        assert result.output == expected
+
     def test_simulation_over_many_inputs(self):
         import random
 
-        proto = make_xor_exchange_protocol(5)
+        proto = streamed_xor_protocol(5)
         rng = random.Random(0)
         for _ in range(25):
             x = tuple(rng.randrange(2) for _ in range(5))

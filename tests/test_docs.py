@@ -57,6 +57,16 @@ class TestScenariosCatalog:
         for scn in builtin_scenarios():
             assert f"## `{scn.name}`" in committed
 
+    def test_parameterless_scenario_gets_a_note_not_an_empty_table(self):
+        section = scenarios_markdown().split("## `lower-bound-machinery`")[1].split("\n## ")[0]
+        assert "No parameters: a run is one point per replicate." in section
+        assert "| parameter |" not in section
+
+    def test_every_builtin_scenario_named_in_readme(self):
+        readme = (REPO / "README.md").read_text()
+        missing = [scn.name for scn in builtin_scenarios() if f"`{scn.name}`" not in readme]
+        assert not missing, f"README.md never names these scenarios: {missing}"
+
 
 class TestDocLinks:
     @pytest.mark.parametrize(

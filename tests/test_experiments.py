@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.comm import problems
+from repro.core import approx_degree, fooling, nonlocal_games
 from repro.experiments import (
     ParamSpec,
     ResultRecord,
@@ -363,6 +365,16 @@ class TestBfsRestabilizationScenario:
         assert results[0] != results[2]
 
 
+class TestServerModelEquivalenceScenario:
+    @pytest.mark.parametrize("n_rounds", [2, 8, 32])
+    def test_default_grid_is_cost_exact(self, n_rounds):
+        scn = get_scenario("server-model-equivalence")
+        assert n_rounds in scn.default_grid["n_rounds"]
+        result = scn.run(scn.resolve_params({"n_rounds": n_rounds}), seed=n_rounds)
+        assert result["cost_exact"] and result["outputs_match"]
+        assert result["server_player_bits"] == result["two_party_bits"] == 2 * n_rounds
+
+
 class TestGadgetReductionsScenario:
     def test_zero_trials_fail_the_point(self):
         scn = get_scenario("gadget-reductions")
@@ -378,6 +390,104 @@ class TestGadgetReductionsScenario:
         scn = get_scenario("gadget-reductions")
         result = scn.run(scn.resolve_params({"n": 2, "trials": 1}), seed=0)
         assert result["ipmod3_sound"] and result["gap_eq_sound"]
+
+
+#: The boolean claims of ``lower-bound-machinery``, one per paper reference.
+LOWER_BOUND_CLAIMS = (
+    "mod3_degree_linear",
+    "mod3_beats_or",
+    "ipmod3_block_norm",
+    "gap_eq_fooling_set",
+    "gap_eq_bound_grows",
+    "hadamard_gamma2",
+    "lemma_3_2_win_probability",
+)
+
+
+def _or_swapped_for_mod3(monkeypatch):
+    monkeypatch.setattr(approx_degree, "or_function", approx_degree.mod3_function)
+
+
+def _mod3_swapped_for_or_past_6(monkeypatch):
+    mod3, or_ = approx_degree.mod3_function, approx_degree.or_function
+    monkeypatch.setattr(approx_degree, "mod3_function", lambda n: mod3(n) if n <= 6 else or_(n))
+
+
+def _blocks_outside_the_promise(monkeypatch):
+    every = problems.all_inputs
+    monkeypatch.setattr(problems, "ipmod3_promise_inputs", lambda n: (every(n), every(n)))
+
+
+def _repeated_codeword(monkeypatch):
+    code = fooling.greedy_gv_code
+    monkeypatch.setattr(fooling, "greedy_gv_code", lambda n, d: code(n, d) + code(n, d)[:1])
+
+
+def _codewords_inside_the_gap(monkeypatch):
+    code = fooling.greedy_gv_code
+    monkeypatch.setattr(fooling, "greedy_gv_code", lambda n, d: code(n, 2, max_size=16))
+
+
+def _code_size_flat_in_n(monkeypatch):
+    monkeypatch.setattr(fooling, "gilbert_varshamov_size_bound", lambda n, d: 2.0**16)
+
+
+def _ipmod3_for_ip(monkeypatch):
+    monkeypatch.setattr(problems, "inner_product_mod2", problems.ipmod3)
+
+
+def _guess_cost_4_per_bit(monkeypatch):
+    monkeypatch.setattr(
+        nonlocal_games,
+        "predicted_xor_win_probability",
+        lambda q, bits: 0.5 + (q - 0.5) * 4.0**-bits,
+    )
+
+
+class TestLowerBoundMachineryScenario:
+    @staticmethod
+    def _false_claims(seed: int = 0) -> set[str]:
+        scn = get_scenario("lower-bound-machinery")
+        result = scn.run(scn.resolve_params(), seed=seed)
+        assert all(type(result[claim]) is bool for claim in LOWER_BOUND_CLAIMS)
+        return {claim for claim in LOWER_BOUND_CLAIMS if not result[claim]}
+
+    def test_declares_no_parameter(self):
+        scn = get_scenario("lower-bound-machinery")
+        assert scn.params == () and scn.default_grid == {}
+        assert len(expand_grid(scn)) == 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_every_claim_holds(self, seed):
+        assert self._false_claims(seed) == set()
+
+    @pytest.mark.parametrize("base_seed", [0, 1])
+    def test_cli_point_holds_every_claim(self, base_seed):
+        (point,) = expand_grid(get_scenario("lower-bound-machinery"), base_seed=base_seed)
+        report = run_sweep([point], store=None)
+        assert report.ok
+        result = report.results()[0]
+        assert [claim for claim in LOWER_BOUND_CLAIMS if result[claim] is not True] == []
+
+    @pytest.mark.parametrize(
+        "breaks, failing",
+        [
+            pytest.param(breaks, failing, id=breaks.__name__.lstrip("_"))
+            for breaks, failing in (
+                (_or_swapped_for_mod3, {"mod3_beats_or"}),
+                (_mod3_swapped_for_or_past_6, {"mod3_degree_linear", "mod3_beats_or"}),
+                (_blocks_outside_the_promise, {"ipmod3_block_norm"}),
+                (_repeated_codeword, {"gap_eq_fooling_set"}),
+                (_codewords_inside_the_gap, {"gap_eq_fooling_set"}),
+                (_code_size_flat_in_n, {"gap_eq_bound_grows"}),
+                (_ipmod3_for_ip, {"hadamard_gamma2"}),
+                (_guess_cost_4_per_bit, {"lemma_3_2_win_probability"}),
+            )
+        ],
+    )
+    def test_a_broken_input_fails_only_its_claim(self, monkeypatch, breaks, failing):
+        breaks(monkeypatch)
+        assert self._false_claims() == failing
 
 
 class TestCLI:
@@ -508,6 +618,40 @@ class TestCLI:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--workers", "0", "--workers must be >= 1, got 0"),
+            ("--workers", "-2", "--workers must be >= 1, got -2"),
+            ("--timeout", "0", "--timeout must be > 0 seconds, got 0"),
+            ("--timeout", "-1", "--timeout must be > 0 seconds, got -1"),
+        ],
+        ids=["workers-0", "workers-minus-2", "timeout-0", "timeout-minus-1"],
+    )
+    def test_bad_workers_or_timeout_fails_before_any_point_runs(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        store = tmp_path / "store"
+        assert cli_main(["run", "chsh-gamma2", flag, value, "--store", str(store)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert "sweep" not in captured.out
+        assert not store.exists()
+
+    @pytest.mark.parametrize(
+        "axes", [["restarts=0"], ["restarts=1", "iterations=0"]], ids=["restarts", "iterations"]
+    )
+    def test_empty_solver_search_stores_an_error_record(self, tmp_path, capsys, axes):
+        store = tmp_path / "store"
+        flags = [arg for axis in axes for arg in ("--set", axis)]
+        assert cli_main(["run", "chsh-gamma2", *flags, "--store", str(store)]) == 1
+        (path,) = (store / "chsh-gamma2").glob("*.json")
+        record = json.loads(path.read_text())
+        assert record["status"] == "error" and record["result"] is None
+        assert record["error"].strip().splitlines()[-1].startswith(
+            "ValueError: gamma2_dual needs restarts >= 1 and iterations >= 1"
+        )
 
     def test_bad_input_gives_clean_error(self, tmp_path, capsys):
         assert cli_main(["run", "test-echo", "--set", "bogus=1", "--store", str(tmp_path)]) == 2
