@@ -8,16 +8,16 @@ of rounds, messages and bits.
 - :mod:`repro.congest.message`   -- payload bit-size accounting.
 - :mod:`repro.congest.node`      -- node handles and the program interface
   (including the idleness hints the event engine exploits).
-- :mod:`repro.congest.transport` -- link buffers, chunking, strict-mode
-  checks and bit metrics.
-- :mod:`repro.congest.columnar`  -- ``ColumnarTransport``, the same link
-  semantics over flat staging columns and a completion-clock heap.
+- :mod:`repro.congest.transport` -- ``LinkTransport``: staging columns,
+  chunking, strict-mode checks, bit metrics, and a completion-clock heap
+  that touches only the links whose message completes.
+- :mod:`repro.congest.columnar`  -- ``ColumnarTransport``, a former name
+  of ``LinkTransport`` kept for the benchmark's instrumentation.
 - :mod:`repro.congest.engine`    -- pluggable schedulers: the reference
-  ``DenseEngine``, the event-driven ``EventEngine`` fast path, the
-  thread-sharded ``ParallelEngine`` and ``ColumnarEngine`` (the event
-  clock over ``ColumnarTransport``), all over one batched step ABI
-  (``StepPlan`` / ``step_batch``); ``get_engine`` resolves the names in
-  ``ENGINE_NAMES``.
+  ``DenseEngine``, the event-driven ``EventEngine`` fast path and the
+  thread-sharded ``ParallelEngine``, all over one transport and one
+  batched step ABI (``StepPlan`` / ``step_batch``); ``get_engine``
+  resolves the names in ``ENGINE_NAMES``.
 - :mod:`repro.congest.network`   -- the ``CongestNetwork`` façade tying the
   layers together.
 - :mod:`repro.congest.topology`  -- network families, including the

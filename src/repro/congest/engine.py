@@ -2,8 +2,8 @@
 
 The middle of the three-layer CONGEST stack.  An :class:`Engine` decides
 *which* nodes are stepped *when*; the transport (bit accounting) below and
-the program API (algorithm logic) above are engine-agnostic, so both
-engines produce the same :class:`RunResult` for the same program:
+the program API (algorithm logic) above are engine-agnostic, so every
+engine produces the same :class:`RunResult` for the same program:
 
 - :class:`DenseEngine` -- the reference semantics: every non-halted node is
   stepped every round.  Cost grows with ``n x rounds`` even when almost
@@ -20,11 +20,13 @@ engines produce the same :class:`RunResult` for the same program:
   and staged sends), so shards run concurrently; outboxes are merged at
   the round barrier in node-id order, keeping every metric -- including
   the opt-in message log -- byte-identical to the serial engines.
-- :class:`ColumnarEngine` -- the event engine's clock over the
-  struct-of-arrays :class:`~repro.congest.columnar.ColumnarTransport`
-  (flat staging columns, lazy per-edge head accounting, a completion-clock
-  heap).  Engines declare their transport via the ``transport_class``
-  attribute; the network builds it.
+
+All engines run over one transport,
+:class:`~repro.congest.transport.LinkTransport`; an engine declares it via
+the ``transport_class`` attribute and the network builds it.
+:class:`ColumnarEngine` is the event engine under a former name, kept
+only because the benchmark's instrumentation names it; ``get_engine``
+does not resolve it.
 
 All engines express a round's work as a :class:`StepPlan` (the batched step
 ABI): the ordered active set plus that round's inboxes.  :func:`step_batch`
@@ -133,8 +135,7 @@ class Engine:
     """
 
     name = "abstract"
-    #: Transport the network builds for this engine; engines with bespoke
-    #: storage layouts (the columnar engine) override it.
+    #: Transport the network builds for this engine.
     transport_class = LinkTransport
     #: ``on_round`` calls made (all engines) / quiet rounds jumped in O(1)
     #: (event-clock engines; always 0 for the dense engine).
@@ -567,21 +568,10 @@ class ParallelEngine(EventEngine):
 
 
 class ColumnarEngine(EventEngine):
-    """Event-clock engine over the struct-of-arrays transport.
+    """:class:`EventEngine` under its former name.  Kept only because
+    ``perfbench/layers.py`` names it; it goes once the benchmark stops
+    naming it."""
 
-    Scheduling is inherited unchanged from :class:`EventEngine` (active
-    set, O(1) quiet-round skips, quiescence probing); what changes is the
-    data layout underneath: the network builds a
-    :class:`~repro.congest.columnar.ColumnarTransport` (``transport_class``),
-    so staging is flat column appends, executed rounds cost O(completing
-    edges) instead of O(live edges), and the per-round quiescence probes
-    (``pending_traffic`` / ``rounds_until_delivery``) are O(1).
-
-    Equivalence contract unchanged: every ``RunResult`` field and the
-    opt-in message log are byte-identical to the dense reference.
-    """
-
-    name = "columnar"
     transport_class = ColumnarTransport
 
 
@@ -589,7 +579,6 @@ _ENGINES = {
     "dense": DenseEngine,
     "event": EventEngine,
     "parallel": ParallelEngine,
-    "columnar": ColumnarEngine,
 }
 
 #: The engine names :func:`get_engine` resolves (``event`` is the default

@@ -4,9 +4,8 @@ Every scenario used to run on a static, reliable network; this module makes
 adversity a first-class, *reproducible* input.  A :class:`FaultPlan` is a
 pure value describing the adversary -- per-edge message drop / duplication /
 reorder probabilities, node crash+recovery spans, and scheduled edge
-insertion/deletion events -- and a :class:`FaultyTransport` wraps any
-transport (``LinkTransport`` or ``ColumnarTransport``) and applies the plan
-at the flush barrier.
+insertion/deletion events -- and a :class:`FaultyTransport` wraps the
+engine's ``LinkTransport`` and applies the plan at the flush barrier.
 
 **Determinism contract.**  Every message-fault decision is a pure function
 of ``(plan seed, round, directed edge, per-edge message index)`` via a
@@ -14,9 +13,9 @@ of ``(plan seed, round, directed edge, per-edge message index)`` via a
 wrapper stages each round's sends itself, applies the faults to the staged
 sequence (which every engine produces in the same canonical order), and
 re-emits the survivors into the wrapped transport in the original global
-staging order.  Since all transports are already proven byte-identical for
-identical enqueue sequences, every engine (dense / event / parallel /
-columnar) produces **byte-identical faulted runs** for the same plan.
+staging order.  Since the transport's deliveries are a function of the
+enqueue sequence alone, every engine (dense / event / parallel) produces
+**byte-identical faulted runs** for the same plan.
 
 **Fault semantics.**
 

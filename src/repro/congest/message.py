@@ -139,14 +139,3 @@ class Received(NamedTuple):
     sender: Hashable
     payload: Any
     bits: int
-
-
-@dataclass
-class _InFlight:
-    """A message inside a link buffer, possibly mid-transmission."""
-
-    sender: Hashable
-    receiver: Hashable
-    payload: Any
-    bits: int
-    remaining: int

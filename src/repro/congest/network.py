@@ -17,23 +17,20 @@ The implementation is split into three layers (see each module's docstring):
 - :mod:`repro.congest.engine` -- pluggable round schedulers: the reference
   :class:`~repro.congest.engine.DenseEngine` (every node, every round), the
   default :class:`~repro.congest.engine.EventEngine` (active-node set,
-  O(1) skips over quiet rounds),
+  O(1) skips over quiet rounds) and
   :class:`~repro.congest.engine.ParallelEngine` (the event clock with the
-  step phase sharded across a thread pool) and
-  :class:`~repro.congest.engine.ColumnarEngine` (the event clock over the
-  struct-of-arrays :mod:`repro.congest.columnar` transport);
+  step phase sharded across a thread pool);
 - :mod:`repro.congest.node` -- the program API, including the idleness
   hints (``next_active_round`` / phase-level ``idle_until``) the event
   engine exploits.
 
 :class:`CongestNetwork` wires the three together; pick the engine with the
-``engine="event"|"dense"|"parallel"|"columnar"`` kwarg, or pass an
+``engine="event"|"dense"|"parallel"`` kwarg, or pass an
 :class:`~repro.congest.engine.Engine` instance (e.g. a ``ParallelEngine``
 with its own ``threads``).  All engines produce identical
 :class:`RunResult`\\ s for the same program -- ``dense`` is the reference
 to cross-check against, ``event`` the fast default, ``parallel`` the
-sharded stepper for hardware with real thread parallelism, ``columnar``
-the struct-of-arrays hot path for big message-heavy runs.  The network
+sharded stepper for hardware with real thread parallelism.  The network
 traces through the ambient tracer (:func:`repro.obs.use_tracer`) in effect
 when it is built.
 """
@@ -89,9 +86,7 @@ class CongestNetwork:
         self.trace = current_tracer()
         self._rng = random.Random(seed)
         self.n_nodes = graph.number_of_nodes()
-        # Engine first: it declares the transport layout it runs against
-        # (LinkTransport by default, the struct-of-arrays ColumnarTransport
-        # for the columnar engine).
+        # Engine first: it declares the transport it runs against.
         self.engine = get_engine(engine)
         self.transport = self.engine.transport_class(
             bandwidth, strict=strict, record_messages=record_messages

@@ -35,7 +35,7 @@ def build_adjacency(
 
     Both are sorted by ``repr`` -- the order every engine steps nodes in
     and the order ``Node.neighbors`` (and therefore broadcasts, and the
-    columnar transport's staging columns) iterates.  Computed once per
+    transport's staging columns) iterates.  Computed once per
     graph and cached on a weak reference: repeated network builds over
     the same instance (engine-equivalence runs, benchmark repeats) reuse
     the tuples instead of re-sorting every adjacency list per build.  A

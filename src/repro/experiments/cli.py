@@ -5,7 +5,7 @@ Examples::
     python -m repro.experiments list
     python -m repro.experiments run fig3-mst-tradeoff --workers 4
     python -m repro.experiments run chsh-gamma2 --set restarts=1,4,16 --replicates 3
-    python -m repro.experiments run boruvka-mst-sweep --set engine=columnar
+    python -m repro.experiments run boruvka-mst-sweep --set engine=dense
     python -m repro.experiments run mst-under-faults --set fault_seed=7
     python -m repro.experiments report fig3-mst-tradeoff
     python -m repro.experiments report --format json | jq '.[].result'

@@ -22,10 +22,11 @@ Layers, bottom up:
 - :mod:`~repro.experiments.reporting.timeline` -- the telemetry page:
   JSONL trace timelines;
 - :mod:`~repro.experiments.reporting.docs` -- the generated-checked
-  ``docs/scenarios.md`` catalog.
+  ``docs/scenarios.md`` catalog.  The package does not import it, so
+  ``python -m repro.experiments.reporting.docs`` runs it without a runpy
+  warning.
 """
 
-from repro.experiments.reporting.docs import builtin_scenarios, scenarios_markdown
 from repro.experiments.reporting.html import (
     page_name,
     render_index,
@@ -45,7 +46,6 @@ __all__ = [
     "Series",
     "build_reports",
     "build_site",
-    "builtin_scenarios",
     "load_traces",
     "page_name",
     "plot_series",
@@ -54,5 +54,4 @@ __all__ = [
     "render_plot",
     "render_scenario_page",
     "render_timeline_page",
-    "scenarios_markdown",
 ]

@@ -52,7 +52,7 @@ from repro.graphs.spatial import GridIndex
 
 #: The engine-selection axis shared by the CONGEST-heavy scenarios, so
 #: sweeps can put the execution engine itself on the grid (``--set
-#: engine=columnar`` at the CLI).
+#: engine=dense`` at the CLI).
 ENGINE_PARAM = ParamSpec(
     "engine", str, "event", "CONGEST engine: " + "|".join(ENGINE_NAMES), choices=ENGINE_NAMES
 )

@@ -304,12 +304,18 @@ class TestReusedSizes:
     def test_every_reused_size_equals_its_payload_size(self, monkeypatch):
         staged = []
         enqueue = LinkTransport.enqueue
+        enqueue_many = LinkTransport.enqueue_many
 
         def spy(self, sender, receiver, payload, bits, round_no):
             staged.append((payload, bits))
             enqueue(self, sender, receiver, payload, bits, round_no)
 
+        def spy_many(self, sender, receivers, payload, bits, round_no):
+            staged.append((payload, bits))
+            enqueue_many(self, sender, receivers, payload, bits, round_no)
+
         monkeypatch.setattr(LinkTransport, "enqueue", spy)
+        monkeypatch.setattr(LinkTransport, "enqueue_many", spy_many)
         graph = random_weighted_graph(16, aspect_ratio=64.0, extra_edge_prob=0.2, seed=3)
         run_linear_size_spanner(graph, stretch_k=3, include_edges=True)
         run_elkin_approx_mst(graph, alpha=4.0)

@@ -1,20 +1,25 @@
-"""Columnar transport unit tests: the struct-of-arrays hot path in isolation.
+"""Transport lockstep tests: ``LinkTransport`` against the per-link reference.
 
 The cross-engine suite (``test_engine_equivalence.py``) pins whole runs to
-the dense reference; these tests check the per-edge grouping of a staged
-round (:func:`group_round`) against its invariants and against the
-baseline's deliveries of that round, drive :class:`ColumnarTransport`
-directly against :class:`LinkTransport` on randomised edge workloads, and
-pin the strict-mode error texts and totals.
+the dense engine over the reference transport; these tests check the
+per-edge grouping of a staged round (:func:`group_round`) against its
+invariants and against the reference's deliveries of that round, drive
+:class:`LinkTransport` directly against
+:class:`~tests.reference_transport.ReferenceTransport` on randomised edge
+workloads (the block path, the completion clock, skips and shard merges),
+and pin the strict-mode error texts and totals.
 """
 
 import random
 from array import array
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.congest.columnar import ColumnarTransport, group_round
-from repro.congest.transport import BandwidthExceeded, LinkTransport
+from repro.congest.transport import BandwidthExceeded, LinkTransport, group_round
+from tests.reference_transport import ReferenceTransport
 
 
 def _drain(transport):
@@ -28,21 +33,22 @@ def _drain(transport):
 
 def _random_workload(seed, rounds=40, nodes=6, bandwidth=16):
     """Drive both transports through an identical random send schedule and
-    yield (baseline, columnar) after every round for lockstep comparison."""
+    yield (reference, transport under test) after every round for lockstep
+    comparison."""
     rng = random.Random(seed)
-    base = LinkTransport(bandwidth, record_messages=True)
-    cols = ColumnarTransport(bandwidth, record_messages=True)
+    ref = ReferenceTransport(bandwidth, record_messages=True)
+    link = LinkTransport(bandwidth, record_messages=True)
     for round_no in range(1, rounds + 1):
         for _ in range(rng.randrange(0, 8)):
             sender, receiver = rng.sample(range(nodes), 2)
             bits = rng.randrange(1, 3 * bandwidth)
             payload = ("p", round_no, sender, receiver, bits)
-            base.enqueue(sender, receiver, payload, bits, round_no)
-            cols.enqueue(sender, receiver, payload, bits, round_no)
-        assert cols.has_outgoing() == base.has_outgoing()
-        base.flush()
-        cols.flush()
-        yield round_no, base, cols
+            ref.enqueue(sender, receiver, payload, bits, round_no)
+            link.enqueue(sender, receiver, payload, bits, round_no)
+        assert link.has_outgoing() == ref.has_outgoing()
+        ref.flush()
+        link.flush()
+        yield round_no, ref, link
 
 
 def _check_group_invariants(eids, bits, bandwidth, group):
@@ -114,24 +120,24 @@ class TestGroupRound:
         # share receivers, so inboxes interleave several edges' runs.
         eids, bits = self._instance(n, n_edges, seed)
         for bandwidth in (1, 128, 10**9):
-            base = LinkTransport(bandwidth)
-            cols = ColumnarTransport(bandwidth)
+            ref = ReferenceTransport(bandwidth)
+            link = LinkTransport(bandwidth)
             for i, (eid, b) in enumerate(zip(eids, bits)):
-                for t in (base, cols):
+                for t in (ref, link):
                     t.enqueue(eid, ("sink", eid % 4), ("m", i), b, 1)
-            for t in (base, cols):
+            for t in (ref, link):
                 t.flush()
             fits = n > 0 and group_round(eids, bits, bandwidth).all_fit
-            assert (cols._block is not None) == fits
-            while (gap := base.rounds_until_delivery()) is not None:
-                assert cols.rounds_until_delivery() == gap
+            assert (link._block is not None) == fits
+            while (gap := ref.rounds_until_delivery()) is not None:
+                assert link.rounds_until_delivery() == gap
                 if gap > 1:
-                    assert cols.skip_rounds(gap - 1) == base.skip_rounds(gap - 1)
-                assert _drain(cols) == _drain(base)
-            assert cols.rounds_until_delivery() is None
-            assert cols.per_round_bits == base.per_round_bits
-            assert cols.max_edge_bits_per_round == base.max_edge_bits_per_round
-            assert (cols.total_messages, cols.total_bits) == (base.total_messages, base.total_bits)
+                    assert link.skip_rounds(gap - 1) == ref.skip_rounds(gap - 1)
+                assert _drain(link) == _drain(ref)
+            assert link.rounds_until_delivery() is None
+            assert link.per_round_bits == ref.per_round_bits
+            assert link.max_edge_bits_per_round == ref.max_edge_bits_per_round
+            assert (link.total_messages, link.total_bits) == (ref.total_messages, ref.total_bits)
 
     @pytest.mark.parametrize(
         "eids,bits,bandwidth,expected",
@@ -153,15 +159,15 @@ class TestGroupRound:
 def _assert_lockstep(workload):
     """Drain both transports of a workload round by round, comparing every
     delivery, probe and metric."""
-    for round_no, base, cols in workload:
-        assert cols.rounds_until_delivery() == base.rounds_until_delivery()
-        assert cols.pending_traffic() == base.pending_traffic()
-        assert _drain(cols) == _drain(base), round_no
-        assert cols.per_round_bits == base.per_round_bits
-        assert cols.max_edge_bits_per_round == base.max_edge_bits_per_round
-    assert cols.total_messages == base.total_messages
-    assert cols.total_bits == base.total_bits
-    assert cols.message_log == base.message_log
+    for round_no, ref, link in workload:
+        assert link.rounds_until_delivery() == ref.rounds_until_delivery()
+        assert link.pending_traffic() == ref.pending_traffic()
+        assert _drain(link) == _drain(ref), round_no
+        assert link.per_round_bits == ref.per_round_bits
+        assert link.max_edge_bits_per_round == ref.max_edge_bits_per_round
+    assert link.total_messages == ref.total_messages
+    assert link.total_bits == ref.total_bits
+    assert link.message_log == ref.message_log
 
 
 class TestTransportLockstep:
@@ -184,26 +190,26 @@ class TestTransportLockstep:
         # complete in the same one, and drained edges are revived.
         rng = random.Random(seed)
         bw = 8
-        base = LinkTransport(bw)
-        cols = ColumnarTransport(bw)
+        ref = ReferenceTransport(bw)
+        link = LinkTransport(bw)
         round_no = 1
         for _ in range(300):
             if rng.random() < 0.55:
-                for t in (base, cols):
+                for t in (ref, link):
                     t.flush()
-                assert cols.rounds_until_delivery() == base.rounds_until_delivery()
-                assert _drain(cols) == _drain(base), round_no
+                assert link.rounds_until_delivery() == ref.rounds_until_delivery()
+                assert _drain(link) == _drain(ref), round_no
                 round_no += 1
             else:
                 eid = rng.randrange(64)
                 bits = rng.randrange(1, 9) * bw - rng.randrange(bw)
-                for t in (base, cols):
+                for t in (ref, link):
                     t.enqueue(eid, ("r", eid % 8), ("m", round_no, eid), bits, round_no)
-        while base.rounds_until_delivery() is not None:
-            assert _drain(cols) == _drain(base)
-        assert cols.rounds_until_delivery() is None
-        assert cols.per_round_bits == base.per_round_bits
-        assert cols.max_edge_bits_per_round == base.max_edge_bits_per_round
+        while ref.rounds_until_delivery() is not None:
+            assert _drain(link) == _drain(ref)
+        assert link.rounds_until_delivery() is None
+        assert link.per_round_bits == ref.per_round_bits
+        assert link.max_edge_bits_per_round == ref.max_edge_bits_per_round
 
     def test_long_queue_compaction_matches_baseline(self):
         # Hundreds of one- to three-bit messages on one edge: each round
@@ -211,205 +217,205 @@ class TestTransportLockstep:
         # place while new sends keep arriving behind it.
         rng = random.Random(3)
         bw = 8
-        base = LinkTransport(bw)
-        cols = ColumnarTransport(bw)
+        ref = ReferenceTransport(bw)
+        link = LinkTransport(bw)
         for round_no in range(1, 120):
             if round_no <= 40:
                 for _ in range(rng.randrange(0, 12)):
                     b = rng.randrange(1, 4)
-                    for t in (base, cols):
+                    for t in (ref, link):
                         t.enqueue(0, 1, ("m", round_no, b), b, round_no)
-                for t in (base, cols):
+                for t in (ref, link):
                     t.flush()
-            assert cols.rounds_until_delivery() == base.rounds_until_delivery()
-            assert _drain(cols) == _drain(base), round_no
-        assert cols.rounds_until_delivery() is base.rounds_until_delivery() is None
-        assert cols.per_round_bits == base.per_round_bits
+            assert link.rounds_until_delivery() == ref.rounds_until_delivery()
+            assert _drain(link) == _drain(ref), round_no
+        assert link.rounds_until_delivery() is ref.rounds_until_delivery() is None
+        assert link.per_round_bits == ref.per_round_bits
 
     def test_flush_with_pending_block_materializes_it(self):
         # Two flushes before a delivery: the first commits a block, the
         # second folds it into the per-edge queues behind which its own
         # rows queue, exactly as if both had taken the general path.
         bw = 8
-        base = LinkTransport(bw)
-        cols = ColumnarTransport(bw)
-        for t in (base, cols):
+        ref = ReferenceTransport(bw)
+        link = LinkTransport(bw)
+        for t in (ref, link):
             t.enqueue(0, 1, "a", 4, 1)
             t.enqueue(1, 2, "b", 8, 1)
             t.flush()
-        assert cols._block is not None
-        for t in (base, cols):
+        assert link._block is not None
+        for t in (ref, link):
             t.enqueue(0, 1, "c", 8, 1)
             t.enqueue(2, 0, "d", 3, 1)
             t.flush()
-        assert cols._block is None
-        assert cols.live_edges == 3
-        while base.rounds_until_delivery() is not None:
-            assert cols.rounds_until_delivery() == base.rounds_until_delivery()
-            assert _drain(cols) == _drain(base)
-        assert cols.per_round_bits == base.per_round_bits
-        assert cols.max_edge_bits_per_round == base.max_edge_bits_per_round
+        assert link._block is None
+        assert link.live_edges == 3
+        while ref.rounds_until_delivery() is not None:
+            assert link.rounds_until_delivery() == ref.rounds_until_delivery()
+            assert _drain(link) == _drain(ref)
+        assert link.per_round_bits == ref.per_round_bits
+        assert link.max_edge_bits_per_round == ref.max_edge_bits_per_round
 
     def test_skip_over_a_pending_block_raises(self):
-        cols = ColumnarTransport(8)
-        cols.enqueue(0, 1, "a", 5, 1)
-        cols.flush()
-        assert cols.rounds_until_delivery() == 1
+        link = LinkTransport(8)
+        link.enqueue(0, 1, "a", 5, 1)
+        link.flush()
+        assert link.rounds_until_delivery() == 1
         with pytest.raises(RuntimeError, match="crossed a delivery"):
-            cols.skip_rounds(1)
-        assert cols.skip_rounds(0) == 0
-        assert _drain(cols) == {1: [(0, "a", 5)]}
-        assert cols.per_round_bits == [5]
+            link.skip_rounds(1)
+        assert link.skip_rounds(0) == 0
+        assert _drain(link) == {1: [(0, "a", 5)]}
+        assert link.per_round_bits == [5]
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_enqueue_many_matches_baseline(self, seed):
         # Broadcasts to random receiver lists, some naming edges that have
-        # never carried a message yet; the baseline stages them one
+        # never carried a message yet; the reference stages them one
         # enqueue at a time.
         rng = random.Random(seed)
         bw = 16
-        base = LinkTransport(bw, record_messages=True)
-        cols = ColumnarTransport(bw, record_messages=True)
+        ref = ReferenceTransport(bw, record_messages=True)
+        link = LinkTransport(bw, record_messages=True)
         for round_no in range(1, 30):
             for _ in range(rng.randrange(0, 4)):
                 sender = rng.randrange(10)
                 receivers = rng.sample([v for v in range(10) if v != sender], rng.randrange(0, 6))
                 bits = rng.randrange(1, 2 * bw)
-                for t in (base, cols):
+                for t in (ref, link):
                     t.enqueue_many(sender, receivers, ("b", round_no, sender), bits, round_no)
-            for t in (base, cols):
+            for t in (ref, link):
                 t.flush()
-            assert _drain(cols) == _drain(base), round_no
-        assert cols.per_round_bits == base.per_round_bits
-        assert cols.message_log == base.message_log
-        assert (cols.total_messages, cols.total_bits) == (base.total_messages, base.total_bits)
+            assert _drain(link) == _drain(ref), round_no
+        assert link.per_round_bits == ref.per_round_bits
+        assert link.message_log == ref.message_log
+        assert (link.total_messages, link.total_bits) == (ref.total_messages, ref.total_bits)
 
     def test_drain_then_revive_keeps_baseline_delivery_order(self):
         # An edge that drains and is re-created must complete *after* edges
-        # created in between -- the baseline's insertion-ordered link dict
-        # behaviour, reproduced columnar-side by the edge creation sequence.
+        # created in between -- the reference's insertion-ordered link dict
+        # behaviour, reproduced by the edge activation sequence.
         bw = 8
-        base = LinkTransport(bw)
-        cols = ColumnarTransport(bw)
-        for t in (base, cols):
+        ref = ReferenceTransport(bw)
+        link = LinkTransport(bw)
+        for t in (ref, link):
             t.enqueue(0, 1, "a", bw, 1)
             t.flush()
-        assert _drain(cols) == _drain(base)  # edge (0, 1) drains
-        for t in (base, cols):
+        assert _drain(link) == _drain(ref)  # edge (0, 1) drains
+        for t in (ref, link):
             t.enqueue(2, 1, "b", bw, 2)  # new edge while (0, 1) is dead
             t.enqueue(0, 1, "c", bw, 2)  # (0, 1) revived -- now *after* (2, 1)
             t.flush()
-        assert _drain(cols) == _drain(base)
+        assert _drain(link) == _drain(ref)
 
     def test_same_round_completions_deliver_in_activation_order(self):
         # Three edges revived in the order C, A, B -- not their edge-id
         # order A < B < C -- on the general path (no block: the 16-bit
         # heads exceed B) all complete in the same round.  They must
-        # deliver in activation order, as the baseline's insertion-ordered
+        # deliver in activation order, as the reference's insertion-ordered
         # link dict does, not in edge-id order.
         bw = 8
-        base = LinkTransport(bw)
-        cols = ColumnarTransport(bw)
-        for t in (base, cols):
+        ref = ReferenceTransport(bw)
+        link = LinkTransport(bw)
+        for t in (ref, link):
             for sender in (0, 2, 3):  # edge ids: A=(0, 1), B=(2, 1), C=(3, 1)
                 t.enqueue(sender, 1, ("id", sender), bw, 1)
             t.flush()
-        assert _drain(cols) == _drain(base)
-        for t in (base, cols):
+        assert _drain(link) == _drain(ref)
+        for t in (ref, link):
             for sender in (3, 0, 2):
                 t.enqueue(sender, 1, ("late", sender), 2 * bw, 2)
             t.flush()
-        assert cols._block is None  # the general path, not a block
-        assert _drain(cols) == _drain(base) == {}
-        delivered = _drain(cols)
-        assert delivered == _drain(base)
+        assert link._block is None  # the general path, not a block
+        assert _drain(link) == _drain(ref) == {}
+        delivered = _drain(link)
+        assert delivered == _drain(ref)
         assert [sender for sender, _, _ in delivered[1]] == [3, 0, 2]
-        assert cols.per_round_bits == base.per_round_bits
+        assert link.per_round_bits == ref.per_round_bits
 
     @pytest.mark.parametrize("seed", [5, 17])
     def test_skip_rounds_matches_baseline(self, seed):
         rng = random.Random(seed)
         bw = 16
-        base = LinkTransport(bw)
-        cols = ColumnarTransport(bw)
+        ref = ReferenceTransport(bw)
+        link = LinkTransport(bw)
         for round_no in range(1, 12):
             for _ in range(rng.randrange(1, 4)):
                 sender, receiver = rng.sample(range(5), 2)
                 bits = rng.randrange(bw, 20 * bw)
-                base.enqueue(sender, receiver, ("p", round_no), bits, round_no)
-                cols.enqueue(sender, receiver, ("p", round_no), bits, round_no)
-            base.flush()
-            cols.flush()
-            gap = base.rounds_until_delivery()
+                ref.enqueue(sender, receiver, ("p", round_no), bits, round_no)
+                link.enqueue(sender, receiver, ("p", round_no), bits, round_no)
+            ref.flush()
+            link.flush()
+            gap = ref.rounds_until_delivery()
             if gap is not None and gap > 1:
                 skip = rng.randrange(1, gap)
-                assert cols.skip_rounds(skip) == base.skip_rounds(skip)
-            assert _drain(cols) == _drain(base)
-            assert cols.per_round_bits == base.per_round_bits
-            assert cols.pending_traffic() == base.pending_traffic()
+                assert link.skip_rounds(skip) == ref.skip_rounds(skip)
+            assert _drain(link) == _drain(ref)
+            assert link.per_round_bits == ref.per_round_bits
+            assert link.pending_traffic() == ref.pending_traffic()
 
     def test_skip_rounds_crossing_a_delivery_raises(self):
-        cols = ColumnarTransport(8)
-        cols.enqueue(0, 1, "x", 24, 1)  # 3 rounds to deliver
-        cols.flush()
-        assert cols.rounds_until_delivery() == 3
+        link = LinkTransport(8)
+        link.enqueue(0, 1, "x", 24, 1)  # 3 rounds to deliver
+        link.flush()
+        assert link.rounds_until_delivery() == 3
         with pytest.raises(RuntimeError, match="crossed a delivery"):
-            cols.skip_rounds(3)
-        assert cols.skip_rounds(2) == 16
-        assert cols.rounds_until_delivery() == 1
+            link.skip_rounds(3)
+        assert link.skip_rounds(2) == 16
+        assert link.rounds_until_delivery() == 1
 
     def test_quiet_skip_with_no_traffic(self):
-        cols = ColumnarTransport(8)
-        assert cols.skip_rounds(4) == 0
-        assert cols.per_round_bits == [0, 0, 0, 0]
-        assert cols.rounds_until_delivery() is None
+        link = LinkTransport(8)
+        assert link.skip_rounds(4) == 0
+        assert link.per_round_bits == [0, 0, 0, 0]
+        assert link.rounds_until_delivery() is None
 
     def test_live_edges_tracks_queue_lifecycle(self):
-        cols = ColumnarTransport(8)
-        cols.enqueue(0, 1, "a", 8, 1)
-        cols.enqueue(1, 0, "b", 16, 1)
-        cols.flush()
-        assert cols.live_edges == 2
-        cols.deliver_round()  # (0, 1) drains, (1, 0) still has 8 bits
-        assert cols.live_edges == 1
-        cols.deliver_round()
-        assert cols.live_edges == 0
+        link = LinkTransport(8)
+        link.enqueue(0, 1, "a", 8, 1)
+        link.enqueue(1, 0, "b", 16, 1)
+        link.flush()
+        assert link.live_edges == 2
+        link.deliver_round()  # (0, 1) drains, (1, 0) still has 8 bits
+        assert link.live_edges == 1
+        link.deliver_round()
+        assert link.live_edges == 0
 
 
 class TestStrictMode:
     def test_oversized_message_text_matches_baseline(self):
-        base = LinkTransport(8, strict=True)
-        cols = ColumnarTransport(8, strict=True)
+        ref = ReferenceTransport(8, strict=True)
+        link = LinkTransport(8, strict=True)
         errors = {}
-        for name, transport in (("base", base), ("cols", cols)):
+        for name, transport in (("ref", ref), ("link", link)):
             with pytest.raises(BandwidthExceeded) as info:
                 transport.enqueue(0, 1, "big", 9, 1)
             errors[name] = str(info.value)
-        assert errors["cols"] == errors["base"]
+        assert errors["link"] == errors["ref"]
 
     def test_per_edge_overflow_text_matches_and_commits_nothing(self):
-        base = LinkTransport(8, strict=True)
-        cols = ColumnarTransport(8, strict=True)
+        ref = ReferenceTransport(8, strict=True)
+        link = LinkTransport(8, strict=True)
         errors = {}
-        for name, transport in (("base", base), ("cols", cols)):
+        for name, transport in (("ref", ref), ("link", link)):
             transport.enqueue(0, 1, "a", 5, 1)
             transport.enqueue(0, 1, "b", 5, 1)
             with pytest.raises(BandwidthExceeded) as info:
                 transport.flush()
             errors[name] = str(info.value)
-        assert errors["cols"] == errors["base"]
+        assert errors["link"] == errors["ref"]
         # The check raises before the commit: nothing is in flight.
-        assert cols.pending_traffic() == base.pending_traffic() == 0
-        assert cols.live_edges == 0
+        assert link.pending_traffic() == ref.pending_traffic() == 0
+        assert link.live_edges == 0
 
     @pytest.mark.parametrize("send", ["enqueue", "enqueue_many"])
     def test_abort_mid_round_counts_staged_messages(self, send):
-        # The columnar side folds its totals in at the flush barrier; an
-        # oversized send must first count what the round already staged.
-        base = LinkTransport(8, strict=True)
-        cols = ColumnarTransport(8, strict=True)
+        # LinkTransport counts the round being staged from its staging
+        # columns; an abort mid-round must still count what it staged.
+        ref = ReferenceTransport(8, strict=True)
+        link = LinkTransport(8, strict=True)
         errors = {}
-        for name, transport in (("base", base), ("cols", cols)):
+        for name, transport in (("ref", ref), ("link", link)):
             transport.enqueue(0, 1, "a", 5, 1)
             transport.enqueue_many(1, [0, 2], "b", 7, 1)
             with pytest.raises(BandwidthExceeded) as info:
@@ -418,11 +424,155 @@ class TestStrictMode:
                 else:
                     transport.enqueue_many(2, [1, 0], "big", 9, 1)
             errors[name] = str(info.value)
-        assert errors["cols"] == errors["base"]
-        assert (base.total_messages, base.total_bits) == (3, 19)
-        assert (cols.total_messages, cols.total_bits) == (3, 19)
+        assert errors["link"] == errors["ref"]
+        assert (ref.total_messages, ref.total_bits) == (3, 19)
+        assert (link.total_messages, link.total_bits) == (3, 19)
 
-    def test_shard_staging_is_rejected(self):
-        cols = ColumnarTransport(8)
-        with pytest.raises(RuntimeError, match="single-writer"):
-            cols.begin_shard_staging()
+
+#: Nodes of the property's random schedules: few, so edges repeat within a
+#: round, share receivers, drain and revive.
+_NODES = 3
+_EDGES = [(u, v) for u in range(_NODES) for v in range(_NODES) if u != v]
+#: (sender, receivers) of a broadcast: each sender with every subset of the
+#: other nodes, the empty one included.
+_FANOUTS = [
+    (u, receivers)
+    for u in range(_NODES)
+    for k in range(_NODES)
+    for receivers in combinations([v for v in range(_NODES) if v != u], k)
+]
+
+
+def _sends(bandwidth):
+    """One program send: ``enqueue`` on an edge, or ``enqueue_many`` from a
+    sender to some of the other nodes, sized 1 to 3B bits."""
+    size = st.integers(1, 3 * bandwidth)
+    return st.one_of(
+        st.tuples(st.just("send"), st.sampled_from(_EDGES), size),
+        st.tuples(st.just("broadcast"), st.sampled_from(_FANOUTS), size),
+    )
+
+
+@st.composite
+def _schedules(draw):
+    bandwidth = draw(st.sampled_from([1, 8, 64]))
+    sends = _sends(bandwidth)
+    ops = st.one_of(
+        sends,
+        sends,
+        sends,
+        st.just(("flush",)),
+        st.just(("deliver",)),
+        st.tuples(st.just("skip"), st.integers(1, 6)),
+        st.tuples(st.just("shard"), st.lists(st.lists(sends, max_size=4), min_size=1, max_size=3)),
+    )
+    return bandwidth, draw(st.booleans()), draw(st.lists(ops, min_size=20, max_size=80))
+
+
+def _send(transport, op, payload, round_no):
+    kind, (sender, to), bits = op
+    if kind == "send":
+        transport.enqueue(sender, to, payload, bits, round_no)
+    else:
+        transport.enqueue_many(sender, list(to), payload, bits, round_no)
+
+
+def _shard_round(transport, shards, index, round_no):
+    """Stage ``shards`` through LinkTransport's shard API as a parallel
+    engine does: one outbox per shard, staging stops at the first strict
+    error, and the outboxes up to the failing one merge in shard order."""
+    transport.begin_shard_staging()
+    outboxes = []
+    error = None
+    try:
+        for k, shard in enumerate(shards):
+            outboxes.append(transport.open_shard_outbox())
+            try:
+                for j, op in enumerate(shard):
+                    _send(transport, op, ("m", index, k, j), round_no)
+            except BandwidthExceeded as exc:
+                error = exc
+                break
+            finally:
+                transport.close_shard_outbox()
+    finally:
+        transport.end_shard_staging()
+    transport.merge_shard_outboxes(outboxes)
+    if error is not None:
+        raise error
+
+
+def _step(transport, op, index, round_no, shard_api):
+    """Apply one schedule op; returns what the op observably produced."""
+    kind = op[0]
+    if kind == "flush":
+        transport.flush()
+    elif kind == "deliver":
+        return list(transport.deliver_round().items())
+    elif kind == "skip":
+        return transport.skip_rounds(op[1])
+    elif kind == "shard":
+        if shard_api:
+            _shard_round(transport, op[1], index, round_no)
+        else:
+            # The reference stages the same sends serially, in shard order.
+            for k, shard in enumerate(op[1]):
+                for j, send in enumerate(shard):
+                    _send(transport, send, ("m", index, k, j), round_no)
+    else:
+        _send(transport, op, ("m", index), round_no)
+    return None
+
+
+def _observe(transport):
+    return (
+        transport.has_outgoing(),
+        transport.rounds_until_delivery(),
+        transport.pending_traffic(),
+        transport.total_messages,
+        transport.total_bits,
+        transport.max_edge_bits_per_round,
+        len(transport.per_round_bits),
+    )
+
+
+class TestLockstepProperty:
+    @given(_schedules())
+    # Same-round completions on edges activated against their edge-id
+    # order, and a fitting flush while an edge is still mid-message: the
+    # two schedules that a tie broken by edge id, or a block taken while an
+    # edge is live, get wrong.
+    @example((8, False, [
+        ("send", (0, 2), 8), ("send", (1, 2), 8), ("flush",), ("deliver",),
+        ("send", (1, 2), 16), ("send", (0, 2), 16), ("flush",), ("deliver",), ("deliver",),
+    ]))
+    @example((8, False, [
+        ("send", (0, 1), 16), ("flush",), ("deliver",),
+        ("send", (2, 1), 8), ("flush",), ("deliver",),
+    ]))
+    @settings(max_examples=100, deadline=None)
+    def test_random_schedules_match_reference(self, schedule):
+        """Random interleavings of sends, broadcasts, shard merges, flushes,
+        deliveries and skips: every delivery (inbox order included), probe,
+        metric, strict error text and log entry matches the reference."""
+        bandwidth, strict, ops = schedule
+        ref = ReferenceTransport(bandwidth, strict=strict, record_messages=True)
+        link = LinkTransport(bandwidth, strict=strict, record_messages=True)
+        round_no = 1
+        for index, op in enumerate(ops):
+            if op[0] == "skip":
+                # Skips stay below the next delivery, as the engines keep them.
+                gap = ref.rounds_until_delivery()
+                op = ("skip", op[1] if gap is None else min(op[1], gap - 1))
+            outcomes = []
+            for transport, shard_api in ((ref, False), (link, True)):
+                try:
+                    outcomes.append(_step(transport, op, index, round_no, shard_api))
+                except BandwidthExceeded as exc:
+                    outcomes.append(("error", str(exc)))
+            assert outcomes[1] == outcomes[0], (index, op)
+            assert _observe(link) == _observe(ref), (index, op)
+            if op[0] in ("deliver", "skip"):
+                round_no += 1 if op[0] == "deliver" else op[1]
+        assert link.per_round_bits == ref.per_round_bits
+        assert link.message_log == ref.message_log

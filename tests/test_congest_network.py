@@ -341,32 +341,32 @@ class TestExecution:
 
     def test_both_engines_strict_mode(self):
         graph = nx.path_graph(2)
-        for engine in ("dense", "event", "columnar"):
+        for engine in ("dense", "event", "parallel"):
             with pytest.raises(BandwidthExceeded):
                 CongestNetwork(graph, BigSender, bandwidth=10, strict=True, engine=engine).run()
 
 
 class TestEngineNames:
-    @pytest.mark.parametrize("name", ["dense", "event", "parallel", "columnar"])
+    @pytest.mark.parametrize("name", ["dense", "event", "parallel"])
     def test_each_name_builds_its_engine_and_transport(self, name):
-        from repro.congest.columnar import ColumnarTransport
         from repro.congest.engine import ENGINE_NAMES
+        from repro.congest.transport import LinkTransport
 
         assert name in ENGINE_NAMES
         network = CongestNetwork(nx.path_graph(5), FloodProgram, engine=name)
         assert network.engine.name == name
         assert type(network.transport) is network.engine.transport_class
-        assert isinstance(network.transport, ColumnarTransport) == (name == "columnar")
+        assert type(network.transport) is LinkTransport
         result = network.run()
         reference = CongestNetwork(nx.path_graph(5), FloodProgram, engine="dense").run()
         assert (result.rounds, result.outputs) == (reference.rounds, reference.outputs)
         assert result.per_round_bits == reference.per_round_bits
 
-    @pytest.mark.parametrize("name", ["auto", "Event", "colunmar", "numpy"])
+    @pytest.mark.parametrize("name", ["auto", "Event", "colunmar", "numpy", "columnar"])
     def test_unknown_names_raise_and_list_the_known_ones(self, name):
         from repro.congest.engine import get_engine
 
-        known = "known: dense, event, parallel, columnar"
+        known = "known: dense, event, parallel"
         with pytest.raises(ValueError, match=f"unknown engine '{name}'; {known}"):
             get_engine(name)
         with pytest.raises(ValueError, match="unknown engine"):
@@ -425,7 +425,7 @@ for (u, v), w in zip(graph.edges(), weights):
     graph.edges[u, v]["weight"] = float(w)
 runs = {}
 # A forced-shard parallel engine, so its thread-local outboxes run too.
-for engine in ("dense", "event", ParallelEngine(threads=2, min_parallel_nodes=1), "columnar"):
+for engine in ("dense", "event", ParallelEngine(threads=2, min_parallel_nodes=1)):
     edges, result = run_gkp_mst(graph, bandwidth=128, seed=0, engine=engine)
     runs[getattr(engine, "name", engine)] = {
         "edges": sorted(sorted(map(repr, e)) for e in edges),
@@ -451,7 +451,7 @@ class TestWithoutNumpy:
         assert "repro.graphs.generators" in report["modules"]
         assert report["numpy_imports"] == []
         runs = report["runs"]
-        assert set(runs) == {"dense", "event", "parallel", "columnar"}
+        assert set(runs) == {"dense", "event", "parallel"}
         assert runs["dense"]["edges"]
-        for name in ("event", "parallel", "columnar"):
+        for name in ("event", "parallel"):
             assert runs[name] == runs["dense"], name

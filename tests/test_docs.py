@@ -6,14 +6,17 @@ step, since plain pytest never collects ``bench_*.py``.
 
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import repro.experiments
-from repro.experiments.reporting import builtin_scenarios, scenarios_markdown
+from repro.experiments.reporting.docs import builtin_scenarios, scenarios_markdown
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -45,6 +48,23 @@ class TestScenariosCatalog:
             "docs/scenarios.md drifted from the scenario registry; regenerate with "
             "`PYTHONPATH=src python -m repro.experiments.reporting.docs > docs/scenarios.md`"
         )
+
+    def test_documented_command_prints_the_catalog_without_warnings(self):
+        # Run as the docstring above says, with runpy's warnings as errors:
+        # a package __init__ that imports the module before runpy runs it
+        # makes runpy warn on every run.
+        src = Path(repro.experiments.__file__).resolve().parents[2]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH", "")) if p
+        )}
+        out = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.experiments.reporting.docs"],
+            capture_output=True, text=True, env=env, cwd=REPO, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == ""
+        assert out.stdout == (REPO / "docs" / "scenarios.md").read_text()
 
     def test_catalog_excludes_adhoc_registrations(self):
         # This test module's sibling suites register test-* scenarios; the

@@ -333,13 +333,13 @@ class TestBoruvkaMstSweepScenario:
         and the same CONGEST metrics on the same point."""
         scn = get_scenario("boruvka-mst-sweep")
         results = {}
-        for engine in ("dense", "event", "parallel", "columnar"):
+        for engine in ("dense", "event", "parallel"):
             params = scn.resolve_params(
                 {"n": 16, "generator": "geometric", "weight_model": "distinct",
                  "engine": engine}
             )
             results[engine] = scn.run(params, seed=5)
-        for engine in ("event", "parallel", "columnar"):
+        for engine in ("event", "parallel"):
             for field in ("tree_weight", "rounds", "total_bits", "total_messages", "exact"):
                 assert results[engine][field] == results["dense"][field], (engine, field)
 
@@ -524,22 +524,22 @@ class TestCLI:
         argv = [
             "run", "boruvka-mst-sweep", "--store", str(store),
             "--set", "n=12", "--set", "generator=random", "--set", "weight_model=distinct",
-            "--set", "engine=columnar",
+            "--set", "engine=dense",
         ]
         assert cli_main(argv) == 0
         (path,) = (store / "boruvka-mst-sweep").glob("*.json")
         record = json.loads(path.read_text())
-        assert record["params"]["engine"] == "columnar"
+        assert record["params"]["engine"] == "dense"
         assert set(record["params"]) == {
             spec.name for spec in get_scenario("boruvka-mst-sweep").params
         }
-        assert record["result"]["engine"] == "columnar" and record["result"]["exact"]
+        assert record["result"]["engine"] == "dense" and record["result"]["exact"]
         # Scenarios without an engine param reject the axis cleanly.
         assert cli_main(["run", "test-echo", "--no-store", "--set", "engine=dense"]) == 2
         assert "unknown grid axis" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "engine", ["colunmar", "auto", "Columnar", "numpy", "event,auto"]
+        "engine", ["colunmar", "auto", "Columnar", "numpy", "event,auto", "columnar"]
     )
     def test_unknown_engine_fails_before_any_point_runs(self, tmp_path, capsys, engine):
         store = tmp_path / "store"

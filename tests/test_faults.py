@@ -7,9 +7,10 @@ Covers the three seams the layer adds under the engines:
 - :class:`FaultyTransport` wire semantics on a bare ``LinkTransport`` --
   drops/dups/reorders with offered-load accounting, crash and link loss at
   delivery, the skip-rounds guard that keeps the event engines honest;
-- end-to-end recovery correctness and the exactness of the event/columnar
-  engines' skip accounting across crash/recovery wake-ups (byte-identical
-  to the dense reference, which never skips).
+- end-to-end recovery correctness and the exactness of the engines' skip
+  accounting across crash/recovery wake-ups (byte-identical to the
+  reference: the dense engine, which never skips, over the per-link
+  reference transport).
 """
 
 from dataclasses import replace
@@ -31,6 +32,7 @@ from repro.congest.network import CongestNetwork
 from repro.congest.node import NodeProgram
 from repro.congest.transport import LinkTransport
 from repro.graphs.generators import random_connected_graph
+from tests.reference_transport import ReferenceDenseEngine
 
 
 def _weighted(n, seed, extra_edge_prob=0.15):
@@ -466,14 +468,14 @@ def _assert_results_match(dense, other):
 
 
 class TestSkipAccountingUnderFaults:
-    """The event/columnar skip-jump accounting must stay exact when crash
-    recoveries and topology events force extra wake-ups: every engine's
-    RunResult (including the per-round bit trace) matches the dense
-    reference, which never skips at all."""
+    """The skip-jump accounting must stay exact when crash recoveries and
+    topology events force extra wake-ups: every engine's RunResult
+    (including the per-round bit trace) matches the reference, the dense
+    engine over the reference transport, which never skips at all."""
 
     @pytest.mark.parametrize(
         "engine",
-        ["event", "columnar", pytest.param("parallel", id="parallel")],
+        ["event", "dense", pytest.param("parallel", id="parallel")],
     )
     def test_refreshing_bf_under_full_plan_matches_dense(self, engine):
         graph = _weighted(18, 2)
@@ -493,7 +495,7 @@ class TestSkipAccountingUnderFaults:
         )
         spec = ParallelEngine(threads=4, min_parallel_nodes=1) if engine == "parallel" else engine
         _, dense = run_refreshing_bellman_ford(
-            graph, source, max_rounds=60, engine="dense", faults=plan
+            graph, source, max_rounds=60, engine=ReferenceDenseEngine(), faults=plan
         )
         _, other = run_refreshing_bellman_ford(
             graph, source, max_rounds=60, engine=spec, faults=plan
@@ -519,9 +521,9 @@ class TestSkipAccountingUnderFaults:
 
         graph = nx.path_graph(5)
         plan = FaultPlan(crashes=((3, 40, 70),))
-        dense = CongestNetwork(graph, OneShot, bandwidth=8, engine="dense", faults=plan).run(
-            max_rounds=100
-        )
+        dense = CongestNetwork(
+            graph, OneShot, bandwidth=8, engine=ReferenceDenseEngine(), faults=plan
+        ).run(max_rounds=100)
         event = CongestNetwork(graph, OneShot, bandwidth=8, engine="event", faults=plan).run(
             max_rounds=100
         )

@@ -143,7 +143,7 @@ class TestTraceWriter:
 
 
 class TestExactAccounting:
-    @pytest.mark.parametrize("engine", ["dense", "event", "parallel", "columnar"])
+    @pytest.mark.parametrize("engine", ["dense", "event", "parallel"])
     def test_round_bit_samples_sum_to_run_result(self, engine):
         graph = _graph(seed=7)
         eng = (
@@ -166,7 +166,7 @@ class TestExactAccounting:
     def test_engines_agree_on_counter_totals(self):
         graph = _graph(seed=11)
         totals = {}
-        for name in ("dense", "event", "parallel", "columnar"):
+        for name in ("dense", "event", "parallel"):
             eng = (
                 ParallelEngine(threads=2, min_parallel_nodes=1)
                 if name == "parallel"
@@ -183,7 +183,6 @@ class TestExactAccounting:
             )
         assert totals["event"] == totals["dense"]
         assert totals["parallel"] == totals["dense"]
-        assert totals["columnar"] == totals["dense"]
 
 
 class TestSweepTraces:

@@ -181,6 +181,7 @@ class TestFaultDeterminismProperties:
         from repro.congest.engine import ParallelEngine
         from repro.congest.faults import FaultPlan
         from repro.graphs.generators import random_connected_graph
+        from tests.reference_transport import ReferenceDenseEngine
 
         graph = random_connected_graph(12, extra_edge_prob=0.2, seed=5)
         source = min(graph.nodes())
@@ -190,6 +191,7 @@ class TestFaultDeterminismProperties:
         )
         runs = {}
         for name, engine in (
+            ("reference", ReferenceDenseEngine()),
             ("event", "event"),
             ("parallel", ParallelEngine(threads=threads, min_parallel_nodes=1)),
         ):
@@ -198,14 +200,15 @@ class TestFaultDeterminismProperties:
                 engine=engine, faults=plan,
             )
             runs[name] = (dists, result)
-        dists_e, result_e = runs["event"]
-        dists_p, result_p = runs["parallel"]
-        assert dists_p == dists_e
-        assert result_p.fault_stats == result_e.fault_stats
-        assert (result_p.rounds, result_p.total_messages, result_p.total_bits) == (
-            result_e.rounds, result_e.total_messages, result_e.total_bits,
-        )
-        assert result_p.per_round_bits == result_e.per_round_bits
+        dists_ref, ref = runs["reference"]
+        for name in ("event", "parallel"):
+            dists, result = runs[name]
+            assert dists == dists_ref
+            assert result.fault_stats == ref.fault_stats
+            assert (result.rounds, result.total_messages, result.total_bits) == (
+                ref.rounds, ref.total_messages, ref.total_bits,
+            )
+            assert result.per_round_bits == ref.per_round_bits
 
     @given(st.integers(0, 500))
     @settings(max_examples=8, deadline=None)
