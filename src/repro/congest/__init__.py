@@ -13,11 +13,10 @@ of rounds, messages and bits.
   that touches only the links whose message completes.
 - :mod:`repro.congest.columnar`  -- ``ColumnarTransport``, a former name
   of ``LinkTransport`` kept for the benchmark's instrumentation.
-- :mod:`repro.congest.engine`    -- pluggable schedulers: the reference
-  ``DenseEngine``, the event-driven ``EventEngine`` fast path and the
-  thread-sharded ``ParallelEngine``, all over one transport and one
-  batched step ABI (``StepPlan`` / ``step_batch``); ``get_engine``
-  resolves the names in ``ENGINE_NAMES``.
+- :mod:`repro.congest.engine`    -- the schedulers: the reference
+  ``DenseEngine`` and the event-driven ``EventEngine`` fast path, both
+  over one transport and one ``on_round`` loop (``step_batch``);
+  ``get_engine`` resolves the names in ``ENGINE_NAMES``.
 - :mod:`repro.congest.network`   -- the ``CongestNetwork`` façade tying the
   layers together.
 - :mod:`repro.congest.topology`  -- network families, including the
@@ -31,8 +30,6 @@ from repro.congest.engine import (
     DenseEngine,
     Engine,
     EventEngine,
-    ParallelEngine,
-    StepPlan,
     get_engine,
     step_batch,
 )
@@ -60,8 +57,6 @@ __all__ = [
     "Engine",
     "DenseEngine",
     "EventEngine",
-    "ParallelEngine",
-    "StepPlan",
     "step_batch",
     "get_engine",
     "LinkTransport",

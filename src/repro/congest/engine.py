@@ -14,24 +14,17 @@ engine produces the same :class:`RunResult` for the same program:
   Rounds in which nothing happens are skipped in O(1) by jumping the clock
   to the next delivery or program wake-up, with the transport accounting
   the skipped stretch exactly.
-- :class:`ParallelEngine` -- the event engine's active-set semantics with
-  the per-round step phase sharded across a thread pool.  Nodes are
-  share-nothing within a round (each step touches only its own node, rng
-  and staged sends), so shards run concurrently; outboxes are merged at
-  the round barrier in node-id order, keeping every metric -- including
-  the opt-in message log -- byte-identical to the serial engines.
 
-All engines run over one transport,
+Both engines run over one transport,
 :class:`~repro.congest.transport.LinkTransport`; an engine declares it via
 the ``transport_class`` attribute and the network builds it.
-:class:`ColumnarEngine` is the event engine under a former name, kept
-only because the benchmark's instrumentation names it; ``get_engine``
-does not resolve it.
+:class:`ColumnarEngine` and :class:`ParallelEngine` are the event engine
+under former names, kept only because the benchmark's instrumentation
+names them; ``get_engine`` resolves neither.
 
-All engines express a round's work as a :class:`StepPlan` (the batched step
-ABI): the ordered active set plus that round's inboxes.  :func:`step_batch`
-is the one inner loop that actually calls ``on_round``; serial engines run
-it over the whole plan, the parallel engine over contiguous shards of it.
+:func:`step_batch` is the one loop that calls ``on_round``: each engine
+picks a round's active set in node-id order and passes it, with that
+round's inboxes, to it.
 
 Equivalence contract: a program's idleness hint must only skip rounds whose
 ``on_round`` call would have been a no-op (no sends, no halting, no change
@@ -43,12 +36,8 @@ by the cross-engine equivalence suite (``tests/test_engine_equivalence.py``).
 from __future__ import annotations
 
 import heapq
-import os
-import sys
-import time
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Hashable, Sequence
+from typing import TYPE_CHECKING, Any, Hashable
 
 from repro.congest.columnar import ColumnarTransport
 from repro.congest.transport import LinkTransport
@@ -82,38 +71,23 @@ class RunResult:
         return next(iter(self.outputs.values()))
 
 
-@dataclass
-class StepPlan:
-    """One round's batch of node steps: the batched step ABI.
-
-    ``node_ids`` is the active set in canonical (node-id) order, already
-    filtered to non-halted nodes; ``inboxes`` maps node id to that round's
-    deliveries.  A plan is immutable input to the step phase: any engine --
-    serial or sharded -- that executes it via :func:`step_batch` produces
-    the same program-visible behaviour.
-    """
-
-    round_no: int
-    node_ids: list[Hashable]
-    inboxes: dict[Hashable, list["Received"]]
-
-
 def step_batch(
-    network: "CongestNetwork", plan: StepPlan, node_ids: Sequence[Hashable] | None = None
+    network: "CongestNetwork",
+    round_no: int,
+    node_ids: list[Hashable],
+    inboxes: dict[Hashable, list["Received"]],
 ) -> int:
-    """Step ``node_ids`` (default: the whole plan) serially; returns the
-    number of nodes stepped.
+    """Step ``node_ids`` in order; returns the number of nodes stepped.
 
-    The single ``on_round`` dispatch loop shared by every engine.  A shard
-    of a parallel round is just a contiguous slice of ``plan.node_ids``
-    passed through ``node_ids``; within the slice nodes step in plan order.
+    The single ``on_round`` dispatch loop shared by every engine.
+    ``node_ids`` is the round's active set in node-id order; ``inboxes``
+    maps node id to that round's deliveries.  Engines call it through the
+    module global, so a wrapper installed on it sees every round.
     """
     nodes = network.nodes
     programs = network.programs
-    inboxes = plan.inboxes
-    round_no = plan.round_no
     stepped = 0
-    for nid in plan.node_ids if node_ids is None else node_ids:
+    for nid in node_ids:
         node = nodes[nid]
         if node.halted:
             continue
@@ -144,10 +118,6 @@ class Engine:
 
     def run(self, network: "CongestNetwork", max_rounds: int, stop_on_quiescence: bool) -> RunResult:
         raise NotImplementedError
-
-    def _execute_plan(self, network: "CongestNetwork", plan: StepPlan) -> None:
-        """Run one round's step phase; subclasses may shard or batch it."""
-        step_batch(network, plan)
 
     def _result(self, network: "CongestNetwork", rounds: int) -> RunResult:
         transport = network.transport
@@ -197,9 +167,6 @@ class DenseEngine(Engine):
     def __init__(self) -> None:
         self.node_steps = 0
 
-    def _execute_plan(self, network: "CongestNetwork", plan: StepPlan) -> None:
-        self.node_steps += step_batch(network, plan)
-
     def run(self, network: "CongestNetwork", max_rounds: int, stop_on_quiescence: bool) -> RunResult:
         transport = network.transport
         trace = network.trace
@@ -235,22 +202,18 @@ class DenseEngine(Engine):
             if tracing:
                 pre_msgs, pre_bits = transport.total_messages, transport.total_bits
             inboxes = transport.deliver_round()
-            plan = StepPlan(
-                round_no,
-                [
-                    nid
-                    for nid, node in network.nodes.items()
-                    if not node.halted and (crashed is None or not crashed(nid, round_no))
-                ],
-                inboxes,
-            )
-            self._execute_plan(network, plan)
+            active = [
+                nid
+                for nid, node in network.nodes.items()
+                if not node.halted and (crashed is None or not crashed(nid, round_no))
+            ]
+            self.node_steps += step_batch(network, round_no, active, inboxes)
             transport.flush()
             if tracing:
                 trace.emit(
                     "round",
                     round=round_no,
-                    active=len(plan.node_ids),
+                    active=len(active),
                     delivered=sum(len(msgs) for msgs in inboxes.values()),
                     moved_bits=transport.per_round_bits[-1],
                     sent_msgs=transport.total_messages - pre_msgs,
@@ -280,9 +243,6 @@ class EventEngine(Engine):
     def __init__(self) -> None:
         self.node_steps = 0
         self.skipped_rounds = 0
-
-    def _execute_plan(self, network: "CongestNetwork", plan: StepPlan) -> None:
-        self.node_steps += step_batch(network, plan)
 
     def _skip(self, network: "CongestNetwork", after_round: int, rounds: int) -> None:
         """Jump ``rounds`` quiet rounds, counting and tracing the stretch."""
@@ -391,24 +351,17 @@ class EventEngine(Engine):
                 step.update(
                     nid for nid in forced_wakes.get(round_no, ()) if nid in network.nodes
                 )
-            plan = StepPlan(
-                round_no,
-                sorted(
-                    (
-                        nid
-                        for nid in step
-                        if not network.nodes[nid].halted
-                        and (crashed is None or not crashed(nid, round_no))
-                    ),
-                    key=order.__getitem__,
+            active = sorted(
+                (
+                    nid
+                    for nid in step
+                    if not network.nodes[nid].halted
+                    and (crashed is None or not crashed(nid, round_no))
                 ),
-                inboxes,
+                key=order.__getitem__,
             )
-            # The step phase: share-nothing within the round, so subclasses
-            # may shard it across threads.  Bookkeeping (halt accounting and
-            # wake-up scheduling) stays serial, after the barrier.
-            self._execute_plan(network, plan)
-            for nid in plan.node_ids:
+            self.node_steps += step_batch(network, round_no, active, inboxes)
+            for nid in active:
                 if network.nodes[nid].halted:
                     live -= 1
                     wake[nid] = None
@@ -419,7 +372,7 @@ class EventEngine(Engine):
                 trace.emit(
                     "round",
                     round=round_no,
-                    active=len(plan.node_ids),
+                    active=len(active),
                     delivered=sum(len(msgs) for msgs in inboxes.values()),
                     moved_bits=transport.per_round_bits[-1],
                     sent_msgs=transport.total_messages - pre_msgs,
@@ -427,144 +380,6 @@ class EventEngine(Engine):
                 )
 
         return self._result(network, round_no)
-
-
-class ParallelEngine(EventEngine):
-    """Active-set engine whose step phase is sharded across a thread pool.
-
-    Inherits the event engine's clock (active set, O(1) skips, quiescence
-    probing) and replaces only the step phase: each round's plan is
-    partitioned into ``threads`` contiguous shards of the node-id-ordered
-    active set, shards are stepped concurrently, and each thread's sends are
-    staged in a :class:`~repro.congest.transport.ShardOutbox` merged at the
-    round barrier in shard (= node-id) order.  Because nodes are
-    share-nothing within a round, every ``RunResult`` field -- and the
-    opt-in message log -- is identical to the serial engines, regardless of
-    thread count or interleaving.
-
-    ``threads`` defaults to the host CPU count.  Rounds whose active set is
-    smaller than ``min_parallel_nodes`` are stepped inline: a shard
-    dispatch costs more than a handful of node steps, so mostly-quiet
-    rounds should not pay for the pool.  The threshold defaults to
-    ``4 * threads`` where OS threads can actually run Python bytecode
-    concurrently (a free-threaded build), and to "never shard" on
-    GIL-serialised builds -- there the shards would serialise on the
-    interpreter lock and the dispatch overhead is pure loss, so the engine
-    sits at event-engine parity instead.  Pass ``min_parallel_nodes``
-    explicitly to force sharding regardless (as the equivalence tests do).
-    """
-
-    name = "parallel"
-
-    def __init__(self, threads: int | None = None, min_parallel_nodes: int | None = None) -> None:
-        super().__init__()
-        if threads is not None and threads < 1:
-            raise ValueError("threads must be at least 1")
-        self.threads = threads if threads is not None else (os.cpu_count() or 1)
-        if min_parallel_nodes is not None:
-            self.min_parallel_nodes: float = max(1, min_parallel_nodes)
-        elif getattr(sys, "_is_gil_enabled", lambda: True)():
-            self.min_parallel_nodes = float("inf")
-        else:
-            self.min_parallel_nodes = 4 * self.threads
-        self._pool: ThreadPoolExecutor | None = None
-
-    def run(self, network: "CongestNetwork", max_rounds: int, stop_on_quiescence: bool) -> RunResult:
-        if self.threads == 1 or self.min_parallel_nodes == float("inf"):
-            # One shard is the event engine; likewise a threshold no round
-            # can reach (the GIL-build default).  Skip the pool entirely.
-            return super().run(network, max_rounds, stop_on_quiescence)
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.threads, thread_name_prefix="congest-shard"
-        )
-        try:
-            return super().run(network, max_rounds, stop_on_quiescence)
-        finally:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def _execute_plan(self, network: "CongestNetwork", plan: StepPlan) -> None:
-        pool = self._pool
-        ids = plan.node_ids
-        if pool is None or len(ids) < self.min_parallel_nodes:
-            self.node_steps += step_batch(network, plan)
-            return
-        trace = network.trace
-        tracing = trace.enabled
-        shard_size = -(-len(ids) // self.threads)  # ceil: at most `threads` shards
-        shards = [ids[i : i + shard_size] for i in range(0, len(ids), shard_size)]
-        transport = network.transport
-        transport.begin_shard_staging()
-        try:
-            # The calling thread works shard 0 itself instead of blocking on
-            # the pool -- one fewer dispatch round-trip per round.
-            futures = [
-                pool.submit(self._step_shard, network, plan, shard, tracing)
-                for shard in shards[1:]
-            ]
-            try:
-                first = self._step_shard(network, plan, shards[0], tracing)
-            finally:
-                # Barrier: every shard must have stopped touching the
-                # transport before staging ends, even if one raised.
-                wait(futures)
-        finally:
-            transport.end_shard_staging()
-        results = [first] + [future.result() for future in futures]
-        # Merge in shard (= node-id) order, stopping at the earliest failed
-        # shard: the merged staging -- totals, message log -- then matches
-        # what the serial engines would have accumulated up to the failing
-        # node's step, and that shard's error propagates as theirs would.
-        # (Later shards' *program* state may have advanced concurrently;
-        # only an aborting run observes that, and only via node state.)
-        merged = []
-        error = None
-        for outbox, stepped, exc, _ in results:
-            merged.append((outbox, stepped))
-            if exc is not None:
-                error = exc
-                break
-        merge_t0 = time.perf_counter() if tracing else 0.0
-        transport.merge_shard_outboxes(box for box, _ in merged)
-        self.node_steps += sum(stepped for _, stepped in merged)
-        if tracing:
-            trace.emit(
-                "event",
-                name="shard_round",
-                round=plan.round_no,
-                shards=len(shards),
-                shard_nodes=[len(shard) for shard in shards],
-                shard_s=[round(r[3], 6) for r in results],
-                merge_s=round(time.perf_counter() - merge_t0, 6),
-            )
-        if error is not None:
-            raise error
-
-    @staticmethod
-    def _step_shard(
-        network: "CongestNetwork", plan: StepPlan, shard: list[Hashable], timed: bool = False
-    ):
-        """Step one shard behind a thread-local outbox.
-
-        Failures are returned, not raised: the outbox must survive (it holds
-        the sends staged before the failing node, which the serial engines
-        would have counted) and the caller decides merge order and which
-        error wins.  ``timed`` adds per-shard wall-clock (two clock reads);
-        it is passed only when the run is traced so the untraced hot path
-        stays clock-free.
-        """
-        transport = network.transport
-        outbox = transport.open_shard_outbox()
-        stepped = 0
-        error: BaseException | None = None
-        t0 = time.perf_counter() if timed else 0.0
-        try:
-            stepped = step_batch(network, plan, shard)
-        except BaseException as exc:  # noqa: BLE001 - re-raised by the caller
-            error = exc
-        finally:
-            transport.close_shard_outbox()
-        return outbox, stepped, error, (time.perf_counter() - t0 if timed else 0.0)
 
 
 class ColumnarEngine(EventEngine):
@@ -575,10 +390,15 @@ class ColumnarEngine(EventEngine):
     transport_class = ColumnarTransport
 
 
+class ParallelEngine(EventEngine):
+    """:class:`EventEngine` under a former name.  Kept only because
+    ``perfbench/layers.py`` names it; it goes once the benchmark stops
+    naming it."""
+
+
 _ENGINES = {
     "dense": DenseEngine,
     "event": EventEngine,
-    "parallel": ParallelEngine,
 }
 
 #: The engine names :func:`get_engine` resolves (``event`` is the default
@@ -587,11 +407,7 @@ ENGINE_NAMES = tuple(_ENGINES)
 
 
 def get_engine(spec: str | Engine) -> Engine:
-    """Resolve an engine spec: an :class:`Engine` instance or a name.
-
-    A name builds the engine with its defaults; build a
-    :class:`ParallelEngine` directly to choose its ``threads``.
-    """
+    """Resolve an engine spec: an :class:`Engine` instance or a name."""
     if isinstance(spec, Engine):
         return spec
     try:

@@ -14,7 +14,7 @@ wrapper stages each round's sends itself, applies the faults to the staged
 sequence (which every engine produces in the same canonical order), and
 re-emits the survivors into the wrapped transport in the original global
 staging order.  Since the transport's deliveries are a function of the
-enqueue sequence alone, every engine (dense / event / parallel) produces
+enqueue sequence alone, both engines (dense and event) produce
 **byte-identical faulted runs** for the same plan.
 
 **Fault semantics.**
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, NamedTuple
 
@@ -132,11 +131,11 @@ class FaultPlan:
     """A seeded, declarative adversary for one CONGEST run.
 
     The plan is a *value*: two plans constructed with equal fields make
-    identical decisions on every engine, thread count, and backend, because
-    each decision hashes ``(seed, kind, round, edge, msg_index)`` and
-    nothing else.  ``window`` bounds the rounds (inclusive) in which the
-    probabilistic message faults fire; crash spans and topology events
-    carry their own schedule.
+    identical decisions on every engine and backend, because each decision
+    hashes ``(seed, kind, round, edge, msg_index)`` and nothing else.
+    ``window`` bounds the rounds (inclusive) in which the probabilistic
+    message faults fire; crash spans and topology events carry their own
+    schedule.
     """
 
     seed: int = 0
@@ -249,7 +248,7 @@ class FaultPlan:
 
         Pure in ``(seed, kind, round, edge, index)``: blake2b of the tuple's
         canonical encoding, so the decision is identical regardless of
-        engine, thread count, backend, or process.
+        engine, backend, or process.
         """
         digest = hashlib.blake2b(
             f"{self.seed}|{kind}|{round_no}|{sender!r}|{receiver!r}|{index}".encode(),
@@ -460,31 +459,17 @@ class FaultStats:
         }
 
 
-class _FaultShardOutbox:
-    """Thread-local staging for one shard of a parallel round (the
-    wrapper's analogue of :class:`~repro.congest.transport.ShardOutbox`)."""
-
-    __slots__ = ("staged", "log", "n_messages", "bits")
-
-    def __init__(self) -> None:
-        self.staged: list[tuple[Hashable, Hashable, Any, int, int]] = []
-        self.log: list[tuple[int, Hashable, Hashable, int]] = []
-        self.n_messages = 0
-        self.bits = 0
-
-
 class FaultyTransport:
     """A transport wrapper that injects a :class:`FaultPlan` at the flush.
 
-    Implements the full transport API (staging, delivery, skip accounting,
-    parallel shard staging) by staging each round's sends itself, applying
-    the plan's message faults to the staged sequence at :meth:`flush`, and
-    re-emitting the survivors -- in the original global staging order -- into
-    the wrapped transport.  ``total_messages`` / ``total_bits`` / the opt-in
-    message log count what the *programs* sent (drops included, duplicates
-    not); the wire-level metrics (``per_round_bits``,
-    ``max_edge_bits_per_round``) come from the inner transport and therefore
-    reflect the faulted stream.
+    Implements the full transport API (staging, delivery, skip accounting)
+    by staging each round's sends itself, applying the plan's message faults
+    to the staged sequence at :meth:`flush`, and re-emitting the survivors
+    -- in the original global staging order -- into the wrapped transport.
+    ``total_messages`` / ``total_bits`` / the opt-in message log count what
+    the *programs* sent (drops included, duplicates not); the wire-level
+    metrics (``per_round_bits``, ``max_edge_bits_per_round``) come from the
+    inner transport and therefore reflect the faulted stream.
 
     With an empty plan the wrapper is transparent: every metric, trace
     line, and delivery is byte-identical to running on the inner transport
@@ -511,7 +496,6 @@ class FaultyTransport:
         self.message_log: list[tuple[int, Hashable, Hashable, int]] = []
         self._staged: list[tuple[Hashable, Hashable, Any, int, int]] = []
         self._round = 0
-        self._shard_staging: threading.local | None = None
 
     # -- delegated configuration / metrics -------------------------------------
 
@@ -556,16 +540,6 @@ class FaultyTransport:
                 f"message of {bits} bits exceeds B={self.bandwidth} on edge "
                 f"{sender!r}->{receiver!r}"
             )
-        staging = self._shard_staging
-        if staging is not None:
-            box = getattr(staging, "box", None)
-            if box is not None:
-                box.staged.append((sender, receiver, payload, bits, round_no))
-                box.n_messages += 1
-                box.bits += bits
-                if self.record_messages:
-                    box.log.append((round_no, sender, receiver, bits))
-                return
         self._staged.append((sender, receiver, payload, bits, round_no))
         self.total_messages += 1
         self.total_bits += bits
@@ -580,41 +554,6 @@ class FaultyTransport:
     def has_outgoing(self) -> bool:
         """Whether anything is staged but not yet flushed."""
         return bool(self._staged) or self.inner.has_outgoing()
-
-    # -- parallel staging (thread-sharded engines) -----------------------------
-
-    def begin_shard_staging(self) -> None:
-        """Enter parallel-staging mode (see ``LinkTransport``)."""
-        self._shard_staging = threading.local()
-
-    def open_shard_outbox(self) -> _FaultShardOutbox:
-        """Bind a fresh outbox to the calling thread; returns it for merging."""
-        staging = self._shard_staging
-        if staging is None:
-            raise RuntimeError("open_shard_outbox outside begin/end_shard_staging")
-        box = _FaultShardOutbox()
-        staging.box = box
-        return box
-
-    def close_shard_outbox(self) -> None:
-        """Unbind the calling thread's outbox (contents stay mergeable)."""
-        if self._shard_staging is not None:
-            self._shard_staging.box = None
-
-    def end_shard_staging(self) -> None:
-        """Leave parallel-staging mode."""
-        self._shard_staging = None
-
-    def merge_shard_outboxes(self, outboxes: Iterable[_FaultShardOutbox]) -> None:
-        """Fold shard outboxes into the staged sequence in the given (node-id)
-        order, so fault decisions see the same per-edge indices as a serial
-        round would."""
-        for box in outboxes:
-            self._staged.extend(box.staged)
-            self.total_messages += box.n_messages
-            self.total_bits += box.bits
-            if self.record_messages:
-                self.message_log.extend(box.log)
 
     # -- the fault seam --------------------------------------------------------
 

@@ -14,23 +14,19 @@ The implementation is split into three layers (see each module's docstring):
 
 - :mod:`repro.congest.transport` -- per-edge bit accounting, chunking,
   strict-mode checks, metrics (:class:`LinkTransport`);
-- :mod:`repro.congest.engine` -- pluggable round schedulers: the reference
-  :class:`~repro.congest.engine.DenseEngine` (every node, every round), the
-  default :class:`~repro.congest.engine.EventEngine` (active-node set,
-  O(1) skips over quiet rounds) and
-  :class:`~repro.congest.engine.ParallelEngine` (the event clock with the
-  step phase sharded across a thread pool);
+- :mod:`repro.congest.engine` -- the round schedulers: the reference
+  :class:`~repro.congest.engine.DenseEngine` (every node, every round) and
+  the default :class:`~repro.congest.engine.EventEngine` (active-node set,
+  O(1) skips over quiet rounds);
 - :mod:`repro.congest.node` -- the program API, including the idleness
   hints (``next_active_round`` / phase-level ``idle_until``) the event
   engine exploits.
 
 :class:`CongestNetwork` wires the three together; pick the engine with the
-``engine="event"|"dense"|"parallel"`` kwarg, or pass an
-:class:`~repro.congest.engine.Engine` instance (e.g. a ``ParallelEngine``
-with its own ``threads``).  All engines produce identical
-:class:`RunResult`\\ s for the same program -- ``dense`` is the reference
-to cross-check against, ``event`` the fast default, ``parallel`` the
-sharded stepper for hardware with real thread parallelism.  The network
+``engine="event"|"dense"`` kwarg, or pass an
+:class:`~repro.congest.engine.Engine` instance.  Both engines produce
+identical :class:`RunResult`\\ s for the same program -- ``dense`` is the
+reference to cross-check against, ``event`` the fast default.  The network
 traces through the ambient tracer (:func:`repro.obs.use_tracer`) in effect
 when it is built.
 """

@@ -20,15 +20,7 @@ Engines drive it through four operations:
   because links drain deterministically at ``B`` bits per round, a
   stretch of rounds in which no message completes is accounted in one
   call (each busy link moves exactly ``B`` bits per skipped round),
-  keeping the metrics bit-identical to a round-by-round advance;
-- :meth:`~LinkTransport.begin_shard_staging` /
-  :meth:`~LinkTransport.open_shard_outbox` /
-  :meth:`~LinkTransport.merge_shard_outboxes` -- the parallel-stepping
-  path: while a round's node shards run on worker threads, each thread's
-  sends are staged in a thread-local :class:`ShardOutbox`, then merged at
-  the round barrier in node-id order, so the staging -- and every metric
-  and log entry that follows from it -- is byte-identical to a serial
-  round.
+  keeping the metrics bit-identical to a round-by-round advance.
 
 **Staging columns.**  A round's sends are staged as three parallel
 columns instead of one object per message:
@@ -67,20 +59,19 @@ head completes, and :meth:`~LinkTransport.rounds_until_delivery` /
 edges last went from drained to live (the activation sequence), FIFO
 within an edge -- the order of an insertion-ordered dict of live links
 that drops drained edges and re-inserts revived ones at the end.  The
-staging order is the serial engines' send order (node-id order within a
-round, program send order within a node), so deliveries, metrics and the
-opt-in message log are the same on every engine; the lockstep tests
-(``tests/test_columnar.py``) pin them to a per-link reference transport,
+staging order is the engines' send order (node-id order within a round,
+program send order within a node), so deliveries, metrics and the opt-in
+message log are the same on every engine; the lockstep tests
+(``tests/test_transport.py``) pin them to a per-link reference transport,
 ``tests/reference_transport.py``.
 """
 
 from __future__ import annotations
 
-import threading
 from array import array
 from collections import defaultdict
 from heapq import heappop, heappush
-from typing import Any, Hashable, Iterable, NamedTuple
+from typing import Any, Hashable, NamedTuple
 
 from repro.congest.message import Received
 
@@ -191,21 +182,6 @@ class _EdgeQueue:
         self.live = False
 
 
-class ShardOutbox:
-    """Thread-local staging for one shard of a parallel round.
-
-    Holds the ``enqueue`` arguments of the shard's sends, in send order;
-    :meth:`LinkTransport.merge_shard_outboxes` replays them into the shared
-    staging at the round barrier, so a merge in node-id order reproduces
-    the serial engines' staging exactly.
-    """
-
-    __slots__ = ("sends",)
-
-    def __init__(self) -> None:
-        self.sends: list[tuple[Hashable, Hashable, Any, int, int]] = []
-
-
 class LinkTransport:
     """Link queues and bit accounting for one CONGEST(B) execution.
 
@@ -237,9 +213,6 @@ class LinkTransport:
         #: (round_sent, sender, receiver, bits) per message; only populated
         #: when ``record_messages`` is set (the list grows unboundedly).
         self.message_log: list[tuple[int, Hashable, Hashable, int]] = []
-        # Non-None only while a parallel engine steps a round's shards on
-        # worker threads; each thread's ShardOutbox hangs off this local.
-        self._shard_staging: threading.local | None = None
         # Staging: the parallel columns of the module docstring, cleared in
         # place per flush.  A "bundle" carries a buffer set together with
         # its bound appends so the block path's ping-pong swap is six
@@ -368,64 +341,6 @@ class LinkTransport:
 
     def has_outgoing(self) -> bool:
         return bool(self._stage_recs)
-
-    # -- parallel staging (thread-sharded engines) -----------------------------
-
-    def begin_shard_staging(self) -> None:
-        """Enter parallel-staging mode: until :meth:`end_shard_staging`,
-        each send is staged in the :class:`ShardOutbox` its thread opened
-        instead of the shared columns.  The shard senders shadow
-        :meth:`enqueue` and :meth:`enqueue_many` on the instance, so
-        serial staging never checks for shards."""
-        self._shard_staging = threading.local()
-        self.enqueue = self._enqueue_shard
-        self.enqueue_many = self._enqueue_many_shard
-
-    def open_shard_outbox(self) -> ShardOutbox:
-        """Bind a fresh outbox to the calling thread; returns it for merging."""
-        staging = self._shard_staging
-        if staging is None:
-            raise RuntimeError("open_shard_outbox outside begin/end_shard_staging")
-        box = ShardOutbox()
-        staging.box = box
-        return box
-
-    def close_shard_outbox(self) -> None:
-        """Unbind the calling thread's outbox (its contents stay mergeable)."""
-        if self._shard_staging is not None:
-            self._shard_staging.box = None
-
-    def end_shard_staging(self) -> None:
-        """Leave parallel-staging mode (all shard threads must have finished)."""
-        self._shard_staging = None
-        self.__dict__.pop("enqueue", None)
-        self.__dict__.pop("enqueue_many", None)
-
-    def _enqueue_shard(self, sender: Hashable, receiver: Hashable, payload: Any, bits: int, round_no: int) -> None:
-        """:meth:`enqueue` during shard staging: the strict per-message
-        check fires inside the sending node's step; the send waits in the
-        thread's outbox."""
-        if self.strict and bits > self.bandwidth:
-            raise BandwidthExceeded(
-                f"message of {bits} bits exceeds B={self.bandwidth} on edge "
-                f"{sender!r}->{receiver!r}"
-            )
-        self._shard_staging.box.sends.append((sender, receiver, payload, bits, round_no))
-
-    def _enqueue_many_shard(self, sender: Hashable, receivers: list[Hashable], payload: Any, bits: int, round_no: int) -> None:
-        for receiver in receivers:
-            self._enqueue_shard(sender, receiver, payload, bits, round_no)
-
-    def merge_shard_outboxes(self, outboxes: Iterable[ShardOutbox]) -> None:
-        """Stage the outboxes' sends, box by box in the given order, after
-        :meth:`end_shard_staging`.  Engines pass shards in node-id order,
-        which makes the staging -- and therefore the totals, the strict
-        flush check and the opt-in message log -- byte-identical to a
-        serial round."""
-        enqueue = self.enqueue
-        for box in outboxes:
-            for send in box.sends:
-                enqueue(*send)
 
     # -- the round barrier -----------------------------------------------------
 

@@ -34,7 +34,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from repro.experiments.backends import BACKEND_NAMES, DEFAULT_START_METHOD
+from repro.experiments.backends import BACKEND_NAMES
 from repro.experiments.registry import ScenarioNotFound, get_scenario, list_scenarios
 from repro.experiments.runner import run_sweep
 from repro.experiments.store import DEFAULT_STORE, ResultStore
@@ -96,20 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--replicates", type=int, default=1, help="seeded replicates per grid point")
     run.add_argument("--base-seed", type=int, default=0, help="base seed for per-point derivation")
     run.add_argument("--timeout", type=float, default=None, help="per-task timeout in seconds")
-    run.add_argument(
-        "--mp-start",
-        choices=("spawn", "fork", "forkserver"),
-        default=DEFAULT_START_METHOD,
-        help="multiprocessing start method for the worker pool (default: forkserver, "
-        "whose workers fork from a server that has already imported the package; "
-        "spawn where the platform itself defaults to spawn)",
-    )
-    run.add_argument(
-        "--maxtasksperchild",
-        type=int,
-        default=16,
-        help="recycle each worker after this many tasks (0 = never)",
-    )
     run.add_argument("--store", default=str(DEFAULT_STORE), help="result-store directory")
     run.add_argument("--no-store", action="store_true", help="run without persisting results")
     run.add_argument("--force", action="store_true", help="ignore cached records and re-run")
@@ -222,8 +208,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             task_timeout=args.timeout,
             force=args.force,
             progress=print,
-            mp_start_method=args.mp_start,
-            maxtasksperchild=args.maxtasksperchild,
             backend=args.backend,
             trace=tracer,
         )

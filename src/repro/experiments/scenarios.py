@@ -823,7 +823,7 @@ def spanner_skeleton(
     k = stretch_k if stretch_k >= 1 else max(1, math.ceil(math.log2(n)))
     engine_obj = get_engine(engine)  # an instance, to read back ``node_steps``
     summary, run = run_linear_size_spanner(graph, k, bandwidth=bandwidth, engine=engine_obj)
-    node_steps = getattr(engine_obj, "node_steps", None)
+    node_steps = engine_obj.node_steps
     dense_steps = n * run.rounds
     return {
         "n": n,
@@ -838,9 +838,7 @@ def spanner_skeleton(
         "rounds": run.rounds,
         "total_bits": run.total_bits,
         "node_steps": node_steps,
-        "quiet_fraction": (
-            1.0 - node_steps / dense_steps if node_steps is not None and dense_steps else None
-        ),
+        "quiet_fraction": 1.0 - node_steps / dense_steps if dense_steps else None,
     }
 
 
@@ -971,8 +969,7 @@ def boruvka_mst_sweep(
     """Distributed Borůvka over SEL-Columbia/NetworkBuild-style instances.
 
     The classic homogeneous CONGEST workload: every live node participates
-    in every announce/flood/merge sub-round, which is exactly the active-set
-    shape the thread-sharded engine targets.  Exactness is checked against
+    in every announce/flood/merge sub-round.  Exactness is checked against
     the centralised MST weight (all minimum spanning trees share it, so the
     check is tie-safe).
     """
@@ -996,7 +993,7 @@ def boruvka_mst_sweep(
         "rounds": run.rounds,
         "total_bits": run.total_bits,
         "total_messages": run.total_messages,
-        "node_steps": getattr(engine_obj, "node_steps", None),
+        "node_steps": engine_obj.node_steps,
     }
 
 

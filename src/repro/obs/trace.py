@@ -71,7 +71,7 @@ class Tracer:
     """The no-op base tracer (and the API every tracer implements).
 
     ``enabled`` gates the *hot-path* signals only (per-round samples, skip
-    events, shard timings): instrumentation checks it before building the
+    events): instrumentation checks it before building the
     sample, so the null tracer costs one attribute read per round.  The
     once-per-something calls (``run_summary``, ``task``) are
     always safe to make; on the null tracer they do nothing.
@@ -196,8 +196,7 @@ class TraceWriter(Tracer):
     (``unix_time``); every other line's ``ts`` is seconds since the writer
     was created, measured on the monotonic clock, so timestamps never go
     backwards and two traces of the same run differ only in timestamp
-    fields.  Writes are locked -- parallel-engine shard threads may emit
-    concurrently.
+    fields.  Writes are locked, so threads may emit concurrently.
     """
 
     enabled = True

@@ -10,6 +10,10 @@ delivery for delivery, metric for metric and log entry for log entry.
 
 :class:`ReferenceDenseEngine` is the dense engine over this transport: the
 oracle of the cross-engine equivalence, fault and property suites.
+:class:`ReferenceEventEngine` is the event engine over it, so the event
+scheduler's quiet-round jumps are checked against a transport whose
+``skip_rounds`` raises on any skip that crosses a delivery, independently
+of ``LinkTransport``'s lazy completion clock.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable
 
-from repro.congest.engine import DenseEngine
+from repro.congest.engine import DenseEngine, EventEngine
 from repro.congest.message import Received
 from repro.congest.transport import BandwidthExceeded
 
@@ -137,5 +141,11 @@ class ReferenceTransport:
 
 class ReferenceDenseEngine(DenseEngine):
     """The dense engine over :class:`ReferenceTransport`."""
+
+    transport_class = ReferenceTransport
+
+
+class ReferenceEventEngine(EventEngine):
+    """The event engine over :class:`ReferenceTransport`."""
 
     transport_class = ReferenceTransport

@@ -1,5 +1,4 @@
-"""Cross-engine equivalence: Dense, Event and Parallel must agree with the
-reference.
+"""Cross-engine equivalence: Dense and Event must agree with the reference.
 
 Every registered algorithm family runs on each engine over seeded random
 graphs; the full ``RunResult`` must match the reference field for field
@@ -9,18 +8,16 @@ reference is the dense engine over the per-link reference transport
 (``tests/reference_transport.py``), so every engine under test -- dense
 included -- is checked against a second transport as well as a second
 scheduler.  This is the contract that makes the event engine a drop-in
-default and the thread-sharded parallel engine a drop-in accelerator: any
-idleness hint that skips a round the dense engine needed, any shard merge
-that reorders state the serial engines build, or any transport shortcut
-(the one-round block path, the lazy completion clock) that moves a bit
-differently would show up here as a divergence.
+default: any idleness hint that skips a round the dense engine needed, or
+any transport shortcut (the one-round block path, the lazy completion
+clock) that moves a bit differently would show up here as a divergence.
 
-The parallel engine is instantiated with ``min_parallel_nodes=1`` so every
-round genuinely fans out across the thread pool -- the inline small-round
-fallback must not be what makes these tests pass.
+The event scheduler also runs over the reference transport
+(``reference-event``), which separates the two: a scheduler that skips a
+round it needed fails there too (the reference ``skip_rounds`` raises on a
+skip that crosses a delivery), while a ``LinkTransport`` shortcut that
+moves a bit differently fails only under ``event``.
 """
-
-import sys
 
 import networkx as nx
 import pytest
@@ -40,28 +37,26 @@ from repro.algorithms.framework import (
 from repro.algorithms.mst import run_boruvka_mst, run_gkp_mst, tree_weight
 from repro.algorithms.paths import run_bellman_ford
 from repro.algorithms.verification import run_verification
-from repro.congest.engine import ParallelEngine, get_engine
+from repro.congest.engine import get_engine
 from repro.congest.network import CongestNetwork
 from repro.congest.node import Node, NodeProgram
 from repro.graphs.generators import random_connected_graph
-from tests.reference_transport import ReferenceDenseEngine
+from tests.reference_transport import ReferenceDenseEngine, ReferenceEventEngine
 
 #: The engines checked against the reference (``ReferenceDenseEngine``).
-ENGINES = ("dense", "event", "parallel")
+ENGINES = ("dense", "event", "reference-event")
 
 
 def make_engine(name):
     """An engine-under-test instance (or name) for one run.
 
-    ``parallel`` gets 4 threads and no inline fallback, so the sharded step
-    path -- thread-local staging, barrier, node-id-order merge -- is what
-    actually executes, even on the small active sets of these tests.
-    ``reference`` is the dense engine over the reference transport.
+    ``reference`` is the dense engine over the reference transport and
+    ``reference-event`` the event engine over it.
     """
-    if name == "parallel":
-        return ParallelEngine(threads=4, min_parallel_nodes=1)
     if name == "reference":
         return ReferenceDenseEngine()
+    if name == "reference-event":
+        return ReferenceEventEngine()
     return name
 
 
@@ -293,10 +288,9 @@ class TestFrameworkEquivalence:
 class TestDefaultHintsEquivalence:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_unhinted_program_runs_identically(self, engine):
-        # A program with no idleness hints: the active-set engines
-        # degenerate to stepping every node every round and must match
-        # exactly -- for the parallel engine this is the all-nodes-sharded
-        # hot path.
+        # A program with no idleness hints: the active-set engine
+        # degenerates to stepping every node every round and must match
+        # exactly.
         class Chatter(NodeProgram):
             def on_start(self, node):
                 node.broadcast(("r", 0), bits=8)
@@ -317,8 +311,8 @@ class TestMessageLogEquivalence:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_opt_in_message_log_is_byte_identical(self, engine):
         """record_messages=True: the (round, sender, receiver, bits) log --
-        an *ordered* artifact -- must come out identical, which pins the
-        parallel engine's node-id-order outbox merge exactly."""
+        an *ordered* artifact -- must come out identical, which pins every
+        engine's node-id step order exactly."""
 
         class Chatter(NodeProgram):
             def on_start(self, node):
@@ -345,77 +339,11 @@ class TestMessageLogEquivalence:
         assert len(logs["reference"]) == results["reference"].total_messages
 
 
-class TestParallelDeterminism:
-    def test_one_vs_many_threads_identical_run_results(self):
-        """ParallelEngine must be a pure function of the program: 1 thread
-        (the degenerate serial path) and N threads (real shard fan-out)
-        produce field-identical RunResults and message logs."""
-        from repro.algorithms.mst import BoruvkaMSTProgram
-
-        graph = _weighted(26, 7)
-        runs = {}
-        for threads in (1, 4):
-            engine = ParallelEngine(threads=threads, min_parallel_nodes=1)
-            network = CongestNetwork(
-                graph,
-                BoruvkaMSTProgram,
-                bandwidth=128,
-                seed=0,
-                engine=engine,
-                record_messages=True,
-            )
-            runs[threads] = (network.run(max_rounds=500_000), list(network.message_log))
-        result_1, log_1 = runs[1]
-        result_4, log_4 = runs[4]
-        assert_results_match(result_1, result_4)
-        assert log_1 == log_4
-
-    def test_shard_staging_under_frequent_thread_switches(self):
-        """Eight shard threads with the interpreter switching threads every
-        microsecond: a send staged in another thread's outbox, or lost,
-        would change the ordered message log."""
-        from repro.algorithms.mst import BoruvkaMSTProgram
-
-        graph = _weighted(26, 7)
-        logs = {}
-        saved = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for name, spec in (
-                ("reference", ReferenceDenseEngine()),
-                ("parallel", ParallelEngine(threads=8, min_parallel_nodes=1)),
-            ):
-                network = CongestNetwork(
-                    graph, BoruvkaMSTProgram, bandwidth=128, seed=0, engine=spec,
-                    record_messages=True,
-                )
-                network.run(max_rounds=500_000)
-                logs[name] = network.message_log
-        finally:
-            sys.setswitchinterval(saved)
-        assert logs["parallel"] == logs["reference"]
-
-    def test_thread_counts_do_not_change_boruvka(self):
-        graph = _weighted(18, 13)
-        reference = None
-        for threads in (1, 2, 4, 8):
-            edges, result = run_boruvka_mst(
-                graph,
-                bandwidth=128,
-                seed=0,
-                engine=ParallelEngine(threads=threads, min_parallel_nodes=1),
-            )
-            if reference is None:
-                reference = (edges, result)
-            else:
-                assert edges == reference[0]
-                assert_results_match(reference[1], result)
-
+class TestErrorPaths:
     def test_strict_error_path_metrics_match_serial(self):
-        """A strict-mode violation mid-round: the parallel engine must
-        raise the same error AND leave the same transport totals as the
-        serial engines -- sends staged by nodes before the offender count,
-        later shards' outboxes are discarded."""
+        """A strict-mode violation mid-round: every engine must raise the
+        same error AND leave the same transport totals as the reference --
+        sends staged by nodes before the offender count."""
         from repro.congest.network import BandwidthExceeded
 
         class OneOversized(NodeProgram):
@@ -434,7 +362,7 @@ class TestParallelDeterminism:
             ("dense", "dense"),
             ("event", "event"),
             ("reference", ReferenceDenseEngine()),
-            ("parallel", ParallelEngine(threads=4, min_parallel_nodes=1)),
+            ("reference-event", ReferenceEventEngine()),
         ):
             network = CongestNetwork(
                 graph, OneOversized, bandwidth=8, strict=True, engine=spec
@@ -442,15 +370,13 @@ class TestParallelDeterminism:
             with pytest.raises(BandwidthExceeded):
                 network.run(max_rounds=10)
             totals[name] = (network.total_messages, network.total_bits)
-        assert totals["parallel"] == totals["dense"] == totals["event"]
+        assert totals["event"] == totals["dense"]
         assert totals["reference"] == totals["dense"]
+        assert totals["reference-event"] == totals["dense"]
 
     def test_engine_validation(self):
-        with pytest.raises(ValueError, match="threads"):
-            ParallelEngine(threads=0)
         with pytest.raises(ValueError, match="unknown engine"):
             get_engine("bogus")
-        assert get_engine("parallel").threads >= 1
 
 
 class TestIdlenessHints:
@@ -619,12 +545,11 @@ class TestFaultEquivalence:
 
 
 class TestEventEngineSkips:
-    @pytest.mark.parametrize("engine", ("event", "parallel"))
+    @pytest.mark.parametrize("engine", ("event", "reference-event"))
     def test_quiet_rounds_are_not_stepped(self, engine):
         # The Elkin staged flood is mostly quiet by design: the active-set
-        # engines must step far fewer node-rounds than the dense n x rounds
-        # grid (the parallel engine inherits the event clock, so its step
-        # counter obeys the same bound).
+        # engine must step far fewer node-rounds than the dense n x rounds
+        # grid, over either transport.
         graph = _weighted(24, 11)
         from repro.algorithms.elkin import StagedLabelFloodProgram, quantise_weights
 

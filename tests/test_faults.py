@@ -20,7 +20,6 @@ import pytest
 
 from repro.algorithms.mst import run_boruvka_mst, tree_weight
 from repro.algorithms.paths import run_refreshing_bellman_ford
-from repro.congest.engine import ParallelEngine
 from repro.congest.faults import (
     CrashSpan,
     FaultPlan,
@@ -32,7 +31,7 @@ from repro.congest.network import CongestNetwork
 from repro.congest.node import NodeProgram
 from repro.congest.transport import LinkTransport
 from repro.graphs.generators import random_connected_graph
-from tests.reference_transport import ReferenceDenseEngine
+from tests.reference_transport import ReferenceDenseEngine, ReferenceEventEngine
 
 
 def _weighted(n, seed, extra_edge_prob=0.15):
@@ -306,12 +305,14 @@ class TestFaultyTransportWire:
         )
 
     def test_fault_decisions_identical_across_staging_orders(self):
-        # Drop/dup decisions index the per-edge staging order, so shuffling
-        # whole-edge blocks (what shard merges can do) changes nothing.
+        # Drop/dup decisions index the per-edge staging order, so reordering
+        # whole-edge blocks of the staged round changes nothing.  The sort is
+        # stable, so each edge keeps its own send order.
         plan = FaultPlan(seed=9, drop_prob=0.3, dup_prob=0.2)
         stream = _staged_stream(n_edges=4, per_edge=6)
         _, inboxes_a = _run_round(plan, stream)
-        regrouped = sorted(stream, key=lambda m: (m[0], m[4]))
+        regrouped = sorted(stream, key=lambda m: m[0], reverse=True)
+        assert regrouped != stream
         _, inboxes_b = _run_round(plan, regrouped)
         for nid in inboxes_a:
             assert [m.payload for m in inboxes_a[nid]] == [m.payload for m in inboxes_b[nid]]
@@ -471,12 +472,11 @@ class TestSkipAccountingUnderFaults:
     """The skip-jump accounting must stay exact when crash recoveries and
     topology events force extra wake-ups: every engine's RunResult
     (including the per-round bit trace) matches the reference, the dense
-    engine over the reference transport, which never skips at all."""
+    engine over the reference transport, which never skips at all.  The
+    event engine also runs over the reference transport, whose
+    ``skip_rounds`` raises on a skip that crosses a delivery."""
 
-    @pytest.mark.parametrize(
-        "engine",
-        ["event", "dense", pytest.param("parallel", id="parallel")],
-    )
+    @pytest.mark.parametrize("engine", ["event", "dense", "reference-event"])
     def test_refreshing_bf_under_full_plan_matches_dense(self, engine):
         graph = _weighted(18, 2)
         source = min(graph.nodes())
@@ -493,12 +493,13 @@ class TestSkipAccountingUnderFaults:
             window=(1, 25),
             protect=[source],
         )
-        spec = ParallelEngine(threads=4, min_parallel_nodes=1) if engine == "parallel" else engine
         _, dense = run_refreshing_bellman_ford(
             graph, source, max_rounds=60, engine=ReferenceDenseEngine(), faults=plan
         )
+        if engine == "reference-event":
+            engine = ReferenceEventEngine()
         _, other = run_refreshing_bellman_ford(
-            graph, source, max_rounds=60, engine=spec, faults=plan
+            graph, source, max_rounds=60, engine=engine, faults=plan
         )
         _assert_results_match(dense, other)
         assert other.fault_stats is not None and other.fault_stats["drops"] > 0
@@ -524,11 +525,12 @@ class TestSkipAccountingUnderFaults:
         dense = CongestNetwork(
             graph, OneShot, bandwidth=8, engine=ReferenceDenseEngine(), faults=plan
         ).run(max_rounds=100)
-        event = CongestNetwork(graph, OneShot, bandwidth=8, engine="event", faults=plan).run(
-            max_rounds=100
-        )
-        _assert_results_match(dense, event)
-        assert event.rounds == 100
+        for spec in ("event", ReferenceEventEngine()):
+            event = CongestNetwork(graph, OneShot, bandwidth=8, engine=spec, faults=plan).run(
+                max_rounds=100
+            )
+            _assert_results_match(dense, event)
+            assert event.rounds == 100
 
 
 class TestRecoveryCorrectness:

@@ -19,7 +19,6 @@ from pathlib import Path
 import pytest
 
 from repro.algorithms.paths import run_bellman_ford
-from repro.congest.engine import ParallelEngine
 from repro.congest.network import CongestNetwork
 from repro.experiments import expand_grid, get_scenario, run_sweep
 from repro.experiments.cli import main as cli_main
@@ -36,9 +35,10 @@ from repro.obs.trace import (
     trace_files,
     use_tracer,
 )
+from tests.reference_transport import ReferenceEventEngine
 
 #: Clock-derived trace fields ignored when comparing runs for determinism.
-VOLATILE = {"ts", "dur_s", "unix_time", "pid", "duration_s", "shard_s", "merge_s"}
+VOLATILE = {"ts", "dur_s", "unix_time", "pid", "duration_s"}
 
 
 def _graph(n=18, seed=3):
@@ -143,17 +143,14 @@ class TestTraceWriter:
 
 
 class TestExactAccounting:
-    @pytest.mark.parametrize("engine", ["dense", "event", "parallel"])
+    @pytest.mark.parametrize("engine", ["dense", "event", "reference-event"])
     def test_round_bit_samples_sum_to_run_result(self, engine):
         graph = _graph(seed=7)
-        eng = (
-            ParallelEngine(threads=2, min_parallel_nodes=1)
-            if engine == "parallel"
-            else engine
-        )
+        if engine == "reference-event":
+            engine = ReferenceEventEngine()
         tracer = CollectingTracer()
         with use_tracer(tracer):
-            dist, result = run_bellman_ford(graph, min(graph.nodes()), engine=eng)
+            dist, result = run_bellman_ford(graph, min(graph.nodes()), engine=engine)
         summary = summarize_trace(tracer.events)
         assert summary["sent_bits"] == result.total_bits
         assert summary["sent_messages"] == result.total_messages
@@ -166,15 +163,10 @@ class TestExactAccounting:
     def test_engines_agree_on_counter_totals(self):
         graph = _graph(seed=11)
         totals = {}
-        for name in ("dense", "event", "parallel"):
-            eng = (
-                ParallelEngine(threads=2, min_parallel_nodes=1)
-                if name == "parallel"
-                else name
-            )
+        for name in ("dense", "event"):
             tracer = CollectingTracer()
             with use_tracer(tracer):
-                run_bellman_ford(graph, min(graph.nodes()), engine=eng)
+                run_bellman_ford(graph, min(graph.nodes()), engine=name)
             summary = summarize_trace(tracer.events)
             totals[name] = (
                 summary["sent_bits"],
@@ -182,7 +174,6 @@ class TestExactAccounting:
                 summary["moved_bits"],
             )
         assert totals["event"] == totals["dense"]
-        assert totals["parallel"] == totals["dense"]
 
 
 class TestSweepTraces:

@@ -6,8 +6,8 @@ per-edge grouping of a staged round (:func:`group_round`) against its
 invariants and against the reference's deliveries of that round, drive
 :class:`LinkTransport` directly against
 :class:`~tests.reference_transport.ReferenceTransport` on randomised edge
-workloads (the block path, the completion clock, skips and shard merges),
-and pin the strict-mode error texts and totals.
+workloads (the block path, the completion clock and skips), and pin the
+strict-mode error texts and totals.
 """
 
 import random
@@ -464,7 +464,6 @@ def _schedules(draw):
         st.just(("flush",)),
         st.just(("deliver",)),
         st.tuples(st.just("skip"), st.integers(1, 6)),
-        st.tuples(st.just("shard"), st.lists(st.lists(sends, max_size=4), min_size=1, max_size=3)),
     )
     return bandwidth, draw(st.booleans()), draw(st.lists(ops, min_size=20, max_size=80))
 
@@ -477,32 +476,7 @@ def _send(transport, op, payload, round_no):
         transport.enqueue_many(sender, list(to), payload, bits, round_no)
 
 
-def _shard_round(transport, shards, index, round_no):
-    """Stage ``shards`` through LinkTransport's shard API as a parallel
-    engine does: one outbox per shard, staging stops at the first strict
-    error, and the outboxes up to the failing one merge in shard order."""
-    transport.begin_shard_staging()
-    outboxes = []
-    error = None
-    try:
-        for k, shard in enumerate(shards):
-            outboxes.append(transport.open_shard_outbox())
-            try:
-                for j, op in enumerate(shard):
-                    _send(transport, op, ("m", index, k, j), round_no)
-            except BandwidthExceeded as exc:
-                error = exc
-                break
-            finally:
-                transport.close_shard_outbox()
-    finally:
-        transport.end_shard_staging()
-    transport.merge_shard_outboxes(outboxes)
-    if error is not None:
-        raise error
-
-
-def _step(transport, op, index, round_no, shard_api):
+def _step(transport, op, index, round_no):
     """Apply one schedule op; returns what the op observably produced."""
     kind = op[0]
     if kind == "flush":
@@ -511,14 +485,6 @@ def _step(transport, op, index, round_no, shard_api):
         return list(transport.deliver_round().items())
     elif kind == "skip":
         return transport.skip_rounds(op[1])
-    elif kind == "shard":
-        if shard_api:
-            _shard_round(transport, op[1], index, round_no)
-        else:
-            # The reference stages the same sends serially, in shard order.
-            for k, shard in enumerate(op[1]):
-                for j, send in enumerate(shard):
-                    _send(transport, send, ("m", index, k, j), round_no)
     else:
         _send(transport, op, ("m", index), round_no)
     return None
@@ -552,9 +518,9 @@ class TestLockstepProperty:
     ]))
     @settings(max_examples=100, deadline=None)
     def test_random_schedules_match_reference(self, schedule):
-        """Random interleavings of sends, broadcasts, shard merges, flushes,
-        deliveries and skips: every delivery (inbox order included), probe,
-        metric, strict error text and log entry matches the reference."""
+        """Random interleavings of sends, broadcasts, flushes, deliveries
+        and skips: every delivery (inbox order included), probe, metric,
+        strict error text and log entry matches the reference."""
         bandwidth, strict, ops = schedule
         ref = ReferenceTransport(bandwidth, strict=strict, record_messages=True)
         link = LinkTransport(bandwidth, strict=strict, record_messages=True)
@@ -565,9 +531,9 @@ class TestLockstepProperty:
                 gap = ref.rounds_until_delivery()
                 op = ("skip", op[1] if gap is None else min(op[1], gap - 1))
             outcomes = []
-            for transport, shard_api in ((ref, False), (link, True)):
+            for transport in (ref, link):
                 try:
-                    outcomes.append(_step(transport, op, index, round_no, shard_api))
+                    outcomes.append(_step(transport, op, index, round_no))
                 except BandwidthExceeded as exc:
                     outcomes.append(("error", str(exc)))
             assert outcomes[1] == outcomes[0], (index, op)
