@@ -22,8 +22,8 @@ of rounds, messages and bits.
 - :mod:`repro.congest.topology`  -- network families, including the
   Simulation-Theorem network of Figs. 8/10/13.
 - :mod:`repro.congest.faults`    -- deterministic fault injection: seeded
-  ``FaultPlan`` schedules (drops, duplicates, reorders, crash spans, edge
-  churn) applied by a ``FaultyTransport`` wrapper under the engine seam.
+  ``FaultPlan`` schedules (message drops, crash spans, edge churn)
+  applied by a ``FaultyTransport`` wrapper under the engine seam.
 """
 
 from repro.congest.engine import (

@@ -2,30 +2,24 @@
 
 Every scenario used to run on a static, reliable network; this module makes
 adversity a first-class, *reproducible* input.  A :class:`FaultPlan` is a
-pure value describing the adversary -- per-edge message drop / duplication /
-reorder probabilities, node crash+recovery spans, and scheduled edge
-insertion/deletion events -- and a :class:`FaultyTransport` wraps the
-engine's ``LinkTransport`` and applies the plan at the flush barrier.
+pure value describing the adversary -- a per-message drop probability,
+node crash+recovery spans, and scheduled edge insertion/deletion events --
+and a :class:`FaultyTransport` wraps the engine's ``LinkTransport`` and
+applies the plan as programs send and as rounds deliver.
 
-**Determinism contract.**  Every message-fault decision is a pure function
-of ``(plan seed, round, directed edge, per-edge message index)`` via a
+**Determinism contract.**  Every drop decision is a pure function of
+``(plan seed, round, directed edge, per-edge message index)`` via a
 :func:`hash <FaultPlan.decision>` -- no RNG state, no engine state.  The
-wrapper stages each round's sends itself, applies the faults to the staged
-sequence (which every engine produces in the same canonical order), and
-re-emits the survivors into the wrapped transport in the original global
-staging order.  Since the transport's deliveries are a function of the
-enqueue sequence alone, both engines (dense and event) produce
-**byte-identical faulted runs** for the same plan.
+index is the send's position among the round's sends on its directed edge,
+drops included, and every engine sends in the same canonical order, so
+both engines (dense and event) produce **byte-identical faulted runs** for
+the same plan.
 
 **Fault semantics.**
 
-- *Drops / duplications* happen "on the wire": the send is still charged to
-  the run totals and the opt-in message log (the sender paid), but a dropped
-  message never enters the link buffer, and a duplicate traverses it twice
-  (visible in ``per_round_bits``).
-- *Reordering* permutes messages within one directed edge's staged run for
-  the round (adjacent hash-seeded transpositions), never across edges and
-  never across round barriers -- per-link FIFO chunking stays well-defined.
+- *Drops* happen "on the wire", at the send: the send is still charged to
+  the run totals and the opt-in message log (the sender paid), but a
+  dropped message never enters the link buffer.
 - *Crashes* are "napping" faults: a crashed node is not stepped, and
   deliveries addressed to it while down are discarded (counted as
   ``crash_lost``).  Program state survives; recovery forcibly re-steps the
@@ -52,7 +46,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Hashable, Iterable, NamedTuple
 
 import networkx as nx
@@ -133,30 +127,22 @@ class FaultPlan:
     The plan is a *value*: two plans constructed with equal fields make
     identical decisions on every engine and backend, because each decision
     hashes ``(seed, kind, round, edge, msg_index)`` and nothing else.
-    ``window`` bounds the rounds (inclusive) in which the probabilistic
-    message faults fire; crash spans and topology events carry their own
-    schedule.
+    ``window`` bounds the rounds (inclusive) in which messages may be
+    dropped; crash spans and topology events carry their own schedule.
     """
 
     seed: int = 0
-    #: Per-message probability that a staged message is dropped on the wire.
+    #: Per-message probability that a send is dropped on the wire.
     drop_prob: float = 0.0
-    #: Per-message probability that a staged message is duplicated.
-    dup_prob: float = 0.0
-    #: Per-position probability of an adjacent transposition within one
-    #: edge's surviving per-round run.
-    reorder_prob: float = 0.0
     crashes: tuple[CrashSpan, ...] = ()
     topology_events: tuple[TopologyEvent, ...] = ()
-    #: Inclusive round window for the probabilistic message faults;
-    #: ``None`` means every round (then :meth:`last_fault_round` is None).
+    #: Inclusive round window for the message drops; ``None`` means every
+    #: round (then :meth:`last_fault_round` is None).
     window: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        for name in ("drop_prob", "dup_prob", "reorder_prob"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p!r}")
+        if not 0.0 <= self.drop_prob <= 1.0:
+            raise ValueError(f"drop_prob must be in [0, 1], got {self.drop_prob!r}")
         self.crashes = tuple(
             span if isinstance(span, CrashSpan) else CrashSpan(*span) for span in self.crashes
         )
@@ -210,8 +196,8 @@ class FaultPlan:
 
     @property
     def has_message_faults(self) -> bool:
-        """Whether any probabilistic message fault can ever fire."""
-        return self.drop_prob > 0.0 or self.dup_prob > 0.0 or self.reorder_prob > 0.0
+        """Whether any message can ever be dropped."""
+        return self.drop_prob > 0.0
 
     @property
     def has_crashes(self) -> bool:
@@ -226,9 +212,8 @@ class FaultPlan:
         """The last round at which this plan can still inject anything.
 
         After this round the network behaves fault-free, so scenarios
-        measure rounds-to-restabilize from here.  ``None`` when message
-        faults are unbounded (``window is None`` with a positive
-        probability).
+        measure rounds-to-restabilize from here.  ``None`` when drops are
+        unbounded (``window is None`` with a positive ``drop_prob``).
         """
         last = 0
         if self.has_message_faults:
@@ -241,7 +226,7 @@ class FaultPlan:
             last = max(last, ev.round)
         return last
 
-    # -- message-fault decisions (pure hashes) ---------------------------------
+    # -- drop decisions (pure hashes) -------------------------------------------
 
     def decision(self, kind: str, round_no: int, sender: Hashable, receiver: Hashable, index: int) -> float:
         """The uniform [0, 1) draw for one fault decision.
@@ -257,30 +242,18 @@ class FaultPlan:
         return int.from_bytes(digest, "big") / _HASH_DENOM
 
     def message_faults_active(self, round_no: int) -> bool:
-        """Whether probabilistic message faults may fire at ``round_no``."""
+        """Whether messages sent at ``round_no`` may be dropped."""
         if not self.has_message_faults:
             return False
         window = self.window
         return window is None or window[0] <= round_no <= window[1]
 
     def drop(self, round_no: int, sender: Hashable, receiver: Hashable, index: int) -> bool:
-        """Whether to drop the ``index``-th message staged on the edge."""
-        if self.drop_prob <= 0.0 or not self.message_faults_active(round_no):
+        """Whether to drop the ``index``-th message sent on the edge in
+        ``round_no`` (counting from 0, earlier drops included)."""
+        if not self.message_faults_active(round_no):
             return False
         return self.decision("drop", round_no, sender, receiver, index) < self.drop_prob
-
-    def duplicate(self, round_no: int, sender: Hashable, receiver: Hashable, index: int) -> bool:
-        """Whether to duplicate the ``index``-th message staged on the edge."""
-        if self.dup_prob <= 0.0 or not self.message_faults_active(round_no):
-            return False
-        return self.decision("dup", round_no, sender, receiver, index) < self.dup_prob
-
-    def reorder(self, round_no: int, sender: Hashable, receiver: Hashable, index: int) -> bool:
-        """Whether to transpose positions ``index-1`` and ``index`` of the
-        edge's surviving per-round run."""
-        if self.reorder_prob <= 0.0 or not self.message_faults_active(round_no):
-            return False
-        return self.decision("reorder", round_no, sender, receiver, index) < self.reorder_prob
 
     # -- schedule queries (engine hooks) ---------------------------------------
 
@@ -320,9 +293,9 @@ class FaultPlan:
         """The first scheduled fault round strictly after ``after_round``.
 
         Covers crash starts, recoveries, and topology events -- the rounds
-        the event engine must execute (never skip over); probabilistic
-        message faults need no wake-up because they fire only at flushes
-        that execute anyway.
+        the event engine must execute (never skip over); drops need no
+        wake-up because they happen only at sends, in rounds that execute
+        anyway.
         """
         import bisect
 
@@ -354,8 +327,6 @@ class FaultPlan:
         *,
         seed: int = 0,
         drop_prob: float = 0.0,
-        dup_prob: float = 0.0,
-        reorder_prob: float = 0.0,
         n_crashes: int = 0,
         crash_length: int = 8,
         n_edge_deletes: int = 0,
@@ -419,8 +390,6 @@ class FaultPlan:
         return cls(
             seed=seed,
             drop_prob=drop_prob,
-            dup_prob=dup_prob,
-            reorder_prob=reorder_prob,
             crashes=tuple(crashes),
             topology_events=tuple(events),
             window=(lo, hi),
@@ -432,54 +401,45 @@ class FaultStats:
     """Counters accumulated by one :class:`FaultyTransport` over a run."""
 
     drops: int = 0
-    duplicates: int = 0
-    reorder_swaps: int = 0
-    #: Largest per-edge position displacement any reordered message saw.
-    max_reorder_depth: int = 0
     #: Messages discarded because their receiver was down at delivery.
     crash_lost: int = 0
     #: In-flight messages lost because their link was deleted under them.
     link_lost: int = 0
-    #: Flushes in which at least one message fault fired.
+    #: Flushes that closed a round with at least one drop.
     faulted_flushes: int = 0
     #: Topology events that actually mutated the graph.
     topology_applied: int = 0
 
     def as_dict(self) -> dict[str, int]:
         """A plain-dict view for scenario result payloads."""
-        return {
-            "drops": self.drops,
-            "duplicates": self.duplicates,
-            "reorder_swaps": self.reorder_swaps,
-            "max_reorder_depth": self.max_reorder_depth,
-            "crash_lost": self.crash_lost,
-            "link_lost": self.link_lost,
-            "faulted_flushes": self.faulted_flushes,
-            "topology_applied": self.topology_applied,
-        }
+        return asdict(self)
 
 
 class FaultyTransport:
-    """A transport wrapper that injects a :class:`FaultPlan` at the flush.
+    """A transport wrapper that applies a :class:`FaultPlan` at the send
+    and at delivery.
 
     Implements the full transport API (staging, delivery, skip accounting)
-    by staging each round's sends itself, applying the plan's message faults
-    to the staged sequence at :meth:`flush`, and re-emitting the survivors
-    -- in the original global staging order -- into the wrapped transport.
+    over the wrapped transport.  Inside the plan's drop window each program
+    send is decided as it is made (:meth:`FaultPlan.drop`, indexed by a
+    per-directed-edge send count that includes drops and is cleared at
+    every flush); a dropped send never reaches the inner transport, and
+    every other send goes straight to the inner ``enqueue`` /
+    ``enqueue_many``, so a broadcast keeps the inner bulk path and a round
+    outside the window costs the wrapper no per-send work.
     ``total_messages`` / ``total_bits`` / the opt-in message log count what
-    the *programs* sent (drops included, duplicates not); the wire-level
-    metrics (``per_round_bits``, ``max_edge_bits_per_round``) come from the
-    inner transport and therefore reflect the faulted stream.
+    the *programs* sent (drops included); the wire-level metrics
+    (``per_round_bits``, ``max_edge_bits_per_round``) come from the inner
+    transport and therefore reflect the faulted stream.
 
     With an empty plan the wrapper is transparent: every metric, trace
     line, and delivery is byte-identical to running on the inner transport
     directly (asserted by the engine-equivalence suite).  Fault events go
     to the ambient tracer in effect when the wrapper is built.
 
-    In strict mode the per-message bandwidth check fires at the wrapper's
-    enqueue (identically to the bare transport); the per-edge flush check
-    runs in the inner transport on the *faulted* stream, so duplicates can
-    legitimately trip it -- strict runs should keep ``dup_prob`` at zero.
+    In strict mode an oversize send raises at the send, dropped or not,
+    exactly as on the bare transport; the per-edge flush check runs in the
+    inner transport on the surviving stream.
     """
 
     def __init__(self, inner, plan: FaultPlan):
@@ -488,13 +448,16 @@ class FaultyTransport:
         self.stats = FaultStats()
         self.trace = current_tracer()
         self.record_messages = inner.record_messages
-        # The wrapper owns the program-send log; stop the inner transport
-        # from duplicating it for the post-fault stream.
+        # The wrapper owns the program-send log (drops included); stop the
+        # inner transport from keeping a second one of the survivors.
         inner.record_messages = False
-        self.total_messages = 0
-        self.total_bits = 0
         self.message_log: list[tuple[int, Hashable, Hashable, int]] = []
-        self._staged: list[tuple[Hashable, Hashable, Any, int, int]] = []
+        self._dropped_bits = 0
+        # Sends per directed edge in the round being staged, drops
+        # included: the index of each drop decision.
+        self._sent: dict[tuple[Hashable, Hashable], int] = {}
+        self._round_drops = 0
+        self._drop_round = 0
         self._round = 0
 
     # -- delegated configuration / metrics -------------------------------------
@@ -508,6 +471,16 @@ class FaultyTransport:
     def strict(self) -> bool:
         """Whether strict-mode bandwidth checks are on."""
         return self.inner.strict
+
+    @property
+    def total_messages(self) -> int:
+        """Messages the programs sent so far, drops included."""
+        return self.inner.total_messages + self.stats.drops
+
+    @property
+    def total_bits(self) -> int:
+        """Bits the programs sent so far, drops included."""
+        return self.inner.total_bits + self._dropped_bits
 
     @property
     def max_edge_bits_per_round(self) -> int:
@@ -534,111 +507,60 @@ class FaultyTransport:
     # -- staging ---------------------------------------------------------------
 
     def enqueue(self, sender: Hashable, receiver: Hashable, payload: Any, bits: int, round_no: int) -> None:
-        """Stage one program send for the current round's faulted flush."""
+        """Send one message: drop it, or stage it in the inner transport."""
+        dropped = self.plan.message_faults_active(round_no) and self._dropped(
+            sender, receiver, bits, round_no
+        )
+        if not dropped:
+            self.inner.enqueue(sender, receiver, payload, bits, round_no)
+        if self.record_messages:
+            self.message_log.append((round_no, sender, receiver, bits))
+
+    def enqueue_many(self, sender: Hashable, receivers: list[Hashable], payload: Any, bits: int, round_no: int) -> None:
+        """Send one payload to several receivers (the broadcast path): the
+        survivors reach the inner transport in one ``enqueue_many``."""
+        survivors = receivers
+        if self.plan.message_faults_active(round_no):
+            survivors = [r for r in receivers if not self._dropped(sender, r, bits, round_no)]
+        self.inner.enqueue_many(sender, survivors, payload, bits, round_no)
+        if self.record_messages:
+            self.message_log.extend((round_no, sender, r, bits) for r in receivers)
+
+    def _dropped(self, sender: Hashable, receiver: Hashable, bits: int, round_no: int) -> bool:
+        """Take the drop decision for one send inside the drop window; a
+        dropped send is counted here and goes no further."""
         if self.strict and bits > self.bandwidth:
             raise BandwidthExceeded(
                 f"message of {bits} bits exceeds B={self.bandwidth} on edge "
                 f"{sender!r}->{receiver!r}"
             )
-        self._staged.append((sender, receiver, payload, bits, round_no))
-        self.total_messages += 1
-        self.total_bits += bits
-        if self.record_messages:
-            self.message_log.append((round_no, sender, receiver, bits))
-
-    def enqueue_many(self, sender: Hashable, receivers: Iterable[Hashable], payload: Any, bits: int, round_no: int) -> None:
-        """Stage one payload to several receivers (the broadcast path)."""
-        for receiver in receivers:
-            self.enqueue(sender, receiver, payload, bits, round_no)
+        edge = (sender, receiver)
+        index = self._sent.get(edge, 0)
+        self._sent[edge] = index + 1
+        if not self.plan.drop(round_no, sender, receiver, index):
+            return False
+        self.stats.drops += 1
+        self._dropped_bits += bits
+        self._round_drops += 1
+        self._drop_round = round_no
+        return True
 
     def has_outgoing(self) -> bool:
-        """Whether anything is staged but not yet flushed."""
-        return bool(self._staged) or self.inner.has_outgoing()
-
-    # -- the fault seam --------------------------------------------------------
+        """Whether the inner transport holds sends not yet flushed."""
+        return self.inner.has_outgoing()
 
     def flush(self) -> None:
-        """Apply the plan's message faults to the staged round, then commit
-        the surviving stream through the inner transport."""
-        staged = self._staged
-        if staged:
-            self._staged = []
-            if self.plan.has_message_faults:
-                staged = self._apply_message_faults(staged)
-            inner = self.inner
-            for sender, receiver, payload, bits, round_no in staged:
-                inner.enqueue(sender, receiver, payload, bits, round_no)
-        self.inner.flush()
-
-    def _apply_message_faults(
-        self, staged: list[tuple[Hashable, Hashable, Any, int, int]]
-    ) -> list[tuple[Hashable, Hashable, Any, int, int]]:
-        """Drop, duplicate, then reorder the staged round.
-
-        Drop/duplicate decisions index the *original* per-edge staging
-        order; reorder transpositions index the surviving run.  Survivors
-        keep their global staging positions (duplicates slot in directly
-        after their original), so an all-zero plan is the identity.
-        """
-        plan = self.plan
-        round_no = staged[0][4]
-        if not plan.message_faults_active(round_no):
-            return staged
-        counts: dict[tuple[Hashable, Hashable], int] = {}
-        positions: dict[tuple[Hashable, Hashable], list[int]] = {}
-        out: list[tuple[Hashable, Hashable, Any, int, int]] = []
-        drops = dups = 0
-        for msg in staged:
-            edge = (msg[0], msg[1])
-            index = counts.get(edge, 0)
-            counts[edge] = index + 1
-            if plan.drop(msg[4], msg[0], msg[1], index):
-                drops += 1
-                continue
-            positions.setdefault(edge, []).append(len(out))
-            out.append(msg)
-            if plan.duplicate(msg[4], msg[0], msg[1], index):
-                dups += 1
-                positions[edge].append(len(out))
-                out.append(msg)
-        swaps = 0
-        depth = 0
-        if plan.reorder_prob > 0.0:
-            for (sender, receiver), slots in positions.items():
-                k = len(slots)
-                if k < 2:
-                    continue
-                order = list(range(k))
-                swapped = False
-                for i in range(1, k):
-                    if plan.reorder(round_no, sender, receiver, i):
-                        order[i - 1], order[i] = order[i], order[i - 1]
-                        swaps += 1
-                        swapped = True
-                if swapped:
-                    originals = [out[slot] for slot in slots]
-                    for slot, source in zip(slots, order):
-                        out[slot] = originals[source]
-                    depth = max(depth, max(abs(i - src) for i, src in enumerate(order)))
-        if drops or dups or swaps:
-            stats = self.stats
-            stats.drops += drops
-            stats.duplicates += dups
-            stats.reorder_swaps += swaps
-            if depth > stats.max_reorder_depth:
-                stats.max_reorder_depth = depth
-            stats.faulted_flushes += 1
+        """Close the round's drop count, then commit the inner transport's
+        staged round."""
+        self._sent.clear()
+        drops = self._round_drops
+        if drops:
+            self._round_drops = 0
+            self.stats.faulted_flushes += 1
             trace = self.trace
             if trace.enabled:
-                trace.event(
-                    "fault_flush",
-                    round=round_no,
-                    drops=drops,
-                    dups=dups,
-                    reorder_swaps=swaps,
-                    reorder_depth=depth,
-                )
-        return out
+                trace.event("fault_flush", round=self._drop_round, drops=drops)
+        self.inner.flush()
 
     # -- advancing -------------------------------------------------------------
 

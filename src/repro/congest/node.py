@@ -132,12 +132,11 @@ class NodeProgram:
 
     **Idleness hints.**  The event-driven engine steps a node only when a
     message arrives or the program declares a round non-idle.  Programs with
-    silent stretches advertise them by overriding :meth:`next_active_round`
-    (and get :meth:`wants_round` for free).  The contract: for every round
-    the hint skips, ``on_round`` with an empty inbox must be a no-op -- no
-    sends, no halting, no change that affects future behaviour.  The default
-    (every round is active) makes unhinted programs run identically on both
-    engines.
+    silent stretches advertise them by overriding :meth:`next_active_round`.
+    The contract: for every round the hint skips, ``on_round`` with an empty
+    inbox must be a no-op -- no sends, no halting, no change that affects
+    future behaviour.  The default (every round is active) makes unhinted
+    programs run identically on both engines.
     """
 
     def on_start(self, node: Node) -> None:  # pragma: no cover - default no-op
@@ -151,11 +150,3 @@ class NodeProgram:
         delivery; ``None`` means the program only reacts to messages (and to
         the hints it re-declares each time it is stepped)."""
         return after_round + 1
-
-    def wants_round(self, node: Node, round_no: int) -> bool:
-        """Whether ``round_no`` must be stepped even with an empty inbox.
-
-        Derived from :meth:`next_active_round`; override that instead.
-        """
-        nxt = self.next_active_round(node, round_no - 1)
-        return nxt is not None and nxt <= round_no

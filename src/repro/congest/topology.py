@@ -173,17 +173,3 @@ def dumbbell_graph(clique_size: int, path_length: int) -> nx.Graph:
     graph.add_edge(previous, right[0])
     return graph
 
-
-def low_diameter_pair_graph(n: int) -> nx.Graph:
-    """A Theta(log n)-diameter graph with designated far-apart nodes 0 and 1.
-
-    A balanced binary tree plus leaf cross-links; nodes 0 and 1 are distinct
-    leaves at maximum distance.  This is the "diameter O(log n)" setting in
-    which the paper's Omega(sqrt(n)) bounds bite.
-    """
-    if n < 4:
-        raise ValueError("need at least 4 nodes")
-    graph = nx.balanced_tree(2, max(1, math.ceil(math.log2(n)) - 1))
-    mapping = {node: idx for idx, node in enumerate(sorted(graph.nodes()))}
-    graph = nx.relabel_nodes(graph, mapping)
-    return graph

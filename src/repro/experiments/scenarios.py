@@ -1183,14 +1183,12 @@ def quantum_substrate(*, seed: int, check: str, trials: int, size: int) -> dict:
     )
 
 
-#: Fault-model axes shared by the fault/self-stabilization scenario family
-#: (ISSUE 10): the probabilistic message faults plus the decision seed.
-#: Crash and churn axes are scenario-specific and declared per scenario.
+#: Fault-model axes shared by the fault/self-stabilization scenario family:
+#: the message drops plus the decision seed.  Crash and churn axes are
+#: scenario-specific and declared per scenario.
 FAULT_PARAMS = (
     ParamSpec("fault_seed", int, 0, "fault-plan decision seed (hash-deterministic)"),
     ParamSpec("drop_prob", float, 0.05, "per-message wire drop probability"),
-    ParamSpec("dup_prob", float, 0.0, "per-message duplication probability"),
-    ParamSpec("reorder_prob", float, 0.0, "per-edge adjacent-swap reorder probability"),
     ParamSpec("fault_window", int, 40, "last round (inclusive) at which message faults fire"),
 )
 
@@ -1240,8 +1238,6 @@ def mst_under_faults(
     round_budget: int,
     fault_seed: int,
     drop_prob: float,
-    dup_prob: float,
-    reorder_prob: float,
     fault_window: int,
     engine: str,
 ) -> dict:
@@ -1261,8 +1257,6 @@ def mst_under_faults(
         graph,
         seed=fault_seed,
         drop_prob=drop_prob,
-        dup_prob=dup_prob,
-        reorder_prob=reorder_prob,
         n_crashes=n_crashes,
         crash_length=crash_length,
         window=(1, fault_window),
@@ -1280,7 +1274,7 @@ def mst_under_faults(
         total_rounds += restart.rounds
         total_bits += restart.total_bits
     last_fault = plan.last_fault_round() or 0
-    stats = getattr(faulted, "fault_stats", None)
+    stats = faulted.fault_stats
     return {
         "n": n,
         "m": graph.number_of_edges(),
@@ -1349,17 +1343,14 @@ def bfs_restabilization(
     settle_rounds: int,
     fault_seed: int,
     drop_prob: float,
-    dup_prob: float,
-    reorder_prob: float,
     fault_window: int,
     engine: str,
 ) -> dict:
     """The genuinely self-stabilising member of the family: periodic
-    refresh broadcasts heal drops, duplicate/reorder noise, crash naps and
-    insert-only churn without any restart.  Correctness is exact BFS
-    distances on the post-churn graph (centralized recompute);
-    rounds-to-restabilize is the last distance change after the last
-    scheduled fault.
+    refresh broadcasts heal drops, crash naps and insert-only churn without
+    any restart.  Correctness is exact BFS distances on the post-churn
+    graph (centralized recompute); rounds-to-restabilize is the last
+    distance change after the last scheduled fault.
     """
     graph = random_connected_graph(n, extra_edge_prob=extra_edge_prob, seed=seed)
     source = min(graph.nodes(), key=repr)
@@ -1367,8 +1358,6 @@ def bfs_restabilization(
         graph,
         seed=fault_seed,
         drop_prob=drop_prob,
-        dup_prob=dup_prob,
-        reorder_prob=reorder_prob,
         n_crashes=n_crashes,
         crash_length=crash_length,
         n_edge_inserts=n_edge_inserts,
@@ -1465,8 +1454,6 @@ def spanner_churn(
     round_budget: int,
     fault_seed: int,
     drop_prob: float,
-    dup_prob: float,
-    reorder_prob: float,
     fault_window: int,
     engine: str,
 ) -> dict:
@@ -1490,8 +1477,6 @@ def spanner_churn(
         graph,
         seed=fault_seed,
         drop_prob=drop_prob,
-        dup_prob=dup_prob,
-        reorder_prob=reorder_prob,
         n_edge_deletes=churn_events,
         n_edge_inserts=churn_events,
         window=(1, fault_window),

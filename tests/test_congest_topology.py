@@ -9,7 +9,6 @@ from repro.congest.topology import (
     boundary_nodes,
     dumbbell_graph,
     highway_positions,
-    low_diameter_pair_graph,
     simulation_network,
     simulation_network_parameters,
 )
@@ -79,11 +78,6 @@ class TestOtherFamilies:
         assert nx.is_connected(graph)
         dist = nx.shortest_path_length(graph, ("L", 0), ("R", 0))
         assert dist == 7
-
-    def test_low_diameter_pair(self):
-        graph = low_diameter_pair_graph(32)
-        assert nx.is_connected(graph)
-        assert nx.diameter(graph) <= 2 * math.log2(32) + 2
 
 
 class TestAdjacencyCache:

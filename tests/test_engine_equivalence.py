@@ -380,7 +380,7 @@ class TestErrorPaths:
 
 
 class TestIdlenessHints:
-    def test_wants_round_is_the_boolean_view_of_next_active_round(self):
+    def test_next_active_round_default_and_overrides(self):
         graph = nx.path_graph(3)
         network = CongestNetwork(graph, NodeProgram, bandwidth=8)
         node = network.nodes[0]
@@ -388,14 +388,13 @@ class TestIdlenessHints:
         # Default hint: every round is active.
         default = NodeProgram()
         assert default.next_active_round(node, 5) == 6
-        assert all(default.wants_round(node, r) for r in (1, 2, 10))
 
         # A purely reactive program wants no round spontaneously.
         class Reactive(NodeProgram):
             def next_active_round(self, node, after_round):
                 return None
 
-        assert not Reactive().wants_round(node, 1)
+        assert Reactive().next_active_round(node, 0) is None
 
         # A scheduled program wants exactly its scheduled rounds.
         class EveryFifth(NodeProgram):
@@ -403,7 +402,7 @@ class TestIdlenessHints:
                 return after_round + (5 - after_round % 5)
 
         program = EveryFifth()
-        assert [r for r in range(1, 12) if program.wants_round(node, r)] == [5, 10]
+        assert [program.next_active_round(node, r) for r in (0, 4, 5, 9, 10)] == [5, 5, 10, 10, 15]
 
 
 class TestFaultEquivalence:
@@ -461,8 +460,6 @@ class TestFaultEquivalence:
             graph,
             seed=6,
             drop_prob=0.1,
-            dup_prob=0.05,
-            reorder_prob=0.1,
             n_crashes=2,
             crash_length=5,
             n_edge_deletes=1,
@@ -484,12 +481,12 @@ class TestFaultEquivalence:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_faulted_message_log_is_byte_identical(self, engine):
         """record_messages under a plan: the offered-load log (drops
-        included, duplicates not) is an ordered artifact and must agree
-        with the reference exactly."""
+        included) is an ordered artifact and must agree with the
+        reference exactly."""
         from repro.congest.faults import FaultPlan
 
         graph = random_connected_graph(12, extra_edge_prob=0.2, seed=30)
-        plan = FaultPlan(seed=8, drop_prob=0.2, dup_prob=0.1, crashes=((5, 3, 7),))
+        plan = FaultPlan(seed=8, drop_prob=0.2, crashes=((5, 3, 7),))
         logs = {}
         results = {}
         for name, spec in (("reference", ReferenceDenseEngine()), (engine, make_engine(engine))):
@@ -521,7 +518,6 @@ class TestFaultEquivalence:
         plan = FaultPlan(
             seed=8,
             drop_prob=0.2,
-            dup_prob=0.1,
             crashes=((5, 3, 7),),
             topology_events=((2, "delete", u, v), (6, "insert", u, v)),
         )

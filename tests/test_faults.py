@@ -5,18 +5,23 @@ Covers the three seams the layer adds under the engines:
 - :class:`FaultPlan` as a pure value -- validation, hash-decision purity,
   schedule queries, deterministic generation;
 - :class:`FaultyTransport` wire semantics on a bare ``LinkTransport`` --
-  drops/dups/reorders with offered-load accounting, crash and link loss at
-  delivery, the skip-rounds guard that keeps the event engines honest;
+  drops at the send with offered-load accounting (a hypothesis property
+  checks them over ``LinkTransport`` and the reference transport), crash
+  and link loss at delivery, the skip-rounds guard that keeps the event
+  engines honest;
 - end-to-end recovery correctness and the exactness of the engines' skip
   accounting across crash/recovery wake-ups (byte-identical to the
   reference: the dense engine, which never skips, over the per-link
   reference transport).
 """
 
+from collections import defaultdict
 from dataclasses import replace
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.mst import run_boruvka_mst, tree_weight
 from repro.algorithms.paths import run_refreshing_bellman_ford
@@ -31,7 +36,11 @@ from repro.congest.network import CongestNetwork
 from repro.congest.node import NodeProgram
 from repro.congest.transport import LinkTransport
 from repro.graphs.generators import random_connected_graph
-from tests.reference_transport import ReferenceDenseEngine, ReferenceEventEngine
+from tests.reference_transport import (
+    ReferenceDenseEngine,
+    ReferenceEventEngine,
+    ReferenceTransport,
+)
 
 
 def _weighted(n, seed, extra_edge_prob=0.15):
@@ -47,11 +56,10 @@ def _weighted(n, seed, extra_edge_prob=0.15):
 
 class TestFaultPlanValue:
     def test_probability_validation(self):
-        for name in ("drop_prob", "dup_prob", "reorder_prob"):
-            with pytest.raises(ValueError, match=name):
-                FaultPlan(**{name: 1.5})
-            with pytest.raises(ValueError, match=name):
-                FaultPlan(**{name: -0.1})
+        with pytest.raises(ValueError, match="drop_prob"):
+            FaultPlan(drop_prob=1.5)
+        with pytest.raises(ValueError, match="drop_prob"):
+            FaultPlan(drop_prob=-0.1)
 
     def test_crash_span_validation(self):
         with pytest.raises(ValueError, match="crash span"):
@@ -277,38 +285,11 @@ class TestFaultyTransportWire:
         assert transport.total_bits == 8 * len(stream)
         assert transport.per_round_bits[-1] == 8 * n_delivered
 
-    def test_duplicates_traverse_twice_but_count_once(self):
-        plan = FaultPlan(seed=5, dup_prob=0.5)
-        stream = _staged_stream(n_edges=4, per_edge=8)
-        transport, inboxes = _run_round(plan, stream)
-        n_delivered = sum(len(msgs) for msgs in inboxes.values())
-        stats = transport.fault_summary
-        assert stats["duplicates"] > 0
-        assert n_delivered == len(stream) + stats["duplicates"]
-        assert transport.total_messages == len(stream)
-        assert transport.per_round_bits[-1] == 8 * n_delivered
-
-    def test_reorder_permutes_within_an_edge_only(self):
-        plan = FaultPlan(seed=1, reorder_prob=0.9)
-        stream = _staged_stream(n_edges=3, per_edge=6)
-        transport, inboxes = _run_round(plan, stream)
-        stats = transport.fault_summary
-        assert stats["reorder_swaps"] > 0
-        assert stats["max_reorder_depth"] >= 1
-        for e in range(3):
-            payloads = [msg.payload for msg in inboxes[f"r{e}"]]
-            expected = [("m", e, i) for i in range(6)]
-            assert sorted(payloads) == expected  # same multiset, per edge
-        assert any(
-            [msg.payload for msg in inboxes[f"r{e}"]] != [("m", e, i) for i in range(6)]
-            for e in range(3)
-        )
-
     def test_fault_decisions_identical_across_staging_orders(self):
-        # Drop/dup decisions index the per-edge staging order, so reordering
+        # Drop decisions index the per-edge send order, so reordering
         # whole-edge blocks of the staged round changes nothing.  The sort is
         # stable, so each edge keeps its own send order.
-        plan = FaultPlan(seed=9, drop_prob=0.3, dup_prob=0.2)
+        plan = FaultPlan(seed=9, drop_prob=0.3)
         stream = _staged_stream(n_edges=4, per_edge=6)
         _, inboxes_a = _run_round(plan, stream)
         regrouped = sorted(stream, key=lambda m: m[0], reverse=True)
@@ -318,11 +299,17 @@ class TestFaultyTransportWire:
             assert [m.payload for m in inboxes_a[nid]] == [m.payload for m in inboxes_b[nid]]
 
     def test_strict_oversize_raises_like_bare_transport(self):
+        # An oversize program send raises even when the plan drops it, and
+        # the failed send is charged nowhere.
         from repro.congest.transport import BandwidthExceeded
 
-        transport = FaultyTransport(LinkTransport(bandwidth=8, strict=True), FaultPlan())
-        with pytest.raises(BandwidthExceeded, match="exceeds B=8"):
-            transport.enqueue("a", "b", ("big",), 99, 1)
+        for plan in (FaultPlan(), FaultPlan(drop_prob=1.0)):
+            transport = FaultyTransport(LinkTransport(bandwidth=8, strict=True), plan)
+            with pytest.raises(BandwidthExceeded, match="exceeds B=8 on edge 'a'->'b'"):
+                transport.enqueue("a", "b", ("big",), 99, 1)
+            with pytest.raises(BandwidthExceeded, match="exceeds B=8 on edge 'a'->'c'"):
+                transport.enqueue_many("a", ["c", "d"], ("big",), 99, 1)
+            assert transport.total_messages == 0 and transport.stats.drops == 0
 
     def test_crash_loss_at_delivery(self):
         plan = FaultPlan(crashes=((("r0"), 1, 4),))
@@ -348,6 +335,171 @@ class TestFaultyTransportWire:
         # Skipping short of the event is fine and keeps the clocks aligned.
         transport.skip_rounds(4)
         assert transport.pending_traffic() == 0
+
+
+_NODES = ("a", "b", "c", "d")
+
+#: One program send: (sender, receivers, bits, as one enqueue_many).  A
+#: plain send is the one-receiver case; receivers may repeat, so one round
+#: can put several messages on one edge.
+_SEND = st.tuples(
+    st.sampled_from(_NODES),
+    st.lists(st.sampled_from(_NODES), min_size=0, max_size=4),
+    st.integers(1, 40),
+    st.booleans(),
+)
+
+
+@st.composite
+def _faulted_streams(draw):
+    """A plan with random drop probability and window, plus a send stream:
+    one list of sends per round, rounds numbered from 0 as the engines do."""
+    window = draw(st.one_of(st.none(), st.tuples(st.integers(0, 4), st.integers(0, 4))))
+    if window is not None:
+        window = (window[0], window[0] + window[1])
+    plan = FaultPlan(
+        seed=draw(st.integers(0, 1_000)),
+        drop_prob=draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])),
+        window=window,
+    )
+    stream = draw(st.lists(st.lists(_SEND, max_size=6), min_size=1, max_size=5))
+    return plan, stream
+
+
+def _send_stream(inner_class, plan, stream, loop_broadcasts):
+    """Drive one wrapped transport through ``stream``, then drain it;
+    returns the wrapper and every round's inboxes as plain data."""
+    transport = FaultyTransport(inner_class(bandwidth=16, record_messages=True), plan)
+    rounds = []
+    for round_no, sends in enumerate(stream):
+        for k, (sender, receivers, bits, many) in enumerate(sends):
+            payload = (round_no, k)
+            if many and not loop_broadcasts:
+                transport.enqueue_many(sender, receivers, payload, bits, round_no)
+            else:
+                for receiver in receivers:
+                    transport.enqueue(sender, receiver, payload, bits, round_no)
+        transport.flush()
+        rounds.append(transport.deliver_round())
+    while transport.pending_traffic():
+        rounds.append(transport.deliver_round())
+    inboxes = [
+        {nid: [(m.sender, m.payload, m.bits) for m in msgs] for nid, msgs in inbox.items()}
+        for inbox in rounds
+    ]
+    return transport, inboxes
+
+
+class TestSendTimeDrops:
+    @given(_faulted_streams())
+    @settings(max_examples=60, deadline=None)
+    def test_drops_follow_the_plan_at_every_send(self, case):
+        # The oracle: each send's index counts the round's earlier sends on
+        # its directed edge, drops included.
+        plan, stream = case
+        expected = defaultdict(list)
+        log = []
+        drops = 0
+        for round_no, sends in enumerate(stream):
+            index = defaultdict(int)
+            for k, (sender, receivers, bits, _) in enumerate(sends):
+                for receiver in receivers:
+                    edge = (sender, receiver)
+                    log.append((round_no, sender, receiver, bits))
+                    if plan.drop(round_no, sender, receiver, index[edge]):
+                        drops += 1
+                    else:
+                        expected[edge].append(((round_no, k), bits))
+                    index[edge] += 1
+        runs = []
+        for inner_class in (LinkTransport, ReferenceTransport):
+            for loop_broadcasts in (False, True):
+                transport, inboxes = _send_stream(inner_class, plan, stream, loop_broadcasts)
+                delivered = defaultdict(list)
+                for inbox in inboxes:
+                    for receiver, msgs in inbox.items():
+                        for sender, payload, bits in msgs:
+                            delivered[(sender, receiver)].append((payload, bits))
+                assert delivered == expected
+                assert transport.message_log == log
+                assert transport.total_messages == len(log)
+                assert transport.total_bits == sum(entry[3] for entry in log)
+                assert transport.stats.drops == drops
+                runs.append(
+                    (inboxes, transport.per_round_bits, transport.message_log, transport.stats)
+                )
+        # A broadcast as one enqueue_many or as a loop of enqueue, over
+        # either inner transport: the same run, round for round.
+        assert all(run == runs[0] for run in runs[1:])
+
+
+class _CountingTransport(LinkTransport):
+    """A ``LinkTransport`` that counts the staging calls it receives."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = defaultdict(int)
+
+    def enqueue(self, *args):
+        self.calls["enqueue"] += 1
+        super().enqueue(*args)
+
+    def enqueue_many(self, *args):
+        self.calls["enqueue_many"] += 1
+        super().enqueue_many(*args)
+
+
+class TestWrapperSendPath:
+    def test_broadcast_reaches_the_inner_bulk_path(self):
+        # Inside the drop window and outside it, one broadcast is one inner
+        # enqueue_many call carrying its survivors, never a per-receiver loop.
+        inner = _CountingTransport(bandwidth=64)
+        transport = FaultyTransport(inner, FaultPlan(seed=2, drop_prob=0.5, window=(1, 1)))
+        receivers = [f"r{i}" for i in range(12)]
+        for round_no in (1, 2):
+            transport.enqueue_many("s", receivers, ("m", round_no), 8, round_no)
+            transport.flush()
+            transport.deliver_round()
+        assert dict(inner.calls) == {"enqueue_many": 2}
+        assert 0 < transport.stats.drops < len(receivers)
+        assert inner.total_messages == 2 * len(receivers) - transport.stats.drops
+
+    def test_no_decisions_outside_the_window(self, monkeypatch):
+        plan = FaultPlan(drop_prob=1.0, window=(3, 3))
+        decisions = []
+        monkeypatch.setattr(
+            FaultPlan, "decision", lambda self, *args: decisions.append(args) or 0.0
+        )
+        transport = FaultyTransport(LinkTransport(bandwidth=64), plan)
+        delivered = []
+        for round_no in (1, 2, 3, 4):
+            transport.enqueue("a", "b", ("m", round_no), 8, round_no)
+            transport.enqueue_many("a", ["c", "d"], ("m", round_no), 8, round_no)
+            transport.flush()
+            delivered.append(sum(len(msgs) for msgs in transport.deliver_round().values()))
+        assert delivered == [3, 3, 0, 3]
+        assert [args[1] for args in decisions] == [3, 3, 3]
+        assert transport.stats.drops == 3 and transport.total_messages == 12
+
+    def test_each_flush_closes_its_round_drop_count(self):
+        from repro.obs.trace import CollectingTracer, use_tracer
+
+        tracer = CollectingTracer()
+        with use_tracer(tracer):
+            transport = FaultyTransport(
+                LinkTransport(bandwidth=64), FaultPlan(seed=4, drop_prob=0.5, window=(1, 2))
+            )
+        per_round = []
+        for round_no in (1, 2, 3):
+            before = transport.stats.drops
+            transport.enqueue_many("s", [f"r{i}" for i in range(10)], ("m",), 8, round_no)
+            transport.flush()
+            transport.deliver_round()
+            per_round.append(transport.stats.drops - before)
+        events = [e for e in tracer.by_kind("event") if e["name"] == "fault_flush"]
+        assert per_round[2] == 0 and per_round[0] > 0 and per_round[1] > 0
+        assert [(e["round"], e["drops"]) for e in events] == [(1, per_round[0]), (2, per_round[1])]
+        assert transport.stats.faulted_flushes == 2
 
 
 class _RoundRecorder(NodeProgram):
@@ -484,8 +636,6 @@ class TestSkipAccountingUnderFaults:
             graph,
             seed=11,
             drop_prob=0.1,
-            dup_prob=0.05,
-            reorder_prob=0.1,
             n_crashes=2,
             crash_length=6,
             n_edge_deletes=1,

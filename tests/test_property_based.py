@@ -143,8 +143,8 @@ class TestFaultDeterminismProperties:
     def test_decisions_pure_in_the_seed(self, seed, other_seed):
         from repro.congest.faults import FaultPlan
 
-        plan = FaultPlan(seed=seed, drop_prob=0.5, dup_prob=0.5, reorder_prob=0.5)
-        twin = FaultPlan(seed=seed, drop_prob=0.5, dup_prob=0.5, reorder_prob=0.5)
+        plan = FaultPlan(seed=seed, drop_prob=0.5)
+        twin = FaultPlan(seed=seed, drop_prob=0.5)
         grid = [(kind, r, u, v, i)
                 for kind in ("drop", "dup", "reorder")
                 for r in (1, 7)
