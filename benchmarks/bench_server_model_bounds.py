@@ -120,7 +120,7 @@ def test_two_party_server_equivalence(benchmark):
             y = tuple(rng.randrange(2) for _ in range(5))
             server = protocol.run(x, y)
             sim = two_party_simulation_of_server(protocol, x, y)
-            assert sim.total_bits == server.cost
+            assert sim.total_bits == server.carol_bits + server.david_bits
             agreements += sim.output == server.output
         return agreements
 

@@ -7,7 +7,7 @@ The package is organised bottom-up:
 - :mod:`repro.graphs`     -- graph property checkers and generators.
 - :mod:`repro.quantum`    -- statevector quantum-computation substrate.
 - :mod:`repro.congest`    -- the CONGEST(B) distributed network simulator.
-- :mod:`repro.comm`       -- two-party problems, protocols and lower-bound tools.
+- :mod:`repro.comm`       -- two-party problems and the fooling-set check.
 - :mod:`repro.core`       -- the paper's contribution: Server model, nonlocal
   games, gamma_2 machinery, approximate degree, GV fooling sets, gadget
   reductions, the Quantum Simulation Theorem and the closed-form bounds of

@@ -6,8 +6,8 @@ Every lower bound in the paper is matched against a classical algorithm:
   two-phase algorithm [KP98] (:mod:`repro.algorithms.mst`);
 - alpha-approximate MST in ``O~(W/alpha + D)`` rounds, Elkin-style [Elk06]
   (:mod:`repro.algorithms.elkin`);
-- s-source distances / shortest paths via distributed Bellman-Ford
-  (:mod:`repro.algorithms.paths`);
+- s-source distances via self-stabilising distributed Bellman-Ford, run to
+  a fixed horizon (:mod:`repro.algorithms.paths`);
 - the [DHK+12] verification suite (:mod:`repro.algorithms.verification`);
 - distributed Set Disjointness, classical vs. Grover-quantum (Example 1.1)
   (:mod:`repro.algorithms.disjointness`);
@@ -30,7 +30,7 @@ from repro.algorithms.framework import (
 )
 from repro.algorithms.centralised import run_centralised
 from repro.algorithms.mst import run_boruvka_mst, run_gkp_mst
-from repro.algorithms.paths import run_bellman_ford
+from repro.algorithms.paths import run_refreshing_bellman_ford
 
 __all__ = [
     "PhasedProgram",
@@ -42,6 +42,6 @@ __all__ = [
     "PipelinedDowncastPhase",
     "run_boruvka_mst",
     "run_gkp_mst",
-    "run_bellman_ford",
+    "run_refreshing_bellman_ford",
     "run_centralised",
 ]

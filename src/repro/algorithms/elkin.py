@@ -2,8 +2,8 @@
 
 The paper's Fig. 3 upper-bound curve combines Elkin's ``O(W/alpha)``-round
 alpha-approximation [Elk06] with the exact ``O~(sqrt(n) + D)`` algorithm.
-We reproduce the *round-complexity shape* with a faithful-but-simplified
-algorithm (documented deviation, see DESIGN.md):
+We reproduce the *round-complexity shape* with a simplified algorithm, not
+Elkin's:
 
 1. quantise weights into ``C = ceil(W / alpha)`` classes
    ``w'(e) = ceil(w(e) / (alpha * w_min))`` -- an MST under ``w'`` is an
@@ -11,18 +11,18 @@ algorithm (documented deviation, see DESIGN.md):
    satisfies ``w <= alpha w_min w' <= w + alpha w_min <= (1 + alpha) w``);
 2. run a *staged-activation* minimum-label flood: the edges of class ``c``
    activate at round ``c``, every node continuously adopts the minimum label
-   over its active edges and re-announces on change.  The run reaches
-   quiescence after ``C + (label propagation overhang)`` rounds, i.e.
-   ``~ W/alpha + O(D')`` on the small-diameter workloads of the benchmarks.
+   over its active edges and re-announces on change, and every node halts
+   at the common deadline ``C + tail`` (the runner passes ``tail = n``).
 
-The MST *weight* (the problem's required output, Appendix A.3) is recovered
-exactly from the class-wise component counts via the standard identity
+The deviation from [Elk06]: the flood only models the round schedule.  Its
+outputs are not read back.  The returned MST *weight* (the problem's
+required output, Appendix A.3) is computed centrally by the runner from the
+quantised classes via the standard identity
 
     MST_{w'} = sum_{t=1..C} (components(edges of class < t) - 1),
 
-which each node can evaluate from the stage at which its label last changed;
-the harness aggregates it from node outputs (a final convergecast in a full
-deployment, ``O(D)`` extra rounds).
+which a full deployment would evaluate at the nodes and aggregate with a
+final convergecast (``O(D)`` extra rounds, not simulated here).
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
-"""Distributed shortest paths: Bellman-Ford and its self-stabilising variant.
+"""Distributed shortest paths: self-stabilising Bellman-Ford.
 
 The ``s``-source distance / shortest-path-tree problems of Corollary 3.9.
 Distributed Bellman-Ford is the textbook upper bound: each node relaxes its
-tentative distance and re-announces on improvement; the run terminates at
-quiescence after (hop-depth of the shortest-path tree) rounds.  With
-``weighted=False`` every edge counts one hop.  The refreshing variant
-re-announces periodically, which heals message loss, crashes and edge
-insertions (the ``bfs-restabilization`` scenario).
+tentative distance and re-announces on improvement, so the distances settle
+after (hop-depth of the shortest-path tree) rounds.  With ``weighted=False``
+every edge counts one hop.  The variant here also re-announces
+periodically, which heals message loss, crashes and edge insertions (the
+``bfs-restabilization`` scenario, after arXiv:cs/0512021), so it runs to a
+fixed horizon.
 """
 
 from __future__ import annotations
@@ -21,47 +22,12 @@ from repro.congest.network import CongestNetwork, RunResult
 from repro.congest.node import Node, NodeProgram
 
 
-class BellmanFordProgram(NodeProgram):
-    """Self-stabilising distance relaxation from a source.
+class RefreshingBellmanFordProgram(NodeProgram):
+    """Bellman-Ford with periodic re-announcement: self-stabilising distance
+    relaxation from a source for lossy / crashy / growing networks.
 
-    Node input: ``{"is_source": bool}``.  Output: ``(distance, parent)``.
-    """
-
-    def __init__(self, weighted: bool = True):
-        self.weighted = weighted
-        self.distance: float | None = None
-        self.parent: Hashable | None = None
-
-    def on_start(self, node: Node) -> None:
-        inputs = node.input or {}
-        if inputs.get("is_source"):
-            self.distance = 0.0
-            node.broadcast(("dist", 0.0), bits=72)
-        node.output = (self.distance, self.parent)
-
-    def on_round(self, node: Node, round_no: int, inbox: list[Received]) -> None:
-        improved = False
-        for msg in inbox:
-            _, their_distance = msg.payload
-            weight = node.edge_weight(msg.sender) if self.weighted else 1.0
-            candidate = their_distance + weight
-            if self.distance is None or candidate < self.distance:
-                self.distance = candidate
-                self.parent = msg.sender
-                improved = True
-        if improved:
-            node.broadcast(("dist", self.distance), bits=72)
-        node.output = (self.distance, self.parent)
-
-    def next_active_round(self, node: Node, after_round: int) -> int | None:
-        return None  # relaxation is purely delivery-driven
-
-
-class RefreshingBellmanFordProgram(BellmanFordProgram):
-    """Bellman-Ford with periodic re-announcement: the self-stabilising
-    variant for lossy / crashy / growing networks.
-
-    Plain relaxation is silent once converged, so a dropped announcement, a
+    Node input: ``{"is_source": bool}``.  Plain relaxation (re-announce only
+    on improvement) is silent once converged, so a dropped announcement, a
     napping receiver, or a newly inserted edge can leave stale distances
     forever.  Here every node holding a distance re-broadcasts it every
     ``refresh_every`` rounds (declared to the event engine via the idleness
@@ -77,14 +43,16 @@ class RefreshingBellmanFordProgram(BellmanFordProgram):
     rounds-to-restabilize as ``max(last_change_round) - last_fault_round``.
 
     The program never quiesces (it refreshes forever), so run it to a fixed
-    horizon rather than with ``stop_on_quiescence``.
+    horizon.
     """
 
     def __init__(self, weighted: bool = True, refresh_every: int = 4):
-        super().__init__(weighted=weighted)
         if refresh_every < 1:
             raise ValueError("refresh_every must be at least 1")
+        self.weighted = weighted
         self.refresh_every = refresh_every
+        self.distance: float | None = None
+        self.parent: Hashable | None = None
         self.last_change_round = 0
 
     def on_start(self, node: Node) -> None:
@@ -148,30 +116,6 @@ def run_refreshing_bellman_ford(
         faults=faults,
     )
     result = network.run(max_rounds=max_rounds)
-    distances = {node: out[0] for node, out in result.outputs.items()}
-    return distances, result
-
-
-def run_bellman_ford(
-    graph: nx.Graph,
-    source: Hashable,
-    bandwidth: int = 128,
-    weighted: bool = True,
-    seed: int | None = 0,
-    max_rounds: int = 100_000,
-    engine: str = "event",
-) -> tuple[dict[Hashable, float], RunResult]:
-    """Run distributed Bellman-Ford; returns ({node: distance}, metrics)."""
-    inputs = {node: {"is_source": node == source} for node in graph.nodes()}
-    network = CongestNetwork(
-        graph,
-        lambda: BellmanFordProgram(weighted=weighted),
-        bandwidth=bandwidth,
-        seed=seed,
-        inputs=inputs,
-        engine=engine,
-    )
-    result = network.run(max_rounds=max_rounds, stop_on_quiescence=True)
     distances = {node: out[0] for node, out in result.outputs.items()}
     return distances, result
 

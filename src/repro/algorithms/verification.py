@@ -12,9 +12,7 @@ Every verifier follows the same skeleton:
 
 Flooding uses a safe ``O(n)`` budget, so measured rounds are ``O(n + D)``;
 the ``O~(sqrt(n) + D)`` variant for connectivity-type predicates reuses the
-Kutten-Peleg machinery (:func:`run_gkp_components`).  Least-element-list
-verification is ``O(n + D)`` by design -- the paper notes no sublinear upper
-bound is known for it.
+Kutten-Peleg machinery (:func:`run_gkp_components`).
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from repro.algorithms.framework import (
     LocalComputationPhase,
     Phase,
     PhasedProgram,
-    PipelinedUpcastPhase,
     send_each,
 )
 from repro.algorithms.mst import GKPMSTProgram
@@ -395,107 +392,3 @@ def run_gkp_components(
     labels = {repr(out["label"]) for out in result.outputs.values()}
     return len(labels), result
 
-
-# -- least-element-list verification ------------------------------------------
-
-
-class _DistanceFloodPhase(Phase):
-    """Weighted distance relaxation from the designated node ``u``
-    (budget ``n`` rounds: hop count of shortest paths is below ``n``)."""
-
-    name = "distance-flood"
-
-    def duration(self, node: Node, shared: dict) -> int:
-        return node.n_nodes + 2
-
-    def on_enter(self, node: Node, shared: dict) -> None:
-        shared["dist_u"] = 0.0 if shared["inputs"].get("is_u") else None
-        if shared["dist_u"] is not None:
-            node.broadcast(("d", 0.0))
-
-    def on_round(self, node: Node, r: int, inbox: list[Received], shared: dict) -> None:
-        improved = False
-        for msg in inbox:
-            candidate = msg.payload[1] + node.edge_weight(msg.sender)
-            if shared["dist_u"] is None or candidate < shared["dist_u"]:
-                shared["dist_u"] = candidate
-                improved = True
-        if improved:
-            node.broadcast(("d", shared["dist_u"]))
-
-    def idle_until(self, node: Node, round_in_phase: int, shared: dict) -> int | None:
-        return None  # relaxation is delivery-driven
-
-
-def run_le_list_verification(
-    graph: nx.Graph,
-    ranks: dict[Hashable, int],
-    u: Hashable,
-    candidate: list[tuple[Hashable, float]],
-    bandwidth: int = 128,
-    diameter_bound: int | None = None,
-    seed: int | None = 0,
-    engine: str = "event",
-) -> tuple[bool, RunResult]:
-    """Verify a least-element list (Appendix A.2).
-
-    Pipeline: weighted distances from ``u`` (O(n) rounds), BFS tree rooted at
-    ``u``, pipelined upcast of all ``(distance, rank, node)`` triples (O(n +
-    D)), local prefix-minimum check at ``u``, verdict broadcast.  The paper
-    records no sublinear-time algorithm for this problem, so the linear
-    round count is the honest upper bound.
-    """
-    d = diameter_bound if diameter_bound is not None else nx.diameter(graph)
-    inputs = {
-        node: {
-            "diameter_bound": d,
-            "is_u": node == u,
-            "rank": int(ranks[node]),
-        }
-        for node in graph.nodes()
-    }
-
-    def make_leader(node: Node, shared: dict) -> None:
-        shared["leader"] = u
-        shared["is_leader"] = shared["inputs"].get("is_u", False)
-
-    def stage_items(node: Node, shared: dict) -> None:
-        shared["le_items"] = [(shared["dist_u"], shared["inputs"]["rank"], repr(node.id))]
-        shared["le_capacity"] = node.n_nodes + 1
-
-    def decide(node: Node, shared: dict) -> None:
-        if shared["parent"] is not None:
-            shared["verdict"] = None
-            return
-        triples = sorted(shared["collected_le"])
-        expected: list[tuple[str, float]] = []
-        best_rank: int | None = None
-        for dist, rank, node_repr in triples:
-            if best_rank is None or rank < best_rank:
-                expected.append((node_repr, dist))
-                best_rank = rank
-        claimed = sorted((repr(v), float(dv)) for v, dv in candidate)
-        shared["verdict"] = sorted(expected) == claimed
-
-    def finish(node: Node, shared: dict) -> None:
-        shared["output"] = shared["verdict"]
-
-    def factory() -> PhasedProgram:
-        return PhasedProgram(
-            [
-                _DistanceFloodPhase(),
-                LocalComputationPhase(make_leader),
-                BfsTreePhase(),
-                LocalComputationPhase(stage_items),
-                PipelinedUpcastPhase("le_items", "collected_le", "le_capacity"),
-                LocalComputationPhase(decide),
-                BroadcastPhase("verdict"),
-                LocalComputationPhase(finish),
-            ]
-        )
-
-    network = CongestNetwork(
-        graph, factory, bandwidth=bandwidth, seed=seed, inputs=inputs, engine=engine
-    )
-    result = network.run(max_rounds=500_000)
-    return bool(result.unanimous_output()), result

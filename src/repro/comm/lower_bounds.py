@@ -1,17 +1,13 @@
 """Classical communication lower-bound tools.
 
-Fooling sets (used by Theorem 6.1 through [KdW12]), log-rank, and
-discrepancy.  These operate on explicit (small) communication matrices and
-are cross-checked in tests against the known complexities of Eq, Disj and IP.
+The fooling-set check that Theorem 6.1 uses through [KdW12]; it operates
+on explicit (small) input sets.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Any, Callable, Sequence
-
-import numpy as np
 
 
 def is_fooling_set(
@@ -29,81 +25,3 @@ def is_fooling_set(
         if evaluate(x, y2) == value and evaluate(x2, y) == value:
             return False
     return True
-
-
-def greedy_fooling_set(
-    evaluate: Callable[[Any, Any], int],
-    candidates: Sequence[tuple[Any, Any]],
-    value: int = 1,
-) -> list[tuple[Any, Any]]:
-    """Greedily grow a fooling set from candidate pairs."""
-    chosen: list[tuple[Any, Any]] = []
-    for x, y in candidates:
-        if evaluate(x, y) != value:
-            continue
-        ok = True
-        for cx, cy in chosen:
-            if evaluate(x, cy) == value and evaluate(cx, y) == value:
-                ok = False
-                break
-        if ok:
-            chosen.append((x, y))
-    return chosen
-
-
-def fooling_set_bound(size: int) -> float:
-    """Deterministic communication lower bound ``log2`` of the fooling-set size."""
-    if size < 1:
-        raise ValueError("fooling set must be nonempty")
-    return math.log2(size)
-
-
-def log_rank_bound(matrix: np.ndarray) -> float:
-    """The log-rank lower bound for deterministic communication."""
-    rank = np.linalg.matrix_rank(np.asarray(matrix, dtype=float))
-    return math.log2(max(1, int(rank)))
-
-
-def discrepancy(matrix: np.ndarray, distribution: np.ndarray | None = None) -> float:
-    """Exact discrepancy under a distribution (exhaustive; tiny matrices only).
-
-    ``disc_pi(f) = max_{S, T} |sum_{x in S, y in T} pi(x,y) (-1)^{f(x,y)}|``.
-    """
-    a = np.asarray(matrix, dtype=float)
-    m, n = a.shape
-    if m > 12 or n > 12:
-        raise ValueError("exhaustive discrepancy is limited to 12x12 matrices")
-    pi = np.full((m, n), 1.0 / (m * n)) if distribution is None else np.asarray(distribution)
-    weighted = a * pi
-    best = 0.0
-    rows = list(range(m))
-    cols = list(range(n))
-    for r_mask in range(1, 1 << m):
-        row_set = [i for i in rows if (r_mask >> i) & 1]
-        partial = weighted[row_set, :].sum(axis=0)
-        for c_mask in range(1, 1 << n):
-            col_set = [j for j in cols if (c_mask >> j) & 1]
-            value = abs(partial[col_set].sum())
-            if value > best:
-                best = value
-    return best
-
-
-def spectral_discrepancy_bound(matrix: np.ndarray) -> float:
-    """The spectral upper bound ``disc(A) <= ||A|| / sqrt(mn)`` (uniform pi).
-
-    Tight for the inner-product (Hadamard) matrix, giving its Omega(n)
-    discrepancy bound.
-    """
-    a = np.asarray(matrix, dtype=float)
-    m, n = a.shape
-    spectral_norm = np.linalg.norm(a, 2)
-    return float(spectral_norm / math.sqrt(m * n))
-
-
-def discrepancy_communication_bound(disc: float) -> float:
-    """Randomized communication lower bound ``log2(1 / disc) - O(1)``
-    (for constant-bias protocols)."""
-    if disc <= 0:
-        raise ValueError("discrepancy must be positive")
-    return max(0.0, math.log2(1.0 / disc))

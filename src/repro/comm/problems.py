@@ -1,33 +1,23 @@
-"""Communication problems of the paper.
+"""Communication problems of the paper's lower-bound machinery.
 
-- ``Eq``     -- Equality on n-bit strings.
-- ``Disj``   -- Set Disjointness (Example 1.1): is ``<x, y> = 0``?
-- ``IP``     -- Inner Product mod 2.
-- ``IPmod3`` -- Inner Product mod 3 (Section 6): output 1 iff
-  ``sum_i x_i y_i = 0 (mod 3)``.
-- ``Gap-Eq`` -- Equality under the promise ``x = y`` or ``dist(x,y) > delta``.
-- Graph verification problems in the edge-partition encoding of
-  Definition 3.3 (e.g. ``Ham_n`` where both players hold perfect matchings).
+- ``IP``     -- Inner Product mod 2, and the promise input families of
+  Appendix B.3 on which IPmod3's inner function is IP.
+- ``Gap-Eq`` -- Equality under the promise ``x = y`` or ``dist(x,y) > delta``
+  (Section 6).
 
-Each problem provides ``evaluate`` (ground truth), input samplers, and a
-``matrix`` method producing the +-1 communication matrix used by the
-lower-bound machinery.
+A :class:`Problem` carries its ground truth ``evaluate`` and a ``matrix``
+method producing the +-1 communication matrix used by the lower-bound
+machinery.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-import networkx as nx
 import numpy as np
 
 Bits = tuple[int, ...]
-
-
-def random_bits(n: int, rng: random.Random) -> Bits:
-    return tuple(rng.randrange(2) for _ in range(n))
 
 
 def hamming_distance(x: Sequence[int], y: Sequence[int]) -> int:
@@ -36,14 +26,11 @@ def hamming_distance(x: Sequence[int], y: Sequence[int]) -> int:
 
 @dataclass
 class Problem:
-    """A two-party boolean function with input structure."""
+    """A two-party boolean function."""
 
     name: str
     n: int
     evaluate: Callable[[Any, Any], int]
-    sample_input: Callable[[random.Random], tuple[Any, Any]]
-    sample_one_input: Callable[[random.Random], tuple[Any, Any]] | None = None
-    sample_zero_input: Callable[[random.Random], tuple[Any, Any]] | None = None
 
     def matrix(self, inputs_x: Sequence[Any], inputs_y: Sequence[Any]) -> np.ndarray:
         """The +-1 communication matrix ``A_f[x, y] = (-1)^{f(x, y)}``."""
@@ -51,68 +38,10 @@ class Problem:
             [[(-1.0) ** self.evaluate(x, y) for y in inputs_y] for x in inputs_x]
         )
 
-    def boolean_matrix(self, inputs_x: Sequence[Any], inputs_y: Sequence[Any]) -> np.ndarray:
-        return np.array([[self.evaluate(x, y) for y in inputs_y] for x in inputs_x])
-
-
-def _all_bits(n: int) -> list[Bits]:
-    return [tuple((i >> (n - 1 - k)) & 1 for k in range(n)) for i in range(1 << n)]
-
 
 def all_inputs(n: int) -> list[Bits]:
     """All n-bit strings (for exhaustive small-case analysis)."""
-    return _all_bits(n)
-
-
-# -- Equality ----------------------------------------------------------------
-
-
-def equality(n: int) -> Problem:
-    def evaluate(x: Bits, y: Bits) -> int:
-        return int(tuple(x) == tuple(y))
-
-    def sample(rng: random.Random) -> tuple[Bits, Bits]:
-        x = random_bits(n, rng)
-        if rng.random() < 0.5:
-            return x, x
-        return x, random_bits(n, rng)
-
-    def sample_one(rng: random.Random) -> tuple[Bits, Bits]:
-        x = random_bits(n, rng)
-        return x, x
-
-    def sample_zero(rng: random.Random) -> tuple[Bits, Bits]:
-        while True:
-            x, y = random_bits(n, rng), random_bits(n, rng)
-            if x != y:
-                return x, y
-
-    return Problem(f"Eq_{n}", n, evaluate, sample, sample_one, sample_zero)
-
-
-# -- Disjointness ------------------------------------------------------------
-
-
-def disjointness(n: int) -> Problem:
-    def evaluate(x: Bits, y: Bits) -> int:
-        return int(all(a * b == 0 for a, b in zip(x, y)))
-
-    def sample(rng: random.Random) -> tuple[Bits, Bits]:
-        return random_bits(n, rng), random_bits(n, rng)
-
-    def sample_one(rng: random.Random) -> tuple[Bits, Bits]:
-        x = random_bits(n, rng)
-        y = tuple(0 if a else rng.randrange(2) for a in x)
-        return x, y
-
-    def sample_zero(rng: random.Random) -> tuple[Bits, Bits]:
-        x = list(random_bits(n, rng))
-        y = list(random_bits(n, rng))
-        i = rng.randrange(n)
-        x[i] = y[i] = 1
-        return tuple(x), tuple(y)
-
-    return Problem(f"Disj_{n}", n, evaluate, sample, sample_one, sample_zero)
+    return [tuple((i >> (n - 1 - k)) & 1 for k in range(n)) for i in range(1 << n)]
 
 
 # -- Inner products ----------------------------------------------------------
@@ -122,34 +51,7 @@ def inner_product_mod2(n: int) -> Problem:
     def evaluate(x: Bits, y: Bits) -> int:
         return sum(a * b for a, b in zip(x, y)) % 2
 
-    def sample(rng: random.Random) -> tuple[Bits, Bits]:
-        return random_bits(n, rng), random_bits(n, rng)
-
-    return Problem(f"IP_{n}", n, evaluate, sample)
-
-
-def ipmod3(n: int) -> Problem:
-    """Inner Product mod 3 (Section 6): 1 iff ``sum x_i y_i = 0 (mod 3)``."""
-
-    def evaluate(x: Bits, y: Bits) -> int:
-        return int(sum(a * b for a, b in zip(x, y)) % 3 == 0)
-
-    def sample(rng: random.Random) -> tuple[Bits, Bits]:
-        return random_bits(n, rng), random_bits(n, rng)
-
-    def sample_one(rng: random.Random) -> tuple[Bits, Bits]:
-        while True:
-            x, y = random_bits(n, rng), random_bits(n, rng)
-            if evaluate(x, y) == 1:
-                return x, y
-
-    def sample_zero(rng: random.Random) -> tuple[Bits, Bits]:
-        while True:
-            x, y = random_bits(n, rng), random_bits(n, rng)
-            if evaluate(x, y) == 0:
-                return x, y
-
-    return Problem(f"IPmod3_{n}", n, evaluate, sample, sample_one, sample_zero)
+    return Problem(f"IP_{n}", n, evaluate)
 
 
 def ipmod3_promise_inputs(n: int) -> tuple[list[Bits], list[Bits]]:
@@ -183,100 +85,6 @@ class GapEquality:
     n: int
     delta: int
 
-    @property
-    def name(self) -> str:
-        return f"GapEq_{self.n}_{self.delta}"
-
     def in_promise(self, x: Bits, y: Bits) -> bool:
         d = hamming_distance(x, y)
         return d == 0 or d > self.delta
-
-    def evaluate(self, x: Bits, y: Bits) -> int:
-        if not self.in_promise(x, y):
-            raise ValueError("input violates the Gap-Eq promise")
-        return int(tuple(x) == tuple(y))
-
-    def sample_one_input(self, rng: random.Random) -> tuple[Bits, Bits]:
-        x = random_bits(self.n, rng)
-        return x, x
-
-    def sample_zero_input(self, rng: random.Random) -> tuple[Bits, Bits]:
-        x = list(random_bits(self.n, rng))
-        y = list(x)
-        flips = rng.sample(range(self.n), min(self.n, self.delta + 1))
-        for i in flips:
-            y[i] ^= 1
-        return tuple(x), tuple(y)
-
-    def sample_input(self, rng: random.Random) -> tuple[Bits, Bits]:
-        if rng.random() < 0.5:
-            return self.sample_one_input(rng)
-        return self.sample_zero_input(rng)
-
-
-# -- Graph problems (Definition 3.3) ----------------------------------------
-
-
-Edge = tuple[int, int]
-
-
-@dataclass
-class MatchingGraphInstance:
-    """A Server-model graph input: Carol and David each hold a perfect matching."""
-
-    n: int
-    carol_edges: list[Edge]
-    david_edges: list[Edge]
-
-    def union_graph(self) -> nx.Graph:
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.n))
-        graph.add_edges_from(self.carol_edges)
-        graph.add_edges_from(self.david_edges)
-        return graph
-
-
-def is_perfect_matching(n: int, edges: list[Edge]) -> bool:
-    seen: set[int] = set()
-    for u, v in edges:
-        if u == v or u in seen or v in seen:
-            return False
-        seen.update((u, v))
-    return len(seen) == n
-
-
-def hamiltonian_matching_problem(n: int) -> Problem:
-    """``Ham_n`` in the restricted form of Definition 3.3.
-
-    Inputs are perfect matchings on ``n`` (even) nodes; the union of two
-    perfect matchings is a disjoint union of even cycles, and the output is 1
-    iff it is a single Hamiltonian cycle.
-    """
-    if n % 2 != 0 or n < 4:
-        raise ValueError("Ham_n inputs need even n >= 4")
-
-    def evaluate(carol: list[Edge], david: list[Edge]) -> int:
-        if not (is_perfect_matching(n, carol) and is_perfect_matching(n, david)):
-            raise ValueError("inputs must be perfect matchings")
-        instance = MatchingGraphInstance(n, list(carol), list(david))
-        union = instance.union_graph()
-        return int(
-            nx.is_connected(union) and all(d == 2 for _, d in union.degree())
-        )
-
-    def sample(rng: random.Random) -> tuple[list[Edge], list[Edge]]:
-        nodes = list(range(n))
-        rng.shuffle(nodes)
-        carol = [(nodes[2 * i], nodes[2 * i + 1]) for i in range(n // 2)]
-        rng.shuffle(nodes)
-        david = [(nodes[2 * i], nodes[2 * i + 1]) for i in range(n // 2)]
-        return carol, david
-
-    return Problem(f"Ham_{n}", n, evaluate, sample)
-
-
-# Convenience singletons at a default size used across tests.
-EQUALITY = equality(16)
-DISJOINTNESS = disjointness(16)
-INNER_PRODUCT_MOD2 = inner_product_mod2(16)
-IPMOD3 = ipmod3(16)

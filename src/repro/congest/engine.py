@@ -116,7 +116,7 @@ class Engine:
     node_steps = 0
     skipped_rounds = 0
 
-    def run(self, network: "CongestNetwork", max_rounds: int, stop_on_quiescence: bool) -> RunResult:
+    def run(self, network: "CongestNetwork", max_rounds: int) -> RunResult:
         raise NotImplementedError
 
     def _result(self, network: "CongestNetwork", rounds: int) -> RunResult:
@@ -167,33 +167,18 @@ class DenseEngine(Engine):
     def __init__(self) -> None:
         self.node_steps = 0
 
-    def run(self, network: "CongestNetwork", max_rounds: int, stop_on_quiescence: bool) -> RunResult:
+    def run(self, network: "CongestNetwork", max_rounds: int) -> RunResult:
         transport = network.transport
         trace = network.trace
         tracing = trace.enabled
         fault_plan = network.faults
         # The crash predicate, hoisted so fault-free runs pay one None check.
         crashed = fault_plan.crashed if fault_plan is not None and fault_plan.has_crashes else None
-        has_events = fault_plan is not None and (fault_plan.crashes or fault_plan.topology_events)
         self._start(network)
 
         round_no = 0
         while round_no < max_rounds:
             if all(node.halted for node in network.nodes.values()):
-                break
-            if (
-                stop_on_quiescence
-                and round_no > 0
-                and transport.per_round_bits
-                and transport.per_round_bits[-1] == 0
-                and transport.pending_traffic() == 0
-                and not transport.has_outgoing()
-                # A pending crash/recovery/topology event can re-animate a
-                # silent network; keep the clock running until the schedule
-                # is exhausted.
-                and (not has_events or fault_plan.next_event_round(round_no) is None)
-            ):
-                round_no -= 1  # the silent probe round does not count
                 break
             round_no += 1
             network.current_round = round_no
@@ -252,7 +237,7 @@ class EventEngine(Engine):
         if trace.enabled:
             trace.emit("skip", after_round=after_round, rounds=rounds, moved_bits=moved)
 
-    def run(self, network: "CongestNetwork", max_rounds: int, stop_on_quiescence: bool) -> RunResult:
+    def run(self, network: "CongestNetwork", max_rounds: int) -> RunResult:
         transport = network.transport
         trace = network.trace
         tracing = trace.enabled
@@ -286,19 +271,6 @@ class EventEngine(Engine):
         while round_no < max_rounds:
             if live == 0:
                 break
-            if (
-                stop_on_quiescence
-                and round_no > 0
-                and transport.per_round_bits
-                and transport.per_round_bits[-1] == 0
-                and transport.pending_traffic() == 0
-                and not transport.has_outgoing()
-                # Match the dense engine: a scheduled crash/recovery/topology
-                # event can re-animate a silent network.
-                and (not has_events or fault_plan.next_event_round(round_no) is None)
-            ):
-                round_no -= 1  # the silent probe round does not count
-                break
 
             # Next interesting round: earliest delivery, program wake-up, or
             # scheduled fault event (crash start/recovery, topology change) --
@@ -310,11 +282,7 @@ class EventEngine(Engine):
             program_round = heap[0][0] if heap else None
             fault_round = fault_plan.next_event_round(round_no) if has_events else None
 
-            if stop_on_quiescence and transport.pending_traffic() == 0:
-                # The dense engine probes the very next round and stops on
-                # silence; jumping over it would skip that termination point.
-                target = round_no + 1
-            elif delivery_round is None and program_round is None and fault_round is None:
+            if delivery_round is None and program_round is None and fault_round is None:
                 # Nothing will ever happen again: idle out the clock.
                 self._skip(network, round_no, max_rounds - round_no)
                 round_no = max_rounds

@@ -463,11 +463,6 @@ class FaultyTransport:
     # -- delegated configuration / metrics -------------------------------------
 
     @property
-    def bandwidth(self) -> int:
-        """The per-edge bandwidth B (owned by the inner transport)."""
-        return self.inner.bandwidth
-
-    @property
     def strict(self) -> bool:
         """Whether strict-mode bandwidth checks are on."""
         return self.inner.strict
@@ -529,9 +524,9 @@ class FaultyTransport:
     def _dropped(self, sender: Hashable, receiver: Hashable, bits: int, round_no: int) -> bool:
         """Take the drop decision for one send inside the drop window; a
         dropped send is counted here and goes no further."""
-        if self.strict and bits > self.bandwidth:
+        if self.strict and bits > self.inner.bandwidth:
             raise BandwidthExceeded(
-                f"message of {bits} bits exceeds B={self.bandwidth} on edge "
+                f"message of {bits} bits exceeds B={self.inner.bandwidth} on edge "
                 f"{sender!r}->{receiver!r}"
             )
         edge = (sender, receiver)
@@ -544,10 +539,6 @@ class FaultyTransport:
         self._round_drops += 1
         self._drop_round = round_no
         return True
-
-    def has_outgoing(self) -> bool:
-        """Whether the inner transport holds sends not yet flushed."""
-        return self.inner.has_outgoing()
 
     def flush(self) -> None:
         """Close the round's drop count, then commit the inner transport's

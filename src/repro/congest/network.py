@@ -119,30 +119,10 @@ class CongestNetwork:
     # -- metrics (owned by the transport) --------------------------------------
 
     @property
-    def total_messages(self) -> int:
-        return self.transport.total_messages
-
-    @property
-    def total_bits(self) -> int:
-        return self.transport.total_bits
-
-    @property
-    def max_edge_bits_per_round(self) -> int:
-        return self.transport.max_edge_bits_per_round
-
-    @property
-    def per_round_bits(self) -> list[int]:
-        return self.transport.per_round_bits
-
-    @property
     def message_log(self) -> list[tuple[int, Hashable, Hashable, int]]:
         """(round_sent, sender, receiver, bits) per message; requires
         ``record_messages=True`` (off by default -- it grows unboundedly)."""
         return self.transport.message_log
-
-    @property
-    def record_messages(self) -> bool:
-        return self.transport.record_messages
 
     # -- plumbing used by Node.send ------------------------------------------
 
@@ -211,15 +191,14 @@ class CongestNetwork:
 
     # -- execution -------------------------------------------------------------
 
-    def run(self, max_rounds: int = 100_000, stop_on_quiescence: bool = False) -> RunResult:
-        """Run until every node halts (or ``max_rounds`` elapse).
+    def run(self, max_rounds: int = 100_000) -> RunResult:
+        """Run until every node halts or ``max_rounds`` elapse.
 
-        With ``stop_on_quiescence`` the run also ends once a round passes
-        with no deliveries, no sends and no traffic in flight -- the
-        termination model for self-stabilising programs (e.g. Bellman-Ford)
-        whose nodes cannot detect termination locally.
+        A program whose nodes cannot detect termination locally (the
+        self-stabilising Bellman-Ford refreshes forever) runs to the
+        ``max_rounds`` horizon.
         """
-        return self.engine.run(self, max_rounds=max_rounds, stop_on_quiescence=stop_on_quiescence)
+        return self.engine.run(self, max_rounds=max_rounds)
 
     def pending_traffic(self) -> int:
         """Bits still in flight (useful for quiescence assertions in tests)."""

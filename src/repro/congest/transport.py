@@ -339,9 +339,6 @@ class LinkTransport:
                 (round_no, sender, receiver, bits) for receiver in receivers
             )
 
-    def has_outgoing(self) -> bool:
-        return bool(self._stage_recs)
-
     # -- the round barrier -----------------------------------------------------
 
     def flush(self) -> None:

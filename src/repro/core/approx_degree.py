@@ -5,17 +5,15 @@ on the Hamming weight ``k in {0..n}``, the ``eps``-approximate degree is the
 least ``d`` such that a degree-``d`` univariate polynomial ``p`` satisfies
 ``|p(k) - f'(k)| <= eps`` for all ``k`` (``f' = (-1)^f`` valued in ``+-1``).
 
-Both the primal (best approximation at fixed degree) and the dual witness of
-Lemma B.6 are linear programs, solved exactly with scipy.  Tests pin the
-classics: ``deg(PARITY) = n`` exactly, ``deg_{1/3}(OR_n) = Theta(sqrt(n))``
-[Pat92], and ``deg_{1/3}(MOD3) = Theta(n)`` -- the engine of the IPmod3
+The best approximation at fixed degree is a linear program, solved exactly
+with scipy.  Tests pin the classics: ``deg_{1/3}(OR_n) = Theta(sqrt(n))``
+[Pat92] and ``deg_{1/3}(MOD3) = Theta(n)`` -- the engine of the IPmod3
 lower bound (Theorem 6.1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -72,50 +70,6 @@ def approx_degree(sign_values: Sequence[float], eps: float = 1.0 / 3.0) -> int:
     return lo
 
 
-@dataclass
-class DualPolynomial:
-    """The Lemma B.6 witness: ``v`` with ``||v||_1 = 1``, pure high degree
-    ``>= d`` (orthogonal to all lower-degree polynomials) and correlation
-    ``<v, f'> >= delta``."""
-
-    values: np.ndarray  # v(k) for k in 0..n, with multiplicity weights folded in
-    degree: int
-    correlation: float
-
-    def check(self, sign_values: Sequence[float], tol: float = 1e-7) -> bool:
-        f = np.asarray(sign_values, dtype=float)
-        n = len(f) - 1
-        if abs(np.abs(self.values).sum() - 1.0) > tol:
-            return False
-        design = _chebyshev_design(n, max(0, self.degree - 1))
-        if np.max(np.abs(design.T @ self.values)) > tol:
-            return False
-        return float(self.values @ f) >= self.correlation - tol
-
-
-def dual_polynomial(sign_values: Sequence[float], degree: int) -> DualPolynomial:
-    """Maximise ``<v, f'>`` over ``||v||_1 = 1`` with ``v`` orthogonal to all
-    polynomials of degree below ``degree`` (LP dual of the approximation
-    problem; strong duality gives correlation = best error at degree-1)."""
-    f = np.asarray(sign_values, dtype=float)
-    n = len(f) - 1
-    n_points = n + 1
-    # Variables: v+ and v- (both >= 0), v = v+ - v-.
-    objective = np.concatenate([-f, f])  # maximise <v, f>
-    design = _chebyshev_design(n, max(0, degree - 1))
-    a_eq = np.hstack([design.T, -design.T])
-    b_eq = np.zeros(design.shape[1])
-    # ||v||_1 = sum(v+) + sum(v-) = 1.
-    a_eq = np.vstack([a_eq, np.ones(2 * n_points)])
-    b_eq = np.concatenate([b_eq, [1.0]])
-    bounds = [(0, None)] * (2 * n_points)
-    result = linprog(objective, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    if not result.success:  # pragma: no cover - solver failure
-        raise RuntimeError(f"dual LP failed: {result.message}")
-    v = result.x[:n_points] - result.x[n_points:]
-    return DualPolynomial(values=v, degree=degree, correlation=float(v @ f))
-
-
 # -- The symmetric functions used by the paper -------------------------------
 
 
@@ -129,15 +83,6 @@ def sign_values_from_predicate(n: int, predicate: Callable[[int], int]) -> list[
 def or_function(n: int) -> list[float]:
     """OR_n: ``deg_{1/3} = Theta(sqrt(n))`` [Pat92]."""
     return sign_values_from_predicate(n, lambda k: int(k > 0))
-
-
-def parity_function(n: int) -> list[float]:
-    """PARITY_n: approximate degree exactly ``n``."""
-    return sign_values_from_predicate(n, lambda k: k % 2)
-
-
-def majority_function(n: int) -> list[float]:
-    return sign_values_from_predicate(n, lambda k: int(k > n / 2))
 
 
 def mod3_function(n: int) -> list[float]:

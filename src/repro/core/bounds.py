@@ -57,13 +57,6 @@ def mst_upper_bound(
     return min(aspect_ratio / alpha, math.sqrt(n)) + diameter
 
 
-def quantum_speedup_cap_shortest_paths(n: int, diameter: float) -> float:
-    """Section 3: for shortest paths the best-known classical upper bound is
-    ``O~(sqrt(n) D^{1/4} + D)`` [Nan14b], so any quantum speedup is at most
-    ``O(D^{1/4})``.  Returns that cap."""
-    return max(1.0, diameter ** 0.25)
-
-
 @dataclass(frozen=True)
 class BoundRow:
     """One row of the Fig. 2 table."""
@@ -168,23 +161,3 @@ def fig3_curve(
             }
         )
     return curve
-
-
-def simulation_theorem_parameters(n: int, bandwidth: int) -> dict[str, float]:
-    """The parameter choices in the proof of Theorem 3.6 (Section 9.1).
-
-    ``L ~ sqrt(n / (B log n))`` and ``Gamma ~ sqrt(n B log n)`` so that the
-    network has ``Theta(L * Gamma) = Theta(n)`` nodes, and a distributed
-    algorithm faster than ``L/2`` would yield a server-model protocol of cost
-    ``o(Gamma)``, contradicting Theorem 3.4.
-    """
-    log_n = math.log2(n)
-    length = max(3.0, math.sqrt(n / (bandwidth * log_n)))
-    gamma = max(2.0, math.sqrt(n * bandwidth * log_n))
-    return {
-        "L": length,
-        "Gamma": gamma,
-        "nodes": length * gamma,
-        "distributed_budget": length / 2 - 2,
-        "server_cost_bound": bandwidth * math.log2(length) * (length / 2),
-    }

@@ -74,13 +74,6 @@ def gap_equality_fooling_set(code: Sequence[Bits]) -> list[tuple[Bits, Bits]]:
     return [(c, c) for c in code]
 
 
-def kdw_two_party_bound(fooling_size: int) -> float:
-    """[KdW12]: ``Q*_{0,1/2}(f) >= log2(fool_1(f)) / 4 - 1/2``."""
-    if fooling_size < 1:
-        raise ValueError("fooling set must be nonempty")
-    return max(0.0, math.log2(fooling_size) / 4.0 - 0.5)
-
-
 def kdw_server_model_bound(fooling_size: int, eps: float = 0.5) -> float:
     """Theorem 6.1's server-model form via Lemma 3.2.
 

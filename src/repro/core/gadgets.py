@@ -44,22 +44,6 @@ Edge = tuple[Hashable, Hashable]
 IDENTITY3 = (0, 1, 2)
 SWAP_02 = (2, 1, 0)  # Carol's transposition
 SWAP_01 = (1, 0, 2)  # David's transposition
-SHIFT1 = (1, 2, 0)  # j -> j + 1 (mod 3)
-
-
-def compose(*perms: Sequence[int]) -> tuple[int, ...]:
-    """Compose permutations left-to-right: the first is applied first."""
-    result = list(range(len(perms[0])))
-    for perm in perms:
-        result = [perm[j] for j in result]
-    return tuple(result)
-
-
-def gadget_permutation(x_bit: int, y_bit: int) -> tuple[int, ...]:
-    """End-to-end strand permutation of gadget ``i`` (Observation 7.1)."""
-    carol = SWAP_02 if x_bit else IDENTITY3
-    david = SWAP_01 if y_bit else IDENTITY3
-    return compose(carol, david, carol, david)
 
 
 @dataclass
@@ -173,15 +157,6 @@ def ipmod3_to_ham(x: Sequence[int], y: Sequence[int]) -> HamInstance:
 def ipmod3_value(x: Sequence[int], y: Sequence[int]) -> int:
     """IPmod3 output: 1 iff ``sum x_i y_i = 0 (mod 3)``."""
     return int(sum(a * b for a, b in zip(x, y)) % 3 == 0)
-
-
-def strand_permutation(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
-    """Lemma 7.2: the composed strand permutation = shift by
-    ``sum x_i y_i (mod 3)``."""
-    perm = IDENTITY3
-    for xi, yi in zip(x, y):
-        perm = compose(perm, gadget_permutation(xi, yi))
-    return perm
 
 
 # -- Gap-Eq -> Gap-Ham (Fig. 7) ----------------------------------------------

@@ -13,9 +13,7 @@ We provide:
   the quantum bias of the XOR game with cost matrix ``K`` (computed by
   alternating maximisation of the vector program, exact on the instances the
   tests pin down, e.g. CHSH),
-- :func:`approx_trace_norm_lower` -- the witness bound of Eq. (31)-(35),
-- :func:`server_model_lower_bound_from_gamma2` -- Lemma B.2 rearranged into a
-  lower bound on ``Q*_sv``.
+- :func:`spectral_norm` -- ``||A||``, the per-block factor of Thm. 6.1.
 """
 
 from __future__ import annotations
@@ -138,39 +136,5 @@ def gamma2_dual(
     return best
 
 
-def approx_trace_norm_lower(matrix: np.ndarray, delta: float, witness: np.ndarray) -> float:
-    """Eq. (31): ``||A||_tr^{delta} >= (|<A, W>| - delta ||W||_1) / ||W||``."""
-    a = np.asarray(matrix, dtype=float)
-    w = np.asarray(witness, dtype=float)
-    numerator = abs(float(np.sum(a * w))) - delta * float(np.abs(w).sum())
-    spectral = float(np.linalg.norm(w, 2))
-    if spectral < 1e-15:
-        raise ValueError("witness must be nonzero")
-    return max(0.0, numerator / spectral)
-
-
-def approx_gamma2_lower(matrix: np.ndarray, delta: float, witness: np.ndarray) -> float:
-    """Eq. (14): ``gamma_2^{delta}(A) >= ||A||_tr^{delta} / sqrt(size(A))``."""
-    a = np.asarray(matrix, dtype=float)
-    m, n = a.shape
-    return approx_trace_norm_lower(a, delta, witness) / math.sqrt(m * n)
-
-
-def server_model_lower_bound_from_gamma2(gamma2_eps_value: float) -> float:
-    """Lemma B.2 rearranged: ``Q*_sv,eps(f) >= log_4 gamma_2^{2 eps}(A_f)``."""
-    if gamma2_eps_value <= 1.0:
-        return 0.0
-    return math.log(gamma2_eps_value, 4.0)
-
-
 def spectral_norm(matrix: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(matrix, dtype=float), 2))
-
-
-def is_strongly_balanced(matrix: np.ndarray, tol: float = 1e-9) -> bool:
-    """All row and column sums of the sign matrix vanish (Lemma B.4's
-    condition on the inner function ``g``)."""
-    a = np.asarray(matrix, dtype=float)
-    return bool(
-        np.all(np.abs(a.sum(axis=0)) < tol) and np.all(np.abs(a.sum(axis=1)) < tol)
-    )

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -66,21 +66,6 @@ class XORGame:
         """Entangled bias via Tsirelson / gamma_2^* (Theorem 5.2 of [LS09a])."""
         return gamma2_dual(self.cost_matrix, **kwargs)
 
-    def strategy_bias(self, strategy: Callable[[int, int], tuple[int, int]], trials: int, seed: int = 0) -> float:
-        """Empirical bias of a (possibly randomized) strategy."""
-        rng = random.Random(seed)
-        flat = self.distribution.reshape(-1)
-        indices = list(range(flat.size))
-        wins = 0
-        m, n = self.distribution.shape
-        for _ in range(trials):
-            idx = rng.choices(indices, weights=flat.tolist())[0]
-            x, y = divmod(idx, n)
-            a, b = strategy(x, y)
-            if (a ^ b) == self.target[x, y]:
-                wins += 1
-        return 2.0 * wins / trials - 1.0
-
 
 def chsh_game() -> XORGame:
     """CHSH: uniform inputs, target ``x AND y``.
@@ -92,30 +77,6 @@ def chsh_game() -> XORGame:
     pi = np.full((2, 2), 0.25)
     f = np.array([[0, 0], [0, 1]])
     return XORGame(pi, f)
-
-
-@dataclass
-class ANDGame:
-    """Referee combines the answers as ``a AND b`` (used for one-sided bounds)."""
-
-    distribution: np.ndarray
-    target: np.ndarray
-
-    def win_probability(
-        self, strategy: Callable[[int, int], tuple[int, int]], trials: int, seed: int = 0
-    ) -> float:
-        rng = random.Random(seed)
-        flat = np.asarray(self.distribution, dtype=float).reshape(-1)
-        indices = list(range(flat.size))
-        wins = 0
-        n = self.distribution.shape[1]
-        for _ in range(trials):
-            idx = rng.choices(indices, weights=flat.tolist())[0]
-            x, y = divmod(idx, n)
-            a, b = strategy(x, y)
-            if (a & b) == self.target[x, y]:
-                wins += 1
-        return wins / trials
 
 
 # -- Lemma 3.2: the abort-based simulation -----------------------------------
@@ -196,12 +157,6 @@ class AbortSimulationStrategy:
         bits_d = len(self.protocol.david_message(y, [], 0))
         return self.protocol.n_rounds * (bits_c + bits_d)
 
-    def no_abort_probability(self, x: Any, y: Any) -> float:
-        """``2^{-total_guess_bits}`` -- equals ``4^{-T}`` when the protocol's
-        ``T`` qubits were teleported into ``2T`` classical bits."""
-        return 2.0 ** (-self.total_guess_bits(x, y))
-
-
 def predicted_xor_win_probability(q_correct: float, total_bits: int) -> float:
     """Lemma 3.2 arithmetic: ``P[win] = 1/2 + (q - 1/2) * 2^{-total_bits}``.
 
@@ -210,8 +165,3 @@ def predicted_xor_win_probability(q_correct: float, total_bits: int) -> float:
     ``2^{-total_bits}`` (= ``4^{-T}`` when ``T`` qubits become ``2T`` bits).
     """
     return 0.5 + (q_correct - 0.5) * (2.0 ** (-total_bits))
-
-
-def predicted_and_win_probability_one_inputs(q_correct: float, total_bits: int) -> float:
-    """AND-game acceptance on 1-inputs: ``q * 2^{-total_bits}``."""
-    return q_correct * (2.0 ** (-total_bits))

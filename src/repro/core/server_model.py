@@ -18,7 +18,6 @@ state -- which is the paper's reason for introducing the model at all.)
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -33,7 +32,6 @@ class ServerTranscriptEntry:
     receiver: str
     payload: Any
     bits: int
-    quantum: bool
 
 
 @dataclass
@@ -42,14 +40,7 @@ class ServerResult:
     carol_bits: int
     david_bits: int
     server_bits: int
-    carol_qubits: int = 0
-    david_qubits: int = 0
     transcript: list[ServerTranscriptEntry] = field(default_factory=list)
-
-    @property
-    def cost(self) -> int:
-        """Definition 3.1 cost: only Carol's and David's transmissions count."""
-        return self.carol_bits + self.david_bits + self.carol_qubits + self.david_qubits
 
 
 class ServerChannel:
@@ -58,79 +49,17 @@ class ServerChannel:
     def __init__(self) -> None:
         self.transcript: list[ServerTranscriptEntry] = []
         self.bits = {CAROL: 0, DAVID: 0, SERVER: 0}
-        self.qubits = {CAROL: 0, DAVID: 0, SERVER: 0}
 
-    def send(self, sender: str, receiver: str, payload: Any, bits: int, quantum: bool = False) -> Any:
+    def send(self, sender: str, receiver: str, payload: Any, bits: int) -> Any:
         if sender not in (CAROL, DAVID, SERVER) or receiver not in (CAROL, DAVID, SERVER):
             raise ValueError("parties are 'carol', 'david', 'server'")
         if sender == receiver:
             raise ValueError("a party cannot message itself")
         if bits < 1:
             raise ValueError("transmissions cost at least one bit")
-        if quantum:
-            self.qubits[sender] += bits
-        else:
-            self.bits[sender] += bits
-        self.transcript.append(ServerTranscriptEntry(sender, receiver, payload, bits, quantum))
+        self.bits[sender] += bits
+        self.transcript.append(ServerTranscriptEntry(sender, receiver, payload, bits))
         return payload
-
-    def dispense_entanglement(self, description: Any) -> Any:
-        """The server hands out an input-independent entangled state for free."""
-        self.transcript.append(ServerTranscriptEntry(SERVER, CAROL, description, 0, True))
-        self.transcript.append(ServerTranscriptEntry(SERVER, DAVID, description, 0, True))
-        return description
-
-    @property
-    def cost(self) -> int:
-        return (
-            self.bits[CAROL] + self.bits[DAVID] + self.qubits[CAROL] + self.qubits[DAVID]
-        )
-
-
-class ServerProtocol:
-    """Base class: implement :meth:`execute` routing everything via the channel."""
-
-    name = "abstract-server-protocol"
-
-    def execute(self, x: Any, y: Any, channel: ServerChannel, rng: random.Random) -> Any:
-        raise NotImplementedError
-
-    def run(self, x: Any, y: Any, seed: int | None = None) -> ServerResult:
-        rng = random.Random(seed)
-        channel = ServerChannel()
-        output = self.execute(x, y, channel, rng)
-        return ServerResult(
-            output=output,
-            carol_bits=channel.bits[CAROL],
-            david_bits=channel.bits[DAVID],
-            server_bits=channel.bits[SERVER],
-            carol_qubits=channel.qubits[CAROL],
-            david_qubits=channel.qubits[DAVID],
-            transcript=channel.transcript,
-        )
-
-
-class TwoPartyAsServerProtocol(ServerProtocol):
-    """Lift a two-party protocol into the Server model (server stays idle).
-
-    Shows the easy direction of Section 3.1: the Server model is at least as
-    strong as the two-party model, with identical cost.
-    """
-
-    def __init__(self, two_party_protocol):
-        self.inner = two_party_protocol
-        self.name = f"server[{two_party_protocol.name}]"
-
-    def execute(self, x: Any, y: Any, channel: ServerChannel, rng: random.Random) -> Any:
-        from repro.comm.protocols import ALICE, Channel
-
-        inner_channel = Channel()
-        output = self.inner.execute(x, y, inner_channel, rng)
-        for entry in inner_channel.transcript:
-            sender = CAROL if entry.sender == ALICE else DAVID
-            receiver = DAVID if sender == CAROL else CAROL
-            channel.send(sender, receiver, entry.payload, entry.bits, quantum=entry.quantum)
-        return output
 
 
 # -- Structured round-based protocols (for the simulation argument) ----------

@@ -56,13 +56,6 @@ class OwnershipSchedule:
             return DAVID
         return SERVER
 
-    def regions(self, t: int, graph: nx.Graph) -> dict[str, set]:
-        """Materialised ownership sets at time ``t``."""
-        result: dict[str, set] = {CAROL: set(), DAVID: set(), SERVER: set()}
-        for node in graph.nodes():
-            result[self.owner(node, t)].add(node)
-        return result
-
     def valid_horizon(self) -> int:
         """Rounds until the Carol/David regions would collide: ``L/2 - 2``."""
         return self.length // 2 - 2
@@ -137,13 +130,6 @@ class SimulationTheoremNetwork:
         for u, v in david_matching:
             m.add_edge(self.right[u], self.right[v])
         return m
-
-    def node_inputs_from_subnetwork(self, m: nx.Graph) -> dict[Hashable, Any]:
-        """Per-node input: the frozenset of incident ``M``-neighbours."""
-        return {
-            node: frozenset(m.neighbors(node)) if node in m else frozenset()
-            for node in self.graph.nodes()
-        }
 
     @staticmethod
     def input_graph(n_nodes: int, carol_matching: list[Edge], david_matching: list[Edge]) -> nx.Graph:

@@ -132,10 +132,6 @@ class ResultStore:
     def _path(self, scenario_name: str, key: str) -> Path:
         return self.root / scenario_name / f"{key}.json"
 
-    def has(self, scenario_name: str, key: str) -> bool:
-        """Whether a record exists for this (scenario, cache key)."""
-        return self._path(scenario_name, key).is_file()
-
     def get(self, scenario_name: str, key: str) -> ResultRecord | None:
         """Load one record by cache key, or None when absent or unreadable.
 
@@ -180,7 +176,3 @@ class ResultStore:
                     logger.warning("skipping unreadable record %s (%s)", path, exc)
                     continue
                 yield record
-
-    def count(self, scenario_name: str | None = None) -> int:
-        """Number of stored records (optionally for one scenario)."""
-        return sum(1 for _ in self.iter_records(scenario_name))

@@ -26,21 +26,13 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=repr)
 
 
-def derive_seed(scenario_name: str, params: dict[str, Any], replicate: int, base_seed: int) -> int:
-    """The point's reproducible seed: sha256 over its full identity."""
-    return _seed_from_parts(
-        canonical_json(scenario_name), canonical_json(params), replicate, base_seed
-    )
-
-
-def _seed_from_parts(
-    scenario_json: str, params_json: str, replicate: int, base_seed: int
-) -> int:
-    """:func:`derive_seed` with the JSON fragments pre-serialized.
+def derive_seed(scenario_json: str, params_json: str, replicate: int, base_seed: int) -> int:
+    """The point's reproducible seed: sha256 over its full identity, from
+    the ``canonical_json`` of the scenario name and of the params.
 
     Byte-identical to ``canonical_json`` over the full identity dict (the
     literal below is that dict's sorted-key form), so seeds and the cache
-    keys built on them never move.  Splitting it out lets
+    keys built on them never move.  Taking the fragments lets
     :func:`expand_grid` serialize each params combo once instead of once
     per replicate -- measurable when a sweep enqueues 10^4 points.
     """
@@ -61,9 +53,6 @@ class SweepPoint:
     params: dict[str, Any]
     replicate: int
     seed: int
-
-    def __hash__(self) -> int:  # params is a dict; hash by identity content
-        return hash((self.index, self.scenario, canonical_json(self.params), self.seed))
 
 
 def expand_grid(
@@ -112,7 +101,7 @@ def expand_grid(
                     scenario=scenario.name,
                     params=params,
                     replicate=replicate,
-                    seed=_seed_from_parts(scenario_json, params_json, replicate, base_seed),
+                    seed=derive_seed(scenario_json, params_json, replicate, base_seed),
                 )
             )
     return points

@@ -1,15 +1,15 @@
-"""Graph substrate: property checkers, distance-to-property, generators.
+"""Graph substrate: property checkers, generators, a spatial index.
 
 This package implements the graph-theoretic vocabulary of the paper:
 
-- every verification predicate of Appendix A.2 (:mod:`repro.graphs.properties`),
-- the ``delta``-far distance of Section 2.2 (:mod:`repro.graphs.distance`),
-- weight utilities including the aspect ratio ``W`` (:mod:`repro.graphs.weights`),
-- graph/instance generators used by tests and benchmarks
-  (:mod:`repro.graphs.generators`).
+- every verification predicate of Appendix A.2, the centralised truth the
+  distributed verifiers are tested against (:mod:`repro.graphs.properties`),
+- graph/instance generators used by the scenarios, tests and benchmarks
+  (:mod:`repro.graphs.generators`),
+- the grid index behind the geometric generators
+  (:mod:`repro.graphs.spatial`).
 """
 
-from repro.graphs.distance import delta_far_from_connected, delta_far_from_hamiltonian, is_delta_far
 from repro.graphs.properties import (
     contains_cycle,
     contains_cycle_through_edge,
@@ -22,10 +22,8 @@ from repro.graphs.properties import (
     is_spanning_tree,
     is_st_cut,
     is_subgraph_connected,
-    least_element_list,
     st_connected,
 )
-from repro.graphs.weights import aspect_ratio, assign_uniform_weights, total_weight
 
 __all__ = [
     "is_hamiltonian_cycle",
@@ -40,11 +38,4 @@ __all__ = [
     "is_st_cut",
     "edge_on_all_paths",
     "is_simple_path",
-    "least_element_list",
-    "delta_far_from_connected",
-    "delta_far_from_hamiltonian",
-    "is_delta_far",
-    "aspect_ratio",
-    "total_weight",
-    "assign_uniform_weights",
 ]

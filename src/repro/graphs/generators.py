@@ -4,7 +4,8 @@ These produce the concrete workloads on which the paper's predicates,
 algorithms and bound formulas are exercised: random connected graphs, weighted
 graphs with a prescribed aspect ratio, kNN-geometric graphs (grid-indexed,
 ~O(n * k) construction), disjoint-cycle covers (gap-Hamiltonian inputs), and
-random perfect matchings (Server-model Ham inputs).
+pairs of perfect matchings whose union has a given number of cycles
+(Server-model Ham inputs).
 """
 
 from __future__ import annotations
@@ -145,16 +146,6 @@ def disjoint_cycle_cover(n: int, n_cycles: int, seed: int | None = None) -> nx.G
             graph.add_edge(u, cycle[(i + 1) % size])
         start += size
     return graph
-
-
-def random_perfect_matching(n: int, seed: int | None = None) -> list[Edge]:
-    """A uniformly random perfect matching on nodes ``0..n-1`` (``n`` even)."""
-    if n % 2 != 0:
-        raise ValueError("perfect matching needs an even number of nodes")
-    rng = random.Random(seed)
-    nodes = list(range(n))
-    rng.shuffle(nodes)
-    return [(nodes[2 * i], nodes[2 * i + 1]) for i in range(n // 2)]
 
 
 def matching_pair_for_cycles(n: int, n_cycles: int, seed: int | None = None) -> tuple[list[Edge], list[Edge]]:

@@ -12,7 +12,7 @@ the node set of ``N``.  Following Section 2.2, ``M`` always spans the node set
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable
 
 import networkx as nx
 
@@ -164,35 +164,3 @@ def is_simple_path(network: nx.Graph, m: Iterable[Edge] | nx.Graph) -> bool:
     nontrivial = [c for c in nx.connected_components(sub) if len(c) > 1]
     return len(nontrivial) == 1
 
-
-def least_element_list(
-    network: nx.Graph, ranks: Mapping[Hashable, int], u: Hashable, weight: str = "weight"
-) -> list[tuple[Hashable, float]]:
-    """Compute the Least-Element list of ``u`` (Cohen [Coh97], Appendix A.2).
-
-    ``v`` is a least element of ``u`` if ``v`` has the lowest rank among all
-    vertices within (weighted) distance ``d(u, v)`` of ``u``.  The LE-list is
-    ``{<v, d(u, v)>}`` over all least elements ``v``, returned sorted by
-    distance.
-    """
-    dist = nx.single_source_dijkstra_path_length(network, u, weight=weight)
-    ordered = sorted(dist.items(), key=lambda item: (item[1], ranks[item[0]]))
-    result: list[tuple[Hashable, float]] = []
-    best_rank: int | None = None
-    for v, d in ordered:
-        if best_rank is None or ranks[v] < best_rank:
-            result.append((v, d))
-            best_rank = ranks[v]
-    return result
-
-
-def verify_least_element_list(
-    network: nx.Graph,
-    ranks: Mapping[Hashable, int],
-    u: Hashable,
-    candidate: Iterable[tuple[Hashable, float]],
-    weight: str = "weight",
-) -> bool:
-    """Least-element-list verification: is ``candidate`` the LE-list of ``u``?"""
-    expected = least_element_list(network, ranks, u, weight=weight)
-    return sorted(expected) == sorted(candidate)

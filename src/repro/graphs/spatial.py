@@ -12,24 +12,12 @@ caller-supplied rank map) -- exactly the order a stable
 produces.  The generators rely on this to stay byte-identical to the
 brute-force scans they replaced; the property tests in
 ``tests/test_graphs_spatial.py`` pin it down.
-
-An ``rtree``-backed index with the same query contract is provided when
-the optional ``rtree`` package is importable (it is not a dependency);
-:func:`build_spatial_index` picks the grid by default and never requires
-it.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Hashable, Iterable, Mapping
-
-try:  # optional, never required: the stdlib grid is the reference
-    from rtree import index as _rtree_index
-except ImportError:  # pragma: no cover - rtree is absent in CI images
-    _rtree_index = None
-
-HAVE_RTREE = _rtree_index is not None
 
 Point = tuple[float, float]
 
@@ -74,9 +62,6 @@ class GridIndex:
             self._max_bx = max(k[0] for k in keys)
             self._min_by = min(k[1] for k in keys)
             self._max_by = max(k[1] for k in keys)
-
-    def __len__(self) -> int:
-        return len(self._points)
 
     def nearest(
         self,
@@ -152,63 +137,3 @@ def _ring(cx: int, cy: int, r: int) -> Iterable[tuple[int, int]]:
         yield (cx - r, by)
         yield (cx + r, by)
 
-
-class RTreeIndex:
-    """The same query contract as :class:`GridIndex`, over ``rtree``.
-
-    Only constructible when the optional ``rtree`` package is installed;
-    the library's nearest-neighbour order is distance-only, so ties are
-    re-broken by rank on an over-fetched candidate set to keep results
-    identical to the grid.
-    """
-
-    def __init__(self, points: Mapping[Hashable, Point]):
-        if _rtree_index is None:  # pragma: no cover - rtree absent in CI
-            raise RuntimeError("the optional 'rtree' package is not installed")
-        self._points = dict(points)
-        self._rank = {label: i for i, label in enumerate(self._points)}
-        self._labels = list(self._points)
-        self._idx = _rtree_index.Index(
-            (i, (x, y, x, y), None) for i, (x, y) in enumerate(self._points.values())
-        )
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def nearest(self, origin, k=1, exclude=(), rank=None):  # pragma: no cover - optional dep
-        return self.nearest_point(self._points[origin], k, exclude={origin, *exclude}, rank=rank)
-
-    def nearest_point(self, point, k=1, exclude=(), rank=None):  # pragma: no cover - optional dep
-        if k < 1 or not self._labels:
-            return []
-        excluded = set(exclude)
-        ranks = self._rank if rank is None else rank
-        x, y = point
-        found: list[tuple[float, int, Hashable]] = []
-        # Over-fetch so excluded/unranked hits and distance ties cannot
-        # push a true top-k candidate out of the fetched window.
-        fetch = k + len(excluded) + 8
-        while True:
-            ids = list(self._idx.nearest((x, y, x, y), num_results=min(fetch, len(self._labels))))
-            found = []
-            for i in ids:
-                label = self._labels[i]
-                if label in excluded:
-                    continue
-                candidate_rank = ranks.get(label)
-                if candidate_rank is None:
-                    continue
-                found.append((math.dist(point, self._points[label]), candidate_rank, label))
-            if len(found) >= k or fetch >= len(self._labels):
-                break
-            fetch *= 2
-        found.sort()
-        return [label for _, _, label in found[:k]]
-
-
-def build_spatial_index(points: Mapping[Hashable, Point], prefer: str = "grid"):
-    """Build a spatial index; ``prefer="rtree"`` uses it when available,
-    silently falling back to the stdlib grid otherwise."""
-    if prefer == "rtree" and HAVE_RTREE:
-        return RTreeIndex(points)  # pragma: no cover - rtree absent in CI
-    return GridIndex(points)

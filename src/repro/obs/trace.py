@@ -182,11 +182,6 @@ class TeeTracer(Tracer):
         for child in self.children:
             child.run_summary(**fields)
 
-    def close(self) -> None:
-        """Close every child."""
-        for child in self.children:
-            child.close()
-
 
 class TraceWriter(Tracer):
     """JSONL tracer: one JSON object per line, monotonic timestamps.
@@ -228,23 +223,11 @@ class TraceWriter(Tracer):
                 return
             self._handle.write(line + "\n")
 
-    def flush(self) -> None:
-        """Flush buffered lines to disk."""
-        with self._lock:
-            if not self._handle.closed:
-                self._handle.flush()
-
     def close(self) -> None:
         """Flush and close the file (idempotent)."""
         with self._lock:
             if not self._handle.closed:
                 self._handle.close()
-
-    def __enter__(self) -> "TraceWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 # -- the ambient tracer --------------------------------------------------------

@@ -1,22 +1,17 @@
-"""Quantum fingerprinting for Equality [BCW98].
+"""Quantum fingerprinting for Equality [BCW98]: its qubit count.
 
 One of the canonical quantum/classical communication separations cited in
 Section 4: Equality on ``n``-bit strings needs only ``O(log n)`` qubits via
-fingerprint states and the swap test.  We implement it exactly on the
-statevector simulator and expose the one-sided error structure (equal inputs
-are never rejected by a single swap test's "equal" verdict; unequal inputs
-are caught with probability ``(1 - |<h_x|h_y>|^2) / 2`` per repetition).
+fingerprint states and the swap test.  Strings of length ``n`` are encoded
+with a binary code of length ``m = code_expansion * n`` (rounded up to a
+power of two); the fingerprint state
+``|h_x> = (1/sqrt(m)) sum_i (-1)^{E(x)_i} |i>`` lives on ``log2(m)``
+qubits, which is what the ``quantum-substrate`` scenario checks.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from typing import Sequence
-
-import numpy as np
-
-from repro.quantum.state import QuantumState
 
 
 def _next_power_of_two(n: int) -> int:
@@ -24,77 +19,15 @@ def _next_power_of_two(n: int) -> int:
 
 
 class FingerprintEquality:
-    """Equality testing via quantum fingerprints and the swap test.
+    """The fingerprint size of Equality on ``n_bits``-bit strings."""
 
-    Strings of length ``n`` are encoded with a random binary code of length
-    ``m = code_expansion * n`` (a random linear code has relative distance
-    ~1/2 - epsilon with overwhelming probability, standing in for the
-    Justesen codes of [BCW98]); the fingerprint state is
-    ``|h_x> = (1/sqrt(m)) sum_i (-1)^{E(x)_i} |i>`` on ``log2(m)`` qubits.
-    """
-
-    def __init__(self, n_bits: int, code_expansion: int = 8, seed: int | None = None):
+    def __init__(self, n_bits: int, code_expansion: int = 8):
         if n_bits < 1:
             raise ValueError("need at least one input bit")
         self.n_bits = n_bits
         self.code_length = _next_power_of_two(code_expansion * n_bits)
-        rng = np.random.default_rng(seed)
-        # Random linear code generator matrix over GF(2).
-        self.generator = rng.integers(0, 2, size=(self.code_length, n_bits), dtype=np.int64)
 
     @property
     def fingerprint_qubits(self) -> int:
         """Qubits per fingerprint: ``log2(code_length) = O(log n)``."""
         return int(math.log2(self.code_length))
-
-    def encode(self, bits: Sequence[int]) -> np.ndarray:
-        """Codeword ``E(x)`` over GF(2)."""
-        x = np.asarray(bits, dtype=np.int64)
-        if x.shape != (self.n_bits,):
-            raise ValueError(f"input must have {self.n_bits} bits")
-        return (self.generator @ x) % 2
-
-    def fingerprint_state(self, bits: Sequence[int]) -> QuantumState:
-        """The fingerprint state ``|h_x>``."""
-        codeword = self.encode(bits)
-        amplitudes = ((-1.0) ** codeword) / math.sqrt(self.code_length)
-        return QuantumState(self.fingerprint_qubits, amplitudes.astype(complex))
-
-    def overlap(self, x: Sequence[int], y: Sequence[int]) -> float:
-        """``<h_x|h_y> = 1 - 2 * dist(E(x), E(y)) / m``."""
-        ex, ey = self.encode(x), self.encode(y)
-        distance = int(np.sum(ex != ey))
-        return 1.0 - 2.0 * distance / self.code_length
-
-    def swap_test(
-        self, x: Sequence[int], y: Sequence[int], rng: random.Random | None = None
-    ) -> int:
-        """One swap test on ``|h_x>|h_y>``; returns the control-qubit outcome.
-
-        Outcome 0 ("equal") has probability ``(1 + <h_x|h_y>^2) / 2``; equal
-        inputs always give 0.  Implemented via the closed-form outcome
-        distribution, which the statevector circuit reproduces exactly.
-        """
-        rng = rng or random
-        overlap = self.overlap(x, y)
-        p_zero = (1.0 + overlap * overlap) / 2.0
-        return 0 if rng.random() < p_zero else 1
-
-    def are_equal(
-        self,
-        x: Sequence[int],
-        y: Sequence[int],
-        repetitions: int = 10,
-        rng: random.Random | None = None,
-    ) -> bool:
-        """Equality verdict with one-sided error ``<= ((1 + delta^2)/2)^reps``
-        where ``delta`` bounds the codeword overlap of unequal inputs."""
-        rng = rng or random
-        for _ in range(repetitions):
-            if self.swap_test(x, y, rng=rng) == 1:
-                return False
-        return True
-
-    def communication_qubits(self, repetitions: int = 10) -> int:
-        """Qubits Alice sends for the whole protocol: ``O(reps * log n)``."""
-        return repetitions * self.fingerprint_qubits

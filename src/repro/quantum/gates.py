@@ -1,4 +1,4 @@
-"""Standard gate library (unitary matrices as numpy arrays)."""
+"""The gates teleportation and Grover search apply (unitary numpy arrays)."""
 
 from __future__ import annotations
 
@@ -8,53 +8,10 @@ import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
 
-IDENTITY = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / _SQRT2
-S_GATE = np.array([[1, 0], [0, 1j]], dtype=complex)
-T_GATE = np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex)
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
-CZ = np.diag([1, 1, 1, -1]).astype(complex)
-SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
-
-
-def rotation_x(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-
-def rotation_y(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def rotation_z(theta: float) -> np.ndarray:
-    return np.array(
-        [[np.exp(-1j * theta / 2), 0], [0, np.exp(1j * theta / 2)]], dtype=complex
-    )
-
-
-def phase(theta: float) -> np.ndarray:
-    return np.array([[1, 0], [0, np.exp(1j * theta)]], dtype=complex)
-
-
-def controlled(gate: np.ndarray) -> np.ndarray:
-    """The controlled version of a ``2^k``-dimensional unitary."""
-    gate = np.asarray(gate, dtype=complex)
-    d = gate.shape[0]
-    result = np.eye(2 * d, dtype=complex)
-    result[d:, d:] = gate
-    return result
-
-
-def is_unitary(matrix: np.ndarray, tol: float = 1e-9) -> bool:
-    matrix = np.asarray(matrix)
-    d = matrix.shape[0]
-    return bool(np.allclose(matrix @ matrix.conj().T, np.eye(d), atol=tol))

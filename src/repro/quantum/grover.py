@@ -99,9 +99,3 @@ def grover_find_any(
         guess = min(2 * guess, n_items)
         rounds += 1
     return None, total_queries
-
-
-def search_success_probability(n_items: int, n_marked: int, iterations: int) -> float:
-    """Closed-form success probability ``sin^2((2t+1) theta)``."""
-    theta = math.asin(math.sqrt(n_marked / n_items))
-    return math.sin((2 * iterations + 1) * theta) ** 2

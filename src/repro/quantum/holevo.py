@@ -47,8 +47,3 @@ def holevo_bound(probabilities: Sequence[float], states: Sequence[np.ndarray]) -
         if p > 0:
             chi -= p * von_neumann_entropy(np.asarray(rho, dtype=complex))
     return max(0.0, chi)
-
-
-def accessible_information_cap(n_qubits: int) -> float:
-    """Upper bound on classical information carried by ``n`` qubits (bits)."""
-    return float(n_qubits)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,20 +33,6 @@ class QuantumState:
             if not math.isclose(norm, 1.0, rel_tol=0, abs_tol=1e-9):
                 raise ValueError("state vector must be normalised")
             self.vector = vector.copy()
-
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "QuantumState":
-        """Computational-basis state ``|b0 b1 ... >``."""
-        n = len(bits)
-        index = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError("bits must be 0 or 1")
-            index = (index << 1) | b
-        state = cls(n)
-        state.vector[0] = 0.0
-        state.vector[index] = 1.0
-        return state
 
     def copy(self) -> "QuantumState":
         return QuantumState(self.n_qubits, self.vector)
@@ -119,17 +105,6 @@ class QuantumState:
 
     # -- analysis -----------------------------------------------------------
 
-    def density_matrix(self, qubits: Sequence[int] | None = None) -> np.ndarray:
-        """Reduced density matrix on the listed qubits (partial trace)."""
-        if qubits is None:
-            return np.outer(self.vector, self.vector.conj())
-        qubits = list(qubits)
-        other = [q for q in range(self.n_qubits) if q not in qubits]
-        tensor = self.vector.reshape([2] * self.n_qubits)
-        tensor = tensor.transpose(qubits + other)
-        mat = tensor.reshape(1 << len(qubits), 1 << len(other))
-        return mat @ mat.conj().T
-
     def fidelity(self, other: "QuantumState") -> float:
         """``|<psi|phi>|^2`` between two pure states."""
         if other.n_qubits != self.n_qubits:
@@ -139,13 +114,3 @@ class QuantumState:
     def tensor(self, other: "QuantumState") -> "QuantumState":
         """The joint state ``self (x) other`` on ``n + m`` qubits."""
         return QuantumState(self.n_qubits + other.n_qubits, np.kron(self.vector, other.vector))
-
-    def amplitude(self, bits: Iterable[int]) -> complex:
-        """Amplitude of a computational-basis state."""
-        index = 0
-        for b in bits:
-            index = (index << 1) | b
-        return complex(self.vector[index])
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"QuantumState(n_qubits={self.n_qubits})"

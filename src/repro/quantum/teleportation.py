@@ -5,8 +5,8 @@ David send *2 classical bits* per qubit to the server (the server dispenses
 the entanglement for free), and the Quantum Simulation Theorem's accounting
 treats qubit channels and (classical + EPR) channels interchangeably.
 
-This module implements the protocol end-to-end on the statevector simulator
-and exposes the classical-bit cost explicitly.
+This module implements the protocol end-to-end on the statevector simulator;
+it returns the two classical bits it sends.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ import numpy as np
 
 from repro.quantum.gates import CNOT, HADAMARD, PAULI_X, PAULI_Z
 from repro.quantum.state import QuantumState
-
-#: Classical bits sent per teleported qubit.
-CLASSICAL_BITS_PER_QUBIT = 2
 
 
 def teleport(
@@ -60,14 +57,3 @@ def teleport(
     bob_vector = tensor[m0, m1, :]
     bob_vector = bob_vector / np.linalg.norm(bob_vector)
     return QuantumState(1, bob_vector), (m0, m1)
-
-
-def teleportation_cost(n_qubits: int) -> int:
-    """Classical bits needed to teleport ``n`` qubits (2 per qubit).
-
-    This is the replacement rule used in the proof of Lemma 3.2: a ``T``-qubit
-    server-model protocol becomes a ``2T``-classical-bit protocol.
-    """
-    if n_qubits < 0:
-        raise ValueError("qubit count must be nonnegative")
-    return CLASSICAL_BITS_PER_QUBIT * n_qubits

@@ -86,9 +86,6 @@ class ReferenceTransport:
             self._links.setdefault((msg.sender, msg.receiver), deque()).append(msg)
         self._outgoing = []
 
-    def has_outgoing(self) -> bool:
-        return bool(self._outgoing)
-
     def deliver_round(self) -> dict[Hashable, list[Received]]:
         """Move B bits along every directed edge; collect completed messages."""
         inboxes: dict[Hashable, list[Received]] = defaultdict(list)

@@ -18,11 +18,10 @@ from repro.algorithms.elkin import (
     quantise_weights,
     run_elkin_approx_mst,
 )
-from repro.algorithms.paths import run_bellman_ford
+from repro.algorithms.paths import run_refreshing_bellman_ford
 from repro.algorithms.verification import (
     VERIFIERS,
     run_gkp_components,
-    run_le_list_verification,
     run_verification,
 )
 from repro.congest.topology import dumbbell_graph
@@ -37,31 +36,38 @@ def weighted(graph: nx.Graph, seed: int = 0) -> nx.Graph:
     return graph
 
 
+#: A fixed horizon past every instance's hop depth: the refreshing
+#: Bellman-Ford never quiesces.
+HORIZON = 60
+
+
 class TestShortestPaths:
     def test_bfs_distances_match_networkx(self):
         graph = random_connected_graph(20, seed=1)
-        distances, result = run_bellman_ford(graph, 0, weighted=False)
+        distances, result = run_refreshing_bellman_ford(
+            graph, 0, weighted=False, max_rounds=HORIZON
+        )
         expected = nx.single_source_shortest_path_length(graph, 0)
         assert {k: int(v) for k, v in distances.items()} == dict(expected)
 
     def test_bellman_ford_weighted(self):
         graph = weighted(random_connected_graph(15, seed=2), seed=3)
-        distances, _ = run_bellman_ford(graph, 0)
+        distances, _ = run_refreshing_bellman_ford(graph, 0, max_rounds=HORIZON)
         expected = nx.single_source_dijkstra_path_length(graph, 0)
         for node, dist in expected.items():
             assert distances[node] == pytest.approx(dist)
 
     def test_rounds_scale_with_hop_depth(self):
         path = nx.path_graph(25)
-        _, result = run_bellman_ford(path, 0, weighted=False)
-        assert 24 <= result.rounds <= 30
+        _, result = run_refreshing_bellman_ford(path, 0, weighted=False, max_rounds=HORIZON)
+        assert 24 <= max(out[2] for out in result.outputs.values()) <= 30
 
     def test_tree_edges_form_spanning_tree(self):
         graph = weighted(random_connected_graph(12, seed=5), seed=6)
-        _, result = run_bellman_ford(graph, 0)
+        _, result = run_refreshing_bellman_ford(graph, 0, max_rounds=HORIZON)
         edges = {
             frozenset((node, parent))
-            for node, (_dist, parent) in result.outputs.items()
+            for node, (_dist, parent, _changed) in result.outputs.items()
             if parent is not None
         }
         tree = nx.Graph()
@@ -200,22 +206,6 @@ class TestGKPComponents:
         tree = list(nx.minimum_spanning_tree(graph).edges())
         count, _ = run_gkp_components(graph, tree)
         assert count == 1
-
-
-class TestLeastElementList:
-    def test_valid_list_accepted(self):
-        graph = weighted(random_connected_graph(10, seed=11), seed=11)
-        ranks = {node: (node * 7) % 10 for node in graph.nodes()}
-        candidate = props.least_element_list(graph, ranks, 0)
-        verdict, _ = run_le_list_verification(graph, ranks, 0, candidate)
-        assert verdict is True
-
-    def test_invalid_list_rejected(self):
-        graph = weighted(random_connected_graph(10, seed=12), seed=12)
-        ranks = {node: node for node in graph.nodes()}
-        candidate = props.least_element_list(graph, ranks, 0)[:-1] or [(0, 0.0)]
-        verdict, _ = run_le_list_verification(graph, ranks, 0, candidate[:-1] + [(3, 999.0)])
-        assert verdict is False
 
 
 class TestElkin:

@@ -11,8 +11,6 @@ from repro.core.bounds import (
     fig3_curve,
     mst_upper_bound,
     optimization_lower_bound,
-    quantum_speedup_cap_shortest_paths,
-    simulation_theorem_parameters,
     verification_lower_bound,
 )
 
@@ -105,11 +103,3 @@ class TestSupportingFormulas:
     def test_mst_upper_bound_regimes(self):
         assert mst_upper_bound(10_000, 10, 50, 2.0) == pytest.approx(35.0)
         assert mst_upper_bound(10_000, 10, 1e9, 2.0) == pytest.approx(110.0)
-
-    def test_shortest_path_speedup_cap(self):
-        assert quantum_speedup_cap_shortest_paths(10_000, 16) == pytest.approx(2.0)
-
-    def test_simulation_theorem_parameters(self):
-        params = simulation_theorem_parameters(10_000, 4)
-        assert params["nodes"] == pytest.approx(10_000, rel=0.01)
-        assert params["distributed_budget"] < params["L"]

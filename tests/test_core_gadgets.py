@@ -8,10 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.gadgets import (
-    SHIFT1,
     HamInstance,
-    compose,
-    gadget_permutation,
     gap_eq_mismatch_count,
     gap_eq_to_ham,
     gap_connectivity_weights,
@@ -19,32 +16,9 @@ from repro.core.gadgets import (
     ipmod3_to_ham,
     ipmod3_value,
     mst_weight_threshold,
-    strand_permutation,
 )
+from repro.experiments.scenarios import section9_verdicts
 from repro.graphs.properties import is_spanning_tree
-
-
-class TestPermutationLayer:
-    def test_compose_order(self):
-        swap01 = (1, 0, 2)
-        shift = (1, 2, 0)
-        assert compose(swap01, shift) == tuple(shift[swap01[j]] for j in range(3))
-
-    def test_observation_7_1(self):
-        # Gadget permutation is identity unless x_i = y_i = 1, where it is
-        # the +1 cyclic shift.
-        assert gadget_permutation(0, 0) == (0, 1, 2)
-        assert gadget_permutation(0, 1) == (0, 1, 2)
-        assert gadget_permutation(1, 0) == (0, 1, 2)
-        assert gadget_permutation(1, 1) == SHIFT1
-
-    def test_lemma_7_2(self):
-        x = (1, 1, 0, 1)
-        y = (1, 0, 1, 1)
-        perm = strand_permutation(x, y)
-        total = sum(a * b for a, b in zip(x, y)) % 3
-        expected = tuple((j + total) % 3 for j in range(3))
-        assert perm == expected
 
 
 class TestIPmod3Reduction:
@@ -222,3 +196,25 @@ class TestSection9Reductions:
 
     def test_threshold(self):
         assert mst_weight_threshold(10, 2.0) == 18.0
+
+    def test_both_reductions_refute_two_disjoint_cycles(self):
+        # Carol's and David's matchings close two 4-cycles, 0-1-2-3 and 4-5-6-7.
+        two_cycles = HamInstance(
+            8, [(0, 1), (2, 3), (4, 5), (6, 7)], [(1, 2), (3, 0), (5, 6), (7, 4)]
+        )
+        assert not two_cycles.is_hamiltonian()
+        assert section9_verdicts(two_cycles) == (False, False)
+        # Re-pairing David's edges joins them into one Hamiltonian cycle.
+        one_cycle = HamInstance(
+            8, [(0, 1), (2, 3), (4, 5), (6, 7)], [(1, 2), (3, 4), (5, 6), (7, 0)]
+        )
+        assert one_cycle.is_hamiltonian()
+        assert section9_verdicts(one_cycle) == (True, True)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_section9_verdicts_match_hamiltonicity_exhaustively(self, n):
+        for x in itertools.product((0, 1), repeat=n):
+            for y in itertools.product((0, 1), repeat=n):
+                instance = ipmod3_to_ham(x, y)
+                hamiltonian = instance.is_hamiltonian()
+                assert section9_verdicts(instance) == (hamiltonian, hamiltonian), (x, y)

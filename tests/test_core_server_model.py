@@ -4,14 +4,11 @@ import pytest
 
 pytest.importorskip("numpy")  # the comm/server stack is numpy-bound
 
-from repro.comm.protocols import Channel, TwoPartyProtocol
 from repro.core.server_model import (
     CAROL,
     DAVID,
     SERVER,
     ServerChannel,
-    ServerProtocol,
-    TwoPartyAsServerProtocol,
     streamed_xor_protocol,
     two_party_simulation_of_server,
 )
@@ -23,13 +20,9 @@ class TestServerChannel:
         channel.send(CAROL, SERVER, "x", bits=5)
         channel.send(DAVID, SERVER, "y", bits=3)
         channel.send(SERVER, CAROL, "huge", bits=1_000_000)
-        assert channel.cost == 8
-
-    def test_entanglement_dispensing_free(self):
-        channel = ServerChannel()
-        channel.dispense_entanglement("EPR x 1000")
-        assert channel.cost == 0
-        assert len(channel.transcript) == 2
+        assert channel.bits[CAROL] + channel.bits[DAVID] == 8
+        assert channel.bits[SERVER] == 1_000_000
+        assert len(channel.transcript) == 3
 
     def test_invalid_parties_rejected(self):
         channel = ServerChannel()
@@ -39,38 +32,12 @@ class TestServerChannel:
             channel.send(CAROL, CAROL, "x", bits=1)
 
 
-class ParityCheckProtocol(TwoPartyProtocol):
-    """Alice sends a public-coin parity of ``x``; Bob answers whether his
-    parity matches.  Two messages, 2 bits, coins drawn from the run's seed."""
-
-    name = "parity-check"
-
-    def execute(self, x, y, channel: Channel, rng):
-        coins = [rng.randrange(2) for _ in x]
-        parity = channel.alice_sends(sum(c * b for c, b in zip(coins, x)) % 2, bits=1)
-        answer = int(parity == sum(c * b for c, b in zip(coins, y)) % 2)
-        return channel.bob_sends(answer, bits=1)
-
-
-class TestTwoPartyLift:
-    def test_lifted_protocol_same_cost(self):
-        inner = ParityCheckProtocol()
-        lifted = TwoPartyAsServerProtocol(inner)
-        x = (1, 0, 1, 0, 1, 0, 1, 0)
-        inner_result = inner.run(x, x, seed=7)
-        lifted_result = lifted.run(x, x, seed=7)
-        assert lifted_result.output == inner_result.output
-        assert lifted_result.cost == inner_result.total_communication
-        assert lifted_result.server_bits == 0
-
-
 class TestStructuredProtocol:
     def test_runs_and_costs(self):
         proto = streamed_xor_protocol(3)
         result = proto.run((1, 0, 1), (0, 1, 1))
         assert result.carol_bits == 3
         assert result.david_bits == 3
-        assert result.cost == 6
         # XOR of all six streamed bits.
         assert result.output == (1 ^ 0 ^ 1) ^ (0 ^ 1 ^ 1)
 
@@ -81,7 +48,7 @@ class TestStructuredProtocol:
             server_result = proto.run(x, y)
             sim = two_party_simulation_of_server(proto, x, y)
             assert sim.output == server_result.output
-            assert sim.total_bits == server_result.cost
+            assert sim.total_bits == server_result.carol_bits + server_result.david_bits
 
     @pytest.mark.parametrize("n_rounds", [1, 2, 8, 32])
     def test_streamed_xor_cycles_inputs_and_costs_two_bits_a_round(self, n_rounds):
@@ -105,8 +72,3 @@ class TestStructuredProtocol:
             y = tuple(rng.randrange(2) for _ in range(5))
             assert two_party_simulation_of_server(proto, x, y).output == proto.run(x, y).output
 
-
-class TestServerProtocolBase:
-    def test_abstract_execute(self):
-        with pytest.raises(NotImplementedError):
-            ServerProtocol().execute(None, None, ServerChannel(), None)

@@ -35,7 +35,7 @@ from repro.algorithms.framework import (
     PipelinedUpcastPhase,
 )
 from repro.algorithms.mst import run_boruvka_mst, run_gkp_mst, tree_weight
-from repro.algorithms.paths import run_bellman_ford
+from repro.algorithms.paths import run_refreshing_bellman_ford
 from repro.algorithms.verification import run_verification
 from repro.congest.engine import get_engine
 from repro.congest.network import CongestNetwork
@@ -144,33 +144,22 @@ class TestVerificationEquivalence:
         assert verdict_other == verdict_ref
 
 
-class TestQuiescenceEquivalence:
+class TestHorizonEquivalence:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("seed", [2, 9])
     def test_bellman_ford(self, seed, engine):
         graph = _weighted(25, seed)
         source = min(graph.nodes())
-        dist_ref, ref = run_bellman_ford(graph, source, engine=ReferenceDenseEngine())
-        dist_other, other = run_bellman_ford(graph, source, engine=make_engine(engine))
+        dist_ref, ref = run_refreshing_bellman_ford(
+            graph, source, max_rounds=60, engine=ReferenceDenseEngine()
+        )
+        dist_other, other = run_refreshing_bellman_ford(
+            graph, source, max_rounds=60, engine=make_engine(engine)
+        )
         assert_results_match(ref, other)
         assert dist_other == dist_ref
         expected = nx.single_source_dijkstra_path_length(graph, source)
         assert dist_other == pytest.approx(expected)
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_quiescent_from_start(self, engine):
-        # No program ever sends: every engine stops at the same (zero-ish)
-        # round under quiescence detection.
-        class Silent(NodeProgram):
-            def on_round(self, node, round_no, inbox):
-                pass
-
-        graph = nx.path_graph(4)
-        ref_net = CongestNetwork(graph, Silent, bandwidth=8, engine=ReferenceDenseEngine())
-        ref = ref_net.run(max_rounds=500, stop_on_quiescence=True)
-        other_net = CongestNetwork(graph, Silent, bandwidth=8, engine=make_engine(engine))
-        other = other_net.run(max_rounds=500, stop_on_quiescence=True)
-        assert_results_match(ref, other)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_max_rounds_without_halting(self, engine):
@@ -369,7 +358,7 @@ class TestErrorPaths:
             )
             with pytest.raises(BandwidthExceeded):
                 network.run(max_rounds=10)
-            totals[name] = (network.total_messages, network.total_bits)
+            totals[name] = (network.transport.total_messages, network.transport.total_bits)
         assert totals["event"] == totals["dense"]
         assert totals["reference"] == totals["dense"]
         assert totals["reference-event"] == totals["dense"]

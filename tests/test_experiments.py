@@ -26,7 +26,7 @@ from repro.experiments import (
     scenario,
 )
 from repro.experiments.cli import main as cli_main
-from repro.experiments.sweep import derive_seed, parse_axis_overrides
+from repro.experiments.sweep import canonical_json, derive_seed, parse_axis_overrides
 
 BUILTINS = (
     "boruvka-mst-sweep",
@@ -108,11 +108,16 @@ class TestSweepExpansion:
         assert len(set(keys_first)) == len(keys_first)  # all distinct
 
     def test_seed_derivation_varies_with_everything(self):
-        base = derive_seed("s", {"x": 1}, 0, 0)
-        assert derive_seed("s", {"x": 2}, 0, 0) != base
-        assert derive_seed("s", {"x": 1}, 1, 0) != base
-        assert derive_seed("s", {"x": 1}, 0, 1) != base
-        assert derive_seed("other", {"x": 1}, 0, 0) != base
+        def seed(scenario, params, replicate, base_seed):
+            return derive_seed(
+                canonical_json(scenario), canonical_json(params), replicate, base_seed
+            )
+
+        base = seed("s", {"x": 1}, 0, 0)
+        assert seed("s", {"x": 2}, 0, 0) != base
+        assert seed("s", {"x": 1}, 1, 0) != base
+        assert seed("s", {"x": 1}, 0, 1) != base
+        assert seed("other", {"x": 1}, 0, 0) != base
 
     def test_scalar_axis_and_defaults(self):
         scn = get_scenario("test-echo")
@@ -432,7 +437,13 @@ def _code_size_flat_in_n(monkeypatch):
 
 
 def _ipmod3_for_ip(monkeypatch):
-    monkeypatch.setattr(problems, "inner_product_mod2", problems.ipmod3)
+    def ipmod3(n):
+        def evaluate(x, y):
+            return int(sum(a * b for a, b in zip(x, y)) % 3 == 0)
+
+        return problems.Problem(f"IPmod3_{n}", n, evaluate)
+
+    monkeypatch.setattr(problems, "inner_product_mod2", ipmod3)
 
 
 def _guess_cost_4_per_bit(monkeypatch):

@@ -530,7 +530,7 @@ class TestCrashSemantics:
             return program
 
         network = CongestNetwork(graph, factory, bandwidth=64, engine=engine, faults=plan)
-        network.run(max_rounds=35, stop_on_quiescence=False)
+        network.run(max_rounds=35)
         crashed_program = next(
             p for nid, p in network.programs.items() if nid == 2
         )
@@ -549,7 +549,7 @@ class TestCrashSemantics:
         network = CongestNetwork(
             graph, _RoundRecorder, bandwidth=64, engine="event", faults=plan
         )
-        network.run(max_rounds=20, stop_on_quiescence=False)
+        network.run(max_rounds=20)
         stepped = network.programs[1].stepped
         assert stepped == sorted(stepped)
         assert min(stepped) < 3 and max(stepped) > 7
@@ -564,7 +564,7 @@ class TestTopologyDynamics:
         network = CongestNetwork(
             graph, _RoundRecorder, bandwidth=64, engine="event", faults=plan
         )
-        network.run(max_rounds=10, stop_on_quiescence=False)
+        network.run(max_rounds=10)
         assert network.graph.has_edge(0, 3)
         assert not network.graph.has_edge(1, 2)
         assert 3 in network.nodes[0].neighbors
@@ -589,7 +589,7 @@ class TestTopologyDynamics:
         network = CongestNetwork(
             graph, StubbornSender, bandwidth=64, engine="event", faults=plan
         )
-        network.run(max_rounds=10, stop_on_quiescence=False)
+        network.run(max_rounds=10)
         assert network.transport.stats.link_lost > 0
 
     def test_send_to_never_neighbor_still_raises(self):
@@ -604,7 +604,7 @@ class TestTopologyDynamics:
             graph, WildSender, bandwidth=64, engine="dense", faults=plan
         )
         with pytest.raises(ValueError, match="not a neighbor"):
-            network.run(max_rounds=5, stop_on_quiescence=False)
+            network.run(max_rounds=5)
 
 
 def _assert_results_match(dense, other):
@@ -723,6 +723,56 @@ class TestRecoveryCorrectness:
             d["weight"] for _, _, d in nx.minimum_spanning_tree(graph).edges(data=True)
         )
         assert abs(tree_weight(graph, [tuple(e) for e in got]) - reference) < 1e-9
+
+    @staticmethod
+    def _stored_record(name, grid, tmp_path):
+        from repro.experiments import ResultStore, expand_grid, get_scenario, run_sweep
+
+        store = ResultStore(tmp_path)
+        (point,) = expand_grid(get_scenario(name), grid)
+        run_sweep([point], store=store)
+        (record,) = store.iter_records(name)
+        return record
+
+    def test_wrong_restarted_tree_is_a_false_flag_in_an_ok_record(self, monkeypatch, tmp_path):
+        from repro.experiments import scenarios
+
+        real = scenarios.run_boruvka_mst
+        calls = []
+
+        def one_edge_short_after_the_clean_run(graph, **kwargs):
+            edges, result = real(graph, **kwargs)
+            calls.append(kwargs)
+            if len(calls) > 1:  # the faulted attempt and the restart
+                edges = set(sorted(edges, key=repr)[1:])
+            return edges, result
+
+        monkeypatch.setattr(scenarios, "run_boruvka_mst", one_edge_short_after_the_clean_run)
+        record = self._stored_record("mst-under-faults", {"drop_prob": 0.05}, tmp_path)
+        assert len(calls) == 3
+        assert record.status == "ok"
+        assert record.result["restarted"] is True
+        assert record.result["correct_after_recovery"] is False
+
+    def test_wrong_rebuilt_spanner_is_a_false_flag_in_an_ok_record(self, monkeypatch, tmp_path):
+        from repro.experiments import scenarios
+
+        real = scenarios.run_linear_size_spanner
+        calls = []
+
+        def one_edge_short_after_the_clean_run(graph, k, **kwargs):
+            summary, result = real(graph, k, **kwargs)
+            calls.append(kwargs)
+            if len(calls) > 1 and summary is not None:  # the churned run and the rebuild
+                summary = {**summary, "edges": summary["edges"][1:]}
+            return summary, result
+
+        monkeypatch.setattr(scenarios, "run_linear_size_spanner", one_edge_short_after_the_clean_run)
+        record = self._stored_record("spanner-churn", {"churn_events": 1}, tmp_path)
+        assert len(calls) == 3
+        assert record.status == "ok"
+        assert record.result["rebuilt"] is True
+        assert record.result["correct_after_recovery"] is False
 
 
 class TestNetworkFaultApi:

@@ -131,27 +131,3 @@ class TestSimplePath:
     def test_high_degree_rejected(self, complete5):
         assert not props.is_simple_path(complete5, [(0, 1), (0, 2), (0, 3)])
 
-
-class TestLeastElementList:
-    def test_le_list_on_path(self):
-        graph = nx.path_graph(4)
-        nx.set_edge_attributes(graph, 1.0, "weight")
-        ranks = {0: 3, 1: 2, 2: 1, 3: 0}
-        le = props.least_element_list(graph, ranks, 0)
-        # 0 itself, then 1 (rank 2 < 3), then 2, then 3.
-        assert le == [(0, 0.0), (1, 1.0), (2, 2.0), (3, 3.0)]
-
-    def test_le_list_skips_dominated(self):
-        graph = nx.path_graph(4)
-        nx.set_edge_attributes(graph, 1.0, "weight")
-        ranks = {0: 1, 1: 2, 2: 3, 3: 0}
-        le = props.least_element_list(graph, ranks, 0)
-        assert le == [(0, 0.0), (3, 3.0)]
-
-    def test_verify(self):
-        graph = nx.path_graph(4)
-        nx.set_edge_attributes(graph, 1.0, "weight")
-        ranks = {0: 1, 1: 2, 2: 3, 3: 0}
-        good = props.least_element_list(graph, ranks, 0)
-        assert props.verify_least_element_list(graph, ranks, 0, good)
-        assert not props.verify_least_element_list(graph, ranks, 0, good[:-1])

@@ -16,7 +16,7 @@ import networkx as nx
 import pytest
 
 from repro.graphs.generators import connect_nearest_components, knn_geometric_graph
-from repro.graphs.spatial import HAVE_RTREE, GridIndex, RTreeIndex, build_spatial_index
+from repro.graphs.spatial import GridIndex
 
 
 def _points(seed, n, spread=10.0):
@@ -93,10 +93,6 @@ class TestGridIndexProperties:
         with pytest.raises(ValueError, match="cell size"):
             GridIndex(points, cell=0.0)
 
-    def test_build_spatial_index_default_is_grid(self):
-        index = build_spatial_index(_points(0, 5))
-        assert isinstance(index, GridIndex)
-
 
 class TestGeneratorsMatchBruteForce:
     @pytest.mark.parametrize("seed", range(6))
@@ -145,24 +141,3 @@ class TestGeneratorsMatchBruteForce:
         assert nx.is_connected(indexed)
         assert list(indexed.edges()) == list(brute.edges())
 
-
-@pytest.mark.skipif(not HAVE_RTREE, reason="optional rtree package not installed")
-class TestRTreeIndex:
-    @pytest.mark.parametrize("seed", range(3))
-    def test_rtree_matches_grid(self, seed):
-        points = _points(seed, 30)
-        grid = GridIndex(points)
-        rtree = RTreeIndex(points)
-        for origin in points:
-            assert rtree.nearest(origin, 4) == grid.nearest(origin, 4)
-
-    def test_build_spatial_index_prefers_rtree(self):
-        assert isinstance(build_spatial_index(_points(0, 5), prefer="rtree"), RTreeIndex)
-
-
-def test_rtree_constructor_guarded_when_absent():
-    if HAVE_RTREE:
-        pytest.skip("rtree installed; guard not reachable")
-    with pytest.raises(RuntimeError, match="rtree"):
-        RTreeIndex({0: (0.0, 0.0)})
-    assert isinstance(build_spatial_index(_points(0, 5), prefer="rtree"), GridIndex)

@@ -1,13 +1,19 @@
-"""Package-wide import invariants, each checked in a fresh interpreter.
+"""Package-wide audits, each run in a fresh interpreter.
 
-- Every ``repro`` module is imported while one point of every registered
-  scenario runs through the CLI, so no module outlives the stored records
-  that exercise it.  The HTML/docs report layer and the ``python -m`` entry
-  point are exempt: no sweep point can reach them.
+- Every function under ``src/repro`` runs while the audit's point set goes
+  through the CLI under ``cProfile``, or :data:`ALLOWLIST` says why it
+  stays.  The point set is every scenario's full default grid, one point
+  for each categorical value outside that grid, one ``--backend pool``
+  point, ``list``, a cached rerun, ``report`` as text, JSON and HTML with a
+  trace, and ``trace summarize``.  A function is keyed by (file, first
+  line), the first line including decorators, which is what
+  ``co_firstlineno`` holds; nested functions count.  Blind spot: a call
+  made while a module is imported counts as a run.
 - Registering the built-in scenarios and expanding their default grids
   imports no ``scipy``; only the points that solve linear programs do.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -18,27 +24,100 @@ import repro
 
 PACKAGE = Path(repro.__file__).resolve().parent
 
-#: Module-name prefixes the audit does not require a scenario to import.
-EXEMPT = ("repro.experiments.reporting", "repro.experiments.__main__")
+#: Functions that stay although no audit point runs them, by qualified name
+#: (``module:qualname``); a bare module name covers every function in it.
+ALLOWLIST = {
+    # Base hooks that subclasses override.
+    "repro.congest.engine:Engine.run": "base hook; DenseEngine and EventEngine override it",
+    "repro.congest.node:NodeProgram.on_start": "base hook of every node program",
+    "repro.congest.node:NodeProgram.on_round": "base hook of every node program",
+    "repro.algorithms.framework:Phase.duration": "base hook of every tree phase",
+    "repro.algorithms.framework:Phase.idle_until": "base hook of every tree phase",
+    "repro.algorithms.framework:Phase.on_enter": "base hook of every tree phase",
+    "repro.algorithms.framework:Phase.on_round": "base hook of every tree phase",
+    "repro.experiments.backends.base:ExecutionBackend.submit": "base hook of both backends",
+    "repro.experiments.backends.base:ExecutionBackend.poll": "base hook of both backends",
+    "repro.experiments.backends.base:ExecutionBackend.shutdown": "base hook of both backends",
+    "repro.obs.trace:Tracer.close": "base hook; TraceWriter overrides it",
+    # The pool's worker side, which the profiler cannot see, and the pool
+    # paths that need a late or dead worker.
+    "repro.experiments.backends.pool:_init_worker": "runs in each pool worker",
+    "repro.experiments.backends.pool:_run_task": "runs in each pool worker",
+    "repro.experiments.backends.pool:_pid_alive": "runs when a poll catches a task in flight",
+    "repro.experiments.backends.pool:ProcessPoolBackend._abandon": "runs on a timeout or a dead worker",
+    # Reference code that tests compare live code against.
+    "repro.graphs.properties": "the centralised truth of the Cor. 3.7 verifiers (ROADMAP item 5)",
+    "repro.core.gamma2:gamma2_upper": "the SDP upper bound that tests hold gamma2_lower against",
+    "repro.core.gamma2:_factorisation_value": "part of gamma2_upper",
+    "repro.core.fooling:code_min_distance": "checks the distance of the greedy GV code in tests",
+    "repro.core.gadgets:HamInstance.union_graph": "tests check the gadget graphs' shape with it",
+    "repro.congest.transport:LinkTransport.live_edges": "tests compare it with the reference transport",
+    "repro.congest.transport:LinkTransport.pending_traffic": "tests assert no traffic is left in flight",
+    "repro.congest.faults:FaultyTransport.pending_traffic": "tests assert no traffic is left in flight",
+    "repro.congest.network:CongestNetwork.pending_traffic": "tests assert no traffic is left in flight",
+    "repro.obs.trace:CollectingTracer.__init__": "the in-memory tracer the trace tests read",
+    "repro.obs.trace:CollectingTracer.emit": "the in-memory tracer the trace tests read",
+    "repro.obs.trace:CollectingTracer.by_kind": "the in-memory tracer the trace tests read",
+    # Rare paths of live code.
+    "repro.congest.transport:LinkTransport._materialize_block": "a one-round block read before it completes",
+    "repro.congest.message:_int_bits": "bit_size of a bare int payload",
+    "repro.congest.message:_float_bits": "bit_size of a bare float payload",
+    "repro.congest.message:_text_bits": "bit_size of a bare str payload",
+    "repro.congest.message:_resolve_rule": "bit_size of a payload type seen for the first time",
+    "repro.experiments.reporting.svg:empty_plot": "a chart whose records hold no value",
+    # Callers outside src/ that CI runs.
+    "repro.experiments.registry:Scenario.resolve_params": "perfbench/tests and examples call it",
+    "repro.core.simulation_theorem:theorem_parameters": "examples/lower_bound_pipeline.py",
+    "repro.core.nonlocal_games:XORGame.quantum_bias": "examples/lower_bound_pipeline.py",
+    "repro.experiments.reporting.docs": "tests/test_docs.py regenerates docs/scenarios.md with it",
+    "repro.algorithms.verification:run_gkp_components": "benchmarks/ (ROADMAP item 9 maps it)",
+    "repro.graphs.generators:disjoint_cycle_cover": "benchmarks/ (ROADMAP item 9 maps it)",
+    "repro.experiments.runner:SweepReport.results": "benchmarks/ read their sweeps with it (item 9)",
+}
 
-_RUN_EVERY_SCENARIO = """
-import contextlib, io, json, sys
+_RUN_THE_POINT_SET = r"""
+import contextlib, cProfile, io, json, tempfile
+
+profile = cProfile.Profile()
+profile.enable()
 from repro.experiments.cli import main
 from repro.experiments.registry import list_scenarios
 
-ran, failed = [], []
-for scn in list_scenarios():
-    argv = ["run", scn.name, "--no-store"]
-    for axis in scn.default_grid:
-        argv += ["--set", f"{axis}={scn.spec(axis).default}"]
+failed = []
+
+
+def cli(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
-        (ran if main(argv) == 0 else failed).append(scn.name)
-print(json.dumps({
-    "registered": [scn.name for scn in list_scenarios()],
-    "ran": ran,
-    "failed": failed,
-    "imported": sorted(m for m in sys.modules if m == "repro" or m.startswith("repro.")),
-}))
+        if main(list(argv)) != 0:
+            failed.append(" ".join(argv))
+
+
+with tempfile.TemporaryDirectory() as tmp:
+    store, traces = f"{tmp}/store", f"{tmp}/traces"
+    cli("list")
+    for scn in list_scenarios():
+        cli("run", scn.name, "--store", store)
+        defaults = {axis: scn.spec(axis).default for axis in scn.default_grid}
+        for spec in scn.params:
+            for value in spec.choices:
+                if value not in scn.default_grid.get(spec.name, [spec.default]):
+                    axes = {**defaults, spec.name: value}
+                    cli("run", scn.name, "--no-store", *(f"--set={k}={v}" for k, v in axes.items()))
+    cli("run", "chsh-gamma2", "--store", store)
+    cli("run", "chsh-gamma2", "--set", "restarts=3", "--backend", "pool", "--workers", "1",
+        "--store", store)
+    cli("run", "bfs-restabilization", "--set", "n=12", "--set", "drop_prob=0.1",
+        "--store", store, "--trace", traces)
+    cli("report", "--store", store)
+    cli("report", "--store", store, "--format", "json")
+    cli("report", "--store", store, "--html", f"{tmp}/site", "--trace", traces)
+    cli("trace", "summarize", traces)
+profile.disable()
+ran = sorted(
+    {(s.code.co_filename, s.code.co_firstlineno) for s in profile.getstats()
+     if not isinstance(s.code, str)}
+)
+print(json.dumps({"failed": failed, "ran": ran}))
 """
 
 _EXPAND_EVERY_GRID = """
@@ -58,35 +137,61 @@ def _fresh_interpreter(code: str) -> dict:
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=300,
     )
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def package_modules() -> list[str]:
-    """Every module of the package, named from its file, without importing it."""
-    names = []
-    for path in PACKAGE.rglob("*.py"):
+def package_functions() -> dict[tuple[str, int], str]:
+    """Every function of the package, keyed by (file, first line), valued by
+    its qualified name, read from the source without importing it."""
+    functions = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
         parts = path.relative_to(PACKAGE).with_suffix("").parts
         if parts[-1] == "__init__":
             parts = parts[:-1]
-        names.append(".".join(("repro", *parts)))
-    return sorted(names)
+        module = ".".join(("repro", *parts))
+
+        def visit(node: ast.AST, prefix: str) -> None:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    functions[(str(path), first)] = f"{module}:{prefix}{child.name}"
+                    visit(child, f"{prefix}{child.name}.<locals>.")
+                elif isinstance(child, ast.ClassDef):
+                    visit(child, f"{prefix}{child.name}.")
+                else:
+                    visit(child, prefix)
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return functions
 
 
-def test_every_module_is_imported_by_a_scenario_point():
-    audit = _fresh_interpreter(_RUN_EVERY_SCENARIO)
-    assert not audit["failed"], f"scenario points failed: {audit['failed']}"
-    assert sorted(audit["ran"]) == sorted(audit["registered"])
-    imported = set(audit["imported"])
-    for module in package_modules():
-        if module.startswith(EXEMPT):
-            continue
-        assert module in imported, (
-            f"{module} is imported by no scenario point: run it from a "
-            "scenario or delete it"
-        )
+def _allowed_by(entry: str, name: str) -> bool:
+    if ":" not in entry:
+        return name.split(":")[0] == entry
+    return name == entry or name.startswith(entry + ".")
+
+
+def test_every_function_runs_in_a_scenario_point():
+    audit = _fresh_interpreter(_RUN_THE_POINT_SET)
+    assert not audit["failed"], f"audit CLI calls failed: {audit['failed']}"
+    ran = {(str(Path(path).resolve()), line) for path, line in audit["ran"]}
+    functions = package_functions()
+    stale = sorted(
+        entry for entry in ALLOWLIST if not any(_allowed_by(entry, n) for n in functions.values())
+    )
+    assert not stale, f"allowlist entries that name no function: {stale}"
+    never_ran = sorted(
+        name
+        for key, name in functions.items()
+        if key not in ran and not any(_allowed_by(entry, name) for entry in ALLOWLIST)
+    )
+    assert not never_ran, (
+        f"{len(never_ran)} function(s) run in no scenario point: run them from a "
+        f"scenario, delete them, or allowlist them with a reason: {never_ran}"
+    )
 
 
 def test_registering_scenarios_loads_no_scipy():

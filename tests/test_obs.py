@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.algorithms.paths import run_bellman_ford
+from repro.algorithms.paths import run_refreshing_bellman_ford
 from repro.congest.network import CongestNetwork
 from repro.experiments import expand_grid, get_scenario, run_sweep
 from repro.experiments.cli import main as cli_main
@@ -48,6 +48,25 @@ def _graph(n=18, seed=3):
     for i, (u, v) in enumerate(sorted(graph.edges())):
         graph.edges[u, v]["weight"] = float(i + 1)
     return graph
+
+
+def _bellman_ford(graph, engine="event"):
+    """The refreshing Bellman-Ford from the smallest node, to a horizon past
+    the hop depth of every ``_graph`` (the program never quiesces).  The
+    horizon ends one round after a refresh round (every 4th), so every
+    send has been delivered by then."""
+    return run_refreshing_bellman_ford(graph, min(graph.nodes()), max_rounds=41, engine=engine)
+
+
+def _write_trace(path, **meta):
+    """Run :func:`_bellman_ford` on ``_graph()`` into a JSONL trace at ``path``."""
+    tracer = TraceWriter(path, source="test", **meta)
+    try:
+        with use_tracer(tracer):
+            _, result = _bellman_ford(_graph())
+    finally:
+        tracer.close()
+    return result
 
 
 class TestNullTracer:
@@ -98,11 +117,7 @@ class TestNullTracer:
 
 class TestTraceWriter:
     def _run_traced(self, path):
-        graph = _graph()
-        with TraceWriter(path, source="test", scenario="bf") as tracer:
-            with use_tracer(tracer):
-                dist, result = run_bellman_ford(graph, min(graph.nodes()), engine="event")
-        return result
+        return _write_trace(path, scenario="bf")
 
     def test_lines_schema_valid(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -150,7 +165,7 @@ class TestExactAccounting:
             engine = ReferenceEventEngine()
         tracer = CollectingTracer()
         with use_tracer(tracer):
-            dist, result = run_bellman_ford(graph, min(graph.nodes()), engine=engine)
+            dist, result = _bellman_ford(graph, engine=engine)
         summary = summarize_trace(tracer.events)
         assert summary["sent_bits"] == result.total_bits
         assert summary["sent_messages"] == result.total_messages
@@ -166,7 +181,7 @@ class TestExactAccounting:
         for name in ("dense", "event"):
             tracer = CollectingTracer()
             with use_tracer(tracer):
-                run_bellman_ford(graph, min(graph.nodes()), engine=name)
+                _bellman_ford(graph, engine=name)
             summary = summarize_trace(tracer.events)
             totals[name] = (
                 summary["sent_bits"],
@@ -280,10 +295,7 @@ class TestOldTraces:
         old = tmp_path / "old" / "t.jsonl"
         current.parent.mkdir()
         old.parent.mkdir()
-        graph = _graph()
-        with TraceWriter(current, source="test") as tracer:
-            with use_tracer(tracer):
-                run_bellman_ford(graph, min(graph.nodes()), engine="event")
+        _write_trace(current)
         meta, *rest = current.read_text().splitlines()
         spans = [
             json.dumps({"kind": "span", "ts": 0.5, "name": "step", "dur_s": 0.25, "i": i})
@@ -321,11 +333,7 @@ class TestOldTraces:
 
 class TestReportPages:
     def test_timeline_page_from_loaded_traces(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        graph = _graph()
-        with TraceWriter(path, source="test") as tracer:
-            with use_tracer(tracer):
-                run_bellman_ford(graph, min(graph.nodes()), engine="event")
+        _write_trace(tmp_path / "t.jsonl")
         traces = load_traces([tmp_path])
         html = render_timeline_page(traces)
         assert "<svg" in html

@@ -14,12 +14,10 @@ from hypothesis import strategies as st
 from repro.comm.problems import hamming_distance
 from repro.core.fooling import binary_entropy, greedy_gv_code, code_min_distance
 from repro.core.gadgets import (
-    gadget_permutation,
     gap_eq_mismatch_count,
     gap_eq_to_ham,
     ipmod3_to_ham,
     ipmod3_value,
-    strand_permutation,
 )
 from repro.core.gamma2 import gamma2_lower, gamma2_upper
 from repro.quantum.state import QuantumState
@@ -49,18 +47,6 @@ class TestGadgetProperties:
         union = ipmod3_to_ham(x, y).union_graph()
         assert all(d == 2 for _, d in union.degree())
         assert union.number_of_nodes() == 12 * len(x)
-
-    @given(pair_bits)
-    @settings(max_examples=60, deadline=None)
-    def test_strand_permutation_is_shift(self, xy):
-        x, y = xy
-        total = sum(a * b for a, b in zip(x, y)) % 3
-        assert strand_permutation(x, y) == tuple((j + total) % 3 for j in range(3))
-
-    @given(st.integers(0, 1), st.integers(0, 1))
-    def test_gadget_permutation_is_permutation(self, xi, yi):
-        perm = gadget_permutation(xi, yi)
-        assert sorted(perm) == [0, 1, 2]
 
     @given(pair_bits.filter(lambda xy: len(xy[0]) >= 2))
     @settings(max_examples=60, deadline=None)
@@ -217,18 +203,3 @@ class TestFaultDeterminismProperties:
         grid = [(r, 0, 1, i) for r in range(1, 11) for i in range(10)]
         assert [plan.drop(*g) for g in grid] != [other.drop(*g) for g in grid]
 
-
-class TestDeltaFarProperties:
-    @given(st.integers(0, 200), st.integers(2, 4))
-    @settings(max_examples=20, deadline=None)
-    def test_components_closed_form(self, seed, parts):
-        from repro.graphs.distance import delta_far_from_connected
-        from repro.graphs.generators import random_connected_graph
-
-        graph = random_connected_graph(4 * parts, seed=seed)
-        # Take a spanning forest with `parts` components.
-        tree = list(nx.minimum_spanning_tree(graph).edges())
-        removed = tree[: parts - 1]
-        forest = [e for e in tree if e not in removed]
-        distance = delta_far_from_connected(graph, forest)
-        assert distance == parts - 1

@@ -45,7 +45,6 @@ def _random_workload(seed, rounds=40, nodes=6, bandwidth=16):
             payload = ("p", round_no, sender, receiver, bits)
             ref.enqueue(sender, receiver, payload, bits, round_no)
             link.enqueue(sender, receiver, payload, bits, round_no)
-        assert link.has_outgoing() == ref.has_outgoing()
         ref.flush()
         link.flush()
         yield round_no, ref, link
@@ -492,7 +491,6 @@ def _step(transport, op, index, round_no):
 
 def _observe(transport):
     return (
-        transport.has_outgoing(),
         transport.rounds_until_delivery(),
         transport.pending_traffic(),
         transport.total_messages,
