@@ -76,6 +76,37 @@ class TestShortestPaths:
         assert nx.is_connected(tree)
         assert tree.number_of_edges() == 11
 
+    @pytest.mark.parametrize(
+        "graph, source",
+        [
+            pytest.param(nx.cycle_graph(15), 7, id="cycle"),
+            pytest.param(nx.convert_node_labels_to_integers(nx.grid_2d_graph(5, 5)), 12, id="grid"),
+            pytest.param(nx.star_graph(12), 5, id="star-leaf"),
+            pytest.param(dumbbell_graph(4, 6), ("L", 0), id="dumbbell"),
+        ],
+    )
+    def test_hop_distances_and_parents_on_each_family(self, graph, source):
+        distances, result = run_refreshing_bellman_ford(
+            graph, source, weighted=False, max_rounds=HORIZON
+        )
+        expected = nx.single_source_shortest_path_length(graph, source)
+        assert {k: int(v) for k, v in distances.items()} == dict(expected)
+        for node, (_dist, parent, _changed) in result.outputs.items():
+            if node == source:
+                assert parent is None
+            else:  # each parent is a neighbour one hop closer to the source
+                assert graph.has_edge(node, parent)
+                assert expected[parent] == expected[node] - 1
+
+    @pytest.mark.parametrize("refresh_every", [1, 4, 9])
+    def test_weighted_distances_for_each_refresh_period(self, refresh_every):
+        graph = weighted(random_connected_graph(18, seed=4), seed=8)
+        distances, _ = run_refreshing_bellman_ford(
+            graph, 3, max_rounds=HORIZON, refresh_every=refresh_every
+        )
+        expected = nx.single_source_dijkstra_path_length(graph, 3)
+        assert distances == pytest.approx(dict(expected))
+
 
 class TestVerificationSuite:
     def setup_method(self):

@@ -1,5 +1,7 @@
 """Tests for the two-party communication substrate."""
 
+import itertools
+
 import pytest
 
 np = pytest.importorskip("numpy")  # whole module is linear-algebra-bound
@@ -26,13 +28,15 @@ class TestProblems:
         assert np.allclose(np.diag(matrix), -1.0)  # equal -> f=1 -> (-1)^1
         assert matrix[0, 1] == 1.0
 
-    def test_inner_product_matrix_is_hadamard(self):
-        ip = inner_product_mod2(3)
-        assert ip.evaluate((1, 1, 0), (1, 1, 1)) == 0
-        assert ip.evaluate((1, 0, 0), (1, 1, 1)) == 1
-        inputs = all_inputs(3)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_inner_product_matrix_is_hadamard(self, n):
+        ip = inner_product_mod2(n)
+        ones = (1,) * n
+        assert ip.evaluate(ones, ones) == n % 2
+        assert ip.evaluate((1,) + (0,) * (n - 1), ones) == 1
+        inputs = all_inputs(n)
         matrix = ip.matrix(inputs, inputs)
-        assert np.allclose(matrix @ matrix.T, 8 * np.eye(8))
+        assert np.allclose(matrix @ matrix.T, 2**n * np.eye(2**n))
 
     def test_gap_equality_promise(self):
         gap = GapEquality(8, 2)
@@ -41,21 +45,41 @@ class TestProblems:
         assert not gap.in_promise(x, (1, 1) + (0,) * 6)  # distance 2 violates it
         assert gap.in_promise(x, (1, 1, 1) + (0,) * 5)
 
-    def test_promise_inputs_structure(self):
-        xs, ys = ipmod3_promise_inputs(8)
-        assert len(xs) == 16 and len(ys) == 16
+    @pytest.mark.parametrize("delta", [0, 1, 2, 3])
+    def test_gap_equality_promise_exhaustively(self, delta):
+        gap = GapEquality(4, delta)
+        for x, y in itertools.product(all_inputs(4), repeat=2):
+            distance = sum(a != b for a, b in zip(x, y))
+            assert gap.in_promise(x, y) == (distance == 0 or distance > delta), (x, y)
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_promise_inputs_structure(self, n):
+        xs, ys = ipmod3_promise_inputs(n)
+        assert len(set(xs)) == len(xs) == 4 ** (n // 4)
+        assert len(set(ys)) == len(ys) == 4 ** (n // 4)
+        blocks = range(0, n, 4)
+        assert all(sum(x[i : i + 4]) == 2 for x in xs for i in blocks)
+        assert all(sum(y[i : i + 4]) == 1 for y in ys for i in blocks)
         # On the promise, each block contributes 0 or 1 to the inner product.
         for x in xs:
             for y in ys:
-                for i in (0, 4):
+                for i in blocks:
                     assert sum(a * b for a, b in zip(x[i : i + 4], y[i : i + 4])) <= 1
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_promise_inputs_need_whole_blocks(self, n):
+        with pytest.raises(ValueError):
+            ipmod3_promise_inputs(n)
 
 
 class TestLowerBounds:
-    def test_equality_fooling_set(self):
-        eq = _equality(4)
-        pairs = [(x, x) for x in all_inputs(4)]
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equality_fooling_set(self, n):
+        eq = _equality(n)
+        pairs = [(x, x) for x in all_inputs(n)]
         assert is_fooling_set(eq.evaluate, pairs)
+        # A pair that evaluates to 0 spoils the set.
+        assert not is_fooling_set(eq.evaluate, pairs + [(pairs[0][0], pairs[-1][1])])
 
     def test_non_fooling_set_rejected(self):
         def disjoint(x, y):

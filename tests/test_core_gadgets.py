@@ -1,6 +1,7 @@
 """Tests for the Section 7 gadget reductions (Theorem 3.4's engine)."""
 
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -17,7 +18,8 @@ from repro.core.gadgets import (
     ipmod3_value,
     mst_weight_threshold,
 )
-from repro.experiments.scenarios import section9_verdicts
+from repro.experiments.scenarios import _spanning_forest, section9_verdicts
+from repro.graphs.generators import matching_pair_for_cycles
 from repro.graphs.properties import is_spanning_tree
 
 
@@ -218,3 +220,29 @@ class TestSection9Reductions:
                 instance = ipmod3_to_ham(x, y)
                 hamiltonian = instance.is_hamiltonian()
                 assert section9_verdicts(instance) == (hamiltonian, hamiltonian), (x, y)
+
+    @pytest.mark.parametrize("n_cycles", [1, 2, 3, 4])
+    def test_verdicts_accept_exactly_one_cycle(self, n_cycles):
+        # A gap-Ham input: two perfect matchings whose union is n_cycles cycles.
+        carol, david = matching_pair_for_cycles(32, n_cycles, seed=n_cycles)
+        instance = HamInstance(32, carol, david)
+        assert instance.cycle_count() == n_cycles
+        assert section9_verdicts(instance) == (n_cycles == 1, n_cycles == 1)
+
+
+class TestSpanningForest:
+    """The union-find Kruskal behind the MST-gap verdict, against networkx."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_networkx_minimum_spanning_forest(self, seed):
+        # Sparse enough to be disconnected (2 to 4 components on these
+        # seeds); few distinct weights, so ties are common.
+        rng = random.Random(seed)
+        graph = nx.gnp_random_graph(30, 0.08, seed=seed)
+        for u, v in graph.edges():
+            graph.edges[u, v]["weight"] = rng.choice([1.0, 2.0, 3.0, 5.5])
+        weight, count = _spanning_forest(sorted((w, u, v) for u, v, w in graph.edges(data="weight")))
+        forest = nx.minimum_spanning_tree(graph)
+        assert weight == pytest.approx(forest.size(weight="weight"))
+        assert count == forest.number_of_edges()
+        assert count == graph.number_of_nodes() - nx.number_connected_components(graph)

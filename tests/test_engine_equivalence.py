@@ -187,6 +187,26 @@ class TestHorizonEquivalence:
         assert other.rounds == 300
         assert not other.halted
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_silent_program_idles_to_max_rounds(self, engine):
+        # No node ever sends, halts or hints: every engine runs the clock out
+        # to max_rounds without traffic, exactly like the dense reference.
+        class Silent(NodeProgram):
+            def on_round(self, node, round_no, inbox):
+                pass
+
+        graph = nx.path_graph(4)
+        ref = CongestNetwork(graph, Silent, bandwidth=8, engine=ReferenceDenseEngine()).run(
+            max_rounds=500
+        )
+        other = CongestNetwork(graph, Silent, bandwidth=8, engine=make_engine(engine)).run(
+            max_rounds=500
+        )
+        assert_results_match(ref, other)
+        assert other.rounds == 500
+        assert not other.halted
+        assert other.total_messages == 0
+
 
 class TestFrameworkEquivalence:
     @pytest.mark.parametrize("engine", ENGINES)

@@ -754,6 +754,27 @@ class TestRecoveryCorrectness:
         assert record.result["restarted"] is True
         assert record.result["correct_after_recovery"] is False
 
+    def test_a_restart_that_repairs_the_tree_keeps_the_flag_true(self, monkeypatch, tmp_path):
+        from repro.experiments import scenarios
+
+        real = scenarios.run_boruvka_mst
+        calls = []
+
+        def one_edge_short_under_faults(graph, **kwargs):
+            edges, result = real(graph, **kwargs)
+            calls.append(kwargs)
+            if len(calls) == 2:  # the faulted attempt only
+                edges = set(sorted(edges, key=repr)[1:])
+            return edges, result
+
+        monkeypatch.setattr(scenarios, "run_boruvka_mst", one_edge_short_under_faults)
+        record = self._stored_record("mst-under-faults", {"drop_prob": 0.05}, tmp_path)
+        assert len(calls) == 3
+        assert record.status == "ok"
+        assert record.result["correct_first_try"] is False
+        assert record.result["restarted"] is True
+        assert record.result["correct_after_recovery"] is True
+
     def test_wrong_rebuilt_spanner_is_a_false_flag_in_an_ok_record(self, monkeypatch, tmp_path):
         from repro.experiments import scenarios
 
@@ -773,6 +794,26 @@ class TestRecoveryCorrectness:
         assert record.status == "ok"
         assert record.result["rebuilt"] is True
         assert record.result["correct_after_recovery"] is False
+
+    def test_a_rebuild_that_repairs_the_spanner_keeps_the_flag_true(self, monkeypatch, tmp_path):
+        from repro.experiments import scenarios
+
+        real = scenarios.run_linear_size_spanner
+        calls = []
+
+        def one_edge_short_under_churn(graph, k, **kwargs):
+            summary, result = real(graph, k, **kwargs)
+            calls.append(kwargs)
+            if len(calls) == 2 and summary is not None:  # the churned run only
+                summary = {**summary, "edges": summary["edges"][1:]}
+            return summary, result
+
+        monkeypatch.setattr(scenarios, "run_linear_size_spanner", one_edge_short_under_churn)
+        record = self._stored_record("spanner-churn", {"churn_events": 1}, tmp_path)
+        assert len(calls) == 3
+        assert record.status == "ok"
+        assert record.result["rebuilt"] is True
+        assert record.result["correct_after_recovery"] is True
 
 
 class TestNetworkFaultApi:

@@ -41,3 +41,20 @@ class TestGenerators:
     def test_matching_pair_rejects_odd(self):
         with pytest.raises(ValueError):
             gen.matching_pair_for_cycles(10, 3)
+
+    @pytest.mark.parametrize("n_cycles", [1, 2, 3])
+    def test_matching_pair_sides_are_perfect_matchings(self, n_cycles):
+        carol, david = gen.matching_pair_for_cycles(20, n_cycles, seed=n_cycles)
+        for side in (carol, david):
+            assert len(side) == 10
+            assert sorted(v for edge in side for v in edge) == list(range(20))
+        assert not {frozenset(e) for e in carol} & {frozenset(e) for e in david}
+
+    @pytest.mark.parametrize("n, n_cycles", [(8, 3), (5, 0)])
+    def test_cycle_cover_rejects_impossible_counts(self, n, n_cycles):
+        with pytest.raises(ValueError):
+            gen.disjoint_cycle_cover(n, n_cycles)
+
+    def test_weighted_rejects_aspect_ratio_below_one(self):
+        with pytest.raises(ValueError):
+            gen.random_weighted_graph(10, aspect_ratio=0.5)

@@ -14,11 +14,15 @@
 """
 
 import ast
+import cProfile
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -143,15 +147,15 @@ def _fresh_interpreter(code: str) -> dict:
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def package_functions() -> dict[tuple[str, int], str]:
-    """Every function of the package, keyed by (file, first line), valued by
+def package_functions(package: Path = PACKAGE, name: str = "repro") -> dict[tuple[str, int], str]:
+    """Every function of ``package``, keyed by (file, first line), valued by
     its qualified name, read from the source without importing it."""
     functions = {}
-    for path in sorted(PACKAGE.rglob("*.py")):
-        parts = path.relative_to(PACKAGE).with_suffix("").parts
+    for path in sorted(package.rglob("*.py")):
+        parts = path.relative_to(package).with_suffix("").parts
         if parts[-1] == "__init__":
             parts = parts[:-1]
-        module = ".".join(("repro", *parts))
+        module = ".".join((name, *parts))
 
         def visit(node: ast.AST, prefix: str) -> None:
             for child in ast.iter_child_nodes(node):
@@ -174,20 +178,28 @@ def _allowed_by(entry: str, name: str) -> bool:
     return name == entry or name.startswith(entry + ".")
 
 
-def test_every_function_runs_in_a_scenario_point():
-    audit = _fresh_interpreter(_RUN_THE_POINT_SET)
-    assert not audit["failed"], f"audit CLI calls failed: {audit['failed']}"
-    ran = {(str(Path(path).resolve()), line) for path, line in audit["ran"]}
-    functions = package_functions()
+def audit(
+    functions: dict[tuple[str, int], str], ran: set[tuple[str, int]], allowlist: dict[str, str]
+) -> tuple[list[str], list[str]]:
+    """The allowlist entries that name no function, and the functions that
+    never ran and no entry keeps."""
     stale = sorted(
-        entry for entry in ALLOWLIST if not any(_allowed_by(entry, n) for n in functions.values())
+        entry for entry in allowlist if not any(_allowed_by(entry, n) for n in functions.values())
     )
-    assert not stale, f"allowlist entries that name no function: {stale}"
     never_ran = sorted(
         name
         for key, name in functions.items()
-        if key not in ran and not any(_allowed_by(entry, name) for entry in ALLOWLIST)
+        if key not in ran and not any(_allowed_by(entry, name) for entry in allowlist)
     )
+    return stale, never_ran
+
+
+def test_every_function_runs_in_a_scenario_point():
+    points = _fresh_interpreter(_RUN_THE_POINT_SET)
+    assert not points["failed"], f"audit CLI calls failed: {points['failed']}"
+    ran = {(str(Path(path).resolve()), line) for path, line in points["ran"]}
+    stale, never_ran = audit(package_functions(), ran, ALLOWLIST)
+    assert not stale, f"allowlist entries that name no function: {stale}"
     assert not never_ran, (
         f"{len(never_ran)} function(s) run in no scenario point: run them from a "
         f"scenario, delete them, or allowlist them with a reason: {never_ran}"
@@ -198,3 +210,127 @@ def test_registering_scenarios_loads_no_scipy():
     setup = _fresh_interpreter(_EXPAND_EVERY_GRID)
     assert setup["points"] > 0
     assert not setup["scipy"], "a scenario module imports scipy at registration"
+
+
+# -- the audit's own machinery, on a toy package ------------------------------
+
+_TOY_MODULE = """\
+import functools
+
+
+def called():
+    def inner():
+        return 1
+
+    return inner()
+
+
+def never_called():
+    def never_inner():
+        return 0
+
+    return never_inner()
+
+
+@functools.lru_cache(maxsize=None)
+def decorated(x):
+    return x
+
+
+class Box:
+    @staticmethod
+    def make():
+        return Box()
+
+    @property
+    def size(self):
+        return 3
+
+    def unused(self):
+        return None
+"""
+
+_TOY_RAN = {
+    "toy.mod:called",
+    "toy.mod:called.<locals>.inner",
+    "toy.mod:decorated",
+    "toy.mod:Box.make",
+    "toy.mod:Box.size",
+}
+_TOY_NEVER_RAN = [
+    "toy.mod:Box.unused",
+    "toy.mod:never_called",
+    "toy.mod:never_called.<locals>.never_inner",
+    "toy:setup",
+]
+#: Keeps every toy function that never runs: one method, one function with
+#: its nested function, and one whole module.
+_TOY_KEEP = {
+    "toy.mod:Box.unused": "kept method",
+    "toy.mod:never_called": "kept function",
+    "toy": "kept module",
+}
+
+
+@pytest.fixture(scope="module")
+def toy(tmp_path_factory):
+    """The inventory of a package ``toy`` (an ``__init__`` and ``mod``) and
+    the keys ``cProfile`` records while five of its functions run."""
+    package = tmp_path_factory.mktemp("audit").resolve() / "toy"
+    package.mkdir()
+    (package / "__init__.py").write_text('def setup():\n    return "toy"\n')
+    (package / "mod.py").write_text(_TOY_MODULE)
+    spec = importlib.util.spec_from_file_location("toy_mod", package / "mod.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    profile = cProfile.Profile()
+    profile.enable()
+    mod.called()
+    mod.decorated(2)
+    mod.Box.make().size
+    profile.disable()
+    ran = {
+        (str(Path(s.code.co_filename).resolve()), s.code.co_firstlineno)
+        for s in profile.getstats()
+        if not isinstance(s.code, str)
+    }
+    return package_functions(package, "toy"), ran
+
+
+class TestAuditMachinery:
+    def test_inventory_names_nested_functions_methods_and_package_inits(self, toy):
+        functions, _ = toy
+        assert sorted(functions.values()) == sorted(_TOY_RAN | set(_TOY_NEVER_RAN))
+
+    def test_profiler_keys_match_the_inventory_decorators_included(self, toy):
+        functions, ran = toy
+        assert {name for key, name in functions.items() if key in ran} == _TOY_RAN
+
+    def test_an_uncalled_function_fails_the_audit(self, toy):
+        assert audit(*toy, {}) == ([], _TOY_NEVER_RAN)
+
+    def test_the_allowlist_keeps_what_it_names(self, toy):
+        assert audit(*toy, _TOY_KEEP) == ([], [])
+
+    @pytest.mark.parametrize("entry", sorted(_TOY_KEEP))
+    def test_dropping_an_entry_names_what_it_kept(self, toy, entry):
+        kept = {k: v for k, v in _TOY_KEEP.items() if k != entry}
+        assert audit(*toy, kept) == (
+            [],
+            [name for name in _TOY_NEVER_RAN if _allowed_by(entry, name)],
+        )
+
+    @pytest.mark.parametrize(
+        "entry", ["toy.mod:gone", "toy.mod:Box.gone", "toy.gone", "toy.mod:call"]
+    )
+    def test_an_entry_that_names_no_function_fails_the_audit(self, toy, entry):
+        # ``toy.mod:call`` is a prefix of ``called`` but names no function.
+        assert audit(*toy, {**_TOY_KEEP, entry: "stale"}) == ([entry], [])
+
+    def test_an_allowlisted_function_that_runs_passes(self, toy):
+        assert audit(*toy, {**_TOY_KEEP, "toy.mod:called": "also runs"}) == ([], [])
+
+    def test_a_module_entry_covers_that_module_alone(self, toy):
+        stale, never_ran = audit(*toy, {"toy": "kept module"})
+        assert stale == []
+        assert never_ran == [name for name in _TOY_NEVER_RAN if name != "toy:setup"]
