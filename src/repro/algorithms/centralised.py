@@ -32,8 +32,6 @@ def run_centralised(
     graph: nx.Graph,
     solver: Solver,
     bandwidth: int = 128,
-    diameter_bound: int | None = None,
-    seed: int | None = 0,
     engine: str = "event",
     max_rounds: int = 500_000,
     faults: FaultPlan | None = None,
@@ -54,7 +52,7 @@ def run_centralised(
     recovery scenarios can detect the failure and restart.  Edge-capacity
     slack for the upcast covers the plan's scheduled edge insertions.
     """
-    d = diameter_bound if diameter_bound is not None else nx.diameter(graph)
+    d = nx.diameter(graph)
     m_count = graph.number_of_edges()
     if faults is not None:
         m_count += sum(1 for ev in faults.topology_events if ev.action == "insert")
@@ -97,7 +95,6 @@ def run_centralised(
         graph,
         factory,
         bandwidth=bandwidth,
-        seed=seed,
         inputs=inputs,
         engine=engine,
         faults=faults,

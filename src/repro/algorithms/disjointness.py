@@ -177,7 +177,6 @@ def run_classical_disjointness(
     x: Sequence[int],
     y: Sequence[int],
     bandwidth: int = 32,
-    seed: int | None = 0,
 ) -> tuple[int, RunResult]:
     """Classical baseline; returns (verdict, metrics)."""
     tables = _routing_tables(graph, u, v)
@@ -190,9 +189,7 @@ def run_classical_disjointness(
         if node == v:
             entry["bits"] = tuple(y)
         inputs[node] = entry
-    network = CongestNetwork(
-        graph, ClassicalDisjointnessProgram, bandwidth=bandwidth, seed=seed, inputs=inputs
-    )
+    network = CongestNetwork(graph, ClassicalDisjointnessProgram, bandwidth=bandwidth, inputs=inputs)
     result = network.run(max_rounds=500_000)
     return int(result.unanimous_output()), result
 
@@ -206,7 +203,11 @@ def run_quantum_disjointness(
     bandwidth: int = 32,
     seed: int | None = 0,
 ) -> tuple[int, RunResult, int]:
-    """Grover-based protocol; returns (verdict, metrics, n_queries)."""
+    """Grover-based protocol; returns (verdict, metrics, n_queries).
+
+    ``seed`` seeds Grover's measurements, which the runner draws; the node
+    programs are deterministic.
+    """
     b = len(x)
     rng = random.Random(seed)
 
@@ -227,8 +228,6 @@ def run_quantum_disjointness(
             entry["n_queries"] = n_queries
             entry["local_verdict"] = verdict
         inputs[node] = entry
-    network = CongestNetwork(
-        graph, QuantumDisjointnessProgram, bandwidth=bandwidth, seed=seed, inputs=inputs
-    )
+    network = CongestNetwork(graph, QuantumDisjointnessProgram, bandwidth=bandwidth, inputs=inputs)
     result = network.run(max_rounds=500_000)
     return int(result.unanimous_output()), result, n_queries

@@ -37,14 +37,14 @@ from repro.congest.network import CongestNetwork, RunResult
 from repro.congest.node import Node, NodeProgram
 
 
-def quantise_weights(graph: nx.Graph, alpha: float, weight: str = "weight") -> tuple[dict[frozenset, int], int]:
+def quantise_weights(graph: nx.Graph, alpha: float) -> tuple[dict[frozenset, int], int]:
     """Map weights to classes ``1..C``; returns (class map, C)."""
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
-    weights = [data[weight] for _, _, data in graph.edges(data=True)]
+    weights = [data["weight"] for _, _, data in graph.edges(data=True)]
     w_min = min(weights)
     classes = {
-        frozenset((u, v)): max(1, math.ceil(data[weight] / (alpha * w_min)))
+        frozenset((u, v)): max(1, math.ceil(data["weight"] / (alpha * w_min)))
         for u, v, data in graph.edges(data=True)
     }
     return classes, max(classes.values())
@@ -114,9 +114,6 @@ def run_elkin_approx_mst(
     graph: nx.Graph,
     alpha: float,
     bandwidth: int = 64,
-    weight: str = "weight",
-    seed: int | None = 0,
-    max_rounds: int = 200_000,
     engine: str = "event",
 ) -> tuple[float, RunResult]:
     """Run the staged flood; returns (approximate MST weight, metrics).
@@ -125,8 +122,8 @@ def run_elkin_approx_mst(
     de-quantised -- guaranteed within a factor ``(1 + alpha)`` of the true
     MST weight.
     """
-    classes, n_classes = quantise_weights(graph, alpha, weight=weight)
-    weights = [data[weight] for _, _, data in graph.edges(data=True)]
+    classes, n_classes = quantise_weights(graph, alpha)
+    weights = [data["weight"] for _, _, data in graph.edges(data=True)]
     w_min = min(weights)
     n = graph.number_of_nodes()
     inputs = {
@@ -141,9 +138,9 @@ def run_elkin_approx_mst(
         for node in graph.nodes()
     }
     network = CongestNetwork(
-        graph, StagedLabelFloodProgram, bandwidth=bandwidth, seed=seed, inputs=inputs, engine=engine
+        graph, StagedLabelFloodProgram, bandwidth=bandwidth, inputs=inputs, engine=engine
     )
-    result = network.run(max_rounds=max_rounds)
+    result = network.run(max_rounds=200_000)
 
     quantised = nx.Graph()
     quantised.add_nodes_from(graph.nodes())

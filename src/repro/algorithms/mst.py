@@ -692,14 +692,13 @@ def collect_tree_edges(outputs: dict[Hashable, Any]) -> set[frozenset]:
     return edges
 
 
-def tree_weight(graph: nx.Graph, edges: set[frozenset], weight: str = "weight") -> float:
-    return sum(graph.edges[tuple(e)][weight] for e in edges)
+def tree_weight(graph: nx.Graph, edges: set[frozenset]) -> float:
+    return sum(graph.edges[tuple(e)]["weight"] for e in edges)
 
 
 def run_boruvka_mst(
     graph: nx.Graph,
     bandwidth: int = 64,
-    seed: int | None = 0,
     max_rounds: int = 500_000,
     engine: str = "event",
     faults: "FaultPlan | None" = None,
@@ -716,7 +715,6 @@ def run_boruvka_mst(
         graph,
         BoruvkaMSTProgram,
         bandwidth=bandwidth,
-        seed=seed,
         engine=engine,
         faults=faults,
     )
@@ -727,14 +725,11 @@ def run_boruvka_mst(
 def run_gkp_mst(
     graph: nx.Graph,
     bandwidth: int = 64,
-    diameter_bound: int | None = None,
     cap: int | None = None,
-    seed: int | None = 0,
-    max_rounds: int = 500_000,
     engine: str = "event",
 ) -> tuple[set[frozenset], RunResult]:
     """Run the GKP-style MST; returns (tree edges, run metrics)."""
-    d = diameter_bound if diameter_bound is not None else nx.diameter(graph)
+    d = nx.diameter(graph)
     n = graph.number_of_nodes()
     frag_cap = cap if cap is not None else max(2, math.ceil(math.sqrt(n)))
     # Phase A leaves ~ n / cap fragments and Phase B at least halves the
@@ -745,9 +740,8 @@ def run_gkp_mst(
         graph,
         lambda: GKPMSTProgram(cap=cap, phase_b_iterations=iterations),
         bandwidth=bandwidth,
-        seed=seed,
         inputs=inputs,
         engine=engine,
     )
-    result = network.run(max_rounds=max_rounds)
+    result = network.run(max_rounds=500_000)
     return collect_tree_edges(result.outputs), result

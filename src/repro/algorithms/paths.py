@@ -91,7 +91,6 @@ def run_refreshing_bellman_ford(
     source: Hashable,
     bandwidth: int = 128,
     weighted: bool = True,
-    seed: int | None = 0,
     max_rounds: int = 512,
     refresh_every: int = 4,
     engine: str = "event",
@@ -110,7 +109,6 @@ def run_refreshing_bellman_ford(
         graph,
         lambda: RefreshingBellmanFordProgram(weighted=weighted, refresh_every=refresh_every),
         bandwidth=bandwidth,
-        seed=seed,
         inputs=inputs,
         engine=engine,
         faults=faults,

@@ -50,7 +50,7 @@ def _distances(adj: dict, source: Hashable) -> dict:
     return dist
 
 
-def greedy_spanner(graph: nx.Graph, stretch_k: int, weight: str = "weight") -> nx.Graph:
+def greedy_spanner(graph: nx.Graph, stretch_k: int) -> nx.Graph:
     """The greedy ``(2k-1)``-spanner [ADDJS93]: scan edges by increasing
     weight, keep an edge iff the spanner built so far cannot already route
     it within stretch ``2k-1``.
@@ -70,19 +70,19 @@ def greedy_spanner(graph: nx.Graph, stretch_k: int, weight: str = "weight") -> n
     spanner.add_nodes_from(graph.nodes())
     adj: dict = {node: {} for node in graph.nodes()}
     rows: dict = {}
-    for u, v, data in sorted(graph.edges(data=True), key=lambda e: (e[2][weight], repr(e[:2]))):
-        w = data[weight]
+    for u, v, data in sorted(graph.edges(data=True), key=lambda e: (e[2]["weight"], repr(e[:2]))):
+        w = data["weight"]
         row = rows.get(u)
         if row is not None and row.get(v, math.inf) <= t * w:
             continue
         row = rows[u] = _distances(adj, u)
         if row.get(v, math.inf) > t * w:
-            spanner.add_edge(u, v, **{weight: w})
+            spanner.add_edge(u, v, weight=w)
             adj[u][v] = adj[v][u] = w
     return spanner
 
 
-def spanner_max_stretch(graph: nx.Graph, spanner: nx.Graph, weight: str = "weight") -> float:
+def spanner_max_stretch(graph: nx.Graph, spanner: nx.Graph) -> float:
     """Worst stretch over the *edges* of ``graph`` (which bounds the
     stretch over all pairs, since shortest paths concatenate edges).
 
@@ -91,7 +91,7 @@ def spanner_max_stretch(graph: nx.Graph, spanner: nx.Graph, weight: str = "weigh
     spanner does not connect an edge's endpoints.
     """
     adj = {
-        node: {nbr: d.get(weight, 1) for nbr, d in nbrs.items()}
+        node: {nbr: d.get("weight", 1) for nbr, d in nbrs.items()}
         for node, nbrs in spanner.adj.items()
     }
     worst = 1.0
@@ -103,7 +103,7 @@ def spanner_max_stretch(graph: nx.Graph, spanner: nx.Graph, weight: str = "weigh
             source, row = u, _distances(adj, u)
         if v not in row:
             raise nx.NetworkXNoPath(f"Node {v} not reachable from {u}")
-        worst = max(worst, row[v] / data[weight])
+        worst = max(worst, row[v] / data["weight"])
     return worst
 
 

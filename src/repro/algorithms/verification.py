@@ -292,13 +292,12 @@ VERIFIERS: dict[str, tuple[str, Verdict]] = {
 def build_inputs(
     graph: nx.Graph,
     m_edges: list[tuple[Hashable, Hashable]],
-    diameter_bound: int | None = None,
     s: Hashable | None = None,
     t: Hashable | None = None,
     special_edge: tuple[Hashable, Hashable] | None = None,
 ) -> dict[Hashable, dict]:
     """Per-node inputs: incident marks, diameter bound, role flags."""
-    d = diameter_bound if diameter_bound is not None else nx.diameter(graph)
+    d = nx.diameter(graph)
     m = nx.Graph()
     m.add_nodes_from(graph.nodes())
     m.add_edges_from(m_edges)
@@ -320,7 +319,6 @@ def run_verification(
     graph: nx.Graph,
     m_edges: list[tuple[Hashable, Hashable]],
     bandwidth: int = 64,
-    seed: int | None = 0,
     engine: str = "event",
     **input_kwargs: Any,
 ) -> tuple[bool, RunResult]:
@@ -339,7 +337,6 @@ def run_verification(
         graph,
         verification_program_factory(edge_mode, verdict),
         bandwidth=bandwidth,
-        seed=seed,
         inputs=inputs,
         engine=engine,
     )
@@ -357,9 +354,6 @@ def run_gkp_components(
     graph: nx.Graph,
     m_edges: list[tuple[Hashable, Hashable]],
     bandwidth: int = 64,
-    diameter_bound: int | None = None,
-    seed: int | None = 0,
-    engine: str = "event",
 ) -> tuple[int, RunResult]:
     """Component count of ``M`` via the Kutten-Peleg machinery.
 
@@ -367,7 +361,7 @@ def run_gkp_components(
     fragment growth restricted to ``M``-edges; the number of distinct final
     labels equals the number of components of ``M``.
     """
-    d = diameter_bound if diameter_bound is not None else nx.diameter(graph)
+    d = nx.diameter(graph)
     n = graph.number_of_nodes()
     m = nx.Graph()
     m.add_nodes_from(graph.nodes())
@@ -384,9 +378,7 @@ def run_gkp_components(
         graph,
         lambda: GKPMSTProgram(phase_b_iterations=iterations),
         bandwidth=bandwidth,
-        seed=seed,
         inputs=inputs,
-        engine=engine,
     )
     result = network.run(max_rounds=500_000)
     labels = {repr(out["label"]) for out in result.outputs.values()}

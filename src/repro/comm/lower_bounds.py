@@ -10,18 +10,16 @@ import itertools
 from typing import Any, Callable, Sequence
 
 
-def is_fooling_set(
-    evaluate: Callable[[Any, Any], int], pairs: Sequence[tuple[Any, Any]], value: int = 1
-) -> bool:
+def is_fooling_set(evaluate: Callable[[Any, Any], int], pairs: Sequence[tuple[Any, Any]]) -> bool:
     """Check the 1-fooling-set property of Section 6.
 
-    Every pair evaluates to ``value``; for distinct pairs ``(x, y)`` and
+    Every pair evaluates to 1; for distinct pairs ``(x, y)`` and
     ``(x', y')`` at least one cross input evaluates differently.
     """
     for x, y in pairs:
-        if evaluate(x, y) != value:
+        if evaluate(x, y) != 1:
             return False
     for (x, y), (x2, y2) in itertools.combinations(pairs, 2):
-        if evaluate(x, y2) == value and evaluate(x2, y) == value:
+        if evaluate(x, y2) == 1 and evaluate(x2, y) == 1:
             return False
     return True

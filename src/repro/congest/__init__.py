@@ -9,7 +9,7 @@ of rounds, messages and bits.
 - :mod:`repro.congest.node`      -- node handles and the program interface
   (including the idleness hints the event engine exploits).
 - :mod:`repro.congest.transport` -- ``LinkTransport``: staging columns,
-  chunking, strict-mode checks, bit metrics, and a completion-clock heap
+  chunking, bit metrics, and a completion-clock heap
   that touches only the links whose message completes.
 - :mod:`repro.congest.columnar`  -- ``ColumnarTransport``, a former name
   of ``LinkTransport`` kept for the benchmark's instrumentation.
@@ -41,7 +41,7 @@ from repro.congest.faults import (
     TopologyEvent,
 )
 from repro.congest.message import QubitPayload, Received, bit_size
-from repro.congest.network import BandwidthExceeded, CongestNetwork, RunResult
+from repro.congest.network import CongestNetwork, RunResult
 from repro.congest.node import Node, NodeProgram
 from repro.congest.topology import (
     dumbbell_graph,
@@ -53,7 +53,6 @@ from repro.congest.transport import LinkTransport
 __all__ = [
     "CongestNetwork",
     "RunResult",
-    "BandwidthExceeded",
     "Engine",
     "DenseEngine",
     "EventEngine",

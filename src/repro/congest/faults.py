@@ -51,7 +51,6 @@ from typing import Any, Hashable, Iterable, NamedTuple
 
 import networkx as nx
 
-from repro.congest.transport import BandwidthExceeded
 from repro.obs.trace import current_tracer
 
 __all__ = [
@@ -126,7 +125,7 @@ class FaultPlan:
 
     The plan is a *value*: two plans constructed with equal fields make
     identical decisions on every engine and backend, because each decision
-    hashes ``(seed, kind, round, edge, msg_index)`` and nothing else.
+    hashes ``(seed, round, edge, msg_index)`` and nothing else.
     ``window`` bounds the rounds (inclusive) in which messages may be
     dropped; crash spans and topology events carry their own schedule.
     """
@@ -228,15 +227,17 @@ class FaultPlan:
 
     # -- drop decisions (pure hashes) -------------------------------------------
 
-    def decision(self, kind: str, round_no: int, sender: Hashable, receiver: Hashable, index: int) -> float:
-        """The uniform [0, 1) draw for one fault decision.
+    def decision(self, round_no: int, sender: Hashable, receiver: Hashable, index: int) -> float:
+        """The uniform [0, 1) draw for one drop decision.
 
-        Pure in ``(seed, kind, round, edge, index)``: blake2b of the tuple's
+        Pure in ``(seed, round, edge, index)``: blake2b of the tuple's
         canonical encoding, so the decision is identical regardless of
-        engine, backend, or process.
+        engine, backend, or process.  The hashed string carries a fixed
+        ``drop`` tag: any other string would change every drop decision,
+        and with it every stored fault record.
         """
         digest = hashlib.blake2b(
-            f"{self.seed}|{kind}|{round_no}|{sender!r}|{receiver!r}|{index}".encode(),
+            f"{self.seed}|drop|{round_no}|{sender!r}|{receiver!r}|{index}".encode(),
             digest_size=8,
         ).digest()
         return int.from_bytes(digest, "big") / _HASH_DENOM
@@ -253,7 +254,7 @@ class FaultPlan:
         ``round_no`` (counting from 0, earlier drops included)."""
         if not self.message_faults_active(round_no):
             return False
-        return self.decision("drop", round_no, sender, receiver, index) < self.drop_prob
+        return self.decision(round_no, sender, receiver, index) < self.drop_prob
 
     # -- schedule queries (engine hooks) ---------------------------------------
 
@@ -436,10 +437,6 @@ class FaultyTransport:
     line, and delivery is byte-identical to running on the inner transport
     directly (asserted by the engine-equivalence suite).  Fault events go
     to the ambient tracer in effect when the wrapper is built.
-
-    In strict mode an oversize send raises at the send, dropped or not,
-    exactly as on the bare transport; the per-edge flush check runs in the
-    inner transport on the surviving stream.
     """
 
     def __init__(self, inner, plan: FaultPlan):
@@ -461,11 +458,6 @@ class FaultyTransport:
         self._round = 0
 
     # -- delegated configuration / metrics -------------------------------------
-
-    @property
-    def strict(self) -> bool:
-        """Whether strict-mode bandwidth checks are on."""
-        return self.inner.strict
 
     @property
     def total_messages(self) -> int:
@@ -524,11 +516,6 @@ class FaultyTransport:
     def _dropped(self, sender: Hashable, receiver: Hashable, bits: int, round_no: int) -> bool:
         """Take the drop decision for one send inside the drop window; a
         dropped send is counted here and goes no further."""
-        if self.strict and bits > self.inner.bandwidth:
-            raise BandwidthExceeded(
-                f"message of {bits} bits exceeds B={self.inner.bandwidth} on edge "
-                f"{sender!r}->{receiver!r}"
-            )
         edge = (sender, receiver)
         index = self._sent.get(edge, 0)
         self._sent[edge] = index + 1

@@ -7,13 +7,11 @@ messages arrive at the end of the round; local computation is free.
 Messages larger than ``B`` bits are legal at the API level and are
 transmitted over ``ceil(bits/B)`` consecutive rounds, arriving atomically --
 this models the standard pipelining argument and keeps round counts honest.
-In ``strict`` mode oversized sends raise instead, for algorithms that want to
-certify they never exceed the per-round budget.
 
 The implementation is split into three layers (see each module's docstring):
 
-- :mod:`repro.congest.transport` -- per-edge bit accounting, chunking,
-  strict-mode checks, metrics (:class:`LinkTransport`);
+- :mod:`repro.congest.transport` -- per-edge bit accounting, chunking and
+  metrics (:class:`LinkTransport`);
 - :mod:`repro.congest.engine` -- the round schedulers: the reference
   :class:`~repro.congest.engine.DenseEngine` (every node, every round) and
   the default :class:`~repro.congest.engine.EventEngine` (active-node set,
@@ -33,7 +31,6 @@ when it is built.
 
 from __future__ import annotations
 
-import random
 from typing import Any, Callable, Hashable
 
 import networkx as nx
@@ -42,10 +39,9 @@ from repro.congest.engine import Engine, RunResult, get_engine
 from repro.congest.faults import FaultPlan, FaultyTransport, apply_topology_event
 from repro.congest.node import Node, NodeProgram
 from repro.congest.topology import build_adjacency, invalidate_adjacency
-from repro.congest.transport import BandwidthExceeded, LinkTransport
 from repro.obs.trace import current_tracer
 
-__all__ = ["BandwidthExceeded", "CongestNetwork", "RunResult"]
+__all__ = ["CongestNetwork", "RunResult"]
 
 
 class CongestNetwork:
@@ -56,8 +52,6 @@ class CongestNetwork:
         graph: nx.Graph,
         program_factory: Callable[[], NodeProgram],
         bandwidth: int = 32,
-        strict: bool = False,
-        seed: int | None = None,
         inputs: dict[Hashable, Any] | None = None,
         engine: str | Engine = "event",
         record_messages: bool = False,
@@ -75,18 +69,14 @@ class CongestNetwork:
         self.faults = faults
         self._fault_events_applied = 0
         self.bandwidth = bandwidth
-        self.strict = strict
         # The ambient tracer (the null tracer unless a ``repro.obs.use_tracer``
         # block is active), so sweeps trace scenario-internal networks
         # without new plumbing.
         self.trace = current_tracer()
-        self._rng = random.Random(seed)
         self.n_nodes = graph.number_of_nodes()
         # Engine first: it declares the transport it runs against.
         self.engine = get_engine(engine)
-        self.transport = self.engine.transport_class(
-            bandwidth, strict=strict, record_messages=record_messages
-        )
+        self.transport = self.engine.transport_class(bandwidth, record_messages=record_messages)
         if faults is not None:
             # The fault seam sits between the engine and the transport it
             # asked for; even an empty plan goes through the wrapper so the
@@ -105,7 +95,7 @@ class CongestNetwork:
         self.nodes: dict[Hashable, Node] = {}
         self.programs: dict[Hashable, NodeProgram] = {}
         for node_id in node_order:
-            node = Node(node_id, adjacency[node_id], self, random.Random(self._rng.random()))
+            node = Node(node_id, adjacency[node_id], self)
             if inputs is not None and node_id in inputs:
                 node.input = inputs[node_id]
             self.nodes[node_id] = node

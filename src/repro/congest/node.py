@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import bisect
-import random
 from typing import TYPE_CHECKING, Any, Hashable
 
 from repro.congest.message import Received, bit_size
@@ -15,9 +14,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class Node:
     """A processor in the network.
 
-    Exposes exactly the local knowledge the model grants (Section 2.1): its
-    own id, the ids of its neighbours, any problem-specific input, and a
-    source of randomness.  Everything else must arrive by message.
+    Exposes the local knowledge the model grants (Section 2.1) that the
+    node programs here use: its own id, the ids of its neighbours and any
+    problem-specific input.  Everything else must arrive by message.
     """
 
     def __init__(
@@ -25,13 +24,11 @@ class Node:
         node_id: Hashable,
         neighbors: list[Hashable],
         network: "CongestNetwork",
-        rng: random.Random,
     ):
         self.id = node_id
         self.neighbors = neighbors
         self._neighbors_cached = set(neighbors)
         self.input: Any = None
-        self.rng = rng
         self.output: Any = None
         self.halted = False
         self._network = network

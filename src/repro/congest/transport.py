@@ -3,16 +3,14 @@
 This is the bottom of the three-layer CONGEST engine stack
 (transport -> scheduler -> program API).  A :class:`LinkTransport` owns the
 per-directed-edge FIFO queues and everything that is charged by the bit:
-strict-mode bandwidth checks, message chunking over ``ceil(bits/B)``
-rounds, the run metrics (``total_bits``, ``per_round_bits``,
-``max_edge_bits_per_round``) and the optional per-message log.
+message chunking over ``ceil(bits/B)`` rounds, the run metrics
+(``total_bits``, ``per_round_bits``, ``max_edge_bits_per_round``) and the
+optional per-message log.
 
 Engines drive it through four operations:
 
 - :meth:`~LinkTransport.enqueue` / :meth:`~LinkTransport.flush` -- stage a
-  round's sends, then commit them (strict mode validates the per-edge
-  round budget at the flush barrier, exactly as the synchronous model
-  requires);
+  round's sends, then commit them at the round barrier;
 - :meth:`~LinkTransport.deliver_round` -- advance one round and collect
   the messages that completed;
 - :meth:`~LinkTransport.rounds_until_delivery` /
@@ -77,10 +75,6 @@ from repro.congest.message import Received
 
 #: Shared ``order`` for the single-message flush fast path.
 _RANGE_1 = range(1)
-
-
-class BandwidthExceeded(RuntimeError):
-    """Raised in strict mode when a round's traffic on an edge exceeds B."""
 
 
 class RoundGroup(NamedTuple):
@@ -193,11 +187,10 @@ class LinkTransport:
     are O(1).
     """
 
-    def __init__(self, bandwidth: int, strict: bool = False, record_messages: bool = False):
+    def __init__(self, bandwidth: int, record_messages: bool = False):
         if bandwidth < 1:
             raise ValueError("bandwidth must be at least 1")
         self.bandwidth = bandwidth
-        self.strict = strict
         self.record_messages = record_messages
         # Messages and bits of the flushed rounds; the totals add the
         # round being staged (see ``total_messages``).
@@ -278,11 +271,6 @@ class LinkTransport:
         (it is immutable and its fields are all known here), so delivery
         appends staged objects instead of constructing per message.
         """
-        if self.strict and bits > self.bandwidth:
-            raise BandwidthExceeded(
-                f"message of {bits} bits exceeds B={self.bandwidth} on edge "
-                f"{sender!r}->{receiver!r}"
-            )
         try:
             # Steady state: the edge exists, one chained lookup.
             eid = self._edge_ids[sender][receiver]
@@ -300,20 +288,13 @@ class LinkTransport:
         """Stage one payload to several receivers in a single pass.
 
         Semantically a loop over :meth:`enqueue` with a shared (payload,
-        bits) row; the strict check and all per-message state hoist out of
-        the loop, which matters because broadcasts dominate the message
-        volume of the GKP phases.  One :class:`Received` instance serves
+        bits) row; all per-message state hoists out of the loop, which
+        matters because broadcasts dominate the message volume of the GKP
+        phases.  One :class:`Received` instance serves
         every receiver (the tuple is immutable and identical for all of
         them), so a degree-``d`` broadcast stages ``d`` references but
         performs a single construction.
         """
-        if self.strict and bits > self.bandwidth:
-            if not receivers:
-                return
-            raise BandwidthExceeded(
-                f"message of {bits} bits exceeds B={self.bandwidth} on edge "
-                f"{sender!r}->{receivers[0]!r}"
-            )
         row = self._edge_ids.get(sender)
         if row is None:
             row = self._edge_ids[sender] = {}
@@ -365,17 +346,6 @@ class LinkTransport:
             group = RoundGroup(_RANGE_1, (eids[0],), (b0,), None, b0, b0 <= bw, b0)
         else:
             group = group_round(eids, bits_col, bw)
-        if self.strict and not group.all_fit:
-            # Raise *before* anything is committed (first offending edge in
-            # first-seen order); the round stays staged, so the totals
-            # still count it.
-            for eid, bits in zip(group.edge_order, group.edge_sums):
-                if bits > bw:
-                    queue = self._queues[eid]
-                    raise BandwidthExceeded(
-                        f"{bits} bits queued on edge {queue.sender!r}->{queue.receiver!r} "
-                        f"in one round (B={bw})"
-                    )
         self._flushed_messages += n
         self._flushed_bits += group.total_bits
         if self._live == 0 and group.all_fit:

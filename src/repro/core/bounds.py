@@ -143,12 +143,11 @@ def fig2_table(n: int, bandwidth: int = 1, aspect_ratio: float = 1024.0, alpha: 
     return rows
 
 
-def fig3_curve(
-    n: int, alpha: float, aspect_ratios: list[float], diameter: float | None = None
-) -> list[dict[str, float]]:
+def fig3_curve(n: int, alpha: float, aspect_ratios: list[float]) -> list[dict[str, float]]:
     """The Fig. 3 tradeoff: for each ``W`` return lower bound, upper bound and
-    the two crossover landmarks ``W = alpha sqrt(n)`` and ``W = alpha n``."""
-    d = diameter if diameter is not None else math.log2(n)
+    the two crossover landmarks ``W = alpha sqrt(n)`` and ``W = alpha n``.
+    The upper bound takes the diameter to be ``log2 n``."""
+    d = math.log2(n)
     curve = []
     for w in aspect_ratios:
         curve.append(

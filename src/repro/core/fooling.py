@@ -16,6 +16,14 @@ from typing import Sequence
 
 Bits = tuple[int, ...]
 
+#: The gap fraction ``beta`` of ``(beta n)-Eq``; the code's distance is
+#: ``2 beta n``, and the GV rate ``1 - H(2 beta)`` is positive for
+#: ``beta < 1/4``.
+BETA = 0.125
+
+#: The one-sided error ``eps`` of the protocols the bound covers.
+EPS = 0.5
+
 
 def hamming_distance(x: Sequence[int], y: Sequence[int]) -> int:
     return sum(1 for a, b in zip(x, y) if a != b)
@@ -36,7 +44,7 @@ def gilbert_varshamov_size_bound(n: int, min_distance: int) -> float:
     return 2.0 ** (rate * n)
 
 
-def greedy_gv_code(n: int, min_distance: int, max_size: int | None = None) -> list[Bits]:
+def greedy_gv_code(n: int, min_distance: int) -> list[Bits]:
     """Greedy (lexicographic) code construction achieving the GV bound.
 
     Scans ``{0,1}^n`` in counter order keeping every word at distance
@@ -46,13 +54,10 @@ def greedy_gv_code(n: int, min_distance: int, max_size: int | None = None) -> li
     if n > 22:
         raise ValueError("greedy GV scan limited to n <= 22")
     code: list[Bits] = []
-    limit = max_size if max_size is not None else 1 << n
     for value in range(1 << n):
         word = tuple((value >> (n - 1 - i)) & 1 for i in range(n))
         if all(hamming_distance(word, c) >= min_distance for c in code):
             code.append(word)
-            if len(code) >= limit:
-                break
     return code
 
 
@@ -74,33 +79,30 @@ def gap_equality_fooling_set(code: Sequence[Bits]) -> list[tuple[Bits, Bits]]:
     return [(c, c) for c in code]
 
 
-def kdw_server_model_bound(fooling_size: int, eps: float = 0.5) -> float:
+def kdw_server_model_bound(fooling_size: int) -> float:
     """Theorem 6.1's server-model form via Lemma 3.2.
 
     From ``(1 - eps) 4^{-2 Q} <= 1 / fool_1``:
-    ``Q >= (log2(fool_1) + log2(1 - eps)) / 4``.
+    ``Q >= (log2(fool_1) + log2(1 - eps)) / 4``, at ``eps =`` :data:`EPS`.
     """
     if fooling_size < 1:
         raise ValueError("fooling set must be nonempty")
-    if not (0.0 <= eps < 1.0):
-        raise ValueError("eps must be in [0, 1)")
-    return max(0.0, (math.log2(fooling_size) + math.log2(1.0 - eps)) / 4.0)
+    return max(0.0, (math.log2(fooling_size) + math.log2(1.0 - EPS)) / 4.0)
 
 
-def gap_equality_lower_bound(n: int, beta: float = 0.125, eps: float = 0.5) -> dict[str, float]:
-    """Assemble the Theorem 6.1 numbers for ``(beta n)-Eq_n`` (existence form).
+def gap_equality_lower_bound(n: int) -> dict[str, float]:
+    """Assemble the Theorem 6.1 numbers for ``(beta n)-Eq_n`` (existence form)
+    at ``beta =`` :data:`BETA`.
 
     Uses the GV bound analytically (the greedy construction verifies it for
     small ``n`` in tests): a distance-``2 beta n`` code of size
     ``2^{(1 - H(2 beta)) n}`` exists for ``beta < 1/4``.
     """
-    if not (0.0 < beta < 0.25):
-        raise ValueError("need 0 < beta < 1/4")
-    distance = max(1, math.ceil(2 * beta * n))
+    distance = max(1, math.ceil(2 * BETA * n))
     size = gilbert_varshamov_size_bound(n, distance)
     return {
         "code_distance": float(distance),
         "code_size_bound": size,
-        "rate": 1.0 - binary_entropy(2 * beta),
-        "server_model_lower_bound": kdw_server_model_bound(int(size), eps=eps),
+        "rate": 1.0 - binary_entropy(2 * BETA),
+        "server_model_lower_bound": kdw_server_model_bound(int(size)),
     }

@@ -246,14 +246,30 @@ def ham_to_spanning_tree_instance(network: nx.Graph, m_edges: list[Edge]) -> lis
     one arbitrary edge and returns the residual edge set, which is a spanning
     tree iff ``M`` was a Hamiltonian cycle.  Returns ``None`` when the degree
     check already refutes.
+
+    Degrees follow ``nx.Graph``'s rules without building one: a repeated
+    edge counts once, a self-loop adds 2, and a node of ``network`` that
+    ``M`` does not touch has degree 0.  Each edge is oriented from the
+    endpoint that comes first in ``network``'s node order (an endpoint
+    outside ``network`` comes after every node of it), as ``nx.Graph``
+    lists it, so the deleted edge is the one the graph would give.
     """
-    sub = nx.Graph()
-    sub.add_nodes_from(network.nodes())
-    sub.add_edges_from(m_edges)
-    if any(d != 2 for _, d in sub.degree()):
+    rank = {node: i for i, node in enumerate(network.nodes())}
+    degree = dict.fromkeys(rank, 0)
+    edges = set()
+    for u, v in m_edges:
+        for node in (u, v):
+            if node not in rank:
+                rank[node] = len(rank)
+                degree[node] = 0
+        edge = (u, v) if rank[u] <= rank[v] else (v, u)
+        if edge not in edges:
+            edges.add(edge)
+            degree[u] += 1
+            degree[v] += 1
+    if any(d != 2 for d in degree.values()):
         return None
-    edges = sorted(sub.edges(), key=repr)
-    return [e for e in edges if e != edges[0]]
+    return sorted(edges, key=repr)[1:]
 
 
 def gap_connectivity_weights(

@@ -155,11 +155,7 @@ class SimulationTheoremNetwork:
     def simulate(
         self,
         program_factory: Callable[[], Any],
-        inputs: dict[Hashable, Any] | None = None,
         bandwidth: int = 32,
-        seed: int | None = 0,
-        max_rounds: int | None = None,
-        enforce_horizon: bool = True,
     ) -> SimulationAccounting:
         """Run a CONGEST algorithm on ``N`` and account the three-party cost.
 
@@ -169,24 +165,18 @@ class SimulationTheoremNetwork:
         The construction makes region growth absorb all path traffic, so
         only highway-boundary messages cost -- at most ``k`` per party per
         round, each at most ``B`` bits.
+
+        The run stops at the horizon ``L/2 - 2``, the last round the
+        theorem covers.
         """
-        horizon = self.schedule.valid_horizon()
-        budget = max_rounds if max_rounds is not None else horizon
         network = CongestNetwork(
             self.graph,
             program_factory,
             bandwidth=bandwidth,
-            seed=seed,
-            inputs=inputs,
             # The ownership replay below needs the full per-message trace.
             record_messages=True,
         )
-        run = network.run(max_rounds=budget)
-        if enforce_horizon and run.rounds > horizon:
-            raise ValueError(
-                f"algorithm used {run.rounds} rounds, beyond the simulation "
-                f"horizon L/2 - 2 = {horizon}"
-            )
+        run = network.run(max_rounds=self.schedule.valid_horizon())
         carol = david = server = 0
         per_round = [0] * (run.rounds + 1)
         for sent_round, sender, receiver, bits in network.message_log:

@@ -14,7 +14,7 @@ points into outcome dicts behind the :class:`ExecutionBackend`
 from __future__ import annotations
 
 from repro.experiments.backends.base import ExecutionBackend, Task, execute_point
-from repro.experiments.backends.pool import DEFAULT_START_METHOD, ProcessPoolBackend
+from repro.experiments.backends.pool import ProcessPoolBackend
 from repro.experiments.backends.serial import SerialBackend
 
 #: CLI-facing backend names ("auto" additionally picks serial or pool from
@@ -28,8 +28,6 @@ def resolve_backend(
     workers: int = 1,
     n_tasks: int = 1,
     task_timeout: float | None = None,
-    mp_start_method: str = DEFAULT_START_METHOD,
-    maxtasksperchild: int | None = 16,
 ) -> ExecutionBackend:
     """Build a backend from a CLI-style name.
 
@@ -51,17 +49,12 @@ def resolve_backend(
             )
         return SerialBackend()
     if spec == "pool":
-        return ProcessPoolBackend(
-            workers=min(max(workers, 1), max(n_tasks, 1)),
-            mp_start_method=mp_start_method,
-            maxtasksperchild=maxtasksperchild,
-        )
+        return ProcessPoolBackend(workers=min(max(workers, 1), max(n_tasks, 1)))
     raise ValueError(f"unknown backend {spec!r}; known: {BACKEND_NAMES}")
 
 
 __all__ = [
     "BACKEND_NAMES",
-    "DEFAULT_START_METHOD",
     "ExecutionBackend",
     "ProcessPoolBackend",
     "SerialBackend",

@@ -3,11 +3,11 @@
 Start-up: where multiprocessing's own platform default is not ``spawn``
 (Linux), workers come from a ``forkserver`` that has already imported
 this module and the built-in scenario modules (:data:`PRELOAD`).  Every
-worker -- the first ones, those ``maxtasksperchild`` recycles, and those
-of later sweeps in the same process -- is then a cheap fork of a loaded
-interpreter instead of a fresh one that re-imports networkx, numpy and
-the registry, and it ends with ``os._exit`` instead of a full interpreter
-finalisation.  The server holds only imported modules, no parent state;
+worker -- the first ones, those that replace a worker recycled after
+:data:`MAX_TASKS_PER_CHILD` tasks, and those of later sweeps in the same
+process -- is then a cheap fork of a loaded interpreter instead of a
+fresh one that re-imports networkx, numpy and the registry, and it ends
+with ``os._exit`` instead of a full interpreter finalisation.  The server holds only imported modules, no parent state;
 it lives as long as the process and is stopped and reaped at exit.  On
 macOS and Windows, where CPython itself defaults to ``spawn``, so does
 the pool.  Under every start method scenario modules are shipped by name
@@ -15,7 +15,7 @@ and re-imported, and a task carries the submitting process's trace
 directory: a forkserver child inherits the server's environment from
 when the server started, not the parent's current one.
 
-Workers are recycled after ``maxtasksperchild`` tasks, and completed
+Workers are recycled after :data:`MAX_TASKS_PER_CHILD` tasks, and completed
 futures are collected as they finish -- not in grid order -- so one slow
 point never delays timeout detection for the points behind it.
 
@@ -48,12 +48,16 @@ from repro.experiments.backends.base import ExecutionBackend, Task, execute_poin
 from repro.experiments.registry import BUILTIN_SCENARIO_MODULES
 from repro.obs.trace import TRACE_DIR_ENV
 
-#: The start method a pool uses unless told otherwise: ``forkserver`` where
-#: multiprocessing's own platform default is not ``spawn`` (Linux), else
-#: ``spawn`` (macOS, Windows).
+#: The start method of every pool: ``forkserver`` where multiprocessing's
+#: own platform default is not ``spawn`` (Linux), else ``spawn`` (macOS,
+#: Windows).  Read when a pool is built.
 DEFAULT_START_METHOD = (
     "spawn" if multiprocessing.get_all_start_methods()[0] == "spawn" else "forkserver"
 )
+
+#: Tasks a worker runs before the pool replaces it, so a long sweep cannot
+#: accumulate per-worker state.  Read when a pool is built.
+MAX_TASKS_PER_CHILD = 16
 
 #: Modules the forkserver imports before it forks its first worker.
 PRELOAD = ("repro.experiments.backends.pool", *BUILTIN_SCENARIO_MODULES)
@@ -144,22 +148,17 @@ class ProcessPoolBackend(ExecutionBackend):
 
     name = "pool"
 
-    def __init__(
-        self,
-        workers: int = 2,
-        mp_start_method: str = DEFAULT_START_METHOD,
-        maxtasksperchild: int | None = 16,
-    ) -> None:
+    def __init__(self, workers: int = 2) -> None:
         self.workers = max(workers, 1)
-        ctx = multiprocessing.get_context(mp_start_method)
-        if mp_start_method == "forkserver":
+        ctx = multiprocessing.get_context(DEFAULT_START_METHOD)
+        if DEFAULT_START_METHOD == "forkserver":
             _ensure_forkserver()
         self._events = ctx.SimpleQueue()
         self._pool = ctx.Pool(
             processes=self.workers,
             initializer=_init_worker,
             initargs=(self._events,),
-            maxtasksperchild=maxtasksperchild,
+            maxtasksperchild=MAX_TASKS_PER_CHILD,
         )
         self._tasks: dict[int, Task] = {}
         self._asyncs: dict[int, multiprocessing.pool.AsyncResult] = {}
@@ -211,7 +210,7 @@ class ProcessPoolBackend(ExecutionBackend):
         """Collect ready results, tasks whose worker died, and tasks past
         their deadline."""
         # Liveness before draining: a worker that exited right after its
-        # last task (maxtasksperchild) sent that task's finish report
+        # last task (recycled by the pool) sent that task's finish report
         # first, so the drain below still sees it.
         dead = {idx: pid for idx, pid in self._running.items() if not _pid_alive(pid)}
         while not self._events.empty():

@@ -18,17 +18,15 @@ Telemetry (see ``docs/observability.md``)::
     python -m repro.experiments trace timeline traces/ --out timeline.html
     python -m repro.experiments report --html report-site --trace traces/
 
-``-v``/``-q`` (repeatable, before the subcommand) raise or lower the
-verbosity of the harness's ``repro.*`` loggers.  Every scenario parameter,
-the CONGEST ``engine`` and the fault plan's ``fault_seed`` included, is set
-through ``--set``; giving the same key twice is an error.
+Every scenario parameter, the CONGEST ``engine`` and the fault plan's
+``fault_seed`` included, is set through ``--set``; giving the same key
+twice is an error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from dataclasses import asdict
@@ -42,41 +40,10 @@ from repro.experiments.sweep import expand_grid, parse_axis_overrides
 from repro.obs.trace import TRACE_DIR_ENV, TraceWriter, read_trace, summarize_trace, trace_files
 
 
-def _configure_logging(verbose: int, quiet: int) -> None:
-    """Configure the ``repro.*`` logger namespace from ``-v``/``-q`` counts.
-
-    INFO by default, DEBUG with ``-v``, WARNING and up with ``-q``.
-    Installs a stderr handler only on the ``repro`` logger, so embedding
-    applications keep their own logging setup.
-    """
-    level = logging.INFO + 10 * (quiet - verbose)
-    level = max(logging.DEBUG, min(logging.CRITICAL, level))
-    root = logging.getLogger("repro")
-    handler = logging.StreamHandler()
-    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
-    root.handlers[:] = [handler]
-    root.setLevel(level)
-    root.propagate = False
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Experiment harness: scenario registry, sweep runner, result store.",
-    )
-    parser.add_argument(
-        "-v",
-        "--verbose",
-        action="count",
-        default=0,
-        help="more diagnostics from repro.* loggers (repeatable)",
-    )
-    parser.add_argument(
-        "-q",
-        "--quiet",
-        action="count",
-        default=0,
-        help="fewer diagnostics from repro.* loggers (repeatable)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -121,17 +88,16 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--store", default=str(DEFAULT_STORE), help="result-store directory")
     report.add_argument(
         "--format",
-        choices=("text", "json", "html"),
+        choices=("text", "json"),
         default="text",
-        help="text summary (default), raw records as JSON, or a static HTML site",
+        help="text summary (default) or raw records as JSON",
     )
     report.add_argument(
         "--html",
         dest="html_dir",
         metavar="OUT_DIR",
         default=None,
-        help="render the HTML site into OUT_DIR (implies --format html; "
-        "--format html alone writes ./report-site)",
+        help="render a static HTML site into OUT_DIR instead",
     )
     report.add_argument(
         "--trace",
@@ -281,24 +247,23 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     store = ResultStore(args.store)
-    fmt = "html" if args.html_dir is not None else args.format
     records = list(store.iter_records(args.scenario))
     if not records:
         # Same outcome (exit 1, not a usage error) for every format.
         print(f"no records in {store.root}" + (f" for {args.scenario!r}" if args.scenario else ""))
         return 1
-    if fmt == "html":
+    if args.html_dir is not None:
         from repro.experiments.reporting import build_site
 
         index = build_site(
             store,
-            args.html_dir or "report-site",
+            args.html_dir,
             scenario=args.scenario,
             trace_paths=list(args.trace),
         )
         print(f"report site: {index}")
         return 0
-    if fmt == "json":
+    if args.format == "json":
         print(json.dumps([asdict(r) for r in records], sort_keys=True, indent=2))
         return 0
     print(f"{len(records)} record(s) in {store.root}")
@@ -324,7 +289,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code (0 ok, 1 failed sweep/empty report, 2 usage)."""
     args = _build_parser().parse_args(argv)
-    _configure_logging(args.verbose, args.quiet)
     try:
         if args.command == "list":
             return _cmd_list()

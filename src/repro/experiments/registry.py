@@ -107,8 +107,6 @@ class Scenario:
     fn: Callable[..., dict]
     params: tuple[ParamSpec, ...] = ()
     description: str = ""
-    #: Bumped when the scenario's semantics change; part of the cache key.
-    version: str = "1"
     #: Default sweep grid: param name -> list of values (single values are
     #: fixed axes).  ``run NAME`` with no --set sweeps this grid.
     default_grid: dict[str, list] = field(default_factory=dict)
@@ -124,9 +122,8 @@ class Scenario:
                 return p
         raise KeyError(f"scenario {self.name!r} has no parameter {name!r}")
 
-    def resolve_params(self, overrides: dict[str, Any] | None = None) -> dict[str, Any]:
+    def resolve_params(self, overrides: dict[str, Any]) -> dict[str, Any]:
         """Defaults merged with coerced overrides; rejects unknown names."""
-        overrides = overrides or {}
         unknown = set(overrides) - {p.name for p in self.params}
         if unknown:
             raise KeyError(
@@ -151,7 +148,6 @@ def scenario(
     *,
     params: list[ParamSpec] | tuple[ParamSpec, ...] = (),
     description: str = "",
-    version: str = "1",
     default_grid: dict[str, list] | None = None,
     tags: tuple[str, ...] = (),
     plots: tuple[PlotSpec, ...] | list[PlotSpec] = (),
@@ -177,7 +173,6 @@ def scenario(
             fn=fn,
             params=tuple(params),
             description=description or (doc_first_line[0] if doc_first_line else ""),
-            version=version,
             default_grid=grid,
             tags=tuple(tags),
             plots=tuple(plots),

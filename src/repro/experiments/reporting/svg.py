@@ -82,16 +82,17 @@ class Series:
         return Series(label, tuple((float(x), float(y)) for x, y in points))
 
 
-def linear_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    """Nice linear tick positions covering ``[lo, hi]`` (1/2/5 steps)."""
+def linear_ticks(lo: float, hi: float) -> list[float]:
+    """About five nice linear tick positions covering ``[lo, hi]`` (1/2/5
+    steps)."""
     if hi <= lo:
         hi = lo + (abs(lo) if lo else 1.0)
     span = hi - lo
-    raw_step = span / max(1, target)
+    raw_step = span / 5
     magnitude = 10 ** math.floor(math.log10(raw_step))
     for multiple in (1.0, 2.0, 5.0, 10.0):
         step = multiple * magnitude
-        if span / step <= target + 0.5:
+        if span / step <= 5.5:
             break
     first = math.ceil(lo / step) * step
     ticks = []

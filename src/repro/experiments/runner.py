@@ -17,17 +17,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 #: How often the collector polls an idle backend, in seconds.
 _POLL_INTERVAL = 0.02
 
-from repro.experiments.backends import (
-    DEFAULT_START_METHOD,
-    ExecutionBackend,
-    Task,
-    resolve_backend,
-)
+from repro.experiments.backends import Task, resolve_backend
 from repro.experiments.registry import get_scenario
 from repro.experiments.store import ResultRecord, ResultStore, cache_key, package_code_version
 from repro.experiments.sweep import SweepPoint
@@ -59,20 +54,15 @@ def run_sweep(
     workers: int = 1,
     task_timeout: float | None = None,
     force: bool = False,
-    scenario_modules: tuple[str, ...] = (),
     progress: Callable[[str], None] | None = None,
-    mp_start_method: str = DEFAULT_START_METHOD,
-    maxtasksperchild: int | None = 16,
-    backend: str | ExecutionBackend = "auto",
+    backend: str = "auto",
     trace: Tracer | None = None,
 ) -> SweepReport:
     """Run a sweep; returns records in the order of ``points``.
 
-    ``backend`` picks the execution backend: ``"auto"`` (serial for a
+    ``backend`` names the execution backend: ``"auto"`` (serial for a
     single worker with no timeout, else a process pool -- the historical
-    behaviour), ``"serial"`` or ``"pool"``.  An :class:`ExecutionBackend`
-    instance is used as-is and left open for the caller; named backends
-    are constructed and shut down here.
+    behaviour), ``"serial"`` or ``"pool"``; it is built and shut down here.
 
     With a store, points whose cache key already has a record are served
     from cache unless ``force``; fresh records are persisted as they
@@ -82,16 +72,8 @@ def run_sweep(
     ``task_timeout`` bounds the wall-clock runtime per point.  The pool
     backend approximates it with per-task deadlines measured from when a
     worker slot becomes available (a hung worker is terminated rather
-    than joined, so ``run_sweep`` returns).
-
-    ``mp_start_method`` picks the pool's multiprocessing context.  The
-    default is ``forkserver`` where the platform's own default is not
-    ``spawn`` (Linux): workers fork from a server that has already
-    imported the package and the built-in scenarios, and inherit none of
-    the caller's state.  On macOS and Windows it is ``spawn``.
-    ``maxtasksperchild`` recycles pool workers so long sweeps cannot
-    accumulate per-worker state (``0`` means never recycle, for
-    ``multiprocessing.Pool`` parity).
+    than joined, so ``run_sweep`` returns).  The pool's start method and
+    worker recycling are fixed (:mod:`repro.experiments.backends.pool`).
 
     ``trace`` receives sweep telemetry (``task`` lifecycle lines:
     submitted, cached, ok/error/timeout) and is handed to the backend for
@@ -103,10 +85,6 @@ def run_sweep(
     names = {p.scenario for p in points}
     if len(names) != 1:
         raise ValueError(f"sweep mixes scenarios {sorted(names)}; run them separately")
-    if maxtasksperchild == 0:
-        # Pool parity for library callers: 0 is a natural "never recycle"
-        # spelling but an invalid multiprocessing.Pool argument.
-        maxtasksperchild = None
     scenario = get_scenario(points[0].scenario)
     report = SweepReport(scenario=scenario.name)
     say = progress or (lambda _msg: None)
@@ -115,13 +93,7 @@ def run_sweep(
 
     code_version = package_code_version()
     keys = {
-        p.index: cache_key(
-            p.scenario,
-            p.params,
-            p.seed,
-            scenario_version=scenario.version,
-            code_version=code_version,
-        )
+        p.index: cache_key(p.scenario, p.params, p.seed, code_version=code_version)
         for p in points
     }
     slots: dict[int, ResultRecord] = {}
@@ -151,7 +123,6 @@ def run_sweep(
             result=outcome.get("result"),
             error=outcome.get("error"),
             duration_s=outcome.get("duration_s", 0.0),
-            scenario_version=scenario.version,
             code_version=code_version,
             meta=outcome.get("meta") or {},
         )
@@ -175,22 +146,13 @@ def run_sweep(
     # forkserver they do not inherit the parent's registry.  (A __main__
     # registration can't be shipped by name; a spawn or forkserver worker
     # re-runs the main script as __mp_main__, which registers it again.)
+    scenario_modules: tuple[str, ...] = ()
     if scenario.fn.__module__ not in ("__main__", None):
-        scenario_modules = tuple(dict.fromkeys((*scenario_modules, scenario.fn.__module__)))
+        scenario_modules = (scenario.fn.__module__,)
 
     if pending:
-        owned = not isinstance(backend, ExecutionBackend)
-        engine = (
-            resolve_backend(
-                backend,
-                workers=workers,
-                n_tasks=len(pending),
-                task_timeout=task_timeout,
-                mp_start_method=mp_start_method,
-                maxtasksperchild=maxtasksperchild,
-            )
-            if owned
-            else backend
+        engine = resolve_backend(
+            backend, workers=workers, n_tasks=len(pending), task_timeout=task_timeout
         )
         engine.trace = tracer
         tasks = [
@@ -219,8 +181,7 @@ def run_sweep(
                     finish(done_task.point, outcome)
                     outstanding -= 1
         finally:
-            if owned:
-                engine.shutdown()
+            engine.shutdown()
 
     report.records = [slots[p.index] for p in points]
     tracer.event(

@@ -96,7 +96,7 @@ def _fig3_graph(
         ParamSpec("n", int, 60, "nodes in the live CONGEST network"),
         ParamSpec("aspect_ratio", float, 1024.0, "weight aspect ratio W"),
         ParamSpec("alpha", float, 2.0, "Elkin approximation factor"),
-        ParamSpec("bandwidth", int, 128, "CONGEST bandwidth B for the GKP run"),
+        ParamSpec("bandwidth", int, 128, "CONGEST bandwidth B of the Elkin and GKP runs"),
         ParamSpec("extra_edge_prob", float, 0.08, "extra-edge density of the random graph"),
         ParamSpec("graph_seed", int, 17, "topology seed (fixed across the W axis)"),
         ENGINE_PARAM,
@@ -139,18 +139,18 @@ def fig3_mst_tradeoff(
 ) -> dict:
     """The paper's headline trade-off (Fig. 3): rounds vs aspect ratio W.
 
-    Runs both MST algorithms live on the same seeded CONGEST instance --
-    the Elkin-mode staged flood (approximation factor ``alpha``) and the
-    exact GKP algorithm -- and compares the measured round counts with the
-    closed-form curve of ``fig3_curve``.  Result keys: ``W``,
-    ``elkin_rounds``, ``gkp_rounds``, ``combined_rounds`` (the better of
-    the two, the paper's upper envelope), ``formula_lower_bound`` and
-    ``formula_upper_bound``.
+    Runs both MST algorithms live on the same seeded CONGEST instance at
+    the same bandwidth -- the Elkin-mode staged flood (approximation factor
+    ``alpha``) and the exact GKP algorithm -- and compares the measured
+    round counts with the closed-form curve of ``fig3_curve``.  Result
+    keys: ``W``, ``elkin_rounds``, ``gkp_rounds``, ``combined_rounds``
+    (the better of the two, the paper's upper envelope),
+    ``formula_lower_bound`` and ``formula_upper_bound``.
     """
     w = aspect_ratio
     graph = _fig3_graph(seed, n, aspect_ratio, extra_edge_prob, graph_seed)
 
-    _, elkin = run_elkin_approx_mst(graph, alpha=alpha, engine=engine)
+    _, elkin = run_elkin_approx_mst(graph, alpha=alpha, bandwidth=bandwidth, engine=engine)
     _, gkp = run_gkp_mst(graph, bandwidth=bandwidth, engine=engine)
     formula = fig3_curve(n, alpha, [w])[0]
     return {
@@ -170,7 +170,7 @@ def fig3_mst_tradeoff(
         ParamSpec("n", int, 60, "nodes in the live CONGEST network"),
         ParamSpec("aspect_ratio", float, 8192.0, "weight aspect ratio W"),
         ParamSpec("alpha", float, 2.0, "Elkin approximation factor"),
-        ParamSpec("bandwidth", int, 128, "CONGEST bandwidth B for the GKP run"),
+        ParamSpec("bandwidth", int, 128, "CONGEST bandwidth B of the Elkin and GKP runs"),
         ParamSpec("extra_edge_prob", float, 0.08, "extra-edge density of the random graph"),
         ParamSpec("graph_seed", int, 17, "topology seed"),
     ],
@@ -225,7 +225,7 @@ def fig3_engine_speedup(
     runs: dict[str, tuple] = {}
     for engine in ("dense", "event"):
         start = time.perf_counter()
-        _, elkin = run_elkin_approx_mst(graph, alpha=alpha, engine=engine)
+        _, elkin = run_elkin_approx_mst(graph, alpha=alpha, bandwidth=bandwidth, engine=engine)
         _, gkp = run_gkp_mst(graph, bandwidth=bandwidth, engine=engine)
         timings[engine] = time.perf_counter() - start
         runs[engine] = (elkin, gkp)
@@ -564,9 +564,7 @@ def verification_suite(
     kwargs: dict = {"s": nodes[0], "t": nodes[-1]}
     if problem in ("e-cycle containment", "edge on all paths"):
         kwargs = {"special_edge": m_edges[0]}
-    verdict, run = run_verification(
-        problem, graph, m_edges, bandwidth=bandwidth, seed=seed, **kwargs
-    )
+    verdict, run = run_verification(problem, graph, m_edges, bandwidth=bandwidth, **kwargs)
     return {
         "problem": problem,
         "verdict": bool(verdict),
@@ -983,7 +981,7 @@ def boruvka_mst_sweep(
         d["weight"] for _, _, d in nx.minimum_spanning_tree(graph).edges(data=True)
     )
     engine_obj = get_engine(engine)  # an instance, to read back ``node_steps``
-    edges, run = run_boruvka_mst(graph, bandwidth=bandwidth, seed=seed, engine=engine_obj)
+    edges, run = run_boruvka_mst(graph, bandwidth=bandwidth, engine=engine_obj)
     weight = tree_weight(graph, edges)
     return {
         "n": graph.number_of_nodes(),

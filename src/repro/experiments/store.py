@@ -2,12 +2,11 @@
 
 Each completed sweep point is one JSON record under
 ``<root>/<scenario>/<cache_key>.json``.  The cache key hashes the
-scenario name, its declared version, the code version (the package
-version plus a digest of the package source, see
-:func:`package_code_version`), the resolved params and the derived seed
--- so re-running an unchanged sweep serves every point from cache, while
-bumping a scenario's ``version`` or editing any source file invalidates
-stale results.  Records are plain files, so ``cp -rn`` merges two stores.
+scenario name, the code version (the package version plus a digest of
+the package source, see :func:`package_code_version`), the resolved
+params and the derived seed -- so re-running an unchanged sweep serves
+every point from cache, while editing any source file invalidates stale
+results.  Records are plain files, so ``cp -rn`` merges two stores.
 """
 
 from __future__ import annotations
@@ -67,14 +66,12 @@ def cache_key(
     scenario_name: str,
     params: dict[str, Any],
     seed: int,
-    scenario_version: str = "1",
     code_version: str | None = None,
 ) -> str:
     """Content hash identifying one experiment task."""
     payload = canonical_json(
         {
             "scenario": scenario_name,
-            "scenario_version": scenario_version,
             "code_version": code_version if code_version is not None else package_code_version(),
             "params": params,
             "seed": seed,
@@ -96,7 +93,6 @@ class ResultRecord:
     result: dict | None = None
     error: str | None = None
     duration_s: float = 0.0
-    scenario_version: str = "1"
     code_version: str = ""
     meta: dict = field(default_factory=dict)
 

@@ -101,7 +101,6 @@ def random_weighted_graph(
     aspect_ratio: float = 10.0,
     extra_edge_prob: float = 0.15,
     seed: int | None = None,
-    weight: str = "weight",
 ) -> nx.Graph:
     """Random connected graph whose weights realise the given aspect ratio.
 
@@ -114,10 +113,10 @@ def random_weighted_graph(
     graph = random_connected_graph(n, extra_edge_prob=extra_edge_prob, seed=seed)
     edges = list(graph.edges())
     for u, v in edges:
-        graph.edges[u, v][weight] = rng.uniform(1.0, aspect_ratio)
+        graph.edges[u, v]["weight"] = rng.uniform(1.0, aspect_ratio)
     if len(edges) >= 2:
-        graph.edges[edges[0]][weight] = 1.0
-        graph.edges[edges[-1]][weight] = float(aspect_ratio)
+        graph.edges[edges[0]]["weight"] = 1.0
+        graph.edges[edges[-1]]["weight"] = float(aspect_ratio)
     return graph
 
 

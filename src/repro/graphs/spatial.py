@@ -25,28 +25,25 @@ Point = tuple[float, float]
 class GridIndex:
     """Uniform-grid bucketing over labelled 2D points.
 
-    Cells are square with side ``cell`` (default: spread / sqrt(n), about
-    one point per cell for uniform data).  :meth:`nearest` runs an
+    Cells are square with side ``cell`` = spread / sqrt(n), about one
+    point per cell for uniform data.  :meth:`nearest` runs an
     expanding ring search: after scanning rings ``0..r``, every unscanned
     point is farther than ``r * cell`` from the query point, so the
     search stops as soon as the k-th best found distance is within that
     bound -- the result is exact, including tie order.
     """
 
-    def __init__(self, points: Mapping[Hashable, Point], cell: float | None = None):
+    def __init__(self, points: Mapping[Hashable, Point]):
         self._points: dict[Hashable, Point] = dict(points)
         self._rank = {label: i for i, label in enumerate(self._points)}
-        if cell is None:
-            coords = list(self._points.values())
-            if coords:
-                xs = [p[0] for p in coords]
-                ys = [p[1] for p in coords]
-                spread = max(max(xs) - min(xs), max(ys) - min(ys))
-            else:
-                spread = 0.0
-            cell = max(spread, 1e-9) / max(1.0, math.sqrt(max(1, len(coords))))
-        if cell <= 0:
-            raise ValueError("cell size must be positive")
+        coords = list(self._points.values())
+        if coords:
+            xs = [p[0] for p in coords]
+            ys = [p[1] for p in coords]
+            spread = max(max(xs) - min(xs), max(ys) - min(ys))
+        else:
+            spread = 0.0
+        cell = max(spread, 1e-9) / max(1.0, math.sqrt(max(1, len(coords))))
         self.cell = cell
         self._buckets: dict[tuple[int, int], list[Hashable]] = {}
         for label, (x, y) in self._points.items():
@@ -67,17 +64,15 @@ class GridIndex:
         self,
         origin: Hashable,
         k: int = 1,
-        exclude: Iterable[Hashable] = (),
         rank: Mapping[Hashable, int] | None = None,
     ) -> list[Hashable]:
-        """The ``k`` points nearest to ``origin`` (itself always excluded),
-        ordered by ``(distance, rank)``.
+        """The ``k`` points nearest to ``origin`` (itself excluded), ordered
+        by ``(distance, rank)``.
 
-        ``exclude`` drops candidates entirely (e.g. the querying node's own
-        component); candidates missing from a caller-supplied ``rank`` map
-        are dropped too, so a rank map doubles as a candidate filter.
+        Candidates missing from a caller-supplied ``rank`` map are dropped,
+        so a rank map doubles as a candidate filter.
         """
-        return self.nearest_point(self._points[origin], k, exclude={origin, *exclude}, rank=rank)
+        return self.nearest_point(self._points[origin], k, exclude={origin}, rank=rank)
 
     def nearest_point(
         self,

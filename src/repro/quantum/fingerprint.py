@@ -3,8 +3,8 @@
 One of the canonical quantum/classical communication separations cited in
 Section 4: Equality on ``n``-bit strings needs only ``O(log n)`` qubits via
 fingerprint states and the swap test.  Strings of length ``n`` are encoded
-with a binary code of length ``m = code_expansion * n`` (rounded up to a
-power of two); the fingerprint state
+with a binary code of length ``m = 8 n`` (rounded up to a power of two);
+the fingerprint state
 ``|h_x> = (1/sqrt(m)) sum_i (-1)^{E(x)_i} |i>`` lives on ``log2(m)``
 qubits, which is what the ``quantum-substrate`` scenario checks.
 """
@@ -21,11 +21,11 @@ def _next_power_of_two(n: int) -> int:
 class FingerprintEquality:
     """The fingerprint size of Equality on ``n_bits``-bit strings."""
 
-    def __init__(self, n_bits: int, code_expansion: int = 8):
+    def __init__(self, n_bits: int):
         if n_bits < 1:
             raise ValueError("need at least one input bit")
         self.n_bits = n_bits
-        self.code_length = _next_power_of_two(code_expansion * n_bits)
+        self.code_length = _next_power_of_two(8 * n_bits)
 
     @property
     def fingerprint_qubits(self) -> int:

@@ -77,20 +77,20 @@ def grover_find_any(
     oracle: Callable[[int], bool],
     n_items: int,
     rng: random.Random | None = None,
-    max_rounds: int | None = None,
 ) -> tuple[int | None, int]:
     """Find any marked item with unknown mark count (exponential guessing).
 
     Standard Boyer-Brassard-Hoyer-Tapp loop: try guesses ``k = 1, 2, 4, ...``
-    for the number of marked items; verify each measurement classically with
-    one extra query.  Returns ``(index or None, total_oracle_queries)``; total
-    queries stay ``O(sqrt(n_items))`` in expectation.
+    for the number of marked items, ``ceil(log2 n_items) + 2`` guesses in
+    all; verify each measurement classically with one extra query.  Returns
+    ``(index or None, total_oracle_queries)``; total queries stay
+    ``O(sqrt(n_items))`` in expectation.
     """
     rng = rng or random
     total_queries = 0
     guess = 1
     rounds = 0
-    limit = max_rounds if max_rounds is not None else math.ceil(math.log2(n_items)) + 2
+    limit = math.ceil(math.log2(n_items)) + 2
     while rounds < limit:
         index, queries = grover_search(oracle, n_items, n_marked=guess, rng=rng)
         total_queries += queries + 1  # +1 classical verification query

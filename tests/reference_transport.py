@@ -24,7 +24,6 @@ from typing import Any, Hashable, Iterable
 
 from repro.congest.engine import DenseEngine, EventEngine
 from repro.congest.message import Received
-from repro.congest.transport import BandwidthExceeded
 
 
 @dataclass
@@ -41,9 +40,8 @@ class _InFlight:
 class ReferenceTransport:
     """Link buffers and bit accounting, one record per message."""
 
-    def __init__(self, bandwidth: int, strict: bool = False, record_messages: bool = False):
+    def __init__(self, bandwidth: int, record_messages: bool = False):
         self.bandwidth = bandwidth
-        self.strict = strict
         self.record_messages = record_messages
         # Per directed edge: FIFO of in-flight messages; only edges with
         # traffic have an entry.
@@ -56,11 +54,6 @@ class ReferenceTransport:
         self.message_log: list[tuple[int, Hashable, Hashable, int]] = []
 
     def enqueue(self, sender: Hashable, receiver: Hashable, payload: Any, bits: int, round_no: int) -> None:
-        if self.strict and bits > self.bandwidth:
-            raise BandwidthExceeded(
-                f"message of {bits} bits exceeds B={self.bandwidth} on edge "
-                f"{sender!r}->{receiver!r}"
-            )
         self._outgoing.append(_InFlight(sender, receiver, payload, bits, bits))
         self.total_messages += 1
         self.total_bits += bits
@@ -72,16 +65,6 @@ class ReferenceTransport:
             self.enqueue(sender, receiver, payload, bits, round_no)
 
     def flush(self) -> None:
-        if self.strict:
-            per_edge: dict[tuple[Hashable, Hashable], int] = defaultdict(int)
-            for msg in self._outgoing:
-                per_edge[(msg.sender, msg.receiver)] += msg.bits
-            for (u, v), bits in per_edge.items():
-                if bits > self.bandwidth:
-                    raise BandwidthExceeded(
-                        f"{bits} bits queued on edge {u!r}->{v!r} in one round "
-                        f"(B={self.bandwidth})"
-                    )
         for msg in self._outgoing:
             self._links.setdefault((msg.sender, msg.receiver), deque()).append(msg)
         self._outgoing = []

@@ -111,14 +111,13 @@ def _comparable(record) -> dict:
 
 
 class TestCrossBackendEquivalence:
-    def test_same_sweep_identical_records_across_backends(self):
+    def test_same_sweep_identical_records_across_backends(self, monkeypatch):
         """Acceptance: serial and pool produce field-identical records
         (modulo duration_s)."""
+        monkeypatch.setattr(pool_backend, "DEFAULT_START_METHOD", "fork")
         points = expand_grid(get_scenario("bk-echo"), {"x": [1, 2, 3, 4]})
         serial = run_sweep(points, store=None, backend="serial")
-        pool = run_sweep(
-            points, store=None, backend="pool", workers=2, mp_start_method="fork"
-        )
+        pool = run_sweep(points, store=None, backend="pool", workers=2)
         assert serial.ok and pool.ok
         serial_records = [_comparable(r) for r in serial.records]
         assert [_comparable(r) for r in pool.records] == serial_records
@@ -139,31 +138,23 @@ class TestCrossBackendEquivalence:
         with pytest.raises(ValueError, match="timeout"):
             run_sweep(points, store=None, backend="serial", task_timeout=1.0)
 
-    def test_maxtasksperchild_zero_means_never_recycle(self):
-        # Library callers passing 0 must not hand an invalid value to
-        # multiprocessing.Pool (which requires a positive int or None).
-        points = expand_grid(get_scenario("bk-echo"), {"x": [1, 2]})
-        report = run_sweep(
-            points, store=None, workers=2, maxtasksperchild=0, mp_start_method="fork"
-        )
-        assert report.ok and report.executed == 2
-
 
 #: Runs one pool sweep and prints what came back.  A backend that never
 #: resolves a lost task hangs, so tests run this under a timeout.
 _POOL_SWEEP = """
 import json, sys
 from repro.experiments import expand_grid, get_scenario, run_sweep
+from repro.experiments.backends import pool
 import tests.test_backends
 
 args = json.loads(sys.argv[1])
+pool.DEFAULT_START_METHOD = args["start_method"]
+pool.MAX_TASKS_PER_CHILD = args.get("max_tasks_per_child", pool.MAX_TASKS_PER_CHILD)
 report = run_sweep(
     expand_grid(get_scenario(args["scenario"]), args["grid"]),
     store=None,
     backend="pool",
     workers=args["workers"],
-    mp_start_method=args["start_method"],
-    maxtasksperchild=args.get("maxtasksperchild", 16),
 )
 print(json.dumps([[r.status, r.error] for r in report.records]))
 """
@@ -219,7 +210,7 @@ class TestPoolWorkerCrash:
             grid={"x": list(range(12))},
             workers=4,
             start_method="fork",
-            maxtasksperchild=1,
+            max_tasks_per_child=1,
         )
         assert [status for status, _ in records] == ["ok"] * 12
 
@@ -251,9 +242,10 @@ class TestPoolWorkerCrash:
 
     def test_finish_report_racing_the_worker_exit_is_not_a_crash(self, monkeypatch):
         """poll() checks liveness before it drains the reports, so a worker
-        that reports a finish and exits in between (maxtasksperchild
-        recycling) is never taken for a crash."""
-        backend = ProcessPoolBackend(workers=1, mp_start_method="fork")
+        that reports a finish and exits in between (a recycled worker) is
+        never taken for a crash."""
+        monkeypatch.setattr(pool_backend, "DEFAULT_START_METHOD", "fork")
+        backend = ProcessPoolBackend(workers=1)
         try:
             point = expand_grid(get_scenario("bk-sleepy"), {"delay": [30.0]})[0]
             backend.submit(Task(point, scenario_modules=("tests.test_backends",)))
@@ -272,10 +264,11 @@ class TestPoolWorkerCrash:
         finally:
             backend.shutdown()
 
-    def test_shutdown_abandons_outstanding_tasks(self):
+    def test_shutdown_abandons_outstanding_tasks(self, monkeypatch):
         """Nobody reads an outstanding task's result after shutdown, so the
         pool is terminated rather than joined behind it."""
-        backend = ProcessPoolBackend(workers=1, mp_start_method="fork")
+        monkeypatch.setattr(pool_backend, "DEFAULT_START_METHOD", "fork")
+        backend = ProcessPoolBackend(workers=1)
         point = expand_grid(get_scenario("bk-sleepy"), {"delay": [30.0]})[0]
         backend.submit(Task(point, scenario_modules=("tests.test_backends",)))
         start = time.monotonic()
@@ -290,9 +283,10 @@ _PRELOAD_PROBE = """
 import sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import probe
-from repro.experiments.backends import ProcessPoolBackend
+from repro.experiments.backends import ProcessPoolBackend, pool
 
-backend = ProcessPoolBackend(workers=1, mp_start_method="forkserver")
+pool.DEFAULT_START_METHOD = "forkserver"
+backend = ProcessPoolBackend(workers=1)
 try:
     print(backend._pool.apply(probe.loaded, ("repro.experiments.scenarios",)))
 finally:
@@ -338,12 +332,11 @@ class TestPoolStartUp:
         traced one writes one task trace per point.  A forkserver worker
         inherits the server's environment from when the server started,
         not this process's current one."""
+        monkeypatch.setattr(pool_backend, "DEFAULT_START_METHOD", start_method)
         points = expand_grid(get_scenario("bk-echo"), {"x": [1, 2, 3]})
 
         def sweep():
-            return run_sweep(
-                points, store=None, backend="pool", workers=2, mp_start_method=start_method
-            )
+            return run_sweep(points, store=None, backend="pool", workers=2)
 
         monkeypatch.delenv(TRACE_DIR_ENV, raising=False)
         assert sweep().ok
@@ -398,11 +391,10 @@ class TestResultIntegrity:
         with pytest.raises(TypeError):
             record.to_json()
 
-    def test_pool_timeout_record_accounting(self):
+    def test_pool_timeout_record_accounting(self, monkeypatch):
+        monkeypatch.setattr(pool_backend, "DEFAULT_START_METHOD", "fork")
         points = expand_grid(get_scenario("bk-sleepy"), {"delay": [30.0, 0.01]})
-        report = run_sweep(
-            points, store=None, workers=2, task_timeout=1.0, mp_start_method="fork"
-        )
+        report = run_sweep(points, store=None, workers=2, task_timeout=1.0)
         timeout_record = report.records[0]
         assert timeout_record.status == "timeout"
         assert timeout_record.duration_s == 1.0
@@ -473,10 +465,13 @@ class TestCollectorScope:
     @pytest.mark.parametrize(
         "backend, start_method", [("serial", None), ("pool", "forkserver"), ("pool", "spawn")]
     )
-    def test_point_runs_frozen_with_the_raised_threshold(self, backend, start_method):
+    def test_point_runs_frozen_with_the_raised_threshold(
+        self, backend, start_method, monkeypatch
+    ):
+        if start_method is not None:
+            monkeypatch.setattr(pool_backend, "DEFAULT_START_METHOD", start_method)
         points = expand_grid(get_scenario("bk-gc-view"), {"x": [1]})
-        options = {} if start_method is None else {"workers": 1, "mp_start_method": start_method}
-        report = run_sweep(points, store=None, backend=backend, **options)
+        report = run_sweep(points, store=None, backend=backend)
         (record,) = report.records
         assert record.status == "ok", record.error
         assert record.result["frozen"] > 0

@@ -168,7 +168,63 @@ class TestCycleCoverCheck:
         )
 
 
+def reference_ham_to_st(network, m_edges):
+    """The reference: the Ham -> ST reduction computed over an ``nx.Graph``
+    of ``M``."""
+    sub = nx.Graph()
+    sub.add_nodes_from(network.nodes())
+    sub.add_edges_from(m_edges)
+    if any(d != 2 for _, d in sub.degree()):
+        return None
+    edges = sorted(sub.edges(), key=repr)
+    return [e for e in edges if e != edges[0]]
+
+
+def _network(nodes):
+    graph = nx.Graph()
+    graph.add_nodes_from(nodes)
+    return graph
+
+
 class TestSection9Reductions:
+    @pytest.mark.parametrize(
+        "nodes, m_edges, accepted",
+        [
+            # A repeated edge, either way round, counts once.
+            (range(4), [(0, 1), (1, 0), (1, 2), (2, 3), (3, 0), (0, 1)], True),
+            # A self-loop adds 2: node 0 closes on itself beside a triangle.
+            (range(4), [(0, 0), (1, 2), (2, 3), (3, 1)], True),
+            # A node M does not touch has degree 0 and refutes.
+            (range(5), [(0, 1), (1, 2), (2, 3), (3, 0)], False),
+            # Edges are oriented by the network's node order, not M's.
+            ([3, 2, 1, 0], [(0, 1), (1, 2), (2, 3), (3, 0)], True),
+        ],
+        ids=["repeated-edge", "self-loop", "untouched-node", "node-order"],
+    )
+    def test_ham_to_st_counts_degrees_like_networkx(self, nodes, m_edges, accepted):
+        network = _network(nodes)
+        residual = ham_to_spanning_tree_instance(network, m_edges)
+        assert (residual is not None) == accepted
+        assert residual == reference_ham_to_st(network, m_edges)
+
+    @given(
+        st.integers(2, 6).flatmap(
+            lambda n: st.tuples(
+                st.permutations(range(n)),
+                st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=9),
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(([0, 1, 2], [(0, 1), (1, 2), (2, 0)]))
+    @example(([0, 1, 2], [(0, 1), (1, 2), (2, 3), (3, 0)]))  # node 3 outside the network
+    def test_ham_to_st_matches_the_networkx_formulation(self, case):
+        nodes, m_edges = case
+        network = _network(nodes)
+        assert ham_to_spanning_tree_instance(network, m_edges) == reference_ham_to_st(
+            network, m_edges
+        )
+
     def test_ham_to_st_on_cycle(self):
         graph = nx.cycle_graph(8)
         residual = ham_to_spanning_tree_instance(graph, list(graph.edges()))

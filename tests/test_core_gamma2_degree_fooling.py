@@ -14,6 +14,7 @@ from repro.core.approx_degree import (
     or_function,
 )
 from repro.core.fooling import (
+    BETA,
     code_min_distance,
     gap_equality_fooling_set,
     gap_equality_lower_bound,
@@ -133,7 +134,8 @@ class TestFooling:
             assert gap.in_promise(x, x2)  # cross pairs satisfy the promise
 
     def test_kdw_bounds(self):
-        assert kdw_server_model_bound(2**20, eps=0.5) == pytest.approx((20 - 1) / 4)
+        # eps = 1/2: Q >= (20 + log2(1/2)) / 4.
+        assert kdw_server_model_bound(2**20) == pytest.approx((20 - 1) / 4)
         with pytest.raises(ValueError):
             kdw_server_model_bound(0)
 
@@ -144,8 +146,8 @@ class TestFooling:
         assert bounds[2] >= 1.8 * bounds[1]
 
     def test_gv_rate_positive_below_quarter(self):
-        result = gap_equality_lower_bound(64, beta=0.125)
+        assert 0 < BETA < 0.25
+        result = gap_equality_lower_bound(64)
+        assert result["code_distance"] == 16  # 2 beta n at beta = 1/8
         assert result["rate"] > 0
         assert result["server_model_lower_bound"] > 0
-        with pytest.raises(ValueError):
-            gap_equality_lower_bound(64, beta=0.3)

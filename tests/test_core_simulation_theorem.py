@@ -115,15 +115,16 @@ class TestSimulationAccounting:
         assert accounting.carol_bits == 0
         assert accounting.david_bits == 0
 
-    def test_horizon_enforced(self):
+    def test_run_stops_at_the_horizon(self):
         class Staller(NodeProgram):
             def on_round(self, node: Node, round_no: int, inbox) -> None:
                 if round_no > 50:
                     node.halt()
 
         net = SimulationTheoremNetwork(2, 9)  # horizon (9 // 2) - 2 = 2
-        with pytest.raises(ValueError):
-            net.simulate(Staller, bandwidth=4, max_rounds=60)
+        accounting = net.simulate(Staller, bandwidth=4)
+        assert accounting.rounds == net.schedule.valid_horizon() == 2
+        assert not accounting.run.halted
 
     def test_server_pays_bulk(self):
         net = SimulationTheoremNetwork(4, 17)

@@ -89,9 +89,9 @@ class TestMstEquivalence:
     @pytest.mark.parametrize("seed", [0, 7, 23])
     def test_gkp_mst(self, seed, engine):
         graph = _weighted(26, seed)
-        edges_ref, ref = run_gkp_mst(graph, bandwidth=128, seed=0, engine=ReferenceDenseEngine())
+        edges_ref, ref = run_gkp_mst(graph, bandwidth=128, engine=ReferenceDenseEngine())
         edges_other, other = run_gkp_mst(
-            graph, bandwidth=128, seed=0, engine=make_engine(engine)
+            graph, bandwidth=128, engine=make_engine(engine)
         )
         assert_results_match(ref, other)
         assert edges_other == edges_ref
@@ -104,10 +104,10 @@ class TestMstEquivalence:
     def test_boruvka_mst(self, engine):
         graph = _weighted(16, 3)
         edges_ref, ref = run_boruvka_mst(
-            graph, bandwidth=128, seed=0, engine=ReferenceDenseEngine()
+            graph, bandwidth=128, engine=ReferenceDenseEngine()
         )
         edges_other, other = run_boruvka_mst(
-            graph, bandwidth=128, seed=0, engine=make_engine(engine)
+            graph, bandwidth=128, engine=make_engine(engine)
         )
         assert_results_match(ref, other)
         assert edges_other == edges_ref
@@ -135,10 +135,10 @@ class TestVerificationEquivalence:
         nodes = sorted(graph.nodes())
         kwargs = {"s": nodes[0], "t": nodes[-1]}
         verdict_ref, ref = run_verification(
-            problem, graph, m_edges, bandwidth=64, seed=0, engine=ReferenceDenseEngine(), **kwargs
+            problem, graph, m_edges, bandwidth=64, engine=ReferenceDenseEngine(), **kwargs
         )
         verdict_other, other = run_verification(
-            problem, graph, m_edges, bandwidth=64, seed=0, engine=make_engine(engine), **kwargs
+            problem, graph, m_edges, bandwidth=64, engine=make_engine(engine), **kwargs
         )
         assert_results_match(ref, other)
         assert verdict_other == verdict_ref
@@ -349,19 +349,18 @@ class TestMessageLogEquivalence:
 
 
 class TestErrorPaths:
-    def test_strict_error_path_metrics_match_serial(self):
-        """A strict-mode violation mid-round: every engine must raise the
-        same error AND leave the same transport totals as the reference --
-        sends staged by nodes before the offender count."""
-        from repro.congest.network import BandwidthExceeded
+    def test_mid_round_error_metrics_match_serial(self):
+        """A send to a non-neighbour raises mid-round: every engine must
+        raise the same error AND leave the same transport totals as the
+        reference -- sends staged by nodes before the offender count."""
 
-        class OneOversized(NodeProgram):
+        class OneStray(NodeProgram):
             def on_start(self, node):
                 node.broadcast(("warmup",), bits=4)
 
             def on_round(self, node, round_no, inbox):
                 if node.id == 5:
-                    node.send(node.neighbors[0], ("too-big",), bits=999)
+                    node.send(0, ("stray",), bits=4)  # 0 is not next to 5
                 else:
                     node.broadcast(("ok", round_no), bits=4)
 
@@ -373,10 +372,8 @@ class TestErrorPaths:
             ("reference", ReferenceDenseEngine()),
             ("reference-event", ReferenceEventEngine()),
         ):
-            network = CongestNetwork(
-                graph, OneOversized, bandwidth=8, strict=True, engine=spec
-            )
-            with pytest.raises(BandwidthExceeded):
+            network = CongestNetwork(graph, OneStray, bandwidth=8, engine=spec)
+            with pytest.raises(ValueError, match="0 is not a neighbor of 5"):
                 network.run(max_rounds=10)
             totals[name] = (network.transport.total_messages, network.transport.total_bits)
         assert totals["event"] == totals["dense"]
@@ -574,7 +571,6 @@ class TestEventEngineSkips:
             graph,
             StagedLabelFloodProgram,
             bandwidth=64,
-            seed=0,
             inputs=inputs,
             engine=make_engine(engine),
         )

@@ -25,6 +25,7 @@ from repro.experiments import (
     run_sweep,
     scenario,
 )
+from repro.experiments.backends import pool as pool_backend
 from repro.experiments.cli import main as cli_main
 from repro.experiments.sweep import canonical_json, derive_seed, parse_axis_overrides
 
@@ -169,9 +170,20 @@ class TestStoreAndCache:
         assert set(record) >= {"key", "params", "seed", "result", "code_version"}
 
     def test_version_bump_invalidates_cache(self):
-        key = cache_key("s", {"x": 1}, 7, scenario_version="1")
-        assert cache_key("s", {"x": 1}, 7, scenario_version="2") != key
+        key = cache_key("s", {"x": 1}, 7)
         assert cache_key("s", {"x": 1}, 7, code_version="9.9.9") != key
+
+    def test_a_record_with_a_scenario_version_still_loads(self):
+        # Stores written while scenarios carried a version keep loading:
+        # ``from_json`` ignores the field it no longer knows.
+        record = ResultRecord(
+            key="k", scenario="s", params={"x": 1}, seed=7, replicate=0, status="ok",
+            result={"y": 2},
+        )
+        data = json.loads(record.to_json())
+        assert "scenario_version" not in data
+        data["scenario_version"] = "1"
+        assert ResultRecord.from_json(json.dumps(data)) == record
 
     def test_source_edit_changes_the_key_fresh_interpreters_agree(self, tmp_path):
         code = "from repro.experiments.store import cache_key; print(cache_key('s', {'x': 1}, 7))"
@@ -218,7 +230,7 @@ class TestStoreAndCache:
         assert (report.cached, report.executed) == (0, 1)
         assert store.get("test-echo", path.stem) == report.records[0]
 
-    def test_torn_record_breaks_neither_report_nor_run(self, tmp_path, capsys):
+    def test_torn_record_breaks_neither_report_nor_run(self, tmp_path, capsys, caplog):
         store = str(tmp_path)
         argv = ["run", "test-echo", "--set", "x=1,2,3", "--store", store]
         assert cli_main(argv) == 0
@@ -228,12 +240,27 @@ class TestStoreAndCache:
         torn.write_text(torn.read_text()[:60])
         capsys.readouterr()
         assert cli_main(["report", "--store", store]) == 0
-        captured = capsys.readouterr()
-        assert "2 record(s) in" in captured.out
-        assert str(torn) in captured.err
+        assert "2 record(s) in" in capsys.readouterr().out
+        assert f"skipping unreadable record {torn}" in caplog.text
         assert cli_main(argv) == 0
         assert "2 cached, 1 executed, 0 failed" in capsys.readouterr().out
         assert ResultRecord.from_json(torn.read_text()).status == "ok"
+
+    def test_store_warnings_reach_stderr_from_the_cli(self, tmp_path):
+        # The CLI configures no logging: the store's warnings reach stderr
+        # through logging's last-resort handler.
+        (tmp_path / "s").mkdir()
+        torn = tmp_path / "s" / "torn.json"
+        torn.write_text('{"key": "k", "scen')
+        out = subprocess.run(
+            [sys.executable, "-m", "repro.experiments", "report", "--store", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert out.returncode == 1  # no readable record
+        assert f"skipping unreadable record {torn}" in out.stderr
 
     def test_failure_captured_not_raised(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -282,15 +309,14 @@ class TestParallelRunner:
         assert report.records[0].status == "timeout"
         assert time.monotonic() - start < 10.0
 
-    def test_slow_point_does_not_delay_timeout_detection(self):
+    def test_slow_point_does_not_delay_timeout_detection(self, monkeypatch):
         # Grid order: a slow-but-finishing point first, a hung point second.
         # Out-of-order collection detects the hang on its own clock instead
         # of only after the point in front has been collected.
+        monkeypatch.setattr(pool_backend, "DEFAULT_START_METHOD", "fork")
         points = expand_grid(get_scenario("test-sleepy"), {"delay": [2.0, 30.0]})
         start = time.monotonic()
-        report = run_sweep(
-            points, store=None, workers=2, task_timeout=2.5, mp_start_method="fork"
-        )
+        report = run_sweep(points, store=None, workers=2, task_timeout=2.5)
         elapsed = time.monotonic() - start
         assert report.records[0].status == "ok"
         assert report.records[1].status == "timeout"
@@ -298,14 +324,42 @@ class TestParallelRunner:
         # the hang; independent deadlines detect it at ~2.5s.
         assert elapsed < 4.0
 
-    def test_workers_recycled_with_maxtasksperchild(self):
+    def test_workers_recycled_with_maxtasksperchild(self, monkeypatch):
+        monkeypatch.setattr(pool_backend, "DEFAULT_START_METHOD", "fork")
+        monkeypatch.setattr(pool_backend, "MAX_TASKS_PER_CHILD", 1)
         points = expand_grid(get_scenario("test-echo"), {"x": [1, 2, 3, 4, 5]})
-        report = run_sweep(
-            points, store=None, workers=2, task_timeout=30.0,
-            mp_start_method="fork", maxtasksperchild=1,
-        )
+        report = run_sweep(points, store=None, workers=2, task_timeout=30.0)
         assert report.ok and report.executed == 5
         assert [r.result["x"] for r in report.records] == [1, 2, 3, 4, 5]
+
+
+class TestFig3MstTradeoffScenario:
+    def test_elkin_runs_alike_at_b_64_and_the_scenario_bandwidth(self):
+        """Both Fig. 3 runs take the scenario's ``bandwidth``.  A label
+        message ``("lbl", id)`` costs at most 64 bits for every id below
+        2^23, so on the default instances Elkin's rounds, bits and weight at
+        that B equal those at the runner's default B = 64."""
+        from repro.algorithms.elkin import run_elkin_approx_mst
+        from repro.experiments.scenarios import _fig3_graph
+
+        for point in expand_grid(get_scenario("fig3-mst-tradeoff")):
+            p = point.params
+            assert p["bandwidth"] == 128
+            graph = _fig3_graph(
+                point.seed, p["n"], p["aspect_ratio"], p["extra_edge_prob"], p["graph_seed"]
+            )
+            runs = [
+                run_elkin_approx_mst(graph, alpha=p["alpha"], bandwidth=bandwidth)
+                for bandwidth in (64, p["bandwidth"])
+            ]
+            (weight_64, at_64), (weight_b, at_b) = runs
+            assert weight_b == weight_64
+            assert (at_b.rounds, at_b.total_bits, at_b.total_messages) == (
+                at_64.rounds,
+                at_64.total_bits,
+                at_64.total_messages,
+            )
+            assert at_b.max_edge_bits_per_round <= 64
 
 
 class TestSpannerSkeletonScenario:
@@ -429,7 +483,7 @@ def _repeated_codeword(monkeypatch):
 
 def _codewords_inside_the_gap(monkeypatch):
     code = fooling.greedy_gv_code
-    monkeypatch.setattr(fooling, "greedy_gv_code", lambda n, d: code(n, 2, max_size=16))
+    monkeypatch.setattr(fooling, "greedy_gv_code", lambda n, d: code(n, 2)[:16])
 
 
 def _code_size_flat_in_n(monkeypatch):
@@ -458,7 +512,7 @@ class TestLowerBoundMachineryScenario:
     @staticmethod
     def _false_claims(seed: int = 0) -> set[str]:
         scn = get_scenario("lower-bound-machinery")
-        result = scn.run(scn.resolve_params(), seed=seed)
+        result = scn.run(scn.resolve_params({}), seed=seed)
         assert all(type(result[claim]) is bool for claim in LOWER_BOUND_CLAIMS)
         return {claim for claim in LOWER_BOUND_CLAIMS if not result[claim]}
 
@@ -665,6 +719,21 @@ class TestCLI:
         assert f"error: unrecognized arguments: {flag}" in captured.err
         assert "sweep" not in captured.out
         assert not store.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["-v", "list"], "unrecognized arguments: -v"),
+            (["--quiet", "list"], "unrecognized arguments: --quiet"),
+            (["report", "--format", "html"], "invalid choice: 'html'"),
+        ],
+        ids=["verbose", "quiet", "report-format-html"],
+    )
+    def test_removed_cli_options_are_usage_errors(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "axes", [["restarts=0"], ["restarts=1", "iterations=0"]], ids=["restarts", "iterations"]

@@ -48,9 +48,9 @@ class TestGridIndexProperties:
             for k in (1, 3, n):
                 assert index.nearest(origin, k) == _brute_nearest(points, origin, k)
             exclude = {v for v in points if rng.random() < 0.25}
-            assert index.nearest(origin, 2, exclude=exclude) == _brute_nearest(
-                points, origin, 2, exclude=exclude
-            )
+            assert index.nearest_point(
+                points[origin], 2, exclude={origin, *exclude}
+            ) == _brute_nearest(points, origin, 2, exclude=exclude)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rank_map_filters_and_orders(self, seed):
@@ -82,16 +82,6 @@ class TestGridIndexProperties:
         assert index.nearest(0, 10) == [1]
         assert index.nearest(0, 0) == []
         assert GridIndex({}).nearest_point((0.0, 0.0), 3) == []
-
-    def test_explicit_cell_size_does_not_change_results(self):
-        points = _points(3, 25)
-        default = GridIndex(points)
-        for cell in (0.05, 0.7, 50.0):
-            sized = GridIndex(points, cell=cell)
-            for origin in points:
-                assert sized.nearest(origin, 4) == default.nearest(origin, 4)
-        with pytest.raises(ValueError, match="cell size"):
-            GridIndex(points, cell=0.0)
 
 
 class TestGeneratorsMatchBruteForce:

@@ -1,16 +1,33 @@
-"""Package-wide audits, each run in a fresh interpreter.
+"""Package-wide audits.
 
 - Every function under ``src/repro`` runs while the audit's point set goes
-  through the CLI under ``cProfile``, or :data:`ALLOWLIST` says why it
-  stays.  The point set is every scenario's full default grid, one point
-  for each categorical value outside that grid, one ``--backend pool``
-  point, ``list``, a cached rerun, ``report`` as text, JSON and HTML with a
-  trace, and ``trace summarize``.  A function is keyed by (file, first
-  line), the first line including decorators, which is what
-  ``co_firstlineno`` holds; nested functions count.  Blind spot: a call
-  made while a module is imported counts as a run.
+  through the CLI under ``cProfile`` in a fresh interpreter, or
+  :data:`ALLOWLIST` says why it stays.  The point set is every scenario's
+  full default grid, one point for each categorical value outside that
+  grid, one ``--backend pool`` point, ``list``, a cached rerun, ``report``
+  as text, JSON and HTML with a trace, and ``trace summarize``.  A
+  function is keyed by (file, first line), the first line including
+  decorators, which is what ``co_firstlineno`` holds; nested functions
+  count.  Blind spot: a call made while a module is imported counts as a
+  run.
+- Every parameter with a default, of every function, method and nested
+  function under ``src/repro``, is set by some call in ``src/repro`` or
+  ``perfbench/*.py``, or :data:`OPTION_ALLOWLIST` says why it stays.  Tests,
+  ``benchmarks/`` and ``examples/`` do not count: an option only they set
+  multiplies the configurations to cover without serving a workload.  The
+  audit reads the source with ``ast`` and imports nothing.  A call sets a
+  parameter when its callee name (the ``Name`` id or the ``Attribute``
+  attr; a class name for ``__init__``) is the function's name and it
+  passes the parameter by keyword, at or past its position, or through
+  ``*args`` (a positional parameter) or ``**kwargs`` (any).  Blind spots:
+  a ``**kwargs`` forward counts as setting every parameter of every
+  function of that name; a parameter that is set but whose value nothing
+  reads passes; dataclass fields are not parameters and are not
+  inventoried; a call through another name (``Engine.transport_class(...)``)
+  sets nothing.
 - Registering the built-in scenarios and expanding their default grids
-  imports no ``scipy``; only the points that solve linear programs do.
+  imports no ``scipy`` (checked in a fresh interpreter); only the points
+  that solve linear programs do.
 """
 
 import ast
@@ -78,6 +95,25 @@ ALLOWLIST = {
     "repro.graphs.generators:disjoint_cycle_cover": "benchmarks/ (ROADMAP item 9 maps it)",
     "repro.experiments.runner:SweepReport.results": "benchmarks/ read their sweeps with it (item 9)",
 }
+
+#: Defaulted parameters that stay although no call in ``src/repro`` or
+#: ``perfbench/*.py`` sets them, by ``module:qualname(param)``.
+OPTION_ALLOWLIST = {
+    "repro.congest.transport:LinkTransport.__init__(record_messages)": (
+        "CongestNetwork sets it through Engine.transport_class(...), a name the audit "
+        "does not resolve"
+    ),
+    "repro.core.gamma2:gamma2_upper(iterations)": "reference code that tests compare against",
+    "repro.core.gamma2:gamma2_upper(seed)": "reference code that tests compare against",
+    "repro.algorithms.verification:run_gkp_components(bandwidth)": (
+        "benchmarks/ (ROADMAP item 9 maps it)"
+    ),
+    "repro.graphs.generators:disjoint_cycle_cover(seed)": "benchmarks/ (ROADMAP item 9 maps it)",
+}
+
+#: Where the calls that justify an option may live: the package and the
+#: benchmark harness's own files.
+CALLER_ROOTS = (PACKAGE, Path(__file__).resolve().parents[1] / "perfbench")
 
 _RUN_THE_POINT_SET = r"""
 import contextlib, cProfile, io, json, tempfile
@@ -147,15 +183,21 @@ def _fresh_interpreter(code: str) -> dict:
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def package_functions(package: Path = PACKAGE, name: str = "repro") -> dict[tuple[str, int], str]:
-    """Every function of ``package``, keyed by (file, first line), valued by
-    its qualified name, read from the source without importing it."""
-    functions = {}
+def _modules(package: Path, name: str):
+    """Yield (path, module name, parsed source) for every ``.py`` file of
+    ``package``."""
     for path in sorted(package.rglob("*.py")):
         parts = path.relative_to(package).with_suffix("").parts
         if parts[-1] == "__init__":
             parts = parts[:-1]
-        module = ".".join((name, *parts))
+        yield path, ".".join((name, *parts)), ast.parse(path.read_text(encoding="utf-8"))
+
+
+def package_functions(package: Path = PACKAGE, name: str = "repro") -> dict[tuple[str, int], str]:
+    """Every function of ``package``, keyed by (file, first line), valued by
+    its qualified name, read from the source without importing it."""
+    functions = {}
+    for path, module, tree in _modules(package, name):
 
         def visit(node: ast.AST, prefix: str) -> None:
             for child in ast.iter_child_nodes(node):
@@ -168,7 +210,7 @@ def package_functions(package: Path = PACKAGE, name: str = "repro") -> dict[tupl
                 else:
                     visit(child, prefix)
 
-        visit(ast.parse(path.read_text(encoding="utf-8")), "")
+        visit(tree, "")
     return functions
 
 
@@ -192,6 +234,105 @@ def audit(
         if key not in ran and not any(_allowed_by(entry, name) for entry in allowlist)
     )
     return stale, never_ran
+
+
+def package_options(
+    package: Path = PACKAGE, name: str = "repro"
+) -> dict[str, tuple[str, str, int | None]]:
+    """Every parameter with a default of every function of ``package``,
+    keyed by ``module:qualname(param)`` and valued by (the callee name that
+    reaches it, the parameter, its position among the positional
+    parameters after ``self``/``cls``, or ``None`` if keyword-only)."""
+    options = {}
+    for _path, module, tree in _modules(package, name):
+
+        def visit(node: ast.AST, prefix: str, owner: str | None) -> None:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    qualname = f"{prefix}{child.name}"
+                    callee = owner if child.name == "__init__" and owner else child.name
+                    args = child.args
+                    positional = [a.arg for a in args.posonlyargs + args.args]
+                    if positional and positional[0] in ("self", "cls"):
+                        positional = positional[1:]
+                    defaulted = positional[len(positional) - len(args.defaults):]
+                    for param in defaulted:
+                        key = f"{module}:{qualname}({param})"
+                        options[key] = (callee, param, positional.index(param))
+                    for param, default in zip(args.kwonlyargs, args.kw_defaults):
+                        if default is not None:
+                            options[f"{module}:{qualname}({param.arg})"] = (callee, param.arg, None)
+                    visit(child, f"{qualname}.<locals>.", None)
+                elif isinstance(child, ast.ClassDef):
+                    visit(child, f"{prefix}{child.name}.", child.name)
+                else:
+                    visit(child, prefix, owner)
+
+        visit(tree, "", None)
+    return options
+
+
+def package_calls(roots: tuple[Path, ...] = CALLER_ROOTS) -> dict[str, list[ast.Call]]:
+    """Every call under ``roots`` (a package, searched recursively, or a
+    directory, whose own ``*.py`` files alone count), by callee name."""
+    calls: dict[str, list[ast.Call]] = {}
+    for root in roots:
+        paths = root.rglob("*.py") if (root / "__init__.py").exists() else root.glob("*.py")
+        for path in sorted(paths):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if isinstance(func, ast.Name):
+                    calls.setdefault(func.id, []).append(node)
+                elif isinstance(func, ast.Attribute):
+                    calls.setdefault(func.attr, []).append(node)
+    return calls
+
+
+def _sets(call: ast.Call, param: str, position: int | None) -> bool:
+    if any(keyword.arg in (None, param) for keyword in call.keywords):
+        return True
+    if position is None:
+        return False
+    return any(isinstance(arg, ast.Starred) for arg in call.args) or len(call.args) > position
+
+
+def option_audit(
+    options: dict[str, tuple[str, str, int | None]],
+    calls: dict[str, list[ast.Call]],
+    allowlist: dict[str, str],
+) -> tuple[list[str], list[str]]:
+    """The allowlist entries that name no defaulted parameter, and the
+    defaulted parameters that no call sets and no entry keeps."""
+    stale = sorted(entry for entry in allowlist if entry not in options)
+    unset = sorted(
+        key
+        for key, (callee, param, position) in options.items()
+        if key not in allowlist
+        and not any(_sets(call, param, position) for call in calls.get(callee, ()))
+    )
+    return stale, unset
+
+
+@pytest.fixture(scope="module")
+def repo_options():
+    return package_options(), package_calls()
+
+
+def test_every_option_has_a_caller(repo_options):
+    stale, unset = option_audit(*repo_options, OPTION_ALLOWLIST)
+    assert not stale, f"option allowlist entries that name no defaulted parameter: {stale}"
+    assert not unset, (
+        f"{len(unset)} defaulted parameter(s) set by no call in src/ or perfbench/: pass "
+        f"them from a caller, delete them, or allowlist them with a reason: {unset}"
+    )
+
+
+@pytest.mark.parametrize("entry", sorted(OPTION_ALLOWLIST))
+def test_every_option_entry_keeps_an_unset_parameter(repo_options, entry):
+    kept = {k: v for k, v in OPTION_ALLOWLIST.items() if k != entry}
+    assert option_audit(*repo_options, kept) == ([], [entry])
 
 
 def test_every_function_runs_in_a_scenario_point():
@@ -334,3 +475,116 @@ class TestAuditMachinery:
         stale, never_ran = audit(*toy, {"toy": "kept module"})
         assert stale == []
         assert never_ran == [name for name in _TOY_NEVER_RAN if name != "toy:setup"]
+
+
+# -- the option audit's machinery, on a toy package ---------------------------
+
+_TOY_OPTIONS_MODULE = """\
+def unset(a, b=1):
+    return a + b
+
+
+def by_keyword(a, b=1):
+    return a + b
+
+
+def by_position(a, b=1):
+    return a + b
+
+
+def by_star_args(a, b=1):
+    return a + b
+
+
+def by_star_kwargs(a, *, b=1):
+    return a + b
+
+
+def keyword_only(a, *, b=1):
+    def nested(c=2):
+        return c
+
+    return a + b + nested(c=3)
+
+
+class Box:
+    def __init__(self, size=3):
+        self.size = size
+
+    def grow(self, by=1):
+        return self.size + by
+"""
+
+#: Calls from a second root, a plain directory like ``perfbench/``.
+_TOY_CALLERS = """\
+from opts.mod import Box, by_keyword, by_position, by_star_args, by_star_kwargs, keyword_only, unset
+
+args, kwargs = (0, 2), {"b": 2}
+unset(0)
+by_keyword(0, b=2)
+by_position(0, 2)
+by_star_args(*args)
+by_star_kwargs(0, **kwargs)
+keyword_only(0, 2)  # a keyword-only parameter is not set by position
+Box(4).grow(by=2)
+"""
+
+_TOY_UNSET = ["opts.mod:keyword_only(b)", "opts.mod:unset(b)"]
+
+
+@pytest.fixture(scope="module")
+def toy_options(tmp_path_factory):
+    root = tmp_path_factory.mktemp("options").resolve()
+    package = root / "opts"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(_TOY_OPTIONS_MODULE)
+    callers = root / "bench"
+    callers.mkdir()
+    (callers / "drive.py").write_text(_TOY_CALLERS)
+    return package_options(package, "opts"), package_calls((package, callers))
+
+
+class TestOptionAuditMachinery:
+    def test_inventory_names_defaults_of_functions_methods_and_nested_functions(
+        self, toy_options
+    ):
+        options, _ = toy_options
+        assert options == {
+            "opts.mod:unset(b)": ("unset", "b", 1),
+            "opts.mod:by_keyword(b)": ("by_keyword", "b", 1),
+            "opts.mod:by_position(b)": ("by_position", "b", 1),
+            "opts.mod:by_star_args(b)": ("by_star_args", "b", 1),
+            "opts.mod:by_star_kwargs(b)": ("by_star_kwargs", "b", None),
+            "opts.mod:keyword_only(b)": ("keyword_only", "b", None),
+            "opts.mod:keyword_only.<locals>.nested(c)": ("nested", "c", 0),
+            "opts.mod:Box.__init__(size)": ("Box", "size", 0),
+            "opts.mod:Box.grow(by)": ("grow", "by", 0),
+        }
+
+    def test_an_unset_parameter_fails_the_audit(self, toy_options):
+        # Set by keyword, by position, through *args and **kwargs, through
+        # the class name and from a nested call: everything else passes.
+        assert option_audit(*toy_options, {}) == ([], _TOY_UNSET)
+
+    def test_the_allowlist_keeps_what_it_names(self, toy_options):
+        kept = {key: "kept" for key in _TOY_UNSET}
+        assert option_audit(*toy_options, kept) == ([], [])
+
+    @pytest.mark.parametrize("entry", _TOY_UNSET)
+    def test_dropping_an_entry_names_what_it_kept(self, toy_options, entry):
+        kept = {key: "kept" for key in _TOY_UNSET if key != entry}
+        assert option_audit(*toy_options, kept) == ([], [entry])
+
+    @pytest.mark.parametrize(
+        "entry", ["opts.mod:unset(a)", "opts.mod:gone(b)", "opts.mod:Box.__init__(self)"]
+    )
+    def test_an_entry_that_names_no_defaulted_parameter_fails_the_audit(
+        self, toy_options, entry
+    ):
+        kept = {key: "kept" for key in _TOY_UNSET}
+        assert option_audit(*toy_options, {**kept, entry: "stale"}) == ([entry], [])
+
+    def test_a_call_outside_the_caller_roots_sets_nothing(self, toy_options):
+        options, _ = toy_options
+        assert option_audit(options, {}, {}) == ([], sorted(options))

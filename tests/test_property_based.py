@@ -99,10 +99,12 @@ class TestGamma2Properties:
 
 
 class TestCodesProperties:
-    @given(st.integers(4, 12), st.integers(2, 5))
+    # n stops at 9: the full scan at n = 12, d = 2 keeps 2,048 words and
+    # takes seconds.
+    @given(st.integers(4, 9), st.integers(2, 5))
     @settings(max_examples=20, deadline=None)
     def test_greedy_code_distance_invariant(self, n, d):
-        code = greedy_gv_code(n, d, max_size=40)
+        code = greedy_gv_code(n, d)
         if len(code) >= 2:
             assert code_min_distance(code) >= d
 
@@ -131,8 +133,7 @@ class TestFaultDeterminismProperties:
 
         plan = FaultPlan(seed=seed, drop_prob=0.5)
         twin = FaultPlan(seed=seed, drop_prob=0.5)
-        grid = [(kind, r, u, v, i)
-                for kind in ("drop", "dup", "reorder")
+        grid = [(r, u, v, i)
                 for r in (1, 7)
                 for (u, v) in ((0, 1), (1, 0), ("a", "b"))
                 for i in (0, 3)]

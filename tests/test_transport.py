@@ -6,8 +6,7 @@ per-edge grouping of a staged round (:func:`group_round`) against its
 invariants and against the reference's deliveries of that round, drive
 :class:`LinkTransport` directly against
 :class:`~tests.reference_transport.ReferenceTransport` on randomised edge
-workloads (the block path, the completion clock and skips), and pin the
-strict-mode error texts and totals.
+workloads (the block path, the completion clock and skips).
 """
 
 import random
@@ -18,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.congest.transport import BandwidthExceeded, LinkTransport, group_round
+from repro.congest.transport import LinkTransport, group_round
 from tests.reference_transport import ReferenceTransport
 
 
@@ -381,53 +380,6 @@ class TestTransportLockstep:
         assert link.live_edges == 0
 
 
-class TestStrictMode:
-    def test_oversized_message_text_matches_baseline(self):
-        ref = ReferenceTransport(8, strict=True)
-        link = LinkTransport(8, strict=True)
-        errors = {}
-        for name, transport in (("ref", ref), ("link", link)):
-            with pytest.raises(BandwidthExceeded) as info:
-                transport.enqueue(0, 1, "big", 9, 1)
-            errors[name] = str(info.value)
-        assert errors["link"] == errors["ref"]
-
-    def test_per_edge_overflow_text_matches_and_commits_nothing(self):
-        ref = ReferenceTransport(8, strict=True)
-        link = LinkTransport(8, strict=True)
-        errors = {}
-        for name, transport in (("ref", ref), ("link", link)):
-            transport.enqueue(0, 1, "a", 5, 1)
-            transport.enqueue(0, 1, "b", 5, 1)
-            with pytest.raises(BandwidthExceeded) as info:
-                transport.flush()
-            errors[name] = str(info.value)
-        assert errors["link"] == errors["ref"]
-        # The check raises before the commit: nothing is in flight.
-        assert link.pending_traffic() == ref.pending_traffic() == 0
-        assert link.live_edges == 0
-
-    @pytest.mark.parametrize("send", ["enqueue", "enqueue_many"])
-    def test_abort_mid_round_counts_staged_messages(self, send):
-        # LinkTransport counts the round being staged from its staging
-        # columns; an abort mid-round must still count what it staged.
-        ref = ReferenceTransport(8, strict=True)
-        link = LinkTransport(8, strict=True)
-        errors = {}
-        for name, transport in (("ref", ref), ("link", link)):
-            transport.enqueue(0, 1, "a", 5, 1)
-            transport.enqueue_many(1, [0, 2], "b", 7, 1)
-            with pytest.raises(BandwidthExceeded) as info:
-                if send == "enqueue":
-                    transport.enqueue(2, 1, "big", 9, 1)
-                else:
-                    transport.enqueue_many(2, [1, 0], "big", 9, 1)
-            errors[name] = str(info.value)
-        assert errors["link"] == errors["ref"]
-        assert (ref.total_messages, ref.total_bits) == (3, 19)
-        assert (link.total_messages, link.total_bits) == (3, 19)
-
-
 #: Nodes of the property's random schedules: few, so edges repeat within a
 #: round, share receivers, drain and revive.
 _NODES = 3
@@ -464,7 +416,7 @@ def _schedules(draw):
         st.just(("deliver",)),
         st.tuples(st.just("skip"), st.integers(1, 6)),
     )
-    return bandwidth, draw(st.booleans()), draw(st.lists(ops, min_size=20, max_size=80))
+    return bandwidth, draw(st.lists(ops, min_size=20, max_size=80))
 
 
 def _send(transport, op, payload, round_no):
@@ -506,34 +458,29 @@ class TestLockstepProperty:
     # order, and a fitting flush while an edge is still mid-message: the
     # two schedules that a tie broken by edge id, or a block taken while an
     # edge is live, get wrong.
-    @example((8, False, [
+    @example((8, [
         ("send", (0, 2), 8), ("send", (1, 2), 8), ("flush",), ("deliver",),
         ("send", (1, 2), 16), ("send", (0, 2), 16), ("flush",), ("deliver",), ("deliver",),
     ]))
-    @example((8, False, [
+    @example((8, [
         ("send", (0, 1), 16), ("flush",), ("deliver",),
         ("send", (2, 1), 8), ("flush",), ("deliver",),
     ]))
     @settings(max_examples=100, deadline=None)
     def test_random_schedules_match_reference(self, schedule):
         """Random interleavings of sends, broadcasts, flushes, deliveries
-        and skips: every delivery (inbox order included), probe, metric,
-        strict error text and log entry matches the reference."""
-        bandwidth, strict, ops = schedule
-        ref = ReferenceTransport(bandwidth, strict=strict, record_messages=True)
-        link = LinkTransport(bandwidth, strict=strict, record_messages=True)
+        and skips: every delivery (inbox order included), probe, metric and
+        log entry matches the reference."""
+        bandwidth, ops = schedule
+        ref = ReferenceTransport(bandwidth, record_messages=True)
+        link = LinkTransport(bandwidth, record_messages=True)
         round_no = 1
         for index, op in enumerate(ops):
             if op[0] == "skip":
                 # Skips stay below the next delivery, as the engines keep them.
                 gap = ref.rounds_until_delivery()
                 op = ("skip", op[1] if gap is None else min(op[1], gap - 1))
-            outcomes = []
-            for transport in (ref, link):
-                try:
-                    outcomes.append(_step(transport, op, index, round_no))
-                except BandwidthExceeded as exc:
-                    outcomes.append(("error", str(exc)))
+            outcomes = [_step(transport, op, index, round_no) for transport in (ref, link)]
             assert outcomes[1] == outcomes[0], (index, op)
             assert _observe(link) == _observe(ref), (index, op)
             if op[0] in ("deliver", "skip"):
