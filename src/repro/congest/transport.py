@@ -84,17 +84,16 @@ class RoundGroup(NamedTuple):
     ``order`` lists message indices grouped by edge -- edges in
     first-appearance order, FIFO within each edge; when every staged
     message sits on a distinct edge it is simply ``range(n)``.
-    ``edge_order`` / ``edge_sums`` are parallel per-edge columns in that
-    same first-appearance order.  ``edge_counts`` carries the per-edge
-    message counts (the run lengths of ``order``) whenever ``order`` is a
-    materialised list -- the block delivery loop uses the runs to hoist
-    its per-edge lookups out of the per-message loop; when ``order`` is a
-    ``range`` every count is 1 and the field is ``None``.
+    ``edge_order`` lists the edges in that same first-appearance order.
+    ``edge_counts`` carries the per-edge message counts (the run lengths
+    of ``order``) whenever ``order`` is a materialised list -- the block
+    delivery loop uses the runs to hoist its per-edge lookups out of the
+    per-message loop; when ``order`` is a ``range`` every count is 1 and
+    the field is ``None``.
     """
 
     order: Any  # list[int] | range
     edge_order: Any  # list[int] | tuple[int]
-    edge_sums: Any  # list[int] | tuple[int]
     edge_counts: list[int] | None  # None iff order is a range
     total_bits: int
     all_fit: bool  # every per-edge sum <= bandwidth
@@ -105,18 +104,18 @@ def group_round(eids: array, bits: array, bandwidth: int) -> RoundGroup:
     """Group one staged round by directed edge (see :class:`RoundGroup`)."""
     n = len(eids)
     if n == 0:
-        return RoundGroup(range(0), [], [], None, 0, True, 0)
+        return RoundGroup(range(0), [], None, 0, True, 0)
     if n == 1:
         b = bits[0]
-        return RoundGroup(range(1), [eids[0]], [b], None, b, b <= bandwidth, b)
+        return RoundGroup(range(1), [eids[0]], None, b, b <= bandwidth, b)
     if n == 2:
         b0, b1 = bits[0], bits[1]
         e0, e1 = eids[0], eids[1]
         if e0 == e1:
             s = b0 + b1
-            return RoundGroup(range(2), [e0], [s], None, s, s <= bandwidth, s)
+            return RoundGroup(range(2), [e0], None, s, s <= bandwidth, s)
         m = b0 if b0 >= b1 else b1
-        return RoundGroup(range(2), [e0, e1], [b0, b1], None, b0 + b1, m <= bandwidth, m)
+        return RoundGroup(range(2), [e0, e1], None, b0 + b1, m <= bandwidth, m)
     groups: dict[int, list[int]] = {}
     sums: dict[int, int] = {}
     total = 0
@@ -131,7 +130,6 @@ def group_round(eids: array, bits: array, bandwidth: int) -> RoundGroup:
             bucket.append(i)
             sums[eid] += b
     edge_order = list(groups)
-    edge_sums = [sums[eid] for eid in edge_order]
     if len(edge_order) == n:
         order: Any = range(n)  # one message per edge: already grouped
         edge_counts = None
@@ -139,10 +137,8 @@ def group_round(eids: array, bits: array, bandwidth: int) -> RoundGroup:
         buckets = list(groups.values())
         order = [i for bucket in buckets for i in bucket]
         edge_counts = [len(bucket) for bucket in buckets]
-    max_sum = max(edge_sums)
-    return RoundGroup(
-        order, edge_order, edge_sums, edge_counts, total, max_sum <= bandwidth, max_sum
-    )
+    max_sum = max(sums.values())
+    return RoundGroup(order, edge_order, edge_counts, total, max_sum <= bandwidth, max_sum)
 
 
 class _EdgeQueue:
@@ -343,7 +339,7 @@ class LinkTransport:
             # the grouping is trivial, so build it inline instead of paying
             # a call.  Field-for-field identical to ``group_round``'s.
             b0 = bits_col[0]
-            group = RoundGroup(_RANGE_1, (eids[0],), (b0,), None, b0, b0 <= bw, b0)
+            group = RoundGroup(_RANGE_1, (eids[0],), None, b0, b0 <= bw, b0)
         else:
             group = group_round(eids, bits_col, bw)
         self._flushed_messages += n

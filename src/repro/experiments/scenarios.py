@@ -1046,11 +1046,6 @@ def section9_verdicts(instance: HamInstance) -> tuple[bool, bool]:
     mst, _ = _spanning_forest(
         sorted(((w, *edge) for edge, w in weights.items()), key=lambda e: e[0])
     )
-    # Free the weights before the Ham -> ST step builds its graph: a
-    # networkx graph is a reference cycle that lives until the point's
-    # closing collection, and at n = 512 holding both raised a default-grid
-    # pass's peak RSS by 2 MB (Python 3.11, networkx 3.6).
-    del weights
     residual = ham_to_spanning_tree_instance(host, m_edges)
     is_tree = residual is not None and _spanning_forest((0, u, v) for u, v in residual)[1] == n - 1
     return is_tree, mst <= mst_weight_threshold(n, GAP_ALPHA)

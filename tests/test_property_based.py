@@ -8,7 +8,7 @@ import pytest
 
 np = pytest.importorskip("numpy")  # exercises numpy-backed core modules
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.comm.problems import hamming_distance
@@ -99,11 +99,14 @@ class TestGamma2Properties:
 
 
 class TestCodesProperties:
-    # n stops at 9: the full scan at n = 12, d = 2 keeps 2,048 words and
-    # takes seconds.
-    @given(st.integers(4, 9), st.integers(2, 5))
+    # From n = 10 on, d is drawn from 4..5: the full scan at n = 12, d = 2
+    # keeps 2,048 words and takes seconds, at d = 4 it keeps 128.
+    @given(st.integers(4, 12).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(2 if n <= 9 else 4, 5))))
+    @example((10, 5))  # the code lower-bound-machinery builds
     @settings(max_examples=20, deadline=None)
-    def test_greedy_code_distance_invariant(self, n, d):
+    def test_greedy_code_distance_invariant(self, n_d):
+        n, d = n_d
         code = greedy_gv_code(n, d)
         if len(code) >= 2:
             assert code_min_distance(code) >= d

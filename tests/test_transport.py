@@ -63,7 +63,6 @@ def _check_group_invariants(eids, bits, bandwidth, group):
     sums: dict[int, int] = {}
     for eid, b in zip(eids, bits):
         sums[eid] = sums.get(eid, 0) + b
-    assert list(group.edge_sums) == [sums[e] for e in by_first]
     assert group.total_bits == sum(bits)
     assert group.max_sum == (max(sums.values()) if sums else 0)
     assert group.all_fit == (group.max_sum <= bandwidth)
@@ -140,12 +139,12 @@ class TestGroupRound:
     @pytest.mark.parametrize(
         "eids,bits,bandwidth,expected",
         [
-            ([], [], 8, (range(0), [], [], None, 0, True, 0)),
-            ([4], [9], 8, (range(1), [4], [9], None, 9, False, 9)),
+            ([], [], 8, (range(0), [], None, 0, True, 0)),
+            ([4], [9], 8, (range(1), [4], None, 9, False, 9)),
             # Two messages on one edge: the edge carries their sum.
-            ([3, 3], [5, 4], 8, (range(2), [3], [9], None, 9, False, 9)),
+            ([3, 3], [5, 4], 8, (range(2), [3], None, 9, False, 9)),
             # Two edges: each fits B although the round's total does not.
-            ([3, 1], [5, 8], 8, (range(2), [3, 1], [5, 8], None, 13, True, 8)),
+            ([3, 1], [5, 8], 8, (range(2), [3, 1], None, 13, True, 8)),
         ],
         ids=["empty", "single", "pair-one-edge", "pair-two-edges"],
     )
