@@ -35,7 +35,7 @@ setup(
         "scipy",
     ],
     extras_require={
-        "test": ["pytest", "pytest-benchmark", "hypothesis"],
+        "test": ["pytest", "hypothesis"],
     },
     entry_points={
         "console_scripts": [

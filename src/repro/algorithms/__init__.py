@@ -15,8 +15,8 @@ Every lower bound in the paper is matched against a classical algorithm:
   (:mod:`repro.algorithms.spanning_structures`).
 
 All algorithms run on the :mod:`repro.congest` simulator and report measured
-rounds/bits, which the benchmarks lay against the closed-form bounds of
-:mod:`repro.core.bounds`.
+rounds/bits, which the scenarios and the shape tests lay against the
+closed-form bounds of :mod:`repro.core.bounds`.
 """
 
 from repro.algorithms.framework import (

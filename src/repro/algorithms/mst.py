@@ -75,27 +75,11 @@ def _mate_coin(label, iteration: int) -> int:
     return digest[0] & 1
 
 
-def _allowed_neighbors(node: Node) -> list:
-    """Neighbours reachable through *mergeable* edges.
-
-    By default all incident edges qualify; when the node input carries
-    ``m_neighbors`` (a set of neighbour ids), fragment growth is restricted
-    to the marked subnetwork ``M`` -- this is how the verification suite
-    reuses the MST machinery to compute components of ``M``.
-    """
-    inputs = node.input if isinstance(node.input, dict) else {}
-    marks = inputs.get("m_neighbors")
-    if marks is None:
-        return node.neighbors
-    mark_reprs = {repr(m) for m in marks}
-    return [nb for nb in node.neighbors if repr(nb) in mark_reprs]
-
-
 def _min_outgoing(node: Node, label_of: dict, my_label) -> tuple | None:
-    """The node's lightest incident (allowed) edge leaving its fragment, as
+    """The node's lightest incident edge leaving its fragment, as
     ``(key, u, v)`` with ``u = node.id``."""
     best = None
-    for neighbor in _allowed_neighbors(node):
+    for neighbor in node.neighbors:
         if label_of.get(repr(neighbor), my_label) == my_label:
             continue
         key = edge_key(node.edge_weight(neighbor), node.id, neighbor)
@@ -104,13 +88,36 @@ def _min_outgoing(node: Node, label_of: dict, my_label) -> tuple | None:
     return best
 
 
+def _better(a: tuple | None, b: tuple | None) -> bool:
+    """Whether candidate ``a`` beats ``b``; ``None`` is no candidate."""
+    if a is None:
+        return False
+    if b is None:
+        return True
+    return a[0] < b[0]
+
+
 class _FragmentState:
-    """Per-node fragment bookkeeping shared by both MST programs."""
+    """Per-node fragment bookkeeping of :class:`BoruvkaMSTProgram`."""
+
+    __slots__ = (
+        "label",
+        "tree_neighbors",
+        "neighbor_labels",
+        "best_cand",
+        "cand_dirty",
+        "label_dirty",
+    )
 
     def __init__(self, node: Node):
         self.label = node.id
         self.tree_neighbors: set = set()  # MST edges chosen so far (local view)
         self.neighbor_labels: dict[str, Any] = {}
+        # This iteration's lightest known outgoing edge, and whether it or
+        # the label still has to be flooded over the tree edges.
+        self.best_cand: tuple | None = None
+        self.cand_dirty = False
+        self.label_dirty = False
 
 
 class BoruvkaMSTProgram(NodeProgram):
@@ -168,7 +175,6 @@ class BoruvkaMSTProgram(NodeProgram):
             node.halt(
                 {
                     "label": state.label,
-                    "tree_edges": sorted((repr(node.id), repr(x)) for x in state.tree_neighbors),
                     "tree_neighbors": sorted(state.tree_neighbors, key=repr),
                 }
             )
@@ -180,53 +186,52 @@ class BoruvkaMSTProgram(NodeProgram):
                 state.neighbor_labels[repr(msg.sender)] = msg.payload[1]
             elif tag == "cand":
                 incoming = msg.payload[1]
-                if self._better(incoming, state.__dict__.get("best_cand")):
-                    state.__dict__["best_cand"] = incoming
-                    state.__dict__["cand_dirty"] = True
+                if _better(incoming, state.best_cand):
+                    state.best_cand = incoming
+                    state.cand_dirty = True
             elif tag == "chosen":
                 state.tree_neighbors.add(msg.sender)
                 # Re-announce our label across the new edge.
-                state.__dict__["label_dirty"] = True
+                state.label_dirty = True
             elif tag == "newlabel":
                 incoming = msg.payload[1]
                 if repr(incoming) < repr(state.label):
                     state.label = incoming
-                    state.__dict__["label_dirty"] = True
+                    state.label_dirty = True
 
         if r == 1:
             # Labels from the announcement arrive now; compute local candidate.
-            candidate = _min_outgoing(node, state.neighbor_labels, state.label)
-            state.__dict__["best_cand"] = candidate
-            state.__dict__["cand_dirty"] = True
+            state.best_cand = _min_outgoing(node, state.neighbor_labels, state.label)
+            state.cand_dirty = True
 
         if 1 <= r <= budget + 1:
-            if state.__dict__.get("cand_dirty") and state.__dict__.get("best_cand"):
+            if state.cand_dirty and state.best_cand:
                 for neighbor in state.tree_neighbors:
                     node.send(
                         neighbor,
-                        ("cand", state.__dict__["best_cand"]),
+                        ("cand", state.best_cand),
                         bits=_control_bits(node, floats=1, ids=3, extra=16),
                     )
-                state.__dict__["cand_dirty"] = False
+                state.cand_dirty = False
 
         if r == budget + 2:
-            best = state.__dict__.get("best_cand")
+            best = state.best_cand
             if best is not None and best[1] == node.id:
                 _, _, other = best
                 state.tree_neighbors.add(other)
                 node.send(other, ("chosen",), bits=8)
-            state.__dict__["label_dirty"] = True
+            state.label_dirty = True
 
         if budget + 2 <= r <= 2 * budget + 3:
-            if state.__dict__.get("label_dirty"):
+            if state.label_dirty:
                 for neighbor in state.tree_neighbors:
                     node.send(neighbor, ("newlabel", state.label), bits=_control_bits(node, ids=1))
-                state.__dict__["label_dirty"] = False
+                state.label_dirty = False
 
         if r == length:
             # Prepare the next iteration: announce the (new) label.
             state.neighbor_labels.clear()
-            state.__dict__.pop("best_cand", None)
+            state.best_cand = None
             node.broadcast(("label", state.label), bits=_control_bits(node, ids=1))
 
     def next_active_round(self, node: Node, after_round: int) -> int | None:
@@ -243,14 +248,6 @@ class BoruvkaMSTProgram(NodeProgram):
             if base + off > after_round:
                 return min(base + off, halt_round)
         return halt_round  # pragma: no cover - offsets above always cover
-
-    @staticmethod
-    def _better(a: tuple | None, b: tuple | None) -> bool:
-        if a is None:
-            return False
-        if b is None:
-            return True
-        return a[0] < b[0]
 
 
 # -- Phase A of GKP: controlled Boruvka ---------------------------------------
@@ -330,7 +327,7 @@ class ControlledBoruvkaPhase(Phase):
             elif tag == "cand":
                 cand, diam = msg.payload[1], msg.payload[2]
                 shared["_diam_est"] = max(shared.get("_diam_est", 0), diam)
-                if self._better(cand, shared.get("_best_cand")):
+                if _better(cand, shared.get("_best_cand")):
                     shared["_best_cand"] = cand
                     shared["_dirty"] = True
             elif tag == "propose":
@@ -437,14 +434,6 @@ class ControlledBoruvkaPhase(Phase):
                 return base + off
         return round_in_phase + 1  # pragma: no cover - offsets above always cover
 
-    @staticmethod
-    def _better(a: tuple | None, b: tuple | None) -> bool:
-        if a is None:
-            return False
-        if b is None:
-            return True
-        return a[0] < b[0]
-
 
 # -- Phase B of GKP: central merging over the BFS tree ------------------------
 
@@ -497,7 +486,7 @@ class _CollectCandidatesPhase(Phase):
                 items.append(("equiv", pair[0], pair[1]))
         tree_reprs = {repr(m) for m in shared["mst_neighbors"]}
         best = None
-        for neighbor in _allowed_neighbors(node):
+        for neighbor in node.neighbors:
             other_label = labels.get(repr(neighbor), my_label)
             if repr(other_label) == repr(my_label):
                 continue

@@ -10,14 +10,11 @@ Every verifier follows the same skeleton:
    histogram, odd-cycle flag, the component labels of ``s``/``t``);
 4. the root evaluates the predicate and broadcasts the verdict.
 
-Flooding uses a safe ``O(n)`` budget, so measured rounds are ``O(n + D)``;
-the ``O~(sqrt(n) + D)`` variant for connectivity-type predicates reuses the
-Kutten-Peleg machinery (:func:`run_gkp_components`).
+Flooding uses a safe ``O(n)`` budget, so measured rounds are ``O(n + D)``.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Hashable
 
 import networkx as nx
@@ -32,7 +29,6 @@ from repro.algorithms.framework import (
     PhasedProgram,
     send_each,
 )
-from repro.algorithms.mst import GKPMSTProgram
 from repro.congest.message import Received
 from repro.congest.network import CongestNetwork, RunResult
 from repro.congest.node import Node
@@ -348,39 +344,3 @@ def run_verification(
         special = frozenset(input_kwargs["special_edge"])
         answer = answer and any(frozenset(e) == special for e in m_edges)
     return answer, result
-
-
-def run_gkp_components(
-    graph: nx.Graph,
-    m_edges: list[tuple[Hashable, Hashable]],
-    bandwidth: int = 64,
-) -> tuple[int, RunResult]:
-    """Component count of ``M`` via the Kutten-Peleg machinery.
-
-    The ``O~(sqrt(n) + D)``-shaped path for connectivity-style verification:
-    fragment growth restricted to ``M``-edges; the number of distinct final
-    labels equals the number of components of ``M``.
-    """
-    d = nx.diameter(graph)
-    n = graph.number_of_nodes()
-    m = nx.Graph()
-    m.add_nodes_from(graph.nodes())
-    m.add_edges_from(m_edges)
-    inputs = {
-        node: {
-            "diameter_bound": d,
-            "m_neighbors": frozenset(m.neighbors(node)),
-        }
-        for node in graph.nodes()
-    }
-    iterations = max(3, math.ceil(math.log2(max(2, n))) + 1)
-    network = CongestNetwork(
-        graph,
-        lambda: GKPMSTProgram(phase_b_iterations=iterations),
-        bandwidth=bandwidth,
-        inputs=inputs,
-    )
-    result = network.run(max_rounds=500_000)
-    labels = {repr(out["label"]) for out in result.outputs.values()}
-    return len(labels), result
-

@@ -1,10 +1,10 @@
 """Closed-form bound evaluators: Theorems 3.6 & 3.8, Corollaries 3.7 & 3.9.
 
 These functions evaluate the paper's asymptotic bounds as concrete functions
-of ``(n, B, W, alpha)`` so benchmarks can lay measured upper-bound round
-counts against them (Figs. 2 and 3).  Asymptotic constants are taken as 1;
-what the reproduction checks is the *shape*: who wins, the scaling exponents
-and the crossover points.
+of ``(n, B, W, alpha)`` so scenarios and tests can lay measured upper-bound
+round counts against them (Figs. 2 and 3).  Asymptotic constants are taken
+as 1; what the reproduction checks is the *shape*: who wins, the scaling
+exponents and the crossover points.
 """
 
 from __future__ import annotations

@@ -49,7 +49,7 @@ def greedy_gv_code(n: int, min_distance: int) -> list[Bits]:
 
     Scans ``{0,1}^n`` in counter order keeping every word at distance
     ``>= min_distance`` from all kept words.  Exponential scan -- intended
-    for the small ``n`` exercised by tests and benches.
+    for the small ``n`` exercised by the scenarios and tests.
     """
     if n > 22:
         raise ValueError("greedy GV scan limited to n <= 22")

@@ -15,8 +15,9 @@ region -- at most one ``B``-bit message per highway per round.
 This module makes that bookkeeping executable: it runs a real CONGEST
 algorithm on ``N``, replays the message trace against the ownership
 schedule, and reports exactly what Carol and David would have transmitted.
-The tests and benches confirm the theorem's guarantees on live algorithms:
-per-round cost ``<= 6 k B`` and total ``O(B log L x rounds)``.
+The ``simulation-theorem`` scenario and its shape test confirm the
+theorem's guarantees on live algorithms: per-round cost ``<= 6 k B`` and
+total ``O(B log L x rounds)``.
 """
 
 from __future__ import annotations

@@ -43,10 +43,6 @@ class SweepReport:
     def ok(self) -> bool:
         return self.failed == 0
 
-    def results(self) -> list[dict]:
-        """The per-point result payloads, grid-ordered (None for failures)."""
-        return [r.result for r in self.records]
-
 
 def run_sweep(
     points: list[SweepPoint],

@@ -2,8 +2,8 @@
 
 Each scenario is a pure function of ``(seed, **params) -> dict`` whose
 randomness derives entirely from the seed, so a sweep point is fully
-identified by its cache key.  The benchmark scripts under ``benchmarks/``
-are thin wrappers over these registrations -- the sweep logic lives here.
+identified by its cache key.  The shape tests in ``tests/test_paper_shapes.py``
+sweep these registrations and assert what relates their points.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ This package implements the graph-theoretic vocabulary of the paper:
 
 - every verification predicate of Appendix A.2, the centralised truth the
   distributed verifiers are tested against (:mod:`repro.graphs.properties`),
-- graph/instance generators used by the scenarios, tests and benchmarks
+- graph/instance generators used by the scenarios and tests
   (:mod:`repro.graphs.generators`),
 - the grid index behind the geometric generators
   (:mod:`repro.graphs.spatial`).

@@ -1,11 +1,10 @@
-"""Instance generators for tests and benchmarks.
+"""Instance generators for the scenarios and tests.
 
 These produce the concrete workloads on which the paper's predicates,
 algorithms and bound formulas are exercised: random connected graphs, weighted
 graphs with a prescribed aspect ratio, kNN-geometric graphs (grid-indexed,
-~O(n * k) construction), disjoint-cycle covers (gap-Hamiltonian inputs), and
-pairs of perfect matchings whose union has a given number of cycles
-(Server-model Ham inputs).
+~O(n * k) construction), and pairs of perfect matchings whose union has a
+given number of cycles (Server-model Ham inputs).
 """
 
 from __future__ import annotations
@@ -117,33 +116,6 @@ def random_weighted_graph(
     if len(edges) >= 2:
         graph.edges[edges[0]]["weight"] = 1.0
         graph.edges[edges[-1]]["weight"] = float(aspect_ratio)
-    return graph
-
-
-def disjoint_cycle_cover(n: int, n_cycles: int, seed: int | None = None) -> nx.Graph:
-    """A graph that is a disjoint union of ``n_cycles`` cycles covering ``n`` nodes.
-
-    These are the paper's gap-Hamiltonian inputs: for ``n_cycles == 1`` the
-    graph is a Hamiltonian cycle; for ``c >= 2`` it is ``c``-far from one.
-    Every cycle has length at least 3.
-    """
-    if n_cycles < 1 or n < 3 * n_cycles:
-        raise ValueError("need n >= 3 * n_cycles and n_cycles >= 1")
-    rng = random.Random(seed)
-    nodes = list(range(n))
-    rng.shuffle(nodes)
-    sizes = [3] * n_cycles
-    remaining = n - 3 * n_cycles
-    for _ in range(remaining):
-        sizes[rng.randrange(n_cycles)] += 1
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    start = 0
-    for size in sizes:
-        cycle = nodes[start : start + size]
-        for i, u in enumerate(cycle):
-            graph.add_edge(u, cycle[(i + 1) % size])
-        start += size
     return graph
 
 

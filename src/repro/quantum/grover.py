@@ -32,8 +32,8 @@ def optimal_grover_iterations(n_items: int, n_marked: int = 1) -> int:
 def grover_search(
     oracle: Callable[[int], bool],
     n_items: int,
-    n_marked: int | None = None,
-    rng: random.Random | None = None,
+    n_marked: int,
+    rng: random.Random,
 ) -> tuple[int, int]:
     """Run Grover search over ``0..n_items-1``.
 
@@ -44,14 +44,10 @@ def grover_search(
     ``n_marked`` tunes the iteration count; if unknown, callers should use
     the exponential-guessing loop in :func:`grover_find_any`.
     """
-    rng = rng or random
     n_qubits = max(1, math.ceil(math.log2(n_items)))
     dim = 1 << n_qubits
 
     marked = np.array([1.0 if (i < n_items and oracle(i)) else 0.0 for i in range(dim)])
-    k = int(marked.sum())
-    if n_marked is None:
-        n_marked = max(1, k)
     iterations = optimal_grover_iterations(dim, n_marked)
 
     state = QuantumState(n_qubits)
@@ -76,7 +72,7 @@ def grover_search(
 def grover_find_any(
     oracle: Callable[[int], bool],
     n_items: int,
-    rng: random.Random | None = None,
+    rng: random.Random,
 ) -> tuple[int | None, int]:
     """Find any marked item with unknown mark count (exponential guessing).
 
@@ -86,7 +82,6 @@ def grover_find_any(
     ``(index or None, total_oracle_queries)``; total queries stay
     ``O(sqrt(n_items))`` in expectation.
     """
-    rng = rng or random
     total_queries = 0
     guess = 1
     rounds = 0

@@ -80,9 +80,8 @@ class QuantumState:
         perm = [current.index(q) for q in qubits]
         return marginal.transpose(perm).reshape(-1)
 
-    def measure(self, qubits: Sequence[int], rng: random.Random | None = None) -> tuple[int, ...]:
+    def measure(self, qubits: Sequence[int], rng: random.Random) -> tuple[int, ...]:
         """Projective measurement of the listed qubits; collapses the state."""
-        rng = rng or random
         qubits = list(qubits)
         probs = self.probabilities(qubits)
         outcome_index = rng.choices(range(len(probs)), weights=probs.tolist())[0]

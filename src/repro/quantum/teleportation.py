@@ -20,7 +20,7 @@ from repro.quantum.state import QuantumState
 
 
 def teleport(
-    message: QuantumState, rng: random.Random | None = None
+    message: QuantumState, rng: random.Random
 ) -> tuple[QuantumState, tuple[int, int]]:
     """Teleport a single-qubit state from Alice to Bob.
 
@@ -33,7 +33,6 @@ def teleport(
     """
     if message.n_qubits != 1:
         raise ValueError("teleport expects a single-qubit message")
-    rng = rng or random
 
     # Qubits: 0 = message, 1 = Alice's EPR half, 2 = Bob's EPR half.
     system = message.tensor(QuantumState(2))

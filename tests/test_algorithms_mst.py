@@ -55,12 +55,12 @@ class TestFragmentMinimumScan:
         return graph
 
     @staticmethod
-    def _brute_force(graph, u, label_of, my_label, allowed):
+    def _brute_force(graph, u, label_of, my_label):
         return min(
             (
                 (edge_key(graph.edges[u, v]["weight"], u, v), u, v)
                 for v in graph.neighbors(u)
-                if v in allowed and label_of.get(repr(v), my_label) != my_label
+                if label_of.get(repr(v), my_label) != my_label
             ),
             default=None,
         )
@@ -74,23 +74,7 @@ class TestFragmentMinimumScan:
         label_of = {repr(v): rng.randrange(3) for v in graph.nodes() if rng.random() < 0.9}
         for u, node in network.nodes.items():
             my_label = label_of.get(repr(u), 0)
-            expected = self._brute_force(graph, u, label_of, my_label, set(graph.neighbors(u)))
-            assert _min_outgoing(node, label_of, my_label) == expected
-
-    @pytest.mark.parametrize("seed", [2, 11])
-    def test_min_outgoing_stays_in_the_marked_subnetwork(self, seed):
-        graph = self._tied_weights(14, seed)
-        rng = random.Random(seed + 1)
-        marks = {
-            u: {"m_neighbors": {v for v in graph.neighbors(u) if rng.random() < 0.6}}
-            for u in graph.nodes()
-        }
-        network = CongestNetwork(graph, NodeProgram, inputs=marks)
-        label_of = {repr(v): rng.randrange(3) for v in graph.nodes()}
-        for u, node in network.nodes.items():
-            my_label = label_of[repr(u)]
-            allowed = marks[u]["m_neighbors"]
-            expected = self._brute_force(graph, u, label_of, my_label, allowed)
+            expected = self._brute_force(graph, u, label_of, my_label)
             assert _min_outgoing(node, label_of, my_label) == expected
 
 

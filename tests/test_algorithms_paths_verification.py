@@ -19,14 +19,10 @@ from repro.algorithms.elkin import (
     run_elkin_approx_mst,
 )
 from repro.algorithms.paths import run_refreshing_bellman_ford
-from repro.algorithms.verification import (
-    VERIFIERS,
-    run_gkp_components,
-    run_verification,
-)
+from repro.algorithms.verification import VERIFIERS, run_verification
 from repro.congest.topology import dumbbell_graph
 from repro.graphs import properties as props
-from repro.graphs.generators import disjoint_cycle_cover, random_connected_graph
+from repro.graphs.generators import random_connected_graph
 
 
 def weighted(graph: nx.Graph, seed: int = 0) -> nx.Graph:
@@ -132,14 +128,29 @@ class TestVerificationSuite:
         cycle_edge = next(e for e in self.graph.edges() if frozenset(e) not in {frozenset(t) for t in tree})
         self._check("spanning tree", tree + [cycle_edge], False)
 
+    @staticmethod
+    def _cycles(order, sizes):
+        """Disjoint cycles through consecutive runs of ``order``."""
+        edges, start = [], 0
+        for size in sizes:
+            run = order[start : start + size]
+            edges += [(run[i], run[(i + 1) % size]) for i in range(size)]
+            start += size
+        return edges
+
     def test_hamiltonian_cycle(self):
-        complete = nx.complete_graph(8)
-        ham = [(i, (i + 1) % 8) for i in range(8)]
-        verdict, _ = run_verification("hamiltonian cycle", complete, ham)
-        assert verdict is True
-        two_cycles = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]
-        verdict, _ = run_verification("hamiltonian cycle", complete, two_cycles)
-        assert verdict is False
+        # K_8 with the identity order, and K_18 with the gap-Hamiltonian
+        # pair of a shuffled order: one cycle through all 18 nodes, or
+        # three disjoint cycles of 7, 6 and 5 nodes.
+        shuffled = list(range(18))
+        random.Random(5).shuffle(shuffled)
+        for order, cover in ((list(range(8)), (4, 4)), (shuffled, (7, 6, 5))):
+            complete = nx.complete_graph(len(order))
+            ham = self._cycles(order, (len(order),))
+            verdict, _ = run_verification("hamiltonian cycle", complete, ham)
+            assert verdict is True
+            verdict, _ = run_verification("hamiltonian cycle", complete, self._cycles(order, cover))
+            assert verdict is False
 
     def test_bipartiteness(self):
         even = nx.cycle_graph(8)
@@ -221,22 +232,6 @@ class TestVerificationSuite:
                 expected = checker(self.graph, edges)
                 verdict, _ = run_verification(problem, self.graph, edges)
                 assert verdict == expected, (problem, trial)
-
-
-class TestGKPComponents:
-    def test_counts_components(self):
-        graph = nx.complete_graph(12)
-        weighted(graph, seed=8)
-        cover = disjoint_cycle_cover(12, 3, seed=2)
-        count, _ = run_gkp_components(graph, list(cover.edges()))
-        assert count == 3
-
-    def test_connected_input(self):
-        graph = random_connected_graph(12, seed=9)
-        weighted(graph, seed=9)
-        tree = list(nx.minimum_spanning_tree(graph).edges())
-        count, _ = run_gkp_components(graph, tree)
-        assert count == 1
 
 
 class TestElkin:

@@ -59,17 +59,27 @@ class TestOptimizationBound:
 
 class TestFig2Table:
     def test_all_problems_present(self):
-        rows = fig2_table(10_000)
+        rows = fig2_table(10_000, 14, aspect_ratio=1024.0, alpha=2.0)
         names = {row.problem for row in rows}
         assert set(VERIFICATION_PROBLEMS) <= names
         assert set(OPTIMIZATION_PROBLEMS) <= names
+        categories = [row.category for row in rows]
+        assert (categories.count("verification"), categories.count("optimization")) == (14, 9)
 
     def test_verification_rows_match_theorem(self):
-        rows = [r for r in fig2_table(10_000) if r.category == "verification"]
-        expected = verification_lower_bound(10_000, 1)
-        for row in rows:
-            assert row.new_value == pytest.approx(expected)
-            assert "quantum" in row.new
+        for bandwidth in (1, 14):
+            rows = fig2_table(10_000, bandwidth, aspect_ratio=1024.0, alpha=2.0)
+            expected = verification_lower_bound(10_000, bandwidth)
+            for row in (r for r in rows if r.category == "verification"):
+                assert row.new_value == pytest.approx(expected, abs=1e-9)
+                assert "quantum" in row.new
+
+    def test_optimization_rows_match_theorem(self):
+        # B = 14 ~ log2 n, the standard CONGEST bandwidth at n = 10^4.
+        rows = fig2_table(10_000, 14, aspect_ratio=1024.0, alpha=2.0)
+        expected = optimization_lower_bound(10_000, 14, 1024.0, 2.0)
+        for row in (r for r in rows if r.category == "optimization"):
+            assert row.new_value == pytest.approx(expected, abs=1e-9)
 
     def test_optimization_new_bound_never_below_small_w(self):
         rows = [r for r in fig2_table(10_000, aspect_ratio=32.0, alpha=2.0) if r.category == "optimization"]
@@ -82,7 +92,9 @@ class TestFig2Table:
 class TestFig3Curve:
     def test_crossover_shape(self):
         n, alpha = 10_000, 2.0
-        ws = [1.0, 10.0, 100.0, 1_000.0, 100_000.0]
+        ws = [
+            1.0, 4.0, 10.0, 16.0, 64.0, 100.0, 256.0, 1_000.0, 1_024.0, 4_096.0, 65_536.0, 100_000.0
+        ]
         curve = fig3_curve(n, alpha, ws)
         lower = [point["lower_bound"] for point in curve]
         upper = [point["upper_bound"] for point in curve]
@@ -91,7 +103,9 @@ class TestFig3Curve:
         assert lower == sorted(lower)
         assert all(lb <= ub for lb, ub in zip(lower, upper))
         # The upper bound saturates at sqrt(n) + D once W > alpha sqrt(n).
-        assert upper[-1] == pytest.approx(upper[-2])
+        saturated = [ub for w, ub in zip(ws, upper) if w > alpha * math.sqrt(n)]
+        assert len(saturated) == 6
+        assert all(ub == pytest.approx(upper[-1], abs=1e-9) for ub in saturated)
 
     def test_crossover_landmarks(self):
         curve = fig3_curve(10_000, 2.0, [1.0])

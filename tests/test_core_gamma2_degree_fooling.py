@@ -144,6 +144,11 @@ class TestFooling:
         bounds = [gap_equality_lower_bound(n)["server_model_lower_bound"] for n in (40, 80, 160)]
         assert bounds[1] >= 1.8 * bounds[0]
         assert bounds[2] >= 1.8 * bounds[1]
+        # ... and bound / n settles to a constant (Fig. 2's bottom half).
+        ratios = [
+            gap_equality_lower_bound(n)["server_model_lower_bound"] / n for n in (64, 128, 256, 512)
+        ]
+        assert max(ratios) / min(ratios) < 1.6
 
     def test_gv_rate_positive_below_quarter(self):
         assert 0 < BETA < 0.25

@@ -19,12 +19,13 @@ from repro.core.server_model import streamed_xor_protocol
 class TestCHSH:
     def test_classical_bias_half(self):
         # Bell: no classical strategy beats bias 1/2 (win prob 3/4).
-        assert chsh_game().classical_bias() == pytest.approx(0.5)
+        assert chsh_game().classical_bias() == pytest.approx(0.5, abs=1e-9)
 
     def test_quantum_bias_tsirelson(self):
         # Tsirelson's bound: 1/sqrt(2) ~ 0.7071.
-        bias = chsh_game().quantum_bias(seed=1)
-        assert bias == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-4)
+        for seed in (0, 1):
+            bias = chsh_game().quantum_bias(seed=seed)
+            assert bias == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-4)
 
     def test_quantum_beats_classical(self):
         game = chsh_game()

@@ -67,8 +67,13 @@ class TestStructuredProtocol:
 
         proto = streamed_xor_protocol(5)
         rng = random.Random(0)
-        for _ in range(25):
+        for _ in range(50):
             x = tuple(rng.randrange(2) for _ in range(5))
             y = tuple(rng.randrange(2) for _ in range(5))
-            assert two_party_simulation_of_server(proto, x, y).output == proto.run(x, y).output
+            server = proto.run(x, y)
+            sim = two_party_simulation_of_server(proto, x, y)
+            # Section 3.1: the two-party simulation costs exactly the
+            # players' bits and gives the same output.
+            assert sim.total_bits == server.carol_bits + server.david_bits
+            assert sim.output == server.output
 

@@ -1,9 +1,10 @@
 """Documentation invariants: generated catalog, link targets, docstrings.
 
-Also checks that every module in ``benchmarks/`` runs in a CI pytest
-step, since plain pytest never collects ``bench_*.py``.
+Also checks that every file that defines a test is one plain ``pytest``
+collects, so no test sits in a file that no run picks up.
 """
 
+import ast
 import importlib
 import inspect
 import os
@@ -11,6 +12,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
@@ -131,7 +133,7 @@ class TestDocPaths:
     def test_checker_accepts_node_suffixes_globs_and_placeholders(self):
         text = (
             "`tests/test_docs.py::TestDocPaths` and "
-            "`python -m pytest -q benchmarks/bench_*.py --benchmark-disable` "
+            "`python3 perfbench/*.py --seed 1` "
             "and `src/repro/<package>/missing.py` and `no_such_file.py`"
         )
         assert _missing_repo_paths(text) == []
@@ -149,23 +151,68 @@ class TestDocPaths:
         ]
 
 
-class TestBenchmarksRunInCi:
-    def test_every_benchmark_file_is_collected_by_a_ci_pytest_step(self):
-        """Plain pytest never collects ``bench_*.py``; CI must name them.
+def _defines_a_test(path):
+    """Whether ``path`` has a module-level ``test*`` function or a ``Test*``
+    class with a ``test*`` method, which pytest collects from a test file."""
 
-        Every module in ``benchmarks/`` but the package ``__init__.py``
-        must match a ``benchmarks/...`` pattern that a workflow step hands
-        to pytest, and must define a test for that step to run.
-        """
-        workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text()
-        patterns = re.findall(r"pytest\b[^\n]*?\s(benchmarks/\S+\.py)", workflow)
-        assert patterns, "no CI step runs pytest over benchmarks/"
-        covered = {path for pattern in patterns for path in REPO.glob(pattern)}
-        for path in sorted((REPO / "benchmarks").glob("*.py")):
-            if path.name == "__init__.py":
-                continue
-            assert path in covered, f"no CI step runs benchmarks/{path.name}"
-            assert re.search(r"^def test_", path.read_text(), re.M), path.name
+    def is_test(node):
+        functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+        return isinstance(node, functions) and node.name.startswith("test")
+
+    for node in ast.parse(path.read_text()).body:
+        if is_test(node):
+            return True
+        if isinstance(node, ast.ClassDef) and node.name.startswith("Test"):
+            if any(is_test(item) for item in node.body):
+                return True
+    return False
+
+
+def _uncollected_test_files(root, skip):
+    """``.py`` files under ``root`` that define a test but are not named
+    ``test_*.py``; directories whose name or root-relative path matches a
+    ``skip`` pattern are not searched."""
+    found = []
+    for directory, subdirs, files in os.walk(root):
+        rel = Path(directory).relative_to(root)
+        subdirs[:] = sorted(
+            d for d in subdirs
+            if not any(fnmatch(d, p) or fnmatch((rel / d).as_posix(), p) for p in skip)
+        )
+        for name in sorted(files):
+            path = Path(directory) / name
+            if name.endswith(".py") and not fnmatch(name, "test_*.py") and _defines_a_test(path):
+                found.append((rel / name).as_posix())
+    return found
+
+
+class TestEveryTestIsCollected:
+    def test_every_file_that_defines_a_test_is_named_test_py(self, pytestconfig):
+        """Plain ``pytest`` collects only ``test_*.py``: a test in a file of
+        any other name runs nowhere.  Directories that pytest does not
+        recurse into or that ``.gitignore`` lists are not searched."""
+        ignored = (REPO / ".gitignore").read_text().splitlines()
+        skip = pytestconfig.getini("norecursedirs") + [
+            line.rstrip("/") for line in ignored if line.endswith("/")
+        ]
+        stray = _uncollected_test_files(REPO, skip)
+        assert not stray, f"plain pytest collects none of these test files: {stray}"
+
+    def test_checker_finds_tests_outside_test_files(self, tmp_path):
+        files = {
+            "bench/bench_fig.py": "def test_shape():\n    pass\n",
+            "bench/bench_class.py": "class TestShape:\n    def test_it(self):\n        pass\n",
+            "bench/helpers.py": "def build():\n    pass\n\nclass TestData:\n    x = 1\n",
+            "bench/test_ok.py": "def test_shape():\n    pass\n",
+            "out/bench_skipped.py": "def test_shape():\n    pass\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+        assert _uncollected_test_files(tmp_path, ["out"]) == [
+            "bench/bench_class.py",
+            "bench/bench_fig.py",
+        ]
 
 
 def _experiment_modules():

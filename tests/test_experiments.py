@@ -149,7 +149,7 @@ class TestStoreAndCache:
         assert (first.cached, first.executed) == (0, 3)
         second = run_sweep(points, store=store)
         assert (second.cached, second.executed) == (3, 0)
-        assert second.results() == first.results()
+        assert [r.result for r in second.records] == [r.result for r in first.records]
 
     def test_force_reruns(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -286,7 +286,7 @@ class TestParallelRunner:
         parallel = run_sweep(points, store=ResultStore(tmp_path), workers=3)
         assert serial.ok and parallel.ok
         assert parallel.executed == 4
-        assert parallel.results() == serial.results()
+        assert [r.result for r in parallel.records] == [r.result for r in serial.records]
         assert [r.seed for r in parallel.records] == [r.seed for r in serial.records]
 
     def test_parallel_timeout_is_captured(self):
@@ -367,7 +367,7 @@ class TestSpannerSkeletonScenario:
         points = expand_grid(get_scenario("spanner-skeleton"), {"n": 24})
         report = run_sweep(points, store=None)
         assert report.ok
-        result = report.results()[0]
+        result = report.records[0].result
         assert result["linear_size"] and result["within_stretch"]
         assert result["spanner_edges"] < result["m"] or result["m"] < 2 * 24
         # The phased construction is mostly quiet: the event engine must
@@ -530,7 +530,7 @@ class TestLowerBoundMachineryScenario:
         (point,) = expand_grid(get_scenario("lower-bound-machinery"), base_seed=base_seed)
         report = run_sweep([point], store=None)
         assert report.ok
-        result = report.results()[0]
+        result = report.records[0].result
         assert [claim for claim in LOWER_BOUND_CLAIMS if result[claim] is not True] == []
 
     @pytest.mark.parametrize(

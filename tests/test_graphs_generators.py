@@ -4,7 +4,6 @@ import networkx as nx
 import pytest
 
 from repro.graphs import generators as gen
-from repro.graphs.properties import is_hamiltonian_cycle
 
 
 class TestGenerators:
@@ -18,16 +17,6 @@ class TestGenerators:
         g = gen.random_weighted_graph(15, aspect_ratio=50.0, seed=3)
         weights = [w for _, _, w in g.edges(data="weight")]
         assert max(weights) / min(weights) == pytest.approx(50.0)
-
-    def test_cycle_cover_structure(self):
-        g = gen.disjoint_cycle_cover(12, 3, seed=2)
-        assert nx.number_connected_components(g) == 3
-        assert all(d == 2 for _, d in g.degree())
-
-    def test_cycle_cover_hamiltonian_case(self):
-        g = gen.disjoint_cycle_cover(9, 1, seed=5)
-        complete = nx.complete_graph(9)
-        assert is_hamiltonian_cycle(complete, g.edges())
 
     def test_matching_pair_cycle_count(self):
         for n_cycles in (1, 2, 3):
@@ -49,11 +38,6 @@ class TestGenerators:
             assert len(side) == 10
             assert sorted(v for edge in side for v in edge) == list(range(20))
         assert not {frozenset(e) for e in carol} & {frozenset(e) for e in david}
-
-    @pytest.mark.parametrize("n, n_cycles", [(8, 3), (5, 0)])
-    def test_cycle_cover_rejects_impossible_counts(self, n, n_cycles):
-        with pytest.raises(ValueError):
-            gen.disjoint_cycle_cover(n, n_cycles)
 
     def test_weighted_rejects_aspect_ratio_below_one(self):
         with pytest.raises(ValueError):

@@ -12,17 +12,18 @@
   run.
 - Every parameter with a default, of every function, method and nested
   function under ``src/repro``, is set by some call in ``src/repro`` or
-  ``perfbench/*.py``, or :data:`OPTION_ALLOWLIST` says why it stays.  Tests,
-  ``benchmarks/`` and ``examples/`` do not count: an option only they set
-  multiplies the configurations to cover without serving a workload.  The
-  audit reads the source with ``ast`` and imports nothing.  A call sets a
-  parameter when its callee name (the ``Name`` id or the ``Attribute``
-  attr; a class name for ``__init__``) is the function's name and it
-  passes the parameter by keyword, at or past its position, or through
-  ``*args`` (a positional parameter) or ``**kwargs`` (any).  Blind spots:
+  ``perfbench/*.py``, or :data:`OPTION_ALLOWLIST` says why it stays.  Tests
+  and ``examples/`` do not count: an option only they set multiplies the
+  configurations to cover without serving a workload.  The audit reads the
+  source with ``ast`` and imports nothing.  A call sets a parameter when
+  its callee name (the ``Name`` id or the ``Attribute`` attr; a class name
+  for ``__init__``) is the function's name and it passes the parameter by
+  keyword, at or past its position, or through ``*args`` (a positional
+  parameter) or ``**kwargs`` (any).  Blind spots:
   a ``**kwargs`` forward counts as setting every parameter of every
   function of that name; a parameter that is set but whose value nothing
-  reads passes; dataclass fields are not parameters and are not
+  reads passes; a default that every caller overrides passes, although no
+  call ever takes it; dataclass fields are not parameters and are not
   inventoried; a call through another name (``Engine.transport_class(...)``)
   sets nothing.
 - Registering the built-in scenarios and expanding their default grids
@@ -91,9 +92,6 @@ ALLOWLIST = {
     "repro.core.simulation_theorem:theorem_parameters": "examples/lower_bound_pipeline.py",
     "repro.core.nonlocal_games:XORGame.quantum_bias": "examples/lower_bound_pipeline.py",
     "repro.experiments.reporting.docs": "tests/test_docs.py regenerates docs/scenarios.md with it",
-    "repro.algorithms.verification:run_gkp_components": "benchmarks/ (ROADMAP item 9 maps it)",
-    "repro.graphs.generators:disjoint_cycle_cover": "benchmarks/ (ROADMAP item 9 maps it)",
-    "repro.experiments.runner:SweepReport.results": "benchmarks/ read their sweeps with it (item 9)",
 }
 
 #: Defaulted parameters that stay although no call in ``src/repro`` or
@@ -105,10 +103,6 @@ OPTION_ALLOWLIST = {
     ),
     "repro.core.gamma2:gamma2_upper(iterations)": "reference code that tests compare against",
     "repro.core.gamma2:gamma2_upper(seed)": "reference code that tests compare against",
-    "repro.algorithms.verification:run_gkp_components(bandwidth)": (
-        "benchmarks/ (ROADMAP item 9 maps it)"
-    ),
-    "repro.graphs.generators:disjoint_cycle_cover(seed)": "benchmarks/ (ROADMAP item 9 maps it)",
 }
 
 #: Where the calls that justify an option may live: the package and the

@@ -56,6 +56,7 @@ class TestGadgetProperties:
         delta = gap_eq_mismatch_count(x, y)
         assert instance.cycle_count() == (1 if delta == 0 else delta + 1)
         assert instance.is_hamiltonian() == (delta == 0)
+        assert instance.union_graph().number_of_nodes() == 6 * len(x)
 
 
 class TestQuantumProperties:

@@ -59,7 +59,7 @@ class TestTeleportation:
 
     def test_rejects_multiqubit_message(self):
         with pytest.raises(ValueError):
-            teleport(QuantumState(2))
+            teleport(QuantumState(2), rng=random.Random(0))
 
     @pytest.mark.parametrize("name", sorted(AXIS_STATES))
     def test_each_axis_state_arrives_on_every_correction_branch(self, name):
