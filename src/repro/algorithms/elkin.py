@@ -32,7 +32,8 @@ from typing import Hashable
 
 import networkx as nx
 
-from repro.congest.message import Received, bit_size
+from repro.algorithms.framework import send_each
+from repro.congest.message import Received
 from repro.congest.network import CongestNetwork, RunResult
 from repro.congest.node import Node, NodeProgram
 
@@ -67,39 +68,45 @@ class StagedLabelFloodProgram(NodeProgram):
     def __init__(self):
         self.label: Hashable = None
         self.log: list[tuple[int, Hashable]] = []
-        self.edge_classes: dict[str, int] = {}
 
     def on_start(self, node: Node) -> None:
         inputs = node.input or {}
         self.label = node.id
-        self.edge_classes = dict(inputs.get("edge_classes", {}))
+        self._label_repr = repr(self.label)
+        edge_classes = inputs.get("edge_classes", {})
         self.deadline = int(inputs.get("n_classes", 1)) + int(inputs.get("tail", node.n_nodes))
+        # Each neighbour's activation round, and the neighbours grouped by
+        # it, both in ``node.neighbors`` order.  The runner takes no fault
+        # plan, so the neighbour list cannot change during a run.
+        self._activation = [(nb, edge_classes.get(repr(nb), 1)) for nb in node.neighbors]
+        self._groups: dict[int, list[Hashable]] = {}
+        for neighbor, activation in self._activation:
+            self._groups.setdefault(activation, []).append(neighbor)
         # Spontaneous rounds: each incident edge's activation round, plus
         # the common halting deadline.  Everything else is delivery-driven,
         # which is what makes the event engine skip the long quiet stretch
         # between the last local activation and the deadline.
-        self._activations = sorted(set(self.edge_classes.values()))
+        self._activations = sorted(set(edge_classes.values()))
         self.log = [(0, self.label)]
         node.output = (self.label, tuple(self.log))
 
     def on_round(self, node: Node, round_no: int, inbox: list[Received]) -> None:
         improved = False
         for msg in inbox:
-            _, their_label = msg.payload
-            if repr(their_label) < repr(self.label):
-                self.label = their_label
+            their_label = msg.payload[1]
+            their_repr = repr(their_label)
+            if their_repr < self._label_repr:
+                self.label, self._label_repr = their_label, their_repr
                 improved = True
+        # Announce over every *active* edge on change, else over the edges
+        # that activate this round.
         if improved:
             self.log.append((round_no, self.label))
-        # Announce over every *active* edge on activation or on change.
-        announcement = ("lbl", self.label)
-        bits = 0
-        for neighbor in node.neighbors:
-            activation = self.edge_classes.get(repr(neighbor), 1)
-            if round_no == activation or (improved and round_no >= activation):
-                bits = bits or bit_size(announcement)
-                node.send(neighbor, announcement, bits)
-        node.output = (self.label, tuple(self.log))
+            node.output = (self.label, tuple(self.log))
+            receivers = [nb for nb, activation in self._activation if activation <= round_no]
+        else:
+            receivers = self._groups.get(round_no, ())
+        send_each(node, receivers, ("lbl", self.label))
         if round_no >= self.deadline:
             node.halt(node.output)
 
@@ -156,10 +163,12 @@ def component_count_mst_weight(quantised: nx.Graph, n_classes: int) -> float:
     class weights (exact Kruskal accounting).
 
     Evaluated as a single ascending sweep over the class-sorted edge list
-    with an int-indexed union-find (``O(C + m alpha(m))``) rather than
+    with an int-indexed union-find (``O(m log m)``, whatever ``C``) rather than
     recounting components from scratch at every threshold (``O(C (n + m))``
     -- at large aspect ratios the recount dominated the whole Fig. 3 grid
-    point).
+    point).  Every threshold from one edge class up to the next sees the
+    same component count, so each such run of thresholds is added in one
+    step, not one threshold at a time.
     """
     index = {v: i for i, v in enumerate(quantised.nodes())}
     parent = list(range(len(index)))
@@ -187,7 +196,8 @@ def component_count_mst_weight(quantised: nx.Graph, n_classes: int) -> float:
     components = len(parent)
     total = 0.0
     cursor = 0
-    for t in range(1, n_classes + 1):
+    t = 1
+    while t <= n_classes:
         # Threshold t counts components of the subgraph with class < t; the
         # edges are class-sorted, so folding them in is one linear cursor.
         while cursor < m and classes[cursor] < t:
@@ -196,5 +206,8 @@ def component_count_mst_weight(quantised: nx.Graph, n_classes: int) -> float:
                 parent[ru] = rv
                 components -= 1
             cursor += 1
-        total += components - 1
+        # The count holds up to and including the next edge's class.
+        run_end = min(classes[cursor], n_classes) if cursor < m else n_classes
+        total += (run_end - t + 1) * (components - 1)
+        t = run_end + 1
     return total

@@ -298,6 +298,16 @@ class PipelinedUpcastPhase(Phase):
     total item count ``K``; an optional ``reducer`` drops dominated items at
     intermediate nodes (e.g. keep only the minimum-weight edge per fragment),
     which is how the Kutten-Peleg phase keeps the pipeline short.
+
+    The queue holds ``(payload, bits)`` pairs: a node's own item is sized
+    when it is sent, and a received item is forwarded with ``bits=msg.bits``,
+    so each item is sized once, at the node it starts from.  The reducer
+    runs once on entry and then only on rounds that delivered items.  Both
+    are exact under the reducer contract: a reducer returns items from its
+    input (the same objects, so their sizes carry over), and its output is
+    reduced -- sorted by repr, or with its head removed, it is a list the
+    reducer returns unchanged.  A round without deliveries only pops the
+    head, so its queue is still reduced.
     """
 
     name = "pipelined-upcast"
@@ -315,33 +325,39 @@ class PipelinedUpcastPhase(Phase):
         items = list(shared.get(self.items_key) or [])
         if self.reducer is not None:
             items = self.reducer(items)
-        shared["_queue"] = sorted(items, key=repr)
+        shared["_queue"] = [(("item", item), None) for item in sorted(items, key=repr)]
         shared[self.result_key] = None
 
+    def _reduce(self, queue: list) -> list:
+        """The reducer over the queued items, each kept with its payload."""
+        entries = {id(payload[1]): (payload, bits) for payload, bits in queue}
+        return [entries[id(item)] for item in self.reducer([payload[1] for payload, _ in queue])]
+
     def on_round(self, node: Node, r: int, inbox: list[Received], shared: dict) -> None:
+        queue = shared["_queue"]
+        delivered = False
         for msg in inbox:
             if msg.payload[0] == "item":
-                shared["_queue"].append(msg.payload[1])
-        if self.reducer is not None:
-            shared["_queue"] = self.reducer(shared["_queue"])
-        if shared["parent"] is not None and shared["_queue"]:
-            item = shared["_queue"].pop(0)
-            node.send(shared["parent"], ("item", item))
+                queue.append((msg.payload, msg.bits))
+                delivered = True
+        if delivered and self.reducer is not None:
+            queue = shared["_queue"] = self._reduce(queue)
+        if shared["parent"] is not None and queue:
+            payload, bits = queue.pop(0)
+            node.send(shared["parent"], payload, bits)
 
     def on_exit(self, node: Node, shared: dict) -> None:
+        queue = shared.pop("_queue")
         if shared["parent"] is None:
-            shared[self.result_key] = list(shared.pop("_queue"))
-        else:
-            leftover = shared.pop("_queue")
-            if leftover:
-                raise RuntimeError(
-                    f"upcast capacity too small: {len(leftover)} items stranded at {node.id!r}"
-                )
+            shared[self.result_key] = [payload[1] for payload, _ in queue]
+        elif queue:
+            raise RuntimeError(
+                f"upcast capacity too small: {len(queue)} items stranded at {node.id!r}"
+            )
 
     def idle_until(self, node: Node, round_in_phase: int, shared: dict) -> int | None:
         # Forwarding one item per round is spontaneous while the local queue
-        # is non-empty; a drained queue refills only on delivery.  (Reducers
-        # must be pure: they are re-applied on every stepped round.)
+        # is non-empty; a drained queue refills only on delivery.
         if shared.get("_queue") and shared.get("parent") is not None:
             return round_in_phase + 1
         return None

@@ -501,7 +501,13 @@ class _CollectCandidatesPhase(Phase):
 
 
 def _fragment_min_reducer(items: list) -> list:
-    """Keep the lightest proposal per source-fragment label; dedupe repairs."""
+    """Keep the lightest proposal per source-fragment label; dedupe repairs.
+
+    Meets :class:`PipelinedUpcastPhase`'s reducer contract: it returns items
+    from its input, and its output -- the repairs, then one proposal per
+    label, each part sorted by repr -- is sorted by repr and stays reduced
+    when its head is removed.
+    """
     best: dict[str, tuple] = {}
     equivs: set[tuple] = set()
     for item in items:

@@ -218,6 +218,14 @@ class EventEngine(Engine):
     so interleavings match the dense engine exactly -- only the nodes that
     received something or asked to be woken.
 
+    Wake-ups live in a min-heap of ``(round, node order, node)`` entries;
+    ``wake`` maps each node to its one pending round, and an entry whose
+    round no longer matches it is stale and dropped when it surfaces.  A
+    step that leaves a node's wake round equal to its pending one pushes
+    nothing: that round is later than the current one, so its entry has not
+    been popped, and it stays live until its round.  About half the steps
+    of the Fig. 3 and Boruvka runs end that way.
+
     ``node_steps`` counts ``on_round`` calls and ``skipped_rounds`` the
     quiet rounds jumped in O(1), both for introspection; on mostly quiet
     workloads ``node_steps`` is far below the dense engine's ``n x rounds``.
@@ -259,6 +267,8 @@ class EventEngine(Engine):
             nxt = network.programs[nid].next_active_round(node, after_round)
             if nxt is not None and nxt <= after_round:  # defensive: never stall the clock
                 nxt = after_round + 1
+            if nxt == wake.get(nid):
+                return  # the pending entry stays live until that round
             wake[nid] = nxt
             if nxt is not None:
                 heapq.heappush(heap, (nxt, order[nid], nid))

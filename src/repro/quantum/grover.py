@@ -19,7 +19,7 @@ from repro.quantum.gates import HADAMARD
 from repro.quantum.state import QuantumState
 
 
-def optimal_grover_iterations(n_items: int, n_marked: int = 1) -> int:
+def optimal_grover_iterations(n_items: int, n_marked: int) -> int:
     """The optimal iteration count ``~ (pi/4) sqrt(N/k)``."""
     if n_items < 1:
         raise ValueError("need at least one item")

@@ -220,6 +220,59 @@ class TestPipelines:
         root_output = result.outputs[7]
         assert root_output == ["same-item"]
 
+    @pytest.mark.parametrize("engine", ("dense", "event"))
+    def test_upcast_reduces_on_entry_and_on_delivery_rounds_only(self, engine):
+        # The reducer keeps the lightest item per group, sorted by repr: it
+        # returns items from its input, and its output stays reduced when
+        # the head is removed, so a round without deliveries needs no call.
+        graph = random_connected_graph(12, seed=7)
+        calls = []
+        delivery_rounds = []
+
+        def lightest_per_group(items):
+            calls.append(len(items))
+            best = {}
+            for item in items:
+                if item[0] not in best or item[1] < best[item[0]][1]:
+                    best[item[0]] = item
+            return sorted(best.values(), key=repr)
+
+        class CountedUpcast(PipelinedUpcastPhase):
+            def on_round(self, node, r, inbox, shared):
+                if any(msg.payload[0] == "item" for msg in inbox):
+                    delivery_rounds.append((node.id, r))
+                super().on_round(node, r, inbox, shared)
+
+        def item(node_id):
+            return (node_id % 3, (7 * node_id) % 11)
+
+        def stage(node, shared):
+            shared["items"] = [item(node.id)]
+            shared["cap"] = 12
+
+        def read(node, shared):
+            shared["output"] = shared["collected"]  # None except at the root
+
+        def phases():
+            return [
+                LeaderElectionPhase(),
+                BfsTreePhase(),
+                LocalComputationPhase(stage),
+                CountedUpcast("items", "collected", "cap", reducer=lightest_per_group),
+                LocalComputationPhase(read),
+            ]
+
+        inputs = {node: {"diameter_bound": nx.diameter(graph)} for node in graph.nodes()}
+        network = CongestNetwork(
+            graph, lambda: PhasedProgram(phases()), bandwidth=128, inputs=inputs, engine=engine
+        )
+        result = network.run(max_rounds=100_000)
+        assert delivery_rounds
+        assert len(calls) == graph.number_of_nodes() + len(delivery_rounds)
+        items = [item(v) for v in graph.nodes()]
+        lightest = [min(i for i in items if i[0] == group) for group in range(3)]
+        assert [out for out in result.outputs.values() if out is not None] == [lightest]
+
     @pytest.mark.parametrize(
         "bandwidth",
         [

@@ -289,6 +289,34 @@ class TestElkin:
         expected = nx.minimum_spanning_tree(graph).size(weight="weight")
         assert component_count_mst_weight(graph, 12) == expected
 
+    @staticmethod
+    def _recount(graph, n_classes):
+        """The identity evaluated threshold by threshold: the components of
+        the subgraph of classes below ``t``, recounted for every ``t``."""
+        total = 0
+        for t in range(1, n_classes + 1):
+            below = nx.Graph()
+            below.add_nodes_from(graph)
+            below.add_edges_from((u, v) for u, v, w in graph.edges(data="weight") if w < t)
+            total += nx.number_connected_components(below) - 1
+        return total
+
+    @pytest.mark.parametrize("seed", [3, 41])
+    def test_threshold_runs_match_a_per_threshold_recount(self, seed):
+        rng = random.Random(seed)
+        cases = []
+        for n_classes in (1, 2, 7, 2000):  # 2000 is far above any edge count here
+            graph = nx.gnp_random_graph(rng.randint(8, 16), 0.25, seed=rng.randrange(10**6))
+            graph.add_nodes_from(range(100, 103))  # isolated nodes
+            for u, v in graph.edges():
+                graph.edges[u, v]["weight"] = rng.randint(1, n_classes)
+            cases.append((graph, n_classes))
+        no_edges = nx.empty_graph(5)
+        cases += [(no_edges, 1), (no_edges, 9)]
+        for graph, n_classes in cases:
+            expected = self._recount(graph, n_classes)
+            assert component_count_mst_weight(graph, n_classes) == expected
+
 
 class TestDistributedDisjointness:
     def setup_method(self):

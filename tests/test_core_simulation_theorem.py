@@ -10,6 +10,7 @@ from repro.core.simulation_theorem import (
     SimulationTheoremNetwork,
     theorem_parameters,
 )
+from repro.experiments.scenarios import _ChatterProgram
 from repro.graphs.generators import matching_pair_for_cycles
 
 
@@ -88,6 +89,18 @@ class TestSimulationAccounting:
         for round_cost in accounting.per_round_cost:
             assert round_cost <= accounting.per_round_bound
         assert accounting.cost <= accounting.total_bound
+
+    @pytest.mark.parametrize("length, worst_round", [(9, 48), (17, 64), (33, 80), (65, 96)])
+    def test_budget_and_worst_round_are_pinned(self, length, worst_round):
+        # ``simulation-theorem``'s chatter program costs Carol and David
+        # exactly 2kB in its worst round, a third of the 6kB budget, so
+        # ``within_per_round_bound`` alone passes a budget up to 3x too
+        # small.  Pin both sides at B = 8 (k = 3, 4, 5, 6 highways).
+        net = SimulationTheoremNetwork(4, length)
+        horizon = net.schedule.valid_horizon()
+        accounting = net.simulate(lambda: _ChatterProgram(horizon), bandwidth=8)
+        assert accounting.per_round_bound == 6 * net.n_highways * 8
+        assert max(accounting.per_round_cost) == 2 * net.n_highways * 8 == worst_round
 
     def test_path_traffic_is_free(self):
         # A program that only talks along paths left-to-right costs Carol

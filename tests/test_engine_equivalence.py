@@ -19,9 +19,13 @@ skip that crosses a delivery), while a ``LinkTransport`` shortcut that
 moves a bit differently fails only under ``event``.
 """
 
+import heapq
+from types import SimpleNamespace
+
 import networkx as nx
 import pytest
 
+from repro.algorithms import elkin
 from repro.algorithms.centralised import run_centralised
 from repro.algorithms.elkin import run_elkin_approx_mst
 from repro.algorithms.framework import (
@@ -36,11 +40,15 @@ from repro.algorithms.framework import (
 )
 from repro.algorithms.mst import run_boruvka_mst, run_gkp_mst, tree_weight
 from repro.algorithms.paths import run_refreshing_bellman_ford
+from repro.algorithms.spanning_structures import run_linear_size_spanner
 from repro.algorithms.verification import run_verification
-from repro.congest.engine import get_engine
+from repro.congest import engine as engine_module
+from repro.congest.engine import EventEngine, get_engine
 from repro.congest.network import CongestNetwork
 from repro.congest.node import Node, NodeProgram
+from repro.experiments.scenarios import _fig3_graph
 from repro.graphs.generators import random_connected_graph
+from tests.reference_flood import ReferenceLabelFloodProgram
 from tests.reference_transport import ReferenceDenseEngine, ReferenceEventEngine
 
 #: The engines checked against the reference (``ReferenceDenseEngine``).
@@ -577,3 +585,53 @@ class TestEventEngineSkips:
         result = network.run(max_rounds=200_000)
         dense_grid = result.rounds * graph.number_of_nodes()
         assert network.engine.node_steps < dense_grid / 3
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            pytest.param(lambda g, e: run_gkp_mst(g, bandwidth=128, engine=e), id="gkp"),
+            pytest.param(lambda g, e: run_boruvka_mst(g, bandwidth=128, engine=e), id="boruvka"),
+            pytest.param(lambda g, e: run_elkin_approx_mst(g, alpha=2.0, engine=e), id="elkin"),
+            pytest.param(
+                lambda g, e: run_linear_size_spanner(g, stretch_k=3, engine=e), id="spanner"
+            ),
+        ],
+    )
+    def test_unchanged_wake_rounds_push_nothing(self, monkeypatch, run):
+        # A step that leaves a node's wake round where it was keeps the
+        # pending heap entry instead of pushing a duplicate.  Pushing after
+        # every step gives about one push per node step.
+        pushes = []
+
+        def push(heap, entry):
+            pushes.append(entry)
+            heapq.heappush(heap, entry)
+
+        monkeypatch.setattr(
+            engine_module, "heapq", SimpleNamespace(heappush=push, heappop=heapq.heappop)
+        )
+        graph = _weighted(30, 4)
+        engine = EventEngine()
+        run(graph, engine)
+        assert engine.node_steps > 0
+        assert len(pushes) <= 2 / 3 * engine.node_steps
+
+
+class TestFloodAgainstReference:
+    """Elkin's flood against the per-neighbour program it replaced
+    (``tests/reference_flood.py``), on the Fig. 3 instances."""
+
+    @pytest.mark.parametrize("engine", ("dense", "event"))
+    @pytest.mark.parametrize("aspect_ratio", [2.0, 32.0, 1024.0, 8192.0])
+    def test_same_run_result(self, monkeypatch, aspect_ratio, engine):
+        graph = _fig3_graph(1, 60, aspect_ratio, 0.08, 17)
+        weight, result = run_elkin_approx_mst(graph, alpha=2.0, bandwidth=128, engine=engine)
+        monkeypatch.setattr(elkin, "StagedLabelFloodProgram", ReferenceLabelFloodProgram)
+        ref_weight, reference = run_elkin_approx_mst(
+            graph, alpha=2.0, bandwidth=128, engine=engine
+        )
+        assert result == reference
+        assert weight == ref_weight
+        # The outputs carry every node's adoption log; some label must move
+        # for the comparison to cover the improvement path.
+        assert any(len(log) > 1 for _, log in result.outputs.values())

@@ -202,8 +202,11 @@ def test_simulation_theorem_accounting():
     rows = _sweep("simulation-theorem")
     assert all(r["within_per_round_bound"] for r in rows)
     assert all(r["within_total_bound"] for r in rows)
-    # Diameter Theta(log L).
+    # Diameter Theta(log L): within 4 log2 L + 6 at every point, and up by
+    # exactly 3 per doubling of L over the default grid.
     assert all(r["diameter_logarithmic"] for r in rows)
+    assert [r["length"] for r in rows] == [9, 17, 33, 65]
+    assert [r["diameter"] for r in rows] == [5, 8, 11, 14]
 
 
 def test_observation_8_1_at_scale():
