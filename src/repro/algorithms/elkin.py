@@ -16,13 +16,17 @@ Elkin's:
 
 The deviation from [Elk06]: the flood only models the round schedule.  Its
 outputs are not read back.  The returned MST *weight* (the problem's
-required output, Appendix A.3) is computed centrally by the runner from the
-quantised classes via the standard identity
+required output, Appendix A.3) is computed centrally by the runner, by
+Kruskal over the quantised classes
+(:func:`repro.graphs.kruskal.minimum_spanning_forest`).  On the connected
+graphs the runner takes, that weight equals the standard identity
 
     MST_{w'} = sum_{t=1..C} (components(edges of class < t) - 1),
 
-which a full deployment would evaluate at the nodes and aggregate with a
-final convergecast (``O(D)`` extra rounds, not simulated here).
+which is why a full deployment could compute it at the nodes: a flood
+whose stage ``t`` settles leaves one label per component of the classes
+below ``t``, and a final convergecast aggregates the counts (``O(D)``
+extra rounds, not simulated here).
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from repro.algorithms.framework import send_each
 from repro.congest.message import Received
 from repro.congest.network import CongestNetwork, RunResult
 from repro.congest.node import Node, NodeProgram
+from repro.graphs.kruskal import minimum_spanning_forest
 
 
 def quantise_weights(graph: nx.Graph, alpha: float) -> tuple[dict[frozenset, int], int]:
@@ -149,65 +154,7 @@ def run_elkin_approx_mst(
     )
     result = network.run(max_rounds=200_000)
 
-    quantised = nx.Graph()
-    quantised.add_nodes_from(graph.nodes())
-    for e, cls in classes.items():
-        u, v = tuple(e)
-        quantised.add_edge(u, v, weight=cls)
-    mst_weight_quantised = component_count_mst_weight(quantised, n_classes)
+    mst_weight_quantised, _ = minimum_spanning_forest(
+        (classes[frozenset((u, v))], u, v) for u, v in graph.edges()
+    )
     return mst_weight_quantised * alpha * w_min, result
-
-
-def component_count_mst_weight(quantised: nx.Graph, n_classes: int) -> float:
-    """The identity ``MST = sum_t (components(class < t) - 1)`` for integer
-    class weights (exact Kruskal accounting).
-
-    Evaluated as a single ascending sweep over the class-sorted edge list
-    with an int-indexed union-find (``O(m log m)``, whatever ``C``) rather than
-    recounting components from scratch at every threshold (``O(C (n + m))``
-    -- at large aspect ratios the recount dominated the whole Fig. 3 grid
-    point).  Every threshold from one edge class up to the next sees the
-    same component count, so each such run of thresholds is added in one
-    step, not one threshold at a time.
-    """
-    index = {v: i for i, v in enumerate(quantised.nodes())}
-    parent = list(range(len(index)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]  # path halving
-            x = parent[x]
-        return x
-
-    classes: list[int] = []
-    us: list[int] = []
-    vs: list[int] = []
-    for u, v, data in quantised.edges(data=True):
-        classes.append(int(data["weight"]))
-        us.append(index[u])
-        vs.append(index[v])
-    m = len(classes)
-    # Stable sort by class: ties keep edge-iteration order.
-    order = sorted(range(m), key=classes.__getitem__)
-    classes = [classes[i] for i in order]
-    us = [us[i] for i in order]
-    vs = [vs[i] for i in order]
-
-    components = len(parent)
-    total = 0.0
-    cursor = 0
-    t = 1
-    while t <= n_classes:
-        # Threshold t counts components of the subgraph with class < t; the
-        # edges are class-sorted, so folding them in is one linear cursor.
-        while cursor < m and classes[cursor] < t:
-            ru, rv = find(us[cursor]), find(vs[cursor])
-            if ru != rv:
-                parent[ru] = rv
-                components -= 1
-            cursor += 1
-        # The count holds up to and including the next edge's class.
-        run_end = min(classes[cursor], n_classes) if cursor < m else n_classes
-        total += (run_end - t + 1) * (components - 1)
-        t = run_end + 1
-    return total

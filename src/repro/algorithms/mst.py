@@ -30,8 +30,8 @@ import networkx as nx
 
 from repro.algorithms.framework import (
     BfsTreePhase,
-    BroadcastPhase,
     LeaderElectionPhase,
+    LocalComputationPhase,
     Phase,
     PhasedProgram,
     PipelinedDowncastPhase,
@@ -458,7 +458,7 @@ class _AnnounceLabelsPhase(Phase):
         return None  # collection is delivery-driven
 
 
-class _CollectCandidatesPhase(Phase):
+def _collect_candidates(node: Node, shared: dict) -> None:
     """Prepare each node's upcast items: its fragment's candidate edge plus
     label-equivalence repairs.
 
@@ -469,35 +469,28 @@ class _CollectCandidatesPhase(Phase):
     proposals, so the central merge is correct regardless of Phase A's
     budgets (Phase A is thereby a pure optimisation).
     """
-
-    name = "collect-candidates"
-
-    def duration(self, node: Node, shared: dict) -> int:
-        return 0
-
-    def on_enter(self, node: Node, shared: dict) -> None:
-        labels = shared.get("_phaseb_nlabels", {})
-        my_label = shared["frag_label"]
-        items: list[tuple] = []
-        for neighbor in sorted(shared["mst_neighbors"], key=repr):
-            other_label = labels.get(repr(neighbor), my_label)
-            if repr(other_label) != repr(my_label):
-                pair = sorted((my_label, other_label), key=repr)
-                items.append(("equiv", pair[0], pair[1]))
-        tree_reprs = {repr(m) for m in shared["mst_neighbors"]}
-        best = None
-        for neighbor in node.neighbors:
-            other_label = labels.get(repr(neighbor), my_label)
-            if repr(other_label) == repr(my_label):
-                continue
-            if repr(neighbor) in tree_reprs:
-                continue  # already a tree edge
-            key = edge_key(node.edge_weight(neighbor), node.id, neighbor)
-            if best is None or key < best[1]:
-                best = ("prop", key, node.id, neighbor, my_label, other_label)
-        if best is not None:
-            items.append(best)
-        shared["proposals"] = items
+    labels = shared.get("_phaseb_nlabels", {})
+    my_label = shared["frag_label"]
+    items: list[tuple] = []
+    for neighbor in sorted(shared["mst_neighbors"], key=repr):
+        other_label = labels.get(repr(neighbor), my_label)
+        if repr(other_label) != repr(my_label):
+            pair = sorted((my_label, other_label), key=repr)
+            items.append(("equiv", pair[0], pair[1]))
+    tree_reprs = {repr(m) for m in shared["mst_neighbors"]}
+    best = None
+    for neighbor in node.neighbors:
+        other_label = labels.get(repr(neighbor), my_label)
+        if repr(other_label) == repr(my_label):
+            continue
+        if repr(neighbor) in tree_reprs:
+            continue  # already a tree edge
+        key = edge_key(node.edge_weight(neighbor), node.id, neighbor)
+        if best is None or key < best[1]:
+            best = ("prop", key, node.id, neighbor, my_label, other_label)
+    if best is not None:
+        items.append(best)
+    shared["proposals"] = items
 
 
 def _fragment_min_reducer(items: list) -> list:
@@ -522,104 +515,93 @@ def _fragment_min_reducer(items: list) -> list:
     return sorted(equivs, key=repr) + sorted(best.values(), key=repr)
 
 
-class _CentralMergePhase(Phase):
+def _central_merge(node: Node, shared: dict) -> None:
     """Root merges fragments along all received proposals (all are MST edges
     by the cut rule) and prepares the relabel/edge item list to downcast."""
+    if shared["parent"] is not None:
+        shared["decisions"] = []
+        return
+    collected = shared.get("collected") or []
+    equivs = [it for it in collected if it[0] == "equiv"]
+    proposals = [it for it in collected if it[0] == "prop"]
+    parent: dict[str, Any] = {}
 
-    name = "central-merge"
+    def find(label) -> Any:
+        root = label
+        while repr(root) in parent:
+            root = parent[repr(root)]
+        return root
 
-    def duration(self, node: Node, shared: dict) -> int:
-        return 0
+    def union(la, lb) -> bool:
+        ra, rb = find(la), find(lb)
+        if repr(ra) == repr(rb):
+            return False
+        keep, drop = (ra, rb) if repr(ra) < repr(rb) else (rb, ra)
+        parent[repr(drop)] = keep
+        return True
 
-    def on_enter(self, node: Node, shared: dict) -> None:
-        if shared["parent"] is not None:
-            shared["decisions"] = []
-            return
-        collected = shared.get("collected") or []
-        equivs = [it for it in collected if it[0] == "equiv"]
-        proposals = [it for it in collected if it[0] == "prop"]
-        parent: dict[str, Any] = {}
-
-        def find(label) -> Any:
-            root = label
-            while repr(root) in parent:
-                root = parent[repr(root)]
-            return root
-
-        def union(la, lb) -> bool:
-            ra, rb = find(la), find(lb)
-            if repr(ra) == repr(rb):
-                return False
-            keep, drop = (ra, rb) if repr(ra) < repr(rb) else (rb, ra)
-            parent[repr(drop)] = keep
-            return True
-
-        # Repairs first: labels joined by existing tree edges are the same
-        # fragment, no matter what Phase A's floods managed to propagate.
-        for _tag, l1, l2 in equivs:
-            union(l1, l2)
-        # Keep only each fragment's *minimum* proposal: the pipeline cannot
-        # retract an already-forwarded item, so the root may receive several
-        # proposals per source label -- only the fragment minimum is an MST
-        # edge by the cut rule.
-        best_per_label: dict[str, tuple] = {}
-        for item in proposals:
-            lu = repr(find(item[4]))
-            if lu not in best_per_label or item[1] < best_per_label[lu][1]:
-                best_per_label[lu] = item
-        decisions = []
-        for item in sorted(best_per_label.values(), key=lambda it: it[1]):
-            _tag, _key, u, v, lu, lv = item
-            if union(lu, lv):
-                decisions.append(("edge", u, v))
-        seen_labels = {repr(it[4]): it[4] for it in proposals}
-        seen_labels.update({repr(it[5]): it[5] for it in proposals})
-        seen_labels.update({repr(it[1]): it[1] for it in equivs})
-        seen_labels.update({repr(it[2]): it[2] for it in equivs})
-        for rep, label in sorted(seen_labels.items()):
-            final = find(label)
-            if repr(final) != rep:
-                decisions.append(("relabel", label, final))
-        shared["decisions"] = decisions
-        shared["merges_done"] = sum(1 for d in decisions if d[0] == "edge")
+    # Repairs first: labels joined by existing tree edges are the same
+    # fragment, no matter what Phase A's floods managed to propagate.
+    for _tag, l1, l2 in equivs:
+        union(l1, l2)
+    # Keep only each fragment's *minimum* proposal: the pipeline cannot
+    # retract an already-forwarded item, so the root may receive several
+    # proposals per source label -- only the fragment minimum is an MST
+    # edge by the cut rule.
+    best_per_label: dict[str, tuple] = {}
+    for item in proposals:
+        lu = repr(find(item[4]))
+        if lu not in best_per_label or item[1] < best_per_label[lu][1]:
+            best_per_label[lu] = item
+    decisions = []
+    for item in sorted(best_per_label.values(), key=lambda it: it[1]):
+        _tag, _key, u, v, lu, lv = item
+        if union(lu, lv):
+            decisions.append(("edge", u, v))
+    seen_labels = {repr(it[4]): it[4] for it in proposals}
+    seen_labels.update({repr(it[5]): it[5] for it in proposals})
+    seen_labels.update({repr(it[1]): it[1] for it in equivs})
+    seen_labels.update({repr(it[2]): it[2] for it in equivs})
+    for rep, label in sorted(seen_labels.items()):
+        final = find(label)
+        if repr(final) != rep:
+            decisions.append(("relabel", label, final))
+    shared["decisions"] = decisions
+    shared["merges_done"] = sum(1 for d in decisions if d[0] == "edge")
 
 
-class _ApplyDecisionsPhase(Phase):
+def _apply_decisions(node: Node, shared: dict) -> None:
     """Everyone applies the downcast relabelings and marks chosen edges."""
-
-    name = "apply-decisions"
-
-    def duration(self, node: Node, shared: dict) -> int:
-        return 0
-
-    def on_enter(self, node: Node, shared: dict) -> None:
-        relabel: dict[str, Any] = {}
-        for item in shared.get("decisions") or []:
-            if item[0] == "relabel":
-                relabel[repr(item[1])] = item[2]
-            elif item[0] == "edge":
-                _tag, u, v = item
-                if node.id == u:
-                    shared["mst_neighbors"].add(v)
-                elif node.id == v:
-                    shared["mst_neighbors"].add(u)
-        me = repr(shared["frag_label"])
-        if me in relabel:
-            shared["frag_label"] = relabel[me]
-        shared.pop("_phaseb_nlabels", None)
+    relabel: dict[str, Any] = {}
+    for item in shared.get("decisions") or []:
+        if item[0] == "relabel":
+            relabel[repr(item[1])] = item[2]
+        elif item[0] == "edge":
+            _tag, u, v = item
+            if node.id == u:
+                shared["mst_neighbors"].add(v)
+            elif node.id == v:
+                shared["mst_neighbors"].add(u)
+    me = repr(shared["frag_label"])
+    if me in relabel:
+        shared["frag_label"] = relabel[me]
+    shared.pop("_phaseb_nlabels", None)
 
 
-class _OutputPhase(Phase):
-    name = "output"
+def _output(node: Node, shared: dict) -> None:
+    shared["output"] = {
+        "label": shared["frag_label"],
+        "tree_neighbors": sorted(shared["mst_neighbors"], key=repr),
+    }
 
-    def duration(self, node: Node, shared: dict) -> int:
-        return 0
 
-    def on_enter(self, node: Node, shared: dict) -> None:
-        shared["output"] = {
-            "label": shared["frag_label"],
-            "tree_neighbors": sorted(shared["mst_neighbors"], key=repr),
-        }
+def _set_capacity(cap: int | None, node: Node, shared: dict) -> None:
+    """Fix the Phase-B pipeline capacity from common knowledge."""
+    cap = cap if cap is not None else max(2, math.ceil(math.sqrt(node.n_nodes)))
+    # Phase A leaves ~ n / cap fragments; the pipeline carries one
+    # proposal per fragment plus equivalence repairs, and the downcast
+    # one relabel + one edge per merge -- sized with generous slack.
+    shared["phase_b_capacity"] = min(node.n_nodes + 1, 12 * max(2, node.n_nodes // cap) + 24)
 
 
 class GKPMSTProgram(PhasedProgram):
@@ -630,42 +612,23 @@ class GKPMSTProgram(PhasedProgram):
             ControlledBoruvkaPhase(cap=cap),
             LeaderElectionPhase(),
             BfsTreePhase(),
-            _SetCapacityPhase(cap=cap),
+            LocalComputationPhase(functools.partial(_set_capacity, cap)),
         ]
         for _ in range(phase_b_iterations):
             phases.extend(
                 [
                     _AnnounceLabelsPhase(),
-                    _CollectCandidatesPhase(),
+                    LocalComputationPhase(_collect_candidates),
                     PipelinedUpcastPhase(
                         "proposals", "collected", "phase_b_capacity", reducer=_fragment_min_reducer
                     ),
-                    _CentralMergePhase(),
+                    LocalComputationPhase(_central_merge),
                     PipelinedDowncastPhase("decisions", "phase_b_capacity"),
-                    _ApplyDecisionsPhase(),
+                    LocalComputationPhase(_apply_decisions),
                 ]
             )
-        phases.append(_OutputPhase())
+        phases.append(LocalComputationPhase(_output))
         super().__init__(phases)
-
-
-class _SetCapacityPhase(Phase):
-    """Fix the Phase-B pipeline capacity from common knowledge."""
-
-    name = "set-capacity"
-
-    def __init__(self, cap: int | None = None):
-        self.cap = cap
-
-    def duration(self, node: Node, shared: dict) -> int:
-        return 0
-
-    def on_enter(self, node: Node, shared: dict) -> None:
-        cap = self.cap if self.cap is not None else max(2, math.ceil(math.sqrt(node.n_nodes)))
-        # Phase A leaves ~ n / cap fragments; the pipeline carries one
-        # proposal per fragment plus equivalence repairs, and the downcast
-        # one relabel + one edge per merge -- sized with generous slack.
-        shared["phase_b_capacity"] = min(node.n_nodes + 1, 12 * max(2, node.n_nodes // cap) + 24)
 
 
 # -- harness helpers -----------------------------------------------------------

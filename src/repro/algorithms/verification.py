@@ -315,7 +315,6 @@ def run_verification(
     graph: nx.Graph,
     m_edges: list[tuple[Hashable, Hashable]],
     bandwidth: int = 64,
-    engine: str = "event",
     **input_kwargs: Any,
 ) -> tuple[bool, RunResult]:
     """Run a named verifier; returns (verdict, run metrics)."""
@@ -334,7 +333,6 @@ def run_verification(
         verification_program_factory(edge_mode, verdict),
         bandwidth=bandwidth,
         inputs=inputs,
-        engine=engine,
     )
     result = network.run()
     answer = bool(result.unanimous_output())

@@ -17,11 +17,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-Bits = tuple[int, ...]
-
-
-def hamming_distance(x: Sequence[int], y: Sequence[int]) -> int:
-    return sum(1 for a, b in zip(x, y) if a != b)
+from repro.core.fooling import Bits, hamming_distance
 
 
 @dataclass

@@ -38,7 +38,7 @@ import networkx as nx
 from repro.congest.engine import Engine, RunResult, get_engine
 from repro.congest.faults import FaultPlan, FaultyTransport, apply_topology_event
 from repro.congest.node import Node, NodeProgram
-from repro.congest.topology import build_adjacency, invalidate_adjacency
+from repro.congest.topology import build_adjacency
 from repro.obs.trace import current_tracer
 
 __all__ = ["CongestNetwork", "RunResult"]
@@ -63,7 +63,7 @@ class CongestNetwork:
             raise ValueError("bandwidth must be at least 1")
         if faults is not None and faults.topology_events:
             # The plan will mutate edges mid-run: work on a private copy so
-            # the caller's graph (and its cached adjacency) stay pristine.
+            # the caller's graph stays pristine.
             graph = graph.copy()
         self.graph = graph
         self.faults = faults
@@ -88,9 +88,7 @@ class CongestNetwork:
                     "fault_crash_span", node=repr(span.node), start=span.start, stop=span.stop
                 )
 
-        # Canonical node order + per-node neighbour tuples, sorted by repr
-        # and cached per graph (repeated builds over one instance reuse
-        # them; see topology.build_adjacency).
+        # Canonical node order + per-node neighbour tuples, sorted by repr.
         node_order, adjacency = build_adjacency(graph)
         self.nodes: dict[Hashable, Node] = {}
         self.programs: dict[Hashable, NodeProgram] = {}
@@ -142,22 +140,18 @@ class CongestNetwork:
         Engines call this at the start of each executed round (the event
         engines never skip past a scheduled round, so catch-up is a safety
         net, not the normal path).  Applying an event splices the endpoints'
-        neighbour tuples in repr-sorted order and invalidates the graph's
-        cached adjacency (a paired insert+delete keeps the edge count
-        unchanged, defeating the cache's size signature).
+        neighbour tuples in repr-sorted order.
         """
         faults = self.faults
         if faults is None:
             return
         events = faults.topology_events
         i = self._fault_events_applied
-        mutated = False
         while i < len(events) and events[i].round <= round_no:
             event = events[i]
             i += 1
             if not apply_topology_event(self.graph, event):
                 continue
-            mutated = True
             if event.action == "insert":
                 self.nodes[event.u]._insert_neighbor(event.v)
                 self.nodes[event.v]._insert_neighbor(event.u)
@@ -176,8 +170,6 @@ class CongestNetwork:
                     v=repr(event.v),
                 )
         self._fault_events_applied = i
-        if mutated:
-            invalidate_adjacency(self.graph)
 
     # -- execution -------------------------------------------------------------
 

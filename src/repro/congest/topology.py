@@ -15,17 +15,11 @@ rightmost column -- these cliques carry the Server-model input graph ``G`` on
 from __future__ import annotations
 
 import math
-import weakref
 from typing import Hashable, Sequence
 
 import networkx as nx
 
 VNode = tuple[str, int, int]
-
-# graph -> ((n_nodes, n_edges), (node_order, adjacency)); weak keys so
-# cached adjacency dies with its graph, the signature guards against a
-# graph mutated after its first network build.
-_ADJACENCY_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def build_adjacency(
@@ -35,35 +29,13 @@ def build_adjacency(
 
     Both are sorted by ``repr`` -- the order every engine steps nodes in
     and the order ``Node.neighbors`` (and therefore broadcasts, and the
-    transport's staging columns) iterates.  Computed once per
-    graph and cached on a weak reference: repeated network builds over
-    the same instance (engine-equivalence runs, benchmark repeats) reuse
-    the tuples instead of re-sorting every adjacency list per build.  A
-    graph that changed size since it was cached is re-derived.
+    transport's staging columns) iterates.
     """
-    signature = (graph.number_of_nodes(), graph.number_of_edges())
-    cached = _ADJACENCY_CACHE.get(graph)
-    if cached is not None and cached[0] == signature:
-        return cached[1]
     node_order = tuple(sorted(graph.nodes(), key=repr))
     adjacency = {
         node: tuple(sorted(graph.neighbors(node), key=repr)) for node in node_order
     }
-    result = (node_order, adjacency)
-    _ADJACENCY_CACHE[graph] = (signature, result)
-    return result
-
-
-def invalidate_adjacency(graph: nx.Graph) -> None:
-    """Drop ``graph``'s cached adjacency (if any).
-
-    The cache's ``(n_nodes, n_edges)`` signature catches most mutations,
-    but not all: a paired edge insert+delete (a fault plan's churn round)
-    leaves the counts unchanged while the adjacency differs.  Callers that
-    mutate edges must invalidate explicitly; the network's topology-event
-    application does.
-    """
-    _ADJACENCY_CACHE.pop(graph, None)
+    return node_order, adjacency
 
 
 def add_clique(graph: nx.Graph, members: Sequence[Hashable]) -> None:

@@ -13,7 +13,6 @@ lower bound (Theorem 6.1).
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np

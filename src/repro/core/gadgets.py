@@ -232,10 +232,6 @@ def gap_eq_to_ham(x: Sequence[int], y: Sequence[int]) -> HamInstance:
     return HamInstance(6 * n, carol_edges, david_edges)
 
 
-def gap_eq_mismatch_count(x: Sequence[int], y: Sequence[int]) -> int:
-    return sum(1 for a, b in zip(x, y) if a != b)
-
-
 # -- Section 9 reductions -----------------------------------------------------
 
 

@@ -88,11 +88,9 @@ def _factorisation_value(b: np.ndarray, c: np.ndarray) -> float:
 
 def gamma2_dual(
     matrix: np.ndarray,
-    dim: int | None = None,
     restarts: int = 8,
     iterations: int = 400,
     seed: int = 0,
-    tol: float = 1e-12,
 ) -> float:
     """``gamma_2^*(K) = max sum_{x,y} K_{xy} <u_x, v_y>`` over unit vectors.
 
@@ -100,7 +98,9 @@ def gamma2_dual(
     game with cost matrix ``K = A_g o pi``.  Alternating maximisation: fixing
     the ``u_x``, the optimal ``v_y`` is the normalised ``sum_x K_{xy} u_x``,
     and symmetrically -- each sweep cannot decrease the objective, and random
-    restarts guard against the (measure-zero) bad stationary points.
+    restarts guard against the (measure-zero) bad stationary points.  The
+    vectors live in ``min(m + n, 16)`` dimensions, and a restart stops once
+    a sweep moves the objective by less than ``1e-12``.
     Fewer than one restart or one sweep computes nothing, so either raises
     ``ValueError`` rather than report a bias of 0.
     """
@@ -111,7 +111,7 @@ def gamma2_dual(
         )
     k = np.asarray(matrix, dtype=float)
     m, n = k.shape
-    d = dim if dim is not None else min(m + n, 16)
+    d = min(m + n, 16)
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(restarts):
@@ -128,7 +128,7 @@ def gamma2_dual(
             norms[norms < 1e-15] = 1.0
             u /= norms
             new_value = float(np.sum((k @ v) * u))
-            if abs(new_value - value) < tol:
+            if abs(new_value - value) < 1e-12:
                 value = new_value
                 break
             value = new_value

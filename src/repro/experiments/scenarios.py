@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Hashable, Iterable
 
 import networkx as nx
 
@@ -28,11 +27,10 @@ from repro.congest.faults import FaultPlan
 from repro.congest.node import Node, NodeProgram
 from repro.congest.topology import dumbbell_graph
 from repro.core.bounds import fig2_table, fig3_curve
-from repro.core.fooling import gap_equality_lower_bound
+from repro.core.fooling import gap_equality_lower_bound, hamming_distance
 from repro.core.gadgets import (
     HamInstance,
     gap_connectivity_weights,
-    gap_eq_mismatch_count,
     gap_eq_to_ham,
     ham_to_spanning_tree_instance,
     ipmod3_to_ham,
@@ -52,6 +50,7 @@ from repro.graphs.generators import (
     random_connected_graph,
     random_weighted_graph,
 )
+from repro.graphs.kruskal import minimum_spanning_forest
 from repro.graphs.spatial import GridIndex
 
 
@@ -666,9 +665,7 @@ def gkp_cap_ablation(
     ``reference_weight`` and the ``exact`` verdict.
     """
     graph = _weighted_graph(n, extra_edge_prob, graph_seed, weight_seed=graph_seed + 1)
-    reference = sum(
-        d["weight"] for _, _, d in nx.minimum_spanning_tree(graph).edges(data=True)
-    )
+    reference, _ = minimum_spanning_forest((w, u, v) for u, v, w in graph.edges(data="weight"))
     edges, result = run_gkp_mst(graph, bandwidth=bandwidth, cap=cap)
     weight = tree_weight(graph, edges)
     return {
@@ -977,6 +974,9 @@ def boruvka_mst_sweep(
     check is tie-safe).
     """
     graph = _boruvka_instance(generator, weight_model, n, extra_edge_prob, aspect_ratio, seed)
+    # The one MST oracle still on networkx: perfbench's instrumentation test
+    # reads this point's ``oracle.nx`` time.  It moves to
+    # ``minimum_spanning_forest`` when that test takes another point.
     reference = sum(
         d["weight"] for _, _, d in nx.minimum_spanning_tree(graph).edges(data=True)
     )
@@ -1005,28 +1005,6 @@ def boruvka_mst_sweep(
 GAP_ALPHA = 2
 
 
-def _spanning_forest(edges: Iterable[tuple[float, Hashable, Hashable]]) -> tuple[float, int]:
-    """Kruskal by union-find over ``(weight, u, v)`` edges given in weight
-    order: the minimum spanning forest's weight and edge count."""
-    parent: dict[Hashable, Hashable] = {}
-
-    def find(v: Hashable) -> Hashable:
-        parent.setdefault(v, v)
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]  # path halving
-            v = parent[v]
-        return v
-
-    weight, count = 0.0, 0
-    for w, u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            weight += w
-            count += 1
-    return weight, count
-
-
 def section9_verdicts(instance: HamInstance) -> tuple[bool, bool]:
     """The two Section 9 reductions run on a Server-model Ham input.
 
@@ -1043,11 +1021,12 @@ def section9_verdicts(instance: HamInstance) -> tuple[bool, bool]:
     nx.add_path(host, nodes)
     n = len(nodes)
     weights = gap_connectivity_weights(host, m_edges, GAP_ALPHA * n)
-    mst, _ = _spanning_forest(
-        sorted(((w, *edge) for edge, w in weights.items()), key=lambda e: e[0])
-    )
+    mst, _ = minimum_spanning_forest((w, *edge) for edge, w in weights.items())
     residual = ham_to_spanning_tree_instance(host, m_edges)
-    is_tree = residual is not None and _spanning_forest((0, u, v) for u, v in residual)[1] == n - 1
+    is_tree = (
+        residual is not None
+        and len(minimum_spanning_forest((0, u, v) for u, v in residual)[1]) == n - 1
+    )
     return is_tree, mst <= mst_weight_threshold(n, GAP_ALPHA)
 
 
@@ -1121,7 +1100,7 @@ def gadget_reductions(*, seed: int, n: int, trials: int, beta: float) -> dict:
         for i in rng.sample(range(n), delta):
             y[i] ^= 1
         gap_instance = gap_eq_to_ham(x, y)
-        d = gap_eq_mismatch_count(x, y)
+        d = hamming_distance(x, y)
         ok = gap_instance.is_hamiltonian() == (d == 0)
         if d > 0:
             ok = ok and gap_instance.cycle_count() == d + 1
@@ -1311,7 +1290,8 @@ def mst_under_faults(
     """
     graph = _weighted_graph(n, extra_edge_prob, graph_seed=seed, weight_seed=seed + 1)
     clean_edges, clean = run_boruvka_mst(graph, bandwidth=bandwidth, engine=engine)
-    expected = {frozenset(e) for e in nx.minimum_spanning_tree(graph).edges()}
+    _, tree = minimum_spanning_forest((w, u, v) for u, v, w in graph.edges(data="weight"))
+    expected = {frozenset(e) for e in tree}
     assert clean_edges == expected, "fault-free Boruvka diverged from the centralized MST"
 
     plan = FaultPlan.generate(

@@ -1,4 +1,4 @@
-"""Graph substrate: property checkers, generators, a spatial index.
+"""Graph substrate: property checkers, generators, a spatial index, Kruskal.
 
 This package implements the graph-theoretic vocabulary of the paper:
 
@@ -7,7 +7,9 @@ This package implements the graph-theoretic vocabulary of the paper:
 - graph/instance generators used by the scenarios and tests
   (:mod:`repro.graphs.generators`),
 - the grid index behind the geometric generators
-  (:mod:`repro.graphs.spatial`).
+  (:mod:`repro.graphs.spatial`),
+- Kruskal's minimum spanning forest, the MSTs the package computes
+  centrally (:mod:`repro.graphs.kruskal`).
 """
 
 from repro.graphs.properties import (

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 

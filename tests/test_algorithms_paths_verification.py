@@ -13,16 +13,14 @@ from repro.algorithms.disjointness import (
     run_classical_disjointness,
     run_quantum_disjointness,
 )
-from repro.algorithms.elkin import (
-    component_count_mst_weight,
-    quantise_weights,
-    run_elkin_approx_mst,
-)
+from repro.algorithms.elkin import quantise_weights, run_elkin_approx_mst
 from repro.algorithms.paths import run_refreshing_bellman_ford
 from repro.algorithms.verification import VERIFIERS, run_verification
 from repro.congest.topology import dumbbell_graph
+from repro.experiments.scenarios import _fig3_graph
 from repro.graphs import properties as props
 from repro.graphs.generators import random_connected_graph
+from repro.graphs.kruskal import minimum_spanning_forest
 
 
 def weighted(graph: nx.Graph, seed: int = 0) -> nx.Graph:
@@ -234,6 +232,11 @@ class TestVerificationSuite:
                 assert verdict == expected, (problem, trial)
 
 
+def kruskal_weight(graph: nx.Graph) -> float:
+    weight, _ = minimum_spanning_forest((w, u, v) for u, v, w in graph.edges(data="weight"))
+    return weight
+
+
 class TestElkin:
     def test_quantisation_classes(self):
         graph = weighted(random_connected_graph(10, seed=13), seed=13)
@@ -246,8 +249,18 @@ class TestElkin:
             graph = weighted(random_connected_graph(15, seed=seed), seed=seed)
             alpha = 2.0
             approx, _ = run_elkin_approx_mst(graph, alpha=alpha)
-            exact = sum(d["weight"] for _, _, d in nx.minimum_spanning_tree(graph).edges(data=True))
+            exact = kruskal_weight(graph)
             assert exact - 1e-9 <= approx <= (1 + alpha) * exact + 1e-9
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("aspect_ratio", [2.0, 32.0, 256.0, 1024.0, 8192.0])
+    def test_weight_within_factor_on_the_fig3_instances(self, aspect_ratio, seed):
+        # fig3-mst-tradeoff's default instances: n = 60, alpha = 2, B = 128.
+        # The ratio runs from 1.73 at W = 2 down to 1.001 at W = 8192.
+        graph = _fig3_graph(seed, 60, aspect_ratio, extra_edge_prob=0.08, graph_seed=17)
+        approx, _ = run_elkin_approx_mst(graph, alpha=2.0, bandwidth=128)
+        exact = kruskal_weight(graph)
+        assert exact - 1e-9 <= approx <= 3.0 * exact + 1e-9
 
     def test_rounds_grow_with_class_count(self):
         graph = random_connected_graph(20, extra_edge_prob=0.2, seed=14)
@@ -258,36 +271,11 @@ class TestElkin:
         _, fine = run_elkin_approx_mst(graph, alpha=4.0)
         assert fine.rounds > coarse.rounds  # more classes -> more rounds
 
-    def test_component_identity(self):
-        quantised = nx.Graph()
-        quantised.add_edge(0, 1, weight=1)
-        quantised.add_edge(1, 2, weight=3)
-        quantised.add_edge(0, 2, weight=2)
-        # MST = {1, 2}: total 3.
-        assert component_count_mst_weight(quantised, 3) == 3.0
-
-    def test_component_identity_matches_kruskal(self):
-        rng = random.Random(2014)
-        for _ in range(200):
-            n_classes = rng.randint(1, 11)
-            graph = random_connected_graph(
-                rng.randint(2, 39), extra_edge_prob=rng.random() / 2, seed=rng.randrange(10**6)
-            )
-            for u, v in graph.edges():
-                graph.edges[u, v]["weight"] = rng.randint(1, n_classes)
-            expected = nx.minimum_spanning_tree(graph).size(weight="weight")
-            assert component_count_mst_weight(graph, n_classes) == expected
-
-    @pytest.mark.parametrize("seed", [0, 9])
-    def test_component_identity_with_unused_classes(self, seed):
-        # Twelve classes, of which the edges use only the odd ones: the
-        # sweep must step over empty thresholds without folding in edges.
-        graph = random_connected_graph(40, extra_edge_prob=0.2, seed=seed)
-        rng = random.Random(seed)
-        for u, v in graph.edges():
-            graph.edges[u, v]["weight"] = rng.randrange(1, 12, 2)
-        expected = nx.minimum_spanning_tree(graph).size(weight="weight")
-        assert component_count_mst_weight(graph, 12) == expected
+    # The identity MST = sum_t (components(class < t) - 1), which the Elkin
+    # module gives as the reason the nodes could compute its weight, against
+    # the Kruskal weight the runner returns.  Both agree on connected graphs
+    # only (the runner's); a disconnected graph adds its extra components to
+    # the identity at every threshold.
 
     @staticmethod
     def _recount(graph, n_classes):
@@ -301,21 +289,42 @@ class TestElkin:
             total += nx.number_connected_components(below) - 1
         return total
 
-    @pytest.mark.parametrize("seed", [3, 41])
-    def test_threshold_runs_match_a_per_threshold_recount(self, seed):
-        rng = random.Random(seed)
-        cases = []
-        for n_classes in (1, 2, 7, 2000):  # 2000 is far above any edge count here
-            graph = nx.gnp_random_graph(rng.randint(8, 16), 0.25, seed=rng.randrange(10**6))
-            graph.add_nodes_from(range(100, 103))  # isolated nodes
+    def test_component_identity(self):
+        quantised = nx.Graph()
+        quantised.add_edge(0, 1, weight=1)
+        quantised.add_edge(1, 2, weight=3)
+        quantised.add_edge(0, 2, weight=2)
+        # MST = {1, 2}: total 3.
+        assert self._recount(quantised, 3) == kruskal_weight(quantised) == 3
+
+    def test_component_identity_matches_kruskal(self):
+        rng = random.Random(2014)
+        for _ in range(200):
+            n_classes = rng.randint(1, 11)
+            graph = random_connected_graph(
+                rng.randint(2, 39), extra_edge_prob=rng.random() / 2, seed=rng.randrange(10**6)
+            )
             for u, v in graph.edges():
                 graph.edges[u, v]["weight"] = rng.randint(1, n_classes)
-            cases.append((graph, n_classes))
-        no_edges = nx.empty_graph(5)
-        cases += [(no_edges, 1), (no_edges, 9)]
-        for graph, n_classes in cases:
-            expected = self._recount(graph, n_classes)
-            assert component_count_mst_weight(graph, n_classes) == expected
+            assert kruskal_weight(graph) == self._recount(graph, n_classes)
+
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_component_identity_with_unused_classes(self, seed):
+        # Twelve classes, of which the edges use only the odd ones.
+        graph = random_connected_graph(40, extra_edge_prob=0.2, seed=seed)
+        rng = random.Random(seed)
+        for u, v in graph.edges():
+            graph.edges[u, v]["weight"] = rng.randrange(1, 12, 2)
+        assert kruskal_weight(graph) == self._recount(graph, 12)
+
+    @pytest.mark.parametrize("seed", [3, 41])
+    def test_component_identity_with_far_more_classes_than_edges(self, seed):
+        # C = 2000 against 14 and 19 edges: nearly every class is empty.
+        rng = random.Random(seed)
+        graph = random_connected_graph(rng.randint(8, 16), extra_edge_prob=0.1, seed=seed)
+        for u, v in graph.edges():
+            graph.edges[u, v]["weight"] = rng.randint(1, 2000)
+        assert kruskal_weight(graph) == self._recount(graph, 2000)
 
 
 class TestDistributedDisjointness:

@@ -80,8 +80,8 @@ class TestOtherFamilies:
         assert dist == 7
 
 
-class TestAdjacencyCache:
-    def test_build_adjacency_sorted_and_cached(self):
+class TestAdjacency:
+    def test_build_adjacency_sorted(self):
         from repro.congest.topology import build_adjacency
 
         graph = nx.Graph([(3, 1), (1, 2), (2, 3), (0, 3)])
@@ -90,52 +90,6 @@ class TestAdjacencyCache:
         for node, neighbors in adjacency.items():
             assert isinstance(neighbors, tuple)
             assert list(neighbors) == sorted(graph.neighbors(node), key=repr)
-        # Same graph object, same shape: the cached tuples come back.
-        again = build_adjacency(graph)
-        assert again[0] is order
-        assert again[1] is adjacency
-
-    def test_cache_invalidated_by_shape_change(self):
-        from repro.congest.topology import build_adjacency
-
-        graph = nx.path_graph(4)
-        _, adjacency = build_adjacency(graph)
-        graph.add_edge(0, 3)
-        _, rebuilt = build_adjacency(graph)
-        assert rebuilt is not adjacency
-        assert 3 in rebuilt[0]
-
-    def test_invalidate_adjacency_drops_the_cache(self):
-        from repro.congest.topology import build_adjacency, invalidate_adjacency
-
-        graph = nx.path_graph(4)
-        _, adjacency = build_adjacency(graph)
-        invalidate_adjacency(graph)
-        _, rebuilt = build_adjacency(graph)
-        assert rebuilt is not adjacency
-        assert rebuilt == adjacency  # same graph, same content
-        # Invalidating an uncached graph is a no-op, not an error.
-        invalidate_adjacency(nx.path_graph(2))
-
-    def test_paired_insert_delete_defeats_the_size_signature(self):
-        # A churn round that inserts one edge and deletes another leaves
-        # (n, m) unchanged, so the cache's signature CANNOT catch it -- the
-        # stale adjacency comes back until the mutator invalidates
-        # explicitly, which is exactly what the network's topology-event
-        # application does.
-        from repro.congest.topology import build_adjacency, invalidate_adjacency
-
-        graph = nx.path_graph(4)  # edges 0-1, 1-2, 2-3
-        _, adjacency = build_adjacency(graph)
-        graph.add_edge(0, 3)
-        graph.remove_edge(1, 2)
-        stale = build_adjacency(graph)[1]
-        assert stale is adjacency, "same-signature mutation must expose the stale cache"
-        assert 2 in stale[1]  # wrong: the edge is gone
-        invalidate_adjacency(graph)
-        _, fresh = build_adjacency(graph)
-        assert 2 not in fresh[1]
-        assert 3 in fresh[0]
 
     def test_add_clique(self):
         from repro.congest.topology import add_clique

@@ -1,16 +1,15 @@
 """Tests for the Section 7 gadget reductions (Theorem 3.4's engine)."""
 
 import itertools
-import random
 
 import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.fooling import hamming_distance
 from repro.core.gadgets import (
     HamInstance,
-    gap_eq_mismatch_count,
     gap_eq_to_ham,
     gap_connectivity_weights,
     ham_to_spanning_tree_instance,
@@ -18,7 +17,7 @@ from repro.core.gadgets import (
     ipmod3_value,
     mst_weight_threshold,
 )
-from repro.experiments.scenarios import _spanning_forest, section9_verdicts
+from repro.experiments.scenarios import section9_verdicts
 from repro.graphs.generators import matching_pair_for_cycles
 from repro.graphs.properties import is_spanning_tree
 
@@ -69,7 +68,7 @@ class TestGapEqReduction:
         for x in itertools.product((0, 1), repeat=n):
             for y in itertools.product((0, 1), repeat=n):
                 instance = gap_eq_to_ham(x, y)
-                delta = gap_eq_mismatch_count(x, y)
+                delta = hamming_distance(x, y)
                 cycles = instance.cycle_count()
                 if delta == 0:
                     assert cycles == 1
@@ -284,21 +283,3 @@ class TestSection9Reductions:
         instance = HamInstance(32, carol, david)
         assert instance.cycle_count() == n_cycles
         assert section9_verdicts(instance) == (n_cycles == 1, n_cycles == 1)
-
-
-class TestSpanningForest:
-    """The union-find Kruskal behind the MST-gap verdict, against networkx."""
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_networkx_minimum_spanning_forest(self, seed):
-        # Sparse enough to be disconnected (2 to 4 components on these
-        # seeds); few distinct weights, so ties are common.
-        rng = random.Random(seed)
-        graph = nx.gnp_random_graph(30, 0.08, seed=seed)
-        for u, v in graph.edges():
-            graph.edges[u, v]["weight"] = rng.choice([1.0, 2.0, 3.0, 5.5])
-        weight, count = _spanning_forest(sorted((w, u, v) for u, v, w in graph.edges(data="weight")))
-        forest = nx.minimum_spanning_tree(graph)
-        assert weight == pytest.approx(forest.size(weight="weight"))
-        assert count == forest.number_of_edges()
-        assert count == graph.number_of_nodes() - nx.number_connected_components(graph)

@@ -41,7 +41,7 @@ from repro.algorithms.framework import (
 from repro.algorithms.mst import run_boruvka_mst, run_gkp_mst, tree_weight
 from repro.algorithms.paths import run_refreshing_bellman_ford
 from repro.algorithms.spanning_structures import run_linear_size_spanner
-from repro.algorithms.verification import run_verification
+from repro.algorithms.verification import VERIFIERS, build_inputs, verification_program_factory
 from repro.congest import engine as engine_module
 from repro.congest.engine import EventEngine, get_engine
 from repro.congest.network import CongestNetwork
@@ -141,15 +141,22 @@ class TestVerificationEquivalence:
         tree = nx.bfs_tree(graph, source=min(graph.nodes())).to_undirected()
         m_edges = list(tree.edges())
         nodes = sorted(graph.nodes())
-        kwargs = {"s": nodes[0], "t": nodes[-1]}
-        verdict_ref, ref = run_verification(
-            problem, graph, m_edges, bandwidth=64, engine=ReferenceDenseEngine(), **kwargs
-        )
-        verdict_other, other = run_verification(
-            problem, graph, m_edges, bandwidth=64, engine=make_engine(engine), **kwargs
-        )
+
+        def run(engine_obj):
+            # What run_verification composes, on the engine under test.
+            network = CongestNetwork(
+                graph,
+                verification_program_factory(*VERIFIERS[problem]),
+                bandwidth=64,
+                inputs=build_inputs(graph, m_edges, s=nodes[0], t=nodes[-1]),
+                engine=engine_obj,
+            )
+            return network.run()
+
+        ref = run(ReferenceDenseEngine())
+        other = run(make_engine(engine))
         assert_results_match(ref, other)
-        assert verdict_other == verdict_ref
+        assert other.unanimous_output() == ref.unanimous_output()
 
 
 class TestHorizonEquivalence:

@@ -18,20 +18,26 @@
   source with ``ast`` and imports nothing.  A call sets a parameter when
   its callee name (the ``Name`` id or the ``Attribute`` attr; a class name
   for ``__init__``) is the function's name and it passes the parameter by
-  keyword, at or past its position, or through ``*args`` (a positional
-  parameter) or ``**kwargs`` (any).  Blind spots:
-  a ``**kwargs`` forward counts as setting every parameter of every
-  function of that name; a parameter that is set but whose value nothing
-  reads passes; a default that every caller overrides passes, although no
-  call ever takes it; dataclass fields are not parameters and are not
-  inventoried; a call through another name (``Engine.transport_class(...)``)
-  sets nothing.
+  keyword, at or past its position, through ``*args`` (a positional
+  parameter) or through ``**``.  A ``**`` argument that is a dict literal,
+  or a name bound only to dict literals with string keys, passes those
+  keys; a forward of the enclosing function's own ``**kwargs`` passes what
+  that function's callers pass it; any other ``**`` argument passes every
+  name.  Blind spots: a ``**`` the audit cannot resolve counts as setting
+  every parameter of every function of that name; a parameter that is set
+  but whose value nothing reads passes; a default that every caller
+  overrides passes, although no call ever takes it; dataclass fields are
+  not parameters and are not inventoried; a call through another name
+  (``Engine.transport_class(...)``) sets nothing.
+- Every name a module under ``src/repro`` imports at module level is used
+  in that module (a package ``__init__`` re-exports, so it is exempt).
 - Registering the built-in scenarios and expanding their default grids
   imports no ``scipy`` (checked in a fresh interpreter); only the points
   that solve linear programs do.
 """
 
 import ast
+import contextlib
 import cProfile
 import importlib.util
 import json
@@ -266,27 +272,113 @@ def package_options(
     return options
 
 
-def package_calls(roots: tuple[Path, ...] = CALLER_ROOTS) -> dict[str, list[ast.Call]]:
+#: A call, the innermost function around it (the module at top level) and
+#: the callee name that reaches that function (``None`` at top level).
+Site = tuple[ast.Call, ast.AST, str | None]
+
+
+def package_calls(roots: tuple[Path, ...] = CALLER_ROOTS) -> dict[str, list[Site]]:
     """Every call under ``roots`` (a package, searched recursively, or a
     directory, whose own ``*.py`` files alone count), by callee name."""
-    calls: dict[str, list[ast.Call]] = {}
+    calls: dict[str, list[Site]] = {}
+
+    def visit(node: ast.AST, scope: ast.AST, caller: str | None, owner: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name is not None:
+                    calls.setdefault(name, []).append((child, scope, caller))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callee = owner if child.name == "__init__" and owner else child.name
+                visit(child, child, callee, None)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, scope, caller, child.name)
+            else:
+                visit(child, scope, caller, owner)
+
     for root in roots:
         paths = root.rglob("*.py") if (root / "__init__.py").exists() else root.glob("*.py")
         for path in sorted(paths):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                if isinstance(func, ast.Name):
-                    calls.setdefault(func.id, []).append(node)
-                elif isinstance(func, ast.Attribute):
-                    calls.setdefault(func.attr, []).append(node)
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            visit(tree, tree, None, None)
     return calls
 
 
-def _sets(call: ast.Call, param: str, position: int | None) -> bool:
-    if any(keyword.arg in (None, param) for keyword in call.keywords):
+def _literal_keys(node: ast.AST | None) -> set[str] | None:
+    """The keys of a dict literal whose keys are all strings, else ``None``."""
+    if isinstance(node, ast.Dict) and all(
+        isinstance(key, ast.Constant) and isinstance(key.value, str) for key in node.keys
+    ):
+        return {key.value for key in node.keys}
+    return None
+
+
+def _passed(site: Site, calls: dict[str, list[Site]], seen: frozenset = frozenset()):
+    """The names a call passes by keyword, ``**`` arguments resolved, or
+    ``None`` when a ``**`` argument may pass any name."""
+    call, scope, caller = site
+    names: set[str] = set()
+    for keyword in call.keywords:
+        if keyword.arg is not None:
+            names.add(keyword.arg)
+            continue
+        value, keys = keyword.value, _literal_keys(keyword.value)
+        if keys is None and isinstance(value, ast.Name):
+            kwarg = getattr(getattr(scope, "args", None), "kwarg", None)
+            if kwarg is not None and kwarg.arg == value.id:
+                keys = _forwarded(scope, caller, calls, seen)
+            else:
+                keys = _bound_keys(scope, value.id)
+        if keys is None:
+            return None
+        names |= keys
+    return names
+
+
+def _forwarded(function, caller: str, calls: dict[str, list[Site]], seen: frozenset):
+    """What the callers of ``function`` pass into its ``**kwargs``: the
+    names they pass less its named parameters."""
+    if caller in seen:
+        return set()
+    args = function.args
+    named = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    keys: set[str] = set()
+    for site in calls.get(caller, ()):
+        passed = _passed(site, calls, seen | {caller})
+        if passed is None:
+            return None
+        keys |= passed - named
+    return keys
+
+
+def _bound_keys(scope: ast.AST, name: str) -> set[str] | None:
+    """The keys ``name`` may hold in ``scope`` if every binding of it there
+    is a plain assignment of a dict literal and nothing indexes or calls
+    into it, else ``None``."""
+    keys: set[str] = set()
+    stores = assigned = 0
+    for node in ast.walk(scope):
+        if isinstance(node, (ast.Subscript, ast.Attribute)) and getattr(node.value, "id", None) == name:
+            return None
+        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Store):
+            stores += 1
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(getattr(target, "id", None) == name for target in targets):
+                literal = _literal_keys(node.value)
+                if literal is None:
+                    return None
+                keys |= literal
+                assigned += 1
+    return keys if stores and stores == assigned else None
+
+
+def _sets(site: Site, calls: dict[str, list[Site]], param: str, position: int | None) -> bool:
+    passed = _passed(site, calls)
+    if passed is None or param in passed:
         return True
+    call = site[0]
     if position is None:
         return False
     return any(isinstance(arg, ast.Starred) for arg in call.args) or len(call.args) > position
@@ -294,7 +386,7 @@ def _sets(call: ast.Call, param: str, position: int | None) -> bool:
 
 def option_audit(
     options: dict[str, tuple[str, str, int | None]],
-    calls: dict[str, list[ast.Call]],
+    calls: dict[str, list[Site]],
     allowlist: dict[str, str],
 ) -> tuple[list[str], list[str]]:
     """The allowlist entries that name no defaulted parameter, and the
@@ -304,9 +396,33 @@ def option_audit(
         key
         for key, (callee, param, position) in options.items()
         if key not in allowlist
-        and not any(_sets(call, param, position) for call in calls.get(callee, ()))
+        and not any(_sets(site, calls, param, position) for site in calls.get(callee, ()))
     )
     return stale, unset
+
+
+def unused_imports(package: Path = PACKAGE, name: str = "repro") -> list[str]:
+    """Every name a non-``__init__`` module of ``package`` imports at
+    module level and never mentions again, as ``module:name``."""
+    unused = []
+    for path, module, tree in _modules(package, name):
+        if path.name == "__init__.py":
+            continue
+        imported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.partition(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        # Quoted annotations (``"FaultPlan | None"``) mention names, too.
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                with contextlib.suppress(SyntaxError):
+                    quoted = ast.parse(node.value, mode="eval")
+                    used |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+        unused += sorted(f"{module}:{bound}" for bound in imported if bound not in used)
+    return unused
 
 
 @pytest.fixture(scope="module")
@@ -327,6 +443,11 @@ def test_every_option_has_a_caller(repo_options):
 def test_every_option_entry_keeps_an_unset_parameter(repo_options, entry):
     kept = {k: v for k, v in OPTION_ALLOWLIST.items() if k != entry}
     assert option_audit(*repo_options, kept) == ([], [entry])
+
+
+def test_every_module_level_import_is_used():
+    unused = unused_imports()
+    assert not unused, f"module-level imports no code of their module uses: {unused}"
 
 
 def test_every_function_runs_in_a_scenario_point():
@@ -490,8 +611,20 @@ def by_star_args(a, b=1):
     return a + b
 
 
-def by_star_kwargs(a, *, b=1):
-    return a + b
+def by_star_kwargs(a, *, b=1, c=2):
+    return a + b + c
+
+
+def by_dict_literal(a, *, b=1, c=2):
+    return a + b + c
+
+
+def forwards(a, **kwargs):
+    return by_forward(a, **kwargs)
+
+
+def by_forward(a, *, b=1, c=2):
+    return a + b + c
 
 
 def keyword_only(a, *, b=1):
@@ -511,19 +644,30 @@ class Box:
 
 #: Calls from a second root, a plain directory like ``perfbench/``.
 _TOY_CALLERS = """\
-from opts.mod import Box, by_keyword, by_position, by_star_args, by_star_kwargs, keyword_only, unset
+from opts.mod import (
+    Box, by_dict_literal, by_keyword, by_position, by_star_args, by_star_kwargs, forwards,
+    keyword_only, unset,
+)
 
 args, kwargs = (0, 2), {"b": 2}
+options = {"b": 2}
 unset(0)
 by_keyword(0, b=2)
 by_position(0, 2)
 by_star_args(*args)
-by_star_kwargs(0, **kwargs)
+by_star_kwargs(0, **kwargs)  # not bound by a plain assignment: may pass any name
+by_dict_literal(0, **options)  # bound to a dict literal: passes its keys
+forwards(0, b=2)  # reaches by_forward through forwards' **kwargs
 keyword_only(0, 2)  # a keyword-only parameter is not set by position
 Box(4).grow(by=2)
 """
 
-_TOY_UNSET = ["opts.mod:keyword_only(b)", "opts.mod:unset(b)"]
+_TOY_UNSET = [
+    "opts.mod:by_dict_literal(c)",
+    "opts.mod:by_forward(c)",
+    "opts.mod:keyword_only(b)",
+    "opts.mod:unset(b)",
+]
 
 
 @pytest.fixture(scope="module")
@@ -550,6 +694,11 @@ class TestOptionAuditMachinery:
             "opts.mod:by_position(b)": ("by_position", "b", 1),
             "opts.mod:by_star_args(b)": ("by_star_args", "b", 1),
             "opts.mod:by_star_kwargs(b)": ("by_star_kwargs", "b", None),
+            "opts.mod:by_star_kwargs(c)": ("by_star_kwargs", "c", None),
+            "opts.mod:by_dict_literal(b)": ("by_dict_literal", "b", None),
+            "opts.mod:by_dict_literal(c)": ("by_dict_literal", "c", None),
+            "opts.mod:by_forward(b)": ("by_forward", "b", None),
+            "opts.mod:by_forward(c)": ("by_forward", "c", None),
             "opts.mod:keyword_only(b)": ("keyword_only", "b", None),
             "opts.mod:keyword_only.<locals>.nested(c)": ("nested", "c", 0),
             "opts.mod:Box.__init__(size)": ("Box", "size", 0),
@@ -560,6 +709,35 @@ class TestOptionAuditMachinery:
         # Set by keyword, by position, through *args and **kwargs, through
         # the class name and from a nested call: everything else passes.
         assert option_audit(*toy_options, {}) == ([], _TOY_UNSET)
+
+    def test_a_name_bound_to_dict_literals_passes_their_keys(self, toy_options):
+        unset = option_audit(*toy_options, {})[1]
+        assert "opts.mod:by_dict_literal(b)" not in unset
+        assert "opts.mod:by_dict_literal(c)" in unset
+
+    @pytest.mark.parametrize(
+        "binding, sets_c", [('{"c": 3}', True), ('{"b": 4}', False), ("dict(c=3)", True)]
+    )
+    def test_every_binding_of_the_name_counts(self, toy_options, binding, sets_c):
+        # A second literal adds its keys; any other binding passes every name.
+        options, calls = toy_options
+        tree = ast.parse(f'options = {{"b": 2}}\noptions = {binding}\nby_dict_literal(0, **options)')
+        rebound = {**calls, "by_dict_literal": [(tree.body[-1].value, tree, None)]}
+        unset = option_audit(options, rebound, {})[1]
+        assert ("opts.mod:by_dict_literal(c)" not in unset) == sets_c
+
+    def test_a_kwargs_forward_passes_what_the_forwarders_callers_pass(self, toy_options):
+        options, calls = toy_options
+        unset = option_audit(options, calls, {})[1]
+        assert "opts.mod:by_forward(b)" not in unset
+        assert "opts.mod:by_forward(c)" in unset
+        # With no caller of the forwarder, the forward passes nothing.
+        alone = {name: sites for name, sites in calls.items() if name != "forwards"}
+        assert "opts.mod:by_forward(b)" in option_audit(options, alone, {})[1]
+
+    def test_any_other_double_star_passes_every_name(self, toy_options):
+        unset = option_audit(*toy_options, {})[1]
+        assert not any(key.startswith("opts.mod:by_star_kwargs") for key in unset)
 
     def test_the_allowlist_keeps_what_it_names(self, toy_options):
         kept = {key: "kept" for key in _TOY_UNSET}
@@ -582,3 +760,26 @@ class TestOptionAuditMachinery:
     def test_a_call_outside_the_caller_roots_sets_nothing(self, toy_options):
         options, _ = toy_options
         assert option_audit(options, {}, {}) == ([], sorted(options))
+
+
+_TOY_IMPORTS = """\
+import json
+import os.path
+from collections import OrderedDict as Ordered
+from typing import Hashable, Sequence
+
+
+def first(items: Sequence) -> "Hashable | None":
+    return os.path.basename(items[0]) if items else None
+"""
+
+
+class TestImportAuditMachinery:
+    def test_an_unused_module_level_import_fails_the_audit(self, tmp_path):
+        package = tmp_path / "imps"
+        package.mkdir()
+        (package / "__init__.py").write_text("import json\n")  # a re-export: exempt
+        (package / "mod.py").write_text(_TOY_IMPORTS)
+        # ``os`` is used through its attribute, ``Sequence`` in an annotation
+        # and ``Hashable`` in a quoted one.
+        assert unused_imports(package, "imps") == ["imps.mod:Ordered", "imps.mod:json"]

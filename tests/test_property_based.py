@@ -11,14 +11,8 @@ np = pytest.importorskip("numpy")  # exercises numpy-backed core modules
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.comm.problems import hamming_distance
-from repro.core.fooling import binary_entropy, greedy_gv_code, code_min_distance
-from repro.core.gadgets import (
-    gap_eq_mismatch_count,
-    gap_eq_to_ham,
-    ipmod3_to_ham,
-    ipmod3_value,
-)
+from repro.core.fooling import binary_entropy, greedy_gv_code, code_min_distance, hamming_distance
+from repro.core.gadgets import gap_eq_to_ham, ipmod3_to_ham, ipmod3_value
 from repro.core.gamma2 import gamma2_lower, gamma2_upper
 from repro.quantum.state import QuantumState
 from repro.quantum.teleportation import teleport
@@ -53,7 +47,7 @@ class TestGadgetProperties:
     def test_gap_eq_cycles_count_mismatches(self, xy):
         x, y = xy
         instance = gap_eq_to_ham(x, y)
-        delta = gap_eq_mismatch_count(x, y)
+        delta = hamming_distance(x, y)
         assert instance.cycle_count() == (1 if delta == 0 else delta + 1)
         assert instance.is_hamiltonian() == (delta == 0)
         assert instance.union_graph().number_of_nodes() == 6 * len(x)
