@@ -22,13 +22,15 @@
   parameter) or through ``**``.  A ``**`` argument that is a dict literal,
   or a name bound only to dict literals with string keys, passes those
   keys; a forward of the enclosing function's own ``**kwargs`` passes what
-  that function's callers pass it; any other ``**`` argument passes every
-  name.  Blind spots: a ``**`` the audit cannot resolve counts as setting
-  every parameter of every function of that name; a parameter that is set
-  but whose value nothing reads passes; a default that every caller
-  overrides passes, although no call ever takes it; dataclass fields are
-  not parameters and are not inventoried; a call through another name
-  (``Engine.transport_class(...)``) sets nothing.
+  that function's callers pass it, if the function mentions that name only
+  in ``**`` arguments (one that indexes it or calls its methods, as
+  ``kwargs.setdefault(...)``, may add keys); any other ``**`` argument
+  passes every name.  Blind spots: a ``**`` the audit cannot resolve
+  counts as setting every parameter of every function of that name; a
+  parameter that is set but whose value nothing reads passes; a default
+  that every caller overrides passes, although no call ever takes it;
+  dataclass fields are not parameters and are not inventoried; a call
+  through another name (``Engine.transport_class(...)``) sets nothing.
 - Every name a module under ``src/repro`` imports at module level is used
   in that module (a package ``__init__`` re-exports, so it is exempt).
 - Registering the built-in scenarios and expanding their default grids
@@ -326,10 +328,10 @@ def _passed(site: Site, calls: dict[str, list[Site]], seen: frozenset = frozense
         value, keys = keyword.value, _literal_keys(keyword.value)
         if keys is None and isinstance(value, ast.Name):
             kwarg = getattr(getattr(scope, "args", None), "kwarg", None)
-            if kwarg is not None and kwarg.arg == value.id:
-                keys = _forwarded(scope, caller, calls, seen)
-            else:
+            if kwarg is None or kwarg.arg != value.id:
                 keys = _bound_keys(scope, value.id)
+            elif _only_unpacked(scope, value.id):
+                keys = _forwarded(scope, caller, calls, seen)
         if keys is None:
             return None
         names |= keys
@@ -350,6 +352,18 @@ def _forwarded(function, caller: str, calls: dict[str, list[Site]], seen: frozen
             return None
         keys |= passed - named
     return keys
+
+
+def _only_unpacked(function: ast.AST, name: str) -> bool:
+    """Whether ``function`` mentions ``name`` only as a ``**name`` argument,
+    so it adds no key to the dict its callers filled."""
+    mentions = unpacked = 0
+    for node in ast.walk(function):
+        if isinstance(node, ast.Name) and node.id == name:
+            mentions += 1
+        if isinstance(node, ast.keyword) and node.arg is None:
+            unpacked += getattr(node.value, "id", None) == name
+    return mentions == unpacked
 
 
 def _bound_keys(scope: ast.AST, name: str) -> set[str] | None:
@@ -418,7 +432,8 @@ def unused_imports(package: Path = PACKAGE, name: str = "repro") -> list[str]:
         # Quoted annotations (``"FaultPlan | None"``) mention names, too.
         for node in ast.walk(tree):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                with contextlib.suppress(SyntaxError):
+                # Python 3.10 rejects a NUL in the string with ValueError.
+                with contextlib.suppress(SyntaxError, ValueError):
                     quoted = ast.parse(node.value, mode="eval")
                     used |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
         unused += sorted(f"{module}:{bound}" for bound in imported if bound not in used)
@@ -627,6 +642,15 @@ def by_forward(a, *, b=1, c=2):
     return a + b + c
 
 
+def adds_then_forwards(a, **kwargs):
+    kwargs.setdefault("c", 3)
+    return by_adding_forward(a, **kwargs)
+
+
+def by_adding_forward(a, *, b=1, c=2):
+    return a + b + c
+
+
 def keyword_only(a, *, b=1):
     def nested(c=2):
         return c
@@ -645,8 +669,8 @@ class Box:
 #: Calls from a second root, a plain directory like ``perfbench/``.
 _TOY_CALLERS = """\
 from opts.mod import (
-    Box, by_dict_literal, by_keyword, by_position, by_star_args, by_star_kwargs, forwards,
-    keyword_only, unset,
+    Box, adds_then_forwards, by_dict_literal, by_keyword, by_position, by_star_args,
+    by_star_kwargs, forwards, keyword_only, unset,
 )
 
 args, kwargs = (0, 2), {"b": 2}
@@ -658,6 +682,7 @@ by_star_args(*args)
 by_star_kwargs(0, **kwargs)  # not bound by a plain assignment: may pass any name
 by_dict_literal(0, **options)  # bound to a dict literal: passes its keys
 forwards(0, b=2)  # reaches by_forward through forwards' **kwargs
+adds_then_forwards(0, b=2)  # which sets c before it forwards: may pass any name
 keyword_only(0, 2)  # a keyword-only parameter is not set by position
 Box(4).grow(by=2)
 """
@@ -699,6 +724,8 @@ class TestOptionAuditMachinery:
             "opts.mod:by_dict_literal(c)": ("by_dict_literal", "c", None),
             "opts.mod:by_forward(b)": ("by_forward", "b", None),
             "opts.mod:by_forward(c)": ("by_forward", "c", None),
+            "opts.mod:by_adding_forward(b)": ("by_adding_forward", "b", None),
+            "opts.mod:by_adding_forward(c)": ("by_adding_forward", "c", None),
             "opts.mod:keyword_only(b)": ("keyword_only", "b", None),
             "opts.mod:keyword_only.<locals>.nested(c)": ("nested", "c", 0),
             "opts.mod:Box.__init__(size)": ("Box", "size", 0),
@@ -735,6 +762,10 @@ class TestOptionAuditMachinery:
         alone = {name: sites for name, sites in calls.items() if name != "forwards"}
         assert "opts.mod:by_forward(b)" in option_audit(options, alone, {})[1]
 
+    def test_a_forwarder_that_adds_keys_passes_every_name(self, toy_options):
+        unset = option_audit(*toy_options, {})[1]
+        assert not any(key.startswith("opts.mod:by_adding_forward") for key in unset)
+
     def test_any_other_double_star_passes_every_name(self, toy_options):
         unset = option_audit(*toy_options, {})[1]
         assert not any(key.startswith("opts.mod:by_star_kwargs") for key in unset)
@@ -767,6 +798,10 @@ import json
 import os.path
 from collections import OrderedDict as Ordered
 from typing import Hashable, Sequence
+
+
+#: A NUL, which some Python versions' ast.parse rejects with ValueError.
+SEPARATOR = "\\0"
 
 
 def first(items: Sequence) -> "Hashable | None":
