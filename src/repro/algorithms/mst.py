@@ -2,17 +2,22 @@
 
 Two algorithms, both measured on the CONGEST simulator:
 
-- :class:`BoruvkaMSTProgram` -- classic GHS/Boruvka fragment merging with
-  safe (``O(n)``) flood budgets per iteration.  Simple and exactly correct;
-  the reference implementation tests are cross-checked against networkx.
+- :class:`BoruvkaMSTProgram` -- classic GHS/Boruvka fragment merging.  Each
+  flood window covers ``n + 1`` hops in link-rounds, ``(n + 1) *
+  ceil(bits / B)`` for the message it carries, and a fragment left with no
+  outgoing edge spans its component and halts, so a run stops in the
+  iteration after its last merge.  Simple and exactly correct; tests
+  cross-check its tree against networkx and ``graphs/kruskal.py``.
 
 - :class:`GKPMSTProgram` -- the Garay-Kutten-Peleg shape [GKP98, KP98] the
   paper cites as the ``O~(sqrt(n) + D)`` upper bound: *Phase A* runs
   controlled Boruvka with fragment-size cap ``sqrt(n)`` and ``O(sqrt(n))``
   flood budgets; *Phase B* elects a leader, builds a BFS tree, and finishes
   by pipelining per-fragment minimum outgoing edges to the root, which merges
-  fragments centrally and downcasts relabelings.  Measured rounds scale as
-  ``~ sqrt(n) log n + D log n``, the shape Theorem 3.8 is tight against.
+  fragments centrally and downcasts relabelings.  Its budgets are ``n + 1``
+  up to n of about 120-170 and carry large constants past that, so at the
+  sizes run here its rounds grow about linearly: 19-27 rounds per node for
+  n = 16-400 at B = 128 (ROADMAP item 11).
 
 Both algorithms assume distinct edge weights (ties are broken by the
 canonical edge key, which is equivalent to perturbing weights), so the MST
@@ -124,60 +129,75 @@ class BoruvkaMSTProgram(NodeProgram):
     """Classic Boruvka with per-iteration schedule:
 
     1. announce label to all neighbours (1 round);
-    2. flood the fragment's minimum outgoing edge over tree edges (budget);
-    3. the winning endpoint adds the edge and notifies across it (2 rounds);
-    4. re-flood labels over the enlarged tree (budget).
+    2. flood the fragment's minimum outgoing edge over tree edges (the
+       candidate window);
+    3. choose round: a node that holds no candidate halts; otherwise the
+       winning endpoint adds the edge and notifies across it;
+    4. re-flood labels over the enlarged tree (the label window).
 
-    Fragment count at least halves per iteration, so ``ceil(log2 n) + 1``
-    iterations complete the MST.
+    Each flood window lasts ``(n + 1) * ceil(bits / B)`` rounds, ``bits``
+    being the size of the message it carries: ``n + 1`` hops, more than any
+    fragment's diameter, at the rounds one such message needs per link.
+    Candidates all have one size and all start in the window's first round,
+    so each is sent in a round ``1 + j * ceil(bits / B)`` and never waits
+    behind another on a link: the flood reaches the whole fragment within
+    the window.  A node left without a candidate therefore belongs to a
+    fragment with no outgoing edge, one that spans its component, and all
+    of its nodes halt in the same choose round: in iteration ``k + 1`` of a
+    run that merged in ``k`` iterations.  The ``ceil(log2 n) + 1``
+    iterations that suffice to merge (the fragment count at least halves
+    per iteration) only cap a run under faults, where a dropped message can
+    stall a fragment.
     """
 
     def __init__(self):
         self.state: _FragmentState | None = None
-        self._sched: tuple[int, int, int] | None = None
+        self._sched: tuple[int, int, int, int, int] | None = None
 
-    # Schedule bookkeeping -----------------------------------------------
-
-    def _budget(self, node: Node) -> int:
-        return node.n_nodes + 1
-
-    def _iterations(self, node: Node) -> int:
-        return max(1, math.ceil(math.log2(node.n_nodes)) + 1) if node.n_nodes > 1 else 1
-
-    def _iteration_length(self, node: Node) -> int:
-        return 2 * self._budget(node) + 4
-
-    def _schedule(self, node: Node) -> tuple[int, int, int]:
-        """(budget, iterations, iteration length) -- pure functions of
-        ``n``, computed once per program instance (``on_round``/
-        ``next_active_round`` run thousands of times)."""
+    def _schedule(self, node: Node) -> tuple[int, int, int, int, int]:
+        """(candidate bits, label bits, choose round, iteration length,
+        iterations) -- pure functions of ``n`` and ``B``, computed once per
+        program instance (``on_round``/``next_active_round`` run thousands
+        of times)."""
         sched = self._sched
         if sched is None:
+            n = node.n_nodes
+            cand_bits = _control_bits(node, floats=1, ids=3, extra=16)
+            label_bits = _control_bits(node, ids=1)
+            cand_window = (n + 1) * -(-cand_bits // node.bandwidth)
+            label_window = (n + 1) * -(-label_bits // node.bandwidth)
             sched = self._sched = (
-                self._budget(node),
-                self._iterations(node),
-                self._iteration_length(node),
+                cand_bits,
+                label_bits,
+                cand_window + 2,
+                cand_window + label_window + 4,
+                math.ceil(math.log2(n)) + 1 if n > 1 else 1,
             )
         return sched
 
+    @staticmethod
+    def _halt(node: Node, state: _FragmentState) -> None:
+        node.halt(
+            {
+                "label": state.label,
+                "tree_neighbors": sorted(state.tree_neighbors, key=repr),
+            }
+        )
+
     def on_start(self, node: Node) -> None:
         self.state = _FragmentState(node)
-        node.broadcast(("label", self.state.label), bits=_control_bits(node, ids=1))
+        _, label_bits, _, _, _ = self._schedule(node)
+        node.broadcast(("label", self.state.label), bits=label_bits)
 
     def on_round(self, node: Node, round_no: int, inbox: list[Received]) -> None:
         state = self.state
         assert state is not None
-        budget, iterations, length = self._schedule(node)
+        cand_bits, label_bits, choose, length, iterations = self._schedule(node)
         iteration, r = divmod(round_no - 1, length)
         r += 1  # 1-based within iteration
 
         if iteration >= iterations:
-            node.halt(
-                {
-                    "label": state.label,
-                    "tree_neighbors": sorted(state.tree_neighbors, key=repr),
-                }
-            )
+            self._halt(node, state)
             return
 
         for msg in inbox:
@@ -204,47 +224,47 @@ class BoruvkaMSTProgram(NodeProgram):
             state.best_cand = _min_outgoing(node, state.neighbor_labels, state.label)
             state.cand_dirty = True
 
-        if 1 <= r <= budget + 1:
+        if r < choose:
             if state.cand_dirty and state.best_cand:
                 for neighbor in state.tree_neighbors:
-                    node.send(
-                        neighbor,
-                        ("cand", state.best_cand),
-                        bits=_control_bits(node, floats=1, ids=3, extra=16),
-                    )
+                    node.send(neighbor, ("cand", state.best_cand), bits=cand_bits)
                 state.cand_dirty = False
 
-        if r == budget + 2:
+        if r == choose:
             best = state.best_cand
-            if best is not None and best[1] == node.id:
+            if best is None:
+                # The fragment has no outgoing edge: it spans the component.
+                self._halt(node, state)
+                return
+            if best[1] == node.id:
                 _, _, other = best
                 state.tree_neighbors.add(other)
                 node.send(other, ("chosen",), bits=8)
             state.label_dirty = True
 
-        if budget + 2 <= r <= 2 * budget + 3:
+        if choose <= r < length:
             if state.label_dirty:
                 for neighbor in state.tree_neighbors:
-                    node.send(neighbor, ("newlabel", state.label), bits=_control_bits(node, ids=1))
+                    node.send(neighbor, ("newlabel", state.label), bits=label_bits)
                 state.label_dirty = False
 
         if r == length:
             # Prepare the next iteration: announce the (new) label.
             state.neighbor_labels.clear()
             state.best_cand = None
-            node.broadcast(("label", state.label), bits=_control_bits(node, ids=1))
+            node.broadcast(("label", state.label), bits=label_bits)
 
     def next_active_round(self, node: Node, after_round: int) -> int | None:
         # Spontaneous rounds per iteration: r=1 (compute + flood candidate),
-        # r=budget+2 (choose + mark labels dirty), r=length (re-announce);
-        # everything else is delivery-driven.  The halt round caps the
-        # schedule.
-        budget, iterations, length = self._schedule(node)
+        # r=choose (choose or halt, mark labels dirty), r=length
+        # (re-announce); everything else is delivery-driven.  The iteration
+        # cap's halt round ends the schedule.
+        _, _, choose, length, iterations = self._schedule(node)
         halt_round = iterations * length + 1
         if after_round >= halt_round:
             return None
         base = (after_round // length) * length
-        for off in (1, budget + 2, length, length + 1):
+        for off in (1, choose, length, length + 1):
             if base + off > after_round:
                 return min(base + off, halt_round)
         return halt_round  # pragma: no cover - offsets above always cover
@@ -687,7 +707,7 @@ def run_gkp_mst(
     engine: str = "event",
 ) -> tuple[set[frozenset], RunResult]:
     """Run the GKP-style MST; returns (tree edges, run metrics)."""
-    d = nx.diameter(graph)
+    d = nx.diameter(graph, usebounds=True)
     n = graph.number_of_nodes()
     frag_cap = cap if cap is not None else max(2, math.ceil(math.sqrt(n)))
     # Phase A leaves ~ n / cap fragments and Phase B at least halves the

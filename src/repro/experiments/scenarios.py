@@ -969,8 +969,10 @@ def boruvka_mst_sweep(
     """Distributed Borůvka over SEL-Columbia/NetworkBuild-style instances.
 
     The classic homogeneous CONGEST workload: every live node participates
-    in every announce/flood/merge sub-round.  Exactness is checked against
-    the centralised MST weight (all minimum spanning trees share it, so the
+    in every announce/flood/merge sub-round.  The run halts in the iteration
+    after its last merge, so ``rounds`` moves with the number of merge
+    iterations the instance needs.  Exactness is checked against the
+    centralised MST weight (all minimum spanning trees share it, so the
     check is tie-safe).
     """
     graph = _boruvka_instance(generator, weight_model, n, extra_edge_prob, aspect_ratio, seed)

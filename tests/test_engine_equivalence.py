@@ -109,13 +109,16 @@ class TestMstEquivalence:
         assert abs(tree_weight(graph, edges_other) - reference) < 1e-9
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_boruvka_mst(self, engine):
+    @pytest.mark.parametrize("bandwidth", [128, 64])
+    def test_boruvka_mst(self, bandwidth, engine):
+        # At B = 64 a candidate takes two rounds per hop, so the halt round
+        # comes from the longer candidate window.
         graph = _weighted(16, 3)
         edges_ref, ref = run_boruvka_mst(
-            graph, bandwidth=128, engine=ReferenceDenseEngine()
+            graph, bandwidth=bandwidth, engine=ReferenceDenseEngine()
         )
         edges_other, other = run_boruvka_mst(
-            graph, bandwidth=128, engine=make_engine(engine)
+            graph, bandwidth=bandwidth, engine=make_engine(engine)
         )
         assert_results_match(ref, other)
         assert edges_other == edges_ref

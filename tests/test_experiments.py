@@ -409,6 +409,32 @@ class TestBoruvkaMstSweepScenario:
             scn.run(scn.resolve_params({"weight_model": "bogus"}), seed=0)
 
 
+class TestBoruvkaRoundsMove:
+    """Borůvka halts in the iteration after its last merge, so the rounds
+    the two Borůvka scenarios plot move with the instance.  A schedule fixed
+    by ``n`` alone would give one value on every default record (939 in
+    ``boruvka-mst-sweep`` and 373 in ``mst-under-faults`` for
+    ``ceil(log2 n) + 1`` iterations)."""
+
+    @staticmethod
+    def _values(name, key, base_seeds):
+        values = set()
+        for base_seed in base_seeds:
+            report = run_sweep(expand_grid(get_scenario(name), base_seed=base_seed))
+            assert report.ok, [r.error for r in report.records if r.status != "ok"]
+            values.update(r.result[key] for r in report.records)
+        return values
+
+    def test_boruvka_sweep_rounds(self):
+        assert len(self._values("boruvka-mst-sweep", "rounds", [1])) >= 2
+
+    def test_mst_under_faults_clean_rounds(self):
+        # The grid has four points.  At base seed 1 all four instances merge
+        # in three iterations (333 rounds); base seeds 2 and 3 also draw
+        # two-iteration ones (242).
+        assert len(self._values("mst-under-faults", "rounds_clean", [1, 2, 3])) >= 2
+
+
 class TestBfsRestabilizationScenario:
     def test_fault_seed_axis_seeds_the_plan(self):
         """At a fixed point seed (so a fixed graph), only the plan's seed

@@ -701,8 +701,12 @@ class TestRecoveryCorrectness:
 
     def test_boruvka_detect_and_restart_recovers_the_mst(self):
         graph = _weighted(16, 8)
-        plan = FaultPlan.generate(graph, seed=3, drop_prob=0.1, window=(1, 25))
+        # Every first-iteration fragment is a single node, so nothing is
+        # sent before the first choose round, 2(n + 1) + 2 = 36 at B = 64;
+        # the window reaches into the first merge.
+        plan = FaultPlan.generate(graph, seed=3, drop_prob=0.1, window=(1, 60))
         edges, result = run_boruvka_mst(graph, bandwidth=64, faults=plan)
+        assert result.fault_stats["drops"] > 0
         expected = {
             frozenset(e) for e in nx.minimum_spanning_tree(graph).edges()
         }

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on the core invariants."""
 
 import math
+import random
 from dataclasses import replace
 
 import networkx as nx
@@ -11,9 +12,12 @@ np = pytest.importorskip("numpy")  # exercises numpy-backed core modules
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.mst import edge_key, run_boruvka_mst
 from repro.core.fooling import binary_entropy, greedy_gv_code, code_min_distance, hamming_distance
 from repro.core.gadgets import gap_eq_to_ham, ipmod3_to_ham, ipmod3_value
 from repro.core.gamma2 import gamma2_lower, gamma2_upper
+from repro.graphs.generators import random_connected_graph
+from repro.graphs.kruskal import minimum_spanning_forest
 from repro.quantum.state import QuantumState
 from repro.quantum.teleportation import teleport
 
@@ -202,3 +206,95 @@ class TestFaultDeterminismProperties:
         grid = [(r, 0, 1, i) for r in range(1, 11) for i in range(10)]
         assert [plan.drop(*g) for g in grid] != [other.drop(*g) for g in grid]
 
+
+class TestBoruvkaHaltProperties:
+    """Borůvka's halt: each flood window spans ``n + 1`` hops at
+    ``ceil(bits / B)`` rounds per hop, so a node left without a candidate
+    knows that its fragment spans the component.  The run then ends in the
+    choose round of the iteration after its last merge, with the MST and
+    one label at every node."""
+
+    @staticmethod
+    def _central_iterations(graph):
+        """Borůvka iterations that merge ``graph``, run centrally: every
+        fragment joins along its lightest outgoing edge in ``edge_key``
+        order."""
+        parent = {v: v for v in graph}
+
+        def find(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        iterations = 0
+        while True:
+            lightest = {}
+            for u, v, w in graph.edges(data="weight"):
+                fu, fv = find(u), find(v)
+                if fu != fv:
+                    key = edge_key(w, u, v)
+                    for f in (fu, fv):
+                        if f not in lightest or key < lightest[f][0]:
+                            lightest[f] = (key, u, v)
+            if not lightest:
+                return iterations
+            iterations += 1
+            for _, u, v in lightest.values():
+                fu, fv = find(u), find(v)
+                if fu != fv:
+                    parent[fu] = fv
+
+    @staticmethod
+    def _halt_round(n, bandwidth, iterations):
+        """The choose round of iteration ``iterations + 1``: windows of
+        ``n + 1`` hops for the candidate (a weight and three ids plus 16
+        bits) and the label (an id plus 8 bits)."""
+        id_bits = max(8, math.ceil(math.log2(max(2, n))) + 1)
+        candidate_window = (n + 1) * math.ceil((16 + 64 + 3 * id_bits) / bandwidth)
+        label_window = (n + 1) * math.ceil((8 + id_bits) / bandwidth)
+        length = candidate_window + label_window + 4
+        return iterations * length + candidate_window + 2
+
+    def _check(self, graph, bandwidth):
+        edges, result = run_boruvka_mst(graph, bandwidth=bandwidth)
+        in_key_order = sorted(
+            ((w, u, v) for u, v, w in graph.edges(data="weight")), key=lambda e: edge_key(*e)
+        )
+        _, tree = minimum_spanning_forest(in_key_order)
+        assert edges == {frozenset(e) for e in tree}
+        assert len({repr(out["label"]) for out in result.outputs.values()}) == 1
+        iterations = self._central_iterations(graph)
+        assert result.rounds == self._halt_round(len(graph), bandwidth, iterations)
+
+    @given(
+        st.integers(1, 30),
+        st.sampled_from([0.0, 0.1, 0.3]),
+        st.integers(1, 8),
+        st.sampled_from([32, 64, 128]),
+        st.integers(0, 10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_kruskal_tree_one_label_and_predicted_halt_round(
+        self, n, density, max_weight, bandwidth, seed
+    ):
+        # Few distinct weights, so the edge-key tie-break decides often.
+        graph = random_connected_graph(n, extra_edge_prob=density, seed=seed)
+        rng = random.Random(seed)
+        for u, v in graph.edges():
+            graph.edges[u, v]["weight"] = float(rng.randint(1, max_weight))
+        self._check(graph, bandwidth)
+
+    def test_long_path_fragment_at_b64(self):
+        # Iteration 1 forms the fragments {0, 1} and the path 2 - ... - 15,
+        # whose weights rise along it.  Iteration 2 merges them over the
+        # edge 15 - 0, whose 104-bit candidate crosses the path's 13 hops at
+        # 2 rounds per hop at B = 64.  A window of n + 1 = 17 rounds reaches
+        # only 9 of them: nodes 2-5 halt with the path's label 10, while
+        # every other node adopts the label 0 of the other fragment.
+        graph = nx.Graph()
+        graph.add_edge(0, 1, weight=1.0)
+        path = range(2, 16)
+        for i, (u, v) in enumerate(zip(path, path[1:])):
+            graph.add_edge(u, v, weight=10.0 + i)
+        graph.add_edge(15, 0, weight=100.0)
+        self._check(graph, 64)
