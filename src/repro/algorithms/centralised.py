@@ -52,7 +52,7 @@ def run_centralised(
     recovery scenarios can detect the failure and restart.  Edge-capacity
     slack for the upcast covers the plan's scheduled edge insertions.
     """
-    d = nx.diameter(graph, usebounds=True)
+    d = nx.diameter(graph)
     m_count = graph.number_of_edges()
     if faults is not None:
         m_count += sum(1 for ev in faults.topology_events if ev.action == "insert")

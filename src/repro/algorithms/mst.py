@@ -147,7 +147,9 @@ class BoruvkaMSTProgram(NodeProgram):
     run that merged in ``k`` iterations.  The ``ceil(log2 n) + 1``
     iterations that suffice to merge (the fragment count at least halves
     per iteration) only cap a run under faults, where a dropped message can
-    stall a fragment.
+    stall a fragment.  There a node that misses its fragment's candidate
+    flood also halts early and stops relaying; ``mst-under-faults`` detects
+    the wrong tree and restarts.
     """
 
     def __init__(self):
@@ -707,7 +709,7 @@ def run_gkp_mst(
     engine: str = "event",
 ) -> tuple[set[frozenset], RunResult]:
     """Run the GKP-style MST; returns (tree edges, run metrics)."""
-    d = nx.diameter(graph, usebounds=True)
+    d = nx.diameter(graph)
     n = graph.number_of_nodes()
     frag_cap = cap if cap is not None else max(2, math.ceil(math.sqrt(n)))
     # Phase A leaves ~ n / cap fragments and Phase B at least halves the

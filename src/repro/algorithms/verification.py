@@ -293,7 +293,7 @@ def build_inputs(
     special_edge: tuple[Hashable, Hashable] | None = None,
 ) -> dict[Hashable, dict]:
     """Per-node inputs: incident marks, diameter bound, role flags."""
-    d = nx.diameter(graph, usebounds=True)
+    d = nx.diameter(graph)
     m = nx.Graph()
     m.add_nodes_from(graph.nodes())
     m.add_edges_from(m_edges)

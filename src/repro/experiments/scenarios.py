@@ -1248,7 +1248,11 @@ FAULT_PARAMS = (
         *FAULT_PARAMS,
         ENGINE_PARAM,
     ],
-    default_grid={"drop_prob": [0.0, 0.02, 0.05, 0.1]},
+    # Borůvka sends nothing between its start announcement and its first
+    # choose round (60 at n = 28, B = 64), so the shared default window of 40
+    # would fire no fault.  120 reaches the first merge, its label flood and
+    # the second iteration's announcements.
+    default_grid={"drop_prob": [0.0, 0.02, 0.05, 0.1], "fault_window": [120]},
     tags=("faults", "mst", "congest", "self-stabilization"),
     plots=(
         PlotSpec(

@@ -125,8 +125,10 @@ class TestGKP:
         assert tree_weight(graph, edges) == pytest.approx(reference_mst_weight(graph))
 
     def test_round_shape_sublinear_vs_boruvka(self):
-        # The two-phase algorithm's rounds grow ~ sqrt(n) log n while
-        # budget-n Boruvka grows ~ n log n: the ratio must improve with n.
+        # Boruvka runs (merge iterations + 1) iterations of about
+        # 2(n + 1) + 4 rounds each, so its rounds grow about linearly in n;
+        # the two-phase algorithm's grow more slowly: the ratio must
+        # improve with n.
         small = weighted_graph(20, 13, extra=0.2)
         large = weighted_graph(120, 13, extra=0.03)
         _, gkp_small = run_gkp_mst(small, bandwidth=128)

@@ -376,11 +376,15 @@ class TestSpannerSkeletonScenario:
 
 
 class TestBoruvkaMstSweepScenario:
+    # At B = 64 a candidate takes two rounds per hop, so its flood window
+    # is twice the label window's.
+    @pytest.mark.parametrize("bandwidth", [128, 64])
     @pytest.mark.parametrize("generator", ["random", "grid", "geometric"])
-    def test_exact_mst_on_every_topology_family(self, generator):
+    def test_exact_mst_on_every_topology_family(self, generator, bandwidth):
         scn = get_scenario("boruvka-mst-sweep")
         params = scn.resolve_params(
-            {"n": 25, "generator": generator, "weight_model": "euclidean"}
+            {"n": 25, "generator": generator, "weight_model": "euclidean",
+             "bandwidth": bandwidth}
         )
         result = scn.run(params, seed=9)
         assert result["exact"], result
@@ -417,22 +421,16 @@ class TestBoruvkaRoundsMove:
     ``ceil(log2 n) + 1`` iterations)."""
 
     @staticmethod
-    def _values(name, key, base_seeds):
-        values = set()
-        for base_seed in base_seeds:
-            report = run_sweep(expand_grid(get_scenario(name), base_seed=base_seed))
-            assert report.ok, [r.error for r in report.records if r.status != "ok"]
-            values.update(r.result[key] for r in report.records)
-        return values
+    def _values(name, key):
+        report = run_sweep(expand_grid(get_scenario(name), base_seed=1))
+        assert report.ok, [r.error for r in report.records if r.status != "ok"]
+        return {r.result[key] for r in report.records}
 
     def test_boruvka_sweep_rounds(self):
-        assert len(self._values("boruvka-mst-sweep", "rounds", [1])) >= 2
+        assert len(self._values("boruvka-mst-sweep", "rounds")) >= 2
 
     def test_mst_under_faults_clean_rounds(self):
-        # The grid has four points.  At base seed 1 all four instances merge
-        # in three iterations (333 rounds); base seeds 2 and 3 also draw
-        # two-iteration ones (242).
-        assert len(self._values("mst-under-faults", "rounds_clean", [1, 2, 3])) >= 2
+        assert len(self._values("mst-under-faults", "rounds_clean")) >= 2
 
 
 class TestBfsRestabilizationScenario:
