@@ -128,7 +128,9 @@ class _FragmentState:
 class BoruvkaMSTProgram(NodeProgram):
     """Classic Boruvka with per-iteration schedule:
 
-    1. announce label to all neighbours (1 round);
+    1. announce label to all neighbours; the labels arrive ``ceil(label
+       bits / B)`` rounds later, in the *announce* round, where every node
+       computes its candidate;
     2. flood the fragment's minimum outgoing edge over tree edges (the
        candidate window);
     3. choose round: a node that holds no candidate halts; otherwise the
@@ -138,11 +140,11 @@ class BoruvkaMSTProgram(NodeProgram):
     Each flood window lasts ``(n + 1) * ceil(bits / B)`` rounds, ``bits``
     being the size of the message it carries: ``n + 1`` hops, more than any
     fragment's diameter, at the rounds one such message needs per link.
-    Candidates all have one size and all start in the window's first round,
-    so each is sent in a round ``1 + j * ceil(bits / B)`` and never waits
-    behind another on a link: the flood reaches the whole fragment within
-    the window.  A node left without a candidate therefore belongs to a
-    fragment with no outgoing edge, one that spans its component, and all
+    Candidates all have one size and all start in the announce round, so
+    each is sent in a round ``announce + j * ceil(bits / B)`` and never
+    waits behind another on a link: the flood reaches the whole fragment
+    within the window.  A node left without a candidate therefore belongs
+    to a fragment with no outgoing edge, one that spans its component, and all
     of its nodes halt in the same choose round: in iteration ``k + 1`` of a
     run that merged in ``k`` iterations.  The ``ceil(log2 n) + 1``
     iterations that suffice to merge (the fragment count at least halves
@@ -154,25 +156,27 @@ class BoruvkaMSTProgram(NodeProgram):
 
     def __init__(self):
         self.state: _FragmentState | None = None
-        self._sched: tuple[int, int, int, int, int] | None = None
+        self._sched: tuple[int, int, int, int, int, int] | None = None
 
-    def _schedule(self, node: Node) -> tuple[int, int, int, int, int]:
-        """(candidate bits, label bits, choose round, iteration length,
-        iterations) -- pure functions of ``n`` and ``B``, computed once per
-        program instance (``on_round``/``next_active_round`` run thousands
-        of times)."""
+    def _schedule(self, node: Node) -> tuple[int, int, int, int, int, int]:
+        """(candidate bits, label bits, announce round, choose round,
+        iteration length, iterations) -- pure functions of ``n`` and ``B``,
+        computed once per program instance (``on_round``/
+        ``next_active_round`` run thousands of times)."""
         sched = self._sched
         if sched is None:
             n = node.n_nodes
             cand_bits = _control_bits(node, floats=1, ids=3, extra=16)
             label_bits = _control_bits(node, ids=1)
+            announce = -(-label_bits // node.bandwidth)
             cand_window = (n + 1) * -(-cand_bits // node.bandwidth)
-            label_window = (n + 1) * -(-label_bits // node.bandwidth)
+            label_window = (n + 1) * announce
             sched = self._sched = (
                 cand_bits,
                 label_bits,
-                cand_window + 2,
-                cand_window + label_window + 4,
+                announce,
+                announce + cand_window + 1,
+                announce + cand_window + label_window + 3,
                 math.ceil(math.log2(n)) + 1 if n > 1 else 1,
             )
         return sched
@@ -188,13 +192,13 @@ class BoruvkaMSTProgram(NodeProgram):
 
     def on_start(self, node: Node) -> None:
         self.state = _FragmentState(node)
-        _, label_bits, _, _, _ = self._schedule(node)
+        label_bits = self._schedule(node)[1]
         node.broadcast(("label", self.state.label), bits=label_bits)
 
     def on_round(self, node: Node, round_no: int, inbox: list[Received]) -> None:
         state = self.state
         assert state is not None
-        cand_bits, label_bits, choose, length, iterations = self._schedule(node)
+        cand_bits, label_bits, announce, choose, length, iterations = self._schedule(node)
         iteration, r = divmod(round_no - 1, length)
         r += 1  # 1-based within iteration
 
@@ -221,12 +225,12 @@ class BoruvkaMSTProgram(NodeProgram):
                     state.label = incoming
                     state.label_dirty = True
 
-        if r == 1:
+        if r == announce:
             # Labels from the announcement arrive now; compute local candidate.
             state.best_cand = _min_outgoing(node, state.neighbor_labels, state.label)
             state.cand_dirty = True
 
-        if r < choose:
+        if announce <= r < choose:
             if state.cand_dirty and state.best_cand:
                 for neighbor in state.tree_neighbors:
                     node.send(neighbor, ("cand", state.best_cand), bits=cand_bits)
@@ -257,16 +261,16 @@ class BoruvkaMSTProgram(NodeProgram):
             node.broadcast(("label", state.label), bits=label_bits)
 
     def next_active_round(self, node: Node, after_round: int) -> int | None:
-        # Spontaneous rounds per iteration: r=1 (compute + flood candidate),
-        # r=choose (choose or halt, mark labels dirty), r=length
-        # (re-announce); everything else is delivery-driven.  The iteration
-        # cap's halt round ends the schedule.
-        _, _, choose, length, iterations = self._schedule(node)
+        # Spontaneous rounds per iteration: r=announce (compute + flood
+        # candidate), r=choose (choose or halt, mark labels dirty),
+        # r=length (re-announce); everything else is delivery-driven.  The
+        # iteration cap's halt round ends the schedule.
+        _, _, announce, choose, length, iterations = self._schedule(node)
         halt_round = iterations * length + 1
         if after_round >= halt_round:
             return None
         base = (after_round // length) * length
-        for off in (1, choose, length, length + 1):
+        for off in (announce, choose, length, length + announce):
             if base + off > after_round:
                 return min(base + off, halt_round)
         return halt_round  # pragma: no cover - offsets above always cover

@@ -8,7 +8,7 @@ of rounds, messages and bits.
 - :mod:`repro.congest.message`   -- payload bit-size accounting.
 - :mod:`repro.congest.node`      -- node handles and the program interface
   (including the idleness hints the event engine exploits).
-- :mod:`repro.congest.transport` -- ``LinkTransport``: staging columns,
+- :mod:`repro.congest.transport` -- ``LinkTransport``: round staging,
   chunking, bit metrics, and a completion-clock heap
   that touches only the links whose message completes.
 - :mod:`repro.congest.columnar`  -- ``ColumnarTransport``, a former name

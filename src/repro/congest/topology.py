@@ -29,7 +29,7 @@ def build_adjacency(
 
     Both are sorted by ``repr`` -- the order every engine steps nodes in
     and the order ``Node.neighbors`` (and therefore broadcasts, and the
-    transport's staging columns) iterates.
+    transport's staged rounds) iterates.
     """
     node_order = tuple(sorted(graph.nodes(), key=repr))
     adjacency = {

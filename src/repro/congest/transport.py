@@ -20,33 +20,27 @@ Engines drive it through four operations:
   call (each busy link moves exactly ``B`` bits per skipped round),
   keeping the metrics bit-identical to a round-by-round advance.
 
-**Staging columns.**  A round's sends are staged as three parallel
-columns instead of one object per message:
+**Staging.**  A round's sends are staged as two plain lists: the dense
+directed-edge id of each send, in ``Node.send`` call order, and the
+finished :class:`Received` record, which already carries the charged size
+(``rec.bits``).  Edge ids are assigned once, at an edge's first-ever send,
+and identify the edge's permanent :class:`_EdgeQueue` (which holds the
+sender and receiver, so staging doesn't repeat them per message).  The
+round is grouped by edge only where it is delivered as a block.
 
-========  =============  ====================================================
-column    type           contents
-========  =============  ====================================================
-eid       ``array('q')`` dense directed-edge id, in ``Node.send`` call order
-bits      ``array('q')`` charged message size in bits (parallel to ``eid``)
-rec       list           the finished :class:`Received` record (parallel)
-========  =============  ====================================================
+**Block path.**  ``flush`` sums the staged bits per edge in one pass.  When
+no edge is mid-transmission and every per-edge sum is within ``B`` (the
+common case: well-behaved CONGEST programs respect the per-round budget),
+the whole staged round completes exactly one round later as a single
+*block*: no per-message queue appends, no clock installs.
+:meth:`~LinkTransport.deliver_round` emits the block in staging order when
+every edge sends once, otherwise by per-edge runs in first-appearance edge
+order, FIFO within an edge.  A flush while a block is pending first
+*materializes* the block into the per-edge queues (exactly what the
+general path would have built), so arbitrary flush/deliver/skip
+interleavings stay exact.
 
-Edge ids are assigned once, at an edge's first-ever send, and identify the
-edge's permanent :class:`_EdgeQueue` (which holds the sender and receiver,
-so the columns don't repeat them per message).  Staging buffers are
-**cleared in place** after every commit, never reallocated.
-
-**Block path.**  When a flush arrives with no edge mid-transmission and
-every per-edge sum within ``B`` (the common case: well-behaved CONGEST
-programs respect the per-round budget), the whole staged round completes
-exactly one round later as a single *block*: no per-message queue appends,
-no clock installs -- :meth:`~LinkTransport.deliver_round` emits the block
-straight from the staged columns in first-appearance edge order.  A flush
-while a block is pending first *materializes* the block into the per-edge
-queues (exactly what the general path would have built), so arbitrary
-flush/deliver/skip interleavings stay exact.
-
-**Lazy completion clock.**  Otherwise the rows commit to per-edge FIFO
+**Lazy completion clock.**  Otherwise the records commit to per-edge FIFO
 queues whose *head* progress is derived from a round counter instead of
 decremented every round, plus a ``(completion, activation seq, eid)``
 heap with one entry per live edge: a round touches only the edges whose
@@ -66,88 +60,19 @@ message log are the same on every engine; the lockstep tests
 
 from __future__ import annotations
 
-from array import array
 from collections import defaultdict
 from heapq import heappop, heappush
-from typing import Any, Hashable, NamedTuple
+from typing import Any, Hashable
 
 from repro.congest.message import Received
 
-#: Shared ``order`` for the single-message flush fast path.
-_RANGE_1 = range(1)
-
-
-class RoundGroup(NamedTuple):
-    """One staged round grouped by directed edge (what :func:`group_round`
-    returns).
-
-    ``order`` lists message indices grouped by edge -- edges in
-    first-appearance order, FIFO within each edge; when every staged
-    message sits on a distinct edge it is simply ``range(n)``.
-    ``edge_order`` lists the edges in that same first-appearance order.
-    ``edge_counts`` carries the per-edge message counts (the run lengths
-    of ``order``) whenever ``order`` is a materialised list -- the block
-    delivery loop uses the runs to hoist its per-edge lookups out of the
-    per-message loop; when ``order`` is a ``range`` every count is 1 and
-    the field is ``None``.
-    """
-
-    order: Any  # list[int] | range
-    edge_order: Any  # list[int] | tuple[int]
-    edge_counts: list[int] | None  # None iff order is a range
-    total_bits: int
-    all_fit: bool  # every per-edge sum <= bandwidth
-    max_sum: int  # the largest per-edge sum (0 for an empty round)
-
-
-def group_round(eids: array, bits: array, bandwidth: int) -> RoundGroup:
-    """Group one staged round by directed edge (see :class:`RoundGroup`)."""
-    n = len(eids)
-    if n == 0:
-        return RoundGroup(range(0), [], None, 0, True, 0)
-    if n == 1:
-        b = bits[0]
-        return RoundGroup(range(1), [eids[0]], None, b, b <= bandwidth, b)
-    if n == 2:
-        b0, b1 = bits[0], bits[1]
-        e0, e1 = eids[0], eids[1]
-        if e0 == e1:
-            s = b0 + b1
-            return RoundGroup(range(2), [e0], None, s, s <= bandwidth, s)
-        m = b0 if b0 >= b1 else b1
-        return RoundGroup(range(2), [e0, e1], None, b0 + b1, m <= bandwidth, m)
-    groups: dict[int, list[int]] = {}
-    sums: dict[int, int] = {}
-    total = 0
-    for i, eid in enumerate(eids):
-        b = bits[i]
-        total += b
-        bucket = groups.get(eid)
-        if bucket is None:
-            groups[eid] = [i]
-            sums[eid] = b
-        else:
-            bucket.append(i)
-            sums[eid] += b
-    edge_order = list(groups)
-    if len(edge_order) == n:
-        order: Any = range(n)  # one message per edge: already grouped
-        edge_counts = None
-    else:
-        buckets = list(groups.values())
-        order = [i for bucket in buckets for i in bucket]
-        edge_counts = [len(bucket) for bucket in buckets]
-    max_sum = max(sums.values())
-    return RoundGroup(order, edge_order, edge_counts, total, max_sum <= bandwidth, max_sum)
-
 
 class _EdgeQueue:
-    """One directed edge: FIFO columns plus lazy head accounting.
+    """One directed edge: a FIFO of records plus lazy head accounting.
 
     Queues are permanent -- created at the edge's first-ever send and
-    recycled across drain/revive cycles (columns cleared in place, never
-    reallocated).  ``head`` indexes the first undelivered message in the
-    ``recs`` / ``bits`` columns; ``head_rem`` is the head's remaining
+    recycled across drain/revive cycles.  ``head`` indexes the first
+    undelivered record in ``recs``; ``head_rem`` is the head's remaining
     bits as of clock ``head_clock`` (the transport does *not* decrement
     it each round -- the remainder at any later clock ``c`` is
     ``head_rem - B * (c - head_clock)``, and the completion clock
@@ -158,14 +83,13 @@ class _EdgeQueue:
     drain-then-revive reinsertion at the end.
     """
 
-    __slots__ = ("sender", "receiver", "seq", "recs", "bits", "head", "head_clock", "head_rem", "live")
+    __slots__ = ("sender", "receiver", "seq", "recs", "head", "head_clock", "head_rem", "live")
 
     def __init__(self, sender: Hashable, receiver: Hashable):
         self.sender = sender
         self.receiver = receiver
         self.seq = 0
         self.recs: list[Any] = []
-        self.bits: list[int] = []
         self.head = 0
         self.head_clock = 0
         self.head_rem = 0
@@ -175,12 +99,11 @@ class _EdgeQueue:
 class LinkTransport:
     """Link queues and bit accounting for one CONGEST(B) execution.
 
-    Cost model (see the module docstring): staging is three column
-    appends; a quiet live edge costs nothing per round; ``deliver_round``
-    touches only the edges whose head completes, and an all-fitting round
-    with no carry-over traffic is delivered as one block straight from
-    the staged columns; ``rounds_until_delivery`` / ``pending_traffic``
-    are O(1).
+    Cost model (see the module docstring): staging is two list appends; a
+    quiet live edge costs nothing per round; ``deliver_round`` touches
+    only the edges whose head completes, and an all-fitting round with no
+    carry-over traffic is delivered as one block straight from the staged
+    lists; ``rounds_until_delivery`` / ``pending_traffic`` are O(1).
     """
 
     def __init__(self, bandwidth: int, record_messages: bool = False):
@@ -196,25 +119,18 @@ class LinkTransport:
         self.per_round_bits: list[int] = []
         # Bits still in flight (committed, not yet moved), kept
         # incrementally: += at the flush commit, -= exactly the bits a
-        # round (or skipped stretch) moves.  Makes pending_traffic() O(1)
-        # -- the event engine probes it every executed round.
+        # round (or skipped stretch) moves.  It keeps pending_traffic()
+        # O(1) for a check at every phase boundary (ROADMAP item 1); today
+        # only tests call it.
         self._pending_bits = 0
         #: (round_sent, sender, receiver, bits) per message; only populated
         #: when ``record_messages`` is set (the list grows unboundedly).
         self.message_log: list[tuple[int, Hashable, Hashable, int]] = []
-        # Staging: the parallel columns of the module docstring, cleared in
-        # place per flush.  A "bundle" carries a buffer set together with
-        # its bound appends so the block path's ping-pong swap is six
-        # attribute writes -- no per-flush bound-method creation.
-        eids: array = array("q")
-        bits: array = array("q")
-        recs: list[Any] = []
-        self._adopt_stage((eids, bits, recs, eids.append, bits.append, recs.append))
-        # Second buffer bundle for the block path's ping-pong (the block
-        # owns one set while the other stages the next round).
-        self._spare: tuple | None = None
+        # The round being staged: each send's edge id and its record.
+        self._stage_eids: list[int] = []
+        self._stage_recs: list[Received] = []
         # A committed all-fitting round awaiting its one-round delivery:
-        # (eids, bits, recs, RoundGroup, bundle), or None.
+        # (eids, recs, per-edge bit sums, total bits, largest sum), or None.
         self._block: tuple | None = None
         # Permanent edge identity: sender -> {receiver -> dense eid} (two
         # plain-key lookups beat allocating and hashing an edge tuple per
@@ -241,32 +157,14 @@ class LinkTransport:
     @property
     def total_bits(self) -> int:
         """Bits sent so far, the round being staged included."""
-        return self._flushed_bits + sum(self._stage_bits)
+        return self._flushed_bits + sum([rec.bits for rec in self._stage_recs])
 
     # -- staging ---------------------------------------------------------------
 
-    def _adopt_stage(self, bundle: tuple) -> None:
-        """Make ``bundle`` the active staging set.  The bound appends ride
-        in the bundle (``enqueue`` is the highest-call-count method; three
-        bound-method calls beat three attribute-chain lookups per message,
-        and keeping the bindings with their buffers makes a swap free)."""
-        self._bundle = bundle
-        (
-            self._stage_eids,
-            self._stage_bits,
-            self._stage_recs,
-            self._append_eid,
-            self._append_bits,
-            self._append_rec,
-        ) = bundle
-
     def enqueue(self, sender: Hashable, receiver: Hashable, payload: Any, bits: int, round_no: int) -> None:
-        """Stage one message as a row across the three columns.
-
-        The record column stages the finished :class:`Received` tuple
-        (it is immutable and its fields are all known here), so delivery
-        appends staged objects instead of constructing per message.
-        """
+        """Stage one message: its edge id and its finished :class:`Received`
+        record (immutable, every field known here), so delivery appends
+        staged objects instead of constructing per message."""
         try:
             # Steady state: the edge exists, one chained lookup.
             eid = self._edge_ids[sender][receiver]
@@ -274,9 +172,8 @@ class LinkTransport:
             row = self._edge_ids.setdefault(sender, {})
             eid = row[receiver] = len(self._queues)
             self._queues.append(_EdgeQueue(sender, receiver))
-        self._append_eid(eid)
-        self._append_bits(bits)
-        self._append_rec(Received(sender, payload, bits))
+        self._stage_eids.append(eid)
+        self._stage_recs.append(Received(sender, payload, bits))
         if self.record_messages:
             self.message_log.append((round_no, sender, receiver, bits))
 
@@ -294,23 +191,20 @@ class LinkTransport:
         row = self._edge_ids.get(sender)
         if row is None:
             row = self._edge_ids[sender] = {}
+        eids = self._stage_eids
         try:
             # Steady state: every receiver already has an edge id, so the
-            # whole id column extends in one C-level pass.
-            self._stage_eids.extend([row[receiver] for receiver in receivers])
+            # whole id list extends in one C-level pass.
+            eids.extend([row[receiver] for receiver in receivers])
         except KeyError:
             queues = self._queues
-            append_eid = self._append_eid
             for receiver in receivers:
                 eid = row.get(receiver)
                 if eid is None:
-                    eid = len(queues)
-                    row[receiver] = eid
+                    eid = row[receiver] = len(queues)
                     queues.append(_EdgeQueue(sender, receiver))
-                append_eid(eid)
-        n = len(receivers)
-        self._stage_bits.extend([bits] * n)
-        self._stage_recs.extend([Received(sender, payload, bits)] * n)
+                eids.append(eid)
+        self._stage_recs.extend([Received(sender, payload, bits)] * len(receivers))
         if self.record_messages:
             self.message_log.extend(
                 (round_no, sender, receiver, bits) for receiver in receivers
@@ -319,65 +213,48 @@ class LinkTransport:
     # -- the round barrier -----------------------------------------------------
 
     def flush(self) -> None:
-        """Commit the staged columns (round barrier): as a pending block
-        when nothing is mid-transmission and every edge fits its budget,
+        """Commit the staged round (round barrier): as a pending block when
+        nothing is mid-transmission and every edge fits its budget,
         otherwise into the per-edge queues."""
-        n = len(self._stage_recs)
-        if n == 0:
+        recs = self._stage_recs
+        if not recs:
             return
         if self._block is not None:
             # A second flush before the pending block's delivery round:
             # fold the block into the per-edge queues first, exactly as if
             # its flush had taken the general path.
             self._materialize_block()
-        bw = self.bandwidth
         eids = self._stage_eids
-        bits_col = self._stage_bits
-        recs = self._stage_recs
-        if n == 1:
-            # Single staged message (common in sparse negotiation phases):
-            # the grouping is trivial, so build it inline instead of paying
-            # a call.  Field-for-field identical to ``group_round``'s.
-            b0 = bits_col[0]
-            group = RoundGroup(_RANGE_1, (eids[0],), None, b0, b0 <= bw, b0)
+        self._stage_eids = []
+        self._stage_recs = []
+        # Per-edge sums, keyed in first-appearance edge order: the order a
+        # block delivers its per-edge runs in.
+        sums: dict[int, int] = {}
+        get = sums.get
+        for eid, rec in zip(eids, recs):
+            sums[eid] = get(eid, 0) + rec.bits
+        total = sum(sums.values())
+        self._flushed_messages += len(recs)
+        self._flushed_bits += total
+        self._pending_bits += total
+        max_sum = max(sums.values())
+        if self._live == 0 and max_sum <= self.bandwidth:
+            # Block path: the whole round completes at clock+1.
+            self._block = (eids, recs, sums, total, max_sum)
         else:
-            group = group_round(eids, bits_col, bw)
-        self._flushed_messages += n
-        self._flushed_bits += group.total_bits
-        if self._live == 0 and group.all_fit:
-            # Block path: the whole round completes at clock+1.  The block
-            # takes ownership of the staged buffer bundle; staging switches
-            # to the spare bundle (recycled from the previous block).
-            self._block = (eids, bits_col, recs, group, self._bundle)
-            spare = self._spare
-            if spare is None:
-                e2: array = array("q")
-                b2: array = array("q")
-                r2: list[Any] = []
-                spare = (e2, b2, r2, e2.append, b2.append, r2.append)
-            else:
-                self._spare = None
-            self._adopt_stage(spare)
-        else:
-            self._commit_rows(eids, bits_col, recs)
-            del eids[:]
-            del bits_col[:]
-            recs.clear()
-        self._pending_bits += group.total_bits
+            self._commit_rows(eids, recs)
 
-    def _commit_rows(self, eids: array, bits_col: array, recs: list[Any]) -> None:
-        """The general commit: append rows to their edge queues, activating
-        drained queues with a fresh sequence number and pushing their head
-        completion on the clock heap."""
+    def _commit_rows(self, eids: list[int], recs: list[Received]) -> None:
+        """The general commit: append records to their edge queues,
+        activating drained queues with a fresh sequence number and pushing
+        their head completion on the clock heap."""
         clock = self._clock
         bw = self.bandwidth
         queues = self._queues
         heap = self._heap
-        for i, eid in enumerate(eids):
+        for eid, rec in zip(eids, recs):
             queue = queues[eid]
-            b = bits_col[i]
-            queue.recs.append(recs[i])
-            queue.bits.append(b)
+            queue.recs.append(rec)
             if not queue.live:
                 queue.live = True
                 self._live += 1
@@ -385,28 +262,24 @@ class LinkTransport:
                 queue.seq = self._seq
                 queue.head = 0
                 queue.head_clock = clock
-                queue.head_rem = b
-                heappush(heap, (clock + -(-b // bw), self._seq, eid))
+                queue.head_rem = rec.bits
+                heappush(heap, (clock + -(-rec.bits // bw), self._seq, eid))
 
     def _materialize_block(self) -> None:
         """Convert the pending block into live per-edge queues -- the state
         the general path would have produced at the block's flush (the
         clock has not advanced since: a delivery would have consumed the
         block, and a skip would have raised)."""
-        eids, bits_col, recs, _group, bundle = self._block
+        eids, recs = self._block[:2]
         self._block = None
-        self._commit_rows(eids, bits_col, recs)
-        del eids[:]
-        del bits_col[:]
-        recs.clear()
-        self._spare = bundle
+        self._commit_rows(eids, recs)
 
     # -- advancing -------------------------------------------------------------
 
     def deliver_round(self) -> dict[Hashable, list[Received]]:
         """Advance one round; touch only the edges whose head completes.
 
-        A pending block is emitted straight from its staged columns, in
+        A pending block is emitted from its staged lists, in
         first-appearance edge order, FIFO within each edge.  On the
         general path, every live edge moves exactly ``B`` bits this round
         unless its head completes (then it moves its remainder plus any
@@ -419,36 +292,27 @@ class LinkTransport:
         bw = self.bandwidth
         block = self._block
         if block is not None:
-            inboxes: dict[Hashable, list[Received]] = defaultdict(list)
             self._block = None
-            eids, bits_col, recs, group, bundle = block
+            eids, recs, sums, total, max_sum = block
+            inboxes: dict[Hashable, list[Received]] = defaultdict(list)
             queues = self._queues
-            order = group.order
-            if type(order) is range:
-                # One message per edge, already in staging order: the
-                # staged records land directly, one append per message.
+            if len(sums) == len(eids):
+                # One message per edge: staging order is edge order.
                 for eid, rec in zip(eids, recs):
                     inboxes[queues[eid].receiver].append(rec)
             else:
-                # Repeated edges: walk the per-edge runs so the queue and
-                # inbox lookups happen once per edge rather than once per
-                # message; each run lands as one comprehension-built
-                # extend of already-staged records.
-                pos = 0
-                for eid, count in zip(group.edge_order, group.edge_counts):
-                    end = pos + count
-                    inboxes[queues[eid].receiver].extend(
-                        [recs[i] for i in order[pos:end]]
-                    )
-                    pos = end
-            if group.max_sum > self.max_edge_bits_per_round:
-                self.max_edge_bits_per_round = group.max_sum
-            self.per_round_bits.append(group.total_bits)
-            self._pending_bits -= group.total_bits
-            del eids[:]
-            del bits_col[:]
-            recs.clear()
-            self._spare = bundle
+                # Repeated edges: group the records into per-edge runs, in
+                # the first-appearance order the sums were keyed in, and
+                # land each run with one extend.
+                runs: dict[int, list[Received]] = {eid: [] for eid in sums}
+                for eid, rec in zip(eids, recs):
+                    runs[eid].append(rec)
+                for eid, run in runs.items():
+                    inboxes[queues[eid].receiver].extend(run)
+            if max_sum > self.max_edge_bits_per_round:
+                self.max_edge_bits_per_round = max_sum
+            self.per_round_bits.append(total)
+            self._pending_bits -= total
             return inboxes
         live = self._live
         if live == 0:
@@ -474,16 +338,18 @@ class LinkTransport:
             rem = queue.head_rem - bw * (clock - 1 - queue.head_clock)
             budget = bw - rem
             recs = queue.recs
-            bits_list = queue.bits
             inbox = inboxes[queue.receiver]
             i = queue.head
-            total = len(bits_list)
+            total = len(recs)
             inbox.append(recs[i])
             recs[i] = None  # delivered records are dead; free the ref
             i += 1
-            while i < total and bits_list[i] <= budget:
-                budget -= bits_list[i]
-                inbox.append(recs[i])
+            while i < total:
+                rec = recs[i]
+                if rec.bits > budget:
+                    break
+                budget -= rec.bits
+                inbox.append(rec)
                 recs[i] = None
                 i += 1
             if i < total:
@@ -492,11 +358,10 @@ class LinkTransport:
                 used = bw
                 queue.head = i
                 queue.head_clock = clock
-                queue.head_rem = bits_list[i] - budget
+                queue.head_rem = recs[i].bits - budget
                 heappush(heap, (clock + -(-queue.head_rem // bw), queue.seq, eid))
                 if i > 32 and 2 * i > total:
                     del recs[:i]
-                    del bits_list[:i]
                     queue.head = 0
             else:
                 # Drained: recycle the queue in place for the next revival.
@@ -504,7 +369,6 @@ class LinkTransport:
                 queue.live = False
                 queue.head = 0
                 recs.clear()
-                bits_list.clear()
                 self._live -= 1
             round_bits += used
             if used > max_used:
@@ -546,10 +410,9 @@ class LinkTransport:
         bw = self.bandwidth
         if self._block is not None:
             # The block completes next round, so any skip crosses it.
-            bits_col = self._block[1]
             raise RuntimeError(
                 "skip_rounds crossed a delivery: "
-                f"{rounds} rounds x B={bw} >= {bits_col[0]} bits remaining"
+                f"{rounds} rounds x B={bw} >= {self._block[1][0].bits} bits remaining"
             )
         live = self._live
         if live:
@@ -582,5 +445,5 @@ class LinkTransport:
     def live_edges(self) -> int:
         """Directed edges currently carrying traffic."""
         if self._block is not None:
-            return len(self._block[3].edge_order)
+            return len(self._block[2])
         return self._live

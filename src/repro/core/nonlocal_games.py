@@ -12,16 +12,17 @@ target ``f``; isolated players output bits ``a, b`` and win if
 Lemma 3.2 turns any server-model protocol of cost ``T`` into game strategies
 that simulate it with probability ``4^{-2T}`` and otherwise abort (random bit
 for XOR, 0 for AND).  :class:`AbortSimulationStrategy` implements that
-construction executably for structured classical protocols, and the tests
-verify the predicted win probability ``1/2 + (q - 1/2) 4^{-2T}``.
+construction executably for structured classical protocols, and
+:meth:`~AbortSimulationStrategy.probability` enumerates every guess and coin,
+so the predicted win probability ``1/2 + (q - 1/2) 4^{-2T}`` is checked
+exactly.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -95,24 +96,18 @@ class AbortSimulationStrategy:
     With probability ``4^{-T_bits}`` (all guesses correct; ``T_bits`` =
     Carol's plus David's bit count) the simulation is perfect and Alice holds
     the protocol's output.  Otherwise: XOR mode outputs a uniformly random
-    bit (Bob always answers 0, Alice a coin), AND mode outputs 0.
+    bit (a player who aborts answers a coin), AND mode outputs 0.
     """
 
     protocol: StructuredServerProtocol
     mode: str = "xor"  # "xor" | "and"
 
-    def play(self, x: Any, y: Any, rng: random.Random) -> tuple[int, int]:
-        bits_per_round_c = len(self.protocol.carol_message(x, [], 0))
-        bits_per_round_d = len(self.protocol.david_message(y, [], 0))
-        guess_c = [
-            tuple(rng.randrange(2) for _ in range(bits_per_round_c))
-            for _ in range(self.protocol.n_rounds)
-        ]
-        guess_d = [
-            tuple(rng.randrange(2) for _ in range(bits_per_round_d))
-            for _ in range(self.protocol.n_rounds)
-        ]
-
+    def play(
+        self, x: Any, y: Any, guess_c: list, guess_d: list, coins: tuple[int, int]
+    ) -> tuple[int, int]:
+        """One play on shared guesses: ``guess_c`` / ``guess_d`` hold Carol's
+        and David's guessed message (a tuple of bits) per round, ``coins``
+        the bits Alice and Bob answer if they abort in XOR mode."""
         # Fake server: computes its messages from the guessed strings only.
         server_to_carol: list[Any] = []
         server_to_david: list[Any] = []
@@ -142,8 +137,8 @@ class AbortSimulationStrategy:
             david_view.append(server_to_david[t])
 
         if self.mode == "xor":
-            a = rng.randrange(2) if alice_abort else int(self.protocol.carol_output(x, carol_view))
-            b = rng.randrange(2) if bob_abort else 0
+            a = coins[0] if alice_abort else int(self.protocol.carol_output(x, carol_view))
+            b = coins[1] if bob_abort else 0
             # A player who aborts outputs a coin; one coin suffices to make
             # the XOR uniform, so the non-aborting player keeps their bit.
             return a, b
@@ -151,11 +146,30 @@ class AbortSimulationStrategy:
         b = 0 if bob_abort else 1
         return a, b
 
+    def probability(self, x: Any, y: Any, event: Callable[[int, int], bool]) -> float:
+        """Exact probability that ``event(a, b)`` holds for the players'
+        answers: the mean over every guessed string pair and both coins,
+        all equally likely (``2^T_bits * 4`` plays)."""
+        n_rounds = self.protocol.n_rounds
+        bits_c = len(self.protocol.carol_message(x, [], 0))
+        bits_d = len(self.protocol.david_message(y, [], 0))
+        strings_c = itertools.product(itertools.product((0, 1), repeat=bits_c), repeat=n_rounds)
+        strings_d = list(itertools.product(itertools.product((0, 1), repeat=bits_d), repeat=n_rounds))
+        coin_pairs = list(itertools.product((0, 1), repeat=2))
+        outcomes = [
+            event(*self.play(x, y, list(guess_c), list(guess_d), coins))
+            for guess_c in strings_c
+            for guess_d in strings_d
+            for coins in coin_pairs
+        ]
+        return sum(outcomes) / len(outcomes)
+
     def total_guess_bits(self, x: Any, y: Any) -> int:
         """Number of guessed bits = Carol's plus David's transmissions."""
         bits_c = len(self.protocol.carol_message(x, [], 0))
         bits_d = len(self.protocol.david_message(y, [], 0))
         return self.protocol.n_rounds * (bits_c + bits_d)
+
 
 def predicted_xor_win_probability(q_correct: float, total_bits: int) -> float:
     """Lemma 3.2 arithmetic: ``P[win] = 1/2 + (q - 1/2) * 2^{-total_bits}``.

@@ -438,11 +438,11 @@ def lower_bound_machinery(*, seed: int) -> dict:
       ``(n/8)-Eq_n`` at n = 1024 is more than 3.5 times the one at n = 64;
     - ``hadamard_gamma2`` (Sec. 6): ``gamma_2`` of the ``IP_k`` sign matrix,
       the Hadamard matrix ``H_(2^k)``, is ``sqrt(2^k)`` for k = 1..5;
-    - ``lemma_3_2_win_probability`` (Lemma 3.2): over 20,000 trials drawn
-      from the seed, the abort simulation of the 2-round streamed-XOR
-      protocol wins with ``1/2 + (q - 1/2) 2^-T`` within 5 standard errors.
+    - ``lemma_3_2_win_probability`` (Lemma 3.2): the abort simulation of
+      the 2-round streamed-XOR protocol wins with ``1/2 + (q - 1/2) 2^-T``,
+      computed exactly over its 16 guessed strings and 4 coin pairs.
 
-    The degrees, the norm, the code size, the two bounds and the measured
+    The degrees, the norm, the code size, the two bounds and the exact
     and predicted win probabilities are reported alongside.
     """
     from repro.comm import lower_bounds, problems
@@ -480,18 +480,11 @@ def lower_bound_machinery(*, seed: int) -> dict:
     strategy = nonlocal_games.AbortSimulationStrategy(protocol, mode="xor")
     x, y = (1, 0), (1, 1)
     expected = protocol.run(x, y).output
-    rng = random.Random(seed)
-    trials = 20_000
-    wins = 0
-    for _ in range(trials):
-        a, b = strategy.play(x, y, rng)
-        wins += (a ^ b) == expected
-    measured = wins / trials
+    measured = strategy.probability(x, y, lambda a, b: (a ^ b) == expected)
     # The protocol is deterministic and exact, so q = 1.
     predicted = nonlocal_games.predicted_xor_win_probability(
         1.0, strategy.total_guess_bits(x, y)
     )
-    stderr = math.sqrt(predicted * (1.0 - predicted) / trials)
     return {
         "mod3_degree_linear": mod3[12] >= 2 * mod3[6] - 2,
         "mod3_beats_or": mod3[36] > 2 * or_36,
@@ -499,7 +492,7 @@ def lower_bound_machinery(*, seed: int) -> dict:
         "gap_eq_fooling_set": fooling_ok and promise_ok,
         "gap_eq_bound_grows": bounds[1024] > 3.5 * bounds[64],
         "hadamard_gamma2": hadamard_error < 1e-9,
-        "lemma_3_2_win_probability": abs(measured - predicted) <= 5.0 * stderr,
+        "lemma_3_2_win_probability": abs(measured - predicted) <= 1e-12,
         "mod3_degree_6": mod3[6],
         "mod3_degree_12": mod3[12],
         "mod3_degree_36": mod3[36],
@@ -511,7 +504,6 @@ def lower_bound_machinery(*, seed: int) -> dict:
         "hadamard_gamma2_max_error": hadamard_error,
         "lemma_3_2_measured": measured,
         "lemma_3_2_predicted": predicted,
-        "lemma_3_2_stderr": stderr,
     }
 
 

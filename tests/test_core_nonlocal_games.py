@@ -1,7 +1,6 @@
 """Tests for nonlocal games: CHSH biases and the Lemma 3.2 simulation."""
 
 import math
-import random
 
 import pytest
 
@@ -71,30 +70,18 @@ class TestLemma32Simulation:
 
     def test_xor_win_probability_matches_lemma(self):
         strategy = AbortSimulationStrategy(self.protocol, mode="xor")
-        rng = random.Random(0)
-        trials = 30_000
-        agree = 0
-        for _ in range(trials):
-            a, b = strategy.play(self.x, self.y, rng)
-            agree += int((a ^ b) == self.expected_output)
-        predicted = predicted_xor_win_probability(1.0, 4)
+        won = strategy.probability(self.x, self.y, lambda a, b: (a ^ b) == self.expected_output)
         # Lemma 3.2: P[correct] = 1/2 + (q - 1/2) * 2^{-4} with q = 1
         # (the protocol is deterministic and exact).
-        assert agree / trials == pytest.approx(predicted, abs=0.01)
+        assert won == 17 / 32
+        assert won == pytest.approx(predicted_xor_win_probability(1.0, 4), abs=1e-12)
 
     def test_and_mode_one_sided(self):
         strategy = AbortSimulationStrategy(self.protocol, mode="and")
-        rng = random.Random(1)
-        trials = 20_000
-        ones = 0
-        for _ in range(trials):
-            a, b = strategy.play(self.x, self.y, rng)
-            ones += a & b
-        if self.expected_output == 1:
-            predicted = 1.0 * 2.0**-4  # q * 2^-(guessed bits), q = 1
-            assert ones / trials == pytest.approx(predicted, abs=0.01)
-        else:
-            assert ones == 0  # 0-inputs never produce a AND b = 1
+        accepted = strategy.probability(self.x, self.y, lambda a, b: a & b == 1)
+        # q * 2^-(guessed bits) with q = 1 on 1-inputs; 0-inputs never
+        # produce a AND b = 1.
+        assert accepted == self.expected_output * 2.0**-4
 
     def test_and_mode_zero_inputs_never_accept(self):
         # Pick an input whose protocol output is 0.
@@ -102,8 +89,14 @@ class TestLemma32Simulation:
         x, y = (0, 0), (0, 0)
         assert protocol.run(x, y).output == 0
         strategy = AbortSimulationStrategy(protocol, mode="and")
-        rng = random.Random(2)
-        for _ in range(5000):
-            a, b = strategy.play(x, y, rng)
-            assert (a & b) == 0
+        assert strategy.probability(x, y, lambda a, b: a & b == 1) == 0.0
 
+    def test_right_guesses_reproduce_the_protocol(self):
+        # The one guess pair equal to Carol's and David's actual messages:
+        # no player aborts, so the coins are never read and Alice answers
+        # the protocol's output.
+        strategy = AbortSimulationStrategy(self.protocol, mode="xor")
+        guess_c = [(self.x[0],), (self.x[1],)]
+        guess_d = [(self.y[0],), (self.y[1],)]
+        for coins in ((0, 0), (1, 1)):
+            assert strategy.play(self.x, self.y, guess_c, guess_d, coins) == (self.expected_output, 0)

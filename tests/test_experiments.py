@@ -377,8 +377,10 @@ class TestSpannerSkeletonScenario:
 
 class TestBoruvkaMstSweepScenario:
     # At B = 64 a candidate takes two rounds per hop, so its flood window
-    # is twice the label window's.
-    @pytest.mark.parametrize("bandwidth", [128, 64])
+    # is twice the label window's.  At B = 8 a label (16 bits at n = 25)
+    # also takes two, so the candidates are computed in round 2 of each
+    # iteration, when the announced labels arrive.
+    @pytest.mark.parametrize("bandwidth", [128, 64, 8])
     @pytest.mark.parametrize("generator", ["random", "grid", "geometric"])
     def test_exact_mst_on_every_topology_family(self, generator, bandwidth):
         scn = get_scenario("boruvka-mst-sweep")

@@ -246,14 +246,16 @@ class TestBoruvkaHaltProperties:
 
     @staticmethod
     def _halt_round(n, bandwidth, iterations):
-        """The choose round of iteration ``iterations + 1``: windows of
-        ``n + 1`` hops for the candidate (a weight and three ids plus 16
-        bits) and the label (an id plus 8 bits)."""
+        """The choose round of iteration ``iterations + 1``: an announcement
+        of the rounds one label (an id plus 8 bits) needs per link, then
+        windows of ``n + 1`` hops for the candidate (a weight and three ids
+        plus 16 bits) and the label."""
         id_bits = max(8, math.ceil(math.log2(max(2, n))) + 1)
+        announce = math.ceil((8 + id_bits) / bandwidth)
         candidate_window = (n + 1) * math.ceil((16 + 64 + 3 * id_bits) / bandwidth)
-        label_window = (n + 1) * math.ceil((8 + id_bits) / bandwidth)
-        length = candidate_window + label_window + 4
-        return iterations * length + candidate_window + 2
+        label_window = (n + 1) * announce
+        length = announce + candidate_window + label_window + 3
+        return iterations * length + announce + candidate_window + 1
 
     def _check(self, graph, bandwidth):
         edges, result = run_boruvka_mst(graph, bandwidth=bandwidth)
@@ -270,7 +272,7 @@ class TestBoruvkaHaltProperties:
         st.integers(1, 30),
         st.sampled_from([0.0, 0.1, 0.3]),
         st.integers(1, 8),
-        st.sampled_from([32, 64, 128]),
+        st.sampled_from([8, 32, 64, 128]),
         st.integers(0, 10_000),
     )
     @settings(max_examples=60, deadline=None)

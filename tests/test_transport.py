@@ -1,23 +1,23 @@
 """Transport lockstep tests: ``LinkTransport`` against the per-link reference.
 
 The cross-engine suite (``test_engine_equivalence.py``) pins whole runs to
-the dense engine over the reference transport; these tests check the
-per-edge grouping of a staged round (:func:`group_round`) against its
-invariants and against the reference's deliveries of that round, drive
-:class:`LinkTransport` directly against
-:class:`~tests.reference_transport.ReferenceTransport` on randomised edge
-workloads (the block path, the completion clock and skips).
+the dense engine over the reference transport.  These tests flush single
+staged rounds into :class:`LinkTransport` and check the block verdict,
+totals and metrics against the round's per-edge bit sums and its
+deliveries against the reference's, and they drive :class:`LinkTransport`
+directly against :class:`~tests.reference_transport.ReferenceTransport` on
+randomised edge workloads (the block path, the completion clock and
+skips).
 """
 
 import random
-from array import array
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.congest.transport import LinkTransport, group_round
+from repro.congest.transport import LinkTransport
 from tests.reference_transport import ReferenceTransport
 
 
@@ -49,35 +49,54 @@ def _random_workload(seed, rounds=40, nodes=6, bandwidth=16):
         yield round_no, ref, link
 
 
-def _check_group_invariants(eids, bits, bandwidth, group):
-    """Properties any correct grouping of a staged round must satisfy."""
-    n = len(eids)
-    order = list(group.order)
-    assert sorted(order) == list(range(n))
-    # first-appearance edge order, FIFO within each edge
-    seen: dict[int, int] = {}
-    for eid in eids:
-        seen.setdefault(eid, len(seen))
-    by_first = sorted(seen, key=seen.__getitem__)
-    assert list(group.edge_order) == by_first
+def _edge_sums(eids, bits):
+    """Per-edge bit sums of a staged round, keyed in first-appearance order."""
     sums: dict[int, int] = {}
     for eid, b in zip(eids, bits):
         sums[eid] = sums.get(eid, 0) + b
-    assert group.total_bits == sum(bits)
-    assert group.max_sum == (max(sums.values()) if sums else 0)
-    assert group.all_fit == (group.max_sum <= bandwidth)
-    if group.edge_counts is None:
-        assert order == list(range(n))
-    else:
-        assert sum(group.edge_counts) == n
-        # each per-edge run of `order` is that edge's staging rows, FIFO
-        pos = 0
-        for eid, count in zip(by_first, group.edge_counts):
-            assert order[pos : pos + count] == [i for i in range(n) if eids[i] == eid]
-            pos += count
+    return sums
 
 
-class TestGroupRound:
+def _stage(transports, eids, bits):
+    """Stage one round on every transport: message ``i`` goes along edge
+    ``eids[i]`` to one of four sinks, so edges share receivers."""
+    for i, (eid, b) in enumerate(zip(eids, bits)):
+        for t in transports:
+            t.enqueue(eid, ("sink", eid % 4), ("m", i), b, 1)
+
+
+def _check_staged_round(eids, bits, bandwidth):
+    """Flush one staged round into a fresh transport and check what the
+    per-edge sums predict: the totals, the block verdict and the live
+    edges after the flush, the first round's bits and per-edge peak after
+    the delivery.  Returns those five observations."""
+    sums = _edge_sums(eids, bits)
+    moved = [min(s, bandwidth) for s in sums.values()]
+    link = LinkTransport(bandwidth)
+    _stage([link], eids, bits)
+    link.flush()
+    block = link._block is not None
+    assert (link.total_messages, link.total_bits) == (len(eids), sum(bits))
+    assert link.pending_traffic() == sum(bits)
+    assert block == (bool(sums) and max(sums.values()) <= bandwidth)
+    assert link.live_edges == len(sums)
+    link.deliver_round()
+    assert link.per_round_bits[-1] == sum(moved)
+    assert link.max_edge_bits_per_round == max(moved, default=0)
+    return (
+        block,
+        link.total_bits,
+        len(sums),
+        link.per_round_bits[-1],
+        link.max_edge_bits_per_round,
+    )
+
+
+class TestStagedRound:
+    """One staged round, flushed into a fresh transport: the block verdict,
+    the totals and the metrics against its per-edge sums, and the
+    deliveries against the reference."""
+
     SHAPES = [
         (0, 1),  # empty flush
         (1, 1),
@@ -95,8 +114,8 @@ class TestGroupRound:
     @staticmethod
     def _instance(n, n_edges, seed):
         rng = random.Random(seed * 1000 + n)
-        eids = array("q", (rng.randrange(n_edges) for _ in range(n)))
-        bits = array("q", (rng.randrange(1, 200) for _ in range(n)))
+        eids = [rng.randrange(n_edges) for _ in range(n)]
+        bits = [rng.randrange(1, 200) for _ in range(n)]
         return eids, bits
 
     @pytest.mark.parametrize("n,n_edges", SHAPES)
@@ -104,27 +123,25 @@ class TestGroupRound:
     def test_invariants(self, n, n_edges, seed):
         eids, bits = self._instance(n, n_edges, seed)
         for bandwidth in (1, 128, 10**9):
-            group = group_round(eids, bits, bandwidth)
-            _check_group_invariants(list(eids), list(bits), bandwidth, group)
+            _check_staged_round(eids, bits, bandwidth)
 
     @pytest.mark.parametrize("n,n_edges", SHAPES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_delivery_matches_baseline(self, n, n_edges, seed):
         # The same staged round, committed by both transports and drained
-        # to quiescence: B = 10**9 delivers it as one block (walking the
-        # per-edge runs of ``order``), B = 1 spreads every edge over many
+        # to quiescence: B = 10**9 delivers it as one block (by per-edge
+        # runs where edges repeat), B = 1 spreads every edge over many
         # rounds on the general path, and B = 128 mixes the two.  Edges
         # share receivers, so inboxes interleave several edges' runs.
         eids, bits = self._instance(n, n_edges, seed)
+        sums = _edge_sums(eids, bits)
         for bandwidth in (1, 128, 10**9):
             ref = ReferenceTransport(bandwidth)
             link = LinkTransport(bandwidth)
-            for i, (eid, b) in enumerate(zip(eids, bits)):
-                for t in (ref, link):
-                    t.enqueue(eid, ("sink", eid % 4), ("m", i), b, 1)
+            _stage([ref, link], eids, bits)
             for t in (ref, link):
                 t.flush()
-            fits = n > 0 and group_round(eids, bits, bandwidth).all_fit
+            fits = n > 0 and max(sums.values()) <= bandwidth
             assert (link._block is not None) == fits
             while (gap := ref.rounds_until_delivery()) is not None:
                 assert link.rounds_until_delivery() == gap
@@ -139,18 +156,23 @@ class TestGroupRound:
     @pytest.mark.parametrize(
         "eids,bits,bandwidth,expected",
         [
-            ([], [], 8, (range(0), [], None, 0, True, 0)),
-            ([4], [9], 8, (range(1), [4], None, 9, False, 9)),
+            # expected: (block pending, total bits, live edges, first
+            # round's bits, per-edge peak)
+            ([], [], 8, (False, 0, 0, 0, 0)),
+            ([4], [9], 8, (False, 9, 1, 8, 8)),
             # Two messages on one edge: the edge carries their sum.
-            ([3, 3], [5, 4], 8, (range(2), [3], None, 9, False, 9)),
+            ([3, 3], [5, 4], 8, (False, 9, 1, 8, 8)),
             # Two edges: each fits B although the round's total does not.
-            ([3, 1], [5, 8], 8, (range(2), [3, 1], None, 13, True, 8)),
+            ([3, 1], [5, 8], 8, (True, 13, 2, 13, 8)),
+            # Both edges carry exactly B: still a block.
+            ([2, 5, 2], [3, 8, 5], 8, (True, 16, 2, 16, 8)),
+            # One bit more on edge 2: the general path.
+            ([2, 5, 2], [3, 8, 6], 8, (False, 17, 2, 16, 8)),
         ],
-        ids=["empty", "single", "pair-one-edge", "pair-two-edges"],
+        ids=["empty", "single", "pair-one-edge", "pair-two-edges", "sum-at-B", "sum-above-B"],
     )
     def test_small_rounds(self, eids, bits, bandwidth, expected):
-        group = group_round(array("q", eids), array("q", bits), bandwidth)
-        assert tuple(group) == expected
+        assert _check_staged_round(eids, bits, bandwidth) == expected
 
 
 def _assert_lockstep(workload):
