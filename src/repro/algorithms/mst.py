@@ -290,28 +290,24 @@ class ControlledBoruvkaPhase(Phase):
 
     name = "controlled-boruvka"
 
-    def __init__(self, cap: int | None = None):
+    def __init__(self, cap: int):
         self.cap = cap
-        self._sched: tuple[int, int, int, int] | None = None
+        self._sched: tuple[int, int, int] | None = None
 
-    def _schedule(self, node: Node) -> tuple[int, int, int, int]:
-        """(cap, iterations, budget, iteration length) -- pure functions of
-        the phase parameters and ``n``, computed once per phase instance."""
+    def _schedule(self, node: Node) -> tuple[int, int, int]:
+        """(iterations, budget, iteration length) -- pure functions of
+        ``cap`` and ``n``, computed once per phase instance."""
         sched = self._sched
         if sched is None:
             sched = self._sched = (
-                self._cap(node),
                 self._iterations(node),
                 self._budget(node),
                 self._iteration_length(node),
             )
         return sched
 
-    def _cap(self, node: Node) -> int:
-        return self.cap if self.cap is not None else max(2, math.ceil(math.sqrt(node.n_nodes)))
-
     def _iterations(self, node: Node) -> int:
-        return max(1, math.ceil(math.log2(self._cap(node))) + 1)
+        return max(1, math.ceil(math.log2(self.cap)) + 1)
 
     def _budget(self, node: Node) -> int:
         # Fragment diameters stay below this budget: proposers need
@@ -322,8 +318,7 @@ class ControlledBoruvkaPhase(Phase):
         # Every label flood therefore converges within the budget, keeping
         # labels consistent at each iteration start (the correctness
         # invariant; Phase B's equivalence repair backstops it regardless).
-        cap = self._cap(node)
-        return min(node.n_nodes + 1, 10 * cap + 10)
+        return min(node.n_nodes + 1, 10 * self.cap + 10)
 
     def _iteration_length(self, node: Node) -> int:
         # announce(1) + candidate flood (budget) + propose/accept (arrival
@@ -331,7 +326,7 @@ class ControlledBoruvkaPhase(Phase):
         return 3 * self._budget(node) + 10
 
     def duration(self, node: Node, shared: dict) -> int:
-        _cap, iterations, _budget, length = self._schedule(node)
+        iterations, _budget, length = self._schedule(node)
         return iterations * length
 
     def on_enter(self, node: Node, shared: dict) -> None:
@@ -342,7 +337,8 @@ class ControlledBoruvkaPhase(Phase):
         node.broadcast(("label", node.id), bits=_control_bits(node, ids=1))
 
     def on_round(self, node: Node, round_in_phase: int, inbox: list[Received], shared: dict) -> None:
-        cap, _iterations, budget, length = self._schedule(node)
+        cap = self.cap
+        _iterations, budget, length = self._schedule(node)
         _iteration, r = divmod(round_in_phase - 1, length)
         r += 1
 
@@ -453,7 +449,7 @@ class ControlledBoruvkaPhase(Phase):
         # Same spontaneous schedule as BoruvkaMSTProgram: r=1 (candidate),
         # r=budget+2 (propose), r=length (re-announce); the dirty-flag flood
         # windows in between fire only in the same step as a delivery.
-        _cap, _iterations, budget, length = self._schedule(node)
+        _iterations, budget, length = self._schedule(node)
         base = (round_in_phase // length) * length
         for off in (1, budget + 2, length, length + 1):
             if base + off > round_in_phase:
@@ -593,7 +589,6 @@ def _central_merge(node: Node, shared: dict) -> None:
         if repr(final) != rep:
             decisions.append(("relabel", label, final))
     shared["decisions"] = decisions
-    shared["merges_done"] = sum(1 for d in decisions if d[0] == "edge")
 
 
 def _apply_decisions(node: Node, shared: dict) -> None:
@@ -621,9 +616,8 @@ def _output(node: Node, shared: dict) -> None:
     }
 
 
-def _set_capacity(cap: int | None, node: Node, shared: dict) -> None:
+def _set_capacity(cap: int, node: Node, shared: dict) -> None:
     """Fix the Phase-B pipeline capacity from common knowledge."""
-    cap = cap if cap is not None else max(2, math.ceil(math.sqrt(node.n_nodes)))
     # Phase A leaves ~ n / cap fragments; the pipeline carries one
     # proposal per fragment plus equivalence repairs, and the downcast
     # one relabel + one edge per merge -- sized with generous slack.
@@ -633,7 +627,7 @@ def _set_capacity(cap: int | None, node: Node, shared: dict) -> None:
 class GKPMSTProgram(PhasedProgram):
     """The full two-phase ``O~(sqrt(n) + D)`` MST algorithm."""
 
-    def __init__(self, phase_b_iterations: int, cap: int | None = None):
+    def __init__(self, phase_b_iterations: int, cap: int):
         phases: list[Phase] = [
             ControlledBoruvkaPhase(cap=cap),
             LeaderElectionPhase(),
@@ -722,7 +716,7 @@ def run_gkp_mst(
     inputs = {node: {"diameter_bound": d} for node in graph.nodes()}
     network = CongestNetwork(
         graph,
-        lambda: GKPMSTProgram(cap=cap, phase_b_iterations=iterations),
+        lambda: GKPMSTProgram(cap=frag_cap, phase_b_iterations=iterations),
         bandwidth=bandwidth,
         inputs=inputs,
         engine=engine,

@@ -51,7 +51,6 @@ from repro.graphs.generators import (
     random_weighted_graph,
 )
 from repro.graphs.kruskal import minimum_spanning_forest
-from repro.graphs.spatial import GridIndex
 
 
 #: The engine-selection axis shared by the CONGEST-heavy scenarios, so
@@ -864,12 +863,8 @@ def _boruvka_instance(
         }
     elif generator == "geometric":
         pos = {v: (rng.random() * 10, rng.random() * 10) for v in range(n)}
-        # Grid-indexed kNN + closest-pair bridging: ~O(n * k) instead of
-        # the old all-pairs scans, byte-identical instances (the spatial
-        # index reproduces brute-force distance/tie order exactly).
-        spatial = GridIndex(pos)
-        graph = knn_geometric_graph(pos, k=3, index=spatial)
-        connect_nearest_components(graph, pos, index=spatial)
+        graph = knn_geometric_graph(pos, k=3)
+        connect_nearest_components(graph, pos)
     else:
         raise ValueError(
             f"unknown generator {generator!r}; known: {', '.join(BORUVKA_GENERATORS)}"

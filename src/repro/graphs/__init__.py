@@ -1,4 +1,4 @@
-"""Graph substrate: property checkers, generators, a spatial index, Kruskal.
+"""Graph substrate: property checkers, generators, Kruskal.
 
 This package implements the graph-theoretic vocabulary of the paper:
 
@@ -6,8 +6,6 @@ This package implements the graph-theoretic vocabulary of the paper:
   distributed verifiers are tested against (:mod:`repro.graphs.properties`),
 - graph/instance generators used by the scenarios and tests
   (:mod:`repro.graphs.generators`),
-- the grid index behind the geometric generators
-  (:mod:`repro.graphs.spatial`),
 - Kruskal's minimum spanning forest, the MSTs the package computes
   centrally (:mod:`repro.graphs.kruskal`).
 """

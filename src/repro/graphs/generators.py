@@ -2,81 +2,62 @@
 
 These produce the concrete workloads on which the paper's predicates,
 algorithms and bound formulas are exercised: random connected graphs, weighted
-graphs with a prescribed aspect ratio, kNN-geometric graphs (grid-indexed,
-~O(n * k) construction), and pairs of perfect matchings whose union has a
-given number of cycles (Server-model Ham inputs).
+graphs with a prescribed aspect ratio, kNN-geometric graphs (all-pairs
+scans), and pairs of perfect matchings whose union has a given number of
+cycles (Server-model Ham inputs).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from typing import Hashable, Mapping
 
 import networkx as nx
 
-from repro.graphs.spatial import GridIndex
-
 Edge = tuple[Hashable, Hashable]
 Point = tuple[float, float]
 
 
-def knn_geometric_graph(
-    pos: Mapping[Hashable, Point], k: int = 3, index: GridIndex | None = None
-) -> nx.Graph:
+def knn_geometric_graph(pos: Mapping[Hashable, Point], k: int = 3) -> nx.Graph:
     """The k-nearest-neighbour graph of labelled planar points.
 
-    Built from a :class:`~repro.graphs.spatial.GridIndex` in ~O(n * k)
-    expected instead of the all-pairs O(n^2) scan, but byte-identical to
-    it: nodes are added in ``pos`` iteration order, each node's edges in
-    its brute-force candidate order (distance, then ``pos`` order on
-    ties), so node order, edge orientation and edge insertion order all
-    match ``sorted(others, key=distance)[:k]`` exactly.
+    Nodes are added in ``pos`` iteration order and each node's edges in
+    order of distance, ties broken by ``pos`` order, so node order, edge
+    orientation and edge insertion order all match
+    ``sorted(others, key=distance)[:k]``.
     """
-    if index is None:
-        index = GridIndex(pos)
+    order = {v: i for i, v in enumerate(pos)}
     graph = nx.Graph()
     graph.add_nodes_from(pos)
-    for u in pos:
-        for v in index.nearest(u, k):
+    for u, pu in pos.items():
+        nearest = heapq.nsmallest(
+            k, ((math.dist(pu, pv), order[v], v) for v, pv in pos.items() if v != u)
+        )
+        for _, _, v in nearest:
             graph.add_edge(u, v)
     return graph
 
 
-def connect_nearest_components(
-    graph: nx.Graph, pos: Mapping[Hashable, Point], index: GridIndex | None = None
-) -> None:
+def connect_nearest_components(graph: nx.Graph, pos: Mapping[Hashable, Point]) -> None:
     """Bridge ``graph``'s components with their closest cross-pairs, in place.
 
     Repeats the classic kNN-graph repair -- join the first component to
     whichever other component has the closest point pair -- until the
-    graph is connected, with each candidate pair found by a grid query
-    instead of a component x component distance scan.  Tie-breaking
-    reproduces the brute-force ``min`` over ``(a in comp0, b in later
-    components)`` iteration order exactly.
+    graph is connected.  Ties go to the earlier ``a`` in the first
+    component, then to the earlier ``b`` in the later components, each
+    component taken in ascending label order.
     """
-    if index is None:
-        index = GridIndex(pos)
     while not nx.is_connected(graph):
-        components = [sorted(c) for c in nx.connected_components(graph)]
-        # Candidate rank = b's position in the brute-force iteration order
-        # (components after the first, each ascending); doubles as the
-        # "not in component 0" filter.
-        b_rank: dict[Hashable, int] = {}
-        for component in components[1:]:
-            for b in component:
-                b_rank[b] = len(b_rank)
-        best = None
-        for a_rank, a in enumerate(components[0]):
-            hits = index.nearest(a, 1, rank=b_rank)
-            if not hits:
-                continue
-            b = hits[0]
-            key = (math.dist(pos[a], pos[b]), a_rank, b_rank[b])
-            if best is None or key < best[0]:
-                best = (key, a, b)
-        assert best is not None, "disconnected graph with no cross-component pair"
-        graph.add_edge(best[1], best[2])
+        first, *rest = [sorted(c) for c in nx.connected_components(graph)]
+        later = [b for component in rest for b in component]
+        _, _, _, a, b = min(
+            (math.dist(pos[a], pos[b]), i, j, a, b)
+            for i, a in enumerate(first)
+            for j, b in enumerate(later)
+        )
+        graph.add_edge(a, b)
 
 
 def random_connected_graph(n: int, extra_edge_prob: float = 0.15, seed: int | None = None) -> nx.Graph:

@@ -109,13 +109,10 @@ def test_gkp_cap_ablation():
 def test_gamma2_dual_restart_ablation():
     # A fixed solver_seed isolates the restart budget.
     rows = _sweep("chsh-gamma2", {"solver_seed": 7})
-    target = 1.0 / math.sqrt(2.0)
-    # The solver keeps its best run, so the bias never falls as restarts grow.
-    bias = [r["bias"] for r in rows]
-    assert all(b >= a - 1e-12 for a, b in zip(bias, bias[1:]))
+    # Every restart budget reaches Tsirelson's bias 1/sqrt(2) on CHSH, which
+    # beats the classical bias.
+    assert all(r["abs_error"] < 1e-9 for r in rows)
     assert all(r["bias"] > r["classical_bias"] for r in rows)
-    assert rows[-1]["abs_error"] < 1e-3
-    assert all(r["bias"] <= target + 1e-6 for r in rows)
 
 
 def test_disjointness_bandwidth_ablation():
