@@ -1,32 +1,30 @@
-"""The execution-backend seam: how sweep tasks reach compute.
+"""The execution-backend seam: how sweep points reach compute.
 
 ``run_sweep`` resolves caching and grid order; everything between "this
-point must run" and "here is its outcome dict" is a backend.  A backend
-receives :class:`Task`\\ s (the sweep point plus the scenario modules to
-re-import and the runtime budget), executes them in whatever way it
-likes, and hands back ``(task, outcome)`` pairs in completion order --
-the runner reassembles grid order.
+point must run" and "here is its outcome dict" is a backend.  A sweep
+builds its backend once, with what all its points share: the scenario
+modules a worker re-imports and the trace directory.  The backend then
+receives plain :class:`~repro.experiments.sweep.SweepPoint`\\ s, executes
+them in whatever way it likes, and hands back ``(point, outcome)`` pairs
+in completion order -- the runner reassembles grid order.
 
 Outcome dicts are the same shape everywhere (and JSON-serializable, since
 they are persisted and replayed from the store)::
 
-    {"status": "ok",      "result": {...}, "duration_s": 1.2, "meta": {...}}
-    {"status": "error",   "error": "<traceback>", "duration_s": 0.3, "meta": {...}}
-    {"status": "timeout", "error": "...", "duration_s": 5.0}
+    {"status": "ok",    "result": {...}, "duration_s": 1.2, "meta": {...}}
+    {"status": "error", "error": "<traceback>", "duration_s": 0.3, "meta": {...}}
 
 ``meta`` is the uniform timing/engine block (see
 :class:`repro.obs.trace.RunMetaCollector`): every execution path fills it
 with wall-clock duration plus the engine round/skip/step counts of the
 CONGEST runs the point performed, so records carry the same schema whether
-they ran serially or in a pool worker.  (A ``timeout`` outcome, or the
-``error`` of a worker that died mid-task, is synthesized by the backend,
-not by the task, so it has no ``meta``.)
+they ran serially or in a pool worker.  (The ``error`` of a worker that
+died mid-task is synthesized by the backend, not by the task, so it has no
+``meta``.)
 
 :func:`execute_point` is the single task-execution entry point shared by
 every backend (inline or pool worker), so a serial run is bit-identical
-to a parallel one.  When the ``REPRO_TRACE_DIR`` environment variable
-names a directory (exported by ``run --trace``; the pool backend carries
-its value to the worker with each task), each execution also writes a
+to a parallel one.  Given a trace directory, each execution also writes a
 per-task JSONL trace there.
 
 Each point also runs in its own collector scope.  On entry the heap it
@@ -44,9 +42,9 @@ from __future__ import annotations
 import gc
 import json
 import math
+import os
 import time
 import traceback
-from dataclasses import dataclass
 
 from repro.experiments.registry import (
     BUILTIN_SCENARIO_MODULES,
@@ -60,7 +58,6 @@ from repro.obs.trace import (
     Tracer,
     TraceWriter,
     task_trace_path,
-    trace_dir_from_env,
     use_tracer,
 )
 
@@ -68,20 +65,6 @@ from repro.obs.trace import (
 #: The gen-0 collection threshold inside a point's collector scope
 #: (CPython's default is 700).  Gen-1 and gen-2 keep the caller's values.
 POINT_GC_THRESHOLD = 20_000
-
-
-@dataclass(frozen=True)
-class Task:
-    """One unit of sweep work: the point, the scenario modules a worker
-    process must re-import to find the scenario, and the runtime budget."""
-
-    point: SweepPoint
-    scenario_modules: tuple[str, ...] = ()
-    timeout: float | None = None
-
-    @property
-    def index(self) -> int:
-        return self.point.index
 
 
 def _json_equal(a, b) -> bool:
@@ -102,32 +85,32 @@ def _json_equal(a, b) -> bool:
 class ExecutionBackend:
     """submit / poll / shutdown lifecycle shared by all backends.
 
-    Contract: every submitted task eventually appears in exactly one
-    ``poll()`` batch (as ``(task, outcome)``), even on worker crash or
-    timeout -- backends capture failures as outcome dicts, never raise them
-    through ``poll``.  ``shutdown`` must release resources and is called
-    exactly once, also on error paths.
+    Contract: every submitted point eventually appears in exactly one
+    ``poll()`` batch (as ``(point, outcome)``), even on a worker crash --
+    backends capture failures as outcome dicts, never raise them through
+    ``poll``.  ``shutdown`` must release resources and is called exactly
+    once, also on error paths (an interrupted sweep included).
     """
 
     #: Registry name ("serial", "pool"); set by subclasses.
     name = "abstract"
 
-    #: Where backend-side telemetry (task lifecycle, timeouts, worker
-    #: crashes) goes; the null tracer by default, assigned by ``run_sweep``
-    #: when the sweep is traced.
+    #: Where backend-side telemetry (task lifecycle, worker crashes) goes;
+    #: the null tracer by default, assigned by ``run_sweep`` when the sweep
+    #: is traced.
     trace: Tracer = Tracer()
 
-    #: True when submit() completes the task before returning (the runner
+    #: True when submit() completes the point before returning (the runner
     #: then drains after every submit so progress streams per point;
     #: asynchronous backends are only drained from the collection loop).
     synchronous = False
 
-    def submit(self, task: Task) -> None:
-        """Accept one task for execution (synchronous backends finish it here)."""
+    def submit(self, point: SweepPoint) -> None:
+        """Accept one point for execution (synchronous backends finish it here)."""
         raise NotImplementedError
 
-    def poll(self) -> list[tuple[Task, dict]]:
-        """Completed tasks since the last poll (possibly empty, non-blocking)."""
+    def poll(self) -> list[tuple[SweepPoint, dict]]:
+        """Points completed since the last poll (possibly empty, non-blocking)."""
         raise NotImplementedError
 
     def shutdown(self) -> None:
@@ -140,6 +123,7 @@ def execute_point(
     params: dict,
     seed: int,
     scenario_modules: tuple[str, ...] = (),
+    trace_dir: str | os.PathLike | None = None,
 ) -> dict:
     """Run one sweep point; capture success or failure as an outcome dict.
 
@@ -149,10 +133,11 @@ def execute_point(
     here, at the point of production, with a clear error.
 
     Every outcome carries the uniform ``meta`` block (engine round/skip/step
-    counts via the ambient :class:`~repro.obs.trace.RunMetaCollector`); when
-    ``REPRO_TRACE_DIR`` is set, a per-task JSONL trace is written there too,
-    ending with a ``gc`` event (what the collector did during the point)
-    and a ``task_result`` event.
+    counts via the ambient :class:`~repro.obs.trace.RunMetaCollector`); given
+    ``trace_dir``, a per-task JSONL trace is written there too, ending with
+    a ``gc`` event (what the collector did during the point) and a
+    ``task_result`` event.  Both backends pass the last two arguments
+    positionally, since ``perfbench/layers.py``'s wrapper forwards no keywords.
 
     The point runs in the collector scope the module docstring describes.
     Points never nest, so the scope keeps no nesting state: a caller that
@@ -162,7 +147,6 @@ def execute_point(
     collector = RunMetaCollector()
     tracer: Tracer = collector
     writer = None
-    trace_dir = trace_dir_from_env()
     if trace_dir is not None:
         try:
             writer = TraceWriter(

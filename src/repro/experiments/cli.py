@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -37,7 +36,7 @@ from repro.experiments.registry import ScenarioNotFound, get_scenario, list_scen
 from repro.experiments.runner import run_sweep
 from repro.experiments.store import DEFAULT_STORE, ResultStore
 from repro.experiments.sweep import expand_grid, parse_axis_overrides
-from repro.obs.trace import TRACE_DIR_ENV, TraceWriter, read_trace, summarize_trace, trace_files
+from repro.obs.trace import read_trace, summarize_trace, trace_files
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,18 +58,17 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="KEY=V1[,V2,...]",
         help="grid axis override; repeatable; multiple values sweep that axis",
     )
-    run.add_argument("--workers", type=int, default=1, help="process-pool size (1 = serial)")
+    run.add_argument("--workers", type=int, default=1, help="pool size (1 = serial by default)")
     run.add_argument("--replicates", type=int, default=1, help="seeded replicates per grid point")
     run.add_argument("--base-seed", type=int, default=0, help="base seed for per-point derivation")
-    run.add_argument("--timeout", type=float, default=None, help="per-task timeout in seconds")
     run.add_argument("--store", default=str(DEFAULT_STORE), help="result-store directory")
     run.add_argument("--no-store", action="store_true", help="run without persisting results")
     run.add_argument("--force", action="store_true", help="ignore cached records and re-run")
     run.add_argument(
         "--backend",
         choices=BACKEND_NAMES,
-        default="auto",
-        help="execution backend (auto = serial unless --workers/--timeout ask for a pool)",
+        default=None,
+        help="execution backend (default: pool when --workers > 1, else serial)",
     )
     run.add_argument(
         "--trace",
@@ -78,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="write JSONL telemetry traces into DIR (a sweep trace plus one "
-        "per-task trace; every pool task carries DIR to its worker)",
+        "per-task trace)",
     )
 
     report = sub.add_parser(
@@ -145,47 +143,26 @@ def _cmd_list() -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
-    if args.timeout is not None and args.timeout <= 0:
-        raise ValueError(f"--timeout must be > 0 seconds, got {args.timeout:g}")
     scn = get_scenario(args.scenario)
     grid = parse_axis_overrides(args.overrides)
     points = expand_grid(scn, grid, replicates=args.replicates, base_seed=args.base_seed)
     store = None if args.no_store else ResultStore(args.store)
+    backend = "" if args.backend is None else f"backend={args.backend}, "
     print(
-        f"sweep {scn.name}: {len(points)} point(s), backend={args.backend}, "
+        f"sweep {scn.name}: {len(points)} point(s), {backend}"
         f"workers={args.workers}, store={'<none>' if store is None else store.root}"
     )
-    tracer = None
-    saved_env = os.environ.get(TRACE_DIR_ENV)
+    report = run_sweep(
+        points,
+        store=store,
+        workers=args.workers,
+        force=args.force,
+        progress=print,
+        backend=args.backend,
+        trace_dir=args.trace_dir,
+    )
     if args.trace_dir is not None:
-        trace_root = Path(args.trace_dir)
-        trace_root.mkdir(parents=True, exist_ok=True)
-        # execute_point opens a per-task writer whenever the env var is
-        # set; the pool backend sends its value along with every task.
-        os.environ[TRACE_DIR_ENV] = str(trace_root)
-        tracer = TraceWriter(
-            trace_root / f"sweep-{scn.name}.jsonl", source="sweep", scenario=scn.name
-        )
-    try:
-        report = run_sweep(
-            points,
-            store=store,
-            workers=args.workers,
-            task_timeout=args.timeout,
-            force=args.force,
-            progress=print,
-            backend=args.backend,
-            trace=tracer,
-        )
-    finally:
-        if tracer is not None:
-            tracer.close()
-            print(f"traces: {args.trace_dir}")
-        if args.trace_dir is not None:
-            if saved_env is None:
-                os.environ.pop(TRACE_DIR_ENV, None)
-            else:
-                os.environ[TRACE_DIR_ENV] = saved_env
+        print(f"traces: {args.trace_dir}")
     print(
         f"done: {report.cached} cached, {report.executed} executed, {report.failed} failed"
     )

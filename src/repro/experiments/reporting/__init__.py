@@ -3,7 +3,7 @@
 ``python -m repro.experiments report --html OUT_DIR`` turns the JSON
 records of a :class:`~repro.experiments.store.ResultStore` into a
 browsable site -- one self-contained page per scenario (parameter tables,
-pass/fail/timeout tallies, per-record metric tables, inline SVG plots)
+pass/fail tallies, per-record metric tables, inline SVG plots)
 plus a cross-scenario index.  Zero third-party dependencies and
 byte-level determinism for a fixed store are part of the contract.
 

@@ -38,7 +38,7 @@ code { background: #f3f4f6; padding: .1rem .3rem; border-radius: 3px; font-size:
 a { color: #2563eb; text-decoration: none; }
 a:hover { text-decoration: underline; }
 .status-ok { color: #059669; font-weight: 600; }
-.status-error, .status-timeout { color: #dc2626; font-weight: 600; }
+.status-error { color: #dc2626; font-weight: 600; }
 .plot { margin: 1rem 0; border: 1px solid #e5e7eb; }
 .muted { color: #6b7280; font-size: .85rem; }
 .plots { display: flex; flex-wrap: wrap; gap: 1rem; }
@@ -106,12 +106,11 @@ def _count_cell(count: int, status: str) -> str:
 
 def _summary_table(report: ScenarioReport) -> str:
     return (
-        "<table><thead><tr><th>records</th><th>ok</th><th>error</th><th>timeout</th>"
+        "<table><thead><tr><th>records</th><th>ok</th><th>error</th>"
         "<th>total compute</th></tr></thead><tbody><tr>"
         f"<td>{report.total}</td>"
         f'<td class="status-ok">{report.n_ok}</td>'
         f"{_count_cell(report.n_error, 'error')}"
-        f"{_count_cell(report.n_timeout, 'timeout')}"
         f"<td>{report.duration_s:.2f}s</td>"
         "</tr></tbody></table>"
     )
@@ -230,14 +229,13 @@ def render_index(
             f"<td>{report.total}</td>"
             f'<td class="status-ok">{report.n_ok}</td>'
             f"{_count_cell(report.n_error, 'error')}"
-            f"{_count_cell(report.n_timeout, 'timeout')}"
             f"<td>{escape(axes)}</td>"
             f"<td>{escape(description)}</td>"
             "</tr>"
         )
     parts.append(
         "<table><thead><tr><th>scenario</th><th>records</th><th>ok</th><th>error</th>"
-        "<th>timeout</th><th>swept axes</th><th>description</th></tr></thead>"
+        "<th>swept axes</th><th>description</th></tr></thead>"
         f"<tbody>{''.join(rows)}</tbody></table>"
     )
     if extra_pages:

@@ -54,8 +54,8 @@ class ScenarioReport:
     #: Params constant across every record.
     fixed: dict[str, Any] = field(default_factory=dict)
     n_ok: int = 0
+    #: Records that are not ok (a ``timeout`` record of an older store too).
     n_error: int = 0
-    n_timeout: int = 0
     #: Sorted union of result keys over ok records (all types).
     result_keys: list[str] = field(default_factory=list)
     #: The numeric subset of ``result_keys``.
@@ -163,8 +163,7 @@ def build_reports(records: list[ResultRecord]) -> list[ScenarioReport]:
                 axes=axes,
                 fixed=fixed,
                 n_ok=sum(1 for r in group if r.status == "ok"),
-                n_error=sum(1 for r in group if r.status == "error"),
-                n_timeout=sum(1 for r in group if r.status == "timeout"),
+                n_error=sum(1 for r in group if r.status != "ok"),
                 result_keys=result_keys,
                 metric_keys=metric_keys,
                 scenario=scenario,

@@ -15,18 +15,21 @@ backends -- ``tests/test_backends.py`` asserts exactly that.
 
 from __future__ import annotations
 
+import os
 import time
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable
 
 #: How often the collector polls an idle backend, in seconds.
 _POLL_INTERVAL = 0.02
 
-from repro.experiments.backends import Task, resolve_backend
+from repro.experiments.backends import resolve_backend
 from repro.experiments.registry import get_scenario
 from repro.experiments.store import ResultRecord, ResultStore, cache_key, package_code_version
 from repro.experiments.sweep import SweepPoint
-from repro.obs.trace import Tracer, current_tracer
+from repro.obs.trace import TraceWriter, current_tracer
 
 
 @dataclass
@@ -48,33 +51,30 @@ def run_sweep(
     points: list[SweepPoint],
     store: ResultStore | None = None,
     workers: int = 1,
-    task_timeout: float | None = None,
     force: bool = False,
     progress: Callable[[str], None] | None = None,
-    backend: str = "auto",
-    trace: Tracer | None = None,
+    backend: str | None = None,
+    trace_dir: str | os.PathLike | None = None,
 ) -> SweepReport:
     """Run a sweep; returns records in the order of ``points``.
 
-    ``backend`` names the execution backend: ``"auto"`` (serial for a
-    single worker with no timeout, else a process pool -- the historical
-    behaviour), ``"serial"`` or ``"pool"``; it is built and shut down here.
+    ``backend`` names the execution backend, ``"serial"`` or ``"pool"``;
+    ``None`` picks a pool when ``workers > 1``, else serial.  It is built
+    here once, with what all points share (the scenario modules a worker
+    re-imports and ``trace_dir``), and shut down here on every exit, an
+    interrupt included.  The pool's start method and worker recycling are
+    fixed (:mod:`repro.experiments.backends.pool`).
 
     With a store, points whose cache key already has a record are served
     from cache unless ``force``; fresh records are persisted as they
     complete.  Keys and records carry :func:`package_code_version`, so a
     source edit never serves a record computed by older code.
 
-    ``task_timeout`` bounds the wall-clock runtime per point.  The pool
-    backend approximates it with per-task deadlines measured from when a
-    worker slot becomes available (a hung worker is terminated rather
-    than joined, so ``run_sweep`` returns).  The pool's start method and
-    worker recycling are fixed (:mod:`repro.experiments.backends.pool`).
-
-    ``trace`` receives sweep telemetry (``task`` lifecycle lines:
-    submitted, cached, ok/error/timeout) and is handed to the backend for
-    its own task events; defaults to the ambient tracer (the no-op null
-    tracer unless a ``repro.obs.use_tracer`` block is active).
+    With ``trace_dir``, the sweep writes its telemetry (``task`` lifecycle
+    lines from the runner and the backend) to ``sweep-<scenario>.jsonl``
+    there, and each executed point a ``task-*.jsonl``.  Without one, sweep
+    telemetry goes to the ambient tracer (the null tracer unless a
+    ``repro.obs.use_tracer`` block is active).
     """
     if not points:
         raise ValueError("empty sweep")
@@ -84,9 +84,6 @@ def run_sweep(
     scenario = get_scenario(points[0].scenario)
     report = SweepReport(scenario=scenario.name)
     say = progress or (lambda _msg: None)
-    tracer = trace if trace is not None else current_tracer()
-    tracer.event("sweep_start", scenario=scenario.name, points=len(points))
-
     code_version = package_code_version()
     keys = {
         p.index: cache_key(p.scenario, p.params, p.seed, code_version=code_version)
@@ -94,97 +91,104 @@ def run_sweep(
     }
     slots: dict[int, ResultRecord] = {}
     pending: list[SweepPoint] = []
-    for point in points:
-        cached = None if (force or store is None) else store.get(scenario.name, keys[point.index])
-        if cached is not None:
-            slots[point.index] = cached
-            report.cached += 1
-            if cached.status != "ok":
-                # A persisted failure served from cache still fails the
-                # sweep -- callers gating on report.ok must see it.
-                report.failed += 1
-            say(f"[cache:{cached.status}] {scenario.name} #{point.index} {point.params}")
-            tracer.task("cached", point.index, status=cached.status)
-        else:
-            pending.append(point)
 
-    def finish(point: SweepPoint, outcome: dict) -> None:
-        record = ResultRecord(
-            key=keys[point.index],
-            scenario=point.scenario,
-            params=point.params,
-            seed=point.seed,
-            replicate=point.replicate,
-            status=outcome["status"],
-            result=outcome.get("result"),
-            error=outcome.get("error"),
-            duration_s=outcome.get("duration_s", 0.0),
-            code_version=code_version,
-            meta=outcome.get("meta") or {},
-        )
-        slots[point.index] = record
-        report.executed += 1
-        tracer.task(record.status, point.index, duration_s=record.duration_s)
-        if record.status != "ok":
-            report.failed += 1
-            say(f"[{record.status}] {scenario.name} #{point.index} {point.params}")
-        else:
-            say(
-                f"[done] {scenario.name} #{point.index} {point.params} "
-                f"({record.duration_s:.2f}s)"
+    with ExitStack() as cleanup:
+        tracer = current_tracer()
+        if trace_dir is not None:
+            path = Path(trace_dir) / f"sweep-{scenario.name}.jsonl"
+            tracer = cleanup.enter_context(
+                closing(TraceWriter(path, source="sweep", scenario=scenario.name))
             )
-        # Failures are persisted too: a sweep that died at point 37 resumes
-        # there, and `report` can show what broke.  `force` re-runs them.
-        if store is not None:
-            store.put(record)
+        tracer.event("sweep_start", scenario=scenario.name, points=len(points))
 
-    # Ship the scenario's defining module to workers: under spawn and
-    # forkserver they do not inherit the parent's registry.  (A __main__
-    # registration can't be shipped by name; a spawn or forkserver worker
-    # re-runs the main script as __mp_main__, which registers it again.)
-    scenario_modules: tuple[str, ...] = ()
-    if scenario.fn.__module__ not in ("__main__", None):
-        scenario_modules = (scenario.fn.__module__,)
+        for point in points:
+            cached = None if force or store is None else store.get(scenario.name, keys[point.index])
+            if cached is not None:
+                slots[point.index] = cached
+                report.cached += 1
+                if cached.status != "ok":
+                    # A persisted failure served from cache still fails the
+                    # sweep -- callers gating on report.ok must see it.
+                    report.failed += 1
+                say(f"[cache:{cached.status}] {scenario.name} #{point.index} {point.params}")
+                tracer.task("cached", point.index, status=cached.status)
+            else:
+                pending.append(point)
 
-    if pending:
-        engine = resolve_backend(
-            backend, workers=workers, n_tasks=len(pending), task_timeout=task_timeout
-        )
-        engine.trace = tracer
-        tasks = [
-            Task(point=point, scenario_modules=scenario_modules, timeout=task_timeout)
-            for point in pending
-        ]
-        outstanding = 0
-        try:
-            for task in tasks:
-                tracer.task("submitted", task.index, backend=engine.name)
-                engine.submit(task)
+        def finish(point: SweepPoint, outcome: dict) -> None:
+            record = ResultRecord(
+                key=keys[point.index],
+                scenario=point.scenario,
+                params=point.params,
+                seed=point.seed,
+                replicate=point.replicate,
+                status=outcome["status"],
+                result=outcome.get("result"),
+                error=outcome.get("error"),
+                duration_s=outcome.get("duration_s", 0.0),
+                code_version=code_version,
+                meta=outcome.get("meta") or {},
+            )
+            slots[point.index] = record
+            report.executed += 1
+            tracer.task(record.status, point.index, duration_s=record.duration_s)
+            if record.status != "ok":
+                report.failed += 1
+                say(f"[{record.status}] {scenario.name} #{point.index} {point.params}")
+            else:
+                say(
+                    f"[done] {scenario.name} #{point.index} {point.params} "
+                    f"({record.duration_s:.2f}s)"
+                )
+            # Failures are persisted too: a sweep that died at point 37 resumes
+            # there, and `report` can show what broke.  `force` re-runs them.
+            if store is not None:
+                store.put(record)
+
+        # Ship the scenario's defining module to workers: under spawn and
+        # forkserver they do not inherit the parent's registry.  (A __main__
+        # registration can't be shipped by name; a spawn or forkserver worker
+        # re-runs the main script as __mp_main__, which registers it again.)
+        scenario_modules: tuple[str, ...] = ()
+        if scenario.fn.__module__ not in ("__main__", None):
+            scenario_modules = (scenario.fn.__module__,)
+
+        if pending:
+            engine = resolve_backend(
+                backend, workers=workers, n_tasks=len(pending),
+                scenario_modules=scenario_modules, trace_dir=trace_dir,
+            )
+            # Runs on every exit, an interrupt included, before the trace
+            # closes; a pool with points outstanding is terminated.
+            cleanup.callback(engine.shutdown)
+            engine.trace = tracer
+            outstanding = 0
+            for point in pending:
+                tracer.task("submitted", point.index, backend=engine.name)
+                engine.submit(point)
                 outstanding += 1
                 if not engine.synchronous:
                     continue
                 # Serial execution finished the point inside submit();
                 # drain now so progress streams instead of batching.
-                for done_task, outcome in engine.poll():
-                    finish(done_task.point, outcome)
+                for done_point, outcome in engine.poll():
+                    finish(done_point, outcome)
                     outstanding -= 1
             while outstanding:
                 batch = engine.poll()
                 if not batch:
                     time.sleep(_POLL_INTERVAL)
                     continue
-                for done_task, outcome in batch:
-                    finish(done_task.point, outcome)
+                for done_point, outcome in batch:
+                    finish(done_point, outcome)
                     outstanding -= 1
-        finally:
-            engine.shutdown()
 
-    report.records = [slots[p.index] for p in points]
-    tracer.event(
-        "sweep_end",
-        scenario=scenario.name,
-        cached=report.cached,
-        executed=report.executed,
-        failed=report.failed,
-    )
+        report.records = [slots[p.index] for p in points]
+        tracer.event(
+            "sweep_end",
+            scenario=scenario.name,
+            cached=report.cached,
+            executed=report.executed,
+            failed=report.failed,
+        )
     return report

@@ -89,7 +89,7 @@ class ResultRecord:
     params: dict[str, Any]
     seed: int
     replicate: int
-    status: str  # "ok" | "error" | "timeout"
+    status: str  # "ok" | "error"
     result: dict | None = None
     error: str | None = None
     duration_s: float = 0.0

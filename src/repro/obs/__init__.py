@@ -7,7 +7,6 @@ trace, the timeline page).
 
 from repro.obs.trace import (
     NULL_TRACER,
-    TRACE_DIR_ENV,
     TRACE_SCHEMA,
     CollectingTracer,
     RunMetaCollector,
@@ -18,14 +17,12 @@ from repro.obs.trace import (
     read_trace,
     summarize_trace,
     task_trace_path,
-    trace_dir_from_env,
     trace_files,
     use_tracer,
 )
 
 __all__ = [
     "NULL_TRACER",
-    "TRACE_DIR_ENV",
     "TRACE_SCHEMA",
     "CollectingTracer",
     "RunMetaCollector",
@@ -36,7 +33,6 @@ __all__ = [
     "read_trace",
     "summarize_trace",
     "task_trace_path",
-    "trace_dir_from_env",
     "trace_files",
     "use_tracer",
 ]

@@ -32,18 +32,16 @@ kind        fields
             the event engine jumped in O(1)
 ``run``     ``engine``, ``rounds``, ``skipped_rounds``, ``node_steps``,
             ``total_bits``, ``total_msgs``, ``halted`` -- one CONGEST run
-``task``    ``state`` (submitted|dispatched|running|cached|ok|error|timeout),
+``task``    ``state`` (submitted|dispatched|running|cached|ok|error),
             ``index`` + free attrs -- sweep/backend task lifecycle
 ==========  =================================================================
 
 The **ambient tracer** (:func:`current_tracer` / :func:`use_tracer`) is how
 instrumentation crosses API layers without threading a ``trace=`` argument
 through every call: ``CongestNetwork`` defaults its tracer to the ambient
-one, and ``execute_point`` installs a writer when the ``REPRO_TRACE_DIR``
-environment variable names a directory.  A pool worker does not rely on
-its inherited environment for that: the pool backend sends the submitting
-process's value with every task, and the worker sets or clears its own
-copy to match before it runs the point.
+one, and ``execute_point`` installs a writer when it is given a trace
+directory (``run_sweep(trace_dir=...)`` hands the sweep's directory to its
+backend, which passes it to every point as an argument).
 """
 
 from __future__ import annotations
@@ -58,13 +56,6 @@ from typing import Any, Iterator
 
 #: Bumped when the line schema above changes incompatibly.
 TRACE_SCHEMA = 1
-
-#: Environment variable naming the directory task/worker traces land in;
-#: set by ``python -m repro.experiments run --trace DIR``.  The pool backend
-#: reads it when it submits a task and sends the value along, so a worker
-#: (a forkserver child inherits the server's environment, not this
-#: process's current one) writes its task trace where this process says.
-TRACE_DIR_ENV = "REPRO_TRACE_DIR"
 
 
 class Tracer:
@@ -268,12 +259,6 @@ def task_trace_path(trace_dir: str | os.PathLike, scenario: str, seed: int) -> P
     and stable across re-runs of the same sweep.
     """
     return Path(trace_dir) / f"task-{scenario}-{seed % 10**12}.jsonl"
-
-
-def trace_dir_from_env() -> Path | None:
-    """The trace directory named by ``REPRO_TRACE_DIR``, if any."""
-    value = os.environ.get(TRACE_DIR_ENV)
-    return Path(value) if value else None
 
 
 # -- reading and summarising ---------------------------------------------------

@@ -1,4 +1,4 @@
-"""Execution backends: cross-backend equivalence, pool crash and timeout
+"""Execution backends: cross-backend equivalence, pool crash and interrupt
 handling, result integrity, the per-point collector scope.
 
 Scenario registrations below are shipped to pool workers by module name
@@ -7,6 +7,7 @@ Scenario registrations below are shipped to pool workers by module name
 
 import gc
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -28,12 +29,12 @@ from repro.experiments import (
     run_sweep,
     scenario,
 )
-from repro.experiments.backends import ProcessPoolBackend, Task, execute_point, resolve_backend
+from repro.experiments.backends import ProcessPoolBackend, execute_point, resolve_backend
 from repro.experiments.backends import pool as pool_backend
 from repro.experiments.backends.base import POINT_GC_THRESHOLD
 from repro.experiments.cli import main as cli_main
 from repro.experiments.store import ResultRecord
-from repro.obs.trace import TRACE_DIR_ENV, read_trace, summarize_trace
+from repro.obs.trace import read_trace, summarize_trace
 
 _SRC = Path(repro.__file__).resolve().parents[1]
 _ROOT = _SRC.parent
@@ -122,21 +123,18 @@ class TestCrossBackendEquivalence:
         serial_records = [_comparable(r) for r in serial.records]
         assert [_comparable(r) for r in pool.records] == serial_records
 
-    def test_auto_backend_preserves_historical_selection(self):
-        assert resolve_backend("auto", workers=1).name == "serial"
-        for args in ({"workers": 4, "n_tasks": 2}, {"workers": 1, "task_timeout": 1.0}):
-            backend = resolve_backend("auto", **args)
-            try:
-                assert backend.name == "pool"
-            finally:
-                backend.shutdown()
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("bogus")
-
-    def test_serial_backend_rejects_timeout(self):
-        points = expand_grid(get_scenario("bk-echo"), {"x": [1]})
-        with pytest.raises(ValueError, match="timeout"):
-            run_sweep(points, store=None, backend="serial", task_timeout=1.0)
+    def test_default_backend_follows_the_worker_count(self):
+        """``None`` (the CLI default) picks serial for one worker and a
+        pool for more."""
+        assert resolve_backend(None, workers=1, n_tasks=4).name == "serial"
+        backend = resolve_backend(None, workers=2, n_tasks=4)
+        try:
+            assert backend.name == "pool"
+        finally:
+            backend.shutdown()
+        for spec in ("auto", "bogus"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                resolve_backend(spec)
 
 
 #: Runs one pool sweep and prints what came back.  A backend that never
@@ -220,23 +218,20 @@ class TestPoolWorkerCrash:
         reports = []
         monkeypatch.setattr(pool_backend, "_events", SimpleNamespace(put=reports.append))
         point = expand_grid(get_scenario("bk-echo"), {"x": [1]})[0]
-        outcome = pool_backend._run_task(
-            point.index, None, point.scenario, point.params, point.seed
-        )
+        outcome = pool_backend._run_task(point.index, point.scenario, point.params, point.seed)
         assert outcome["status"] == "ok"
         assert reports == [(point.index, os.getpid()), (point.index, None)]
 
-    def test_task_trace_dir_replaces_the_worker_environment(self, monkeypatch, tmp_path):
-        """A worker sets or clears ``REPRO_TRACE_DIR`` to the value the
-        task carries, whatever its own environment says."""
+    def test_task_writes_its_trace_where_its_arguments_say(self, monkeypatch, tmp_path):
+        """A task writes its trace into the directory its arguments name,
+        and none without one, whatever the worker's environment holds."""
         monkeypatch.setattr(pool_backend, "_events", SimpleNamespace(put=lambda _report: None))
         point = expand_grid(get_scenario("bk-echo"), {"x": [1]})[0]
-        args = (point.scenario, point.params, point.seed)
+        args = (point.scenario, point.params, point.seed, ())
         stale, wanted = tmp_path / "stale", tmp_path / "wanted"
-        monkeypatch.setenv(TRACE_DIR_ENV, str(stale))
-        assert pool_backend._run_task(point.index, None, *args)["status"] == "ok"
-        assert TRACE_DIR_ENV not in os.environ
-        assert pool_backend._run_task(point.index, str(wanted), *args)["status"] == "ok"
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(stale))
+        assert pool_backend._run_task(point.index, *args, None)["status"] == "ok"
+        assert pool_backend._run_task(point.index, *args, str(wanted))["status"] == "ok"
         assert not stale.exists()
         assert len(list(wanted.glob("task-*.jsonl"))) == 1
 
@@ -245,10 +240,10 @@ class TestPoolWorkerCrash:
         that reports a finish and exits in between (a recycled worker) is
         never taken for a crash."""
         monkeypatch.setattr(pool_backend, "DEFAULT_START_METHOD", "fork")
-        backend = ProcessPoolBackend(workers=1)
+        backend = ProcessPoolBackend(1, ("tests.test_backends",), None)
         try:
             point = expand_grid(get_scenario("bk-sleepy"), {"delay": [30.0]})[0]
-            backend.submit(Task(point, scenario_modules=("tests.test_backends",)))
+            backend.submit(point)
             deadline = time.monotonic() + 30
             while not backend._running:  # wait for the start report
                 assert backend.poll() == []
@@ -268,12 +263,37 @@ class TestPoolWorkerCrash:
         """Nobody reads an outstanding task's result after shutdown, so the
         pool is terminated rather than joined behind it."""
         monkeypatch.setattr(pool_backend, "DEFAULT_START_METHOD", "fork")
-        backend = ProcessPoolBackend(workers=1)
+        backend = ProcessPoolBackend(1, ("tests.test_backends",), None)
         point = expand_grid(get_scenario("bk-sleepy"), {"delay": [30.0]})[0]
-        backend.submit(Task(point, scenario_modules=("tests.test_backends",)))
+        backend.submit(point)
         start = time.monotonic()
         backend.shutdown()
         assert time.monotonic() - start < 10
+
+    def test_interrupt_stops_a_hung_pool_sweep(self, monkeypatch):
+        """Ctrl-C is how a hung sweep ends: the interrupt propagates out of
+        ``run_sweep`` at once, and the shutdown on its way out terminates
+        the pool, so no worker outlives the sweep."""
+        monkeypatch.setattr(pool_backend, "DEFAULT_START_METHOD", "fork")
+        real_poll = ProcessPoolBackend.poll
+        workers = []
+
+        def interrupted_poll(self):
+            batch = real_poll(self)
+            if self._running:  # the worker reported its start
+                workers.extend(self._pool._pool)
+                raise KeyboardInterrupt
+            return batch
+
+        monkeypatch.setattr(ProcessPoolBackend, "poll", interrupted_poll)
+        points = expand_grid(get_scenario("bk-sleepy"), {"delay": [30.0]})
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(points, store=None, backend="pool", workers=1)
+        assert time.monotonic() - start < 10
+        assert workers
+        assert not set(workers) & set(multiprocessing.active_children())
+        assert not any(worker.is_alive() for worker in workers)
 
 
 #: Puts ``src/`` on ``sys.path`` at run time, as ``perfbench/run.py`` does,
@@ -286,7 +306,7 @@ import probe
 from repro.experiments.backends import ProcessPoolBackend, pool
 
 pool.DEFAULT_START_METHOD = "forkserver"
-backend = ProcessPoolBackend(workers=1)
+backend = ProcessPoolBackend(1, (), None)
 try:
     print(backend._pool.apply(probe.loaded, ("repro.experiments.scenarios",)))
 finally:
@@ -329,20 +349,30 @@ class TestPoolStartUp:
     @pytest.mark.parametrize("start_method", ["forkserver", "spawn", "fork"])
     def test_trace_dir_travels_with_each_task(self, start_method, monkeypatch, tmp_path):
         """An untraced pool sweep, then a traced one, in one process: the
-        traced one writes one task trace per point.  A forkserver worker
-        inherits the server's environment from when the server started,
-        not this process's current one."""
+        traced one writes one task trace per point into its ``trace_dir``,
+        and neither reads the workers' environment (a forkserver worker
+        inherits the server's, from when the server started)."""
         monkeypatch.setattr(pool_backend, "DEFAULT_START_METHOD", start_method)
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "environment"))
         points = expand_grid(get_scenario("bk-echo"), {"x": [1, 2, 3]})
+        traces = tmp_path / "traces"
+        assert run_sweep(points, store=None, backend="pool", workers=2).ok
+        assert run_sweep(points, store=None, backend="pool", workers=2, trace_dir=traces).ok
+        assert len(list(traces.glob("task-*.jsonl"))) == len(points)
+        assert not (tmp_path / "environment").exists()
 
-        def sweep():
-            return run_sweep(points, store=None, backend="pool", workers=2)
-
-        monkeypatch.delenv(TRACE_DIR_ENV, raising=False)
-        assert sweep().ok
-        monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))
-        assert sweep().ok
-        assert len(list(tmp_path.glob("task-*.jsonl"))) == len(points)
+    def test_cli_trace_reaches_pool_workers(self, monkeypatch, tmp_path):
+        """``run --trace DIR`` on the pool writes the sweep trace and one
+        task trace per point into DIR, and nothing where the environment
+        points."""
+        monkeypatch.setattr(pool_backend, "DEFAULT_START_METHOD", "fork")
+        elsewhere, traces = tmp_path / "elsewhere", tmp_path / "traces"
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(elsewhere))
+        argv = ["run", "bk-echo", "--set", "x=1,2,3", "--workers", "2", "--no-store"]
+        assert cli_main([*argv, "--trace", str(traces)]) == 0
+        assert (traces / "sweep-bk-echo.jsonl").is_file()
+        assert len(list(traces.glob("task-*.jsonl"))) == 3
+        assert not elsewhere.exists()
 
     def test_preload_loads_when_src_is_added_at_run_time(self, tmp_path):
         """The forkserver ignores the ``sys.path`` it is handed; the pool
@@ -391,17 +421,6 @@ class TestResultIntegrity:
         with pytest.raises(TypeError):
             record.to_json()
 
-    def test_pool_timeout_record_accounting(self, monkeypatch):
-        monkeypatch.setattr(pool_backend, "DEFAULT_START_METHOD", "fork")
-        points = expand_grid(get_scenario("bk-sleepy"), {"delay": [30.0, 0.01]})
-        report = run_sweep(points, store=None, workers=2, task_timeout=1.0)
-        timeout_record = report.records[0]
-        assert timeout_record.status == "timeout"
-        assert timeout_record.duration_s == 1.0
-        assert timeout_record.result is None
-        assert report.records[1].status == "ok"
-        assert (report.executed, report.failed) == (2, 1)
-        assert not report.ok
 
 
 def _execute(name: str) -> dict:
@@ -477,12 +496,11 @@ class TestCollectorScope:
         assert record.result["frozen"] > 0
         assert record.result["threshold"][0] == POINT_GC_THRESHOLD
 
-    def test_traced_points_report_what_the_collector_did(self, tmp_path, monkeypatch, capsys):
+    def test_traced_points_report_what_the_collector_did(self, tmp_path, capsys):
         """One ``gc`` event per task trace; its gen-2 count includes the
         exit collection, and the summary totals the events."""
-        monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))
         points = expand_grid(get_scenario("bk-cycle"), {"x": [1, 2]})
-        assert run_sweep(points, store=None, backend="serial").ok
+        assert run_sweep(points, store=None, backend="serial", trace_dir=tmp_path).ok
         traces = [read_trace(f) for f in sorted(tmp_path.glob("task-bk-cycle-*.jsonl"))]
         assert len(traces) == 2
         gc_events = []

@@ -289,46 +289,26 @@ class TestParallelRunner:
         assert [r.result for r in parallel.records] == [r.result for r in serial.records]
         assert [r.seed for r in parallel.records] == [r.seed for r in serial.records]
 
-    def test_parallel_timeout_is_captured(self):
-        points = expand_grid(get_scenario("test-sleepy"), {"delay": [30.0, 0.01]})
-        start = time.monotonic()
-        # 2s deadline: enough margin for worker boot (the forkserver's
-        # preload, or a spawned worker's imports) under CI load (the
-        # deadline clock starts at submission, not at worker start).
-        report = run_sweep(points, store=None, workers=2, task_timeout=2.0)
-        assert report.records[0].status == "timeout"
-        assert report.records[1].status == "ok"
-        # The hung worker is terminated, not joined: run_sweep returns well
-        # before the 30s sleep would finish.
-        assert time.monotonic() - start < 10.0
-
-    def test_timeout_enforced_with_serial_workers(self):
-        points = expand_grid(get_scenario("test-sleepy"), {"delay": [30.0]})
-        start = time.monotonic()
-        report = run_sweep(points, store=None, workers=1, task_timeout=0.5)
-        assert report.records[0].status == "timeout"
-        assert time.monotonic() - start < 10.0
-
-    def test_slow_point_does_not_delay_timeout_detection(self, monkeypatch):
-        # Grid order: a slow-but-finishing point first, a hung point second.
-        # Out-of-order collection detects the hang on its own clock instead
-        # of only after the point in front has been collected.
+    def test_points_are_collected_as_they_finish(self, monkeypatch):
+        """Grid order puts a slow point first: the fast point behind it is
+        collected (and reported) first, and the records still come back in
+        grid order."""
         monkeypatch.setattr(pool_backend, "DEFAULT_START_METHOD", "fork")
-        points = expand_grid(get_scenario("test-sleepy"), {"delay": [2.0, 30.0]})
-        start = time.monotonic()
-        report = run_sweep(points, store=None, workers=2, task_timeout=2.5)
-        elapsed = time.monotonic() - start
-        assert report.records[0].status == "ok"
-        assert report.records[1].status == "timeout"
-        # In-grid-order collection would need ~2.0s + 2.5s before detecting
-        # the hang; independent deadlines detect it at ~2.5s.
-        assert elapsed < 4.0
+        points = expand_grid(get_scenario("test-sleepy"), {"delay": [0.6, 0.01]})
+        progress = []
+        report = run_sweep(points, store=None, workers=2, progress=progress.append)
+        assert report.ok
+        assert [line.split()[:3] for line in progress] == [
+            ["[done]", "test-sleepy", "#1"],
+            ["[done]", "test-sleepy", "#0"],
+        ]
+        assert [r.result["slept"] for r in report.records] == [0.6, 0.01]
 
     def test_workers_recycled_with_maxtasksperchild(self, monkeypatch):
         monkeypatch.setattr(pool_backend, "DEFAULT_START_METHOD", "fork")
         monkeypatch.setattr(pool_backend, "MAX_TASKS_PER_CHILD", 1)
         points = expand_grid(get_scenario("test-echo"), {"x": [1, 2, 3, 4, 5]})
-        report = run_sweep(points, store=None, workers=2, task_timeout=30.0)
+        report = run_sweep(points, store=None, workers=2)
         assert report.ok and report.executed == 5
         assert [r.result["x"] for r in report.records] == [1, 2, 3, 4, 5]
 
@@ -715,12 +695,10 @@ class TestCLI:
         [
             ("--workers", "0", "--workers must be >= 1, got 0"),
             ("--workers", "-2", "--workers must be >= 1, got -2"),
-            ("--timeout", "0", "--timeout must be > 0 seconds, got 0"),
-            ("--timeout", "-1", "--timeout must be > 0 seconds, got -1"),
         ],
-        ids=["workers-0", "workers-minus-2", "timeout-0", "timeout-minus-1"],
+        ids=["workers-0", "workers-minus-2"],
     )
-    def test_bad_workers_or_timeout_fails_before_any_point_runs(
+    def test_bad_workers_fails_before_any_point_runs(
         self, tmp_path, capsys, flag, value, message
     ):
         store = tmp_path / "store"
@@ -731,7 +709,19 @@ class TestCLI:
         assert not store.exists()
 
     @pytest.mark.parametrize(
-        "flag, value", [("--mp-start", "fork"), ("--maxtasksperchild", "-3")]
+        "flags, banner",
+        [
+            ([], "sweep test-echo: 1 point(s), workers=1, store=<none>"),
+            (["--backend", "serial"], "sweep test-echo: 1 point(s), backend=serial, workers=1,"),
+        ],
+        ids=["default", "serial"],
+    )
+    def test_run_banner_names_the_backend_only_when_given(self, capsys, flags, banner):
+        assert cli_main(["run", "test-echo", "--set", "x=1", "--no-store", *flags]) == 0
+        assert capsys.readouterr().out.splitlines()[0].startswith(banner)
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--mp-start", "fork"), ("--maxtasksperchild", "-3"), ("--timeout", "5")]
     )
     def test_removed_pool_flags_fail_before_any_point_runs(
         self, tmp_path, capsys, flag, value
@@ -752,8 +742,9 @@ class TestCLI:
             (["-v", "list"], "unrecognized arguments: -v"),
             (["--quiet", "list"], "unrecognized arguments: --quiet"),
             (["report", "--format", "html"], "invalid choice: 'html'"),
+            (["run", "chsh-gamma2", "--backend", "auto"], "invalid choice: 'auto'"),
         ],
-        ids=["verbose", "quiet", "report-format-html"],
+        ids=["verbose", "quiet", "report-format-html", "backend-auto"],
     )
     def test_removed_cli_options_are_usage_errors(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

@@ -74,7 +74,6 @@ ALLOWLIST = {
     "repro.experiments.backends.pool:_init_worker": "runs in each pool worker",
     "repro.experiments.backends.pool:_run_task": "runs in each pool worker",
     "repro.experiments.backends.pool:_pid_alive": "runs when a poll catches a task in flight",
-    "repro.experiments.backends.pool:ProcessPoolBackend._abandon": "runs on a timeout or a dead worker",
     # Reference code that tests compare live code against.
     "repro.graphs.properties": "the centralised truth of the Cor. 3.7 verifiers (ROADMAP item 5)",
     "repro.core.gamma2:gamma2_upper": "the SDP upper bound that tests hold gamma2_lower against",

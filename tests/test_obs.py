@@ -25,7 +25,6 @@ from repro.experiments.cli import main as cli_main
 from repro.experiments.reporting import render_timeline_page
 from repro.experiments.reporting.timeline import load_traces
 from repro.obs.trace import (
-    TRACE_DIR_ENV,
     TRACE_SCHEMA,
     CollectingTracer,
     Tracer,
@@ -196,9 +195,8 @@ class TestSweepTraces:
         scenario = get_scenario("spanner-skeleton")
         return expand_grid(scenario, {"n": [24]})
 
-    def test_task_trace_matches_persisted_meta(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))
-        report = run_sweep(self._points(), store=None)
+    def test_task_trace_matches_persisted_meta(self, tmp_path):
+        report = run_sweep(self._points(), store=None, trace_dir=tmp_path)
         (record,) = report.records
         assert record.status == "ok"
         meta = record.meta

@@ -147,10 +147,20 @@ class TestModel:
         assert list(fig3.axes) == ["aspect_ratio"]
         assert fig3.axes["aspect_ratio"] == [2.0, 32.0, 256.0]
         assert fig3.fixed == {"n": 24, "engine": "event"}
-        assert (fig3.n_ok, fig3.n_error, fig3.n_timeout) == (3, 0, 0)
+        assert (fig3.n_ok, fig3.n_error) == (3, 0)
         ghost = reports["ghost-scenario"]
         assert (ghost.n_ok, ghost.n_error) == (1, 1)
         assert ghost.scenario is None  # not registered; page still renders
+
+    def test_timeout_record_of_an_older_store_counts_as_not_ok(self):
+        """Nothing writes the ``timeout`` status any more; a store written
+        before per-task timeouts went may still hold one."""
+        records = [
+            _record("ghost-scenario", "g0", {"alpha": 1}, {"metric": 1.0}),
+            _record("ghost-scenario", "g1", {"alpha": 2}, None, status="timeout"),
+        ]
+        (report,) = build_reports(records)
+        assert (report.n_ok, report.n_error) == (1, 1)
 
     def test_declared_plot_specs_resolve_to_series(self, tmp_path):
         store = _fig3_store(tmp_path)
