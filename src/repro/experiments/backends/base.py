@@ -25,7 +25,7 @@ died mid-task is synthesized by the backend, not by the task, so it has no
 :func:`execute_point` is the single task-execution entry point shared by
 every backend (inline or pool worker), so a serial run is bit-identical
 to a parallel one.  Given a trace directory, each execution also writes a
-per-task JSONL trace there.
+per-task JSONL trace there; its writer is then the point's run collector.
 
 Each point also runs in its own collector scope.  On entry the heap it
 starts with -- the imported package, earlier points' survivors, the
@@ -52,14 +52,7 @@ from repro.experiments.registry import (
     load_builtin_scenarios,
 )
 from repro.experiments.sweep import SweepPoint
-from repro.obs.trace import (
-    RunMetaCollector,
-    TeeTracer,
-    Tracer,
-    TraceWriter,
-    task_trace_path,
-    use_tracer,
-)
+from repro.obs.trace import RunMetaCollector, TraceWriter, task_trace_path, use_tracer
 
 
 #: The gen-0 collection threshold inside a point's collector scope
@@ -92,25 +85,13 @@ class ExecutionBackend:
     once, also on error paths (an interrupted sweep included).
     """
 
-    #: Registry name ("serial", "pool"); set by subclasses.
-    name = "abstract"
-
-    #: Where backend-side telemetry (task lifecycle, worker crashes) goes;
-    #: the null tracer by default, assigned by ``run_sweep`` when the sweep
-    #: is traced.
-    trace: Tracer = Tracer()
-
-    #: True when submit() completes the point before returning (the runner
-    #: then drains after every submit so progress streams per point;
-    #: asynchronous backends are only drained from the collection loop).
-    synchronous = False
-
     def submit(self, point: SweepPoint) -> None:
-        """Accept one point for execution (synchronous backends finish it here)."""
+        """Accept one point for execution."""
         raise NotImplementedError
 
     def poll(self) -> list[tuple[SweepPoint, dict]]:
-        """Points completed since the last poll (possibly empty, non-blocking)."""
+        """Points completed since the last poll (possibly empty).  The pool
+        never blocks here; the serial backend runs its next point here."""
         raise NotImplementedError
 
     def shutdown(self) -> None:
@@ -134,18 +115,17 @@ def execute_point(
 
     Every outcome carries the uniform ``meta`` block (engine round/skip/step
     counts via the ambient :class:`~repro.obs.trace.RunMetaCollector`); given
-    ``trace_dir``, a per-task JSONL trace is written there too, ending with
-    a ``gc`` event (what the collector did during the point) and a
-    ``task_result`` event.  Both backends pass the last two arguments
-    positionally, since ``perfbench/layers.py``'s wrapper forwards no keywords.
+    ``trace_dir``, that collector is a :class:`~repro.obs.trace.TraceWriter`
+    writing a per-task JSONL trace there, ending with a ``gc`` event (what the
+    collector did during the point) and a ``task_result`` event.  Both backends
+    pass the last two arguments positionally, since ``perfbench/layers.py``'s
+    wrapper forwards no keywords.
 
     The point runs in the collector scope the module docstring describes.
     Points never nest, so the scope keeps no nesting state: a caller that
     froze objects itself finds them unfrozen afterwards.
     """
     load_builtin_scenarios(tuple(m for m in scenario_modules if m not in BUILTIN_SCENARIO_MODULES))
-    collector = RunMetaCollector()
-    tracer: Tracer = collector
     writer = None
     if trace_dir is not None:
         try:
@@ -155,16 +135,16 @@ def execute_point(
                 scenario=scenario_name,
                 seed=seed,
             )
-            tracer = TeeTracer(collector, writer)
         except OSError:
-            writer = None  # an unwritable trace dir must never fail the task
+            pass  # an unwritable trace dir must never fail the task
+    collector = RunMetaCollector() if writer is None else writer
     gc_before = gc.get_stats() if writer is not None else None
     threshold = gc.get_threshold()
     start = time.perf_counter()
     gc.freeze()
     gc.set_threshold(POINT_GC_THRESHOLD, *threshold[1:])
     try:
-        with use_tracer(tracer):
+        with use_tracer(collector):
             scn = get_scenario(scenario_name)
             result = scn.run(params, seed)
         if not isinstance(result, dict):

@@ -134,8 +134,6 @@ def _pid_alive(pid: int) -> bool:
 class ProcessPoolBackend(ExecutionBackend):
     """Fan points out to a local ``multiprocessing.Pool``."""
 
-    name = "pool"
-
     def __init__(
         self,
         workers: int,
@@ -162,7 +160,6 @@ class ProcessPoolBackend(ExecutionBackend):
 
     def submit(self, point: SweepPoint) -> None:
         """Dispatch the point to the pool."""
-        self.trace.task("dispatched", point.index, backend=self.name)
         args = (point.scenario, point.params, point.seed, self._scenario_modules, self._trace_dir)
         result = self._pool.apply_async(_run_task, (point.index, *args))
         self._pending[point.index] = (point, result)
@@ -196,7 +193,6 @@ class ProcessPoolBackend(ExecutionBackend):
             if self._running.pop(idx, None) is None or idx not in self._pending:
                 continue  # finished after all
             # The pool never resolves a task whose worker died: give up on it.
-            self.trace.event("pool_worker_died", index=idx, pid=pid)
             self._abandoned = True
             point, _ = self._pending.pop(idx)
             error = f"pool worker {pid} died without reporting a result"

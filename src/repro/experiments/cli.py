@@ -75,8 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="trace_dir",
         metavar="DIR",
         default=None,
-        help="write JSONL telemetry traces into DIR (a sweep trace plus one "
-        "per-task trace)",
+        help="write one JSONL telemetry trace per executed point into DIR",
     )
 
     report = sub.add_parser(
@@ -143,6 +142,8 @@ def _cmd_list() -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
+    if args.backend == "serial" and args.workers > 1:
+        raise ValueError(f"--backend serial runs one worker, got --workers {args.workers}")
     scn = get_scenario(args.scenario)
     grid = parse_axis_overrides(args.overrides)
     points = expand_grid(scn, grid, replicates=args.replicates, base_seed=args.base_seed)
@@ -209,9 +210,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 f"skipped={run['skipped_rounds']} steps={run['node_steps']} "
                 f"bits={run['total_bits']} halted={run['halted']}"
             )
-        if s["task_states"]:
-            states = ", ".join(f"{k}={v}" for k, v in s["task_states"].items())
-            print(f"  tasks: {states}")
         if s["gc"]["points"]:
             g = s["gc"]
             gens = "/".join(str(n) for n in g["collections"])

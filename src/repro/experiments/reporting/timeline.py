@@ -1,15 +1,16 @@
 """Timeline pages: render JSONL traces into round-activity charts.
 
 Turns the traces the :mod:`repro.obs` subsystem writes (engine ``round``
-samples, ``skip`` stretches, ``task`` lifecycle lines from sweeps) into a
+samples and ``skip`` stretches, one trace per executed sweep point) into a
 self-contained HTML page on the existing SVG chart kit:
 
 - **round activity** -- active-set size and delivered messages per round,
   the profile that distinguishes a dense phase from a quiet tail;
 - **bits per round** -- sent vs moved bits, the CONGEST cost profile the
-  paper's spanner constructions are evaluated by;
-- **task lifecycle** -- submitted/dispatched/running/done points over
-  wall time for sweep traces.
+  paper's spanner constructions are evaluated by.
+
+Lines of a kind it does not chart (an archived sweep trace's ``task``
+lines, say) are skipped.
 
 Used by ``python -m repro.experiments trace timeline`` and by
 :func:`~repro.experiments.reporting.site.build_site` when trace files are
@@ -58,26 +59,6 @@ def round_charts(label: str, events: list[dict[str, Any]]) -> list[str]:
     return charts
 
 
-def task_chart(label: str, events: list[dict[str, Any]]) -> str | None:
-    """Task lifecycle scatter: (wall time, task index) per state."""
-    tasks = [e for e in events if e.get("kind") == "task" and "ts" in e]
-    if not tasks:
-        return None
-    by_state: dict[str, list[tuple[float, float]]] = {}
-    for e in tasks:
-        by_state.setdefault(str(e.get("state", "?")), []).append(
-            (float(e["ts"]), float(e.get("index", -1)))
-        )
-    series = [Series.of(state, pts) for state, pts in sorted(by_state.items())]
-    return render_plot(
-        f"Task lifecycle — {label}",
-        series,
-        kind="scatter",
-        x_label="seconds since trace start",
-        y_label="task index",
-    )
-
-
 def _summary_rows(summary: dict[str, Any]) -> str:
     cells = [
         ("source", summary.get("source")),
@@ -118,9 +99,6 @@ def trace_section(label: str, events: list[dict[str, Any]]) -> str:
             f"<th>node steps</th><th>total bits</th></tr></thead><tbody>{rows}</tbody></table>"
         )
     charts = round_charts(label, events)
-    tasks = task_chart(label, events)
-    if tasks:
-        charts.append(tasks)
     if charts:
         parts.append('<div class="plots">')
         parts.extend(charts)

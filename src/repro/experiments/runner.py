@@ -1,11 +1,11 @@
 """Sweep orchestration: cache resolution + backend dispatch + reassembly.
 
 The runner resolves each sweep point against the result store first
-(skip-if-cached), hands the misses to an execution backend
+(skip-if-cached), submits the misses to an execution backend
 (:mod:`repro.experiments.backends`: serial inline or a local process
-pool), captures failures as records instead of crashing the sweep, and
-returns records in deterministic grid order regardless of completion
-order.
+pool) and collects them in one poll loop, captures failures as records
+instead of crashing the sweep, and returns records in deterministic grid
+order regardless of completion order.
 
 Which backend runs the tasks is a dispatch detail: both execute
 :func:`~repro.experiments.backends.base.execute_point`, so the records a
@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable
 
 #: How often the collector polls an idle backend, in seconds.
@@ -29,7 +27,6 @@ from repro.experiments.backends import resolve_backend
 from repro.experiments.registry import get_scenario
 from repro.experiments.store import ResultRecord, ResultStore, cache_key, package_code_version
 from repro.experiments.sweep import SweepPoint
-from repro.obs.trace import TraceWriter, current_tracer
 
 
 @dataclass
@@ -70,11 +67,9 @@ def run_sweep(
     complete.  Keys and records carry :func:`package_code_version`, so a
     source edit never serves a record computed by older code.
 
-    With ``trace_dir``, the sweep writes its telemetry (``task`` lifecycle
-    lines from the runner and the backend) to ``sweep-<scenario>.jsonl``
-    there, and each executed point a ``task-*.jsonl``.  Without one, sweep
-    telemetry goes to the ambient tracer (the null tracer unless a
-    ``repro.obs.use_tracer`` block is active).
+    With ``trace_dir``, each executed point writes its ``task-*.jsonl``
+    trace there; cached points write none, and the sweep itself writes
+    nothing.
     """
     if not points:
         raise ValueError("empty sweep")
@@ -92,88 +87,65 @@ def run_sweep(
     slots: dict[int, ResultRecord] = {}
     pending: list[SweepPoint] = []
 
-    with ExitStack() as cleanup:
-        tracer = current_tracer()
-        if trace_dir is not None:
-            path = Path(trace_dir) / f"sweep-{scenario.name}.jsonl"
-            tracer = cleanup.enter_context(
-                closing(TraceWriter(path, source="sweep", scenario=scenario.name))
-            )
-        tracer.event("sweep_start", scenario=scenario.name, points=len(points))
-
-        for point in points:
-            cached = None if force or store is None else store.get(scenario.name, keys[point.index])
-            if cached is not None:
-                slots[point.index] = cached
-                report.cached += 1
-                if cached.status != "ok":
-                    # A persisted failure served from cache still fails the
-                    # sweep -- callers gating on report.ok must see it.
-                    report.failed += 1
-                say(f"[cache:{cached.status}] {scenario.name} #{point.index} {point.params}")
-                tracer.task("cached", point.index, status=cached.status)
-            else:
-                pending.append(point)
-
-        def finish(point: SweepPoint, outcome: dict) -> None:
-            record = ResultRecord(
-                key=keys[point.index],
-                scenario=point.scenario,
-                params=point.params,
-                seed=point.seed,
-                replicate=point.replicate,
-                status=outcome["status"],
-                result=outcome.get("result"),
-                error=outcome.get("error"),
-                duration_s=outcome.get("duration_s", 0.0),
-                code_version=code_version,
-                meta=outcome.get("meta") or {},
-            )
-            slots[point.index] = record
-            report.executed += 1
-            tracer.task(record.status, point.index, duration_s=record.duration_s)
-            if record.status != "ok":
+    for point in points:
+        cached = None if force or store is None else store.get(scenario.name, keys[point.index])
+        if cached is not None:
+            slots[point.index] = cached
+            report.cached += 1
+            if cached.status != "ok":
+                # A persisted failure served from cache still fails the
+                # sweep -- callers gating on report.ok must see it.
                 report.failed += 1
-                say(f"[{record.status}] {scenario.name} #{point.index} {point.params}")
-            else:
-                say(
-                    f"[done] {scenario.name} #{point.index} {point.params} "
-                    f"({record.duration_s:.2f}s)"
-                )
-            # Failures are persisted too: a sweep that died at point 37 resumes
-            # there, and `report` can show what broke.  `force` re-runs them.
-            if store is not None:
-                store.put(record)
+            say(f"[cache:{cached.status}] {scenario.name} #{point.index} {point.params}")
+        else:
+            pending.append(point)
 
-        # Ship the scenario's defining module to workers: under spawn and
-        # forkserver they do not inherit the parent's registry.  (A __main__
-        # registration can't be shipped by name; a spawn or forkserver worker
-        # re-runs the main script as __mp_main__, which registers it again.)
-        scenario_modules: tuple[str, ...] = ()
-        if scenario.fn.__module__ not in ("__main__", None):
-            scenario_modules = (scenario.fn.__module__,)
-
-        if pending:
-            engine = resolve_backend(
-                backend, workers=workers, n_tasks=len(pending),
-                scenario_modules=scenario_modules, trace_dir=trace_dir,
+    def finish(point: SweepPoint, outcome: dict) -> None:
+        record = ResultRecord(
+            key=keys[point.index],
+            scenario=point.scenario,
+            params=point.params,
+            seed=point.seed,
+            replicate=point.replicate,
+            status=outcome["status"],
+            result=outcome.get("result"),
+            error=outcome.get("error"),
+            duration_s=outcome.get("duration_s", 0.0),
+            code_version=code_version,
+            meta=outcome.get("meta") or {},
+        )
+        slots[point.index] = record
+        report.executed += 1
+        if record.status != "ok":
+            report.failed += 1
+            say(f"[{record.status}] {scenario.name} #{point.index} {point.params}")
+        else:
+            say(
+                f"[done] {scenario.name} #{point.index} {point.params} "
+                f"({record.duration_s:.2f}s)"
             )
-            # Runs on every exit, an interrupt included, before the trace
-            # closes; a pool with points outstanding is terminated.
-            cleanup.callback(engine.shutdown)
-            engine.trace = tracer
-            outstanding = 0
+        # Failures are persisted too: a sweep that died at point 37 resumes
+        # there, and `report` can show what broke.  `force` re-runs them.
+        if store is not None:
+            store.put(record)
+
+    # Ship the scenario's defining module to workers: under spawn and
+    # forkserver they do not inherit the parent's registry.  (A __main__
+    # registration can't be shipped by name; a spawn or forkserver worker
+    # re-runs the main script as __mp_main__, which registers it again.)
+    scenario_modules: tuple[str, ...] = ()
+    if scenario.fn.__module__ not in ("__main__", None):
+        scenario_modules = (scenario.fn.__module__,)
+
+    if pending:
+        engine = resolve_backend(
+            backend, workers=workers, n_tasks=len(pending),
+            scenario_modules=scenario_modules, trace_dir=trace_dir,
+        )
+        try:
             for point in pending:
-                tracer.task("submitted", point.index, backend=engine.name)
                 engine.submit(point)
-                outstanding += 1
-                if not engine.synchronous:
-                    continue
-                # Serial execution finished the point inside submit();
-                # drain now so progress streams instead of batching.
-                for done_point, outcome in engine.poll():
-                    finish(done_point, outcome)
-                    outstanding -= 1
+            outstanding = len(pending)
             while outstanding:
                 batch = engine.poll()
                 if not batch:
@@ -181,14 +153,9 @@ def run_sweep(
                     continue
                 for done_point, outcome in batch:
                     finish(done_point, outcome)
-                    outstanding -= 1
+                outstanding -= len(batch)
+        finally:
+            engine.shutdown()
 
-        report.records = [slots[p.index] for p in points]
-        tracer.event(
-            "sweep_end",
-            scenario=scenario.name,
-            cached=report.cached,
-            executed=report.executed,
-            failed=report.failed,
-        )
+    report.records = [slots[p.index] for p in points]
     return report

@@ -10,7 +10,6 @@ from repro.obs.trace import (
     TRACE_SCHEMA,
     CollectingTracer,
     RunMetaCollector,
-    TeeTracer,
     Tracer,
     TraceWriter,
     current_tracer,
@@ -26,7 +25,6 @@ __all__ = [
     "TRACE_SCHEMA",
     "CollectingTracer",
     "RunMetaCollector",
-    "TeeTracer",
     "Tracer",
     "TraceWriter",
     "current_tracer",

@@ -1,7 +1,7 @@
 """The tracer API and JSONL trace format for the telemetry subsystem.
 
 One :class:`Tracer` carries every signal the stack emits -- events,
-task transitions, per-round engine samples and end-of-run summaries.
+per-round engine samples and end-of-run summaries.
 The base class is the **no-op null tracer**: every method does nothing and
 ``enabled`` is ``False``, so hot paths guard their sample construction with
 one attribute check and pay nothing when tracing is off (asserted by a
@@ -9,15 +9,15 @@ zero-allocation test in ``tests/test_obs.py``).
 
 Concrete tracers:
 
-- :class:`TraceWriter` -- appends one JSON object per line to a file,
-  timestamped with a *monotonic* clock relative to the writer's creation
-  (wall-clock only appears in the ``meta`` line), thread-safe, sorted keys,
-  so two traces of the same run are identical modulo timestamp fields;
-- :class:`CollectingTracer` -- in-memory event list for tests and summaries;
-- :class:`TeeTracer` -- fan-out to several tracers at once;
 - :class:`RunMetaCollector` -- listens only to the once-per-run
   ``run_summary`` call and aggregates engine round/skip/step counts into
-  the uniform ``meta`` block every sweep outcome carries.
+  the uniform ``meta`` block every sweep outcome carries;
+- :class:`TraceWriter` -- a :class:`RunMetaCollector` that also appends
+  one JSON object per line to a file, timestamped with a *monotonic* clock
+  relative to the writer's creation (wall-clock only appears in the
+  ``meta`` line), thread-safe, sorted keys, so two traces of the same run
+  are identical modulo timestamp fields;
+- :class:`CollectingTracer` -- in-memory event list for tests and summaries.
 
 **Trace line schema** (every line has ``kind``; writers add ``ts``):
 
@@ -32,8 +32,6 @@ kind        fields
             the event engine jumped in O(1)
 ``run``     ``engine``, ``rounds``, ``skipped_rounds``, ``node_steps``,
             ``total_bits``, ``total_msgs``, ``halted`` -- one CONGEST run
-``task``    ``state`` (submitted|dispatched|running|cached|ok|error),
-            ``index`` + free attrs -- sweep/backend task lifecycle
 ==========  =================================================================
 
 The **ambient tracer** (:func:`current_tracer` / :func:`use_tracer`) is how
@@ -41,7 +39,8 @@ instrumentation crosses API layers without threading a ``trace=`` argument
 through every call: ``CongestNetwork`` defaults its tracer to the ambient
 one, and ``execute_point`` installs a writer when it is given a trace
 directory (``run_sweep(trace_dir=...)`` hands the sweep's directory to its
-backend, which passes it to every point as an argument).
+backend, which passes it to every point as an argument), so a traced sweep
+leaves one trace per executed point.
 """
 
 from __future__ import annotations
@@ -64,8 +63,8 @@ class Tracer:
     ``enabled`` gates the *hot-path* signals only (per-round samples, skip
     events): instrumentation checks it before building the
     sample, so the null tracer costs one attribute read per round.  The
-    once-per-something calls (``run_summary``, ``task``) are
-    always safe to make; on the null tracer they do nothing.
+    once-per-run ``run_summary`` is always safe to make; on the null tracer
+    it does nothing.
     """
 
     enabled: bool = False
@@ -76,10 +75,6 @@ class Tracer:
     def event(self, name: str, **attrs) -> None:
         """Record a point-in-time occurrence."""
         self.emit("event", name=name, **attrs)
-
-    def task(self, state: str, index: int, **attrs) -> None:
-        """Record a sweep-task lifecycle transition."""
-        self.emit("task", state=state, index=index, **attrs)
 
     def run_summary(self, **fields) -> None:
         """Record one CONGEST run's end-of-run metrics (``run`` line).
@@ -156,25 +151,7 @@ class RunMetaCollector(Tracer):
         }
 
 
-class TeeTracer(Tracer):
-    """Fans every signal out to several child tracers."""
-
-    def __init__(self, *children: Tracer):
-        self.children = tuple(children)
-        self.enabled = any(c.enabled for c in children)
-
-    def emit(self, kind: str, **fields) -> None:
-        """Forward the line to every child."""
-        for child in self.children:
-            child.emit(kind, **fields)
-
-    def run_summary(self, **fields) -> None:
-        """Forward the run summary to every child."""
-        for child in self.children:
-            child.run_summary(**fields)
-
-
-class TraceWriter(Tracer):
+class TraceWriter(RunMetaCollector):
     """JSONL tracer: one JSON object per line, monotonic timestamps.
 
     The first line is a ``meta`` record carrying the schema version, the
@@ -182,12 +159,14 @@ class TraceWriter(Tracer):
     (``unix_time``); every other line's ``ts`` is seconds since the writer
     was created, measured on the monotonic clock, so timestamps never go
     backwards and two traces of the same run differ only in timestamp
-    fields.  Writes are locked, so threads may emit concurrently.
+    fields.  Writes are locked, so threads may emit concurrently.  As a
+    :class:`RunMetaCollector` it also gives a traced point its ``meta``.
     """
 
     enabled = True
 
     def __init__(self, path: str | os.PathLike, source: str = "trace", **meta):
+        super().__init__()
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._epoch = time.monotonic()
@@ -213,6 +192,11 @@ class TraceWriter(Tracer):
             if self._handle.closed:
                 return
             self._handle.write(line + "\n")
+
+    def run_summary(self, **fields) -> None:
+        """Fold the run into :meth:`meta`, then write its ``run`` line."""
+        super().run_summary(**fields)
+        self.emit("run", **fields)
 
     def close(self) -> None:
         """Flush and close the file (idempotent)."""
@@ -298,8 +282,8 @@ def summarize_trace(events: list[dict[str, Any]]) -> dict[str, Any]:
 
     The summary is the contract the CLI (``trace summarize``), the tests
     and the timeline page all read: round/skip totals that must match the
-    engine's ``RunResult`` metrics exactly, named-event totals, task
-    state tallies and the totals of the per-point ``gc`` events
+    engine's ``RunResult`` metrics exactly, named-event totals and the
+    totals of the per-point ``gc`` events
     (collections per generation, objects collected, seconds in the exit
     collections).
     """
@@ -311,11 +295,6 @@ def summarize_trace(events: list[dict[str, Any]]) -> dict[str, Any]:
         if e["kind"] == "event":
             name = e.get("name", "?")
             named_events[name] = named_events.get(name, 0) + 1
-    tasks: dict[str, int] = {}
-    for e in events:
-        if e["kind"] == "task":
-            state = e.get("state", "?")
-            tasks[state] = tasks.get(state, 0) + 1
     gcs = [e for e in events if e["kind"] == "event" and e.get("name") == "gc"]
     meta = next((e for e in events if e["kind"] == "meta"), {})
     return {
@@ -336,7 +315,6 @@ def summarize_trace(events: list[dict[str, Any]]) -> dict[str, Any]:
             for r in runs
         ],
         "events": {k: named_events[k] for k in sorted(named_events)},
-        "task_states": {k: tasks[k] for k in sorted(tasks)},
         "gc": {
             "points": len(gcs),
             "collections": [sum(gen) for gen in zip(*(e["collections"] for e in gcs))],

@@ -29,12 +29,17 @@ from repro.experiments import (
     run_sweep,
     scenario,
 )
-from repro.experiments.backends import ProcessPoolBackend, execute_point, resolve_backend
+from repro.experiments.backends import (
+    ProcessPoolBackend,
+    SerialBackend,
+    execute_point,
+    resolve_backend,
+)
 from repro.experiments.backends import pool as pool_backend
 from repro.experiments.backends.base import POINT_GC_THRESHOLD
 from repro.experiments.cli import main as cli_main
 from repro.experiments.store import ResultRecord
-from repro.obs.trace import read_trace, summarize_trace
+from repro.obs.trace import read_trace, summarize_trace, task_trace_path
 
 _SRC = Path(repro.__file__).resolve().parents[1]
 _ROOT = _SRC.parent
@@ -126,10 +131,10 @@ class TestCrossBackendEquivalence:
     def test_default_backend_follows_the_worker_count(self):
         """``None`` (the CLI default) picks serial for one worker and a
         pool for more."""
-        assert resolve_backend(None, workers=1, n_tasks=4).name == "serial"
+        assert isinstance(resolve_backend(None, workers=1, n_tasks=4), SerialBackend)
         backend = resolve_backend(None, workers=2, n_tasks=4)
         try:
-            assert backend.name == "pool"
+            assert isinstance(backend, ProcessPoolBackend)
         finally:
             backend.shutdown()
         for spec in ("auto", "bogus"):
@@ -362,16 +367,17 @@ class TestPoolStartUp:
         assert not (tmp_path / "environment").exists()
 
     def test_cli_trace_reaches_pool_workers(self, monkeypatch, tmp_path):
-        """``run --trace DIR`` on the pool writes the sweep trace and one
-        task trace per point into DIR, and nothing where the environment
+        """``run --trace DIR`` on the pool writes one task trace per point
+        into DIR and nothing else, and nothing where the environment
         points."""
         monkeypatch.setattr(pool_backend, "DEFAULT_START_METHOD", "fork")
         elsewhere, traces = tmp_path / "elsewhere", tmp_path / "traces"
         monkeypatch.setenv("REPRO_TRACE_DIR", str(elsewhere))
+        points = expand_grid(get_scenario("bk-echo"), {"x": [1, 2, 3]})
         argv = ["run", "bk-echo", "--set", "x=1,2,3", "--workers", "2", "--no-store"]
         assert cli_main([*argv, "--trace", str(traces)]) == 0
-        assert (traces / "sweep-bk-echo.jsonl").is_file()
-        assert len(list(traces.glob("task-*.jsonl"))) == 3
+        expected = {task_trace_path(traces, p.scenario, p.seed) for p in points}
+        assert set(traces.iterdir()) == expected
         assert not elsewhere.exists()
 
     def test_preload_loads_when_src_is_added_at_run_time(self, tmp_path):

@@ -62,6 +62,16 @@ def _sleepy(*, seed, delay):
     return {"slept": delay}
 
 
+#: What ``test-logged`` points and a sweep's progress callback did, in order.
+_LOG: list[tuple[str, int]] = []
+
+
+@scenario("test-logged", params=[ParamSpec("x", int, 0)])
+def _logged(*, seed, x):
+    _LOG.append(("run", x))
+    return {"x": x}
+
+
 class TestRegistry:
     def test_builtin_catalog_discoverable(self):
         names = {s.name for s in list_scenarios()}
@@ -275,6 +285,19 @@ class TestStoreAndCache:
         resumed = run_sweep(points, store=store)
         assert (resumed.cached, resumed.executed) == (1, 0)
         assert resumed.failed == 1 and not resumed.ok
+
+
+class TestSerialRunner:
+    def test_progress_streams_point_by_point(self):
+        """A serial sweep reports each point before it runs the next."""
+        _LOG.clear()
+        points = expand_grid(get_scenario("test-logged"), {"x": [0, 1, 2]})
+
+        def progress(line):
+            _LOG.append(("done", int(line.split()[2].lstrip("#"))))
+
+        assert run_sweep(points, store=None, backend="serial", progress=progress).ok
+        assert _LOG == [(state, x) for x in (0, 1, 2) for state in ("run", "done")]
 
 
 class TestParallelRunner:
@@ -691,18 +714,20 @@ class TestCLI:
         assert out.stdout.splitlines()[-1] == "[]"
 
     @pytest.mark.parametrize(
-        "flag, value, message",
+        "flags, message",
         [
-            ("--workers", "0", "--workers must be >= 1, got 0"),
-            ("--workers", "-2", "--workers must be >= 1, got -2"),
+            (["--workers", "0"], "--workers must be >= 1, got 0"),
+            (["--workers", "-2"], "--workers must be >= 1, got -2"),
+            (
+                ["--backend", "serial", "--workers", "4"],
+                "--backend serial runs one worker, got --workers 4",
+            ),
         ],
-        ids=["workers-0", "workers-minus-2"],
+        ids=["workers-0", "workers-minus-2", "serial-workers-4"],
     )
-    def test_bad_workers_fails_before_any_point_runs(
-        self, tmp_path, capsys, flag, value, message
-    ):
+    def test_bad_workers_fails_before_any_point_runs(self, tmp_path, capsys, flags, message):
         store = tmp_path / "store"
-        assert cli_main(["run", "chsh-gamma2", flag, value, "--store", str(store)]) == 2
+        assert cli_main(["run", "chsh-gamma2", *flags, "--store", str(store)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert "sweep" not in captured.out

@@ -69,6 +69,12 @@ ALLOWLIST = {
     "repro.experiments.backends.base:ExecutionBackend.poll": "base hook of both backends",
     "repro.experiments.backends.base:ExecutionBackend.shutdown": "base hook of both backends",
     "repro.obs.trace:Tracer.close": "base hook; TraceWriter overrides it",
+    "repro.obs.trace:Tracer.emit": (
+        "the null tracer's no-ops; every audit point runs under a collector"
+    ),
+    "repro.obs.trace:Tracer.run_summary": (
+        "the null tracer's no-ops; every audit point runs under a collector"
+    ),
     # The pool's worker side, which the profiler cannot see, and the pool
     # paths that need a late or dead worker.
     "repro.experiments.backends.pool:_init_worker": "runs in each pool worker",

@@ -31,6 +31,7 @@ from repro.obs.trace import (
     TraceWriter,
     read_trace,
     summarize_trace,
+    task_trace_path,
     trace_files,
     use_tracer,
 )
@@ -105,7 +106,6 @@ class TestNullTracer:
             for i in range(500):
                 tracer.emit("round", round=i, active=3, sent_bits=64)
                 tracer.event("messages", count=2)
-                tracer.task("running", i)
             gc.collect()
             after = tracemalloc.take_snapshot().filter_traces(filters)
         finally:
@@ -249,15 +249,24 @@ class TestTraceCli:
         assert cli_main(argv) == 0
         return out
 
-    def test_run_writes_sweep_and_task_traces(self, trace_dir):
-        names = sorted(p.name for p in trace_dir.glob("*.jsonl"))
-        assert any(n.startswith("sweep-") for n in names)
-        assert any(n.startswith("task-") for n in names)
+    def test_run_writes_one_task_trace_per_executed_point(self, tmp_path):
+        """DIR holds one ``task-*.jsonl`` per executed point and nothing
+        else; a cached rerun writes nothing."""
+        points = expand_grid(get_scenario("spanner-skeleton"), {"n": [16, 20]})
+        store, traces = tmp_path / "store", tmp_path / "traces"
+        argv = ["run", "spanner-skeleton", "--set", "n=16,20", "--store", str(store)]
+        assert cli_main([*argv, "--trace", str(traces)]) == 0
+        expected = {task_trace_path(traces, p.scenario, p.seed) for p in points}
+        assert set(traces.iterdir()) == expected
+        rerun = tmp_path / "rerun"
+        assert cli_main([*argv, "--trace", str(rerun)]) == 0
+        assert not rerun.exists() or not any(rerun.iterdir())
 
     def test_summarize_text_and_json(self, trace_dir, capsys):
         assert cli_main(["trace", "summarize", str(trace_dir)]) == 0
         text = capsys.readouterr().out
         assert "rounds" in text
+        assert "tasks:" not in text
         assert cli_main(["trace", "summarize", str(trace_dir), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload, "empty JSON summary"
@@ -279,16 +288,18 @@ class TestTraceCli:
 
 
 class TestOldTraces:
-    """Schema-1 traces from before ``span`` lines were dropped still read.
+    """Schema-1 traces with lines nothing writes any more still read.
 
-    Nothing emits ``span`` lines any more, but archived traces may hold
-    them; readers skip the kind, so such a trace reads like the same
-    trace without its ``span`` lines.
+    Archived traces may hold ``span`` lines, and a sweep trace ``task``
+    lines and a ``sweep_start`` event; readers skip the kinds, so such a
+    trace reads like the same trace without those lines (the event is
+    counted as any named event is).
     """
 
     @pytest.fixture()
     def traces(self, tmp_path):
-        """``(current, old)``: one run's trace, and a copy with span lines."""
+        """``(current, old)``: one run's trace, and a copy with span lines,
+        a task line and a sweep_start event."""
         current = tmp_path / "current" / "t.jsonl"
         old = tmp_path / "old" / "t.jsonl"
         current.parent.mkdir()
@@ -299,21 +310,26 @@ class TestOldTraces:
             json.dumps({"kind": "span", "ts": 0.5, "name": "step", "dur_s": 0.25, "i": i})
             for i in range(2)
         ]
-        old.write_text("\n".join([meta, spans[0], *rest, spans[1]]) + "\n")
+        sweep = [
+            json.dumps({"kind": "event", "ts": 0.0, "name": "sweep_start", "points": 1}),
+            json.dumps({"kind": "task", "ts": 0.1, "state": "submitted", "index": 0}),
+        ]
+        old.write_text("\n".join([meta, *sweep, spans[0], *rest, spans[1]]) + "\n")
         return current, old
 
     def test_summary_ignores_span_lines(self, traces):
         current, old = (summarize_trace(read_trace(p)) for p in traces)
-        assert old.pop("lines") == current.pop("lines") + 2
+        assert old.pop("lines") == current.pop("lines") + 4
+        assert old["events"].pop("sweep_start") == 1
         assert old == current
-        assert "spans" not in old
+        assert "spans" not in old and "task_states" not in old
 
     def test_summarize_cli_reads_old_trace(self, traces, capsys):
         _, old = traces
         assert cli_main(["trace", "summarize", str(old)]) == 0
         text = capsys.readouterr().out
         assert "run[event]" in text
-        assert "span" not in text
+        assert "span" not in text and "tasks:" not in text
 
     def test_timeline_of_old_trace_matches_current(self, traces, tmp_path):
         pages = []
@@ -325,7 +341,7 @@ class TestOldTraces:
         lines = len(read_trace(traces[0]))
         row = "<td>lines</td><td>{}</td>"
         assert row.format(lines) in current
-        assert old == current.replace(row.format(lines), row.format(lines + 2))
+        assert old == current.replace(row.format(lines), row.format(lines + 4))
         assert "<svg" in old
 
 
